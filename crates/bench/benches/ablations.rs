@@ -16,34 +16,22 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, Criterion};
 use csds_bench::{tune, BenchMap};
 use csds_core::list::{LazyList, LazyListMcs, LazyListTicket};
-use csds_core::ConcurrentMap;
-use csds_harness::{timed_ops, AlgoKind};
+use csds_core::GuardedMap;
+use csds_harness::AlgoKind;
 use csds_htm::{attempt_elision, Elided, SpecStep, TxRegion};
-use csds_workload::KeyDist;
-
-type NamedMap = (&'static str, Arc<Box<dyn ConcurrentMap<u64>>>);
 
 fn lock_kind(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_lock_kind_lazy_list_512elems_20pct");
     tune(&mut g);
-    let maps: Vec<NamedMap> = vec![
-        (
-            "tas",
-            Arc::new(Box::new(LazyList::<u64>::new()) as Box<dyn ConcurrentMap<u64>>),
-        ),
-        (
-            "ticket",
-            Arc::new(Box::new(LazyListTicket::<u64>::new()) as Box<dyn ConcurrentMap<u64>>),
-        ),
-        (
-            "mcs",
-            Arc::new(Box::new(LazyListMcs::<u64>::new()) as Box<dyn ConcurrentMap<u64>>),
-        ),
+    let maps: Vec<(&str, Box<dyn GuardedMap<u64>>)> = vec![
+        ("tas", Box::new(LazyList::<u64>::new())),
+        ("ticket", Box::new(LazyListTicket::<u64>::new())),
+        ("mcs", Box::new(LazyListMcs::<u64>::new())),
     ];
     for (label, map) in maps {
-        csds_harness::prefill(map.as_ref().as_ref(), 512, 1024, 0xAB1A);
+        let map = BenchMap::over(map, 512);
         g.bench_function(label, |b| {
-            b.iter_custom(|iters| timed_ops(&map, KeyDist::Uniform, 1024, 20, 4, iters, 0x10C4));
+            b.iter_custom(|iters| map.run_pin_per_op(iters, 4, 20));
         });
     }
     g.finish();

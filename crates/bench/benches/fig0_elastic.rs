@@ -20,8 +20,8 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use csds_bench::{tune, BenchMap};
 use csds_core::{ConcurrentMap, MapHandle};
 use csds_elastic::{ElasticConfig, ElasticHashTable};
-use csds_harness::AlgoKind;
-use csds_workload::{ChurnSchedule, FastRng, KeySampler, Op, OpMix};
+use csds_harness::{apply_map_op, run_timed, thread_seed, AlgoKind, Stop};
+use csds_workload::{ChurnSchedule, FastRng, KeySampler, OpMix};
 
 const THREADS: usize = 2;
 
@@ -122,23 +122,19 @@ fn churn_cycle(c: &mut Criterion) {
             // the shrink threshold each cycle.
             let schedule = ChurnSchedule::new(4_000, 1_000, 8_000);
             let steady = OpMix::updates(10);
-            let sampler = Arc::new(KeySampler::new(csds_workload::KeyDist::Uniform, 1 << 12));
-            let per_thread = iters / THREADS as u64 + 1;
-            let barrier = Arc::new(Barrier::new(THREADS));
-            let start = Instant::now();
-            let mut workers = Vec::new();
-            for t in 0..THREADS {
-                let table = Arc::clone(table);
-                let sampler = Arc::clone(&sampler);
-                let barrier = Arc::clone(&barrier);
-                workers.push(std::thread::spawn(churn_worker(
-                    t, per_thread, schedule, steady, table, sampler, barrier,
-                )));
-            }
-            for w in workers {
-                w.join().unwrap();
-            }
-            start.elapsed()
+            let sampler = KeySampler::new(csds_workload::KeyDist::Uniform, 1 << 12);
+            run_timed(THREADS, Stop::Ops(iters), |t| {
+                let mut h = MapHandle::new(&**table);
+                let mut rng = FastRng::new(thread_seed(0xC0DE, t));
+                let sampler = &sampler;
+                let mut i = 0u64;
+                move || {
+                    let key = sampler.sample(&mut rng);
+                    apply_map_op(&mut h, schedule.sample(i, steady, &mut rng), key);
+                    i += 1;
+                }
+            })
+            .elapsed
         });
     });
     g.finish();
@@ -155,50 +151,6 @@ fn churn_cycle(c: &mut Criterion) {
         stats.tables_retired,
         table.buckets(),
     );
-}
-
-/// Worker closure for the churn bench (free function so the spawn stays
-/// readable).
-#[allow(clippy::too_many_arguments)]
-fn churn_worker(
-    t: usize,
-    ops: u64,
-    schedule: ChurnSchedule,
-    steady: OpMix,
-    table: Arc<ElasticHashTable<u64>>,
-    sampler: Arc<KeySampler>,
-    barrier: Arc<Barrier>,
-) -> impl FnOnce() + Send + 'static {
-    move || {
-        let mut h = MapHandle::new(&*table);
-        let mut rng = FastRng::new(0xC0DE ^ (t as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15));
-        barrier.wait();
-        for i in 0..ops {
-            let key = sampler.sample(&mut rng);
-            match schedule.sample(i, steady, &mut rng) {
-                Op::Get => {
-                    black_box(h.get(key));
-                }
-                Op::Insert => {
-                    black_box(h.insert(key, key));
-                }
-                Op::Remove => {
-                    black_box(h.remove(key));
-                }
-                Op::Upsert => {
-                    black_box(h.upsert(key, key));
-                }
-                Op::Cas => {
-                    black_box(h.compare_swap(key, &key, key));
-                }
-                Op::FetchAdd => {
-                    black_box(h.rmw(key, &mut |cur| {
-                        Some(cur.copied().unwrap_or(0).wrapping_add(1))
-                    }));
-                }
-            }
-        }
-    }
 }
 
 criterion_group!(benches, steady_state, reads_during_growth, churn_cycle);

@@ -21,13 +21,12 @@
 //! reads (the ISSUE's ≤5 % budget) and the hot-key counter RMW, each
 //! single-threaded and contended.
 
-use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use csds_bench::tune;
+use csds_bench::{tune, BenchMap};
 use csds_core::{GuardedMap, MapHandle};
-use csds_harness::{prefill, AlgoKind};
+use csds_harness::{run_timed, AlgoKind, Stop};
 use csds_workload::FastRng;
 
 /// Which A/B arm this binary was compiled as.
@@ -40,12 +39,8 @@ const MODE: &str = if cfg!(feature = "metrics-off") {
 const SIZE: usize = 1024;
 const HOT_KEYS: u64 = 64;
 
-fn prefilled() -> Arc<Box<dyn GuardedMap<u64>>> {
-    let key_range = SIZE as u64 * 2;
-    let map: Arc<Box<dyn GuardedMap<u64>>> =
-        Arc::new(AlgoKind::LazyHashTable.make_guarded(key_range as usize));
-    prefill(map.as_ref().as_ref(), SIZE, key_range, 0xB0B5EED);
-    map
+fn prefilled() -> BenchMap {
+    BenchMap::new(AlgoKind::LazyHashTable, SIZE)
 }
 
 /// One observability-instrumented operation: the map op plus the
@@ -68,34 +63,13 @@ fn one_op(h: &mut MapHandle<'_, u64, dyn GuardedMap<u64>>, rng: &mut FastRng, up
 
 /// Split `total` instrumented ops across `threads`; returns the wall time
 /// of the whole fan-out (criterion `iter_custom` contract).
-fn run_threads(
-    map: &Arc<Box<dyn GuardedMap<u64>>>,
-    threads: usize,
-    total: u64,
-    update_pct: u32,
-) -> Duration {
-    let barrier = Arc::new(Barrier::new(threads + 1));
-    let per_thread = total.div_ceil(threads as u64);
-    let workers: Vec<_> = (0..threads)
-        .map(|t| {
-            let map = Arc::clone(map);
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                let mut rng = FastRng::new(0x5EED ^ (t as u64 + 1).wrapping_mul(0x9E3779B9));
-                barrier.wait();
-                let mut h = MapHandle::new(map.as_ref().as_ref());
-                for _ in 0..per_thread {
-                    one_op(&mut h, &mut rng, update_pct);
-                }
-            })
-        })
-        .collect();
-    barrier.wait();
-    let start = Instant::now();
-    for w in workers {
-        w.join().expect("bench worker panicked");
-    }
-    start.elapsed()
+fn run_threads(map: &BenchMap, threads: usize, total: u64, update_pct: u32) -> Duration {
+    run_timed(threads, Stop::Ops(total), |t| {
+        let mut rng = FastRng::new(0x5EED ^ (t as u64 + 1).wrapping_mul(0x9E3779B9));
+        let mut h = MapHandle::new(map.map());
+        move || one_op(&mut h, &mut rng, update_pct)
+    })
+    .elapsed
 }
 
 fn obs_overhead(c: &mut Criterion) {
@@ -104,14 +78,14 @@ fn obs_overhead(c: &mut Criterion) {
 
     g.bench_function(format!("lazy_ht_read_t1_{MODE}"), |b| {
         let map = prefilled();
-        let mut h = MapHandle::new(map.as_ref().as_ref());
+        let mut h = MapHandle::new(map.map());
         let mut rng = FastRng::new(0x5EED);
         b.iter(|| one_op(&mut h, &mut rng, 0));
     });
 
     g.bench_function(format!("lazy_ht_rmw_t1_{MODE}"), |b| {
         let map = prefilled();
-        let mut h = MapHandle::new(map.as_ref().as_ref());
+        let mut h = MapHandle::new(map.map());
         let mut rng = FastRng::new(0x5EED);
         b.iter(|| one_op(&mut h, &mut rng, 100));
     });

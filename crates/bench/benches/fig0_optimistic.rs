@@ -22,23 +22,15 @@
 //! version word), the elastic table (bucket version under `MOVED`
 //! authority) and BST-TK (edge-version-validated descent).
 
-use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use csds_bench::tune;
+use csds_bench::{tune, BenchMap};
 use csds_core::{GuardedMap, MapHandle};
-use csds_harness::{prefill, AlgoKind};
-use csds_workload::{FastRng, KeyDist, KeySampler};
+use csds_harness::{apply_map_op, run_timed, thread_seed, AlgoKind, Stop};
+use csds_workload::{FastRng, KeyDist, KeySampler, Op};
 
 const SIZE: usize = 1024;
-
-fn prefilled(algo: AlgoKind) -> Arc<Box<dyn GuardedMap<u64>>> {
-    let key_range = SIZE as u64 * 2;
-    let map: Arc<Box<dyn GuardedMap<u64>>> = Arc::new(algo.make_guarded(key_range as usize));
-    prefill(map.as_ref().as_ref(), SIZE, key_range, 0xB0B5EED);
-    map
-}
 
 fn algos() -> [(&'static str, AlgoKind); 4] {
     [
@@ -49,86 +41,59 @@ fn algos() -> [(&'static str, AlgoKind); 4] {
     ]
 }
 
-/// `total_ops` pure gets over `key_range`, split across `threads`.
-fn run_reads(
-    map: &Arc<Box<dyn GuardedMap<u64>>>,
+/// `total_ops` runs of `one_op(handle, key)` over uniform keys in
+/// `key_range`, split across `threads` (one handle per worker).
+fn run_ops(
+    map: &(dyn GuardedMap<u64> + 'static),
     key_range: u64,
     threads: usize,
     total_ops: u64,
+    one_op: impl Fn(&mut MapHandle<'_, u64>, u64) + Sync,
 ) -> Duration {
-    let sampler = Arc::new(KeySampler::new(KeyDist::Uniform, key_range));
-    let barrier = Arc::new(Barrier::new(threads + 1));
-    let per_thread = total_ops.div_ceil(threads as u64);
-    let mut workers = Vec::with_capacity(threads);
-    for t in 0..threads {
-        let map = Arc::clone(map);
-        let sampler = Arc::clone(&sampler);
-        let barrier = Arc::clone(&barrier);
-        let seed = 0x5EED ^ (t as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15);
-        workers.push(std::thread::spawn(move || {
-            let mut rng = FastRng::new(seed);
-            barrier.wait();
-            let mut h = MapHandle::new(map.as_ref().as_ref());
-            for _ in 0..per_thread {
-                black_box(h.get(sampler.sample(&mut rng)));
-            }
-        }));
-    }
-    barrier.wait();
-    let start = Instant::now();
-    for w in workers {
-        w.join().expect("bench worker panicked");
-    }
-    start.elapsed()
+    let sampler = KeySampler::new(KeyDist::Uniform, key_range);
+    run_timed(threads, Stop::Ops(total_ops), |t| {
+        let mut rng = FastRng::new(thread_seed(0x5EED, t));
+        let mut h = MapHandle::new(map);
+        let (sampler, one_op) = (&sampler, &one_op);
+        move || one_op(&mut h, sampler.sample(&mut rng))
+    })
+    .elapsed
 }
 
-/// `total_ops` fetch-adds over `key_range`, split across `threads`.
-fn run_counter(
-    map: &Arc<Box<dyn GuardedMap<u64>>>,
-    key_range: u64,
-    threads: usize,
-    total_ops: u64,
-) -> Duration {
-    let sampler = Arc::new(KeySampler::new(KeyDist::Uniform, key_range));
-    let barrier = Arc::new(Barrier::new(threads + 1));
-    let per_thread = total_ops.div_ceil(threads as u64);
-    let mut workers = Vec::with_capacity(threads);
-    for t in 0..threads {
-        let map = Arc::clone(map);
-        let sampler = Arc::clone(&sampler);
-        let barrier = Arc::clone(&barrier);
-        workers.push(std::thread::spawn(move || {
-            let mut rng = FastRng::new(0xADD ^ (t as u64 + 1));
-            barrier.wait();
-            let mut h = MapHandle::new(map.as_ref().as_ref());
-            for _ in 0..per_thread {
-                let key = sampler.sample(&mut rng);
-                black_box(
-                    h.rmw(key, &mut |c| Some(c.copied().unwrap_or(0) + 1))
-                        .applied,
-                );
-            }
-        }));
-    }
-    barrier.wait();
-    let start = Instant::now();
-    for w in workers {
-        w.join().expect("bench worker panicked");
-    }
-    start.elapsed()
+/// Pure `get`.
+fn read_op(h: &mut MapHandle<'_, u64>, key: u64) {
+    apply_map_op(h, Op::Get, key);
+}
+
+/// Fetch-add (validate-then-lock `rmw_in`).
+fn counter_op(h: &mut MapHandle<'_, u64>, key: u64) {
+    apply_map_op(h, Op::FetchAdd, key);
+}
+
+/// Read-only RMW decision (closure inspects and declines). The optimistic
+/// path answers these with a version validation and **no lock at all**;
+/// the locked path pays a full lock/unlock per call.
+fn decision_op(h: &mut MapHandle<'_, u64>, key: u64) {
+    black_box(
+        h.rmw(key, &mut |c| {
+            black_box(c.copied());
+            None
+        })
+        .applied,
+    );
 }
 
 fn reads(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig0_optimistic_read_1024");
     tune(&mut g);
     for (label, algo) in algos() {
-        let map = prefilled(algo);
+        let map = BenchMap::new(algo, SIZE);
         for (path, enabled) in [("optimistic", true), ("locked", false)] {
             for threads in [1usize, 4] {
                 g.bench_function(format!("{label}/{path}/t{threads}"), |b| {
                     b.iter_custom(|iters| {
                         csds_sync::with_optimistic_fast_paths(enabled, || {
-                            run_reads(&map, SIZE as u64 * 2, threads, iters)
+                            run_ops(map.map(), SIZE as u64 * 2, threads, iters, read_op)
                         })
                     });
                 });
@@ -138,60 +103,17 @@ fn reads(c: &mut Criterion) {
     g.finish();
 }
 
-/// `total_ops` read-only RMW decisions (closure inspects and declines)
-/// over `key_range`, split across `threads`. The optimistic path answers
-/// these with a version validation and **no lock at all**; the locked path
-/// pays a full lock/unlock per call.
-fn run_decision(
-    map: &Arc<Box<dyn GuardedMap<u64>>>,
-    key_range: u64,
-    threads: usize,
-    total_ops: u64,
-) -> Duration {
-    let sampler = Arc::new(KeySampler::new(KeyDist::Uniform, key_range));
-    let barrier = Arc::new(Barrier::new(threads + 1));
-    let per_thread = total_ops.div_ceil(threads as u64);
-    let mut workers = Vec::with_capacity(threads);
-    for t in 0..threads {
-        let map = Arc::clone(map);
-        let sampler = Arc::clone(&sampler);
-        let barrier = Arc::clone(&barrier);
-        let seed = 0xDEC ^ (t as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15);
-        workers.push(std::thread::spawn(move || {
-            let mut rng = FastRng::new(seed);
-            barrier.wait();
-            let mut h = MapHandle::new(map.as_ref().as_ref());
-            for _ in 0..per_thread {
-                let key = sampler.sample(&mut rng);
-                black_box(
-                    h.rmw(key, &mut |c| {
-                        black_box(c.copied());
-                        None
-                    })
-                    .applied,
-                );
-            }
-        }));
-    }
-    barrier.wait();
-    let start = Instant::now();
-    for w in workers {
-        w.join().expect("bench worker panicked");
-    }
-    start.elapsed()
-}
-
 fn rmw_decision(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig0_optimistic_rmw_decision_1024");
     tune(&mut g);
     for (label, algo) in algos() {
-        let map = prefilled(algo);
+        let map = BenchMap::new(algo, SIZE);
         for (path, enabled) in [("optimistic", true), ("locked", false)] {
             for threads in [1usize, 4] {
                 g.bench_function(format!("{label}/{path}/t{threads}"), |b| {
                     b.iter_custom(|iters| {
                         csds_sync::with_optimistic_fast_paths(enabled, || {
-                            run_decision(&map, SIZE as u64 * 2, threads, iters)
+                            run_ops(map.map(), SIZE as u64 * 2, threads, iters, decision_op)
                         })
                     });
                 });
@@ -206,13 +128,13 @@ fn rmw_counter(c: &mut Criterion) {
     tune(&mut g);
     for (label, algo) in algos() {
         let key_range = 64u64;
-        let map: Arc<Box<dyn GuardedMap<u64>>> = Arc::new(algo.make_guarded(key_range as usize));
+        let map = algo.make(key_range as usize);
         for (path, enabled) in [("optimistic", true), ("locked", false)] {
             for threads in [1usize, 4] {
                 g.bench_function(format!("{label}/{path}/t{threads}"), |b| {
                     b.iter_custom(|iters| {
                         csds_sync::with_optimistic_fast_paths(enabled, || {
-                            run_counter(&map, key_range, threads, iters)
+                            run_ops(&*map, key_range, threads, iters, counter_op)
                         })
                     });
                 });

@@ -10,71 +10,13 @@
 //! where the two designs' claims diverge (lock-hold time vs CAS-retry
 //! churn on the same cache line).
 
-use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
-
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use csds_bench::tune;
-use csds_harness::PqKind;
-use csds_pq::{ConcurrentPq, GuardedPq, PqHandle};
-use csds_workload::{FastRng, PqOp, PqOpMix};
+use csds_harness::{pq_worker, prefill_pq, run_timed, thread_seed, PqKind, Stop};
+use csds_workload::PqOpMix;
 
 const SIZE: usize = 1024;
 const KEY_RANGE: u64 = SIZE as u64 * 2;
-
-fn prefilled(kind: PqKind) -> Arc<Box<dyn GuardedPq<u64>>> {
-    let pq: Arc<Box<dyn GuardedPq<u64>>> = Arc::new(kind.make_guarded());
-    let mut rng = FastRng::new(0xB0B5EED);
-    let mut n = 0;
-    while n < SIZE {
-        if pq.push(rng.bounded(KEY_RANGE), 0) {
-            n += 1;
-        }
-    }
-    pq
-}
-
-/// `total_ops` of the mix over the shared queue, split across `threads`
-/// (one `PqHandle` session per worker).
-fn run_mix(
-    pq: &Arc<Box<dyn GuardedPq<u64>>>,
-    mix: PqOpMix,
-    threads: usize,
-    total_ops: u64,
-) -> Duration {
-    let barrier = Arc::new(Barrier::new(threads + 1));
-    let per_thread = total_ops.div_ceil(threads as u64);
-    let mut workers = Vec::with_capacity(threads);
-    for t in 0..threads {
-        let pq = Arc::clone(pq);
-        let barrier = Arc::clone(&barrier);
-        let seed = 0x5EED ^ (t as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15);
-        workers.push(std::thread::spawn(move || {
-            let mut rng = FastRng::new(seed);
-            barrier.wait();
-            let mut h = PqHandle::new(pq.as_ref().as_ref());
-            for _ in 0..per_thread {
-                match mix.sample(&mut rng) {
-                    PqOp::Push => {
-                        black_box(h.push(rng.bounded(KEY_RANGE), 0));
-                    }
-                    PqOp::PopMin => {
-                        black_box(h.pop_min().map(|(k, _)| k));
-                    }
-                    PqOp::PeekMin => {
-                        black_box(h.peek_min().map(|(k, _)| k));
-                    }
-                }
-            }
-        }));
-    }
-    barrier.wait();
-    let start = Instant::now();
-    for w in workers {
-        w.join().expect("bench worker panicked");
-    }
-    start.elapsed()
-}
 
 fn pq(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig0_pq_1024");
@@ -88,9 +30,16 @@ fn pq(c: &mut Criterion) {
             for threads in [1usize, 4] {
                 // Fresh prefilled queue per cell so a draining mix in one
                 // cell cannot starve the next.
-                let pq = prefilled(*kind);
+                let pq = kind.make();
+                prefill_pq(&*pq, SIZE, KEY_RANGE, 0xB0B5EED);
                 g.bench_function(format!("{}/{mix_label}/t{threads}", kind.name()), |b| {
-                    b.iter_custom(|iters| run_mix(&pq, mix, threads, iters))
+                    // `iters` ops of the mix, one `PqHandle` session per worker.
+                    b.iter_custom(|iters| {
+                        run_timed(threads, Stop::Ops(iters), |t| {
+                            pq_worker(&*pq, mix, KEY_RANGE, thread_seed(0x5EED, t))
+                        })
+                        .elapsed
+                    })
                 });
             }
         }

@@ -13,104 +13,68 @@
 //! Mixes: upsert-heavy (50 % upsert / 50 % get), CAS-heavy (40 % CAS /
 //! 10 % updates / 50 % get), and a pure fetch-add counter.
 
-use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use csds_bench::tune;
+use criterion::{criterion_group, criterion_main, Criterion};
+use csds_bench::{tune, BenchMap};
 use csds_core::{GuardedMap, MapHandle};
-use csds_harness::{prefill, AlgoKind};
+use csds_harness::{apply_map_op, run_timed, thread_seed, AlgoKind, Stop};
 use csds_workload::{FastRng, KeyDist, KeySampler, Op, OpMix};
 
 const SIZE: usize = 1024;
 
-fn prefilled(algo: AlgoKind) -> Arc<Box<dyn GuardedMap<u64>>> {
-    let key_range = SIZE as u64 * 2;
-    let map: Arc<Box<dyn GuardedMap<u64>>> = Arc::new(algo.make_guarded(key_range as usize));
-    prefill(map.as_ref().as_ref(), SIZE, key_range, 0xB0B5EED);
-    map
+/// The pre-vocabulary emulation of a compound operation over
+/// `get`/`insert`/`remove` (basic operations pass through unchanged).
+fn composed_op(h: &mut MapHandle<'_, u64>, op: Op, key: u64) {
+    match op {
+        // insert-else-(remove; insert), with a visible absence window.
+        Op::Upsert => loop {
+            if h.insert(key, key) {
+                break;
+            }
+            let _ = h.remove(key);
+        },
+        // get-compare-(remove; insert).
+        Op::Cas => {
+            if h.get(key).copied() == Some(key) && h.remove(key).is_some() {
+                let _ = h.insert(key, key);
+            }
+        }
+        Op::FetchAdd => {
+            let cur = h.remove(key).unwrap_or(0);
+            let _ = h.insert(key, cur + 1);
+        }
+        basic => apply_map_op(h, basic, key),
+    }
 }
 
-/// Run `total_ops` of `mix` split across `threads`, one handle per worker;
-/// `native` selects the native compound calls, otherwise compositions over
-/// the basic vocabulary.
+/// Run `total_ops` of `mix` over `key_range` split across `threads`, one
+/// handle per worker; `native` selects the native compound calls,
+/// otherwise compositions over the basic vocabulary.
 fn run_mix(
-    map: &Arc<Box<dyn GuardedMap<u64>>>,
+    map: &(dyn GuardedMap<u64> + 'static),
+    key_range: u64,
     mix: OpMix,
     native: bool,
     threads: usize,
     total_ops: u64,
 ) -> Duration {
-    let sampler = Arc::new(KeySampler::new(KeyDist::Uniform, SIZE as u64 * 2));
-    let barrier = Arc::new(Barrier::new(threads + 1));
-    let per_thread = total_ops.div_ceil(threads as u64);
-    let mut workers = Vec::with_capacity(threads);
-    for t in 0..threads {
-        let map = Arc::clone(map);
-        let sampler = Arc::clone(&sampler);
-        let barrier = Arc::clone(&barrier);
-        let seed = 0x5EED ^ (t as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15);
-        workers.push(std::thread::spawn(move || {
-            let mut rng = FastRng::new(seed);
-            barrier.wait();
-            let mut h = MapHandle::new(map.as_ref().as_ref());
-            for _ in 0..per_thread {
-                let key = sampler.sample(&mut rng);
-                match mix.sample(&mut rng) {
-                    Op::Get => {
-                        black_box(h.get(key));
-                    }
-                    Op::Insert => {
-                        black_box(h.insert(key, key));
-                    }
-                    Op::Remove => {
-                        black_box(h.remove(key));
-                    }
-                    Op::Upsert => {
-                        if native {
-                            black_box(h.upsert(key, key));
-                        } else {
-                            // insert-else-(remove; insert) — the pre-PR
-                            // emulation, with a visible absence window.
-                            loop {
-                                if h.insert(key, key) {
-                                    break;
-                                }
-                                let _ = h.remove(key);
-                            }
-                        }
-                    }
-                    Op::Cas => {
-                        if native {
-                            black_box(h.compare_swap(key, &key, key));
-                        } else {
-                            // get-compare-(remove; insert) emulation.
-                            if h.get(key).copied() == Some(key) && h.remove(key).is_some() {
-                                let _ = h.insert(key, key);
-                            }
-                        }
-                    }
-                    Op::FetchAdd => {
-                        if native {
-                            black_box(
-                                h.rmw(key, &mut |c| Some(c.copied().unwrap_or(0) + 1))
-                                    .applied,
-                            );
-                        } else {
-                            let cur = h.remove(key).unwrap_or(0);
-                            let _ = h.insert(key, cur + 1);
-                        }
-                    }
-                }
+    let sampler = KeySampler::new(KeyDist::Uniform, key_range);
+    run_timed(threads, Stop::Ops(total_ops), |t| {
+        let mut rng = FastRng::new(thread_seed(0x5EED, t));
+        let mut h = MapHandle::new(map);
+        let sampler = &sampler;
+        move || {
+            let key = sampler.sample(&mut rng);
+            let op = mix.sample(&mut rng);
+            if native {
+                apply_map_op(&mut h, op, key);
+            } else {
+                composed_op(&mut h, op, key);
             }
-        }));
-    }
-    barrier.wait();
-    let start = Instant::now();
-    for w in workers {
-        w.join().expect("bench worker panicked");
-    }
-    start.elapsed()
+        }
+    })
+    .elapsed
 }
 
 fn algos() -> [(&'static str, AlgoKind); 4] {
@@ -126,11 +90,18 @@ fn upsert_heavy(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig0_rmw_upsert_heavy_1024");
     tune(&mut g);
     for (label, algo) in algos() {
-        let map = prefilled(algo);
+        let map = BenchMap::new(algo, SIZE);
         for (path, native) in [("native", true), ("composed", false)] {
             g.bench_function(format!("{label}/{path}/t1"), |b| {
                 b.iter_custom(|iters| {
-                    run_mix(&map, OpMix::mix_rmw_upsert_heavy(), native, 1, iters)
+                    run_mix(
+                        map.map(),
+                        SIZE as u64 * 2,
+                        OpMix::mix_rmw_upsert_heavy(),
+                        native,
+                        1,
+                        iters,
+                    )
                 });
             });
         }
@@ -142,10 +113,19 @@ fn cas_heavy(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig0_rmw_cas_heavy_1024");
     tune(&mut g);
     for (label, algo) in algos() {
-        let map = prefilled(algo);
+        let map = BenchMap::new(algo, SIZE);
         for (path, native) in [("native", true), ("composed", false)] {
             g.bench_function(format!("{label}/{path}/t1"), |b| {
-                b.iter_custom(|iters| run_mix(&map, OpMix::mix_rmw_cas_heavy(), native, 1, iters));
+                b.iter_custom(|iters| {
+                    run_mix(
+                        map.map(),
+                        SIZE as u64 * 2,
+                        OpMix::mix_rmw_cas_heavy(),
+                        native,
+                        1,
+                        iters,
+                    )
+                });
             });
         }
     }
@@ -161,46 +141,19 @@ fn counter(c: &mut Criterion) {
         ("elastic_ht", AlgoKind::ElasticHashTable),
     ] {
         let key_range = 64u64;
-        let map: Arc<Box<dyn GuardedMap<u64>>> = Arc::new(algo.make_guarded(key_range as usize));
+        let map = algo.make(key_range as usize);
         for (path, native) in [("native", true), ("composed", false)] {
             for threads in [1usize, 4] {
-                let map = Arc::clone(&map);
                 g.bench_function(format!("{label}/{path}/t{threads}"), |b| {
                     b.iter_custom(|iters| {
-                        // Narrow key range: resample inside the run via the
-                        // counter mix over the small space.
-                        let sampler = Arc::new(KeySampler::new(KeyDist::Uniform, key_range));
-                        let barrier = Arc::new(Barrier::new(threads + 1));
-                        let per_thread = iters.div_ceil(threads as u64);
-                        let mut workers = Vec::with_capacity(threads);
-                        for t in 0..threads {
-                            let map = Arc::clone(&map);
-                            let sampler = Arc::clone(&sampler);
-                            let barrier = Arc::clone(&barrier);
-                            workers.push(std::thread::spawn(move || {
-                                let mut rng = FastRng::new(0xADD ^ (t as u64 + 1));
-                                barrier.wait();
-                                let mut h = MapHandle::new(map.as_ref().as_ref());
-                                for _ in 0..per_thread {
-                                    let key = sampler.sample(&mut rng);
-                                    if native {
-                                        black_box(
-                                            h.rmw(key, &mut |c| Some(c.copied().unwrap_or(0) + 1))
-                                                .applied,
-                                        );
-                                    } else {
-                                        let cur = h.remove(key).unwrap_or(0);
-                                        let _ = h.insert(key, cur + 1);
-                                    }
-                                }
-                            }));
-                        }
-                        barrier.wait();
-                        let start = Instant::now();
-                        for w in workers {
-                            w.join().expect("bench worker panicked");
-                        }
-                        start.elapsed()
+                        run_mix(
+                            &*map,
+                            key_range,
+                            OpMix::mix_rmw_counter(),
+                            native,
+                            threads,
+                            iters,
+                        )
                     });
                 });
             }

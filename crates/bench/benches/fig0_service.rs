@@ -24,80 +24,35 @@ use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use csds_bench::{tune, BenchMap};
-use csds_harness::{prefill, AlgoKind};
-use csds_service::{OpKind, ServiceClient, ServiceConfig};
-use csds_workload::{FastRng, KeyDist, KeySampler, Op, OpMix, TenantSampler};
+use csds_harness::{prefill, service_op, AlgoKind};
+use csds_service::{NamespaceId, ServiceClient, ServiceConfig, DEFAULT_NAMESPACE};
+use csds_workload::{FastRng, KeyDist, KeySampler, OpMix, TenantSampler};
 
 /// Stationary population; key range is twice this (paper §3.3).
 const SIZE: usize = 4096;
 const UPDATE_PCT: u32 = 10;
 const BATCH: usize = 64;
 
-fn run_service_client(client: &ServiceClient<u64>, total_ops: u64) -> Duration {
+/// One client pipelining batches of [`BATCH`] operations: every request is
+/// submitted before any reply is awaited. `sample` draws each request's
+/// namespace and key, so a multi-tenant batch mixes hot and cold tenants.
+fn run_client(
+    client: &ServiceClient<u64>,
+    total_ops: u64,
+    mut rng: FastRng,
+    sample: impl Fn(&mut FastRng) -> (NamespaceId, u64),
+) -> Duration {
     let mix = OpMix::updates(UPDATE_PCT);
-    let sampler = KeySampler::new(KeyDist::Uniform, SIZE as u64 * 2);
-    let mut rng = FastRng::new(0x5E41 ^ total_ops);
-    let mut batch = Vec::with_capacity(BATCH);
-    let mut done = 0u64;
-    let start = Instant::now();
-    while done < total_ops {
-        let n = BATCH.min((total_ops - done) as usize);
-        for _ in 0..n {
-            let key = sampler.sample(&mut rng);
-            let op = match mix.sample(&mut rng) {
-                Op::Get => OpKind::Get,
-                Op::Insert => OpKind::Insert(key),
-                Op::Remove => OpKind::Remove,
-                Op::Upsert => OpKind::Upsert(key),
-                Op::Cas => OpKind::CompareSwap {
-                    expected: key,
-                    new: key,
-                },
-                Op::FetchAdd => OpKind::FetchAdd(1),
-            };
-            batch.push((key, op));
-        }
-        let pending = client
-            .submit_batch(batch.drain(..))
-            .expect("service is running");
-        for f in pending {
-            black_box(f.wait().expect("accepted ops execute"));
-        }
-        done += n as u64;
-    }
-    start.elapsed()
-}
-
-/// One client pipelining Zipf-over-Zipf tenant batches: the namespace id
-/// is drawn per op, so every batch mixes hot and cold tenants.
-fn run_tenant_client(client: &ServiceClient<u64>, namespaces: u64, total_ops: u64) -> Duration {
-    let mix = OpMix::updates(UPDATE_PCT);
-    let sampler = TenantSampler::zipf_over_zipf(namespaces, SIZE as u64 * 2);
-    let mut rng = FastRng::new(0x7E4A ^ total_ops ^ namespaces);
     let mut pending = Vec::with_capacity(BATCH);
     let mut done = 0u64;
     let start = Instant::now();
     while done < total_ops {
         let n = BATCH.min((total_ops - done) as usize);
         for _ in 0..n {
-            let (ns, key) = sampler.sample(&mut rng);
-            let op = match mix.sample(&mut rng) {
-                Op::Get => OpKind::Get,
-                Op::Insert => OpKind::Insert(key),
-                Op::Remove => OpKind::Remove,
-                Op::Upsert => OpKind::Upsert(key),
-                Op::Cas => OpKind::CompareSwap {
-                    expected: key,
-                    new: key,
-                },
-                Op::FetchAdd => OpKind::FetchAdd(1),
-            };
-            pending.push(
-                client
-                    .namespace(ns)
-                    .submit(key, op)
-                    .expect("service is running"),
-            );
+            let (ns, key) = sample(&mut rng);
+            let op = service_op(mix.sample(&mut rng), key);
+            let submitted = client.namespace(ns).submit(key, op);
+            pending.push(submitted.expect("service is running"));
         }
         for f in pending.drain(..) {
             black_box(f.wait().expect("accepted ops execute"));
@@ -130,7 +85,12 @@ fn closed_loop_vs_service(c: &mut Criterion) {
         prefill(svc.map().as_ref(), SIZE, SIZE as u64 * 2, 0xB0B5EED);
         let client = svc.client();
         g.bench_function(format!("service/batched_{cores}c"), move |b| {
-            b.iter_custom(|iters| run_service_client(&client, iters))
+            let sampler = KeySampler::new(KeyDist::Uniform, SIZE as u64 * 2);
+            b.iter_custom(|iters| {
+                run_client(&client, iters, FastRng::new(0x5E41 ^ iters), |rng| {
+                    (DEFAULT_NAMESPACE, sampler.sample(rng))
+                })
+            })
         });
         services.push((cores, svc));
     }
@@ -151,7 +111,11 @@ fn closed_loop_vs_service(c: &mut Criterion) {
         );
         let client = svc.client();
         g.bench_function(format!("service/tenants_{namespaces}ns"), move |b| {
-            b.iter_custom(|iters| run_tenant_client(&client, namespaces, iters))
+            let sampler = TenantSampler::zipf_over_zipf(namespaces, SIZE as u64 * 2);
+            b.iter_custom(|iters| {
+                let rng = FastRng::new(0x7E4A ^ iters ^ namespaces);
+                run_client(&client, iters, rng, |rng| sampler.sample(rng))
+            })
         });
         tenant_services.push((namespaces, svc));
     }

@@ -3,61 +3,42 @@
 //! the lock-free counterparts degrade more gracefully. The wait fractions
 //! are printed by `repro run fig10`.
 
-use csds_sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use csds_core::queuestack::{LockedStack, MsQueue, TreiberStack, TwoLockQueue};
-use csds_core::ConcurrentPool;
+use csds_core::{ConcurrentPool, GuardedPool};
+use csds_harness::{run_timed, PoolKind, Stop};
 
-fn run_pool_ops(pool: Arc<dyn ConcurrentPool<u64>>, total_ops: u64, threads: usize) -> Duration {
-    let barrier = Arc::new(Barrier::new(threads + 1));
-    let per_thread = total_ops.div_ceil(threads as u64);
-    let flip = Arc::new(AtomicBool::new(false));
-    let mut handles = Vec::new();
-    for t in 0..threads {
-        let pool = Arc::clone(&pool);
-        let barrier = Arc::clone(&barrier);
-        let flip = Arc::clone(&flip);
-        handles.push(std::thread::spawn(move || {
-            barrier.wait();
-            for i in 0..per_thread {
-                if (i + t as u64) % 2 == 0 {
-                    pool.push(i);
-                } else if pool.pop().is_none() {
-                    // keep the pool from draining empty
-                    pool.push(i);
-                    flip.store(true, Ordering::Relaxed);
-                }
+fn run_pool_ops(pool: &dyn GuardedPool<u64>, total_ops: u64, threads: usize) -> Duration {
+    run_timed(threads, Stop::Ops(total_ops), |t| {
+        let mut i = t as u64;
+        move || {
+            i += 1;
+            // Alternate push/pop, and keep the pool from draining empty.
+            if i % 2 == 0 || pool.pop().is_none() {
+                pool.push(i);
             }
-        }));
-    }
-    barrier.wait();
-    let start = Instant::now();
-    for h in handles {
-        h.join().unwrap();
-    }
-    start.elapsed()
+        }
+    })
+    .elapsed
 }
 
 fn fig10(c: &mut Criterion) {
-    let pools: Vec<(&str, Arc<dyn ConcurrentPool<u64>>)> = vec![
-        ("two_lock_queue", Arc::new(TwoLockQueue::new())),
-        ("locked_stack", Arc::new(LockedStack::new())),
-        ("ms_queue", Arc::new(MsQueue::new())),
-        ("treiber_stack", Arc::new(TreiberStack::new())),
-    ];
     let mut g = c.benchmark_group("fig10_hotspot_5050_pushpop");
     csds_bench::tune(&mut g);
-    for (label, pool) in pools {
+    for (label, kind) in [
+        ("two_lock_queue", PoolKind::TwoLockQueue),
+        ("locked_stack", PoolKind::LockedStack),
+        ("ms_queue", PoolKind::MsQueue),
+        ("treiber_stack", PoolKind::TreiberStack),
+    ] {
+        let pool = kind.make();
         for i in 0..1024u64 {
             pool.push(i);
         }
         for threads in [1usize, 4, 8] {
-            let pool = Arc::clone(&pool);
             g.bench_function(format!("{label}/t{threads}"), |b| {
-                b.iter_custom(|iters| run_pool_ops(Arc::clone(&pool), iters, threads));
+                b.iter_custom(|iters| run_pool_ops(&*pool, iters, threads));
             });
         }
     }

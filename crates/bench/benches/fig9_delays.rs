@@ -7,7 +7,7 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use csds_harness::{run_map, AlgoKind, MapRunConfig};
+use csds_harness::{AlgoKind, MapRunConfig};
 use csds_metrics::DelayPolicy;
 
 fn fig9(c: &mut Criterion) {
@@ -33,7 +33,7 @@ fn fig9(c: &mut Criterion) {
                 let mut done = 0u64;
                 let mut elapsed = Duration::ZERO;
                 while done < iters {
-                    let r = run_map(&cfg);
+                    let r = cfg.run();
                     done += r.total_ops.max(1);
                     elapsed += r.elapsed;
                 }

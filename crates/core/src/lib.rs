@@ -72,7 +72,9 @@ pub(crate) mod key;
 
 pub use key::{check_user_key, MAX_USER_KEY};
 
-use csds_ebr::{pin, Guard};
+use csds_ebr::{pin, Guard, Session};
+
+pub use csds_ebr::REPIN_STALL_WARN_THRESHOLD;
 
 /// How a blocking structure synchronizes its write phases.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -88,81 +90,6 @@ pub enum SyncMode {
 /// Number of speculative attempts before falling back to locks; the paper's
 /// model assumes five (§6.4).
 pub const ELISION_RETRIES: u32 = 5;
-
-/// After this many *consecutive* operations whose [`Guard::repin`] was
-/// inert (another guard live on the same thread), a handle concludes the
-/// thread is holding two long-lived sessions — which stalls epoch
-/// reclamation process-wide. In **all** builds every threshold crossing
-/// records a `repin_stalls` metric tick and a `RepinStall` trace event
-/// (visible in `repro watch` / `repro trace`); debug builds additionally
-/// print a diagnostic to stderr (once per stall run: an effective repin
-/// resets the counter and a fresh stall warns again).
-/// [`MapHandle::stalled_ops`] exposes the counter in all builds.
-pub const REPIN_STALL_WARN_THRESHOLD: u64 = 1024;
-
-/// The state shared by [`MapHandle`] and [`PoolHandle`]: one reusable
-/// guard plus operation and stall accounting.
-struct Session {
-    guard: Guard,
-    ops: u64,
-    stalled: u64,
-    /// Only read by the debug-build stall diagnostic.
-    #[cfg_attr(not(debug_assertions), allow(dead_code))]
-    kind: &'static str,
-}
-
-impl Session {
-    fn new(kind: &'static str) -> Self {
-        Session {
-            guard: pin(),
-            ops: 0,
-            stalled: 0,
-            kind,
-        }
-    }
-
-    /// Repin at the start of an operation (maintains the stall run and the
-    /// operation count).
-    #[inline]
-    fn repin(&mut self) {
-        self.refresh();
-        self.ops += 1;
-    }
-
-    /// Repin without counting an operation; returns whether the repin was
-    /// effective. An inert repin extends the stall run, an effective one
-    /// resets it; debug builds warn once when the run reaches
-    /// [`REPIN_STALL_WARN_THRESHOLD`].
-    #[inline]
-    fn refresh(&mut self) -> bool {
-        let effective = self.guard.repin();
-        if effective {
-            self.stalled = 0;
-        } else {
-            self.stalled += 1;
-            // Every threshold crossing is a first-class observability signal
-            // in all builds: a `repin_stalls` counter tick plus a `RepinStall`
-            // trace event carrying the run length. Fires at every multiple so
-            // a sustained stall keeps showing up in `repro watch` aggregates,
-            // not just once.
-            if self.stalled % REPIN_STALL_WARN_THRESHOLD == 0 {
-                csds_metrics::repin_stall(self.stalled);
-            }
-            #[cfg(debug_assertions)]
-            if self.stalled == REPIN_STALL_WARN_THRESHOLD {
-                eprintln!(
-                    "csds_core: a {} has performed {REPIN_STALL_WARN_THRESHOLD} \
-                     consecutive repins without effect — another guard or handle is \
-                     live on this thread, so epoch reclamation is stalled \
-                     process-wide until one of them drops (hold at most one \
-                     long-lived handle per thread)",
-                    self.kind
-                );
-            }
-        }
-        effective
-    }
-}
 
 /// The decision closure of [`GuardedMap::rmw_in`], behind a `&mut dyn`
 /// reference so the method stays object-safe.
@@ -609,8 +536,7 @@ impl<'m, V, M: GuardedMap<V> + ?Sized> MapHandle<'m, V, M> {
     /// it) — the borrow checker enforces the epoch argument.
     #[inline]
     pub fn get(&mut self, key: u64) -> Option<&V> {
-        self.session.repin();
-        self.map.get_in(key, &self.session.guard)
+        self.map.get_in(key, self.session.op())
     }
 
     /// `get(k)` with the value cloned out (the pin-per-op traits' shape).
@@ -626,22 +552,19 @@ impl<'m, V, M: GuardedMap<V> + ?Sized> MapHandle<'m, V, M> {
     /// [`GuardedMap::contains_in`].
     #[inline]
     pub fn contains(&mut self, key: u64) -> bool {
-        self.session.repin();
-        self.map.contains_in(key, &self.session.guard)
+        self.map.contains_in(key, self.session.op())
     }
 
     /// `put(k,v)`: insert if absent; `false` if the key was present.
     #[inline]
     pub fn insert(&mut self, key: u64, value: V) -> bool {
-        self.session.repin();
-        self.map.insert_in(key, value, &self.session.guard)
+        self.map.insert_in(key, value, self.session.op())
     }
 
     /// `remove(k)`: remove and return the value, or `None` if absent.
     #[inline]
     pub fn remove(&mut self, key: u64) -> Option<V> {
-        self.session.repin();
-        self.map.remove_in(key, &self.session.guard)
+        self.map.remove_in(key, self.session.op())
     }
 
     /// Insert-or-replace; returns the previous value. See
@@ -651,8 +574,7 @@ impl<'m, V, M: GuardedMap<V> + ?Sized> MapHandle<'m, V, M> {
     where
         V: Clone,
     {
-        self.session.repin();
-        self.map.upsert_in(key, value, &self.session.guard)
+        self.map.upsert_in(key, value, self.session.op())
     }
 
     /// Value compare-and-swap. See [`GuardedMap::compare_swap_in`].
@@ -661,9 +583,8 @@ impl<'m, V, M: GuardedMap<V> + ?Sized> MapHandle<'m, V, M> {
     where
         V: Clone + PartialEq,
     {
-        self.session.repin();
         self.map
-            .compare_swap_in(key, expected, new, &self.session.guard)
+            .compare_swap_in(key, expected, new, self.session.op())
     }
 
     /// Closure read-modify-write of an existing key; returns the replaced
@@ -674,8 +595,7 @@ impl<'m, V, M: GuardedMap<V> + ?Sized> MapHandle<'m, V, M> {
         V: Clone,
         M: Sized,
     {
-        self.session.repin();
-        self.map.update_in(key, f, &self.session.guard)
+        self.map.update_in(key, f, self.session.op())
     }
 
     /// Atomic get-or-insert; the returned reference borrows the handle
@@ -686,38 +606,33 @@ impl<'m, V, M: GuardedMap<V> + ?Sized> MapHandle<'m, V, M> {
     where
         M: Sized,
     {
-        self.session.repin();
-        self.map
-            .get_or_insert_with_in(key, make, &self.session.guard)
+        self.map.get_or_insert_with_in(key, make, self.session.op())
     }
 
     /// Atomic closure read-modify-write (the native compound primitive).
     /// See [`GuardedMap::rmw_in`].
     #[inline]
     pub fn rmw(&mut self, key: u64, f: RmwFn<'_, V>) -> RmwOutcome<'_, V> {
-        self.session.repin();
-        self.map.rmw_in(key, f, &self.session.guard)
+        self.map.rmw_in(key, f, self.session.op())
     }
 
     /// Number of elements (O(n); quiescently consistent).
     #[allow(clippy::len_without_is_empty)] // is_empty exists, &mut self
     #[inline]
     pub fn len(&mut self) -> usize {
-        self.session.repin();
-        self.map.len_in(&self.session.guard)
+        self.map.len_in(self.session.op())
     }
 
     /// Whether the map is empty (quiescently consistent; early-exit
     /// overrides apply — see [`GuardedMap::is_empty_in`]).
     #[inline]
     pub fn is_empty(&mut self) -> bool {
-        self.session.repin();
-        self.map.is_empty_in(&self.session.guard)
+        self.map.is_empty_in(self.session.op())
     }
 
     /// Operations completed through this handle.
     pub fn ops(&self) -> u64 {
-        self.session.ops
+        self.session.ops()
     }
 
     /// Current run of consecutive repins (operations or [`refresh`] calls)
@@ -732,13 +647,13 @@ impl<'m, V, M: GuardedMap<V> + ?Sized> MapHandle<'m, V, M> {
     ///
     /// [`refresh`]: MapHandle::refresh
     pub fn stalled_ops(&self) -> u64 {
-        self.session.stalled
+        self.session.stalled_ops()
     }
 
     /// The session guard, e.g. for calling inherent `*_in` methods of the
     /// underlying structure directly.
     pub fn guard(&self) -> &Guard {
-        &self.session.guard
+        self.session.guard()
     }
 
     /// Re-validate the session guard against the current global epoch
@@ -775,23 +690,20 @@ impl<'p, V, P: GuardedPool<V> + ?Sized> PoolHandle<'p, V, P> {
     /// Insert an element (enqueue / push).
     #[inline]
     pub fn push(&mut self, value: V) {
-        self.session.repin();
-        self.pool.push_in(value, &self.session.guard);
+        self.pool.push_in(value, self.session.op());
     }
 
     /// Remove an element (dequeue / pop), or `None` if empty.
     #[inline]
     pub fn pop(&mut self) -> Option<V> {
-        self.session.repin();
-        self.pool.pop_in(&self.session.guard)
+        self.pool.pop_in(self.session.op())
     }
 
     /// Number of elements (O(n); quiescently consistent).
     #[allow(clippy::len_without_is_empty)] // is_empty exists, &mut self
     #[inline]
     pub fn len(&mut self) -> usize {
-        self.session.repin();
-        self.pool.len_in(&self.session.guard)
+        self.pool.len_in(self.session.op())
     }
 
     /// Whether the pool is empty (quiescently consistent).
@@ -802,18 +714,18 @@ impl<'p, V, P: GuardedPool<V> + ?Sized> PoolHandle<'p, V, P> {
 
     /// Operations completed through this handle.
     pub fn ops(&self) -> u64 {
-        self.session.ops
+        self.session.ops()
     }
 
     /// Current run of consecutive repins that were inert; see
     /// [`MapHandle::stalled_ops`].
     pub fn stalled_ops(&self) -> u64 {
-        self.session.stalled
+        self.session.stalled_ops()
     }
 
     /// The session guard.
     pub fn guard(&self) -> &Guard {
-        &self.session.guard
+        self.session.guard()
     }
 }
 
@@ -1048,29 +960,6 @@ mod handle_tests {
         assert_eq!(m.compare_swap(3, &31, 32), CasOutcome::Swapped(31));
         let (prev, cur, applied) = m.rmw(3, &mut |c| Some(c.copied().unwrap_or(0) + 1));
         assert_eq!((prev, cur, applied), (Some(32), Some(33), true));
-    }
-
-    #[test]
-    fn handle_detects_repin_stall_and_recovery() {
-        let a: HarrisList<u64> = HarrisList::new();
-        let b: HarrisList<u64> = HarrisList::new();
-        let first = a.handle();
-        let mut second = b.handle();
-        // Two live sessions on one thread: the second handle's repins are
-        // inert and the stall counter grows with every operation.
-        for i in 1..=5u64 {
-            second.insert(i, i);
-            assert_eq!(second.stalled_ops(), i);
-        }
-        // `refresh` feeds the same accounting as the operations.
-        assert!(!second.refresh());
-        assert_eq!(second.stalled_ops(), 6);
-        // Dropping the other session makes repin effective again; the very
-        // next operation resets the stall counter.
-        drop(first);
-        assert_eq!(second.get(1), Some(&1));
-        assert_eq!(second.stalled_ops(), 0);
-        assert!(second.refresh());
     }
 
     #[test]

@@ -66,8 +66,10 @@ use std::ptr;
 use csds_sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU64, LazyStatic, Ordering};
 
 mod atomic;
+mod session;
 
 pub use atomic::{Atomic, Shared};
+pub use session::{Session, REPIN_STALL_WARN_THRESHOLD};
 
 /// Pad-to-cache-line wrapper (128 bytes covers the adjacent-line prefetcher
 /// pair on x86 and the native 128-byte lines on some ARM/POWER parts).
@@ -760,7 +762,7 @@ impl Guard {
     /// that is repinned between operations is the signature of two
     /// long-lived sessions on one thread, which stalls epoch reclamation
     /// process-wide; callers holding a reusable guard should surface it
-    /// (see `csds_core::MapHandle::stalled_ops`).
+    /// ([`Session`] does: see [`Session::stalled_ops`]).
     pub fn repin(&mut self) -> bool {
         if !self.pinned {
             return false;

@@ -10,6 +10,7 @@
 use csds_sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use csds_core::ConcurrentMap;
 use csds_harness::AlgoKind;
 
 fn main() {

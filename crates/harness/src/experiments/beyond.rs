@@ -1,7 +1,7 @@
 //! Beyond CSDSs (paper §7): queue and stack hotspot behavior, Figure 10.
 
 use crate::report::{mops, pct, Table};
-use crate::runner::{run_pool, PoolKind, PoolRunConfig, RunResult};
+use crate::runner::{PoolKind, PoolRunConfig, RunResult};
 use crate::Scale;
 
 /// **Figure 10** — fraction of time spent waiting for locks in a blocking
@@ -29,13 +29,14 @@ pub fn fig10(scale: Scale) {
     };
     for threads in threads_list {
         let run = |kind: PoolKind| -> RunResult {
-            run_pool(&PoolRunConfig {
+            PoolRunConfig {
                 kind,
                 prefill: 1024,
                 threads,
                 duration: scale.duration(),
                 seed: 0xF16,
-            })
+            }
+            .run()
         };
         let q = run(PoolKind::TwoLockQueue);
         let s = run(PoolKind::LockedStack);

@@ -9,11 +9,12 @@
 
 use std::sync::Arc;
 
-use csds_service::{OpKind, ServiceConfig};
-use csds_workload::{FastRng, KeyDist, KeySampler, Op, OpMix, TenantSampler};
+use csds_service::ServiceConfig;
+use csds_workload::{FastRng, KeyDist, KeySampler, OpMix, TenantSampler};
 
 use crate::factory::AlgoKind;
 use crate::report::{mops, Table};
+use crate::runner::service_op;
 use crate::Scale;
 
 /// Format a nanosecond upper bound compactly (`<2us`, `<512ns`, …).
@@ -54,17 +55,7 @@ fn drive(algo: AlgoKind, mix: OpMix, cores: usize, total: u64) -> (f64, csds_ser
         let n = BATCH.min((total - done) as usize);
         for _ in 0..n {
             let key = sampler.sample(&mut rng);
-            let op = match mix.sample(&mut rng) {
-                Op::Get => OpKind::Get,
-                Op::Insert => OpKind::Insert(key),
-                Op::Remove => OpKind::Remove,
-                Op::Upsert => OpKind::Upsert(key.wrapping_mul(3)),
-                Op::Cas => OpKind::CompareSwap {
-                    expected: key,
-                    new: key,
-                },
-                Op::FetchAdd => OpKind::FetchAdd(1),
-            };
+            let op = service_op(mix.sample(&mut rng), key);
             batch.push((key, op));
         }
         let pending = client.submit_batch(batch.drain(..)).expect("running");
@@ -188,17 +179,7 @@ fn drive_tenants(
         let n = BATCH.min((total - done) as usize);
         for _ in 0..n {
             let (ns, key) = sampler.sample(&mut rng);
-            let op = match mix.sample(&mut rng) {
-                Op::Get => OpKind::Get,
-                Op::Insert => OpKind::Insert(key),
-                Op::Remove => OpKind::Remove,
-                Op::Upsert => OpKind::Upsert(key.wrapping_mul(3)),
-                Op::Cas => OpKind::CompareSwap {
-                    expected: key,
-                    new: key,
-                },
-                Op::FetchAdd => OpKind::FetchAdd(1),
-            };
+            let op = service_op(mix.sample(&mut rng), key);
             pending.push(client.namespace(ns).submit(key, op).expect("running"));
         }
         for f in pending.drain(..) {

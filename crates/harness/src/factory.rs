@@ -1,5 +1,6 @@
 //! Every algorithm in the library behind a single enum, so experiments can
-//! be written against `Box<dyn ConcurrentMap<u64>>`.
+//! be written against `Box<dyn GuardedMap<u64>>` — which serves both the
+//! handle path and, through the blanket impls, the pin-per-op traits.
 
 use csds_core::bst::BstTk;
 use csds_core::hashtable::{
@@ -7,9 +8,9 @@ use csds_core::hashtable::{
 };
 use csds_core::list::{CouplingList, HarrisList, LazyList, WaitFreeList};
 use csds_core::skiplist::{HerlihySkipList, LockFreeSkipList, PughSkipList};
-use csds_core::{ConcurrentMap, GuardedMap, SyncMode};
+use csds_core::{GuardedMap, SyncMode};
 use csds_elastic::ElasticHashTable;
-use csds_pq::{ConcurrentPq, GuardedPq, LotanShavitPq, PughPq};
+use csds_pq::{GuardedPq, LotanShavitPq, PughPq};
 use csds_service::{Service, ServiceConfig};
 use std::sync::Arc;
 
@@ -159,41 +160,12 @@ impl AlgoKind {
         }
     }
 
-    /// Instantiate; `capacity` sizes hash tables (load factor 1).
-    pub fn make(&self, capacity: usize) -> Box<dyn ConcurrentMap<u64>> {
-        match self {
-            Self::LazyList => Box::new(LazyList::<u64>::new()),
-            Self::LazyListElided => Box::new(LazyList::<u64>::with_mode(SyncMode::Elision)),
-            Self::CouplingList => Box::new(CouplingList::<u64>::new()),
-            Self::HarrisList => Box::new(HarrisList::<u64>::new()),
-            Self::WaitFreeList => Box::new(WaitFreeList::<u64>::new()),
-            Self::HerlihySkipList => Box::new(HerlihySkipList::<u64>::new()),
-            Self::HerlihySkipListElided => {
-                Box::new(HerlihySkipList::<u64>::with_mode(SyncMode::Elision))
-            }
-            Self::PughSkipList => Box::new(PughSkipList::<u64>::new()),
-            Self::LockFreeSkipList => Box::new(LockFreeSkipList::<u64>::new()),
-            Self::LazyHashTable => Box::new(LazyHashTable::<u64>::with_capacity(capacity)),
-            Self::LazyHashTableElided => Box::new(LazyHashTable::<u64>::with_capacity_and_mode(
-                capacity,
-                SyncMode::Elision,
-            )),
-            Self::CouplingHashTable => Box::new(CouplingHashTable::<u64>::with_capacity(capacity)),
-            Self::CowHashTable => Box::new(CowHashTable::<u64>::with_capacity(capacity)),
-            Self::LockFreeHashTable => Box::new(LockFreeHashTable::<u64>::with_capacity(capacity)),
-            Self::WaitFreeHashTable => Box::new(WaitFreeHashTable::<u64>::with_capacity(capacity)),
-            Self::ElasticHashTable => Box::new(ElasticHashTable::<u64>::with_capacity(capacity)),
-            Self::BstTk => Box::new(BstTk::<u64>::new()),
-            Self::BstTkElided => Box::new(BstTk::<u64>::with_mode(SyncMode::Elision)),
-        }
-    }
-
     /// Instantiate behind the guard-scoped trait (for handle-based hot
     /// loops); `capacity` sizes hash tables (load factor 1).
     ///
-    /// A `dyn GuardedMap<u64>` also implements [`ConcurrentMap`] (blanket
+    /// A `dyn GuardedMap<u64>` also implements `ConcurrentMap` (blanket
     /// pin-per-op wrapper), so one boxed structure serves both call paths.
-    pub fn make_guarded(&self, capacity: usize) -> Box<dyn GuardedMap<u64>> {
+    pub fn make(&self, capacity: usize) -> Box<dyn GuardedMap<u64>> {
         match self {
             Self::LazyList => Box::new(LazyList::<u64>::new()),
             Self::LazyListElided => Box::new(LazyList::<u64>::with_mode(SyncMode::Elision)),
@@ -228,7 +200,7 @@ impl AlgoKind {
     /// [`Service::map`] for out-of-band checks, and shut it down to get the
     /// per-core service statistics.
     pub fn make_service(&self, capacity: usize, cfg: ServiceConfig) -> Service<u64> {
-        let map: Arc<dyn GuardedMap<u64>> = Arc::from(self.make_guarded(capacity));
+        let map: Arc<dyn GuardedMap<u64>> = Arc::from(self.make(capacity));
         Service::start(map, cfg)
     }
 }
@@ -265,19 +237,11 @@ impl PqKind {
         matches!(self, PqKind::PughPq)
     }
 
-    /// Instantiate behind the pin-per-op trait.
-    pub fn make(&self) -> Box<dyn ConcurrentPq<u64>> {
-        match self {
-            PqKind::PughPq => Box::new(PughPq::<u64>::new()),
-            PqKind::LotanShavitPq => Box::new(LotanShavitPq::<u64>::new()),
-        }
-    }
-
     /// Instantiate behind the guard-scoped trait (for `PqHandle` hot
     /// loops). A `dyn GuardedPq<u64>` also implements `ConcurrentPq`
     /// (blanket pin-per-op wrapper), so one boxed queue serves both call
     /// paths.
-    pub fn make_guarded(&self) -> Box<dyn GuardedPq<u64>> {
+    pub fn make(&self) -> Box<dyn GuardedPq<u64>> {
         match self {
             PqKind::PughPq => Box::new(PughPq::<u64>::new()),
             PqKind::LotanShavitPq => Box::new(LotanShavitPq::<u64>::new()),
@@ -288,6 +252,8 @@ impl PqKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csds_core::ConcurrentMap;
+    use csds_pq::ConcurrentPq;
 
     #[test]
     fn every_algo_supports_the_map_interface() {
@@ -306,7 +272,7 @@ mod tests {
     fn every_algo_supports_the_handle_interface() {
         use csds_core::MapHandle;
         for algo in AlgoKind::all() {
-            let m = algo.make_guarded(64);
+            let m = algo.make(64);
             let mut h = MapHandle::new(m.as_ref());
             assert!(h.insert(1, 10), "{}", algo.name());
             assert!(!h.insert(1, 11), "{}", algo.name());
@@ -316,17 +282,6 @@ mod tests {
             assert!(h.is_empty(), "{}", algo.name());
             assert_eq!(h.ops(), 6, "{}", algo.name());
         }
-    }
-
-    #[test]
-    fn guarded_box_also_serves_the_pin_per_op_traits() {
-        // One boxed structure, both call paths: the harness factory's
-        // `Box<dyn GuardedMap<u64>>` still supports `ConcurrentMap` calls
-        // through the blanket wrapper.
-        let m = AlgoKind::LazyHashTable.make_guarded(64);
-        assert!(m.insert(3, 30));
-        assert_eq!(m.get(3), Some(30));
-        assert_eq!(m.remove(3), Some(30));
     }
 
     #[test]
@@ -376,15 +331,11 @@ mod tests {
             assert_eq!(q.pop_min(), Some((5, 50)), "{}", kind.name());
             assert_eq!(q.pop_min(), None, "{}", kind.name());
 
-            let q = kind.make_guarded();
             let mut h = PqHandle::new(q.as_ref());
             assert!(h.push(7, 70), "{}", kind.name());
             assert_eq!(h.pop_min_cloned(), Some((7, 70)), "{}", kind.name());
             assert!(h.is_empty(), "{}", kind.name());
             assert_eq!(h.ops(), 3, "{}", kind.name());
-            // The guarded box still serves the pin-per-op path.
-            assert!(q.push(9, 90), "{}", kind.name());
-            assert_eq!(q.pop_min(), Some((9, 90)), "{}", kind.name());
         }
     }
 

@@ -40,8 +40,8 @@ pub mod trajectory;
 
 pub use factory::{AlgoKind, Family, PqKind};
 pub use runner::{
-    prefill, run_map, run_map_avg, run_pool, run_pq, timed_ops, timed_ops_handle, MapRunConfig,
-    PoolKind, PoolRunConfig, PqRunConfig, RunResult,
+    apply_map_op, map_worker, pq_worker, prefill, prefill_pq, run_map_avg, run_timed, service_op,
+    thread_seed, MapRunConfig, PoolKind, PoolRunConfig, PqRunConfig, RunResult, Stop,
 };
 
 use std::time::Duration;

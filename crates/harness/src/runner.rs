@@ -5,14 +5,21 @@
 //! continuously issue requests drawn from the configured distribution and
 //! operation mix; a run lasts a fixed duration; per-thread throughput and
 //! the fine-grained delay metrics are collected at the end.
+//!
+//! There is exactly one spawn/barrier/loop/join body, [`run_timed`]; the
+//! map, pool and priority-queue configurations (and the criterion benches'
+//! fixed-op-count runs) differ only in the per-thread closure they hand it.
 
 use csds_sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
+use std::hint::black_box;
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
+use csds_core::queuestack::{LockedStack, MsQueue, TreiberStack, TwoLockQueue};
 use csds_core::{ConcurrentMap, ConcurrentPool, GuardedMap, GuardedPool, MapHandle, PoolHandle};
 use csds_metrics::{DelayPolicy, StatsSnapshot};
 use csds_pq::{ConcurrentPq, GuardedPq, PqHandle};
+use csds_service::OpKind;
 use csds_workload::{FastRng, KeyDist, KeySampler, Op, OpMix, PqOp, PqOpMix};
 
 use crate::factory::{AlgoKind, PqKind};
@@ -173,89 +180,172 @@ pub fn prefill(map: &(impl ConcurrentMap<u64> + ?Sized), size: usize, key_range:
     }
 }
 
-/// Execute one timed run of a map workload.
-///
-/// Each worker thread opens one [`MapHandle`] session over the shared
-/// structure: the hot loop runs on a reusable guard (fence-free
-/// `Guard::repin` between operations) instead of a pin/unpin per call.
-pub fn run_map(cfg: &MapRunConfig) -> RunResult {
-    let map: Arc<Box<dyn GuardedMap<u64>>> =
-        Arc::new(cfg.algo.make_guarded(cfg.key_range as usize));
-    prefill(map.as_ref().as_ref(), cfg.size, cfg.key_range, cfg.seed);
-    let sampler = Arc::new(KeySampler::new(cfg.dist, cfg.key_range));
+/// When the workers of a [`run_timed`] call stop.
+#[derive(Clone, Copy, Debug)]
+pub enum Stop {
+    /// After a wall-clock window (the paper's fixed-duration runs).
+    After(Duration),
+    /// After this many operations in total, split evenly across the threads
+    /// (criterion's `iter_custom` contract: work proportional to the
+    /// iteration count).
+    Ops(u64),
+}
 
-    let stop = Arc::new(AtomicBool::new(false));
-    let barrier = Arc::new(Barrier::new(cfg.threads + 1));
-    let mut handles = Vec::with_capacity(cfg.threads);
-    for t in 0..cfg.threads {
-        let map = Arc::clone(&map);
-        let sampler = Arc::clone(&sampler);
-        let stop = Arc::clone(&stop);
-        let barrier = Arc::clone(&barrier);
-        let mix = OpMix::updates(cfg.update_pct);
-        let delay = cfg.delay;
-        let seed = cfg.seed ^ (t as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15);
-        handles.push(std::thread::spawn(move || {
-            let mut rng = FastRng::new(seed);
-            // Clear anything accumulated before the measured window and arm
-            // the delay injector (with a per-thread seed).
-            let _ = csds_metrics::take_and_reset();
-            csds_metrics::set_delay_policy(delay.map(|mut d| {
+/// The one timed driver: spawn `threads` workers, release them together,
+/// run each worker's operation closure until `stop`, join, and merge the
+/// per-thread counters.
+///
+/// `per_thread(t)` runs **on worker `t`** right after the start barrier and
+/// returns the closure that performs one operation — so it is the place to
+/// open the thread's (`!Send`) handle session and seed its generator. The
+/// closure (and the session it owns) is dropped before the worker's final
+/// counter snapshot, so no thread idles pinned. Workers may borrow from the
+/// caller's stack (scoped threads). [`RunResult::elapsed`] spans the start
+/// barrier to the last join.
+pub fn run_timed<W: FnMut()>(
+    threads: usize,
+    stop: Stop,
+    per_thread: impl Fn(usize) -> W + Sync,
+) -> RunResult {
+    let quota = match stop {
+        Stop::After(_) => u64::MAX,
+        Stop::Ops(total) => total.div_ceil(threads as u64),
+    };
+    let expired = AtomicBool::new(false);
+    let barrier = Barrier::new(threads + 1);
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|t| {
+                let (expired, barrier, per_thread) = (&expired, &barrier, &per_thread);
+                s.spawn(move || {
+                    // Clear anything accumulated before the measured window.
+                    let _ = csds_metrics::take_and_reset();
+                    barrier.wait();
+                    let mut op = per_thread(t);
+                    let mut ops = 0u64;
+                    while ops < quota && !expired.load(Ordering::Relaxed) {
+                        op();
+                        ops += 1;
+                    }
+                    drop(op); // close the session (unpin) before the thread idles
+                    (ops, csds_metrics::take_and_reset())
+                })
+            })
+            .collect();
+        barrier.wait();
+        let start = Instant::now();
+        if let Stop::After(window) = stop {
+            std::thread::sleep(window);
+            expired.store(true, Ordering::Relaxed);
+        }
+        let mut per_thread_ops = Vec::with_capacity(threads);
+        let mut stats = StatsSnapshot::default();
+        for w in workers {
+            let (ops, snap) = w.join().expect("worker panicked");
+            per_thread_ops.push(ops);
+            stats.merge(&snap);
+        }
+        RunResult {
+            total_ops: per_thread_ops.iter().sum(),
+            per_thread_ops,
+            stats,
+            threads,
+            elapsed: start.elapsed(),
+        }
+    })
+}
+
+/// Thread `t`'s generator seed, derived from a run's base seed.
+pub fn thread_seed(base: u64, t: usize) -> u64 {
+    base ^ (t as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15)
+}
+
+/// Issue one workload operation through a [`MapHandle`] — the single
+/// `Op` → map-call mapping every runner, bench and example shares. Values
+/// are the key itself; `FetchAdd` is the counter bump (absent = 0).
+#[inline]
+pub fn apply_map_op<M: GuardedMap<u64> + ?Sized>(h: &mut MapHandle<'_, u64, M>, op: Op, key: u64) {
+    match op {
+        Op::Get => {
+            black_box(h.get(key));
+        }
+        Op::Insert => {
+            black_box(h.insert(key, key));
+        }
+        Op::Remove => {
+            black_box(h.remove(key));
+        }
+        Op::Upsert => {
+            black_box(h.upsert(key, key));
+        }
+        Op::Cas => {
+            black_box(h.compare_swap(key, &key, key));
+        }
+        Op::FetchAdd => {
+            black_box(
+                h.rmw(key, &mut |cur| {
+                    Some(cur.copied().unwrap_or(0).wrapping_add(1))
+                })
+                .applied,
+            );
+        }
+    }
+}
+
+/// The same workload operation as a service request — the single `Op` →
+/// [`OpKind`] mapping (values are the key itself, `FetchAdd` bumps by 1).
+pub fn service_op(op: Op, key: u64) -> OpKind<u64> {
+    match op {
+        Op::Get => OpKind::Get,
+        Op::Insert => OpKind::Insert(key),
+        Op::Remove => OpKind::Remove,
+        Op::Upsert => OpKind::Upsert(key),
+        Op::Cas => OpKind::CompareSwap {
+            expected: key,
+            new: key,
+        },
+        Op::FetchAdd => OpKind::FetchAdd(1),
+    }
+}
+
+/// A [`run_timed`] per-thread closure issuing `update_pct` % updates over
+/// keys drawn from `sampler` through one [`MapHandle`] session on `map`
+/// (with `op_boundary` after every operation).
+pub fn map_worker<'a, M: GuardedMap<u64> + ?Sized>(
+    map: &'a M,
+    sampler: &'a KeySampler,
+    update_pct: u32,
+    seed: u64,
+) -> impl FnMut() + 'a {
+    let mix = OpMix::updates(update_pct);
+    let mut rng = FastRng::new(seed);
+    let mut handle = MapHandle::new(map);
+    move || {
+        let key = sampler.sample(&mut rng);
+        apply_map_op(&mut handle, mix.sample(&mut rng), key);
+        csds_metrics::op_boundary();
+    }
+}
+
+impl MapRunConfig {
+    /// Execute one timed run of this map workload: build and prefill the
+    /// structure, then [`run_timed`] with one [`MapHandle`] session per
+    /// worker — the hot loop runs on a reusable guard (fence-free
+    /// `Guard::repin` between operations) instead of a pin/unpin per call.
+    pub fn run(&self) -> RunResult {
+        let map = self.algo.make(self.key_range as usize);
+        prefill(&*map, self.size, self.key_range, self.seed);
+        let sampler = KeySampler::new(self.dist, self.key_range);
+        run_timed(self.threads, Stop::After(self.duration), |t| {
+            let seed = thread_seed(self.seed, t);
+            // Arm the delay injector with a per-thread seed (it dies with
+            // the worker thread).
+            csds_metrics::set_delay_policy(self.delay.map(|mut d| {
                 d.seed ^= seed;
                 d
             }));
-            barrier.wait();
-            let mut handle = MapHandle::new(map.as_ref().as_ref());
-            while !stop.load(Ordering::Relaxed) {
-                let key = sampler.sample(&mut rng);
-                match mix.sample(&mut rng) {
-                    Op::Get => {
-                        let _ = handle.get(key);
-                    }
-                    Op::Insert => {
-                        let _ = handle.insert(key, key);
-                    }
-                    Op::Remove => {
-                        let _ = handle.remove(key);
-                    }
-                    Op::Upsert => {
-                        let _ = handle.upsert(key, key);
-                    }
-                    Op::Cas => {
-                        let _ = handle.compare_swap(key, &key, key);
-                    }
-                    Op::FetchAdd => {
-                        let _ = handle.rmw(key, &mut |cur| {
-                            Some(cur.copied().unwrap_or(0).wrapping_add(1))
-                        });
-                    }
-                }
-                csds_metrics::op_boundary();
-            }
-            let ops = handle.ops();
-            drop(handle); // unpin before the thread idles
-            csds_metrics::set_delay_policy(None);
-            (ops, csds_metrics::take_and_reset())
-        }));
-    }
-    barrier.wait();
-    let start = Instant::now();
-    std::thread::sleep(cfg.duration);
-    stop.store(true, Ordering::Relaxed);
-    let mut per_thread_ops = Vec::with_capacity(cfg.threads);
-    let mut stats = StatsSnapshot::default();
-    for h in handles {
-        let (ops, snap) = h.join().expect("worker panicked");
-        per_thread_ops.push(ops);
-        stats.merge(&snap);
-    }
-    let elapsed = start.elapsed();
-    RunResult {
-        total_ops: per_thread_ops.iter().sum(),
-        per_thread_ops,
-        stats,
-        threads: cfg.threads,
-        elapsed,
+            map_worker(&*map, &sampler, self.update_pct, seed)
+        })
     }
 }
 
@@ -283,23 +373,15 @@ impl PoolKind {
         }
     }
 
-    /// Instantiate behind the pin-per-op pool trait.
-    pub fn make(&self) -> Box<dyn ConcurrentPool<u64>> {
+    /// Instantiate behind the guard-scoped pool trait. A
+    /// `dyn GuardedPool<u64>` also implements [`ConcurrentPool`] (blanket
+    /// pin-per-op wrapper), so the one box serves both call paths.
+    pub fn make(&self) -> Box<dyn GuardedPool<u64>> {
         match self {
-            PoolKind::TwoLockQueue => Box::new(csds_core::queuestack::TwoLockQueue::new()),
-            PoolKind::LockedStack => Box::new(csds_core::queuestack::LockedStack::new()),
-            PoolKind::MsQueue => Box::new(csds_core::queuestack::MsQueue::new()),
-            PoolKind::TreiberStack => Box::new(csds_core::queuestack::TreiberStack::new()),
-        }
-    }
-
-    /// Instantiate behind the guard-scoped pool trait (handle hot loops).
-    pub fn make_guarded(&self) -> Box<dyn GuardedPool<u64>> {
-        match self {
-            PoolKind::TwoLockQueue => Box::new(csds_core::queuestack::TwoLockQueue::new()),
-            PoolKind::LockedStack => Box::new(csds_core::queuestack::LockedStack::new()),
-            PoolKind::MsQueue => Box::new(csds_core::queuestack::MsQueue::new()),
-            PoolKind::TreiberStack => Box::new(csds_core::queuestack::TreiberStack::new()),
+            PoolKind::TwoLockQueue => Box::new(TwoLockQueue::new()),
+            PoolKind::LockedStack => Box::new(LockedStack::new()),
+            PoolKind::MsQueue => Box::new(MsQueue::new()),
+            PoolKind::TreiberStack => Box::new(TreiberStack::new()),
         }
     }
 }
@@ -320,58 +402,27 @@ pub struct PoolRunConfig {
     pub seed: u64,
 }
 
-/// Execute one timed run of a pool (queue/stack) workload (one
-/// [`PoolHandle`] per worker thread).
-pub fn run_pool(cfg: &PoolRunConfig) -> RunResult {
-    let pool: Arc<Box<dyn GuardedPool<u64>>> = Arc::new(cfg.kind.make_guarded());
-    for i in 0..cfg.prefill {
-        pool.push(i as u64);
-    }
-    let stop = Arc::new(AtomicBool::new(false));
-    let barrier = Arc::new(Barrier::new(cfg.threads + 1));
-    let mut handles = Vec::with_capacity(cfg.threads);
-    for t in 0..cfg.threads {
-        let pool = Arc::clone(&pool);
-        let stop = Arc::clone(&stop);
-        let barrier = Arc::clone(&barrier);
-        let seed = cfg.seed ^ (t as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15);
-        handles.push(std::thread::spawn(move || {
-            let mut rng = FastRng::new(seed);
-            let _ = csds_metrics::take_and_reset();
-            barrier.wait();
-            let mut handle = PoolHandle::new(pool.as_ref().as_ref());
-            while !stop.load(Ordering::Relaxed) {
+impl PoolRunConfig {
+    /// Execute one timed run of this pool (queue/stack) workload (one
+    /// [`PoolHandle`] per worker thread).
+    pub fn run(&self) -> RunResult {
+        let pool = self.kind.make();
+        for i in 0..self.prefill {
+            pool.push(i as u64);
+        }
+        run_timed(self.threads, Stop::After(self.duration), |t| {
+            let mut rng = FastRng::new(thread_seed(self.seed, t));
+            let mut handle = PoolHandle::new(&*pool);
+            move || {
                 if rng.bounded(2) == 0 {
                     let n = handle.ops();
                     handle.push(n);
                 } else {
-                    let _ = handle.pop();
+                    black_box(handle.pop());
                 }
                 csds_metrics::op_boundary();
             }
-            let ops = handle.ops();
-            drop(handle);
-            (ops, csds_metrics::take_and_reset())
-        }));
-    }
-    barrier.wait();
-    let start = Instant::now();
-    std::thread::sleep(cfg.duration);
-    stop.store(true, Ordering::Relaxed);
-    let mut per_thread_ops = Vec::with_capacity(cfg.threads);
-    let mut stats = StatsSnapshot::default();
-    for h in handles {
-        let (ops, snap) = h.join().expect("worker panicked");
-        per_thread_ops.push(ops);
-        stats.merge(&snap);
-    }
-    let elapsed = start.elapsed();
-    RunResult {
-        total_ops: per_thread_ops.iter().sum(),
-        per_thread_ops,
-        stats,
-        threads: cfg.threads,
-        elapsed,
+        })
     }
 }
 
@@ -396,197 +447,56 @@ pub struct PqRunConfig {
     pub seed: u64,
 }
 
-/// Execute one timed run of a priority-queue workload (one [`PqHandle`]
-/// per worker thread). Unlike the map runs, every pop-min lands on the
-/// head run, so contention scales with the pop share rather than with key
-/// locality.
-pub fn run_pq(cfg: &PqRunConfig) -> RunResult {
-    let pq: Arc<Box<dyn GuardedPq<u64>>> = Arc::new(cfg.kind.make_guarded());
-    {
-        let mut rng = FastRng::new(cfg.seed | 1);
-        let mut n = 0;
-        while n < cfg.prefill {
-            if pq.push(rng.bounded(cfg.key_range), 0) {
-                n += 1;
+/// A [`run_timed`] per-thread closure issuing `mix` over priorities in
+/// `[0, key_range)` through one [`PqHandle`] session on `pq` (with
+/// `op_boundary` after every operation).
+pub fn pq_worker<'a, Q: GuardedPq<u64> + ?Sized>(
+    pq: &'a Q,
+    mix: PqOpMix,
+    key_range: u64,
+    seed: u64,
+) -> impl FnMut() + 'a {
+    let mut rng = FastRng::new(seed);
+    let mut handle = PqHandle::new(pq);
+    move || {
+        match mix.sample(&mut rng) {
+            PqOp::Push => {
+                black_box(handle.push(rng.bounded(key_range), 0));
+            }
+            PqOp::PopMin => {
+                black_box(handle.pop_min().map(|(k, _)| k));
+            }
+            PqOp::PeekMin => {
+                black_box(handle.peek_min().map(|(k, _)| k));
             }
         }
-    }
-    let stop = Arc::new(AtomicBool::new(false));
-    let barrier = Arc::new(Barrier::new(cfg.threads + 1));
-    let mut handles = Vec::with_capacity(cfg.threads);
-    for t in 0..cfg.threads {
-        let pq = Arc::clone(&pq);
-        let stop = Arc::clone(&stop);
-        let barrier = Arc::clone(&barrier);
-        let mix = cfg.mix;
-        let range = cfg.key_range;
-        let seed = cfg.seed ^ (t as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15);
-        handles.push(std::thread::spawn(move || {
-            let mut rng = FastRng::new(seed);
-            let _ = csds_metrics::take_and_reset();
-            barrier.wait();
-            let mut handle = PqHandle::new(pq.as_ref().as_ref());
-            while !stop.load(Ordering::Relaxed) {
-                match mix.sample(&mut rng) {
-                    PqOp::Push => {
-                        let _ = handle.push(rng.bounded(range), 0);
-                    }
-                    PqOp::PopMin => {
-                        let _ = handle.pop_min();
-                    }
-                    PqOp::PeekMin => {
-                        let _ = handle.peek_min();
-                    }
-                }
-                csds_metrics::op_boundary();
-            }
-            let ops = handle.ops();
-            drop(handle);
-            (ops, csds_metrics::take_and_reset())
-        }));
-    }
-    barrier.wait();
-    let start = Instant::now();
-    std::thread::sleep(cfg.duration);
-    stop.store(true, Ordering::Relaxed);
-    let mut per_thread_ops = Vec::with_capacity(cfg.threads);
-    let mut stats = StatsSnapshot::default();
-    for h in handles {
-        let (ops, snap) = h.join().expect("worker panicked");
-        per_thread_ops.push(ops);
-        stats.merge(&snap);
-    }
-    let elapsed = start.elapsed();
-    RunResult {
-        total_ops: per_thread_ops.iter().sum(),
-        per_thread_ops,
-        stats,
-        threads: cfg.threads,
-        elapsed,
+        csds_metrics::op_boundary();
     }
 }
 
-/// Time a fixed number of operations on an existing map, split across
-/// `threads` workers (the building block for criterion benches, which need
-/// work proportional to their iteration count).
-///
-/// Returns the wall-clock time from the start barrier to the last worker
-/// finishing. The map should be prefilled by the caller.
-pub fn timed_ops<M: ConcurrentMap<u64> + ?Sized + 'static>(
-    map: &Arc<Box<M>>,
-    dist: KeyDist,
-    key_range: u64,
-    update_pct: u32,
-    threads: usize,
-    total_ops: u64,
-    seed: u64,
-) -> Duration {
-    let sampler = Arc::new(KeySampler::new(dist, key_range));
-    let barrier = Arc::new(Barrier::new(threads + 1));
-    let per_thread = total_ops.div_ceil(threads as u64);
-    let mut handles = Vec::with_capacity(threads);
-    for t in 0..threads {
-        let map = Arc::clone(map);
-        let sampler = Arc::clone(&sampler);
-        let barrier = Arc::clone(&barrier);
-        let mix = OpMix::updates(update_pct);
-        let seed = seed ^ (t as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15);
-        handles.push(std::thread::spawn(move || {
-            let mut rng = FastRng::new(seed);
-            barrier.wait();
-            for _ in 0..per_thread {
-                let key = sampler.sample(&mut rng);
-                match mix.sample(&mut rng) {
-                    Op::Get => {
-                        let _ = map.get(key);
-                    }
-                    Op::Insert => {
-                        let _ = map.insert(key, key);
-                    }
-                    Op::Remove => {
-                        let _ = map.remove(key);
-                    }
-                    Op::Upsert => {
-                        let _ = map.upsert(key, key);
-                    }
-                    Op::Cas => {
-                        let _ = map.compare_swap(key, &key, key);
-                    }
-                    Op::FetchAdd => {
-                        let _ = map.rmw(key, &mut |cur| {
-                            Some(cur.copied().unwrap_or(0).wrapping_add(1))
-                        });
-                    }
-                }
-            }
-        }));
+/// Prefill `pq` to `size` distinct priorities drawn uniformly from the range.
+pub fn prefill_pq(pq: &(impl ConcurrentPq<u64> + ?Sized), size: usize, key_range: u64, seed: u64) {
+    let mut rng = FastRng::new(seed | 1);
+    let mut n = 0;
+    while n < size {
+        if pq.push(rng.bounded(key_range), 0) {
+            n += 1;
+        }
     }
-    barrier.wait();
-    let start = Instant::now();
-    for h in handles {
-        h.join().expect("worker panicked");
-    }
-    start.elapsed()
 }
 
-/// [`timed_ops`], but through one [`MapHandle`] session per worker thread
-/// (the guard-scoped repin path; clone-free reads).
-pub fn timed_ops_handle<M: GuardedMap<u64> + ?Sized + 'static>(
-    map: &Arc<Box<M>>,
-    dist: KeyDist,
-    key_range: u64,
-    update_pct: u32,
-    threads: usize,
-    total_ops: u64,
-    seed: u64,
-) -> Duration {
-    let sampler = Arc::new(KeySampler::new(dist, key_range));
-    let barrier = Arc::new(Barrier::new(threads + 1));
-    let per_thread = total_ops.div_ceil(threads as u64);
-    let mut handles = Vec::with_capacity(threads);
-    for t in 0..threads {
-        let map = Arc::clone(map);
-        let sampler = Arc::clone(&sampler);
-        let barrier = Arc::clone(&barrier);
-        let mix = OpMix::updates(update_pct);
-        let seed = seed ^ (t as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15);
-        handles.push(std::thread::spawn(move || {
-            let mut rng = FastRng::new(seed);
-            barrier.wait();
-            let mut handle = MapHandle::new(map.as_ref().as_ref());
-            for _ in 0..per_thread {
-                let key = sampler.sample(&mut rng);
-                match mix.sample(&mut rng) {
-                    Op::Get => {
-                        let _ = handle.get(key);
-                    }
-                    Op::Insert => {
-                        let _ = handle.insert(key, key);
-                    }
-                    Op::Remove => {
-                        let _ = handle.remove(key);
-                    }
-                    Op::Upsert => {
-                        let _ = handle.upsert(key, key);
-                    }
-                    Op::Cas => {
-                        let _ = handle.compare_swap(key, &key, key);
-                    }
-                    Op::FetchAdd => {
-                        let _ = handle.rmw(key, &mut |cur| {
-                            Some(cur.copied().unwrap_or(0).wrapping_add(1))
-                        });
-                    }
-                }
-            }
-        }));
+impl PqRunConfig {
+    /// Execute one timed run of this priority-queue workload (one
+    /// [`PqHandle`] per worker thread). Unlike the map runs, every pop-min
+    /// lands on the head run, so contention scales with the pop share
+    /// rather than with key locality.
+    pub fn run(&self) -> RunResult {
+        let pq = self.kind.make();
+        prefill_pq(&*pq, self.prefill, self.key_range, self.seed);
+        run_timed(self.threads, Stop::After(self.duration), |t| {
+            pq_worker(&*pq, self.mix, self.key_range, thread_seed(self.seed, t))
+        })
     }
-    barrier.wait();
-    let start = Instant::now();
-    for h in handles {
-        h.join().expect("worker panicked");
-    }
-    start.elapsed()
 }
 
 /// Run `reps` repetitions and average (the paper averages 11 runs).
@@ -595,7 +505,7 @@ pub fn run_map_avg(cfg: &MapRunConfig, reps: usize) -> RunResult {
         .map(|i| {
             let mut c = cfg.clone();
             c.seed = cfg.seed.wrapping_add(i as u64 * 0x1234_5678);
-            run_map(&c)
+            c.run()
         })
         .collect();
     RunResult::merge_reps(results)
@@ -617,7 +527,7 @@ mod tests {
             AlgoKind::LazyHashTable,
             AlgoKind::BstTk,
         ] {
-            let r = run_map(&quick_cfg(algo));
+            let r = quick_cfg(algo).run();
             assert!(
                 r.total_ops > 100,
                 "{}: only {} ops",
@@ -648,31 +558,19 @@ mod tests {
         );
         let map = cfg.algo.make(cfg.key_range as usize);
         prefill(map.as_ref(), cfg.size, cfg.key_range, 7);
-        // Inline mini-run against the same map.
-        let map = Arc::new(map);
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut handles = Vec::new();
-        for t in 0..cfg.threads {
-            let map = Arc::clone(&map);
-            let stop = Arc::clone(&stop);
-            let range = cfg.key_range;
-            handles.push(std::thread::spawn(move || {
-                let mut rng = FastRng::new(t as u64 + 1);
-                while !stop.load(Ordering::Relaxed) {
-                    let k = rng.bounded(range);
-                    if rng.bounded(2) == 0 {
-                        map.insert(k, k);
-                    } else {
-                        map.remove(k);
-                    }
+        // Mini-run against the same map, so its final size can be read.
+        run_timed(cfg.threads, Stop::After(cfg.duration), |t| {
+            let mut rng = FastRng::new(t as u64 + 1);
+            let (map, range) = (&*map, cfg.key_range);
+            move || {
+                let k = rng.bounded(range);
+                if rng.bounded(2) == 0 {
+                    map.insert(k, k);
+                } else {
+                    map.remove(k);
                 }
-            }));
-        }
-        std::thread::sleep(cfg.duration);
-        stop.store(true, Ordering::Relaxed);
-        for h in handles {
-            h.join().unwrap();
-        }
+            }
+        });
         let len = map.len();
         assert!(
             (len as i64 - cfg.size as i64).unsigned_abs() < cfg.size as u64 / 2,
@@ -683,13 +581,14 @@ mod tests {
 
     #[test]
     fn pool_run_smoke() {
-        let r = run_pool(&PoolRunConfig {
+        let r = PoolRunConfig {
             kind: PoolKind::TwoLockQueue,
             prefill: 64,
             threads: 3,
             duration: Duration::from_millis(60),
             seed: 1,
-        });
+        }
+        .run();
         assert!(r.total_ops > 100);
         assert!(r.wait_fraction() >= 0.0);
     }
@@ -697,7 +596,7 @@ mod tests {
     #[test]
     fn pq_run_smoke() {
         for kind in PqKind::all() {
-            let r = run_pq(&PqRunConfig {
+            let r = PqRunConfig {
                 kind: *kind,
                 prefill: 256,
                 key_range: 1 << 20,
@@ -705,7 +604,8 @@ mod tests {
                 threads: 3,
                 duration: Duration::from_millis(60),
                 seed: 1,
-            });
+            }
+            .run();
             assert!(r.total_ops > 100, "{}: {} ops", kind.name(), r.total_ops);
             assert!(
                 r.stats.pq_pops > 0 && r.stats.pq_pushes > 0,
@@ -739,7 +639,7 @@ mod tests {
             max_ns: 5_000,
             seed: 3,
         });
-        let r = run_map(&cfg);
+        let r = cfg.run();
         assert!(r.stats.injected_delays > 0, "delay hook never fired");
     }
 }

@@ -14,9 +14,9 @@
 use std::time::{Duration, Instant};
 
 use crate::factory::{AlgoKind, PqKind};
-use crate::runner::{run_map_avg, run_pq, MapRunConfig, PqRunConfig};
-use csds_service::{OpKind, ServiceConfig};
-use csds_workload::{FastRng, Op, OpMix, PqOpMix, TenantSampler};
+use crate::runner::{run_map_avg, service_op, MapRunConfig, PqRunConfig};
+use csds_service::ServiceConfig;
+use csds_workload::{FastRng, OpMix, PqOpMix, TenantSampler};
 
 /// Stationary size of every structure in the trajectory (matches the
 /// `fig0_*` benches: 1024 elements, key range 2×).
@@ -140,17 +140,7 @@ pub fn run_tenant_points(duration: Duration) -> Vec<TenantBenchRow> {
             while start.elapsed() < duration {
                 for _ in 0..BATCH {
                     let (ns, key) = sampler.sample(&mut rng);
-                    let op = match mix.sample(&mut rng) {
-                        Op::Get => OpKind::Get,
-                        Op::Insert => OpKind::Insert(key),
-                        Op::Remove => OpKind::Remove,
-                        Op::Upsert => OpKind::Upsert(key),
-                        Op::Cas => OpKind::CompareSwap {
-                            expected: key,
-                            new: key,
-                        },
-                        Op::FetchAdd => OpKind::FetchAdd(1),
-                    };
+                    let op = service_op(mix.sample(&mut rng), key);
                     pending.push(client.namespace(ns).submit(key, op).expect("running"));
                 }
                 for f in pending.drain(..) {
@@ -209,7 +199,7 @@ pub fn run_pq_points(duration: Duration) -> Vec<PqBenchRow> {
             ("mixed", PqOpMix::mixed()),
         ] {
             for threads in [1usize, 4] {
-                let r = run_pq(&PqRunConfig {
+                let r = PqRunConfig {
                     kind: *kind,
                     prefill: BENCH_SIZE,
                     key_range: BENCH_SIZE as u64 * 2,
@@ -217,7 +207,8 @@ pub fn run_pq_points(duration: Duration) -> Vec<PqBenchRow> {
                     threads,
                     duration,
                     seed: 0xBEEF ^ threads as u64,
-                });
+                }
+                .run();
                 rows.push(PqBenchRow {
                     algo: kind.name(),
                     workload,

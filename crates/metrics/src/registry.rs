@@ -23,16 +23,20 @@
 //! release their slot for recycling.
 
 use crate::atomic::{fence, plain, AtomicBool, AtomicU64, Ordering};
-use crate::{StatsSnapshot, RESTART_BUCKETS};
+use crate::table::{prometheus_scalars, prometheus_stanza};
+use crate::{LogHistogram, StatsSnapshot, RESTART_BUCKETS};
 use std::cell::Cell;
 use std::sync::{Mutex, OnceLock};
 
-/// Number of `u64` words in the flat [`StatsSnapshot`] representation.
-///
-/// 35 scalar counters, the wait-time [`crate::LogHistogram`], and the exact
-/// restart histogram. `StatsSnapshot::to_words` debug-asserts it wrote
-/// exactly this many words, and the roundtrip unit test pins the layout.
-pub const SNAPSHOT_WORDS: usize = 35 + crate::LogHistogram::WORDS + RESTART_BUCKETS;
+/// Number of `u64` words in the flat [`StatsSnapshot`] representation,
+/// derived from the counter table: one word per scalar row, then the
+/// wait-time [`LogHistogram`], then the exact restart histogram.
+pub const SNAPSHOT_WORDS: usize = StatsSnapshot::WORDS;
+
+const _: () = assert!(
+    SNAPSHOT_WORDS == StatsSnapshot::SCALARS.len() + LogHistogram::WORDS + RESTART_BUCKETS,
+    "snapshot word layout drifted from the counter table"
+);
 
 /// Maximum concurrently-registered publisher threads. Threads beyond this
 /// are counted in [`Registry::overflowed`] and surface only through the
@@ -131,154 +135,6 @@ impl<const N: usize> SeqSlot<N> {
             *o = w.load(Ordering::Relaxed);
         }
         out
-    }
-}
-
-/// Little-endian-style cursor pair used to keep `to_words`/`from_words`
-/// symmetric by construction.
-struct Writer<'a> {
-    buf: &'a mut [u64],
-    at: usize,
-}
-
-impl Writer<'_> {
-    #[inline]
-    fn put(&mut self, v: u64) {
-        self.buf[self.at] = v;
-        self.at += 1;
-    }
-    #[inline]
-    fn put_slice(&mut self, v: &[u64]) {
-        self.buf[self.at..self.at + v.len()].copy_from_slice(v);
-        self.at += v.len();
-    }
-}
-
-struct Reader<'a> {
-    buf: &'a [u64],
-    at: usize,
-}
-
-impl Reader<'_> {
-    #[inline]
-    fn get(&mut self) -> u64 {
-        let v = self.buf[self.at];
-        self.at += 1;
-        v
-    }
-    #[inline]
-    fn get_slice(&mut self, n: usize) -> &[u64] {
-        let s = &self.buf[self.at..self.at + n];
-        self.at += n;
-        s
-    }
-}
-
-impl StatsSnapshot {
-    /// Flatten into the fixed word layout published through [`SeqSlot`].
-    pub fn to_words(&self) -> [u64; SNAPSHOT_WORDS] {
-        let mut out = [0u64; SNAPSHOT_WORDS];
-        let mut w = Writer {
-            buf: &mut out,
-            at: 0,
-        };
-        w.put(self.lock_acquires);
-        w.put(self.contended_acquires);
-        w.put(self.lock_wait_ns);
-        w.put(self.max_wait_ns);
-        let mut hist = [0u64; crate::LogHistogram::WORDS];
-        self.wait_hist.write_words(&mut hist);
-        w.put_slice(&hist);
-        w.put(self.restarts);
-        w.put(self.ops);
-        w.put(self.ops_restarted);
-        w.put(self.ops_restarted_gt3);
-        w.put(self.ops_waited);
-        w.put_slice(&self.restart_hist);
-        w.put(self.elide_attempts);
-        w.put(self.elide_commits);
-        w.put(self.elide_aborts_conflict);
-        w.put(self.elide_aborts_interrupt);
-        w.put(self.elide_fallbacks);
-        w.put(self.injected_delays);
-        w.put(self.injected_delay_ns);
-        w.put(self.resize_migrations_started);
-        w.put(self.resize_migrations_completed);
-        w.put(self.resize_buckets_moved);
-        w.put(self.resize_tables_retired);
-        w.put(self.optimistic_attempts);
-        w.put(self.optimistic_failures);
-        w.put(self.optimistic_fallbacks);
-        w.put(self.repin_stalls);
-        w.put(self.epoch_advances);
-        w.put(self.ebr_collects);
-        w.put(self.ebr_collect_ns);
-        w.put(self.ebr_stall_events);
-        w.put(self.service_busy);
-        w.put(self.namespaces_created);
-        w.put(self.namespaces_retired);
-        w.put(self.quota_rejects);
-        w.put(self.pq_pushes);
-        w.put(self.pq_pops);
-        w.put(self.pq_pop_contention);
-        debug_assert_eq!(w.at, SNAPSHOT_WORDS, "snapshot word layout drifted");
-        out
-    }
-
-    /// Rebuild from the layout written by [`Self::to_words`].
-    pub fn from_words(words: &[u64; SNAPSHOT_WORDS]) -> Self {
-        let mut r = Reader { buf: words, at: 0 };
-        let lock_acquires = r.get();
-        let contended_acquires = r.get();
-        let lock_wait_ns = r.get();
-        let max_wait_ns = r.get();
-        let wait_hist = crate::LogHistogram::read_words(r.get_slice(crate::LogHistogram::WORDS));
-        let restarts = r.get();
-        let ops = r.get();
-        let ops_restarted = r.get();
-        let ops_restarted_gt3 = r.get();
-        let ops_waited = r.get();
-        let mut restart_hist = [0u64; RESTART_BUCKETS];
-        restart_hist.copy_from_slice(r.get_slice(RESTART_BUCKETS));
-        StatsSnapshot {
-            lock_acquires,
-            contended_acquires,
-            lock_wait_ns,
-            max_wait_ns,
-            wait_hist,
-            restarts,
-            ops,
-            ops_restarted,
-            ops_restarted_gt3,
-            ops_waited,
-            restart_hist,
-            elide_attempts: r.get(),
-            elide_commits: r.get(),
-            elide_aborts_conflict: r.get(),
-            elide_aborts_interrupt: r.get(),
-            elide_fallbacks: r.get(),
-            injected_delays: r.get(),
-            injected_delay_ns: r.get(),
-            resize_migrations_started: r.get(),
-            resize_migrations_completed: r.get(),
-            resize_buckets_moved: r.get(),
-            resize_tables_retired: r.get(),
-            optimistic_attempts: r.get(),
-            optimistic_failures: r.get(),
-            optimistic_fallbacks: r.get(),
-            repin_stalls: r.get(),
-            epoch_advances: r.get(),
-            ebr_collects: r.get(),
-            ebr_collect_ns: r.get(),
-            ebr_stall_events: r.get(),
-            service_busy: r.get(),
-            namespaces_created: r.get(),
-            namespaces_retired: r.get(),
-            quota_rejects: r.get(),
-            pq_pushes: r.get(),
-            pq_pops: r.get(),
-            pq_pop_contention: r.get(),
-        }
     }
 }
 
@@ -385,131 +241,28 @@ impl Registry {
     /// and the workspace gauges — scrape-ready output for `repro watch
     /// --prom` or an HTTP shim.
     pub fn prometheus_text(&self) -> String {
-        let a = self.aggregate();
         let (g_items, g_bytes) = crate::ebr_garbage();
-        let mut s = String::with_capacity(2048);
-        let mut counter = |name: &str, help: &str, v: u64| {
-            s.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {v}\n"
-            ));
-        };
-        counter("csds_ops_total", "operations completed", a.ops);
-        counter(
-            "csds_lock_acquires_total",
-            "lock acquisitions",
-            a.lock_acquires,
-        );
-        counter(
-            "csds_contended_acquires_total",
-            "slow-path lock acquisitions",
-            a.contended_acquires,
-        );
-        counter(
-            "csds_lock_wait_ns_total",
-            "nanoseconds spent waiting for locks",
-            a.lock_wait_ns,
-        );
-        counter("csds_restarts_total", "operation restarts", a.restarts);
-        counter(
-            "csds_optimistic_attempts_total",
-            "optimistic fast-path attempts",
-            a.optimistic_attempts,
-        );
-        counter(
-            "csds_optimistic_fallbacks_total",
-            "optimistic ops that fell back to locks",
-            a.optimistic_fallbacks,
-        );
-        counter(
-            "csds_resize_migrations_started_total",
-            "elastic table migrations started",
-            a.resize_migrations_started,
-        );
-        counter(
-            "csds_resize_buckets_moved_total",
-            "elastic buckets migrated",
-            a.resize_buckets_moved,
-        );
-        counter(
-            "csds_epoch_advances_total",
-            "EBR global epoch advances",
-            a.epoch_advances,
-        );
-        counter(
-            "csds_ebr_collects_total",
-            "EBR collection passes",
-            a.ebr_collects,
-        );
-        counter(
-            "csds_ebr_collect_ns_total",
-            "nanoseconds spent in EBR collection",
-            a.ebr_collect_ns,
-        );
-        counter(
-            "csds_ebr_stall_events_total",
-            "reclamation watchdog firings",
-            a.ebr_stall_events,
-        );
-        counter(
-            "csds_repin_stalls_total",
-            "session repin-stall detections",
-            a.repin_stalls,
-        );
-        counter(
-            "csds_service_busy_total",
-            "service submissions rejected with Busy",
-            a.service_busy,
-        );
-        counter(
-            "csds_namespaces_created_total",
-            "service namespace tables created lazily",
-            a.namespaces_created,
-        );
-        counter(
-            "csds_namespaces_retired_total",
-            "idle service namespace tables retired through EBR",
-            a.namespaces_retired,
-        );
-        counter(
-            "csds_quota_rejects_total",
-            "operations rejected by a namespace entry quota",
-            a.quota_rejects,
-        );
-        counter(
-            "csds_pq_pushes_total",
-            "priority-queue pushes completed",
-            a.pq_pushes,
-        );
-        counter(
-            "csds_pq_pops_total",
-            "priority-queue pop-min operations that returned an element",
-            a.pq_pops,
-        );
-        counter(
-            "csds_pq_pop_contention_total",
-            "failed pop-min attempts across contended pops",
-            a.pq_pop_contention,
-        );
-        let mut gauge = |name: &str, help: &str, v: u64| {
-            s.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {v}\n"
-            ));
-        };
-        gauge(
-            "csds_ebr_garbage_items",
-            "deferred EBR garbage items not yet reclaimed",
-            g_items,
-        );
-        gauge(
-            "csds_ebr_garbage_bytes",
-            "approximate bytes of deferred EBR garbage",
-            g_bytes,
-        );
-        gauge(
-            "csds_threads_active",
-            "threads currently publishing to the registry",
-            self.active_threads() as u64,
-        );
+        let mut s = String::with_capacity(8192);
+        prometheus_scalars(&mut s, StatsSnapshot::SCALARS, &self.aggregate().to_words());
+        for (name, help, v) in [
+            (
+                "csds_ebr_garbage_items",
+                "deferred EBR garbage items not yet reclaimed",
+                g_items,
+            ),
+            (
+                "csds_ebr_garbage_bytes",
+                "approximate bytes of deferred EBR garbage",
+                g_bytes,
+            ),
+            (
+                "csds_threads_active",
+                "threads currently publishing to the registry",
+                self.active_threads() as u64,
+            ),
+        ] {
+            prometheus_stanza(&mut s, name, help, "gauge", v);
+        }
         s
     }
 }
@@ -589,71 +342,33 @@ mod tests {
     use super::*;
 
     fn exercised_snapshot() -> StatsSnapshot {
-        // Every field gets a distinct value so a layout swap cannot cancel
-        // out in the roundtrip comparison.
-        let mut s = StatsSnapshot {
-            lock_acquires: 1,
-            contended_acquires: 2,
-            lock_wait_ns: 3,
-            max_wait_ns: 4,
-            restarts: 5,
-            ops: 6,
-            ops_restarted: 7,
-            ops_restarted_gt3: 8,
-            ops_waited: 9,
-            elide_attempts: 10,
-            elide_commits: 11,
-            elide_aborts_conflict: 12,
-            elide_aborts_interrupt: 13,
-            elide_fallbacks: 14,
-            injected_delays: 15,
-            injected_delay_ns: 16,
-            resize_migrations_started: 17,
-            resize_migrations_completed: 18,
-            resize_buckets_moved: 19,
-            resize_tables_retired: 20,
-            optimistic_attempts: 21,
-            optimistic_failures: 22,
-            optimistic_fallbacks: 23,
-            repin_stalls: 24,
-            epoch_advances: 25,
-            ebr_collects: 26,
-            ebr_collect_ns: 27,
-            ebr_stall_events: 28,
-            service_busy: 29,
-            namespaces_created: 30,
-            namespaces_retired: 31,
-            quota_rejects: 32,
-            pq_pushes: 33,
-            pq_pops: 34,
-            pq_pop_contention: 35,
-            ..Default::default()
-        };
-        for (k, b) in s.restart_hist.iter_mut().enumerate() {
-            *b = 100 + k as u64;
+        // Every word gets a distinct value so a layout swap cannot cancel
+        // out in a comparison.
+        let mut w = [0u64; SNAPSHOT_WORDS];
+        for (i, v) in w.iter_mut().enumerate() {
+            *v = i as u64 + 1;
         }
-        s.wait_hist.record(1);
-        s.wait_hist.record(1 << 30);
-        s
+        StatsSnapshot::from_words(&w)
     }
 
     #[test]
-    fn snapshot_words_roundtrip() {
+    fn snapshot_layout_follows_the_table() {
+        crate::table::assert_layout(
+            StatsSnapshot::SCALARS,
+            StatsSnapshot::from_words,
+            StatsSnapshot::to_words,
+            StatsSnapshot::merge,
+        );
+        // Named fields sit at their row's word index.
         let s = exercised_snapshot();
-        let w = s.to_words();
-        let back = StatsSnapshot::from_words(&w);
-        assert_eq!(back.to_words(), w);
-        assert_eq!(back.lock_acquires, 1);
-        assert_eq!(back.service_busy, 29);
-        assert_eq!(back.namespaces_created, 30);
-        assert_eq!(back.namespaces_retired, 31);
-        assert_eq!(back.quota_rejects, 32);
-        assert_eq!(back.pq_pushes, 33);
-        assert_eq!(back.pq_pops, 34);
-        assert_eq!(back.pq_pop_contention, 35);
-        assert_eq!(back.restart_hist[15], 115);
-        assert_eq!(back.wait_hist.count(), 2);
-        assert_eq!(back.wait_hist.sum(), 1 + (1 << 30));
+        let word_of = |name: &str| {
+            let row = StatsSnapshot::SCALARS.iter().position(|r| r.name == name);
+            row.expect("row in table") as u64 + 1
+        };
+        assert_eq!(s.lock_acquires, word_of("lock_acquires"));
+        assert_eq!(s.max_wait_ns, word_of("max_wait_ns"));
+        assert_eq!(s.ops, word_of("ops"));
+        assert_eq!(s.restart_hist[15], SNAPSHOT_WORDS as u64);
     }
 
     #[test]
@@ -686,7 +401,7 @@ mod tests {
         reg.slots[i].data.publish(&s.to_words());
         let agg = reg.aggregate();
         assert_eq!(agg.ops, s.ops);
-        assert_eq!(agg.wait_hist.count(), 2);
+        assert_eq!(agg.wait_hist.count(), s.wait_hist.count());
         assert_eq!(reg.per_thread().len(), 2);
         // Releasing folds the final counters into `retired` and zeroes the
         // slot, so the aggregate is unchanged.
@@ -707,13 +422,24 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_text_shape() {
+    fn prometheus_text_exports_every_table_row_once() {
         let reg = Registry::new();
         let i = reg.claim().unwrap();
-        reg.slots[i].data.publish(&exercised_snapshot().to_words());
+        let snap = exercised_snapshot();
+        reg.slots[i].data.publish(&snap.to_words());
         let text = reg.prometheus_text();
-        assert!(text.contains("# TYPE csds_ops_total counter"));
-        assert!(text.contains("csds_ops_total 6"));
+        for (row, v) in StatsSnapshot::SCALARS.iter().zip(snap.to_words()) {
+            let type_line = format!("# TYPE {} {}", row.prom, row.rule.prometheus_type());
+            let sample = format!("{} {v}", row.prom);
+            for line in [type_line, sample] {
+                assert_eq!(
+                    text.lines().filter(|l| *l == line).count(),
+                    1,
+                    "{}: expected exactly one `{line}`",
+                    row.name
+                );
+            }
+        }
         assert!(text.contains("# TYPE csds_ebr_garbage_items gauge"));
         assert!(text.contains("csds_threads_active 1"));
     }

@@ -34,14 +34,9 @@
 
 use csds_core::check_user_key;
 use csds_core::skiplist::{LockFreeSkipList, PughSkipList};
-use csds_ebr::{pin, Guard};
+use csds_ebr::{pin, Guard, Session};
 
-/// After this many *consecutive* inert repins a [`PqHandle`] concludes the
-/// thread holds two long-lived sessions (see
-/// `csds_core::REPIN_STALL_WARN_THRESHOLD` — same value, same semantics:
-/// every crossing records a `repin_stalls` metric tick + `RepinStall`
-/// trace event; debug builds print a stderr diagnostic once per run).
-pub const REPIN_STALL_WARN_THRESHOLD: u64 = 1024;
+pub use csds_ebr::REPIN_STALL_WARN_THRESHOLD;
 
 /// A guard-scoped concurrent priority queue over `u64` priorities
 /// (smaller = higher priority; set semantics per priority).
@@ -168,56 +163,6 @@ impl<V: Clone + Send + Sync> GuardedPq<V> for LotanShavitPq<V> {
     }
 }
 
-/// Session state of a [`PqHandle`]: one reusable guard plus operation and
-/// repin-stall accounting. A verbatim copy of `csds_core`'s private
-/// `Session` — the discipline is the contract, and both handles must obey
-/// it identically.
-struct Session {
-    guard: Guard,
-    ops: u64,
-    stalled: u64,
-}
-
-impl Session {
-    fn new() -> Self {
-        Session {
-            guard: pin(),
-            ops: 0,
-            stalled: 0,
-        }
-    }
-
-    #[inline]
-    fn repin(&mut self) {
-        self.refresh();
-        self.ops += 1;
-    }
-
-    #[inline]
-    fn refresh(&mut self) -> bool {
-        let effective = self.guard.repin();
-        if effective {
-            self.stalled = 0;
-        } else {
-            self.stalled += 1;
-            if self.stalled % REPIN_STALL_WARN_THRESHOLD == 0 {
-                csds_metrics::repin_stall(self.stalled);
-            }
-            #[cfg(debug_assertions)]
-            if self.stalled == REPIN_STALL_WARN_THRESHOLD {
-                eprintln!(
-                    "csds_pq: a PqHandle has performed {REPIN_STALL_WARN_THRESHOLD} \
-                     consecutive repins without effect — another guard or handle is \
-                     live on this thread, so epoch reclamation is stalled \
-                     process-wide until one of them drops (hold at most one \
-                     long-lived handle per thread)"
-                );
-            }
-        }
-        effective
-    }
-}
-
 /// A per-thread priority-queue session: one reusable guard, repinned
 /// before every operation — the `MapHandle` of [`GuardedPq`].
 ///
@@ -239,7 +184,7 @@ impl<'q, V, Q: GuardedPq<V> + ?Sized> PqHandle<'q, V, Q> {
     pub fn new(pq: &'q Q) -> Self {
         PqHandle {
             pq,
-            session: Session::new(),
+            session: Session::new("PqHandle"),
             _v: std::marker::PhantomData,
         }
     }
@@ -248,8 +193,7 @@ impl<'q, V, Q: GuardedPq<V> + ?Sized> PqHandle<'q, V, Q> {
     /// already present.
     #[inline]
     pub fn push(&mut self, key: u64, value: V) -> bool {
-        self.session.repin();
-        self.pq.push_in(key, value, &self.session.guard)
+        self.pq.push_in(key, value, self.session.op())
     }
 
     /// Remove and return the highest-priority entry, clone-free: the
@@ -257,8 +201,7 @@ impl<'q, V, Q: GuardedPq<V> + ?Sized> PqHandle<'q, V, Q> {
     /// operation (which may repin and invalidate it).
     #[inline]
     pub fn pop_min(&mut self) -> Option<(u64, &V)> {
-        self.session.repin();
-        self.pq.pop_min_in(&self.session.guard)
+        self.pq.pop_min_in(self.session.op())
     }
 
     /// [`pop_min`](Self::pop_min) with the value cloned out.
@@ -274,40 +217,37 @@ impl<'q, V, Q: GuardedPq<V> + ?Sized> PqHandle<'q, V, Q> {
     /// handle, like [`pop_min`](Self::pop_min)).
     #[inline]
     pub fn peek_min(&mut self) -> Option<(u64, &V)> {
-        self.session.repin();
-        self.pq.peek_min_in(&self.session.guard)
+        self.pq.peek_min_in(self.session.op())
     }
 
     /// Number of entries (O(n); quiescently consistent).
     #[allow(clippy::len_without_is_empty)] // is_empty exists, &mut self
     #[inline]
     pub fn len(&mut self) -> usize {
-        self.session.repin();
-        self.pq.len_in(&self.session.guard)
+        self.pq.len_in(self.session.op())
     }
 
     /// Whether the queue is empty (quiescently consistent).
     #[inline]
     pub fn is_empty(&mut self) -> bool {
-        self.session.repin();
-        self.pq.is_empty_in(&self.session.guard)
+        self.pq.is_empty_in(self.session.op())
     }
 
     /// Operations completed through this handle.
     pub fn ops(&self) -> u64 {
-        self.session.ops
+        self.session.ops()
     }
 
     /// Current run of consecutive inert repins (see the type docs; `0` in
     /// the healthy single-session configuration).
     pub fn stalled_ops(&self) -> u64 {
-        self.session.stalled
+        self.session.stalled_ops()
     }
 
     /// The session guard, e.g. for calling inherent `*_in` methods of the
     /// underlying structure directly.
     pub fn guard(&self) -> &Guard {
-        &self.session.guard
+        self.session.guard()
     }
 
     /// Re-validate the session guard against the current global epoch
@@ -507,25 +447,6 @@ mod tests {
         assert_eq!(h.pop_min_cloned(), Some((1, 10)));
         assert_eq!(h.len(), 1);
         assert_eq!(h.ops(), 5);
-        assert_eq!(h.stalled_ops(), 0);
-    }
-
-    #[test]
-    fn handle_detects_repin_stall_and_recovery() {
-        let q = LotanShavitPq::new();
-        let mut h = PqHandle::new(&q);
-        h.push(1, 1);
-        assert_eq!(h.stalled_ops(), 0);
-        {
-            // A second guard on this thread makes the handle's repins inert.
-            let _other = pin();
-            for _ in 0..5 {
-                h.push(1, 1);
-            }
-            assert!(h.stalled_ops() >= 5);
-        }
-        // Other guard dropped: the next effective repin resets the run.
-        h.push(1, 1);
         assert_eq!(h.stalled_ops(), 0);
     }
 

@@ -125,7 +125,7 @@ use csds_core::{check_user_key, CasOutcome, GuardedMap, MapHandle};
 use csds_ebr::Guard;
 use csds_elastic::ElasticHashTable;
 use csds_metrics::registry::SeqSlot;
-use csds_metrics::LogHistogram;
+use csds_metrics::stat_table;
 use csds_sync::{Backoff, CachePadded, MpscRing};
 
 mod oneshot;
@@ -408,42 +408,54 @@ impl<V: Clone + Send + Sync> ServiceShared<V> {
     }
 }
 
-/// Monotonic per-core service statistics, collected thread-locally by each
-/// worker and returned by [`Service::shutdown`].
-#[derive(Clone, Debug, Default)]
-pub struct CoreStats {
-    /// Operations executed.
-    pub ops: u64,
-    /// Batches drained (≥ 1 op each).
-    pub batches: u64,
-    /// Largest single batch.
-    pub max_batch: u64,
-    /// Deepest submission-queue backlog observed at a batch start.
-    pub max_depth: u64,
-    /// Adaptive drain depth chosen after the last batch (the per-repin
-    /// budget the worker is currently willing to execute; see the module
-    /// docs on adaptive batching).
-    pub batch_target: u64,
-    /// Deepest adaptive drain depth the worker reached.
-    pub batch_target_max: u64,
-    /// Operations executed against non-default namespaces (a subset of
-    /// [`ops`](CoreStats::ops)).
-    pub ns_ops: u64,
-    /// Tenant tables this worker currently owns (created and not yet
-    /// retired). Ownership is disjoint across cores, so the aggregate sum
-    /// is the service-wide live tenant count as of each worker's last
-    /// publication.
-    pub owned_namespaces: u64,
-    /// Distribution of batch sizes (log₂ buckets).
-    pub batch_sizes: LogHistogram,
-    /// Distribution of submission-to-completion latency in nanoseconds
-    /// (log₂ buckets).
-    pub latency_ns: LogHistogram,
+stat_table! {
+    /// Monotonic per-core service statistics, collected thread-locally by each
+    /// worker and returned by [`Service::shutdown`]. Generated from the table
+    /// below by [`csds_metrics::stat_table!`]: field, cross-core merge rule,
+    /// Prometheus name and help per row.
+    pub struct CoreStats;
+    scalars {
+        /// Operations executed.
+        ops: sum, "csds_service_ops_total", "operations executed by service workers";
+        /// Batches drained (≥ 1 op each).
+        batches: sum, "csds_service_batches_total", "batches drained by service workers";
+        /// Largest single batch.
+        max_batch: max, "csds_service_max_batch", "largest single drained batch";
+        /// Deepest submission-queue backlog observed at a batch start.
+        max_depth: max, "csds_service_max_depth", "deepest submission-queue backlog at a batch start";
+        /// Adaptive drain depth chosen after the last batch (the per-repin
+        /// budget the worker is currently willing to execute; see the module
+        /// docs on adaptive batching).
+        batch_target: max, "csds_service_batch_target", "current adaptive drain depth";
+        /// Deepest adaptive drain depth the worker reached.
+        batch_target_max: max, "csds_service_batch_target_max", "deepest adaptive drain depth reached";
+        /// Operations executed against non-default namespaces (a subset of
+        /// [`ops`](CoreStats::ops)).
+        ns_ops: sum, "csds_service_ns_ops_total", "operations executed against non-default namespaces";
+        /// Tenant tables this worker currently owns (created and not yet
+        /// retired). Ownership is disjoint across cores, so the aggregate sum
+        /// is the service-wide live tenant count as of each worker's last
+        /// publication.
+        owned_namespaces: sum, "csds_service_owned_namespaces", "tenant tables currently owned by workers";
+    }
+    hists {
+        /// Distribution of batch sizes (log₂ buckets).
+        batch_sizes;
+        /// Distribution of submission-to-completion latency in nanoseconds
+        /// (log₂ buckets).
+        latency_ns;
+    }
+    arrays {}
 }
 
-/// Flat word count of a [`CoreStats`] seqlock publication: eight scalars
-/// plus the two log₂ histograms.
-const CORE_STAT_WORDS: usize = 8 + 2 * LogHistogram::WORDS;
+/// Flat word count of a [`CoreStats`] seqlock publication, derived from the
+/// table: the scalar rows plus the two log₂ histograms.
+const CORE_STAT_WORDS: usize = CoreStats::WORDS;
+
+const _: () = assert!(
+    CORE_STAT_WORDS == CoreStats::SCALARS.len() + 2 * csds_metrics::LogHistogram::WORDS,
+    "CoreStats word layout drifted from its table"
+);
 
 /// Publication cadence: a worker republishes its live [`CoreStats`] slot
 /// after this many batches or [`PUBLISH_OPS`] operations, whichever comes
@@ -453,40 +465,6 @@ const PUBLISH_BATCHES: u64 = 64;
 const PUBLISH_OPS: u64 = 4096;
 
 impl CoreStats {
-    /// Flatten for seqlock publication (single-writer worker side).
-    fn to_words(&self) -> [u64; CORE_STAT_WORDS] {
-        let mut out = [0u64; CORE_STAT_WORDS];
-        out[0] = self.ops;
-        out[1] = self.batches;
-        out[2] = self.max_batch;
-        out[3] = self.max_depth;
-        out[4] = self.batch_target;
-        out[5] = self.batch_target_max;
-        out[6] = self.ns_ops;
-        out[7] = self.owned_namespaces;
-        self.batch_sizes
-            .write_words(&mut out[8..8 + LogHistogram::WORDS]);
-        self.latency_ns
-            .write_words(&mut out[8 + LogHistogram::WORDS..]);
-        out
-    }
-
-    /// Rehydrate a validated seqlock read (observer side).
-    fn from_words(words: &[u64; CORE_STAT_WORDS]) -> Self {
-        CoreStats {
-            ops: words[0],
-            batches: words[1],
-            max_batch: words[2],
-            max_depth: words[3],
-            batch_target: words[4],
-            batch_target_max: words[5],
-            ns_ops: words[6],
-            owned_namespaces: words[7],
-            batch_sizes: LogHistogram::read_words(&words[8..8 + LogHistogram::WORDS]),
-            latency_ns: LogHistogram::read_words(&words[8 + LogHistogram::WORDS..]),
-        }
-    }
-
     /// Mean operations per drained batch.
     pub fn mean_batch(&self) -> f64 {
         if self.batches == 0 {
@@ -494,20 +472,6 @@ impl CoreStats {
         } else {
             self.ops as f64 / self.batches as f64
         }
-    }
-
-    /// Merge another core's stats into this one.
-    pub fn merge(&mut self, other: &CoreStats) {
-        self.ops += other.ops;
-        self.batches += other.batches;
-        self.max_batch = self.max_batch.max(other.max_batch);
-        self.max_depth = self.max_depth.max(other.max_depth);
-        self.batch_target = self.batch_target.max(other.batch_target);
-        self.batch_target_max = self.batch_target_max.max(other.batch_target_max);
-        self.ns_ops += other.ns_ops;
-        self.owned_namespaces += other.owned_namespaces;
-        self.batch_sizes.merge(&other.batch_sizes);
-        self.latency_ns.merge(&other.latency_ns);
     }
 }
 
@@ -606,6 +570,7 @@ where
     pub fn client(&self) -> ServiceClient<V> {
         ServiceClient {
             shared: Arc::clone(&self.shared),
+            ns: DEFAULT_NAMESPACE,
         }
     }
 
@@ -674,16 +639,21 @@ where
     }
 }
 
-/// A submission handle onto a [`Service`]. Cloneable and `Send`; does not
-/// keep the service's workers alive (they belong to the `Service`).
+/// A submission handle onto a [`Service`], bound to one namespace: the
+/// [`DEFAULT_NAMESPACE`] as handed out by [`Service::client`], or a tenant
+/// keyspace after [`namespace`](ServiceClient::namespace). Cloneable and
+/// `Send`; does not keep the service's workers alive (they belong to the
+/// `Service`).
 pub struct ServiceClient<V: Clone + Send + Sync> {
     shared: Arc<ServiceShared<V>>,
+    ns: NamespaceId,
 }
 
 impl<V: Clone + Send + Sync> Clone for ServiceClient<V> {
     fn clone(&self) -> Self {
         ServiceClient {
             shared: Arc::clone(&self.shared),
+            ns: self.ns,
         }
     }
 }
@@ -706,7 +676,8 @@ impl<V: Clone + Send + Sync + PartialEq + FetchAddValue + 'static> ServiceClient
     /// Fibonacci multiply either way, using a bit range disjoint from the
     /// elastic table's shard (top byte) and bucket (bit 32+) indices, so
     /// service routing does not correlate with intra-map placement.
-    fn core_of(&self, ns: NamespaceId, key: u64) -> usize {
+    fn core_of(&self, key: u64) -> usize {
+        let ns = self.ns;
         let x = if ns == DEFAULT_NAMESPACE { key } else { ns };
         let h = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         ((h >> 40) as usize) % self.shared.cores.len()
@@ -716,8 +687,8 @@ impl<V: Clone + Send + Sync + PartialEq + FetchAddValue + 'static> ServiceClient
     /// Only consulted for non-default namespaces with a finite quota, and
     /// only for growing ops; ops on keys the tenant already holds pass, so
     /// a full tenant can still be read, updated and drained.
-    fn quota_rejects(&self, ns: NamespaceId, key: u64, op: &OpKind<V>) -> bool {
-        let sh = &self.shared;
+    fn quota_rejects(&self, key: u64, op: &OpKind<V>) -> bool {
+        let (sh, ns) = (&self.shared, self.ns);
         if ns == DEFAULT_NAMESPACE || sh.quota == usize::MAX || !op_may_insert(op) {
             return false;
         }
@@ -730,24 +701,14 @@ impl<V: Clone + Send + Sync + PartialEq + FetchAddValue + 'static> ServiceClient
         table.len_in(&guard) >= sh.quota && table.get_in(key, &guard).is_none()
     }
 
-    /// Enqueue one operation on the **default namespace** without waiting —
-    /// see [`try_submit_ns`](ServiceClient::try_submit_ns).
-    pub fn try_submit(&self, key: u64, op: OpKind<V>) -> Result<Completion<Reply<V>>, Rejected<V>> {
-        self.try_submit_ns(DEFAULT_NAMESPACE, key, op)
-    }
-
-    /// Enqueue one operation on namespace `ns` without waiting: `Ok` with
-    /// the reply future, or [`Rejected`] with the operation handed back
-    /// when the ring is full ([`ServiceError::Busy`]), the namespace is at
-    /// its entry quota and `op` would grow it (also
+    /// Enqueue one operation on this client's namespace without waiting:
+    /// `Ok` with the reply future, or [`Rejected`] with the operation handed
+    /// back when the ring is full ([`ServiceError::Busy`]), the namespace is
+    /// at its entry quota and `op` would grow it (also
     /// [`ServiceError::Busy`]), or the service is stopping
     /// ([`ServiceError::ShuttingDown`]).
-    pub fn try_submit_ns(
-        &self,
-        ns: NamespaceId,
-        key: u64,
-        op: OpKind<V>,
-    ) -> Result<Completion<Reply<V>>, Rejected<V>> {
+    pub fn try_submit(&self, key: u64, op: OpKind<V>) -> Result<Completion<Reply<V>>, Rejected<V>> {
+        let ns = self.ns;
         check_user_key(key);
         let sh = &self.shared;
         if sh.shutdown.load(Ordering::SeqCst) {
@@ -756,7 +717,7 @@ impl<V: Clone + Send + Sync + PartialEq + FetchAddValue + 'static> ServiceClient
                 op,
             });
         }
-        if self.quota_rejects(ns, key, &op) {
+        if self.quota_rejects(key, &op) {
             csds_metrics::quota_reject(ns);
             return Err(Rejected {
                 reason: ServiceError::Busy,
@@ -775,7 +736,7 @@ impl<V: Clone + Send + Sync + PartialEq + FetchAddValue + 'static> ServiceClient
                 op,
             });
         }
-        let core_idx = self.core_of(ns, key);
+        let core_idx = self.core_of(key);
         let core = &sh.cores[core_idx];
         let (tx, rx) = oneshot::completion();
         let pushed = core.ring.try_push(Request {
@@ -813,29 +774,18 @@ impl<V: Clone + Send + Sync + PartialEq + FetchAddValue + 'static> ServiceClient
         res
     }
 
-    /// Enqueue one operation on the default namespace, spinning (with
+    /// Enqueue one operation on this client's namespace, spinning (with
     /// [`Backoff`]) while the target ring is full — backpressure as
-    /// blocking. Fails only on shutdown.
-    pub fn submit(&self, key: u64, op: OpKind<V>) -> Result<Completion<Reply<V>>, Rejected<V>> {
-        self.submit_ns(DEFAULT_NAMESPACE, key, op)
-    }
-
-    /// Enqueue one operation on namespace `ns`, spinning (with [`Backoff`])
-    /// while the target ring is full. **A quota breach is returned, not
+    /// blocking. Fails on shutdown, and **a quota breach is returned, not
     /// spun on**: a ring drains by itself, a full tenant does not — the
     /// caller decides whether to shed, redirect, or free space.
-    pub fn submit_ns(
-        &self,
-        ns: NamespaceId,
-        key: u64,
-        op: OpKind<V>,
-    ) -> Result<Completion<Reply<V>>, Rejected<V>> {
+    pub fn submit(&self, key: u64, op: OpKind<V>) -> Result<Completion<Reply<V>>, Rejected<V>> {
         let mut op = op;
         let mut backoff = Backoff::new();
         loop {
-            match self.try_submit_ns(ns, key, op) {
+            match self.try_submit(key, op) {
                 Ok(c) => return Ok(c),
-                Err(r) if r.reason == ServiceError::Busy && !self.quota_rejects(ns, key, &r.op) => {
+                Err(r) if r.reason == ServiceError::Busy && !self.quota_rejects(key, &r.op) => {
                     op = r.op;
                     backoff.snooze();
                 }
@@ -844,12 +794,12 @@ impl<V: Clone + Send + Sync + PartialEq + FetchAddValue + 'static> ServiceClient
         }
     }
 
-    /// A view of this client fixed to namespace `ns`: the same vocabulary
-    /// ([`get`](NamespaceClient::get), [`insert`](NamespaceClient::insert),
+    /// This client rebound to namespace `ns`: the same vocabulary
+    /// ([`get`](ServiceClient::get), [`insert`](ServiceClient::insert),
     /// ...) against one tenant keyspace. Cheap; clone freely.
-    pub fn namespace(&self, ns: NamespaceId) -> NamespaceClient<V> {
-        NamespaceClient {
-            client: self.clone(),
+    pub fn namespace(&self, ns: NamespaceId) -> ServiceClient<V> {
+        ServiceClient {
+            shared: Arc::clone(&self.shared),
             ns,
         }
     }
@@ -860,7 +810,7 @@ impl<V: Clone + Send + Sync + PartialEq + FetchAddValue + 'static> ServiceClient
         self.shared.namespace_counts()
     }
 
-    /// `get(k)` through the service; resolves to [`Reply::Got`].
+    /// `get(k)` in this client's namespace; resolves to [`Reply::Got`].
     pub fn get(&self, key: u64) -> Result<Completion<Reply<V>>, Rejected<V>> {
         self.submit(key, OpKind::Get)
     }
@@ -930,91 +880,6 @@ impl<V: Clone + Send + Sync + PartialEq + FetchAddValue + 'static> ServiceClient
     /// not need a handle on the `Service` itself.
     pub fn stats_now(&self) -> ServiceStats {
         self.shared.stats_now()
-    }
-}
-
-/// A [`ServiceClient`] fixed to one namespace: the full submission
-/// vocabulary against a single tenant keyspace. Obtained from
-/// [`ServiceClient::namespace`]; cloneable and `Send` like its parent.
-pub struct NamespaceClient<V: Clone + Send + Sync> {
-    client: ServiceClient<V>,
-    ns: NamespaceId,
-}
-
-impl<V: Clone + Send + Sync> Clone for NamespaceClient<V> {
-    fn clone(&self) -> Self {
-        NamespaceClient {
-            client: self.client.clone(),
-            ns: self.ns,
-        }
-    }
-}
-
-impl<V: Clone + Send + Sync + PartialEq + FetchAddValue + 'static> NamespaceClient<V> {
-    /// The namespace this view is fixed to.
-    pub fn id(&self) -> NamespaceId {
-        self.ns
-    }
-
-    /// Non-blocking submit into this namespace; see
-    /// [`ServiceClient::try_submit_ns`].
-    pub fn try_submit(&self, key: u64, op: OpKind<V>) -> Result<Completion<Reply<V>>, Rejected<V>> {
-        self.client.try_submit_ns(self.ns, key, op)
-    }
-
-    /// Blocking-on-backpressure submit into this namespace; see
-    /// [`ServiceClient::submit_ns`].
-    pub fn submit(&self, key: u64, op: OpKind<V>) -> Result<Completion<Reply<V>>, Rejected<V>> {
-        self.client.submit_ns(self.ns, key, op)
-    }
-
-    /// `get(k)` in this namespace; resolves to [`Reply::Got`].
-    pub fn get(&self, key: u64) -> Result<Completion<Reply<V>>, Rejected<V>> {
-        self.submit(key, OpKind::Get)
-    }
-
-    /// `put(k, v)` in this namespace; resolves to [`Reply::Inserted`].
-    pub fn insert(&self, key: u64, value: V) -> Result<Completion<Reply<V>>, Rejected<V>> {
-        self.submit(key, OpKind::Insert(value))
-    }
-
-    /// `remove(k)` in this namespace; resolves to [`Reply::Removed`].
-    pub fn remove(&self, key: u64) -> Result<Completion<Reply<V>>, Rejected<V>> {
-        self.submit(key, OpKind::Remove)
-    }
-
-    /// Insert-or-replace in this namespace; resolves to [`Reply::Upserted`].
-    pub fn upsert(&self, key: u64, value: V) -> Result<Completion<Reply<V>>, Rejected<V>> {
-        self.submit(key, OpKind::Upsert(value))
-    }
-
-    /// Value compare-and-swap in this namespace; resolves to [`Reply::Cas`].
-    pub fn compare_swap(
-        &self,
-        key: u64,
-        expected: V,
-        new: V,
-    ) -> Result<Completion<Reply<V>>, Rejected<V>> {
-        self.submit(key, OpKind::CompareSwap { expected, new })
-    }
-
-    /// Atomic counter bump in this namespace; resolves to [`Reply::Added`].
-    pub fn fetch_add(&self, key: u64, delta: u64) -> Result<Completion<Reply<V>>, Rejected<V>> {
-        self.submit(key, OpKind::FetchAdd(delta))
-    }
-
-    /// Pipelined burst into this namespace; see
-    /// [`ServiceClient::submit_batch`].
-    pub fn submit_batch(
-        &self,
-        ops: impl IntoIterator<Item = (u64, OpKind<V>)>,
-    ) -> Result<Vec<Completion<Reply<V>>>, Rejected<V>> {
-        let ops = ops.into_iter();
-        let mut out = Vec::with_capacity(ops.size_hint().0);
-        for (key, op) in ops {
-            out.push(self.submit(key, op)?);
-        }
-        Ok(out)
     }
 }
 
@@ -1549,6 +1414,16 @@ mod tests {
         assert_eq!(
             snap.service_busy, rejected,
             "every Busy rejection must tick the service_busy counter"
+        );
+    }
+
+    #[test]
+    fn core_stats_layout_follows_the_table() {
+        csds_metrics::table::assert_layout(
+            CoreStats::SCALARS,
+            CoreStats::from_words,
+            CoreStats::to_words,
+            CoreStats::merge,
         );
     }
 

@@ -12,7 +12,7 @@
 
 use std::time::Duration;
 
-use csds::harness::{run_map, AlgoKind, MapRunConfig};
+use csds::harness::{AlgoKind, MapRunConfig};
 
 fn main() {
     const SIZE: usize = 1024;
@@ -37,8 +37,8 @@ fn main() {
             ..base.clone()
         };
 
-        let r_base = run_map(&base);
-        let r_elided = run_map(&elided);
+        let r_base = base.run();
+        let r_elided = elided.run();
 
         println!("skiplist, {update_pct}% updates:");
         println!(

@@ -25,7 +25,7 @@ use csds::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use csds::harness::{run_map, AlgoKind, MapRunConfig};
+use csds::harness::{AlgoKind, MapRunConfig};
 use csds::metrics::{registry, trace};
 
 fn main() {
@@ -107,7 +107,7 @@ fn main() {
             threads,
             Duration::from_millis(300),
         );
-        let r = run_map(&cfg);
+        let r = cfg.run();
         let wait = r.wait_fraction();
         let restart = r.restart_fraction();
         let repeated = r.repeated_restart_fraction();

@@ -9,8 +9,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use csds::harness::apply_map_op;
 use csds::prelude::*;
-use csds::workload::{FastRng, KeyDist, KeySampler, Op, OpMix};
+use csds::workload::{FastRng, KeyDist, KeySampler, OpMix};
 
 fn main() {
     const THREADS: usize = 4;
@@ -40,28 +41,7 @@ fn main() {
             let mut session = map.handle();
             for _ in 0..OPS_PER_THREAD {
                 let key = sampler.sample(&mut rng);
-                match mix.sample(&mut rng) {
-                    Op::Get => {
-                        session.get(key);
-                    }
-                    Op::Insert => {
-                        session.insert(key, key);
-                    }
-                    Op::Remove => {
-                        session.remove(key);
-                    }
-                    Op::Upsert => {
-                        session.upsert(key, key);
-                    }
-                    Op::Cas => {
-                        session.compare_swap(key, &key, key);
-                    }
-                    Op::FetchAdd => {
-                        session.rmw(key, &mut |cur| {
-                            Some(cur.copied().unwrap_or(0).wrapping_add(1))
-                        });
-                    }
-                }
+                apply_map_op(&mut session, mix.sample(&mut rng), key);
                 csds::metrics::op_boundary();
             }
             drop(session); // unpin before the thread idles

@@ -26,8 +26,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use csds::elastic::ElasticHashTable;
+use csds::harness::service_op;
 use csds::prelude::*;
-use csds::workload::{ChurnSchedule, FastRng, KeyDist, KeySampler, Op, OpMix, OpenLoopSchedule};
+use csds::workload::{ChurnSchedule, FastRng, KeyDist, KeySampler, OpMix, OpenLoopSchedule};
 
 const CLIENTS: usize = 2;
 const CORES: usize = 2;
@@ -172,17 +173,7 @@ fn run_client(
         let n = BATCH.min((ops - submitted) as usize);
         for i in 0..n as u64 {
             let key = sampler.sample(&mut rng);
-            let op = match schedule.sample(submitted + i, steady, &mut rng) {
-                Op::Get => OpKind::Get,
-                Op::Insert => OpKind::Insert(key ^ 0xABCD),
-                Op::Remove => OpKind::Remove,
-                Op::Upsert => OpKind::Upsert(key ^ 0xABCD),
-                Op::Cas => OpKind::CompareSwap {
-                    expected: key ^ 0xABCD,
-                    new: key ^ 0xABCD,
-                },
-                Op::FetchAdd => OpKind::FetchAdd(1),
-            };
+            let op = service_op(schedule.sample(submitted + i, steady, &mut rng), key);
             batch.push((key, op));
             sched_ns += pace.next_gap_ns(&mut rng);
         }

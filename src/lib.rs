@@ -65,7 +65,7 @@ pub mod prelude {
     pub use csds_elastic::{ElasticConfig, ElasticHashTable};
     pub use csds_pq::{ConcurrentPq, GuardedPq, LotanShavitPq, PqHandle, PughPq};
     pub use csds_service::{
-        block_on, FetchAddValue, NamespaceClient, NamespaceCounts, NamespaceId, OpKind, Reply,
-        Service, ServiceClient, ServiceConfig, ServiceError, DEFAULT_NAMESPACE,
+        block_on, FetchAddValue, NamespaceCounts, NamespaceId, OpKind, Reply, Service,
+        ServiceClient, ServiceConfig, ServiceError, DEFAULT_NAMESPACE,
     };
 }

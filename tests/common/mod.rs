@@ -24,7 +24,7 @@ pub fn rng_stream(mut state: u64) -> impl FnMut() -> u64 {
 
 /// Sequential comparison against `BTreeMap` through the trait object the
 /// harness uses.
-pub fn model_check(map: &dyn ConcurrentMap<u64>, ops: u64, key_range: u64, seed: u64) {
+pub fn model_check(map: &dyn GuardedMap<u64>, ops: u64, key_range: u64, seed: u64) {
     let mut model = BTreeMap::new();
     let mut rng = rng_stream(seed);
     for i in 0..ops {
@@ -85,7 +85,7 @@ pub fn model_check_handle(map: &dyn GuardedMap<u64>, ops: u64, key_range: u64, s
 /// vocabulary** (upsert / CAS / closure RMW / get-or-insert) through the
 /// pin-per-op trait object, also asserting `is_empty` stays consistent
 /// with `len` throughout.
-pub fn compound_model_check(map: &dyn ConcurrentMap<u64>, ops: u64, key_range: u64, seed: u64) {
+pub fn compound_model_check(map: &dyn GuardedMap<u64>, ops: u64, key_range: u64, seed: u64) {
     use csds::core::CasOutcome;
     let mut model: BTreeMap<u64, u64> = BTreeMap::new();
     let mut rng = rng_stream(seed);
@@ -321,7 +321,7 @@ pub fn net_effect_handle(
 
 /// Concurrent net-effect invariant through trait objects.
 pub fn net_effect(
-    map: Arc<Box<dyn ConcurrentMap<u64>>>,
+    map: Arc<Box<dyn GuardedMap<u64>>>,
     threads: usize,
     ops_per_thread: u64,
     key_range: u64,

@@ -5,6 +5,7 @@ mod common;
 
 use std::sync::Arc;
 
+use csds::core::ConcurrentMap;
 use csds::harness::AlgoKind;
 
 #[test]

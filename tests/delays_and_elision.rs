@@ -4,7 +4,7 @@
 
 use std::time::Duration;
 
-use csds::harness::{run_map, AlgoKind, MapRunConfig};
+use csds::harness::{AlgoKind, MapRunConfig};
 use csds::metrics::DelayPolicy;
 
 fn base(algo: AlgoKind, update_pct: u32, threads: usize) -> MapRunConfig {
@@ -14,7 +14,7 @@ fn base(algo: AlgoKind, update_pct: u32, threads: usize) -> MapRunConfig {
 #[test]
 fn delayed_holders_inflate_lock_waits() {
     // Without delays.
-    let calm = run_map(&base(AlgoKind::LazyList, 50, 4));
+    let calm = base(AlgoKind::LazyList, 50, 4).run();
     // With the paper's §5.4 delay policy but aggressive (every 2nd CS).
     let mut cfg = base(AlgoKind::LazyList, 50, 4);
     cfg.delay = Some(DelayPolicy {
@@ -23,7 +23,7 @@ fn delayed_holders_inflate_lock_waits() {
         max_ns: 60_000,
         seed: 9,
     });
-    let delayed = run_map(&cfg);
+    let delayed = cfg.run();
     assert!(delayed.stats.injected_delays > 0, "injector never fired");
     // Holding locks while stalled must increase observed waiting.
     assert!(
@@ -37,7 +37,7 @@ fn delayed_holders_inflate_lock_waits() {
 #[test]
 fn elision_commits_dominate_and_fallbacks_are_rare() {
     // Paper Table 2: fallback fraction well under a few percent.
-    let r = run_map(&base(AlgoKind::LazyListElided, 20, 4));
+    let r = base(AlgoKind::LazyListElided, 20, 4).run();
     assert!(r.stats.elide_commits > 0, "no speculative commits at all");
     assert!(
         r.fallback_fraction() < 0.25,
@@ -50,7 +50,7 @@ fn elision_commits_dominate_and_fallbacks_are_rare() {
 fn elision_reads_never_speculate() {
     // A read-only workload on an elided structure must not start any
     // transactions (reads are synchronization-free in these algorithms).
-    let r = run_map(&base(AlgoKind::LazyListElided, 0, 2));
+    let r = base(AlgoKind::LazyListElided, 0, 2).run();
     assert_eq!(r.stats.elide_attempts, 0, "reads started transactions");
     assert_eq!(r.stats.restarts, 0);
 }
@@ -66,7 +66,7 @@ fn delayed_elided_sections_abort_as_interrupted_not_block() {
         max_ns: 300_000,
         seed: 5,
     });
-    let r = run_map(&cfg);
+    let r = cfg.run();
     assert!(r.stats.injected_delays > 0);
     assert!(
         r.stats.elide_aborts_interrupt > 0,
@@ -77,7 +77,7 @@ fn delayed_elided_sections_abort_as_interrupted_not_block() {
 #[test]
 fn bst_never_waits_even_when_contended() {
     // Trylock-based BST-TK: Fig. 5's zero lock-wait column.
-    let r = run_map(&base(AlgoKind::BstTk, 50, 8));
+    let r = base(AlgoKind::BstTk, 50, 8).run();
     assert_eq!(r.stats.lock_wait_ns, 0, "BST-TK waited for a lock");
     // It restarts instead (Fig. 6's non-zero BST column) — with 8 threads
     // on 256 elements at 50% updates some restarts are expected.
@@ -87,7 +87,7 @@ fn bst_never_waits_even_when_contended() {
 #[test]
 fn hash_table_never_restarts() {
     // Per-bucket locking leaves nothing to validate: Fig. 6's zero column.
-    let r = run_map(&base(AlgoKind::LazyHashTable, 50, 8));
+    let r = base(AlgoKind::LazyHashTable, 50, 8).run();
     assert_eq!(r.stats.restarts, 0, "lazy hash table restarted");
 }
 
@@ -96,7 +96,7 @@ fn per_thread_fairness_is_reasonable() {
     // Fig. 4: per-thread throughput stddev is small relative to the mean.
     // On a loaded CI host scheduling skews this, so the bound is loose —
     // the paper's 0.2% needs dedicated cores.
-    let r = run_map(&base(AlgoKind::LazyHashTable, 10, 4));
+    let r = base(AlgoKind::LazyHashTable, 10, 4).run();
     let rel = r.per_thread_std() / r.per_thread_mean();
     assert!(rel < 1.0, "per-thread throughput wildly unfair: {rel}");
 }

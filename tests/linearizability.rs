@@ -6,6 +6,7 @@
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Instant;
 
+use csds::core::ConcurrentMap;
 use csds::harness::AlgoKind;
 use csds::lincheck::{check_history, Event, OpKind};
 

@@ -11,7 +11,7 @@ use std::time::Instant;
 
 use csds::harness::PqKind;
 use csds::lincheck::{check_pq_history, PqEvent, PqOpKind};
-use csds::pq::PqHandle;
+use csds::pq::{ConcurrentPq, PqHandle};
 
 fn rng_stream(seed: u64) -> impl FnMut() -> u64 {
     let mut state = seed | 1;
@@ -67,7 +67,7 @@ fn model_check_pq(kind: PqKind, ops: usize, keys: u64, seed: u64) {
 /// The same model comparison through a `PqHandle` session (guard reuse +
 /// repin), cloning values out for the comparison.
 fn model_check_pq_handle(kind: PqKind, ops: usize, keys: u64, seed: u64) {
-    let pq = kind.make_guarded();
+    let pq = kind.make();
     let mut h = PqHandle::new(pq.as_ref());
     let mut model: BTreeMap<u64, u64> = BTreeMap::new();
     let mut rng = rng_stream(seed);

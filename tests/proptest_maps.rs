@@ -4,6 +4,7 @@
 
 use std::collections::BTreeMap;
 
+use csds::core::ConcurrentMap;
 use csds::harness::AlgoKind;
 use csds::workload::{FastRng, KeyDist, KeySampler};
 use proptest::prelude::*;

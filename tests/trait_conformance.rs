@@ -21,7 +21,7 @@ fn all_algorithms_match_btreemap_through_handles() {
     // The repin path must agree with the sequential model exactly like the
     // pin-per-op path does.
     for algo in AlgoKind::all() {
-        let map = algo.make_guarded(128);
+        let map = algo.make(128);
         common::model_check_handle(map.as_ref(), 2_500, 96, 0x5E55_10AA);
     }
 }
@@ -30,7 +30,7 @@ fn all_algorithms_match_btreemap_through_handles() {
 fn all_algorithms_concurrent_net_effect_through_handles() {
     use std::sync::Arc;
     for algo in AlgoKind::all() {
-        let map = Arc::new(algo.make_guarded(64));
+        let map = Arc::new(algo.make(64));
         common::net_effect_handle(map, 3, 1_500, 32);
     }
 }
@@ -49,7 +49,7 @@ fn all_algorithms_match_btreemap_on_the_compound_vocabulary_through_handles() {
     // The same vocabulary through a MapHandle session, plus the generic
     // `update` / `get_or_insert_with` wrappers.
     for algo in AlgoKind::all() {
-        let map = algo.make_guarded(128);
+        let map = algo.make(128);
         common::compound_model_check_handle(map.as_ref(), 2_500, 96, 0xBEE5);
     }
 }
@@ -60,7 +60,7 @@ fn all_algorithms_closure_rmw_is_atomic_under_contention() {
     // read-modify-write window) makes the final sum come up short.
     use std::sync::Arc;
     for algo in AlgoKind::all() {
-        let map = Arc::new(algo.make_guarded(16));
+        let map = Arc::new(algo.make(16));
         common::concurrent_counter_sum(map, 4, 2_000, 8);
     }
 }
@@ -73,7 +73,7 @@ fn all_algorithms_cas_loops_converge_under_contention() {
     const THREADS: usize = 4;
     const PER_THREAD: u64 = 500;
     for algo in AlgoKind::all() {
-        let map = Arc::new(algo.make_guarded(16));
+        let map = Arc::new(algo.make(16));
         assert!(map.insert(7, 0), "{}", algo.name());
         let mut workers = Vec::new();
         for _ in 0..THREADS {
@@ -124,7 +124,7 @@ fn optimistic_structures_conform_with_fast_paths_on_and_off() {
                 common::model_check(map.as_ref(), 2_500, 96, 0x0B71 ^ enabled as u64);
                 let map = algo.make(128);
                 common::compound_model_check(map.as_ref(), 2_500, 96, 0xFA57 ^ enabled as u64);
-                let map = algo.make_guarded(128);
+                let map = algo.make(128);
                 common::compound_model_check_handle(
                     map.as_ref(),
                     2_500,
@@ -144,7 +144,7 @@ fn optimistic_rmw_stays_atomic_under_contention_in_both_toggle_states() {
     for enabled in [true, false] {
         csds::sync::with_optimistic_fast_paths(enabled, || {
             for algo in OPTIMISTIC_ALGOS {
-                let map = Arc::new(algo.make_guarded(16));
+                let map = Arc::new(algo.make(16));
                 common::concurrent_counter_sum(map, 4, 2_000, 8);
             }
         });
@@ -186,7 +186,7 @@ fn is_empty_overrides_agree_with_len_through_churn() {
     // agree with `len_in == 0` at every point of an insert/remove/upsert
     // churn, through both the guard-scoped and the pin-per-op paths.
     for algo in AlgoKind::all() {
-        let map = algo.make_guarded(32);
+        let map = algo.make(32);
         let name = algo.name();
         let mut rng = common::rng_stream(0xE4417 ^ 0xB00);
         let guard = csds::ebr::pin();
@@ -228,7 +228,7 @@ fn documented_key_range_round_trips_on_every_structure() {
     let boundary = [0u64, 1, MAX_USER_KEY - 1, MAX_USER_KEY];
     for algo in AlgoKind::all() {
         let name = algo.name();
-        let map = algo.make_guarded(16);
+        let map = algo.make(16);
         for (i, &k) in boundary.iter().enumerate() {
             assert!(map.insert(k, i as u64), "{name} insert {k}");
         }
@@ -273,7 +273,7 @@ fn elastic_conformance_survives_growth_through_both_call_paths() {
     // across a 16× growth so the model comparison runs concurrently with
     // migrations. make(16) starts the table at 16 buckets; 1 000 distinct
     // keys force repeated doubling on every shard.
-    let map = AlgoKind::ElasticHashTable.make_guarded(16);
+    let map = AlgoKind::ElasticHashTable.make(16);
     // Pin-per-op path while growing.
     for k in 0..500u64 {
         assert!(map.insert(k, k * 11), "insert {k}");
