@@ -9,10 +9,18 @@
 //!    blocked-reader test asserts a zero drop count while pinned).
 
 use csds_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 use csds_ebr::{pin, Atomic, Shared};
+
+/// The epoch is process-wide and libtest runs this file's tests side by
+/// side, so a pinned thread of one test that gets descheduled stalls
+/// collection for all of them until it runs again. Three tests only wait
+/// longer. The repin regression test counts what is freed within a fixed
+/// budget of repins, so it takes the write side and runs alone; the others
+/// share the read side and still overlap each other.
+static EPOCH_TO_ITSELF: RwLock<()> = RwLock::new(());
 
 /// Churn pin+flush on the calling thread until `pred` holds.
 fn churn_until(pred: impl Fn() -> bool, timeout: Duration) -> bool {
@@ -32,6 +40,9 @@ fn churn_until(pred: impl Fn() -> bool, timeout: Duration) -> bool {
 
 #[test]
 fn every_retired_node_is_eventually_freed() {
+    let _shared = EPOCH_TO_ITSELF
+        .read()
+        .unwrap_or_else(PoisonError::into_inner);
     static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
     static DROPPED: AtomicUsize = AtomicUsize::new(0);
 
@@ -84,6 +95,9 @@ fn every_retired_node_is_eventually_freed() {
 
 #[test]
 fn a_long_lived_repinning_guard_reclaims_its_own_garbage() {
+    let _alone = EPOCH_TO_ITSELF
+        .write()
+        .unwrap_or_else(PoisonError::into_inner);
     // Regression: maintenance used to run only on the top-level pin path,
     // so a session holding one guard and calling `repin` between
     // operations (the `MapHandle` hot path) never advanced the epoch or
@@ -124,6 +138,9 @@ fn a_long_lived_repinning_guard_reclaims_its_own_garbage() {
 
 #[test]
 fn nothing_is_freed_while_a_guard_can_reach_it() {
+    let _shared = EPOCH_TO_ITSELF
+        .read()
+        .unwrap_or_else(PoisonError::into_inner);
     static DROPPED: AtomicUsize = AtomicUsize::new(0);
 
     struct Blocked;
@@ -182,6 +199,9 @@ fn nothing_is_freed_while_a_guard_can_reach_it() {
 /// a corrupted canary (in practice) long before anything else.
 #[test]
 fn canary_survives_concurrent_swap_and_retire() {
+    let _shared = EPOCH_TO_ITSELF
+        .read()
+        .unwrap_or_else(PoisonError::into_inner);
     const CANARY: u64 = 0xDEAD_BEEF_CAFE_F00D;
     const SLOTS: usize = 8;
     const WRITER_OPS: usize = if cfg!(miri) { 200 } else { 4_000 };

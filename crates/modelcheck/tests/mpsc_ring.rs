@@ -34,8 +34,9 @@ fn racing_producers_deliver_exactly_once() {
 
 /// Consumer concurrent with a producer driving a capacity-2 ring past full:
 /// `try_push` reports backpressure exactly when the lap stamps say so, the
-/// consumer never observes an unpublished slot, and whatever was accepted
-/// drains FIFO with nothing lost or duplicated.
+/// consumer never observes an unpublished slot, `pop_ready` never promises
+/// a pop that then fails, and whatever was accepted drains FIFO with nothing
+/// lost or duplicated.
 ///
 /// (This model is also what exposed the original capacity-1 stamp
 /// collision — a second push could claim the consumer's undrained slot —
@@ -52,10 +53,19 @@ fn concurrent_producer_consumer_with_backpressure() {
             let c = r2.try_push(3u64).is_ok();
             (a, b, c)
         });
-        // Concurrent pop attempts; each may legitimately see "empty".
+        // Concurrent pop attempts; each may legitimately see "empty". The
+        // consumer-side probe may under-promise (a claimed slot not yet
+        // stamped reads "not ready") but never over-promises.
         let mut got = Vec::new();
-        got.extend(ring.pop());
-        got.extend(ring.pop());
+        for _ in 0..2 {
+            let ready = ring.pop_ready();
+            let popped = ring.pop();
+            assert!(
+                !ready || popped.is_some(),
+                "probe promised a pop that failed"
+            );
+            got.extend(popped);
+        }
         let (a, b, c) = producer.join().unwrap();
         assert!(a && b, "two pushes into a capacity-2 ring cannot be full");
         // Drain what is left after the producer finished.

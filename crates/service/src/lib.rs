@@ -55,9 +55,21 @@
 //!   doubles (up to [`ServiceConfig::max_batch`]) while batches run full
 //!   with a backlog behind them, and decays back to a small floor when the
 //!   ring runs cold, so a hot core amortizes harder while a cold core
-//!   re-validates promptly and parks sooner (after one brief spin to catch
-//!   a refilling burst). The chosen depth is exported as
+//!   re-validates promptly. The chosen depth is exported as
 //!   [`CoreStats::batch_target`] / [`CoreStats::batch_target_max`].
+//! * **Idle policy** — spin-then-park. A worker whose ring runs dry closes
+//!   its session (unpins), then polls the ring for at most 50 µs — about
+//!   two park → unpark → run round trips — before blocking in the kernel,
+//!   so the gaps of a live request stream cost a poll, not a futex wake.
+//!   The poll is on only when the host has a hardware thread to spare
+//!   (`available_parallelism() > cores`); otherwise the budget is zero and
+//!   the worker parks at once, leaving the CPU to its clients. It reads
+//!   only consumer-side state ([`csds_sync::MpscRing::pop_ready`]: the
+//!   head and that slot's stamp), so a polling worker does not slow the
+//!   submitters down. Before every real park the worker still drops its
+//!   routing cache, sweeps idle tenants, flushes its deferred garbage and
+//!   publishes its stats; [`CoreStats::parks`] and
+//!   [`CoreStats::spin_refills`] say how each idle wait ended.
 //! * **Compound operations** — [`OpKind::Upsert`], [`OpKind::CompareSwap`]
 //!   and [`OpKind::FetchAdd`] ride the same rings and execute through the
 //!   map's native `upsert_in` / `compare_swap_in` / `rmw_in`, so a counter
@@ -343,6 +355,13 @@ struct CoreState<V> {
 }
 
 /// State shared by the service, its clients, and its workers.
+///
+/// Aligned so that inside its `Arc` allocation the struct starts on a line
+/// (pair) of its own: the refcount that a per-request
+/// `client.namespace(ns)` bumps then shares a line with nothing the workers
+/// read (`directory` above all), which is worth 14 % of `svc_tenants64`'s
+/// throughput.
+#[repr(align(128))]
 struct ServiceShared<V: Clone + Send + Sync> {
     cores: Box<[CachePadded<CoreState<V>>]>,
     shutdown: AtomicBool,
@@ -421,7 +440,10 @@ stat_table! {
         batches: sum, "csds_service_batches_total", "batches drained by service workers";
         /// Largest single batch.
         max_batch: max, "csds_service_max_batch", "largest single drained batch";
-        /// Deepest submission-queue backlog observed at a batch start.
+        /// Deepest submission-queue backlog observed at a batch start. A
+        /// lower bound: a short batch counts as the whole backlog, though
+        /// it may have stopped at a claimed, not yet stamped slot with
+        /// published ones behind it.
         max_depth: max, "csds_service_max_depth", "deepest submission-queue backlog at a batch start";
         /// Adaptive drain depth chosen after the last batch (the per-repin
         /// budget the worker is currently willing to execute; see the module
@@ -437,6 +459,14 @@ stat_table! {
         /// is the service-wide live tenant count as of each worker's last
         /// publication.
         owned_namespaces: sum, "csds_service_owned_namespaces", "tenant tables currently owned by workers";
+        /// Times the worker blocked in the kernel (`park_timeout`) because
+        /// its ring stayed empty past the idle-poll budget. Counted as the
+        /// park begins, after the pre-park publication, so the live slot of
+        /// a sleeping core trails by the park in progress.
+        parks: sum, "csds_service_parks_total", "times a service worker parked on an empty ring";
+        /// Idle waits ended by a request arriving inside the idle-poll
+        /// budget, i.e. parks avoided.
+        spin_refills: sum, "csds_service_spin_refills_total", "idle waits ended by a request arriving inside the spin budget";
     }
     hists {
         /// Distribution of batch sizes (log₂ buckets).
@@ -753,7 +783,12 @@ impl<V: Clone + Send + Sync + PartialEq + FetchAddValue + 'static> ServiceClient
         fence(Ordering::SeqCst);
         let res = match pushed {
             Ok(()) => {
-                if core.sleeping.swap(false, Ordering::SeqCst) {
+                // Load before swapping: the flag is almost always down, so
+                // the common case is a read of a shared line, not an RMW
+                // per request (about 4 % of `svc_pipelined`'s throughput).
+                if core.sleeping.load(Ordering::SeqCst)
+                    && core.sleeping.swap(false, Ordering::SeqCst)
+                {
                     if let Some(t) = core.thread.lock().unwrap().as_ref() {
                         t.unpark();
                     }
@@ -1039,6 +1074,41 @@ impl<V: Clone + Send + Sync + 'static> TenantRouter<V> {
     }
 }
 
+/// How long an idle worker polls its ring before blocking in the kernel:
+/// about twice this host's park → unpark → run round trip (25 µs,
+/// `service.rate10k.rtt_ns_p50` in `benchmark/README.md`), the competitive
+/// spin-then-block bound — a wait that ends in a park costs at most three
+/// times what parking at once would have.
+const SPIN_BUDGET: Duration = Duration::from_micros(50);
+
+/// Polls between clock reads (and yields) while an idle worker spins.
+const POLLS_PER_YIELD: u32 = 64;
+
+/// Poll `ring` until a request is ready (`true`) or `budget` has passed.
+/// Yields between rounds of polls, as [`Backoff`] does once it escalates,
+/// so a client thread that shares this CPU is not starved. Deliberately
+/// does not watch `shutdown`: the poll touches no line a producer writes
+/// before its publishing stamp, and the caller checks the flag when the
+/// budget ends.
+fn poll_for_request<T>(ring: &MpscRing<T>, budget: Duration) -> bool {
+    if budget.is_zero() {
+        return false;
+    }
+    let started = Instant::now();
+    loop {
+        for _ in 0..POLLS_PER_YIELD {
+            if ring.pop_ready() {
+                return true;
+            }
+            std::hint::spin_loop();
+        }
+        if started.elapsed() >= budget {
+            return false;
+        }
+        std::thread::yield_now();
+    }
+}
+
 /// The core worker: drain batches from the owned ring, execute them against
 /// the routed map through one reused session, sleep when idle, exit when
 /// the service shuts down *and* nothing more can arrive.
@@ -1065,7 +1135,8 @@ where
     let mut tenants: TenantRouter<V> = TenantRouter::new();
     // Ops executed since the last pre-park flush: their removes deferred
     // garbage into this thread's local EBR queue, which nobody else can
-    // drain while we sleep.
+    // drain while we sleep. Also what tells the end of a live stream (poll
+    // before parking) from a timeout wake-up (don't).
     let mut dirty = false;
     let mut batch: Vec<Request<V>> = Vec::with_capacity(max_batch);
     // Adaptive drain depth: start shallow, double (up to `max_batch`) while
@@ -1076,10 +1147,34 @@ where
     let mut target = floor;
     // Operations executed since the live stats slot was last published.
     let mut since_publish = 0u64;
+    // Idle-poll budget: zero unless a hardware thread is left over once
+    // every core worker has one. "Spare" counts workers only, not client
+    // threads: two busy clients and one worker on two CPUs still read as
+    // spare, which is why the poll yields. Read here, on the worker,
+    // because it costs a syscall and a cgroup read that `Service::start`
+    // should not pay.
+    let spare_thread =
+        std::thread::available_parallelism().map_or(1, |n| n.get()) > shared.cores.len();
+    let spin_budget = if spare_thread {
+        SPIN_BUDGET
+    } else {
+        Duration::ZERO
+    };
     loop {
-        let depth = core.ring.len() as u64;
         let processed = core.ring.pop_batch(&mut batch, target) as u64;
         if processed > 0 {
+            // Backlog at batch start. A batch that came out short drained
+            // the ring up to the first unpublished slot, so `processed` is
+            // taken as the backlog (an under-count if stamped slots sat
+            // behind an unstamped one); only a full batch surely left more
+            // behind, and only then is the producers' tail worth a read (a
+            // coherence miss for the next submit's CAS).
+            let full = processed == target as u64;
+            let depth = if full {
+                processed + core.ring.len() as u64
+            } else {
+                processed
+            };
             let h = session.get_or_insert_with(|| MapHandle::new(&*map));
             // One guard re-validation per batch — the amortization this
             // front-end exists to provide.
@@ -1100,18 +1195,22 @@ where
                     .latency_ns
                     .record(req.enqueued.elapsed().as_nanos() as u64);
                 req.tx.send(reply);
+                // The harness contract: one boundary per operation, so this
+                // thread's lock/restart/epoch counters reach the registry.
+                csds_metrics::op_boundary();
             }
             stats.owned_namespaces = tenants.owned.len() as u64;
             dirty = true;
             stats.ops += processed;
             stats.batches += 1;
             stats.max_batch = stats.max_batch.max(processed);
-            stats.max_depth = stats.max_depth.max(depth.max(processed));
+            stats.max_depth = stats.max_depth.max(depth);
             stats.batch_sizes.record(processed);
             // Adapt the drain depth to the observed backlog.
-            if processed == target as u64 && !core.ring.is_empty() {
+            let more = core.ring.pop_ready();
+            if full && more {
                 target = (target * 2).min(max_batch);
-            } else if core.ring.is_empty() && target > floor {
+            } else if !more {
                 target = floor.max(target / 2);
             }
             stats.batch_target = target as u64;
@@ -1127,23 +1226,19 @@ where
             }
             continue;
         }
-        // Idle. A hot stream that just dried up often refills within a few
-        // cache misses: spin briefly before paying the park/unpark cycle.
-        // A cold core (target at the floor) parks immediately instead.
-        if target > floor {
-            target = floor.max(target / 2);
-            stats.batch_target = target as u64;
-            let mut refilled = false;
-            for _ in 0..64 {
-                if !core.ring.is_empty() {
-                    refilled = true;
-                    break;
-                }
-                std::hint::spin_loop();
-            }
-            if refilled {
-                continue;
-            }
+        // Idle. Close the session first (unpin): a waiting core never holds
+        // the epoch back, whether it waits in the poll below or in the
+        // kernel. Then spin-then-block: the gaps of a live request stream
+        // are shorter than a park/unpark round trip, so poll for about two
+        // of those before paying for one. Only a worker that has executed
+        // something since it last prepared to park polls: one the park
+        // timeout woke to an empty ring goes straight back to sleep.
+        target = floor.max(target / 2);
+        stats.batch_target = target as u64;
+        session = None;
+        if dirty && poll_for_request(&core.ring, spin_budget) {
+            stats.spin_refills += 1;
+            continue;
         }
         // Exit only when intake is closed, no producer is inside the
         // enqueue window, and the ring is drained — in that order, so a
@@ -1155,14 +1250,13 @@ where
             core.live.publish(&stats.to_words());
             break;
         }
-        // Park preparation, in hazard order: close the session (unpin),
-        // drop the routing cache (no `Arc`s anchoring retired tenants),
-        // *then* take a fresh short-lived pin for tenant housekeeping. The
-        // sweep must not run under the session guard — a long-lived outer
-        // guard would make its own `remove_in` deferrals uncollectable
-        // (nested pins skip maintenance), exactly the stall the EBR
-        // watchdog exists to catch.
-        session = None;
+        // Park preparation, in hazard order: with the session closed
+        // (above), drop the routing cache (no `Arc`s anchoring retired
+        // tenants), *then* take a fresh short-lived pin for tenant
+        // housekeeping. The sweep must not run under the session guard — a
+        // long-lived outer guard would make its own `remove_in` deferrals
+        // uncollectable (nested pins skip maintenance), exactly the stall
+        // the EBR watchdog exists to catch.
         tenants.cache.clear();
         if dirty || !tenants.owned.is_empty() {
             if !tenants.owned.is_empty() {
@@ -1199,13 +1293,17 @@ where
         core.sleeping.store(true, Ordering::SeqCst);
         // Paired with the producer-side fence: re-check after raising the
         // flag so a push racing the park is either seen here or sees the
-        // flag and unparks us. The park timeout is a belt-and-braces bound,
-        // not the wakeup mechanism.
+        // flag and unparks us. The probe reads the head slot's stamp, and a
+        // producer stamps before its fence, so a push that has claimed the
+        // tail but not yet stamped reads "empty" here and finds the flag up
+        // afterwards. The park timeout is a belt-and-braces bound, not the
+        // wakeup mechanism.
         fence(Ordering::SeqCst);
-        if !core.ring.is_empty() || shared.shutdown.load(Ordering::SeqCst) {
+        if core.ring.pop_ready() || shared.shutdown.load(Ordering::SeqCst) {
             core.sleeping.store(false, Ordering::SeqCst);
             continue;
         }
+        stats.parks += 1;
         std::thread::park_timeout(Duration::from_millis(1));
         core.sleeping.store(false, Ordering::SeqCst);
     }

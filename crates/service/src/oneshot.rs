@@ -129,10 +129,14 @@ impl<T> std::fmt::Debug for Completion<T> {
 }
 
 impl<T> Completion<T> {
-    /// Block the current thread until the completion resolves (convenience
-    /// wrapper over [`block_on`]).
-    pub fn wait(self) -> Result<T, ServiceError> {
-        block_on(self)
+    /// Block the current thread until the completion resolves. A reply that
+    /// is already there is taken directly; only a pending one pays for
+    /// [`block_on`]'s waker (an `Arc` and a thread-handle clone).
+    pub fn wait(mut self) -> Result<T, ServiceError> {
+        match self.try_take() {
+            Some(r) => r,
+            None => block_on(self),
+        }
     }
 
     /// Non-blocking probe: `Some` once resolved (consumes the result).

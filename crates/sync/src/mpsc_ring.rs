@@ -90,6 +90,20 @@ impl<T> MpscRing<T> {
         self.len() == 0
     }
 
+    /// Consumer-side probe: `true` means the next [`pop`](Self::pop) by the
+    /// (single) consumer succeeds.
+    ///
+    /// Reads only `head` and that slot's stamp, never the producers' `tail`,
+    /// so a consumer polling an empty ring keeps both lines in its own cache
+    /// and costs a producer nothing until its publishing stamp store — unlike
+    /// [`is_empty`](Self::is_empty), which makes every tail CAS a coherence
+    /// miss. A slot a producer has claimed but not yet stamped reads `false`:
+    /// its `pop` would return `None` too.
+    pub fn pop_ready(&self) -> bool {
+        let pos = self.head.load(Ordering::Relaxed);
+        self.slots[pos & self.mask].seq.load(Ordering::Acquire) == pos + 1
+    }
+
     /// Attempt to enqueue `value`. On a full ring the value is handed back
     /// immediately — this is the service's backpressure signal, so the
     /// caller decides whether to spin, shed, or report upstream.
@@ -213,6 +227,44 @@ mod tests {
             for i in 0..8 {
                 assert_eq!(r.pop(), Some(lap * 100 + i));
             }
+        }
+    }
+
+    #[test]
+    fn pop_ready_agrees_with_pop() {
+        let r: MpscRing<u64> = MpscRing::with_capacity(4);
+        // Empty.
+        assert!(!r.pop_ready());
+        assert_eq!(r.pop(), None);
+        // One element.
+        r.try_push(1).unwrap();
+        assert!(r.pop_ready());
+        assert_eq!(r.pop(), Some(1));
+        assert!(!r.pop_ready());
+        // Full, and ready until the last element is out.
+        for i in 0..4 {
+            r.try_push(i).unwrap();
+        }
+        assert_eq!(r.try_push(9), Err(9));
+        for i in 0..4 {
+            assert!(r.pop_ready());
+            assert_eq!(r.pop(), Some(i));
+        }
+        assert!(!r.pop_ready());
+        // Across a wrap: head sits at 5 of 4 slots, so slot 1 carries a
+        // stamp from this lap, not the first.
+        for lap in 0..3u64 {
+            for i in 0..3 {
+                r.try_push(lap * 10 + i).unwrap();
+            }
+            for i in 0..3 {
+                assert!(r.pop_ready());
+                assert_eq!(r.pop(), Some(lap * 10 + i));
+            }
+            assert!(
+                !r.pop_ready(),
+                "a drained slot's next-lap stamp is not ready"
+            );
         }
     }
 
