@@ -125,7 +125,7 @@ fn closed_loop_vs_service(c: &mut Criterion) {
         let total = svc.shutdown().aggregate();
         println!(
             "    tenants {namespaces}ns (all samples): {} ops ({} tenant-routed) in {} batches \
-             (mean {:.1}), namespaces created {} / retired {}, latency p99 < {} ns",
+             (mean {:.1}), namespaces created {} / retired {}, latency (1-in-8 sample) p99 < {} ns",
             total.ops,
             total.ns_ops,
             total.batches,
@@ -139,7 +139,8 @@ fn closed_loop_vs_service(c: &mut Criterion) {
         let total = svc.shutdown().aggregate();
         println!(
             "    service {cores}c (all samples): {} ops in {} batches \
-             (mean {:.1}, max {} / depth max {}), latency p50 < {} ns, p99 < {} ns",
+             (mean {:.1}, max {} / depth max {}), latency (1-in-8 sample) p50 < {} ns, \
+             p99 < {} ns",
             total.ops,
             total.batches,
             total.mean_batch(),

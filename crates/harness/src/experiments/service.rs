@@ -110,8 +110,9 @@ pub fn service(scale: Scale) {
     table.print();
     println!(
         "# latency columns are log2-bucket upper bounds of the service's \
-         submission-to-completion histograms ({total} ops per row, closed \
-         loop, one client thread, batch 64)"
+         submission-to-completion histograms, which time a 1-in-8 sample of \
+         the requests ({total} ops per row, closed loop, one client thread, \
+         batch 64)"
     );
 
     // The multi-tenant face of the same front-end: Zipf-over-Zipf traffic

@@ -238,6 +238,27 @@ macro_rules! shim_atomic_int {
                     }
                 }
             }
+
+            #[inline]
+            #[track_caller]
+            pub fn fetch_or(&self, v: $Prim, ord: Ordering) -> $Prim {
+                match enter(OpKind::Rmw, self.addr(), Location::caller()) {
+                    None => self.raw.fetch_or(v, ord),
+                    Some((ctx, me)) => {
+                        let old = self.raw.fetch_or(v, Ordering::SeqCst);
+                        exec::record_rmw(
+                            unsafe { &*ctx },
+                            me,
+                            self.addr(),
+                            ord,
+                            old as u64,
+                            Location::caller(),
+                            concat!($tag, ".fetch_or"),
+                        );
+                        old
+                    }
+                }
+            }
         }
     };
 }

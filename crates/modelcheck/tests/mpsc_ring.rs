@@ -1,9 +1,11 @@
 //! Interleaving models for the Vyukov-style bounded MPSC ring
 //! (`csds_sync::MpscRing`): sequence-stamp claiming under producer races,
-//! exactly-once delivery, and single-consumer FIFO.
+//! exactly-once delivery, single-consumer FIFO, and `close()` against a
+//! racing push.
 
 use csds_modelcheck::{thread, Model};
 use csds_sync::MpscRing;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Two producers race for slots; after both finish, draining yields each
@@ -80,4 +82,85 @@ fn concurrent_producer_consumer_with_backpressure() {
     });
     assert!(report.complete);
     assert!(report.executions > 1);
+}
+
+/// Model bookkeeping (a plain std atomic, not protocol state): exit checks
+/// that ran on a closed ring whose head slot was claimed but not stamped.
+static CHECKED_UNSTAMPED: AtomicUsize = AtomicUsize::new(0);
+
+/// Two pushes racing `close()` and the drain-to-exit loop of a
+/// `csds_service` worker (`worker_loop`: pop what is there, leave once the
+/// ring is closed and `len() == 0`). Shutdown's whole guarantee rests on
+/// the tail word: a push that claimed its slot before the closed bit went
+/// up is counted in `len()` from that moment, stamped or not, so a worker
+/// that leaves on the count has popped it; a push after the bit is refused.
+///
+/// `exit_on_claimed_count = false` leaves on the consumer-side probe
+/// instead (`!pop_ready()`), which reads a claimed, unstamped slot as
+/// "nothing there".
+fn close_vs_push(exit_on_claimed_count: bool) {
+    let ring = Arc::new(MpscRing::with_capacity(2));
+    let r2 = Arc::clone(&ring);
+    let producer = thread::spawn(move || (r2.try_push(1u64).is_ok(), r2.try_push(2u64).is_ok()));
+    ring.close();
+    let mut got = Vec::new();
+    let mut exited = false;
+    // Two rounds are enough to go round once behind an unstamped slot; a
+    // worker that has not left by then has simply not left yet.
+    for _ in 0..2 {
+        while let Some(v) = ring.pop() {
+            got.push(v);
+        }
+        let (empty, ready) = (ring.is_empty(), ring.pop_ready());
+        if !empty && !ready {
+            CHECKED_UNSTAMPED.fetch_add(1, Ordering::Relaxed);
+        }
+        exited = ring.is_closed() && if exit_on_claimed_count { empty } else { !ready };
+        if exited {
+            break;
+        }
+    }
+    let (first, second) = producer.join().unwrap();
+    assert!(first || !second, "a closed ring does not reopen");
+    let accepted: Vec<u64> = [(first, 1), (second, 2)]
+        .into_iter()
+        .filter_map(|(ok, v)| ok.then_some(v))
+        .collect();
+    if !exited {
+        // Quiescent now: the next round of the same loop finishes the job.
+        while let Some(v) = ring.pop() {
+            got.push(v);
+        }
+        assert!(ring.is_closed() && ring.is_empty());
+    }
+    assert_eq!(
+        got, accepted,
+        "the worker left with an accepted request still in the ring"
+    );
+    assert_eq!(ring.try_push(3), Err(3), "closed for good");
+}
+
+#[test]
+fn a_push_racing_close_is_drained_or_refused() {
+    let report = Model::new().check(|| close_vs_push(true));
+    assert!(report.complete, "close model must be fully explored");
+    assert!(
+        CHECKED_UNSTAMPED.load(Ordering::Relaxed) > 0,
+        "never explored an exit check behind a claimed-but-unstamped slot"
+    );
+}
+
+/// The seeded negative: leaving on `!pop_ready()` strands the request of a
+/// producer that won its claim against `close()` but had not stamped yet.
+#[test]
+fn checker_catches_an_exit_that_ignores_claimed_slots() {
+    let report = Model::new().run(|| close_vs_push(false));
+    let f = report
+        .failure
+        .expect("exiting on the probe must strand a claimed request in some schedule");
+    assert!(
+        f.message.contains("still in the ring"),
+        "unexpected failure: {}",
+        f.message
+    );
 }

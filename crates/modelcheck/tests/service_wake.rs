@@ -8,8 +8,11 @@
 //!   swap took it down;
 //! * **worker** — finds the ring empty, stores `sleeping = true`,
 //!   `fence(SeqCst)`, re-checks the ring with the tail-free consumer probe
-//!   ([`MpscRing::pop_ready`]), and parks only if the probe still says
-//!   empty.
+//!   ([`MpscRing::pop_ready`]) and asks [`MpscRing::is_closed`], and parks
+//!   only if the probe still says empty and the ring is open;
+//! * **shutdown** — `ring.close()`, then the same swap on `sleeping` and
+//!   `unpark` a producer does. There is no shutdown flag in the handshake:
+//!   the closed bit on the ring's tail is what the worker's re-check reads.
 //!
 //! The probe reads the head slot's *stamp*, not the producers' tail, so a
 //! producer that has claimed the tail but not yet stamped its slot looks
@@ -20,8 +23,8 @@
 //! `std::thread::park` cannot block inside the checker, so the park token
 //! is a shim atomic and a park that finds no token ends the worker's part
 //! of the model in the state "parked". The invariant is then a statement
-//! about the final state: **a published request never sits in the ring
-//! behind a parked worker with no unpark pending.**
+//! about the final state: **a published request — or a closed ring — never
+//! sits behind a parked worker with no unpark pending.**
 //!
 //! `recheck = false` re-introduces the classic lost wakeup (raise the flag,
 //! park, never look again) to show the checker catches it.
@@ -65,8 +68,9 @@ fn worker(core: &Core, recheck: bool) -> Option<u64> {
     fence(Ordering::SeqCst);
     // Bookkeeping only: `is_empty()` reads the tail, which the probe does not.
     let claimed = !core.ring.is_empty();
-    if recheck && core.ring.pop_ready() {
+    if recheck && (core.ring.pop_ready() || core.ring.is_closed()) {
         core.sleeping.store(false, Ordering::SeqCst);
+        // Nothing closes the ring in this model: it was the probe.
         return Some(core.ring.pop().expect("the probe promised this pop"));
     }
     if recheck && claimed {
@@ -125,4 +129,36 @@ fn checker_catches_a_dropped_pre_park_recheck() {
         "unexpected failure: {}",
         f.message
     );
+}
+
+/// `shutdown_inner`'s per-core step against the same pre-park sequence: the
+/// worker either sees the closed ring in its re-check (and goes round again
+/// towards its exit test) or shutdown sees `sleeping` and unparks it.
+#[test]
+fn no_schedule_parks_the_worker_on_a_closed_ring() {
+    let report = Model::new().check(|| {
+        let core = Arc::new(Core {
+            ring: MpscRing::with_capacity(2),
+            sleeping: AtomicBool::new(false),
+            token: AtomicBool::new(false),
+        });
+        let c2 = Arc::clone(&core);
+        let shutdown = thread::spawn(move || {
+            c2.ring.close();
+            if c2.sleeping.swap(false, Ordering::SeqCst) {
+                c2.token.store(true, Ordering::SeqCst); // unpark
+            }
+        });
+        // The worker's pre-park sequence on an empty ring.
+        core.sleeping.store(true, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
+        let parked = !(core.ring.pop_ready() || core.ring.is_closed());
+        shutdown.join().unwrap();
+        assert!(
+            !parked || core.token.load(Ordering::SeqCst),
+            "lost wakeup: ring closed, worker parked, no unpark pending"
+        );
+    });
+    assert!(report.complete, "shutdown handshake must be fully explored");
+    assert!(report.executions > 1);
 }

@@ -83,13 +83,28 @@
 //! * **Graceful shutdown** — [`Service::shutdown`] stops intake
 //!   ([`ServiceError::ShuttingDown`]) and workers drain every already
 //!   accepted request before exiting, so accepted operations always
-//!   execute exactly once. If a request could somehow be dropped
-//!   unexecuted, its [`Completion`] resolves to
-//!   [`ServiceError::Disconnected`] rather than hanging.
+//!   execute exactly once. Intake stops on the ring itself:
+//!   [`csds_sync::MpscRing::close`] sets a bit in the tail word that every
+//!   producer's claim CAS expects clear, so a racing submission either
+//!   claimed its slot first — and is counted in the tail, which the worker
+//!   drains to before it exits — or gets its op back. A submission pays
+//!   nothing for this: no flag to read, no in-flight counter to raise. If a
+//!   request could somehow be dropped unexecuted, its [`Completion`]
+//!   resolves to [`ServiceError::Disconnected`] rather than hanging.
+//! * **A request is two cache lines** — the 64-byte ring slot (the op, its
+//!   namespace, a timestamp and the completion's sender, line-aligned) and
+//!   the completion ([`csds_sync::oneshot`]: one atomic state word beside
+//!   the reply, fulfilled with one swap). Nothing else per request crosses
+//!   cores, takes a lock, or reads the clock (see the next point).
 //! * **Observability** — per-core [`CoreStats`]: ops, batches, batch-size
 //!   and queue-depth maxima, and log₂ histograms
 //!   ([`csds_metrics::LogHistogram`]) of batch sizes and
-//!   submission-to-completion latency. Each worker seqlock-publishes its
+//!   submission-to-completion latency. The latency histogram is a
+//!   **1-in-8 sample**: each client thread stamps one submission in
+//!   eight (irregularly spaced; its first always) and only those are timed
+//!   at completion, so the two clock reads — about as dear as the ring
+//!   push they would time — are off the other seven requests' path. Read
+//!   quantiles from it, not `count()`. Each worker seqlock-publishes its
 //!   stats on an amortized cadence, so [`Service::stats_now`] /
 //!   [`ServiceClient::stats_now`] return a consistent **live** snapshot
 //!   mid-run (`repro watch` builds on this); rejected submissions tick the
@@ -130,7 +145,7 @@
 //! ```
 
 use csds_sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Barrier, OnceLock};
 use std::time::{Duration, Instant};
 
 use csds_core::{check_user_key, CasOutcome, GuardedMap, MapHandle};
@@ -333,8 +348,48 @@ struct Request<V> {
     ns: NamespaceId,
     key: u64,
     op: OpKind<V>,
-    enqueued: Instant,
-    tx: oneshot::CompletionSender<Reply<V>>,
+    /// Nanoseconds since [`ServiceShared::started`] at submission, for the
+    /// one request in [`LATENCY_SAMPLE_EVERY`] that is timed; 0 for the rest.
+    enqueued: u64,
+    tx: csds_sync::oneshot::Sender<Reply<V>>,
+}
+
+// A request and its slot stamp share one cache line: the ring aligns its
+// slots to 64 bytes, so a 57-byte request would double the ring.
+const _: () = assert!(std::mem::size_of::<Request<u64>>() <= 56);
+
+/// One submission in this many, per client thread, carries a timestamp
+/// and lands in [`CoreStats::latency_ns`]. A clock read costs about as much
+/// as the ring push it would time, on both sides of the ring.
+const LATENCY_SAMPLE_EVERY: u32 = 8;
+
+/// One step of the per-thread sampling sequence: the next state, and whether
+/// the submission that drew `x` is timed. A full-period LCG whose top bits
+/// pick one draw in [`LATENCY_SAMPLE_EVERY`] — irregular gaps, so the sample
+/// cannot lock onto a period in the client's op pattern the way a fixed
+/// stride would — and state 0, a thread's first draw, is picked.
+fn sample_step(x: u32) -> (u32, bool) {
+    let next = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+    (next, x < u32::MAX / LATENCY_SAMPLE_EVERY)
+}
+
+thread_local! {
+    static SAMPLE_STATE: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+}
+
+/// The `enqueued` stamp for the calling thread's next submission: the time
+/// since `started` (never 0) if this one is sampled, else 0.
+fn enqueue_stamp(started: Instant) -> u64 {
+    let sampled = SAMPLE_STATE.with(|s| {
+        let (next, sampled) = sample_step(s.get());
+        s.set(next);
+        sampled
+    });
+    if sampled {
+        (started.elapsed().as_nanos() as u64).max(1)
+    } else {
+        0
+    }
 }
 
 /// Per-core state shared between producers and the owning worker. Padded at
@@ -345,13 +400,24 @@ struct CoreState<V> {
     /// True while the worker is parked (or about to park); producers that
     /// observe it swap it off and unpark the worker.
     sleeping: AtomicBool,
-    /// The worker's thread handle, for unparking. Written once at startup.
-    thread: Mutex<Option<std::thread::Thread>>,
+    /// The worker's thread handle, for unparking. Set once, before the
+    /// start gate opens.
+    thread: OnceLock<std::thread::Thread>,
     /// Live seqlock-published copy of the worker's [`CoreStats`], refreshed
     /// amortized (every [`PUBLISH_BATCHES`] batches / [`PUBLISH_OPS`] ops)
     /// and before every park, so [`Service::stats_now`] can observe a
     /// consistent snapshot mid-run without touching the worker's hot path.
     live: SeqSlot<CORE_STAT_WORDS>,
+}
+
+impl<V> CoreState<V> {
+    /// Wake the worker out of `park_timeout`.
+    fn unpark(&self) {
+        self.thread
+            .get()
+            .expect("set before the start gate, which precedes every client")
+            .unpark();
+    }
 }
 
 /// State shared by the service, its clients, and its workers.
@@ -364,12 +430,11 @@ struct CoreState<V> {
 #[repr(align(128))]
 struct ServiceShared<V: Clone + Send + Sync> {
     cores: Box<[CachePadded<CoreState<V>>]>,
+    /// What request timestamps count from.
+    started: Instant,
+    /// Raised first by shutdown, for [`ServiceClient::is_shutting_down`].
+    /// Intake itself stops when each core's ring is closed.
     shutdown: AtomicBool,
-    /// Producers currently inside `try_submit`'s enqueue window. Workers
-    /// only exit once this is zero *and* their ring is empty, which closes
-    /// the race between a final enqueue and worker exit (see
-    /// `try_submit`).
-    submitting: AtomicUsize,
     /// The namespace directory: an elastic table *of* tenant tables. Keys
     /// are [`NamespaceId`]s, values the tenant's map. Entries are created
     /// lazily by the owning worker on a namespace's first operation and
@@ -472,7 +537,9 @@ stat_table! {
         /// Distribution of batch sizes (log₂ buckets).
         batch_sizes;
         /// Distribution of submission-to-completion latency in nanoseconds
-        /// (log₂ buckets).
+        /// (log₂ buckets) — over a **sample**: one submission in 8 per
+        /// client thread is timed, so read quantiles from it, not
+        /// `count()` as an op total ([`ops`](CoreStats::ops) is that).
         latency_ns;
     }
     arrays {}
@@ -555,13 +622,13 @@ where
                     CachePadded::new(CoreState {
                         ring: MpscRing::with_capacity(cfg.ring_capacity.max(2)),
                         sleeping: AtomicBool::new(false),
-                        thread: Mutex::new(None),
+                        thread: OnceLock::new(),
                         live: SeqSlot::new(),
                     })
                 })
                 .collect(),
+            started: Instant::now(),
             shutdown: AtomicBool::new(false),
-            submitting: AtomicUsize::new(0),
             // Sized for a handful of hot tenants per shard; elastic growth
             // carries it to thousands and shrink brings it back.
             directory: ElasticHashTable::with_capacity(64),
@@ -585,7 +652,10 @@ where
             );
         }
         for (i, w) in workers.iter().enumerate() {
-            *shared.cores[i].thread.lock().unwrap() = Some(w.thread().clone());
+            shared.cores[i]
+                .thread
+                .set(w.thread().clone())
+                .expect("each core's thread handle is set once");
         }
         gate.wait();
         Service {
@@ -642,10 +712,12 @@ where
     fn shutdown_inner(&mut self) -> ServiceStats {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         for c in self.shared.cores.iter() {
+            // From here every push to this core is refused, and every push
+            // that was not is counted in the ring's tail, which is what the
+            // worker drains to before it exits.
+            c.ring.close();
             if c.sleeping.swap(false, Ordering::SeqCst) {
-                if let Some(t) = c.thread.lock().unwrap().as_ref() {
-                    t.unpark();
-                }
+                c.unpark();
             }
         }
         let per_core = self
@@ -741,12 +813,6 @@ impl<V: Clone + Send + Sync + PartialEq + FetchAddValue + 'static> ServiceClient
         let ns = self.ns;
         check_user_key(key);
         let sh = &self.shared;
-        if sh.shutdown.load(Ordering::SeqCst) {
-            return Err(Rejected {
-                reason: ServiceError::ShuttingDown,
-                op,
-            });
-        }
         if self.quota_rejects(key, &op) {
             csds_metrics::quota_reject(ns);
             return Err(Rejected {
@@ -754,18 +820,9 @@ impl<V: Clone + Send + Sync + PartialEq + FetchAddValue + 'static> ServiceClient
                 op,
             });
         }
-        // Enqueue window: workers exit only when `submitting == 0` and
-        // their ring is empty, and we re-check `shutdown` after raising the
-        // count — so either this submission aborts below, or the push is
-        // visible to a worker's exit check and gets drained.
-        sh.submitting.fetch_add(1, Ordering::SeqCst);
-        if sh.shutdown.load(Ordering::SeqCst) {
-            sh.submitting.fetch_sub(1, Ordering::SeqCst);
-            return Err(Rejected {
-                reason: ServiceError::ShuttingDown,
-                op,
-            });
-        }
+        // The push itself settles the race with shutdown: `shutdown` closes
+        // the ring, a closed ring refuses the push, and a push that won is
+        // counted in the ring's tail, which the worker drains before exiting.
         let core_idx = self.core_of(key);
         let core = &sh.cores[core_idx];
         let (tx, rx) = oneshot::completion();
@@ -773,7 +830,7 @@ impl<V: Clone + Send + Sync + PartialEq + FetchAddValue + 'static> ServiceClient
             ns,
             key,
             op,
-            enqueued: Instant::now(),
+            enqueued: enqueue_stamp(sh.started),
             tx,
         });
         // Publish the push before reading the sleep flag (paired with the
@@ -781,7 +838,7 @@ impl<V: Clone + Send + Sync + PartialEq + FetchAddValue + 'static> ServiceClient
         // ring): at least one side observes the other, so the wakeup
         // cannot be lost.
         fence(Ordering::SeqCst);
-        let res = match pushed {
+        match pushed {
             Ok(()) => {
                 // Load before swapping: the flag is almost always down, so
                 // the common case is a read of a shared line, not an RMW
@@ -789,12 +846,14 @@ impl<V: Clone + Send + Sync + PartialEq + FetchAddValue + 'static> ServiceClient
                 if core.sleeping.load(Ordering::SeqCst)
                     && core.sleeping.swap(false, Ordering::SeqCst)
                 {
-                    if let Some(t) = core.thread.lock().unwrap().as_ref() {
-                        t.unpark();
-                    }
+                    core.unpark();
                 }
                 Ok(rx)
             }
+            Err(back) if core.ring.is_closed() => Err(Rejected {
+                reason: ServiceError::ShuttingDown,
+                op: back.op,
+            }),
             Err(back) => {
                 // Backpressure is a first-class signal: count it and trace
                 // which core's ring saturated.
@@ -804,9 +863,7 @@ impl<V: Clone + Send + Sync + PartialEq + FetchAddValue + 'static> ServiceClient
                     op: back.op,
                 })
             }
-        };
-        sh.submitting.fetch_sub(1, Ordering::SeqCst);
-        res
+        }
     }
 
     /// Enqueue one operation on this client's namespace, spinning (with
@@ -1087,8 +1144,8 @@ const POLLS_PER_YIELD: u32 = 64;
 /// Poll `ring` until a request is ready (`true`) or `budget` has passed.
 /// Yields between rounds of polls, as [`Backoff`] does once it escalates,
 /// so a client thread that shares this CPU is not starved. Deliberately
-/// does not watch `shutdown`: the poll touches no line a producer writes
-/// before its publishing stamp, and the caller checks the flag when the
+/// does not watch for `close`: the poll touches no line a producer writes
+/// before its publishing stamp, and the caller asks `is_closed` when the
 /// budget ends.
 fn poll_for_request<T>(ring: &MpscRing<T>, budget: Duration) -> bool {
     if budget.is_zero() {
@@ -1191,9 +1248,10 @@ where
                     stats.ns_ops += 1;
                     execute_op(&*table, req.key, req.op, guard)
                 };
-                stats
-                    .latency_ns
-                    .record(req.enqueued.elapsed().as_nanos() as u64);
+                if req.enqueued != 0 {
+                    let now = shared.started.elapsed().as_nanos() as u64;
+                    stats.latency_ns.record(now.saturating_sub(req.enqueued));
+                }
                 req.tx.send(reply);
                 // The harness contract: one boundary per operation, so this
                 // thread's lock/restart/epoch counters reach the registry.
@@ -1240,13 +1298,11 @@ where
             stats.spin_refills += 1;
             continue;
         }
-        // Exit only when intake is closed, no producer is inside the
-        // enqueue window, and the ring is drained — in that order, so a
-        // submission that passed its shutdown re-check is never stranded.
-        if shared.shutdown.load(Ordering::SeqCst)
-            && shared.submitting.load(Ordering::SeqCst) == 0
-            && core.ring.is_empty()
-        {
+        // Exit only when the ring is closed and everything it ever accepted
+        // is out. `len` counts claimed slots, so a producer that won its
+        // claim against `close` but has not stamped yet keeps the worker
+        // here (it comes back round through the re-check below).
+        if core.ring.is_closed() && core.ring.is_empty() {
             core.live.publish(&stats.to_words());
             break;
         }
@@ -1299,7 +1355,7 @@ where
         // afterwards. The park timeout is a belt-and-braces bound, not the
         // wakeup mechanism.
         fence(Ordering::SeqCst);
-        if core.ring.pop_ready() || shared.shutdown.load(Ordering::SeqCst) {
+        if core.ring.pop_ready() || core.ring.is_closed() {
             core.sleeping.store(false, Ordering::SeqCst);
             continue;
         }
@@ -1344,7 +1400,34 @@ mod tests {
         let stats = svc.shutdown();
         assert_eq!(stats.aggregate().ops, 5);
         assert!(stats.aggregate().batches >= 1);
-        assert_eq!(stats.aggregate().latency_ns.count(), 5);
+        // The latency histogram is a sample. This thread submitted nothing
+        // before and each op waited for its reply (no `Busy` retry draws
+        // again), so which of the five were timed is known.
+        assert_eq!(stats.aggregate().latency_ns.count(), sampled_among(5));
+    }
+
+    /// How many of a fresh thread's first `n` submissions are timed.
+    fn sampled_among(n: usize) -> u64 {
+        let mut x = 0;
+        (0..n)
+            .filter(|_| {
+                let (next, sampled) = sample_step(x);
+                x = next;
+                sampled
+            })
+            .count() as u64
+    }
+
+    #[test]
+    fn latency_sampling_takes_the_first_and_about_one_in_eight() {
+        assert_eq!(sampled_among(1), 1, "a thread's first submission is timed");
+        let n = 1 << 16;
+        let expect = n as u64 / u64::from(LATENCY_SAMPLE_EVERY);
+        let got = sampled_among(n);
+        assert!(
+            got.abs_diff(expect) < expect / 8,
+            "{got} of {n} sampled, expected about {expect}"
+        );
     }
 
     #[test]
@@ -1463,7 +1546,10 @@ mod tests {
             let live = client.stats_now().aggregate();
             if live.ops == 512 {
                 assert!(live.batches >= 1);
-                assert_eq!(live.latency_ns.count(), 512);
+                // A sample of the 512 (and `submit` draws again on every
+                // `Busy` retry, so not a fixed one).
+                let timed = live.latency_ns.count();
+                assert!((1..=512).contains(&timed), "{timed} timed");
                 break;
             }
             assert!(

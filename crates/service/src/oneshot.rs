@@ -1,110 +1,41 @@
-//! Minimal std-only future machinery: a oneshot completion channel and a
+//! Minimal std-only future machinery: the request completion and a
 //! thread-parking `block_on`.
 //!
 //! No async runtime exists in this offline workspace (the same constraint
 //! that produced the `criterion`/`proptest` shims), so the service
 //! hand-rolls the two pieces it actually needs:
 //!
-//! * [`Completion`] — the receiving half of a oneshot channel, as a
-//!   standard [`Future`]. A core worker fulfils it with the operation's
-//!   [`Reply`](crate::Reply); if the sending half is dropped unfulfilled
-//!   (service torn down with the request still queued), the future resolves
-//!   to [`ServiceError::Disconnected`] instead of hanging forever.
+//! * [`Completion`] — the receiving half of a [`csds_sync::oneshot`]
+//!   channel, as a standard [`Future`]. A core worker fulfils it with the
+//!   operation's [`Reply`](crate::Reply); if the sending half is dropped
+//!   unfulfilled (service torn down with the request still queued), the
+//!   future resolves to [`ServiceError::Disconnected`] instead of hanging
+//!   forever.
 //! * [`block_on`] — drives any future to completion on the current thread,
 //!   parking between polls. The waker unparks the thread, so a completion
 //!   delivered from a core worker costs one `unpark`, not a spin loop.
 //!
-//! The channel is a mutex around a four-state enum. That is deliberate: the
-//! lock is uncontended (one producer, one consumer, each touching it once
-//! or twice per operation), and the service amortizes every per-operation
-//! cost at the batch layer, not here.
+//! The channel is lock-free — one atomic state word beside the value and
+//! the waker, one swap by the worker per reply — and lives in `csds_sync`
+//! next to the ring, where `csds_modelcheck` and Miri run it. Together the
+//! ring slot and the channel are the two cache lines a request moves
+//! between a client and a worker.
 
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
+
+use csds_sync::oneshot::{channel, Closed, Receiver, Sender};
 
 use crate::ServiceError;
 
-enum State<T> {
-    /// Not yet fulfilled; holds the waker of the most recent poll.
-    Pending(Option<Waker>),
-    /// Fulfilled, value not yet claimed by a poll.
-    Done(T),
-    /// Sender dropped without fulfilling.
-    Closed,
-    /// A poll already returned `Ready`; terminal.
-    Finished,
-}
-
-struct Channel<T> {
-    state: Mutex<State<T>>,
-}
-
-/// Create a connected sender/future pair.
-pub(crate) fn completion<T>() -> (CompletionSender<T>, Completion<T>) {
-    let ch = Arc::new(Channel {
-        state: Mutex::new(State::Pending(None)),
-    });
-    (
-        CompletionSender {
-            ch: Arc::clone(&ch),
-            sent: false,
-        },
-        Completion { ch },
-    )
-}
-
-/// Fulfilling half of a oneshot completion; owned by the request while it
-/// sits in a submission ring, consumed by the core worker that executes it.
-pub(crate) struct CompletionSender<T> {
-    ch: Arc<Channel<T>>,
-    sent: bool,
-}
-
-impl<T> CompletionSender<T> {
-    /// Fulfil the completion and wake its awaiter (if any).
-    pub(crate) fn send(mut self, value: T) {
-        self.sent = true;
-        let waker = {
-            let mut st = self.ch.state.lock().unwrap();
-            match std::mem::replace(&mut *st, State::Done(value)) {
-                State::Pending(w) => w,
-                // The receiving future was dropped or already finished;
-                // restore whatever was there and discard the value.
-                other => {
-                    *st = other;
-                    None
-                }
-            }
-        };
-        if let Some(w) = waker {
-            w.wake();
-        }
-    }
-}
-
-impl<T> Drop for CompletionSender<T> {
-    fn drop(&mut self) {
-        if self.sent {
-            return;
-        }
-        // Dropped unfulfilled (service teardown with the request still
-        // queued): fail the future rather than stranding its awaiter.
-        let waker = {
-            let mut st = self.ch.state.lock().unwrap();
-            match std::mem::replace(&mut *st, State::Closed) {
-                State::Pending(w) => w,
-                other => {
-                    *st = other;
-                    None
-                }
-            }
-        };
-        if let Some(w) = waker {
-            w.wake();
-        }
-    }
+/// Create a connected sender/future pair. The sender is owned by the request
+/// while it sits in a submission ring and consumed by the core worker that
+/// executes it.
+pub(crate) fn completion<T>() -> (Sender<T>, Completion<T>) {
+    let (tx, rx) = channel();
+    (tx, Completion { rx })
 }
 
 /// The receiving half of a oneshot completion: a [`Future`] resolving to
@@ -112,20 +43,17 @@ impl<T> Drop for CompletionSender<T> {
 /// was torn down before executing it.
 #[must_use = "a Completion does nothing until awaited (or .wait()ed)"]
 pub struct Completion<T> {
-    ch: Arc<Channel<T>>,
+    rx: Receiver<T>,
 }
 
 impl<T> std::fmt::Debug for Completion<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.ch.state.lock().unwrap();
-        let name = match &*st {
-            State::Pending(_) => "pending",
-            State::Done(_) => "done",
-            State::Closed => "closed",
-            State::Finished => "finished",
-        };
-        write!(f, "Completion({name})")
+        write!(f, "Completion({:?})", self.rx)
     }
+}
+
+fn disconnected(_: Closed) -> ServiceError {
+    ServiceError::Disconnected
 }
 
 impl<T> Completion<T> {
@@ -141,32 +69,17 @@ impl<T> Completion<T> {
 
     /// Non-blocking probe: `Some` once resolved (consumes the result).
     pub fn try_take(&mut self) -> Option<Result<T, ServiceError>> {
-        let mut st = self.ch.state.lock().unwrap();
-        match std::mem::replace(&mut *st, State::Finished) {
-            State::Done(v) => Some(Ok(v)),
-            State::Closed => Some(Err(ServiceError::Disconnected)),
-            other => {
-                *st = other;
-                None
-            }
-        }
+        self.rx.try_recv().map(|r| r.map_err(disconnected))
     }
 }
 
 impl<T> Future for Completion<T> {
     type Output = Result<T, ServiceError>;
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let mut st = self.ch.state.lock().unwrap();
-        match std::mem::replace(&mut *st, State::Finished) {
-            State::Done(v) => Poll::Ready(Ok(v)),
-            State::Closed => Poll::Ready(Err(ServiceError::Disconnected)),
-            State::Pending(_) => {
-                *st = State::Pending(Some(cx.waker().clone()));
-                Poll::Pending
-            }
-            State::Finished => panic!("Completion polled after it returned Ready"),
-        }
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        Pin::new(&mut self.rx)
+            .poll(cx)
+            .map(|r| r.map_err(disconnected))
     }
 }
 

@@ -21,6 +21,7 @@ pub mod atomic;
 pub mod backoff;
 pub mod mcs;
 pub mod mpsc_ring;
+pub mod oneshot;
 pub mod optik;
 pub mod padded;
 pub mod sharded_counter;

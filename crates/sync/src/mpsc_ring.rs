@@ -17,6 +17,14 @@
 //! The implementation is safe for multiple consumers too (the head is
 //! CAS-claimed), but the intended shape — and the only one the service
 //! uses — is many producers, one draining core worker.
+//!
+//! **Closing.** [`MpscRing::close`] sets the top bit of the tail word. A
+//! producer's claim is a CAS that expects the bit clear, so the tail's
+//! modification order decides every race: a push either claimed its slot
+//! before the close — and is then counted in the tail, so a consumer that
+//! drains until `is_closed() && len() == 0` cannot miss it, stamped yet or
+//! not — or it is refused. Shutdown of a service needs nothing else from
+//! its producers: no flag to re-check, no in-flight counter to raise.
 
 use crate::atomic::{AtomicUsize, Ordering};
 use std::cell::UnsafeCell;
@@ -27,21 +35,34 @@ use crate::CachePadded;
 /// One ring slot: `seq` encodes the slot's state relative to the endpoint
 /// counters (see [`MpscRing`]); `val` is live iff a producer has stamped the
 /// slot full and no consumer has released it yet.
+///
+/// Line-aligned: a consumer that keeps up releases slot *i* while a producer
+/// fills slot *i + 1*, and unaligned slots straddle lines, so those two
+/// stores would invalidate each other's line. A payload of up to 56 bytes
+/// makes the slot exactly one line (`csds_service` sizes its request to fit).
+#[repr(align(64))]
 struct Slot<T> {
     seq: AtomicUsize,
     val: UnsafeCell<MaybeUninit<T>>,
 }
+
+const _: () = assert!(std::mem::size_of::<Slot<[u8; 56]>>() == 64);
 
 /// A bounded, lock-free, sequence-stamped MPSC ring. See the [module
 /// docs](self).
 pub struct MpscRing<T> {
     slots: Box<[Slot<T>]>,
     mask: usize,
-    /// Next position producers will claim.
+    /// Next position producers will claim; [`CLOSED`] in the top bit once
+    /// [`close`](MpscRing::close) has run.
     tail: CachePadded<AtomicUsize>,
     /// Next position the consumer will release.
     head: CachePadded<AtomicUsize>,
 }
+
+/// The tail's top bit: set by [`MpscRing::close`], never cleared. Positions
+/// count pushes over the ring's lifetime and cannot reach it.
+const CLOSED: usize = 1 << (usize::BITS - 1);
 
 // SAFETY: values move in from producer threads and out on the consumer
 // thread, so T must be Send; the ring itself synchronizes all slot access
@@ -79,8 +100,10 @@ impl<T> MpscRing<T> {
     }
 
     /// Approximate occupancy (racy under concurrency; exact when quiescent).
+    /// Counts slots a producer has claimed but not stamped yet, so on a
+    /// closed ring `len() == 0` means everything ever accepted is out.
     pub fn len(&self) -> usize {
-        let tail = self.tail.load(Ordering::Acquire);
+        let tail = self.tail.load(Ordering::Acquire) & !CLOSED;
         let head = self.head.load(Ordering::Acquire);
         tail.saturating_sub(head)
     }
@@ -104,17 +127,38 @@ impl<T> MpscRing<T> {
         self.slots[pos & self.mask].seq.load(Ordering::Acquire) == pos + 1
     }
 
+    /// Refuse every later push. Pushes that claimed a slot before this call
+    /// stay queued (and counted by [`len`](Self::len)) until popped.
+    /// Idempotent.
+    pub fn close(&self) {
+        // SeqCst: a consumer about to sleep raises its flag, fences, and
+        // then asks `is_closed`; the closer closes and then reads that flag.
+        // One of the two must see the other.
+        self.tail.fetch_or(CLOSED, Ordering::SeqCst);
+    }
+
+    /// Whether [`close`](Self::close) has run. A push refused on a ring
+    /// that is not closed was refused because the ring was full.
+    pub fn is_closed(&self) -> bool {
+        self.tail.load(Ordering::Acquire) & CLOSED != 0
+    }
+
     /// Attempt to enqueue `value`. On a full ring the value is handed back
     /// immediately — this is the service's backpressure signal, so the
-    /// caller decides whether to spin, shed, or report upstream.
+    /// caller decides whether to spin, shed, or report upstream. A
+    /// [closed](Self::close) ring hands every value back.
     pub fn try_push(&self, value: T) -> Result<(), T> {
         let mut pos = self.tail.load(Ordering::Relaxed);
         loop {
+            if pos & CLOSED != 0 {
+                return Err(value);
+            }
             let slot = &self.slots[pos & self.mask];
             let seq = slot.seq.load(Ordering::Acquire);
             let dif = seq as isize - pos as isize;
             if dif == 0 {
-                // Slot empty at our position: claim it.
+                // Slot empty at our position: claim it. `pos` has the
+                // closed bit clear, so the CAS fails once the ring closes.
                 match self.tail.compare_exchange_weak(
                     pos,
                     pos + 1,
@@ -266,6 +310,38 @@ mod tests {
                 "a drained slot's next-lap stamp is not ready"
             );
         }
+    }
+
+    #[test]
+    fn close_refuses_later_pushes_and_keeps_what_was_accepted() {
+        let r: MpscRing<u64> = MpscRing::with_capacity(4);
+        // Start mid-lap so the accepted elements straddle a wrap.
+        for i in 0..3 {
+            r.try_push(i).unwrap();
+            assert_eq!(r.pop(), Some(i));
+        }
+        r.try_push(10).unwrap();
+        r.try_push(11).unwrap();
+        assert!(!r.is_closed());
+        r.close();
+        r.close(); // idempotent
+        assert!(r.is_closed());
+        // Refused although two slots are free; the value comes back.
+        assert_eq!(r.try_push(12), Err(12));
+        // The closed bit is not part of the count.
+        assert_eq!(r.len(), 2);
+        assert!(!r.is_empty());
+        // Everything accepted before the close drains, in order, and the
+        // consumer-side probe keeps agreeing with `pop` across the wrap.
+        for want in [10, 11] {
+            assert!(r.pop_ready());
+            assert_eq!(r.pop(), Some(want));
+        }
+        assert!(!r.pop_ready());
+        assert_eq!(r.pop(), None);
+        assert_eq!(r.len(), 0);
+        assert!(r.is_closed());
+        assert_eq!(r.try_push(13), Err(13));
     }
 
     #[test]

@@ -100,7 +100,7 @@ fn main() {
         agg.ops as f64 / elapsed.as_secs_f64() / 1e6,
     );
     println!(
-        "  latency p50 < {:?} ns, p99 < {:?} ns; mean batch {:.1}, adaptive target peaked at {}",
+        "  latency (1-in-8 sample) p50 < {:?} ns, p99 < {:?} ns; mean batch {:.1}, adaptive target peaked at {}",
         agg.latency_ns.quantile_upper_bound(0.5).unwrap_or(0),
         agg.latency_ns.quantile_upper_bound(0.99).unwrap_or(0),
         agg.mean_batch(),

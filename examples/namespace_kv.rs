@@ -108,7 +108,7 @@ fn main() {
     for (i, core) in stats.per_core.iter().enumerate() {
         println!(
             "core {i}: {} ops ({} tenant-routed) in {} batches (mean {:.1}), \
-             owned {} namespaces at exit, latency p99 < {} ns",
+             owned {} namespaces at exit, latency (1-in-8 sample) p99 < {} ns",
             core.ops,
             core.ns_ops,
             core.batches,

@@ -121,7 +121,7 @@ fn main() {
     for (i, core) in stats.per_core.iter().enumerate() {
         println!(
             "core {i}: {} ops in {} batches (mean {:.1}, max {}), queue depth max {}, \
-             latency p50 < {} ns, p99 < {} ns",
+             latency (1-in-8 sample) p50 < {} ns, p99 < {} ns",
             core.ops,
             core.batches,
             core.mean_batch(),
