@@ -12,10 +12,15 @@
 //!
 //! Mixes: upsert-heavy (50 % upsert / 50 % get), CAS-heavy (40 % CAS /
 //! 10 % updates / 50 % get), and a pure fetch-add counter.
+//!
+//! Plus one single-arm group, **decision**: the read-only RMW (the closure
+//! inspects and declines) on the four structures that carry the optimistic
+//! protocol. Lazy-ht, coupling-ht and elastic-ht answer it with a version
+//! validation and no lock at all; bst-tk with its plain parse.
 
 use std::time::Duration;
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use csds_bench::{tune, BenchMap};
 use csds_core::{GuardedMap, MapHandle};
 use csds_harness::{apply_map_op, run_timed, thread_seed, AlgoKind, Stop};
@@ -162,5 +167,39 @@ fn counter(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, upsert_heavy, cas_heavy, counter);
+fn decision(c: &mut Criterion) {
+    let mut g = c.benchmark_group("fig0_rmw_decision_1024");
+    tune(&mut g);
+    let sampler = KeySampler::new(KeyDist::Uniform, SIZE as u64 * 2);
+    for (label, algo) in [
+        ("lazy_ht", AlgoKind::LazyHashTable),
+        ("coupling_ht", AlgoKind::CouplingHashTable),
+        ("elastic_ht", AlgoKind::ElasticHashTable),
+        ("bst_tk", AlgoKind::BstTk),
+    ] {
+        let map = BenchMap::new(algo, SIZE);
+        for threads in [1usize, 4] {
+            g.bench_function(format!("{label}/t{threads}"), |b| {
+                b.iter_custom(|iters| {
+                    run_timed(threads, Stop::Ops(iters), |t| {
+                        let mut rng = FastRng::new(thread_seed(0x5EED, t));
+                        let mut h = MapHandle::new(map.map());
+                        let sampler = &sampler;
+                        move || {
+                            let out = h.rmw(sampler.sample(&mut rng), &mut |c| {
+                                black_box(c.copied());
+                                None
+                            });
+                            black_box(out.applied);
+                        }
+                    })
+                    .elapsed
+                });
+            });
+        }
+    }
+    g.finish();
+}
+
+criterion_group!(benches, upsert_heavy, cas_heavy, counter, decision);
 criterion_main!(benches);

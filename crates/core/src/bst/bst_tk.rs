@@ -16,19 +16,12 @@
 //! changed, and the operation restarts instead of waiting. The root slot is
 //! guarded by a dedicated holder lock so the tree can shrink to a single
 //! leaf or to empty.
-//!
-//! Reads get the same treatment when the optimistic fast paths are on
-//! (locking mode only): `get_in` re-checks the parent edge's version after
-//! reading the leaf ([`OptikLock::read_validate`]), so a successful read
-//! linearizes at the validation fence instead of being merely quiescently
-//! consistent; the read-only decisions of `rmw_in` (closure returned `None`)
-//! validate the same way. Bounded retries, then the plain descent.
 
 use csds_sync::atomic::{AtomicUsize, Ordering};
 
 use csds_ebr::{Atomic, Guard, Shared};
 use csds_htm::{attempt_elision, Elided, SpecStep, TxRegion};
-use csds_sync::{OptikLock, RawMutex, OPTIMISTIC_READ_RETRIES, OPTIMISTIC_RMW_RETRIES};
+use csds_sync::{OptikLock, RawMutex};
 
 use crate::{key, GuardedMap, RmwFn, RmwOutcome, SyncMode, ELISION_RETRIES};
 
@@ -469,10 +462,6 @@ impl<V: Clone + Send + Sync> BstTk<V> {
     /// in BST-TK.
     pub fn rmw_in<'g>(&'g self, k: u64, f: RmwFn<'_, V>, guard: &'g Guard) -> RmwOutcome<'g, V> {
         key::check_user_key(k);
-        // Budget for validating read-only decisions (closure returned
-        // `None`); after it is spent the decision is returned unvalidated,
-        // exactly as before the optimistic protocol existed.
-        let mut decision_retries = 0usize;
         loop {
             let (_gp, p, leaf) = self.parse(k, guard);
             let matched = leaf.and_then(|ls| {
@@ -483,9 +472,6 @@ impl<V: Clone + Send + Sync> BstTk<V> {
             if let Some((leaf_s, l)) = matched {
                 let current = l.value.as_ref().expect("leaves hold values");
                 let Some(new_value) = f(Some(current)) else {
-                    if !self.decision_validated(&p, &mut decision_retries) {
-                        continue;
-                    }
                     return RmwOutcome {
                         prev: Some(current.clone()),
                         cur: Some(current),
@@ -543,9 +529,6 @@ impl<V: Clone + Send + Sync> BstTk<V> {
             }
             // Absent: the closure may decline or insert.
             let Some(new_value) = f(None) else {
-                if !self.decision_validated(&p, &mut decision_retries) {
-                    continue;
-                }
                 return RmwOutcome {
                     prev: None,
                     cur: None,
@@ -623,72 +606,21 @@ impl<V: Clone + Send + Sync> BstTk<V> {
         }
     }
 
-    /// Validate a read-only RMW decision (the closure returned `None`)
-    /// against the parent edge's version. `true` means the decision may be
-    /// returned: it validated, the optimistic protocol is off / not
-    /// applicable (elision mode), or the retry budget is spent (fall back to
-    /// the pre-validation, quiescently consistent behaviour). `false`
-    /// requests a restart; metrics are already recorded.
-    fn decision_validated(&self, p: &Edge<'_, V>, retries: &mut usize) -> bool {
-        if self.region.is_some() || !csds_sync::optimistic_fast_paths() {
-            return true;
-        }
-        if *retries >= OPTIMISTIC_RMW_RETRIES {
-            return true;
-        }
-        csds_metrics::optimistic_attempt();
-        if p.lock.read_validate(p.ver) {
-            return true;
-        }
-        *retries += 1;
-        csds_metrics::optimistic_failure();
-        if *retries >= OPTIMISTIC_RMW_RETRIES {
-            csds_metrics::optimistic_fallback();
-        }
-        csds_metrics::restart();
-        false
-    }
-
-    /// Guard-scoped `get`: clone-free reference valid for `'g`.
+    /// Guard-scoped `get`: clone-free reference valid for `'g`. The paper's
+    /// BST-TK search — no stores, no version checks, no restarts — in both
+    /// [`SyncMode`]s.
     ///
-    /// Locking mode (optimistic paths on): version-validated — the parse
-    /// records the parent edge's version before loading its slot, and the
-    /// answer is returned only if [`OptikLock::read_validate`] confirms the
-    /// slot was quiescent across the read, so the read linearizes at the
-    /// validation fence. After [`OPTIMISTIC_READ_RETRIES`] torn snapshots it
-    /// falls back to the plain (quiescently consistent) descent.
+    /// Linearizable as it stands. The tree is external and leaves are
+    /// immutable after publication (an RMW replaces the leaf wholesale), so
+    /// the answer depends only on *which* leaf the descent reaches. A router
+    /// keeps its child pointers once it is unlinked (its lock stays held
+    /// forever, or its `removed` flag fails every later write phase), so a
+    /// child pointer read from it is the one it held at some instant when it
+    /// was still on `k`'s search path. By induction from the root load, every
+    /// node the descent reaches — the leaf included — was on the search path
+    /// at some instant inside the call, and the read linearizes there.
     pub fn get_in<'g>(&'g self, k: u64, guard: &'g Guard) -> Option<&'g V> {
         key::check_user_key(k);
-        if self.region.is_none() && csds_sync::optimistic_fast_paths() {
-            for _ in 0..OPTIMISTIC_READ_RETRIES {
-                csds_metrics::optimistic_attempt();
-                let (_gp, p, leaf) = self.parse(k, guard);
-                let out = leaf.and_then(|ls| {
-                    // SAFETY: pinned.
-                    let l = unsafe { ls.deref() };
-                    if l.key == k {
-                        l.value.as_ref()
-                    } else {
-                        None
-                    }
-                });
-                // Leaf values are immutable after publication (RMW replaces
-                // leaves wholesale), so an unchanged parent slot means `out`
-                // was the answer for the whole read window.
-                if p.lock.read_validate(p.ver) {
-                    return out;
-                }
-                csds_metrics::optimistic_failure();
-            }
-            csds_metrics::optimistic_fallback();
-        }
-        self.descend_unvalidated(k, guard)
-    }
-
-    /// The pre-validation descent: no stores, no version checks. Correct but
-    /// only quiescently consistent; used in elision mode (transactional
-    /// writers do not bump lock versions) and as the bounded-retry fallback.
-    fn descend_unvalidated<'g>(&'g self, k: u64, guard: &'g Guard) -> Option<&'g V> {
         let mut curr = self.root.load(guard);
         loop {
             if curr.is_null() {
@@ -852,61 +784,6 @@ mod tests {
             let snap = h.join().unwrap();
             assert_eq!(snap.lock_wait_ns, 0, "BST-TK must not wait for locks");
         }
-    }
-
-    #[test]
-    fn optimistic_get_validates_without_failures_when_quiescent() {
-        csds_sync::with_optimistic_fast_paths(true, || {
-            let t = BstTk::new();
-            t.insert(5, 50);
-            t.insert(9, 90);
-            let _ = csds_metrics::take_and_reset();
-            assert_eq!(t.get(5), Some(50));
-            assert_eq!(t.get(6), None);
-            let snap = csds_metrics::take_and_reset();
-            assert!(snap.optimistic_attempts >= 2);
-            assert_eq!(snap.optimistic_failures, 0);
-            assert_eq!(snap.optimistic_fallbacks, 0);
-        });
-    }
-
-    #[test]
-    fn read_only_rmw_decision_validates() {
-        csds_sync::with_optimistic_fast_paths(true, || {
-            let t = BstTk::new();
-            t.insert(5, 50);
-            let _ = csds_metrics::take_and_reset();
-            // Present key, closure declines: read-only decision.
-            let (prev, _, applied) = t.rmw(5, &mut |v: Option<&u64>| {
-                assert_eq!(v, Some(&50));
-                None
-            });
-            assert!(!applied);
-            assert_eq!(prev, Some(50));
-            // Absent key, closure declines.
-            let (_, _, applied) = t.rmw(6, &mut |v: Option<&u64>| {
-                assert_eq!(v, None);
-                None
-            });
-            assert!(!applied);
-            let snap = csds_metrics::take_and_reset();
-            assert!(snap.optimistic_attempts >= 2);
-            assert_eq!(snap.optimistic_failures, 0);
-        });
-    }
-
-    #[test]
-    fn elision_mode_reads_skip_the_optimistic_protocol() {
-        // Transactional writers do not bump lock versions, so the versioned
-        // read protocol must not engage in elision mode.
-        csds_sync::with_optimistic_fast_paths(true, || {
-            let t = BstTk::with_mode(SyncMode::Elision);
-            t.insert(5, 50);
-            let _ = csds_metrics::take_and_reset();
-            assert_eq!(t.get(5), Some(50));
-            let snap = csds_metrics::take_and_reset();
-            assert_eq!(snap.optimistic_attempts, 0);
-        });
     }
 
     #[test]

@@ -15,12 +15,14 @@
 //!
 //! The bucket lock is an [`OptikLock`], so its version word doubles as a
 //! per-bucket seqlock: in [`SyncMode::Locks`] every chain mutation runs
-//! inside a bucket critical section, which lets reads validate a version
-//! instead of locking and lets `rmw_in` parse + run the user closure
-//! unsynchronized and then acquire with [`OptikLock::try_lock_version`] —
-//! taking the lock's cache-line bounce only when the bucket actually
-//! changed underneath (paper §5.1's validate-instead-of-wait idiom,
-//! extended from BST-TK to the hash table).
+//! inside a bucket critical section, which lets `rmw_in` parse + run the
+//! user closure unsynchronized and then either validate the version (a
+//! read-only decision takes no lock at all) or acquire with
+//! [`OptikLock::try_lock_version`] — taking the lock's cache-line bounce
+//! only when the bucket actually changed underneath (paper §5.1's
+//! validate-instead-of-wait idiom, extended from BST-TK to the hash table).
+//! Reads never locked and do not validate either: a single-key read has no
+//! use for a bucket snapshot.
 
 use csds_sync::atomic::{AtomicUsize, Ordering};
 
@@ -120,8 +122,11 @@ impl<V: Clone + Send + Sync> LazyHashTable<V> {
 
 impl<V: Clone + Send + Sync> LazyHashTable<V> {
     /// One unsynchronized chain read: the node's value if the key is
-    /// present and not deleted. Safe on a torn chain (EBR keeps every
-    /// reachable node alive), correct on a quiescent one.
+    /// present and not deleted — the paper's store-free parse. It is
+    /// linearizable as it stands: EBR keeps every reachable node alive, a
+    /// node is marked before it is unlinked, and a reader that raced onto a
+    /// `SUPERSEDED` node returns the value the key held when the reader
+    /// passed the link, so it linearizes before the replacement.
     fn read_chain<'g>(bucket: &'g Bucket<V>, k: u64, guard: &'g Guard) -> Option<&'g V> {
         let (_, curr) = Self::scan(bucket, k, guard);
         if curr.is_null() {
@@ -138,46 +143,18 @@ impl<V: Clone + Send + Sync> LazyHashTable<V> {
         }
     }
 
-    /// Guard-scoped `get`: clone-free reference valid for `'g`.
-    ///
-    /// In [`SyncMode::Locks`] the read first runs as a seqlock snapshot
-    /// against the bucket version ([`OptikLock::optimistic_read`]): an
-    /// unchanged even version proves no writer critical section overlapped
-    /// the walk, so the result is a consistent snapshot linearizing at the
-    /// version load. Torn attempts retry (bounded) and then fall back to
-    /// the plain unvalidated walk — still correct (marked-node skipping
-    /// handles racing writers), just without the snapshot guarantee.
+    /// Guard-scoped `get`: clone-free reference valid for `'g`. No lock, no
+    /// version, no retry in either [`SyncMode`] (see `read_chain`).
     pub fn get_in<'g>(&'g self, k: u64, guard: &'g Guard) -> Option<&'g V> {
         key::check_user_key(k);
-        let bucket = self.bucket(k);
-        if self.region.is_none() && csds_sync::optimistic_fast_paths() {
-            if let Some(out) = bucket
-                .lock
-                .optimistic_read(|| Self::read_chain(bucket, k, guard))
-            {
-                return out;
-            }
-            csds_metrics::optimistic_fallback();
-        }
-        Self::read_chain(bucket, k, guard)
+        Self::read_chain(self.bucket(k), k, guard)
     }
 
-    /// Guard-scoped membership test: the same validated fast path as
-    /// [`get_in`](LazyHashTable::get_in) without materializing the value
-    /// reference.
+    /// Guard-scoped membership test: [`get_in`](LazyHashTable::get_in)
+    /// without materializing the value reference.
     pub fn contains_in(&self, k: u64, guard: &Guard) -> bool {
         key::check_user_key(k);
-        let bucket = self.bucket(k);
-        if self.region.is_none() && csds_sync::optimistic_fast_paths() {
-            if let Some(found) = bucket
-                .lock
-                .optimistic_read(|| Self::read_chain(bucket, k, guard).is_some())
-            {
-                return found;
-            }
-            csds_metrics::optimistic_fallback();
-        }
-        Self::read_chain(bucket, k, guard).is_some()
+        Self::read_chain(self.bucket(k), k, guard).is_some()
     }
 
     /// Guard-scoped `insert`.
@@ -441,17 +418,32 @@ impl<V: Clone + Send + Sync> LazyHashTable<V> {
     /// unchanged, so the uncontended case pays one CAS on an
     /// already-owned line instead of a full lock handoff). A failed
     /// validation restarts (bounded by [`OPTIMISTIC_RMW_RETRIES`]) and
-    /// then falls back to the pessimistic locked path — which is why the
-    /// closure is documented as "may run more than once".
+    /// then falls back to the pessimistic locked path (`rmw_locked`) —
+    /// which is why the closure is documented as "may run more than once".
     pub fn rmw_in<'g>(&'g self, key: u64, f: RmwFn<'_, V>, guard: &'g Guard) -> RmwOutcome<'g, V> {
         crate::key::check_user_key(key);
         let bucket = self.bucket(key);
-        if self.region.is_none() && csds_sync::optimistic_fast_paths() {
+        // Transactional writers do not bump lock versions, so only a
+        // locking-mode table can validate against them.
+        if self.region.is_none() {
             match Self::rmw_optimistic(bucket, key, &mut *f, guard) {
                 Ok(out) => return out,
                 Err(()) => csds_metrics::optimistic_fallback(),
             }
         }
+        self.rmw_locked(bucket, key, f, guard)
+    }
+
+    /// The pessimistic RMW: the whole read-decide-apply in one bucket
+    /// critical section. The only path of an elision-mode table and the
+    /// bounded-retry fallback of `rmw_optimistic`.
+    fn rmw_locked<'g>(
+        &'g self,
+        bucket: &'g Bucket<V>,
+        key: u64,
+        f: RmwFn<'_, V>,
+        guard: &'g Guard,
+    ) -> RmwOutcome<'g, V> {
         let g = lock_guard(&bucket.lock);
         // Elision mode: hold the region's sequence lock across validation
         // and stores so concurrent speculation aborts or serializes.
@@ -742,6 +734,30 @@ mod tests {
             5_000,
             256,
         );
+    }
+
+    #[test]
+    fn rmw_model_through_the_public_and_the_locked_path() {
+        let h = LazyHashTable::with_capacity(16);
+        testutil::sequential_rmw_model_check(|k, f| h.rmw(k, f), |k| h.get(k), 2_000, 64);
+
+        // No sequential run exhausts `rmw_optimistic`'s retries, so drive
+        // its fallback directly.
+        let h = LazyHashTable::with_capacity(16);
+        let _ = csds_metrics::take_and_reset();
+        testutil::sequential_rmw_model_check(
+            |k, f| {
+                let guard = csds_ebr::pin();
+                let out = h.rmw_locked(h.bucket(k), k, f, &guard);
+                (out.prev, out.cur.cloned(), out.applied)
+            },
+            |k| h.get(k),
+            2_000,
+            64,
+        );
+        let snap = csds_metrics::take_and_reset();
+        assert_eq!(snap.optimistic_attempts, 0, "rmw_locked validates nothing");
+        assert!(snap.lock_acquires >= 2_000, "one bucket lock per RMW");
     }
 
     #[test]

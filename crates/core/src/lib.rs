@@ -818,6 +818,47 @@ pub(crate) mod testutil {
         assert_eq!(h.ops(), ops + 1, "handle op accounting");
     }
 
+    /// Model comparison of the closure RMW (replace, fetch-add-if-present,
+    /// decline) and of reads, driven through whichever entries the caller
+    /// wraps — a structure's public path, or its private `*_locked`
+    /// fallbacks, which no sequential run reaches on its own.
+    pub fn sequential_rmw_model_check(
+        mut rmw: impl FnMut(u64, super::RmwFn<'_, u64>) -> (Option<u64>, Option<u64>, bool),
+        mut get: impl FnMut(u64) -> Option<u64>,
+        ops: u64,
+        key_range: u64,
+    ) {
+        let mut model = BTreeMap::new();
+        let mut state = 0xD1B54A32D192ED03u64;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for i in 0..ops {
+            let key = rng() % key_range;
+            let before = model.get(&key).copied();
+            let (after, got) = match rng() % 3 {
+                0 => (Some(i), rmw(key, &mut |_| Some(i))),
+                1 => (
+                    before.map(|v| v + 1),
+                    rmw(key, &mut |cur| cur.map(|v| v + 1)),
+                ),
+                _ => (None, rmw(key, &mut |_| None)),
+            };
+            let expected = (before, after.or(before), after.is_some());
+            assert_eq!(got, expected, "rmw({key}) disagreed at op {i}");
+            if let Some(v) = after {
+                model.insert(key, v);
+            }
+            assert_eq!(get(key), model.get(&key).copied(), "get({key}) at op {i}");
+        }
+        for k in 0..key_range {
+            assert_eq!(get(k), model.get(&k).copied(), "final content at key {k}");
+        }
+    }
+
     /// Concurrent net-effect invariant: after `threads` workers issue random
     /// inserts/removes, for every key the final presence must equal
     /// (successful inserts − successful removes), which is 0 or 1.

@@ -132,22 +132,25 @@ impl<V: Clone + Send + Sync> CouplingList<V> {
     ///
     /// Fast path: a seqlock read — lockless walk validated against the
     /// list version ([`OptikLock::optimistic_read`], bounded retries).
-    /// Fallback (torn by concurrent writers, or fast paths disabled): the
-    /// classic hand-over-hand locked walk — the locks cover the traversal;
-    /// the guard keeps the returned reference alive after they are
-    /// released (removers retire nodes through EBR and never mutate
-    /// published values).
+    /// Fallback (every attempt torn by concurrent writers): the classic
+    /// hand-over-hand locked walk, `get_locked`.
     pub fn get_in<'g>(&'g self, key: u64, guard: &'g Guard) -> Option<&'g V> {
         let ikey = key::ikey(key);
-        if csds_sync::optimistic_fast_paths() {
-            if let Some(out) = self
-                .version
-                .optimistic_read(|| self.walk_lockless(ikey, guard))
-            {
-                return out;
-            }
-            csds_metrics::optimistic_fallback();
+        if let Some(out) = self
+            .version
+            .optimistic_read(|| self.walk_lockless(ikey, guard))
+        {
+            return out;
         }
+        csds_metrics::optimistic_fallback();
+        self.get_locked(ikey, guard)
+    }
+
+    /// The paper's lock-coupling read: the locks cover the traversal; the
+    /// guard keeps the returned reference alive after they are released
+    /// (removers retire nodes through EBR and never mutate published
+    /// values).
+    fn get_locked<'g>(&'g self, ikey: u64, _guard: &'g Guard) -> Option<&'g V> {
         let (pred, curr) = self.locate(ikey);
         // SAFETY: both nodes locked by us; the value reference stays valid
         // for 'g because unlinked nodes are retired, not freed, and the
@@ -266,25 +269,29 @@ impl<V: Clone + Send + Sync> CouplingList<V> {
     /// Guard-scoped atomic closure RMW; the native override behind
     /// [`GuardedMap::rmw_in`].
     ///
-    /// Fast path (fast paths enabled): a **decision-only** optimistic arm —
-    /// lockless walk, closure, seqlock validation — that answers read-only
-    /// decisions with no lock at all (`rmw_decision_optimistic`; the
-    /// closure may run again on the fallback).
+    /// Fast path: a **decision-only** optimistic arm — lockless walk,
+    /// closure, seqlock validation — that answers read-only decisions with
+    /// no lock at all (`rmw_decision_optimistic`; the closure may run again
+    /// on the fallback).
     ///
-    /// Fallback / write path: the hand-over-hand walk ends holding both
-    /// `pred`'s and `curr`'s locks, so the whole read-decide-apply sequence
-    /// is one critical section: a present key is replaced by swapping in a
-    /// fresh same-key node (readers racing past the old one return its
-    /// value and linearize before the swap), an absent key is inserted in
-    /// place. **Linearization point: the `pred.next` store** (or the parse
-    /// itself for read-only decisions).
+    /// Fallback / write path (`rmw_locked`): the hand-over-hand walk ends
+    /// holding both `pred`'s and `curr`'s locks, so the whole
+    /// read-decide-apply sequence is one critical section: a present key is
+    /// replaced by swapping in a fresh same-key node (readers racing past
+    /// the old one return its value and linearize before the swap), an
+    /// absent key is inserted in place. **Linearization point: the
+    /// `pred.next` store** (or the parse itself for read-only decisions).
     pub fn rmw_in<'g>(&'g self, key: u64, f: RmwFn<'_, V>, guard: &'g Guard) -> RmwOutcome<'g, V> {
         let ikey = key::ikey(key);
-        if csds_sync::optimistic_fast_paths() {
-            if let Some(out) = self.rmw_decision_optimistic(ikey, f, guard) {
-                return out;
-            }
+        if let Some(out) = self.rmw_decision_optimistic(ikey, f, guard) {
+            return out;
         }
+        self.rmw_locked(ikey, f, guard)
+    }
+
+    /// The read-decide-apply of [`rmw_in`](CouplingList::rmw_in) as one
+    /// hand-over-hand critical section.
+    fn rmw_locked<'g>(&'g self, ikey: u64, f: RmwFn<'_, V>, guard: &'g Guard) -> RmwOutcome<'g, V> {
         let (pred, curr) = self.locate(ikey);
         // SAFETY: both nodes locked by us; value references handed out are
         // kept alive for 'g by the caller's pin (unlinked nodes are retired,
@@ -462,38 +469,53 @@ mod tests {
     }
 
     #[test]
+    fn model_through_the_public_and_the_locked_paths() {
+        let l = CouplingList::new();
+        testutil::sequential_rmw_model_check(|k, f| l.rmw(k, f), |k| l.get(k), 2_000, 64);
+
+        // No sequential run exhausts the optimistic retries, so drive both
+        // hand-over-hand fallbacks directly.
+        let l = CouplingList::new();
+        let _ = csds_metrics::take_and_reset();
+        testutil::sequential_rmw_model_check(
+            |k, f| {
+                let guard = csds_ebr::pin();
+                let out = l.rmw_locked(key::ikey(k), f, &guard);
+                (out.prev, out.cur.cloned(), out.applied)
+            },
+            |k| l.get_locked(key::ikey(k), &csds_ebr::pin()).copied(),
+            2_000,
+            64,
+        );
+        assert_eq!(csds_metrics::take_and_reset().optimistic_attempts, 0);
+    }
+
+    #[test]
     fn reads_do_wait_for_locks() {
-        // Unlike the lazy list, coupling reads acquire locks — the very
-        // reason the paper rejects it as practically wait-free. With the
-        // optimistic fast path disabled, the hand-over-hand behaviour is
-        // still observable.
-        csds_sync::with_optimistic_fast_paths(false, || {
-            let _ = csds_metrics::take_and_reset();
-            let l = CouplingList::new();
-            l.insert(1, 1);
-            let _ = csds_metrics::take_and_reset();
-            let _ = l.get(1);
-            let snap = csds_metrics::take_and_reset();
-            assert!(snap.lock_acquires > 0);
-        });
+        // Unlike the lazy list, the paper's coupling read acquires locks —
+        // the very reason the paper rejects it as practically wait-free.
+        // `get_in` only reaches it as a fallback now; call it directly.
+        let l = CouplingList::new();
+        l.insert(1, 1);
+        let _ = csds_metrics::take_and_reset();
+        assert_eq!(l.get_locked(key::ikey(1), &csds_ebr::pin()), Some(&1));
+        let snap = csds_metrics::take_and_reset();
+        assert!(snap.lock_acquires > 0);
     }
 
     #[test]
     fn optimistic_reads_skip_locks() {
-        // With the fast path on (the default), an uncontended get validates
-        // against the list version word instead of coupling locks.
-        csds_sync::with_optimistic_fast_paths(true, || {
-            let _ = csds_metrics::take_and_reset();
-            let l = CouplingList::new();
-            l.insert(1, 1);
-            let _ = csds_metrics::take_and_reset();
-            assert_eq!(l.get(1), Some(1));
-            assert_eq!(l.get(2), None);
-            let snap = csds_metrics::take_and_reset();
-            assert_eq!(snap.lock_acquires, 0, "optimistic read took a lock");
-            assert!(snap.optimistic_attempts >= 2);
-            assert_eq!(snap.optimistic_failures, 0);
-            assert_eq!(snap.optimistic_fallbacks, 0);
-        });
+        // An uncontended get validates against the list version word
+        // instead of coupling locks.
+        let l = CouplingList::new();
+        l.insert(1, 1);
+        let _ = csds_metrics::take_and_reset();
+        assert_eq!(l.get(1), Some(1));
+        assert_eq!(l.get(2), None);
+        let snap = csds_metrics::take_and_reset();
+        assert_eq!(snap.lock_acquires, 0, "optimistic read took a lock");
+        assert!(snap.optimistic_attempts >= 2);
+        assert_eq!(snap.optimistic_failures, 0);
+        assert_eq!(snap.optimistic_fallbacks, 0);
     }
 }

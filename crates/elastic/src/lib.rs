@@ -927,16 +927,33 @@ impl<V: Clone + Send + Sync> ElasticHashTable<V> {
     /// and feeds the occupancy counter / resize thresholds like
     /// `insert_in`. **Linearization point: the chain-link store** (the
     /// locked observation for read-only decisions).
+    ///
+    /// That is `rmw_locked`; it runs when the validate-then-lock attempt
+    /// (`rmw_fast`) meets a migration or spends its retries.
     pub fn rmw_in<'g>(&'g self, key: u64, f: RmwFn<'_, V>, guard: &'g Guard) -> RmwOutcome<'g, V> {
         check_user_key(key);
         let h = hash(key);
         let shard = self.shard(h);
-        if csds_sync::optimistic_fast_paths() {
-            match self.rmw_fast(shard, key, h, &mut *f, guard) {
-                Ok(out) => return out,
-                Err(()) => csds_metrics::optimistic_fallback(),
+        match self.rmw_fast(shard, key, h, &mut *f, guard) {
+            Ok(out) => out,
+            Err(()) => {
+                csds_metrics::optimistic_fallback();
+                self.rmw_locked(shard, key, h, f, guard)
             }
         }
+    }
+
+    /// The pessimistic RMW loop of [`rmw_in`](Self::rmw_in): help the
+    /// migration, lock the authoritative bucket, read-decide-apply inside
+    /// the critical section.
+    fn rmw_locked<'g>(
+        &'g self,
+        shard: &'g Shard<V>,
+        key: u64,
+        h: u64,
+        f: RmwFn<'_, V>,
+        guard: &'g Guard,
+    ) -> RmwOutcome<'g, V> {
         loop {
             let t = shard.table.load(guard);
             // SAFETY: pinned.
@@ -1801,59 +1818,81 @@ mod tests {
 
     #[test]
     fn quiescent_rmw_uses_the_optimistic_fast_path() {
-        csds_sync::with_optimistic_fast_paths(true, || {
-            let h: ElasticHashTable<u64> = ElasticHashTable::with_capacity(64);
-            for k in 0..10 {
-                assert!(h.insert(k, k));
-            }
-            assert!(h.resize_stats().migrations_started == 0, "setup: no resize");
-            let _ = csds_metrics::take_and_reset();
-            let (_, cur, applied) =
-                csds_core::ConcurrentMap::rmw(&h, 3, &mut |c| Some(c.copied().unwrap_or(0) + 1));
-            assert!(applied);
-            assert_eq!(cur, Some(4));
-            // Read-only decision on an absent key validates the same way.
-            let (_, _, applied) = csds_core::ConcurrentMap::rmw(&h, 999, &mut |_| None);
-            assert!(!applied);
-            let snap = csds_metrics::take_and_reset();
-            assert!(snap.optimistic_attempts >= 2);
-            assert_eq!(snap.optimistic_failures, 0);
-            assert_eq!(snap.optimistic_fallbacks, 0);
-            assert_eq!(snap.contended_acquires, 0);
-        });
+        let h: ElasticHashTable<u64> = ElasticHashTable::with_capacity(64);
+        for k in 0..10 {
+            assert!(h.insert(k, k));
+        }
+        assert!(h.resize_stats().migrations_started == 0, "setup: no resize");
+        let _ = csds_metrics::take_and_reset();
+        let (_, cur, applied) =
+            csds_core::ConcurrentMap::rmw(&h, 3, &mut |c| Some(c.copied().unwrap_or(0) + 1));
+        assert!(applied);
+        assert_eq!(cur, Some(4));
+        // Read-only decision on an absent key validates the same way.
+        let (_, _, applied) = csds_core::ConcurrentMap::rmw(&h, 999, &mut |_| None);
+        assert!(!applied);
+        let snap = csds_metrics::take_and_reset();
+        assert!(snap.optimistic_attempts >= 2);
+        assert_eq!(snap.optimistic_failures, 0);
+        assert_eq!(snap.optimistic_fallbacks, 0);
+        assert_eq!(snap.contended_acquires, 0);
+    }
+
+    #[test]
+    fn rmw_locked_is_a_complete_rmw_on_its_own() {
+        // Sequentially only a migration sends `rmw_in` here (next test);
+        // call the fallback directly so all four outcomes run through it.
+        let h: ElasticHashTable<u64> = ElasticHashTable::with_capacity(64);
+        let guard = csds_ebr::pin();
+        let locked = |k: u64, f: RmwFn<'_, u64>| {
+            let hk = hash(k);
+            let out = h.rmw_locked(h.shard(hk), k, hk, f, &guard);
+            (out.prev, out.cur.copied(), out.applied)
+        };
+        let _ = csds_metrics::take_and_reset();
+        assert_eq!(locked(7, &mut |_| None), (None, None, false));
+        assert_eq!(locked(7, &mut |_| Some(1)), (None, Some(1), true));
+        assert_eq!(
+            locked(7, &mut |c| c.map(|v| v + 1)),
+            (Some(1), Some(2), true)
+        );
+        assert_eq!(locked(7, &mut |_| None), (Some(2), Some(2), false));
+        let snap = csds_metrics::take_and_reset();
+        assert_eq!(snap.optimistic_attempts, 0, "rmw_locked validates nothing");
+        assert!(snap.lock_acquires >= 4, "one bucket lock per RMW");
+        assert_eq!(h.get(7), Some(2));
+        assert_eq!((h.len(), h.occupancy()), (1, 1));
     }
 
     #[test]
     fn rmw_mid_migration_takes_the_pessimistic_path() {
-        csds_sync::with_optimistic_fast_paths(true, || {
-            let h: ElasticHashTable<u64> = ElasticHashTable::with_config(ElasticConfig {
-                shards: 1,
-                initial_buckets: 2,
-                min_buckets: 2,
-                migration_quantum: 1,
-                counter_cells: 1,
-            });
-            let keys: Vec<u64> = (0..)
-                .filter(|&k| bucket_index(hash(k), 1) == 0)
-                .take(8)
-                .collect();
-            for &k in &keys {
-                assert!(h.insert(k, k));
-            }
-            assert_eq!(h.resize_stats().migrations_started, 1);
-            let _ = csds_metrics::take_and_reset();
-            assert_eq!(h.upsert(keys[2], 777), Some(keys[2]));
-            let snap = csds_metrics::take_and_reset();
-            assert!(
-                snap.optimistic_fallbacks >= 1,
-                "an in-flight migration must force the locked path"
-            );
-            assert!(
-                h.resize_stats().buckets_moved >= 1,
-                "the fallback still helps the drain"
-            );
-            assert_eq!(h.get(keys[2]), Some(777));
+        let h: ElasticHashTable<u64> = ElasticHashTable::with_config(ElasticConfig {
+            shards: 1,
+            initial_buckets: 2,
+            min_buckets: 2,
+            migration_quantum: 1,
+            counter_cells: 1,
         });
+        let keys: Vec<u64> = (0..)
+            .filter(|&k| bucket_index(hash(k), 1) == 0)
+            .take(8)
+            .collect();
+        for &k in &keys {
+            assert!(h.insert(k, k));
+        }
+        assert_eq!(h.resize_stats().migrations_started, 1);
+        let _ = csds_metrics::take_and_reset();
+        assert_eq!(h.upsert(keys[2], 777), Some(keys[2]));
+        let snap = csds_metrics::take_and_reset();
+        assert!(
+            snap.optimistic_fallbacks >= 1,
+            "an in-flight migration must force the locked path"
+        );
+        assert!(
+            h.resize_stats().buckets_moved >= 1,
+            "the fallback still helps the drain"
+        );
+        assert_eq!(h.get(keys[2]), Some(777));
     }
 
     #[test]

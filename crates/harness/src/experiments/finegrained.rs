@@ -153,6 +153,10 @@ pub fn coupling(scale: Scale) {
     }
     table.print();
     println!("paper: coupling waits ~10% regardless of size; lazy list ~0");
+    println!(
+        "here: coupling *reads* validate a version and take no locks, so the wait fraction \
+         shown is the writers' (plus the few reads that fell back to the locked walk)"
+    );
 }
 
 /// **Figure 7** — Zipfian workload (s = 0.8), 2048 elements, 20 threads,

@@ -170,8 +170,9 @@ impl TourReport {
 ///    `TableRetired`) with healthy EBR turnover (`EpochAdvance`,
 ///    `EbrCollect`).
 /// 2. **Injected contention** — a paper-§5.4 [`DelayPolicy`] stalls lock
-///    holders while threads hammer a tiny key range of a [`LazyHashTable`],
-///    forcing validation failures on the optimistic fast paths
+///    holders while threads `rmw` a tiny key range of a [`LazyHashTable`]:
+///    a stalled holder keeps the bucket version odd, the validate-then-lock
+///    RMW of the others spends its retries and takes the locked path
 ///    (`OptimisticFallback`). Repeated until at least one fallback lands.
 /// 3. **Service backpressure** — a one-core service with a tiny ring takes
 ///    a `try_submit` burst (`ServiceBusy`).
@@ -276,14 +277,13 @@ fn phase_optimistic_contention() {
             std::thread::spawn(move || {
                 // The delay policy is thread-local: each worker arms its
                 // own (the runner does the same), so lock holders stall
-                // mid-critical-section and concurrent optimistic readers
-                // burn through their retry budget.
+                // mid-critical-section and concurrent optimistic RMWs burn
+                // through their retry budget.
                 csds_metrics::set_delay_policy(Some(DelayPolicy::paper_unresponsive(0x5eed ^ t)));
                 let mut h = MapHandle::new(&*map);
                 for i in 0..4_000u64 {
                     let k = (t + i) % 8;
                     h.rmw(k, &mut |cur| Some(cur.copied().unwrap_or(0) + 1));
-                    h.get(k);
                     csds_metrics::op_boundary();
                 }
                 csds_metrics::set_delay_policy(None);

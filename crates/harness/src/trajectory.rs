@@ -1,12 +1,13 @@
 //! The recorded bench trajectory (`repro bench [--json]`).
 //!
 //! A fixed, PR-over-PR comparable matrix of map runs: the four structures
-//! that carry the optimistic fast paths × {read-only, mixed-update}
-//! workloads × {1, 4} threads × {optimistic on, off}. Each cell reports
-//! per-thread ns/op, aggregate Mops/s and the optimistic counters, so a
-//! committed snapshot (`BENCH_<pr>.json`) records both the speed and *why*
-//! (validation-failure and fallback rates) for later sessions to diff
-//! against.
+//! that carry the optimistic protocol × {read-only, mixed-update}
+//! workloads × {1, 4} threads. Each cell reports per-thread ns/op,
+//! aggregate Mops/s and the optimistic counters, so a committed snapshot
+//! (`BENCH_<pr>.json`) records both the speed and *why* (validation-failure
+//! and fallback rates) for later sessions to diff against. The mix is
+//! get/insert/remove, so only coupling-ht — whose reads validate — counts
+//! attempts here; the other three validate in `rmw_in` alone.
 //!
 //! The JSON is hand-rolled — the workspace deliberately has no serde — and
 //! kept to one object per line under `"results"` so snapshots diff cleanly.
@@ -31,8 +32,6 @@ pub struct BenchRow {
     pub workload: &'static str,
     /// Worker thread count.
     pub threads: usize,
-    /// Whether the optimistic fast paths were enabled for the run.
-    pub optimistic: bool,
     /// Completed operations across all threads.
     pub total_ops: u64,
     /// Per-thread nanoseconds per operation (`elapsed · threads / ops`).
@@ -63,27 +62,21 @@ pub fn run_trajectory(duration: Duration, reps: usize) -> Vec<BenchRow> {
     for algo in trajectory_algos() {
         for (workload, update_pct) in [("read", 0u32), ("update", 50u32)] {
             for threads in [1usize, 4] {
-                for optimistic in [true, false] {
-                    let cfg = MapRunConfig::paper_default(
-                        algo, BENCH_SIZE, update_pct, threads, duration,
-                    );
-                    let r = csds_sync::with_optimistic_fast_paths(optimistic, || {
-                        run_map_avg(&cfg, reps)
-                    });
-                    rows.push(BenchRow {
-                        algo: algo.name(),
-                        workload,
-                        threads,
-                        optimistic,
-                        total_ops: r.total_ops,
-                        ns_per_op: r.elapsed.as_nanos() as f64 * threads as f64
-                            / r.total_ops.max(1) as f64,
-                        mops: r.throughput_mops(),
-                        optimistic_attempts: r.stats.optimistic_attempts,
-                        optimistic_failures: r.stats.optimistic_failures,
-                        optimistic_fallbacks: r.stats.optimistic_fallbacks,
-                    });
-                }
+                let cfg =
+                    MapRunConfig::paper_default(algo, BENCH_SIZE, update_pct, threads, duration);
+                let r = run_map_avg(&cfg, reps);
+                rows.push(BenchRow {
+                    algo: algo.name(),
+                    workload,
+                    threads,
+                    total_ops: r.total_ops,
+                    ns_per_op: r.elapsed.as_nanos() as f64 * threads as f64
+                        / r.total_ops.max(1) as f64,
+                    mops: r.throughput_mops(),
+                    optimistic_attempts: r.stats.optimistic_attempts,
+                    optimistic_failures: r.stats.optimistic_failures,
+                    optimistic_fallbacks: r.stats.optimistic_fallbacks,
+                });
             }
         }
     }
@@ -229,9 +222,11 @@ pub fn run_pq_points(duration: Duration) -> Vec<PqBenchRow> {
 
 /// Render the matrix as the hand-rolled JSON snapshot format.
 ///
-/// Schema `v2` extends `v1` additively: the optional `"pq"` array joins
-/// `"service_tenants"`; every `v1` key keeps its meaning, so older
-/// snapshots still diff against new ones section by section.
+/// Schema `v3` is `v2` without the per-row `"optimistic"` flag (the toggle
+/// it recorded is gone); every other key keeps its meaning, so older
+/// snapshots still diff against new ones section by section — a lazy-ht or
+/// bst-tk row continues their `"optimistic": false` series, a coupling-ht
+/// or elastic-ht row the `true` series.
 pub fn to_json(
     rows: &[BenchRow],
     tenants: &[TenantBenchRow],
@@ -240,20 +235,19 @@ pub fn to_json(
 ) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str("  \"schema\": \"csds-bench-trajectory-v2\",\n");
+    s.push_str("  \"schema\": \"csds-bench-trajectory-v3\",\n");
     s.push_str(&format!("  \"scale\": \"{scale_label}\",\n"));
     s.push_str(&format!("  \"size\": {BENCH_SIZE},\n"));
     s.push_str("  \"results\": [\n");
     for (i, r) in rows.iter().enumerate() {
         s.push_str(&format!(
             "    {{\"algo\": \"{}\", \"workload\": \"{}\", \"threads\": {}, \
-             \"optimistic\": {}, \"total_ops\": {}, \"ns_per_op\": {:.1}, \
+             \"total_ops\": {}, \"ns_per_op\": {:.1}, \
              \"mops\": {:.3}, \"optimistic_attempts\": {}, \
              \"optimistic_failures\": {}, \"optimistic_fallbacks\": {}}}{}\n",
             r.algo,
             r.workload,
             r.threads,
-            r.optimistic,
             r.total_ops,
             r.ns_per_op,
             r.mops,
@@ -316,16 +310,15 @@ pub fn to_json(
 pub fn render_table(rows: &[BenchRow]) -> String {
     let mut s = String::new();
     s.push_str(&format!(
-        "{:<12} {:<7} {:>7} {:>10} {:>9} {:>8} {:>9} {:>8} {:>9}\n",
-        "algo", "mix", "threads", "optimistic", "ns/op", "Mops/s", "attempts", "torn", "fallbacks"
+        "{:<12} {:<7} {:>7} {:>9} {:>8} {:>9} {:>8} {:>9}\n",
+        "algo", "mix", "threads", "ns/op", "Mops/s", "attempts", "torn", "fallbacks"
     ));
     for r in rows {
         s.push_str(&format!(
-            "{:<12} {:<7} {:>7} {:>10} {:>9.1} {:>8.3} {:>9} {:>8} {:>9}\n",
+            "{:<12} {:<7} {:>7} {:>9.1} {:>8.3} {:>9} {:>8} {:>9}\n",
             r.algo,
             r.workload,
             r.threads,
-            if r.optimistic { "on" } else { "off" },
             r.ns_per_op,
             r.mops,
             r.optimistic_attempts,
@@ -390,7 +383,6 @@ mod tests {
             algo: "lazy-ht",
             workload: "read",
             threads: 1,
-            optimistic: true,
             total_ops: 1_000,
             ns_per_op: 23.25,
             mops: 43.01,
@@ -440,7 +432,6 @@ mod tests {
             "\"scale\": \"quick\"",
             "\"algo\": \"lazy-ht\"",
             "\"ns_per_op\": 23.2",
-            "\"optimistic\": true",
             "\"optimistic_fallbacks\": 0",
         ] {
             assert!(j.contains(key), "missing {key} in:\n{j}");
@@ -489,7 +480,7 @@ mod tests {
                 "unbalanced braces:\n{j}"
             );
             assert_eq!(j.matches('[').count(), j.matches(']').count());
-            assert!(j.contains("csds-bench-trajectory-v2"));
+            assert!(j.contains("csds-bench-trajectory-v3"));
             if !pq.is_empty() {
                 for key in [
                     "\"pq\"",

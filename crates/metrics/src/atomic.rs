@@ -18,9 +18,7 @@
 //! is protocol state — no correctness property depends on its ordering —
 //! and routing it through the shims would add a scheduling point to every
 //! instrumented operation inside every model, bloating budgets for zero
-//! coverage. This is the same justification as `OPTIMISTIC_FAST_PATHS` in
-//! `crates/sync/src/lib.rs`; both files are allowlisted by
-//! `tests/atomic_seam_lint.rs`.
+//! coverage. This file is allowlisted by `tests/atomic_seam_lint.rs`.
 
 #[cfg(not(feature = "modelcheck"))]
 mod imp {

@@ -37,46 +37,13 @@ pub use sharded_counter::ShardedCounter;
 pub use tas::{TasLock, TtasLock};
 pub use ticket::TicketLock;
 
-/// Global switch for the optimistic (version-validated) fast paths in the
-/// blocking structures. On by default; benches and A/B tests flip it with
-/// [`set_optimistic_fast_paths`] to measure the locked baseline on the
-/// same binary. Read once per operation — mid-operation flips only affect
-/// subsequent operations.
-///
-/// Deliberately a raw `std` atomic, not the [`atomic`] seam: this is a test
-/// configuration flag, not protocol state — shimming it would add a
-/// meaningless scheduling point to every optimistic operation under the
-/// model checker. (The seam lint allowlists this file for that reason.)
-static OPTIMISTIC_FAST_PATHS: std::sync::atomic::AtomicBool =
-    std::sync::atomic::AtomicBool::new(true);
-
-/// Enable or disable the optimistic read/RMW fast paths process-wide.
-pub fn set_optimistic_fast_paths(enabled: bool) {
-    OPTIMISTIC_FAST_PATHS.store(enabled, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// Whether the optimistic read/RMW fast paths are enabled (default: yes).
+/// Constant `true` since the optimistic fast paths lost their process-wide
+/// switch: every operation has one entry path now. Kept only because
+/// `benchmark/src/suite.rs` records it in its provenance header; the next
+/// benchmark PR removes that field and this function with it.
 #[inline]
 pub fn optimistic_fast_paths() -> bool {
-    OPTIMISTIC_FAST_PATHS.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Run `f` with the optimistic fast paths forced to `enabled`, restoring
-/// the previous setting afterwards (also on panic). Calls are serialized
-/// through a process-wide mutex, so concurrent tests/bench arms that pin
-/// the toggle in opposite directions cannot observe each other's window.
-pub fn with_optimistic_fast_paths<T>(enabled: bool, f: impl FnOnce() -> T) -> T {
-    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            set_optimistic_fast_paths(self.0);
-        }
-    }
-    let _restore = Restore(optimistic_fast_paths());
-    set_optimistic_fast_paths(enabled);
-    f()
+    true
 }
 
 /// A raw mutual-exclusion primitive.

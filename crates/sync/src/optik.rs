@@ -49,7 +49,7 @@ use std::time::Instant;
 use crate::{Backoff, RawMutex};
 
 /// Bounded retries for optimistic *read* fast paths before falling back to
-/// a pessimistic (locked or unvalidated-but-correct) path.
+/// the locked path.
 pub const OPTIMISTIC_READ_RETRIES: usize = 3;
 
 /// Bounded restarts for validate-then-lock *RMW* fast paths before falling
@@ -146,6 +146,11 @@ impl OptikLock {
     /// concurrent writer — the caller then takes its pessimistic path
     /// (typically [`RawMutex::lock`]) and should record
     /// [`csds_metrics::optimistic_fallback`].
+    ///
+    /// Worth it only where that pessimistic path takes locks: the one
+    /// caller is the lock-coupling list's `get_in`. Reads that were already
+    /// store-free (lazy hash table, BST-TK) measured slower inside this
+    /// wrap and do not use it.
     ///
     /// `f` may observe mid-mutation state (that is the point of running
     /// unsynchronized), so it must be safe to run on torn data — in this

@@ -24,10 +24,6 @@ const ALLOWLIST: &[&str] = &[
     // csds_modelcheck shims) plus the documented `plain` escape hatch for
     // telemetry state that must not create model scheduling points.
     "crates/metrics/src/atomic.rs",
-    // OPTIMISTIC_FAST_PATHS: a test-configuration flag, documented in place
-    // as deliberately unshimmed (it is not protocol state, and a scheduling
-    // point per optimistic op would bloat every model).
-    "crates/sync/src/lib.rs",
     // The model checker implements the shims on top of the std atomics.
     "crates/modelcheck/",
     // Local stand-ins for external crates (criterion/proptest): external

@@ -1,9 +1,7 @@
 //! The priority-queue family, exercised through the harness's `PqKind`
 //! trait objects: sequential conformance against `BTreeMap::pop_first`
 //! through both call paths, and recorded concurrent histories fed to the
-//! priority-ordering checker — each in both optimistic-toggle states, so
-//! the Pugh queue's lock paths are validated with and without the
-//! workspace's version-validated fast paths underneath.
+//! priority-ordering checker.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Barrier, Mutex};
@@ -168,24 +166,16 @@ fn check_pq_kind(kind: PqKind, rounds: u64) {
 }
 
 #[test]
-fn both_queues_match_the_sequential_model_in_both_toggle_states() {
-    for enabled in [true, false] {
-        csds::sync::with_optimistic_fast_paths(enabled, || {
-            for &kind in PqKind::all() {
-                model_check_pq(kind, 3_000, 48, 0xBEAD ^ enabled as u64);
-            }
-        });
+fn both_queues_match_the_sequential_model() {
+    for &kind in PqKind::all() {
+        model_check_pq(kind, 3_000, 48, 0xBEAD);
     }
 }
 
 #[test]
-fn both_queues_match_the_sequential_model_through_handles_in_both_toggle_states() {
-    for enabled in [true, false] {
-        csds::sync::with_optimistic_fast_paths(enabled, || {
-            for &kind in PqKind::all() {
-                model_check_pq_handle(kind, 3_000, 48, 0xD1A1 ^ enabled as u64);
-            }
-        });
+fn both_queues_match_the_sequential_model_through_handles() {
+    for &kind in PqKind::all() {
+        model_check_pq_handle(kind, 3_000, 48, 0xD1A1);
     }
 }
 
@@ -194,17 +184,6 @@ fn both_queues_pass_the_priority_ordering_checker() {
     for &kind in PqKind::all() {
         check_pq_kind(kind, 6);
     }
-}
-
-#[test]
-fn both_queues_pass_the_checker_with_fast_paths_off() {
-    // The pessimistic paths under the Pugh queue's locks (and the shared
-    // skiplist machinery) get their own recorded histories.
-    csds::sync::with_optimistic_fast_paths(false, || {
-        for &kind in PqKind::all() {
-            check_pq_kind(kind, 4);
-        }
-    });
 }
 
 #[test]

@@ -112,42 +112,27 @@ const OPTIMISTIC_ALGOS: [AlgoKind; 4] = [
 ];
 
 #[test]
-fn optimistic_structures_conform_with_fast_paths_on_and_off() {
-    // Same binary, toggled at run time: the optimistic paths (validated
-    // unsynchronized parses) and the pessimistic pre-PR paths must both
-    // match the sequential model, through both call paths and the full
-    // compound vocabulary.
-    for enabled in [true, false] {
-        csds::sync::with_optimistic_fast_paths(enabled, || {
-            for algo in OPTIMISTIC_ALGOS {
-                let map = algo.make(128);
-                common::model_check(map.as_ref(), 2_500, 96, 0x0B71 ^ enabled as u64);
-                let map = algo.make(128);
-                common::compound_model_check(map.as_ref(), 2_500, 96, 0xFA57 ^ enabled as u64);
-                let map = algo.make(128);
-                common::compound_model_check_handle(
-                    map.as_ref(),
-                    2_500,
-                    96,
-                    0x5EC ^ enabled as u64,
-                );
-            }
-        });
+fn optimistic_structures_conform_through_both_call_paths() {
+    // The validated unsynchronized parses must match the sequential model
+    // through both call paths and the full compound vocabulary.
+    for algo in OPTIMISTIC_ALGOS {
+        let map = algo.make(128);
+        common::model_check(map.as_ref(), 2_500, 96, 0x0B71);
+        let map = algo.make(128);
+        common::compound_model_check(map.as_ref(), 2_500, 96, 0xFA57);
+        let map = algo.make(128);
+        common::compound_model_check_handle(map.as_ref(), 2_500, 96, 0x5EC);
     }
 }
 
 #[test]
-fn optimistic_rmw_stays_atomic_under_contention_in_both_toggle_states() {
-    // The validate-then-lock fetch-add must lose no updates whether the
-    // unsynchronized-parse fast path or the lock-first path serves it.
+fn optimistic_rmw_stays_atomic_under_contention() {
+    // The validate-then-lock fetch-add must lose no updates, whichever of
+    // its two arms (validated parse, locked fallback) serves a given call.
     use std::sync::Arc;
-    for enabled in [true, false] {
-        csds::sync::with_optimistic_fast_paths(enabled, || {
-            for algo in OPTIMISTIC_ALGOS {
-                let map = Arc::new(algo.make(16));
-                common::concurrent_counter_sum(map, 4, 2_000, 8);
-            }
-        });
+    for algo in OPTIMISTIC_ALGOS {
+        let map = Arc::new(algo.make(16));
+        common::concurrent_counter_sum(map, 4, 2_000, 8);
     }
 }
 
