@@ -3,19 +3,19 @@
 //! The second blocking skiplist of the paper's Table 1. Unlike the
 //! optimistic Herlihy skiplist — which locks *all* predecessors after an
 //! unsynchronized parse — Pugh's algorithm updates the structure **one
-//! level at a time**, holding at most one predecessor lock plus the lock of
-//! the node being inserted/removed:
+//! level at a time**: it holds the lock of the node being inserted/removed
+//! plus one predecessor lock, kept across consecutive levels while it is
+//! the next level's predecessor too:
 //!
 //! * reads descend without any synchronization;
-//! * `insert` creates the node, takes the node's own lock, then links level
-//!   by level bottom-up; each level acquires the predecessor's lock with a
-//!   locked hand-over-hand walk ([`PughSkipList::get_lock`]);
-//! * `remove` takes the victim's lock, flips its `deleted` flag
-//!   (linearization point), then unlinks level by level top-down.
+//! * `insert` takes the new node's lock, then links it bottom-up; each
+//!   level locks a predecessor (`lock_pred`) and walks right (`walk_locked`);
+//! * `remove` and pop-min take the victim's lock, flip its `deleted` flag
+//!   (linearization point), then unlink top-down (`unlink_tower`).
 //!
-//! Locks are always acquired right-to-left (a node's own lock before its
-//! predecessor's), which yields a global acquisition order and rules out
-//! deadlock.
+//! A thread waits for a lock only while holding at most its own node's
+//! lock — a held predecessor is released before any wait — and only for a
+//! node with a smaller key than its own: no waits-for cycle, no deadlock.
 
 use csds_sync::atomic::{AtomicUsize, Ordering};
 
@@ -26,12 +26,13 @@ use crate::key::{self, HEAD_IKEY, TAIL_IKEY};
 use crate::skiplist::{random_level, MAX_LEVEL};
 use crate::{GuardedMap, RmwFn, RmwOutcome};
 
-/// The value lives behind an atomic pointer (null in sentinels): Pugh's
-/// incremental level-by-level relinking rules out atomically swapping a
-/// whole tower, so a compound RMW instead **replaces the value box in
-/// place under the node's lock** — removers claim the box (swap to null)
-/// in the same lock, so replacement and removal serialize per node while
-/// readers stay lock-free (the box is EBR-retired).
+/// The value lives behind an atomic pointer (null only in sentinels):
+/// Pugh's incremental level-by-level relinking rules out atomically
+/// swapping a whole tower, so a compound RMW instead **replaces the value
+/// box in place under the node's lock** — the lock removers hold to set
+/// `deleted` — so replacement and removal serialize per node while readers
+/// stay lock-free (a replaced box is EBR-retired, the last one dropped with
+/// the node).
 struct Node<V> {
     key: u64,
     value: Atomic<V>,
@@ -75,13 +76,9 @@ impl<V> Node<V> {
 
 impl<V> Drop for Node<V> {
     fn drop(&mut self) {
-        let raw = self.value.load_raw();
-        if raw != 0 {
-            // SAFETY: dropping a node owns its current value box; claimed
-            // or replaced boxes were nulled/swapped out and retired
-            // separately.
-            unsafe { drop(Box::from_raw(raw as *mut V)) };
-        }
+        // A node owns its current value box; replaced boxes were swapped
+        // out and retired separately.
+        drop(self.take_value());
     }
 }
 
@@ -141,21 +138,36 @@ impl<V: Clone + Send + Sync> PughSkipList<V> {
         (preds, found)
     }
 
-    /// Locked hand-over-hand walk at `level` starting from `start`: returns
-    /// a **locked**, live predecessor with `pred.key < ikey <=
-    /// pred.next[level].key`, or `None` if the walk ran into a deleted node
-    /// (caller re-parses).
-    fn get_lock<'g>(
-        &self,
-        start: Shared<'g, Node<V>>,
+    /// Lock `pred`, the start of a level's locked walk — unless it is the
+    /// predecessor `held` from the previous level, which stays locked. A
+    /// different held predecessor is released *before* `pred` is locked.
+    fn lock_pred<'g>(
+        held: Option<Shared<'g, Node<V>>>,
+        pred: Shared<'g, Node<V>>,
+    ) -> Shared<'g, Node<V>> {
+        if held == Some(pred) {
+            return pred;
+        }
+        if let Some(h) = held {
+            // SAFETY: pinned; locked by us.
+            unsafe { h.deref() }.lock.unlock();
+        }
+        // SAFETY: pinned.
+        unsafe { pred.deref() }.lock.lock();
+        csds_metrics::maybe_delay_in_cs();
+        pred
+    }
+
+    /// Locked hand-over-hand walk at `level` from the locked `pred`:
+    /// returns a **locked**, live predecessor with `pred.key < ikey <=
+    /// pred.next[level].key`, or `None`, holding nothing, if the walk ran
+    /// into a deleted node (caller re-parses).
+    fn walk_locked<'g>(
+        mut pred: Shared<'g, Node<V>>,
         ikey: u64,
         level: usize,
         guard: &'g Guard,
     ) -> Option<Shared<'g, Node<V>>> {
-        let mut pred = start;
-        // SAFETY: pinned.
-        unsafe { pred.deref() }.lock.lock();
-        csds_metrics::maybe_delay_in_cs();
         loop {
             // SAFETY: pinned.
             let p = unsafe { pred.deref() };
@@ -165,14 +177,13 @@ impl<V: Clone + Send + Sync> PughSkipList<V> {
             }
             let next = p.next[level].load(guard);
             // SAFETY: pinned.
-            if unsafe { next.deref() }.key < ikey {
-                p.lock.unlock();
-                pred = next;
-                // SAFETY: pinned.
-                unsafe { pred.deref() }.lock.lock();
-            } else {
+            if unsafe { next.deref() }.key >= ikey {
                 return Some(pred);
             }
+            p.lock.unlock();
+            pred = next;
+            // SAFETY: pinned.
+            unsafe { pred.deref() }.lock.lock();
         }
     }
 
@@ -205,10 +216,9 @@ impl<V: Clone + Send + Sync> PughSkipList<V> {
         if n.is_deleted() {
             None
         } else {
-            // A null pointer means a racing remove claimed the value
-            // between our deleted check and this load: absent.
-            // SAFETY: value boxes are EBR-retired; pinned.
-            unsafe { n.value.load(guard).as_ref() }
+            // SAFETY: a user node's value is never null; replaced boxes are
+            // EBR-retired; pinned.
+            Some(unsafe { n.value.load(guard).deref() })
         }
     }
 
@@ -237,10 +247,11 @@ impl<V: Clone + Send + Sync> PughSkipList<V> {
     }
 
     /// Insert machinery shared by [`insert_in`](Self::insert_in) and
-    /// [`rmw_in`](Self::rmw_in): link a fresh node level by level. Returns
-    /// a reference to the published value box — captured *before*
-    /// publication, so it stays valid (under the caller's pin) even if a
-    /// racing remove claims the node immediately after the level-0 link —
+    /// [`rmw_in`](Self::rmw_in): link a fresh node level by level, keeping
+    /// a predecessor locked into the next level while it is that level's
+    /// predecessor too. Returns a reference to the published value box —
+    /// captured *before* publication, so it stays valid (under the caller's
+    /// pin) even if a racing `rmw_in` replaces it right after the link —
     /// or the value back when the key turned out to be present.
     fn insert_node<'g>(&'g self, ikey: u64, value: V, guard: &'g Guard) -> Result<&'g V, V> {
         let height = random_level();
@@ -269,14 +280,17 @@ impl<V: Clone + Send + Sync> PughSkipList<V> {
             // SAFETY: published below level by level; we hold its lock for
             // the whole linking phase, so removers wait for us.
             let new_ref = unsafe { new_s.deref() };
-            // Capture the value box before any level links: a remove racing
-            // the moment we release the node lock could claim (null) the
-            // pointer, but the box itself is protected by our pin.
+            // Capture the value box before any level links: an `rmw_in`
+            // racing the moment we release the node lock could replace it,
+            // but the box itself is protected by our pin.
             let vraw = new_ref.value.load(guard);
             let ng = lock_guard(&new_ref.lock);
+            let mut held = None;
             for level in 0..height {
                 loop {
-                    let Some(pred) = self.get_lock(preds[level], ikey, level, guard) else {
+                    held =
+                        Self::walk_locked(Self::lock_pred(held, preds[level]), ikey, level, guard);
+                    let Some(pred) = held else {
                         // Predecessor chain hit a deleted node; re-parse and
                         // retry this level (lower levels stay linked).
                         csds_metrics::restart();
@@ -322,9 +336,12 @@ impl<V: Clone + Send + Sync> PughSkipList<V> {
                     }
                     new_ref.next[level].store(succ);
                     p.next[level].store(new_s);
-                    p.lock.unlock();
                     break;
                 }
+            }
+            if let Some(pred) = held {
+                // SAFETY: pinned; locked by us.
+                unsafe { pred.deref() }.lock.unlock();
             }
             drop(ng);
             // SAFETY: the box was owned by the (then-unpublished) node and
@@ -337,8 +354,8 @@ impl<V: Clone + Send + Sync> PughSkipList<V> {
     /// [`GuardedMap::rmw_in`].
     ///
     /// Present key: the closure runs and its value is installed **under
-    /// the node's lock** — the same lock removers hold to claim the value
-    /// — by swapping the node's value box; the old box is EBR-retired.
+    /// the node's lock** — the same lock removers hold to set `deleted` —
+    /// by swapping the node's value box; the old box is EBR-retired.
     /// **Linearization point: the value-pointer store under the node
     /// lock.** Absent key: Pugh's standard level-by-level insert
     /// (linearizes at the level-0 link). Read-only decisions linearize at
@@ -358,8 +375,7 @@ impl<V: Clone + Send + Sync> PughSkipList<V> {
                     continue;
                 }
                 let vptr = n.value.load(guard);
-                // SAFETY: live node under its lock: the value is claimed
-                // only by a remover holding this lock, so it is non-null.
+                // SAFETY: a user node's value is never null; pinned.
                 let current = unsafe { vptr.deref() };
                 match f(Some(current)) {
                     None => {
@@ -398,7 +414,7 @@ impl<V: Clone + Send + Sync> PughSkipList<V> {
                 Ok(cur) => {
                     // `cur` was captured pre-publication, so it references
                     // exactly the value this op installed even if a racing
-                    // remove already claimed the node.
+                    // op already replaced or removed it.
                     return RmwOutcome {
                         prev: None,
                         cur: Some(cur),
@@ -415,6 +431,43 @@ impl<V: Clone + Send + Sync> PughSkipList<V> {
         }
     }
 
+    /// Unlink the tower of `victim` — locked by the caller, its `deleted`
+    /// flag set — level by level, top-down, each level's locked walk
+    /// starting from `preds[level]` (held over from the level above when it
+    /// is the same node). The seeds are re-parsed only when a walk hits a
+    /// deleted node or the victim is not behind the predecessor it found.
+    fn unlink_tower<'g>(
+        &self,
+        victim: Shared<'g, Node<V>>,
+        mut preds: [Shared<'g, Node<V>>; MAX_LEVEL],
+        guard: &'g Guard,
+    ) {
+        // SAFETY: pinned.
+        let v = unsafe { victim.deref() };
+        let mut held = None;
+        for level in (0..=v.top_level).rev() {
+            loop {
+                held = Self::walk_locked(Self::lock_pred(held, preds[level]), v.key, level, guard);
+                if let Some(pred) = held {
+                    // SAFETY: pinned; locked.
+                    let p = unsafe { pred.deref() };
+                    if p.next[level].load(guard) == victim {
+                        p.next[level].store(v.next[level].load(guard));
+                        break;
+                    }
+                    p.lock.unlock();
+                    held = None;
+                }
+                csds_metrics::restart();
+                preds = self.find(v.key, guard).0;
+            }
+        }
+        if let Some(pred) = held {
+            // SAFETY: pinned; locked by us.
+            unsafe { pred.deref() }.lock.unlock();
+        }
+    }
+
     /// Guard-scoped pop-min: remove and return the smallest present key —
     /// the blocking half of the skiplist priority-queue family (Pugh towers
     /// with the head run deleted under per-node locks).
@@ -422,10 +475,11 @@ impl<V: Clone + Send + Sync> PughSkipList<V> {
     /// Walks the bottom level from the head to the first non-deleted node,
     /// locks it, and re-checks the `deleted` flag: losing the head race to
     /// another popper restarts the walk (counted as pop contention). The
-    /// winner's `deleted` store is the linearization point; unlinking then
-    /// follows the exact [`remove_in`](Self::remove_in) protocol (value box
-    /// claimed under the node lock, levels unlinked top-down one predecessor
-    /// lock at a time, node and box retired through EBR).
+    /// winner's `deleted` store is the linearization point; the tower is
+    /// then unlinked as [`remove_in`](Self::remove_in) does it, but with
+    /// every level seeded with the head — in front of the minimum there are
+    /// only deleted nodes and keys pushed since — so an uncontended pop
+    /// locks the victim and the head once each and never parses.
     ///
     /// The returned reference stays valid for `'g`: the caller's pin blocks
     /// the reclamation epoch from advancing past its own deferred retirement.
@@ -456,41 +510,15 @@ impl<V: Clone + Send + Sync> PughSkipList<V> {
                 continue;
             }
             v.deleted.store(1, Ordering::Release); // linearization point
-            let vptr = v.value.swap(Shared::null(), guard);
-            debug_assert!(!vptr.is_null(), "the winning popper claims once");
-            let ikey = v.key;
-            // Unlink level by level, top-down, one predecessor lock at a
-            // time — the `remove_in` discipline.
-            for level in (0..=v.top_level).rev() {
-                loop {
-                    let (preds, _) = self.find(ikey, guard);
-                    let Some(pred) = self.get_lock(preds[level], ikey, level, guard) else {
-                        csds_metrics::restart();
-                        continue;
-                    };
-                    // SAFETY: pinned; locked.
-                    let p = unsafe { pred.deref() };
-                    if p.next[level].load(guard) == victim {
-                        p.next[level].store(v.next[level].load(guard));
-                        p.lock.unlock();
-                        break;
-                    }
-                    p.lock.unlock();
-                    csds_metrics::restart();
-                }
-            }
+            self.unlink_tower(victim, [self.head.load(guard); MAX_LEVEL], guard);
             drop(vg);
-            // SAFETY: claimed under the node lock; the caller's pin keeps
-            // the box alive across its own deferred retirement.
-            let val = unsafe { vptr.deref() };
-            // SAFETY: the claim made us the unique owner of the box, and
-            // the deleted flag the unique retirer of the node.
-            unsafe {
-                guard.defer_drop(vptr);
-                guard.defer_drop(victim);
-            }
+            // SAFETY: a user node's value is never null; the caller's pin
+            // keeps it alive across the node's deferred retirement.
+            let val = unsafe { v.value.load(guard).deref() };
+            // SAFETY: the deleted flag made us the node's unique retirer.
+            unsafe { guard.defer_drop(victim) };
             csds_metrics::pq_pop();
-            break Some((key::ukey(ikey), val));
+            break Some((key::ukey(v.key), val));
         };
         if lost > 0 {
             csds_metrics::pq_pop_contention(lost);
@@ -499,8 +527,8 @@ impl<V: Clone + Send + Sync> PughSkipList<V> {
     }
 
     /// Guard-scoped peek-min: the smallest present key without removing it
-    /// (quiescently consistent — a racing pop may already have claimed the
-    /// value box, in which case the walk moves past the node).
+    /// (quiescently consistent — a node a racing pop already marked deleted
+    /// is walked past).
     pub fn peek_min_in<'g>(&'g self, guard: &'g Guard) -> Option<(u64, &'g V)> {
         // SAFETY: pinned bottom-level traversal.
         let mut curr = unsafe { self.head.load(guard).deref() }.next[0].load(guard);
@@ -511,10 +539,9 @@ impl<V: Clone + Send + Sync> PughSkipList<V> {
                 return None;
             }
             if !c.is_deleted() {
-                // SAFETY: value boxes are EBR-retired; pinned.
-                if let Some(v) = unsafe { c.value.load(guard).as_ref() } {
-                    return Some((key::ukey(c.key), v));
-                }
+                // SAFETY: a user node's value is never null; replaced boxes
+                // are EBR-retired; pinned.
+                return Some((key::ukey(c.key), unsafe { c.value.load(guard).deref() }));
             }
             curr = c.next[0].load(guard);
         }
@@ -523,52 +550,24 @@ impl<V: Clone + Send + Sync> PughSkipList<V> {
     /// Guard-scoped `remove`.
     pub fn remove_in(&self, ukey: u64, guard: &Guard) -> Option<V> {
         let ikey = key::ikey(ukey);
-        let (_, found) = self.find(ikey, guard);
+        let (preds, found) = self.find(ikey, guard);
         let victim = found?;
         // SAFETY: pinned.
         let v = unsafe { victim.deref() };
         // Serialize with the inserter (which holds the node lock while
-        // linking) and with competing removers.
+        // linking), with `rmw_in` and with competing removers.
         let vg = lock_guard(&v.lock);
         if v.is_deleted() {
             return None;
         }
         v.deleted.store(1, Ordering::Release); // linearization point
-                                               // Claim the value under the same lock (serializes with `rmw_in`
-                                               // replacements, which also hold the node lock).
-        let vptr = v.value.swap(Shared::null(), guard);
-        debug_assert!(!vptr.is_null(), "the winning remover claims once");
-        // Unlink level by level, top-down, one predecessor lock at a time.
-        for level in (0..=v.top_level).rev() {
-            loop {
-                let (preds, _) = self.find(ikey, guard);
-                let Some(pred) = self.get_lock(preds[level], ikey, level, guard) else {
-                    csds_metrics::restart();
-                    continue;
-                };
-                // SAFETY: pinned; locked.
-                let p = unsafe { pred.deref() };
-                if p.next[level].load(guard) == victim {
-                    p.next[level].store(v.next[level].load(guard));
-                    p.lock.unlock();
-                    break;
-                }
-                // Not linked here (pred advanced past us is impossible for
-                // a live pred; but the window may have shifted) — retry.
-                p.lock.unlock();
-                csds_metrics::restart();
-            }
-        }
+        self.unlink_tower(victim, preds, guard);
         drop(vg);
-        // SAFETY: claimed under the node lock; pinned.
-        let out = Some(unsafe { vptr.deref() }.clone());
-        // SAFETY: the claim made us the unique owner of the box, and the
-        // deleted flag the unique retirer of the node; each retired once.
-        unsafe {
-            guard.defer_drop(vptr);
-            guard.defer_drop(victim);
-        }
-        out
+        // SAFETY: a user node's value is never null; pinned.
+        let out = unsafe { v.value.load(guard).deref() }.clone();
+        // SAFETY: the deleted flag made us the node's unique retirer.
+        unsafe { guard.defer_drop(victim) };
+        Some(out)
     }
 }
 
@@ -648,6 +647,118 @@ mod tests {
     #[test]
     fn concurrent_net_effect() {
         testutil::concurrent_net_effect(Arc::new(PughSkipList::new()), 4, 3_000, 32);
+    }
+
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    #[test]
+    fn sequential_model_through_pops_and_removes() {
+        // `remove_in` and `pop_min_in` share `unlink_tower`; interleave
+        // both with inserts against a `BTreeMap`.
+        let s = PughSkipList::new();
+        let mut model = std::collections::BTreeMap::new();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for i in 0..6_000u64 {
+            let k = xorshift(&mut state) % 64;
+            let g = pin();
+            match xorshift(&mut state) % 4 {
+                0 | 1 => {
+                    let vacant = !model.contains_key(&k);
+                    if vacant {
+                        model.insert(k, i);
+                    }
+                    assert_eq!(s.insert_in(k, i, &g), vacant, "insert({k}) at op {i}");
+                }
+                2 => assert_eq!(
+                    s.remove_in(k, &g),
+                    model.remove(&k),
+                    "remove({k}) at op {i}"
+                ),
+                _ => assert_eq!(
+                    s.pop_min_in(&g).map(|(k, v)| (k, *v)),
+                    model.pop_first(),
+                    "pop_min at op {i}"
+                ),
+            }
+        }
+        assert_eq!(s.keys(), model.into_keys().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn concurrent_net_effect_through_pops_and_removes() {
+        // Per key, successful inserts minus successful removals (a pop
+        // removes the key it returns) must equal final presence.
+        const KEYS: u64 = 32;
+        let s = Arc::new(PughSkipList::new());
+        let handles: Vec<_> = (0..4u64)
+            .map(|t| {
+                let s = Arc::clone(&s);
+                std::thread::spawn(move || {
+                    let mut net = [0i64; KEYS as usize];
+                    let mut state = 0xDEAD_BEEF ^ (t + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    for _ in 0..3_000 {
+                        let k = xorshift(&mut state) % KEYS;
+                        let g = pin();
+                        let removed = match xorshift(&mut state) % 3 {
+                            0 => {
+                                net[k as usize] += i64::from(s.insert_in(k, k, &g));
+                                None
+                            }
+                            1 => s.remove_in(k, &g).map(|v| (k, v)),
+                            _ => s.pop_min_in(&g).map(|(k, v)| (k, *v)),
+                        };
+                        if let Some((k, v)) = removed {
+                            assert_eq!(k, v, "value travelled with its key");
+                            net[k as usize] -= 1;
+                        }
+                    }
+                    net
+                })
+            })
+            .collect();
+        let mut net = [0i64; KEYS as usize];
+        for h in handles {
+            for (total, n) in net.iter_mut().zip(h.join().unwrap()) {
+                *total += n;
+            }
+        }
+        let present = s.keys();
+        for k in 0..KEYS {
+            let want = i64::from(present.contains(&k));
+            assert_eq!(net[k as usize], want, "key {k}: net effect");
+        }
+    }
+
+    #[test]
+    fn pop_and_new_minimum_push_lock_twice_at_any_height() {
+        // Own node and head, once each: a push of a new minimum keeps the
+        // head locked up its whole tower, and a pop seeds every level with
+        // the head and keeps it locked down the whole tower.
+        let s = PughSkipList::new();
+        let g = pin();
+        for k in (0..256u64).rev() {
+            let _ = csds_metrics::take_and_reset();
+            assert!(s.insert_in(k, k, &g));
+            let locks = csds_metrics::take_and_reset().lock_acquires;
+            assert_eq!(locks, 2, "push of new minimum {k}");
+        }
+        let mut tallest = 0;
+        for k in 0..256u64 {
+            let (_, found) = s.find(key::ikey(k), &g);
+            // SAFETY: pinned; present.
+            let top = unsafe { found.expect("present").deref() }.top_level;
+            tallest = tallest.max(top);
+            let _ = csds_metrics::take_and_reset();
+            assert_eq!(s.pop_min_in(&g).map(|(k, v)| (k, *v)), Some((k, k)));
+            let locks = csds_metrics::take_and_reset().lock_acquires;
+            assert_eq!(locks, 2, "pop of {k} (top level {top})");
+        }
+        assert!(tallest >= 3, "towers too short to test: {tallest}");
     }
 
     #[test]

@@ -8,14 +8,14 @@
 //! * [`PughPq`] — **blocking**: pop-min walks the bottom level to the first
 //!   live node and deletes its tower under Pugh's per-node locks (flag set
 //!   under the victim's lock = linearization point, levels unlinked
-//!   top-down one predecessor lock at a time);
+//!   top-down from the head, whose lock is held across the levels);
 //! * [`LotanShavitPq`] — **lock-free**: pop-min claims the head of the
 //!   Harris-marked skiplist by winning the level-0 mark CAS (the
 //!   linearization point); physical unlinking is batched into one `find`
 //!   descent. This is the Lotan–Shavit design: logical deletion races only
 //!   on one CAS, so a descheduled popper blocks nobody.
 //!
-//! Both retire nodes and value boxes through `csds_ebr`, and both record
+//! Both retire removed nodes through `csds_ebr`, and both record
 //! pop-min head races into the `pq_pop_contention` metric (pop-min is the
 //! canonical contended hot spot — every popper fights over the same head
 //! run, unlike the key-spread map workloads).
@@ -448,54 +448,5 @@ mod tests {
         assert_eq!(h.len(), 1);
         assert_eq!(h.ops(), 5);
         assert_eq!(h.stalled_ops(), 0);
-    }
-
-    #[test]
-    fn popped_nodes_reclaimed_under_live_handle() {
-        // The PR 6 repin-starvation class: a long-lived PqHandle driving
-        // push/pop cycles must not warehouse its own retirements — the
-        // per-op repin lets the epoch advance, so deferred garbage stays
-        // bounded instead of growing with the op count.
-        let q = LotanShavitPq::new();
-        let mut h = PqHandle::new(&q);
-        for round in 0..20_000u64 {
-            let k = round % 64;
-            h.push(k, round);
-            h.pop_min();
-            if round % 1024 == 0 {
-                let pending = csds_ebr::local_garbage_items();
-                assert!(
-                    pending < 10_000,
-                    "deferred garbage grew without bound under a live \
-                     PqHandle: {pending} items at round {round}"
-                );
-            }
-        }
-        let final_pending = csds_ebr::local_garbage_items();
-        assert!(
-            final_pending < 10_000,
-            "final deferred garbage: {final_pending}"
-        );
-    }
-
-    #[test]
-    fn pop_min_reference_survives_its_own_retirement() {
-        // pop_min_in retires the node+box it returns a reference into; the
-        // caller's pin must keep both alive for 'g.
-        let q = PughPq::new();
-        let g = pin();
-        assert!(q.push_in(7, vec![1u64, 2, 3], &g));
-        let (k, v) = q.pop_min_in(&g).expect("present");
-        // Force epoch churn from another thread while we hold the ref.
-        std::thread::spawn(|| {
-            for _ in 0..64 {
-                let g = pin();
-                drop(g);
-            }
-        })
-        .join()
-        .unwrap();
-        assert_eq!(k, 7);
-        assert_eq!(v, &vec![1u64, 2, 3]);
     }
 }

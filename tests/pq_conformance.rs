@@ -1,7 +1,7 @@
 //! The priority-queue family, exercised through the harness's `PqKind`
 //! trait objects: sequential conformance against `BTreeMap::pop_first`
 //! through both call paths, and recorded concurrent histories fed to the
-//! priority-ordering checker.
+//! priority-ordering checker, plain and with every lock holder stalled.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Barrier, Mutex};
@@ -9,6 +9,7 @@ use std::time::Instant;
 
 use csds::harness::PqKind;
 use csds::lincheck::{check_pq_history, PqEvent, PqOpKind};
+use csds::metrics::DelayPolicy;
 use csds::pq::{ConcurrentPq, PqHandle};
 
 fn rng_stream(seed: u64) -> impl FnMut() -> u64 {
@@ -103,18 +104,22 @@ fn model_check_pq_handle(kind: PqKind, ops: usize, keys: u64, seed: u64) {
     assert_eq!(h.stalled_ops(), 0, "{}: no repin stalls", kind.name());
 }
 
-/// Record a short concurrent push/pop/peek history on `kind`.
+/// Record a short concurrent push/pop/peek history on `kind`. `stall`
+/// arms a [`DelayPolicy`] on every recording thread that holds each
+/// critical section for 1–100 µs. Also returns how many delays were
+/// injected.
 fn record_pq_history(
     kind: PqKind,
     threads: usize,
     ops_per_thread: usize,
     keys: u64,
+    stall: bool,
     seed: u64,
-) -> Vec<PqEvent> {
+) -> (Vec<PqEvent>, u64) {
     let pq = Arc::new(kind.make());
     let origin = Instant::now();
     let barrier = Arc::new(Barrier::new(threads));
-    let events = Arc::new(Mutex::new(Vec::new()));
+    let events = Arc::new(Mutex::new((Vec::new(), 0u64)));
     let mut handles = Vec::new();
     for t in 0..threads {
         let pq = Arc::clone(&pq);
@@ -123,6 +128,17 @@ fn record_pq_history(
         handles.push(std::thread::spawn(move || {
             let mut rng = rng_stream(seed ^ (t as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15));
             let mut local = Vec::new();
+            // The policy and the counters are thread-local, and this thread
+            // ends with the history.
+            if stall {
+                csds::metrics::set_delay_policy(Some(DelayPolicy {
+                    every: 1,
+                    min_ns: 1_000,
+                    max_ns: 100_000,
+                    seed: rng(),
+                }));
+            }
+            let _ = csds::metrics::take_and_reset();
             barrier.wait();
             for _ in 0..ops_per_thread {
                 let key = rng() % keys;
@@ -142,7 +158,9 @@ fn record_pq_history(
                 let respond = origin.elapsed().as_nanos() as u64;
                 local.push(PqEvent::new(key, kind, invoke, respond.max(invoke)));
             }
-            events.lock().unwrap().extend(local);
+            let mut events = events.lock().unwrap();
+            events.0.extend(local);
+            events.1 += csds::metrics::take_and_reset().injected_delays;
         }));
     }
     for h in handles {
@@ -151,18 +169,22 @@ fn record_pq_history(
     Arc::try_unwrap(events).unwrap().into_inner().unwrap()
 }
 
-fn check_pq_kind(kind: PqKind, rounds: u64) {
+/// Record and check `rounds` histories; returns the injected delays.
+fn check_pq_kind(kind: PqKind, stall: bool, rounds: u64) -> u64 {
+    let mut delays = 0;
     for round in 0..rounds {
         // 3 threads x 8 ops over 4 priorities: small enough for the
         // interval analysis, contended enough to race pop-min at the head.
-        let history = record_pq_history(kind, 3, 8, 4, 0x5EED + round);
+        let (history, injected) = record_pq_history(kind, 3, 8, 4, stall, 0x5EED + round);
         let result = check_pq_history(&history);
         assert!(
             result.is_ok(),
-            "{}: round {round} violates priority ordering: {result:?}\nhistory: {history:#?}",
+            "{}: round {round} violates priority ordering (stall={stall}): {result:?}\nhistory: {history:#?}",
             kind.name()
         );
+        delays += injected;
     }
+    delays
 }
 
 #[test]
@@ -182,7 +204,21 @@ fn both_queues_match_the_sequential_model_through_handles() {
 #[test]
 fn both_queues_pass_the_priority_ordering_checker() {
     for &kind in PqKind::all() {
-        check_pq_kind(kind, 6);
+        check_pq_kind(kind, false, 6);
+    }
+}
+
+#[test]
+fn both_queues_pass_the_priority_ordering_checker_under_stalled_lock_holders() {
+    // A stalled Pugh popper or pusher holds the head lock across all of
+    // its tower's levels, so every other pop and every push of a new
+    // minimum waits out the stall. The lock-free queue has no critical
+    // section to stall and runs the same rounds as a control.
+    for &kind in PqKind::all() {
+        let delays = check_pq_kind(kind, true, 6);
+        if kind.is_blocking() {
+            assert!(delays > 0, "{}: no lock holder was stalled", kind.name());
+        }
     }
 }
 
