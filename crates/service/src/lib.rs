@@ -93,9 +93,12 @@
 //!   resolves to [`ServiceError::Disconnected`] rather than hanging.
 //! * **A request is two cache lines** — the 64-byte ring slot (the op, its
 //!   namespace, a timestamp and the completion's sender, line-aligned) and
-//!   the completion ([`csds_sync::oneshot`]: one atomic state word beside
-//!   the reply, fulfilled with one swap). Nothing else per request crosses
-//!   cores, takes a lock, or reads the clock (see the next point).
+//!   the completion ([`csds_sync::oneshot`]: one cell, a state word beside
+//!   the reply, fulfilled with one CAS and freed by whichever side touches
+//!   it last — no reference count). Freed cells go to a per-thread pool, so
+//!   a client in steady state allocates nothing per request. Nothing else
+//!   per request crosses cores, takes a lock, or reads the clock (see the
+//!   next point).
 //! * **Observability** — per-core [`CoreStats`]: ops, batches, batch-size
 //!   and queue-depth maxima, and log₂ histograms
 //!   ([`csds_metrics::LogHistogram`]) of batch sizes and
@@ -145,7 +148,7 @@
 //! ```
 
 use csds_sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use csds_core::{check_user_key, CasOutcome, GuardedMap, MapHandle};
@@ -400,8 +403,8 @@ struct CoreState<V> {
     /// True while the worker is parked (or about to park); producers that
     /// observe it swap it off and unpark the worker.
     sleeping: AtomicBool,
-    /// The worker's thread handle, for unparking. Set once, before the
-    /// start gate opens.
+    /// The worker's thread handle, for unparking. Set once, before
+    /// [`Service::start`] returns and so before any client exists.
     thread: OnceLock<std::thread::Thread>,
     /// Live seqlock-published copy of the worker's [`CoreStats`], refreshed
     /// amortized (every [`PUBLISH_BATCHES`] batches / [`PUBLISH_OPS`] ops)
@@ -415,7 +418,7 @@ impl<V> CoreState<V> {
     fn unpark(&self) {
         self.thread
             .get()
-            .expect("set before the start gate, which precedes every client")
+            .expect("set by Service::start, which precedes every client")
             .unpark();
     }
 }
@@ -610,9 +613,9 @@ where
     V: Clone + Send + Sync + PartialEq + FetchAddValue + 'static,
     M: GuardedMap<V> + ?Sized + 'static,
 {
-    /// Start `cfg.cores` workers serving `map`. Workers are running (and
-    /// reachable from [`client`](Service::client) handles) when this
-    /// returns.
+    /// Start `cfg.cores` workers serving `map`. Each worker's thread handle
+    /// is registered before this returns, so a [`client`](Service::client)
+    /// can always unpark the worker it submits to.
     pub fn start(map: Arc<M>, cfg: ServiceConfig) -> Self {
         let cores = cfg.cores.max(1);
         let max_batch = cfg.max_batch.max(1);
@@ -636,18 +639,14 @@ where
             ns_created: AtomicUsize::new(0),
             ns_retired: AtomicUsize::new(0),
         });
-        // Workers wait on the gate until their thread handles are
-        // registered, so a producer can always unpark the worker it wakes.
-        let gate = Arc::new(Barrier::new(cores + 1));
         let mut workers = Vec::with_capacity(cores);
         for i in 0..cores {
             let map = Arc::clone(&map);
             let shared = Arc::clone(&shared);
-            let gate = Arc::clone(&gate);
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("csds-service-{i}"))
-                    .spawn(move || worker_loop(i, map, shared, gate, max_batch))
+                    .spawn(move || worker_loop(i, map, shared, max_batch))
                     .expect("spawning a service core worker"),
             );
         }
@@ -657,7 +656,6 @@ where
                 .set(w.thread().clone())
                 .expect("each core's thread handle is set once");
         }
-        gate.wait();
         Service {
             map,
             shared,
@@ -1173,14 +1171,12 @@ fn worker_loop<V, M>(
     core_idx: usize,
     map: Arc<M>,
     shared: Arc<ServiceShared<V>>,
-    gate: Arc<Barrier>,
     max_batch: usize,
 ) -> CoreStats
 where
     V: Clone + Send + Sync + PartialEq + FetchAddValue + 'static,
     M: GuardedMap<V> + ?Sized + 'static,
 {
-    gate.wait();
     let core = &shared.cores[core_idx];
     let mut stats = CoreStats::default();
     // The worker's map session. Dropped (unpinning the thread) before every
@@ -1314,7 +1310,10 @@ where
         // uncollectable (nested pins skip maintenance), exactly the stall
         // the EBR watchdog exists to catch.
         tenants.cache.clear();
-        if dirty || !tenants.owned.is_empty() {
+        // A worker whose last flush could not empty its queue (a pinned
+        // peer held the epoch) retries on every timeout wake-up until it
+        // has: nobody else can execute that queue.
+        if dirty || !tenants.owned.is_empty() || csds_ebr::local_garbage_items() > 0 {
             if !tenants.owned.is_empty() {
                 let guard = csds_ebr::pin();
                 let retired = tenants.idle_sweep(&shared, &guard);
@@ -1331,7 +1330,7 @@ where
             // advances the epoch at most one step and a bag sealed at
             // epoch E ripens at E+2, so walk a few short pins forward —
             // bounded, because a genuinely pinned peer can legitimately
-            // hold the epoch (its own maintenance will finish the job).
+            // hold the epoch (the next timeout wake-up tries again).
             for _ in 0..4 {
                 if csds_ebr::local_garbage_items() == 0 {
                     break;

@@ -15,11 +15,16 @@
 //!   parking between polls. The waker unparks the thread, so a completion
 //!   delivered from a core worker costs one `unpark`, not a spin loop.
 //!
-//! The channel is lock-free — one atomic state word beside the value and
-//! the waker, one swap by the worker per reply — and lives in `csds_sync`
-//! next to the ring, where `csds_modelcheck` and Miri run it. Together the
-//! ring slot and the channel are the two cache lines a request moves
-//! between a client and a worker.
+//! The channel is lock-free — one cell holding an atomic state word beside
+//! the value and the waker, one CAS by the worker per reply — and lives in
+//! `csds_sync` next to the ring, where `csds_modelcheck` and Miri run it.
+//! It has no reference count: the side that touches the cell last frees it,
+//! into that thread's pool of cells, so a client that keeps submitting
+//! reuses the cells of the replies it has taken instead of calling the
+//! allocator. A `Completion` dropped unawaited leaves its cell to the
+//! worker, which frees it when it replies. Together the ring slot and the
+//! cell are the two cache lines a request moves between a client and a
+//! worker.
 
 use std::future::Future;
 use std::pin::Pin;

@@ -3,6 +3,10 @@
 //! its op. There is no flag for a submitter to re-check and no in-flight
 //! counter for a worker to wait on — shutdown closes each core's ring, and
 //! the ring's tail word settles every race.
+//!
+//! One client drops every other `Completion` unawaited, so the worker's
+//! send races the receiver's drop: whichever comes second frees the reply
+//! cell, and the requests still queued when shutdown lands are among them.
 
 use std::sync::{Arc, Barrier};
 
@@ -44,7 +48,11 @@ fn pipelined_submissions_racing_shutdown_execute_once_or_come_back() {
                     loop {
                         match client.try_submit(key, OpKind::Insert(key)) {
                             Ok(reply) => {
-                                pending.push(reply);
+                                if c == 0 && key % 2 == 1 {
+                                    drop(reply);
+                                } else {
+                                    pending.push(reply);
+                                }
                                 accepted.fetch_add(1, Ordering::SeqCst);
                                 key += 1;
                             }
