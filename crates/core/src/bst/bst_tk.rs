@@ -87,6 +87,16 @@ impl<'g, V> Edge<'g, V> {
         // SAFETY: owner (if any) is pinned for 'g.
         self.owner.map(|o| &unsafe { o.deref() }.removed)
     }
+
+    /// Write-phase validation, run with this edge's lock (and, in elision
+    /// mode, the region) held: the owner is still in the tree and the slot
+    /// still points at `expected`. In locking mode a matched version already
+    /// implies it; elided commits move no version, so there it is needed.
+    fn holds(&self, expected: Shared<'_, Node<V>>) -> bool {
+        self.owner_removed()
+            .map_or(true, |r| r.load(Ordering::Acquire) == 0)
+            && self.slot.load_raw() == expected.as_raw()
+    }
 }
 
 /// Result of the parse phase: `(grandparent_edge, parent_edge, leaf)`.
@@ -242,39 +252,28 @@ impl<V: Clone + Send + Sync> BstTk<V> {
                         csds_metrics::restart();
                         continue;
                     }
-                    Elided::FellBack => {
-                        // Pessimistic: take the real lock (waiting allowed on
-                        // the fallback path), re-validate, apply under seq.
-                        p.lock.lock();
-                        let ok = p
-                            .owner_removed()
-                            .map_or(true, |r| r.load(Ordering::Acquire) == 0)
-                            && p.slot.load(guard) == expected;
-                        if !ok {
-                            p.lock.unlock();
-                            reclaim(replacement, &mut value);
-                            csds_metrics::restart();
-                            continue;
-                        }
-                        let fb = region.enter_fallback();
-                        p.slot.store(replacement);
-                        drop(fb);
-                        p.lock.unlock();
-                        return true;
-                    }
+                    Elided::FellBack => {}
                 }
             }
 
-            // Locking mode: versioned trylock on the parent; restart on any
-            // version movement (BST-TK never waits).
+            // Write phase: versioned trylock on the parent, restarting on
+            // any version movement (BST-TK never waits); then (elision mode)
+            // the region, the validation and the link.
             if !p.lock.try_lock_version(p.ver) {
                 reclaim(replacement, &mut value);
                 csds_metrics::restart();
                 continue;
             }
-            // Version matched ⇒ the slot is unchanged since the parse.
-            debug_assert!(p.slot.load(guard) == expected);
+            let fb = self.region.as_ref().map(TxRegion::enter_fallback);
+            if !p.holds(expected) {
+                drop(fb);
+                p.lock.unlock();
+                reclaim(replacement, &mut value);
+                csds_metrics::restart();
+                continue;
+            }
             p.slot.store(replacement);
+            drop(fb);
             p.lock.unlock();
             return true;
         }
@@ -292,6 +291,7 @@ impl<V: Clone + Send + Sync> BstTk<V> {
             if l.key != key {
                 return None;
             }
+            let mut speculated = false;
             match gp {
                 None => {
                     // The leaf is the entire tree: empty it.
@@ -307,32 +307,29 @@ impl<V: Clone + Send + Sync> BstTk<V> {
                             tx.write(&l.removed, 1);
                             SpecStep::Commit(())
                         }) {
-                            Elided::Committed(()) => {}
+                            Elided::Committed(()) => speculated = true,
                             Elided::Invalid => {
                                 csds_metrics::restart();
                                 continue;
                             }
-                            Elided::FellBack => {
-                                p.lock.lock();
-                                if p.slot.load(guard) != leaf_s {
-                                    p.lock.unlock();
-                                    csds_metrics::restart();
-                                    continue;
-                                }
-                                let fb = region.enter_fallback();
-                                p.slot.store(Shared::null());
-                                l.removed.store(1, Ordering::Release);
-                                drop(fb);
-                                p.lock.unlock();
-                            }
+                            Elided::FellBack => {}
                         }
-                    } else {
+                    }
+                    if !speculated {
                         if !p.lock.try_lock_version(p.ver) {
+                            csds_metrics::restart();
+                            continue;
+                        }
+                        let fb = self.region.as_ref().map(TxRegion::enter_fallback);
+                        if !p.holds(leaf_s) {
+                            drop(fb);
+                            p.lock.unlock();
                             csds_metrics::restart();
                             continue;
                         }
                         p.slot.store(Shared::null());
                         l.removed.store(1, Ordering::Release);
+                        drop(fb);
                         p.lock.unlock();
                     }
                     let out = l.value.clone();
@@ -376,39 +373,17 @@ impl<V: Clone + Send + Sync> BstTk<V> {
                             tx.write(&l.removed, 1);
                             SpecStep::Commit(())
                         }) {
-                            Elided::Committed(()) => {}
+                            Elided::Committed(()) => speculated = true,
                             Elided::Invalid => {
                                 csds_metrics::restart();
                                 continue;
                             }
-                            Elided::FellBack => {
-                                gp.lock.lock();
-                                parent.lock.lock();
-                                let ok = gp
-                                    .owner_removed()
-                                    .map_or(true, |r| r.load(Ordering::Acquire) == 0)
-                                    && parent.removed.load(Ordering::Acquire) == 0
-                                    && gp.slot.load(guard) == parent_s
-                                    && p.slot.load(guard) == leaf_s;
-                                if !ok {
-                                    parent.lock.unlock();
-                                    gp.lock.unlock();
-                                    csds_metrics::restart();
-                                    continue;
-                                }
-                                let fb = region.enter_fallback();
-                                let sibling = sibling_slot.load(guard);
-                                gp.slot.store(sibling);
-                                parent.removed.store(1, Ordering::Release);
-                                l.removed.store(1, Ordering::Release);
-                                drop(fb);
-                                parent.lock.unlock();
-                                gp.lock.unlock();
-                            }
+                            Elided::FellBack => {}
                         }
-                    } else {
-                        // Locking mode: grandparent first, then parent —
-                        // both versioned trylocks; restart on failure.
+                    }
+                    if !speculated {
+                        // Grandparent first, then parent — both versioned
+                        // trylocks; restart on failure.
                         if !gp.lock.try_lock_version(gp.ver) {
                             csds_metrics::restart();
                             continue;
@@ -418,10 +393,19 @@ impl<V: Clone + Send + Sync> BstTk<V> {
                             csds_metrics::restart();
                             continue;
                         }
+                        let fb = self.region.as_ref().map(TxRegion::enter_fallback);
+                        if !(gp.holds(parent_s) && p.holds(leaf_s)) {
+                            drop(fb);
+                            parent.lock.unlock();
+                            gp.lock.unlock();
+                            csds_metrics::restart();
+                            continue;
+                        }
                         let sibling = sibling_slot.load(guard);
                         gp.slot.store(sibling);
                         parent.removed.store(1, Ordering::Release);
                         l.removed.store(1, Ordering::Release);
+                        drop(fb);
                         // The unlinked router stays locked *forever*: a
                         // thread that reached it through a stale pointer
                         // and then read its (post-unlink) version must not
@@ -454,9 +438,9 @@ impl<V: Clone + Send + Sync> BstTk<V> {
     /// The external tree makes replacement structural and atomic: a present
     /// key's leaf is swapped wholesale for a fresh leaf carrying the
     /// closure's value, via one store into the parent slot under the
-    /// parent's versioned trylock (elision-mode trees take the real lock
-    /// plus the fallback sequence lock); an absent key reuses the insert
-    /// write phase (new leaf, or router + two leaves). **Linearization
+    /// parent's versioned trylock (elision-mode trees then also enter the
+    /// region); an absent key reuses the insert write phase (new leaf, or
+    /// router + two leaves). **Linearization
     /// point: the parent-slot store**; read-only decisions linearize at the
     /// parse phase's leaf read. Version mismatches restart, as everywhere
     /// in BST-TK.
@@ -480,42 +464,25 @@ impl<V: Clone + Send + Sync> BstTk<V> {
                 };
                 let new_leaf = Shared::boxed(Node::leaf(k, new_value));
                 // Write phase: replace the leaf in its parent slot.
-                if let Some(region) = &self.region {
-                    // Elision-mode: real lock, then validate and store under
-                    // the fallback sequence lock (serializes with
-                    // speculative write phases, which read `p.slot` and the
-                    // removed flags).
-                    p.lock.lock();
-                    let fb = region.enter_fallback();
-                    let ok = p
-                        .owner_removed()
-                        .map_or(true, |r| r.load(Ordering::Acquire) == 0)
-                        && p.slot.load(guard) == leaf_s;
-                    if !ok {
-                        drop(fb);
-                        p.lock.unlock();
-                        // SAFETY: never published.
-                        unsafe { drop(new_leaf.into_box()) };
-                        csds_metrics::restart();
-                        continue;
-                    }
-                    p.slot.store(new_leaf); // linearization point
-                    l.removed.store(1, Ordering::Release);
+                if !p.lock.try_lock_version(p.ver) {
+                    // SAFETY: never published.
+                    unsafe { drop(new_leaf.into_box()) };
+                    csds_metrics::restart();
+                    continue;
+                }
+                let fb = self.region.as_ref().map(TxRegion::enter_fallback);
+                if !p.holds(leaf_s) {
                     drop(fb);
                     p.lock.unlock();
-                } else {
-                    if !p.lock.try_lock_version(p.ver) {
-                        // SAFETY: never published.
-                        unsafe { drop(new_leaf.into_box()) };
-                        csds_metrics::restart();
-                        continue;
-                    }
-                    // Version matched ⇒ the slot is unchanged since parse.
-                    debug_assert!(p.slot.load(guard) == leaf_s);
-                    p.slot.store(new_leaf); // linearization point
-                    l.removed.store(1, Ordering::Release);
-                    p.lock.unlock();
+                    // SAFETY: never published.
+                    unsafe { drop(new_leaf.into_box()) };
+                    csds_metrics::restart();
+                    continue;
                 }
+                p.slot.store(new_leaf); // linearization point
+                l.removed.store(1, Ordering::Release);
+                drop(fb);
+                p.lock.unlock();
                 let prev = l.value.clone();
                 // SAFETY: unlinked by the winning slot store; retired once.
                 unsafe { guard.defer_drop(leaf_s) };
@@ -569,33 +536,22 @@ impl<V: Clone + Send + Sync> BstTk<V> {
                     }
                 }
             };
-            if let Some(region) = &self.region {
-                p.lock.lock();
-                let fb = region.enter_fallback();
-                let ok = p
-                    .owner_removed()
-                    .map_or(true, |r| r.load(Ordering::Acquire) == 0)
-                    && p.slot.load(guard) == expected;
-                if !ok {
-                    drop(fb);
-                    p.lock.unlock();
-                    reclaim(replacement);
-                    csds_metrics::restart();
-                    continue;
-                }
-                p.slot.store(replacement); // linearization point
+            if !p.lock.try_lock_version(p.ver) {
+                reclaim(replacement);
+                csds_metrics::restart();
+                continue;
+            }
+            let fb = self.region.as_ref().map(TxRegion::enter_fallback);
+            if !p.holds(expected) {
                 drop(fb);
                 p.lock.unlock();
-            } else {
-                if !p.lock.try_lock_version(p.ver) {
-                    reclaim(replacement);
-                    csds_metrics::restart();
-                    continue;
-                }
-                debug_assert!(p.slot.load(guard) == expected);
-                p.slot.store(replacement); // linearization point
-                p.lock.unlock();
+                reclaim(replacement);
+                csds_metrics::restart();
+                continue;
             }
+            p.slot.store(replacement); // linearization point
+            drop(fb);
+            p.lock.unlock();
             // SAFETY: published; pinned.
             let cur = unsafe { new_leaf.deref() }.value.as_ref();
             return RmwOutcome {

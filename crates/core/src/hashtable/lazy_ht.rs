@@ -161,11 +161,11 @@ impl<V: Clone + Send + Sync> LazyHashTable<V> {
     pub fn insert_in(&self, key: u64, value: V, guard: &Guard) -> bool {
         crate::key::check_user_key(key);
         let bucket = self.bucket(key);
+        let mut value = Some(value);
 
         if let Some(region) = &self.region {
-            let mut value = Some(value);
             let mut new_node: Option<Shared<'_, Node<V>>> = None;
-            loop {
+            let new_s = loop {
                 let head = bucket.head.load(guard);
                 let (_, curr) = Self::scan(bucket, key, guard);
                 if !curr.is_null() {
@@ -206,44 +206,34 @@ impl<V: Clone + Send + Sync> LazyHashTable<V> {
                         csds_metrics::restart();
                         continue;
                     }
-                    Elided::FellBack => {
-                        let g = lock_guard(&bucket.lock);
-                        // Re-scan under the lock (serialized: cannot fail).
-                        let (_, curr) = Self::scan(bucket, key, guard);
-                        if !curr.is_null() {
-                            drop(g);
-                            // SAFETY: never published.
-                            unsafe { drop(new_s.into_box()) };
-                            return false;
-                        }
-                        // SAFETY: unpublished.
-                        unsafe { new_s.deref() }.next.store(bucket.head.load(guard));
-                        let fb = region.enter_fallback();
-                        bucket.head.store(new_s);
-                        drop(fb);
-                        drop(g);
-                        return true;
-                    }
+                    Elided::FellBack => break new_s,
                 }
-            }
+            };
+            // SAFETY: never published; the locked write phase below builds
+            // its own node from the value.
+            value = unsafe { new_s.into_box() }.value;
         }
 
-        // Locking mode: serialize the bucket; no restarts possible.
+        // Write phase: serialize the bucket (and, in elision mode, the
+        // region); no restarts possible.
         let g = lock_guard(&bucket.lock);
+        let fb = self.region.as_ref().map(TxRegion::enter_fallback);
         let (_, curr) = Self::scan(bucket, key, guard);
         if !curr.is_null() {
+            drop(fb);
             drop(g);
             return false;
         }
         let new_s = Shared::boxed(Node {
             key,
-            value: Some(value),
+            value,
             marked: AtomicUsize::new(0),
             next: Atomic::null(),
         });
         // SAFETY: unpublished.
         unsafe { new_s.deref() }.next.store(bucket.head.load(guard));
         bucket.head.store(new_s);
+        drop(fb);
         drop(g);
         true
     }
@@ -310,39 +300,18 @@ impl<V: Clone + Send + Sync> LazyHashTable<V> {
                         csds_metrics::restart();
                         continue;
                     }
-                    Elided::FellBack => {
-                        let g = lock_guard(&bucket.lock);
-                        let (pred, curr) = Self::scan(bucket, key, guard);
-                        if curr.is_null() {
-                            drop(g);
-                            return None;
-                        }
-                        // SAFETY: pinned.
-                        let c = unsafe { curr.deref() };
-                        let fb = region.enter_fallback();
-                        c.marked.store(1, Ordering::Release);
-                        let succ = c.next.load(guard);
-                        if pred.is_null() {
-                            bucket.head.store(succ);
-                        } else {
-                            // SAFETY: pinned; bucket serialized by the lock.
-                            unsafe { pred.deref() }.next.store(succ);
-                        }
-                        drop(fb);
-                        drop(g);
-                        let out = c.value.clone();
-                        // SAFETY: unlinked; retired once.
-                        unsafe { guard.defer_drop(curr) };
-                        return out;
-                    }
+                    Elided::FellBack => break,
                 }
             }
         }
 
-        // Locking mode: serialize the bucket; no restarts possible.
+        // Write phase: serialize the bucket (and, in elision mode, the
+        // region); no restarts possible.
         let g = lock_guard(&bucket.lock);
+        let fb = self.region.as_ref().map(TxRegion::enter_fallback);
         let (pred, curr) = Self::scan(bucket, key, guard);
         if curr.is_null() {
+            drop(fb);
             drop(g);
             return None;
         }
@@ -356,6 +325,7 @@ impl<V: Clone + Send + Sync> LazyHashTable<V> {
             // SAFETY: pinned; serialized by the bucket lock.
             unsafe { pred.deref() }.next.store(succ);
         }
+        drop(fb);
         drop(g);
         let out = c.value.clone();
         // SAFETY: unlinked under the bucket lock; retired once.
@@ -447,7 +417,7 @@ impl<V: Clone + Send + Sync> LazyHashTable<V> {
         let g = lock_guard(&bucket.lock);
         // Elision mode: hold the region's sequence lock across validation
         // and stores so concurrent speculation aborts or serializes.
-        let fb = self.region.as_ref().map(|r| r.enter_fallback());
+        let fb = self.region.as_ref().map(TxRegion::enter_fallback);
         let (pred, curr) = Self::scan(bucket, key, guard);
         if !curr.is_null() {
             // Under the bucket lock the chain holds no marked nodes (mark,

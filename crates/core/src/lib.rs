@@ -83,7 +83,11 @@ pub enum SyncMode {
     #[default]
     Locks,
     /// Emulated HTM lock elision with lock fallback (the paper's TSX
-    /// configuration, §5.4).
+    /// configuration, §5.4). An update speculates its write phase up to
+    /// [`ELISION_RETRIES`] times; after that it runs the same locked write
+    /// phase as [`SyncMode::Locks`], which additionally takes the
+    /// structure's `csds_htm::TxRegion` after its last lock and before it
+    /// validates, and holds it through its last store.
     Elision,
 }
 

@@ -14,7 +14,9 @@
 //! In [`SyncMode::Elision`] the write phase runs as an emulated hardware
 //! transaction instead of taking the per-node locks (paper §5.4); the
 //! validation becomes the transaction's read set and the two stores its
-//! write set, with the per-node locks used only on the fallback path.
+//! write set. When speculation gives up, the operation runs the one locked
+//! write phase, which enters the region after its last lock and before it
+//! validates.
 
 use csds_sync::atomic::{AtomicUsize, Ordering};
 
@@ -201,30 +203,22 @@ impl<V: Clone + Send + Sync, L: RawMutex + 'static> LazyList<V, L> {
                         csds_metrics::restart();
                         continue;
                     }
-                    Elided::FellBack => {
-                        let g = lock_guard(&pred.lock);
-                        if pred.is_marked() || curr.is_marked() || pred.next.load(guard) != curr_s {
-                            drop(g);
-                            csds_metrics::restart();
-                            continue;
-                        }
-                        let fb = region.enter_fallback();
-                        pred.next.store(new_s);
-                        drop(fb);
-                        drop(g);
-                        return true;
-                    }
+                    Elided::FellBack => {}
                 }
             }
 
-            // Write phase (locking mode): lock pred, validate, link.
+            // Write phase: lock pred, (elision mode) enter the region,
+            // validate, link.
             let g = lock_guard(&pred.lock);
+            let fb = self.region.as_ref().map(TxRegion::enter_fallback);
             if pred.is_marked() || curr.is_marked() || pred.next.load(guard) != curr_s {
+                drop(fb);
                 drop(g);
                 csds_metrics::restart();
                 continue;
             }
             pred.next.store(new_s);
+            drop(fb);
             drop(g);
             return true;
         }
@@ -277,33 +271,17 @@ impl<V: Clone + Send + Sync, L: RawMutex + 'static> LazyList<V, L> {
                         csds_metrics::restart();
                         continue;
                     }
-                    Elided::FellBack => {
-                        let gp = lock_guard(&pred.lock);
-                        let gc = lock_guard(&curr.lock);
-                        if pred.is_marked() || curr.is_marked() || pred.next.load(guard) != curr_s {
-                            drop(gc);
-                            drop(gp);
-                            csds_metrics::restart();
-                            continue;
-                        }
-                        let fb = region.enter_fallback();
-                        curr.marked.store(1, Ordering::Release);
-                        pred.next.store(curr.next.load(guard));
-                        drop(fb);
-                        drop(gc);
-                        drop(gp);
-                        let v = curr.value.clone();
-                        // SAFETY: unlinked above; retired once by us.
-                        unsafe { guard.defer_drop(curr_s) };
-                        return v;
-                    }
+                    Elided::FellBack => {}
                 }
             }
 
-            // Write phase (locking mode): lock pred and curr in list order.
+            // Write phase: lock pred and curr in list order, (elision mode)
+            // enter the region, validate, mark and unlink.
             let gp = lock_guard(&pred.lock);
             let gc = lock_guard(&curr.lock);
+            let fb = self.region.as_ref().map(TxRegion::enter_fallback);
             if pred.is_marked() || curr.is_marked() || pred.next.load(guard) != curr_s {
+                drop(fb);
                 drop(gc);
                 drop(gp);
                 csds_metrics::restart();
@@ -311,6 +289,7 @@ impl<V: Clone + Send + Sync, L: RawMutex + 'static> LazyList<V, L> {
             }
             curr.marked.store(1, Ordering::Release); // logical delete
             pred.next.store(curr.next.load(guard)); // physical delete
+            drop(fb);
             drop(gc);
             drop(gp);
             let v = curr.value.clone();
@@ -378,7 +357,7 @@ impl<V: Clone + Send + Sync, L: RawMutex + 'static> LazyList<V, L> {
                 // held across validation *and* stores.
                 let gp = lock_guard(&pred.lock);
                 let gc = lock_guard(&curr.lock);
-                let fb = self.region.as_ref().map(|r| r.enter_fallback());
+                let fb = self.region.as_ref().map(TxRegion::enter_fallback);
                 if pred.is_marked() || curr.is_marked() || pred.next.load(guard) != curr_s {
                     drop(fb);
                     drop(gc);
@@ -431,7 +410,7 @@ impl<V: Clone + Send + Sync, L: RawMutex + 'static> LazyList<V, L> {
             // SAFETY: unpublished.
             unsafe { new_s.deref() }.next.store(curr_s);
             let gp = lock_guard(&pred.lock);
-            let fb = self.region.as_ref().map(|r| r.enter_fallback());
+            let fb = self.region.as_ref().map(TxRegion::enter_fallback);
             if pred.is_marked() || curr.is_marked() || pred.next.load(guard) != curr_s {
                 drop(fb);
                 drop(gp);

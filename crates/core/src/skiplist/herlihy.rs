@@ -237,9 +237,8 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
             }
 
             if let Some(region) = &self.region {
-                // Speculative write phase: validate + link all levels in one
-                // transaction; `fully_linked` can be set pre-publication.
-                new_ref.fully_linked.store(1, Ordering::Relaxed);
+                // Speculative write phase: validate, link all levels and
+                // publish `fully_linked` in one transaction.
                 match attempt_elision(region, ELISION_RETRIES, |tx| {
                     for l in 0..=top {
                         // SAFETY: pinned.
@@ -252,6 +251,8 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
                             return SpecStep::Invalid;
                         }
                     }
+                    // Written first, so a reader that sees a link sees it.
+                    tx.write(&new_ref.fully_linked, 1);
                     for l in 0..=top {
                         // SAFETY: pinned.
                         let p = unsafe { preds[l].deref() };
@@ -264,28 +265,16 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
                         csds_metrics::restart();
                         continue;
                     }
-                    Elided::FellBack => {
-                        let guards = Self::lock_preds(&preds, top);
-                        if !self.validate_windows(&preds, &succs, top, guard) {
-                            drop(guards);
-                            csds_metrics::restart();
-                            continue;
-                        }
-                        let fb = region.enter_fallback();
-                        for l in 0..=top {
-                            // SAFETY: pinned.
-                            unsafe { preds[l].deref() }.next[l].store(new_s);
-                        }
-                        drop(fb);
-                        drop(guards);
-                        return true;
-                    }
+                    Elided::FellBack => {}
                 }
             }
 
-            // Locking write phase.
+            // Write phase: lock the predecessors, (elision mode) enter the
+            // region, validate, link bottom-up, publish.
             let guards = Self::lock_preds(&preds, top);
+            let fb = self.region.as_ref().map(TxRegion::enter_fallback);
             if !self.validate_windows(&preds, &succs, top, guard) {
+                drop(fb);
                 drop(guards);
                 csds_metrics::restart();
                 continue;
@@ -295,16 +284,22 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
                 unsafe { preds[l].deref() }.next[l].store(new_s);
             }
             new_ref.fully_linked.store(1, Ordering::Release);
+            drop(fb);
             drop(guards);
             return true;
         }
     }
 
     /// Guard-scoped `remove`.
+    ///
+    /// In elision mode the victim is marked and unlinked in one speculative
+    /// transaction; once speculation gives up, `speculate` turns off and the
+    /// operation re-finds the victim and takes the locking path.
     pub fn remove_in(&self, ukey: u64, guard: &Guard) -> Option<V> {
         let ikey = key::ikey(ukey);
-        // First iteration: identify and mark the victim (holding its lock
-        // across retries, as in the published algorithm).
+        let mut speculate = self.region.as_ref();
+        // Locking path: identify, lock and mark the victim once, holding its
+        // lock across retries, as in the published algorithm.
         let mut victim_s: Option<Shared<'_, Node<V>>> = None;
         let mut victim_guard: Option<LockGuard<'_, TasLock>> = None;
         loop {
@@ -329,17 +324,13 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
                     _ => {}
                 }
 
-                if let Some(region) = &self.region {
-                    // In elision mode, marking happens inside the same
-                    // transaction as unlinking — fall through below with the
-                    // victim recorded but unmarked/unlocked.
-                    let _ = region;
-                    victim_s = Some(succs[lf]);
-                } else {
+                if speculate.is_none() {
                     let g = lock_guard(&v.lock);
+                    let fb = self.region.as_ref().map(TxRegion::enter_fallback);
                     match v.marked.load(Ordering::Acquire) {
                         DELETED => return None, // lost to another remover
                         SUPERSEDED => {
+                            drop(fb);
                             drop(g);
                             csds_metrics::restart();
                             continue;
@@ -347,26 +338,17 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
                         _ => {}
                     }
                     v.marked.store(DELETED, Ordering::Release); // linearization
-                    victim_s = Some(succs[lf]);
+                    drop(fb);
                     victim_guard = Some(g);
                 }
+                victim_s = Some(succs[lf]);
             }
             let victim = victim_s.unwrap();
             // SAFETY: pinned; marked nodes stay reachable until unlinked.
             let v = unsafe { victim.deref() };
             let top = v.top_level;
 
-            if let Some(region) = &self.region {
-                if found.map(|lf| succs[lf]) != Some(victim) && v.is_deleted() {
-                    // Someone else's transaction marked it first.
-                    return None;
-                }
-                if v.marked.load(Ordering::Acquire) == SUPERSEDED {
-                    // Replaced: the key lives on in the replacement tower.
-                    csds_metrics::restart();
-                    victim_s = None;
-                    continue;
-                }
+            if let Some(region) = speculate {
                 match attempt_elision(region, ELISION_RETRIES, |tx| {
                     if tx.read(&v.marked) != 0 {
                         return SpecStep::Invalid; // another remover won
@@ -402,59 +384,17 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
                             return None; // lost to a concurrent remover
                         }
                         csds_metrics::restart();
-                        victim_s = None;
-                        continue;
                     }
-                    Elided::FellBack => {
-                        let vg = lock_guard(&v.lock);
-                        match v.marked.load(Ordering::Acquire) {
-                            DELETED => return None,
-                            SUPERSEDED => {
-                                drop(vg);
-                                csds_metrics::restart();
-                                victim_s = None;
-                                continue;
-                            }
-                            _ => {}
-                        }
-                        let guards = Self::lock_preds(&preds, top);
-                        let mut valid = true;
-                        for l in 0..=top {
-                            // SAFETY: pinned.
-                            let p = unsafe { preds[l].deref() };
-                            if p.is_marked() || p.next[l].load(guard) != victim {
-                                valid = false;
-                                break;
-                            }
-                        }
-                        if !valid {
-                            drop(guards);
-                            drop(vg);
-                            csds_metrics::restart();
-                            victim_s = None;
-                            continue;
-                        }
-                        let fb = region.enter_fallback();
-                        v.marked.store(1, Ordering::Release);
-                        for l in (0..=top).rev() {
-                            // SAFETY: pinned.
-                            let p = unsafe { preds[l].deref() };
-                            p.next[l].store(v.next[l].load(guard));
-                        }
-                        drop(fb);
-                        drop(guards);
-                        drop(vg);
-                        let out = v.value.clone();
-                        // SAFETY: unlinked; retired once.
-                        unsafe { guard.defer_drop(victim) };
-                        return out;
-                    }
+                    Elided::FellBack => speculate = None,
                 }
+                victim_s = None;
+                continue;
             }
 
-            // Locking mode: victim already marked and locked; lock preds,
-            // validate, unlink.
+            // Locking path: victim already marked and locked; lock preds,
+            // (elision mode) enter the region, validate, unlink.
             let guards = Self::lock_preds(&preds, top);
+            let fb = self.region.as_ref().map(TxRegion::enter_fallback);
             let mut valid = true;
             for l in 0..=top {
                 // SAFETY: pinned.
@@ -465,6 +405,7 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
                 }
             }
             if !valid {
+                drop(fb);
                 drop(guards);
                 csds_metrics::restart();
                 continue; // victim stays marked & locked; re-find windows
@@ -474,6 +415,7 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
                 let p = unsafe { preds[l].deref() };
                 p.next[l].store(v.next[l].load(guard));
             }
+            drop(fb);
             drop(guards);
             drop(victim_guard.take());
             let out = v.value.clone();
@@ -590,7 +532,7 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
                 let top = v.top_level;
                 let vg = lock_guard(&v.lock);
                 let guards = Self::lock_preds(&preds, top);
-                let fb = self.region.as_ref().map(|r| r.enter_fallback());
+                let fb = self.region.as_ref().map(TxRegion::enter_fallback);
                 let mut valid = !v.is_marked();
                 if valid {
                     for l in 0..=top {
@@ -654,7 +596,7 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
                 new_ref.next[l].store(succs[l]);
             }
             let guards = Self::lock_preds(&preds, top);
-            let fb = self.region.as_ref().map(|r| r.enter_fallback());
+            let fb = self.region.as_ref().map(TxRegion::enter_fallback);
             if !self.validate_windows(&preds, &succs, top, guard) {
                 drop(fb);
                 drop(guards);

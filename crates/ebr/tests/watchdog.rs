@@ -15,7 +15,18 @@
 //! model knob re-introduces for the checker) and assert the watchdog fires;
 //! the control asserts a healthy loop stays silent.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use csds_ebr::{health, pin, set_watchdog_threshold, Atomic};
+
+/// The tests share the process-wide epoch: while one holds a guard (the
+/// starved thread's outer pin), a healthy loop running beside it cannot
+/// collect and trips its own watchdog. Each test holds this for its body.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Each spawned thread gets fresh thread-local metrics/EBR state, so the
 /// scenarios don't contaminate each other (tests run in one process).
@@ -45,6 +56,7 @@ fn churn_starved(n: usize) -> csds_metrics::StatsSnapshot {
 
 #[test]
 fn watchdog_fires_under_repin_starvation() {
+    let _serial = serial();
     let snap = in_fresh_thread(|| churn_starved(400));
     assert!(
         snap.ebr_stall_events >= 400 / 64,
@@ -73,6 +85,7 @@ fn watchdog_fires_under_repin_starvation() {
 
 #[test]
 fn watchdog_stays_silent_on_healthy_churn() {
+    let _serial = serial();
     let snap = in_fresh_thread(|| {
         let _ = csds_metrics::take_and_reset();
         // A healthy thread's pending count legitimately hovers around a few
@@ -104,6 +117,7 @@ fn watchdog_stays_silent_on_healthy_churn() {
 
 #[test]
 fn health_reports_pinned_lag() {
+    let _serial = serial();
     in_fresh_thread(|| {
         let _g = pin();
         let h = health();

@@ -25,10 +25,15 @@
 //!   been running longer than a scheduling quantum (it was descheduled
 //!   mid-flight), or that an injected preemption tick fired, aborts with
 //!   [`TxAbort::Interrupted`] instead of committing;
-//! * the lock-based fallback path must wrap its writes in
-//!   [`TxRegion::enter_fallback`], which holds the sequence lock — this is
-//!   the analogue of a TSX transaction subscribing to the lock word, and is
-//!   what makes fallback writers visible to concurrent speculators.
+//! * the lock-based fallback path takes [`TxRegion::enter_fallback`], which
+//!   holds the sequence lock, **after** the structure's locks and **before**
+//!   it validates, and holds it through its last store. Speculators never
+//!   read the structure's lock words (the emulation has no equivalent of a
+//!   TSX transaction subscribing to them), so a fallback that validated
+//!   first could be overtaken by a commit between its validation and its
+//!   stores: two removers would then both unlink and retire one node.
+//!   Structures therefore have one write phase for both modes; in elision
+//!   mode it is the fallback, and only the region guard is extra.
 //!
 //! This preserves every property the paper's experiments rely on:
 //! descheduled threads hold no locks, conflicts abort speculation, retries
@@ -131,7 +136,10 @@ impl TxRegion {
     /// Enter the pessimistic fallback: acquires the sequence lock so that
     /// concurrent speculators either validate against the fallback's
     /// completed writes or abort. Call *after* taking the structure's real
-    /// locks; the guard must enclose every shared write of the section.
+    /// locks and *before* validating what they protect, and hold the guard
+    /// through the section's last shared write: a commit cannot then land
+    /// between the validation and the writes. Never wait for a structure
+    /// lock while holding the guard.
     pub fn enter_fallback(&self) -> FallbackGuard<'_> {
         let mut backoff = Backoff::new();
         loop {
@@ -300,8 +308,9 @@ pub enum Elided<R> {
     /// Algorithm-level validation failed: the operation should restart from
     /// its parse phase.
     Invalid,
-    /// Retries exhausted: the caller must execute its lock-based fallback
-    /// (wrapping its writes in [`TxRegion::enter_fallback`]).
+    /// Retries exhausted: the caller must run its locked write phase, which
+    /// takes [`TxRegion::enter_fallback`] after its locks, before its
+    /// validation, and holds it through its last store.
     FellBack,
 }
 

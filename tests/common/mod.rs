@@ -3,7 +3,7 @@
 // Each test binary compiles this module separately and uses a subset of it.
 #![allow(dead_code)]
 
-use csds_sync::atomic::{AtomicU64, Ordering};
+use csds_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -265,6 +265,16 @@ pub fn concurrent_counter_sum(
     );
 }
 
+/// Spin until the driver raises `start`. The net-effect drivers spawn
+/// every worker before any begins, so the workers' operations overlap
+/// instead of running one thread after another while the rest are still
+/// being spawned.
+fn await_start(start: &AtomicBool) {
+    while !start.load(Ordering::Acquire) {
+        std::hint::spin_loop();
+    }
+}
+
 /// Concurrent net-effect invariant through one [`MapHandle`] per worker
 /// thread (the harness's hot-loop configuration).
 pub fn net_effect_handle(
@@ -275,12 +285,15 @@ pub fn net_effect_handle(
 ) {
     let ins: Arc<Vec<AtomicU64>> = Arc::new((0..key_range).map(|_| AtomicU64::new(0)).collect());
     let rem: Arc<Vec<AtomicU64>> = Arc::new((0..key_range).map(|_| AtomicU64::new(0)).collect());
+    let start = Arc::new(AtomicBool::new(false));
     let mut handles = Vec::new();
     for t in 0..threads {
         let map = Arc::clone(&map);
         let ins = Arc::clone(&ins);
         let rem = Arc::clone(&rem);
+        let start = Arc::clone(&start);
         handles.push(std::thread::spawn(move || {
+            await_start(&start);
             let mut h = MapHandle::new(map.as_ref().as_ref());
             let mut rng = rng_stream(0xFACE ^ (t as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15));
             for _ in 0..ops_per_thread {
@@ -305,6 +318,7 @@ pub fn net_effect_handle(
             }
         }));
     }
+    start.store(true, Ordering::Release);
     for h in handles {
         h.join().unwrap();
     }
@@ -328,12 +342,15 @@ pub fn net_effect(
 ) {
     let ins: Arc<Vec<AtomicU64>> = Arc::new((0..key_range).map(|_| AtomicU64::new(0)).collect());
     let rem: Arc<Vec<AtomicU64>> = Arc::new((0..key_range).map(|_| AtomicU64::new(0)).collect());
+    let start = Arc::new(AtomicBool::new(false));
     let mut handles = Vec::new();
     for t in 0..threads {
         let map = Arc::clone(&map);
         let ins = Arc::clone(&ins);
         let rem = Arc::clone(&rem);
+        let start = Arc::clone(&start);
         handles.push(std::thread::spawn(move || {
+            await_start(&start);
             let mut rng = rng_stream(0xBEEF ^ (t as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15));
             for _ in 0..ops_per_thread {
                 let key = rng() % key_range;
@@ -357,6 +374,7 @@ pub fn net_effect(
             }
         }));
     }
+    start.store(true, Ordering::Release);
     for h in handles {
         h.join().unwrap();
     }

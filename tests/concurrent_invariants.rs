@@ -36,6 +36,10 @@ fn extreme_contention_tiny_structure() {
 
 #[test]
 fn elision_variants_under_contention() {
+    // Three keys and long overlapping runs make speculative commits race
+    // the locked write phases of exhausted speculation on the same node.
+    // That is where a fallback that validated before entering the region
+    // double-unlinked (and double-freed) a node a speculator had removed.
     for algo in [
         AlgoKind::LazyListElided,
         AlgoKind::HerlihySkipListElided,
@@ -43,7 +47,7 @@ fn elision_variants_under_contention() {
         AlgoKind::BstTkElided,
     ] {
         let map = Arc::new(algo.make(32));
-        common::net_effect(map, 6, 1_500, 16);
+        common::net_effect(map, 6, 400_000, 3);
     }
 }
 

@@ -8,32 +8,50 @@ use std::time::Instant;
 
 use csds::core::ConcurrentMap;
 use csds::harness::AlgoKind;
+use csds::htm::TxRegion;
 use csds::lincheck::{check_history, Event, OpKind};
-use csds::metrics::DelayPolicy;
+use csds::metrics::{DelayPolicy, StatsSnapshot};
 
 /// Small value space so compare-and-swaps actually match sometimes.
 const VALUES: u64 = 4;
 
-/// Record a short concurrent history on `algo` over a handful of keys.
-/// `compound` adds upsert/CAS/fetch-add arms to the recorded mix; `stall`
-/// arms a [`DelayPolicy`] on every worker that holds each critical section
-/// for the paper's 1–100 µs. Also returns how many of the recorded
-/// operations fell back from an optimistic path to its locked one.
+/// Holds every critical section for the paper's 1–100 µs (§5.4).
+const PAPER_STALL: DelayPolicy = DelayPolicy {
+    every: 1,
+    min_ns: 1_000,
+    max_ns: 100_000,
+    seed: 0,
+};
+
+/// Stalls every speculative attempt past the emulated scheduling quantum,
+/// so each one aborts as interrupted and every update falls back.
+const OVER_QUANTUM_STALL: DelayPolicy = DelayPolicy {
+    every: 1,
+    min_ns: TxRegion::DEFAULT_QUANTUM.as_nanos() as u64 * 3 / 2,
+    max_ns: TxRegion::DEFAULT_QUANTUM.as_nanos() as u64 * 3,
+    seed: 0,
+};
+
+/// Record a short concurrent history on `algo` over a handful of keys, one
+/// recording thread per entry of `stalls`. `compound` adds
+/// upsert/CAS/fetch-add arms to the recorded mix; a `Some` entry arms that
+/// [`DelayPolicy`] (with a seed of the thread's own) on its thread. Also
+/// returns the recording threads' summed counters.
 fn record_history(
     algo: AlgoKind,
-    threads: usize,
+    stalls: &[Option<DelayPolicy>],
     ops_per_thread: usize,
     keys: u64,
     compound: bool,
-    stall: bool,
     seed: u64,
-) -> (Vec<Event>, u64) {
+) -> (Vec<Event>, StatsSnapshot) {
+    let threads = stalls.len();
     let map = Arc::new(algo.make(16));
     let origin = Instant::now();
     let barrier = Arc::new(Barrier::new(threads));
-    let events = Arc::new(Mutex::new((Vec::new(), 0u64)));
+    let events = Arc::new(Mutex::new((Vec::new(), StatsSnapshot::default())));
     let mut handles = Vec::new();
-    for t in 0..threads {
+    for (t, &stall) in stalls.iter().enumerate() {
         let map = Arc::clone(&map);
         let barrier = Arc::clone(&barrier);
         let events = Arc::clone(&events);
@@ -48,12 +66,10 @@ fn record_history(
             let mut local = Vec::new();
             // The policy and the counters are thread-local, and this thread
             // ends with the history.
-            if stall {
+            if let Some(policy) = stall {
                 csds::metrics::set_delay_policy(Some(DelayPolicy {
-                    every: 1,
-                    min_ns: 1_000,
-                    max_ns: 100_000,
                     seed: rng(),
+                    ..policy
                 }));
             }
             let _ = csds::metrics::take_and_reset();
@@ -104,7 +120,7 @@ fn record_history(
             }
             let mut events = events.lock().unwrap();
             events.0.extend(local);
-            events.1 += csds::metrics::take_and_reset().optimistic_fallbacks;
+            events.1.merge(&csds::metrics::take_and_reset());
         }));
     }
     for h in handles {
@@ -117,21 +133,26 @@ fn check_algo(algo: AlgoKind, compound: bool, rounds: u64) {
     // Several small rounds rather than one big history: the checker is
     // exponential per key, and short rounds catch races just as well.
     for round in 0..rounds {
-        // 3 threads x 6 ops over 4 keys ⇒ ≤ 18 events, ≤ ~10 per key.
-        check_round(algo, compound, false, round);
+        check_round(algo, compound, &[None; 3], round);
     }
 }
 
-/// Record and check one round; returns its optimistic-fallback count.
-fn check_round(algo: AlgoKind, compound: bool, stall: bool, round: u64) -> u64 {
-    let (history, fallbacks) = record_history(algo, 3, 6, 4, compound, stall, 0xC0DE + round);
+/// Record and check one round; returns the recording threads' counters.
+fn check_round(
+    algo: AlgoKind,
+    compound: bool,
+    stalls: &[Option<DelayPolicy>; 3],
+    round: u64,
+) -> StatsSnapshot {
+    // 3 threads x 6 ops over 4 keys ⇒ ≤ 18 events, ≤ ~10 per key.
+    let (history, stats) = record_history(algo, stalls, 6, 4, compound, 0xC0DE + round);
     let result = check_history(&[], &history);
     assert!(
         result.is_ok(),
-        "{}: round {round} not linearizable (compound={compound}, stall={stall}): {result:?}\nhistory: {history:#?}",
+        "{}: round {round} not linearizable (compound={compound}, stalls={stalls:?}): {result:?}\nhistory: {history:#?}",
         algo.name()
     );
-    fallbacks
+    stats
 }
 
 #[test]
@@ -159,11 +180,14 @@ fn figure_structures_get_extra_rounds() {
         AlgoKind::LazyListElided,
         AlgoKind::HarrisList,
         AlgoKind::HerlihySkipList,
+        AlgoKind::HerlihySkipListElided,
         AlgoKind::CouplingList,
         AlgoKind::CouplingHashTable,
         AlgoKind::LazyHashTable,
+        AlgoKind::LazyHashTableElided,
         AlgoKind::ElasticHashTable,
         AlgoKind::BstTk,
+        AlgoKind::BstTkElided,
     ] {
         check_algo(algo, true, 8);
     }
@@ -185,7 +209,8 @@ fn optimistic_fallbacks_stay_linearizable_under_stalled_lock_holders() {
             AlgoKind::LazyHashTable,
             AlgoKind::ElasticHashTable,
         ] {
-            fallbacks += check_round(algo, true, true, round);
+            fallbacks +=
+                check_round(algo, true, &[Some(PAPER_STALL); 3], round).optimistic_fallbacks;
         }
         if round >= 3 && fallbacks > 0 {
             break;
@@ -194,6 +219,33 @@ fn optimistic_fallbacks_stay_linearizable_under_stalled_lock_holders() {
     assert!(
         fallbacks > 0,
         "no recorded operation took a locked fallback in 1024 stalled rounds"
+    );
+}
+
+#[test]
+fn elided_fallbacks_stay_linearizable_beside_speculation() {
+    // Two recording threads stall every speculative attempt past the
+    // quantum, so their updates exhaust speculation and run the locked
+    // write phase; the third speculates unstalled beside them. The summed
+    // fallback count proves the checked histories contain fallbacks.
+    let stalls = [None, Some(OVER_QUANTUM_STALL), Some(OVER_QUANTUM_STALL)];
+    let mut fallbacks = 0;
+    for round in 0..256 {
+        for algo in [
+            AlgoKind::LazyListElided,
+            AlgoKind::HerlihySkipListElided,
+            AlgoKind::LazyHashTableElided,
+            AlgoKind::BstTkElided,
+        ] {
+            fallbacks += check_round(algo, true, &stalls, round).elide_fallbacks;
+        }
+        if round >= 3 && fallbacks > 0 {
+            break;
+        }
+    }
+    assert!(
+        fallbacks > 0,
+        "no recorded operation fell back from speculation in 256 stalled rounds"
     );
 }
 
