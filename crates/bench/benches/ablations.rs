@@ -1,4 +1,4 @@
-//! Design-choice ablations called out in DESIGN.md:
+//! Design-choice ablations:
 //!
 //! * **lock kind** — the lazy list with TAS vs ticket vs MCS node locks;
 //!   the paper (§3.2) observed "no benefits from more complex locks" for

@@ -6,7 +6,7 @@
 //! * `get` descends the towers with no stores and no restarts;
 //! * `insert` parses to the per-level `(pred, succ)` windows, locks the
 //!   distinct predecessors bottom-up, validates
-//!   (`!pred.marked && !succ.marked && pred.next[l] == succ`), links the new
+//!   (`!pred.marked && !succ.marked && pred.next(l) == succ`), links the new
 //!   tower bottom-up and finally sets `fully_linked`;
 //! * `remove` locks the victim, sets `marked` (linearization point), then
 //!   locks the predecessors and unlinks every level.
@@ -27,7 +27,9 @@ use csds_htm::{attempt_elision, Elided, SpecStep, TxRegion};
 use csds_sync::{lock_guard, LockGuard, RawMutex, TasLock};
 
 use crate::key::{self, HEAD_IKEY, TAIL_IKEY};
-use crate::skiplist::{random_level, MAX_LEVEL};
+use crate::skiplist::{
+    alloc_node, free_all, node, random_level, reclaim, retire, Header, MAX_LEVEL,
+};
 use crate::{GuardedMap, RmwFn, RmwOutcome, SyncMode, ELISION_RETRIES};
 
 /// `marked` state: node is live.
@@ -41,17 +43,27 @@ const DELETED: usize = 1;
 /// (`marked != 0`) treats it as gone.
 const SUPERSEDED: usize = 2;
 
+/// The node header; its successors follow it in the same block (see the
+/// [module layout](super)). `marked` and `fully_linked` stay word-sized:
+/// the elided write phases read and write them through the transaction's
+/// `&AtomicUsize` interface.
 struct Node<V> {
     key: u64,
     value: Option<V>,
-    lock: TasLock,
     /// [`LIVE`], [`DELETED`] or `SUPERSEDED`.
     marked: AtomicUsize,
     /// 0 until the full tower is linked; readers ignore half-built towers.
     fully_linked: AtomicUsize,
-    /// Index of the highest level this node occupies (height - 1).
-    top_level: usize,
-    next: Box<[Atomic<Node<V>>]>,
+    lock: TasLock,
+    top_level: u8,
+}
+
+// SAFETY: `top_level` is never written after construction.
+unsafe impl<V> Header for Node<V> {
+    #[inline]
+    fn top_level(&self) -> usize {
+        usize::from(self.top_level)
+    }
 }
 
 impl<V> Node<V> {
@@ -59,11 +71,10 @@ impl<V> Node<V> {
         Node {
             key: ikey,
             value,
-            lock: TasLock::new(),
             marked: AtomicUsize::new(0),
             fully_linked: AtomicUsize::new(0),
-            top_level: height - 1,
-            next: (0..height).map(|_| Atomic::null()).collect(),
+            lock: TasLock::new(),
+            top_level: (height - 1) as u8,
         }
     }
 
@@ -111,19 +122,18 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
 
     /// Empty skiplist with an explicit write-phase synchronization mode.
     pub fn with_mode(mode: SyncMode) -> Self {
-        let tail = Shared::boxed(Node::new(TAIL_IKEY, None, MAX_LEVEL));
-        let head = Node::new(HEAD_IKEY, None, MAX_LEVEL);
+        let tail = alloc_node(Node::new(TAIL_IKEY, None, MAX_LEVEL));
+        let head = alloc_node(Node::new(HEAD_IKEY, None, MAX_LEVEL));
+        // SAFETY: owned, unpublished.
+        let (h, t) = unsafe { (node(head), node(tail)) };
         for l in 0..MAX_LEVEL {
-            head.next[l].store(tail);
+            h.next(l).store(tail);
         }
         // Sentinels are always "fully linked".
-        head.fully_linked.store(1, Ordering::Relaxed);
-        // SAFETY: unpublished.
-        unsafe { tail.deref() }
-            .fully_linked
-            .store(1, Ordering::Relaxed);
+        h.fully_linked.store(1, Ordering::Relaxed);
+        t.fully_linked.store(1, Ordering::Relaxed);
         HerlihySkipList {
-            head: Atomic::new(head),
+            head: Atomic::from(head),
             region: match mode {
                 SyncMode::Locks => None,
                 SyncMode::Elision => Some(TxRegion::new()),
@@ -140,19 +150,19 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
         let mut pred = self.head.load(guard);
         for level in (0..MAX_LEVEL).rev() {
             // SAFETY: pinned traversal; head never retired.
-            let mut curr = unsafe { pred.deref() }.next[level].load(guard);
+            let mut curr = unsafe { node(pred) }.next(level).load(guard);
             loop {
                 // SAFETY: pinned.
-                let c = unsafe { curr.deref() };
+                let c = unsafe { node(curr) };
                 if c.key < ikey {
                     pred = curr;
-                    curr = c.next[level].load(guard);
+                    curr = c.next(level).load(guard);
                 } else {
                     break;
                 }
             }
             // SAFETY: pinned.
-            if found.is_none() && unsafe { curr.deref() }.key == ikey {
+            if found.is_none() && unsafe { node(curr) }.key == ikey {
                 found = Some(level);
             }
             preds[level] = pred;
@@ -176,7 +186,7 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
         for (_l, &p) in preds.iter().enumerate().take(top + 1) {
             if p != prev {
                 // SAFETY: pinned (shared refs outlive the guards we return).
-                guards.push(lock_guard(&unsafe { p.deref() }.lock));
+                guards.push(lock_guard(&unsafe { node(p) }.header().lock));
                 prev = p;
             }
         }
@@ -192,9 +202,9 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
     ) -> bool {
         for l in 0..=top {
             // SAFETY: pinned.
-            let p = unsafe { preds[l].deref() };
-            let s = unsafe { succs[l].deref() };
-            if p.is_marked() || s.is_marked() || p.next[l].load(guard) != succs[l] {
+            let p = unsafe { node(preds[l]) };
+            let s = unsafe { node(succs[l]) };
+            if p.is_marked() || s.is_marked() || p.next(l).load(guard) != succs[l] {
                 return false;
             }
         }
@@ -212,15 +222,15 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
             let ((preds, succs), found) = self.find(ikey, guard);
             if let Some(lf) = found {
                 // SAFETY: pinned.
-                let node = unsafe { succs[lf].deref() };
-                if !node.is_marked() {
+                let n = unsafe { node(succs[lf]) };
+                if !n.is_marked() {
                     // Wait until it is fully linked, then report "present".
-                    while !node.is_fully_linked() {
+                    while !n.is_fully_linked() {
                         std::hint::spin_loop();
                     }
                     if let Some(n) = new_node.take() {
                         // SAFETY: never published.
-                        unsafe { drop(n.into_box()) };
+                        unsafe { drop(reclaim(n)) };
                     }
                     return false;
                 }
@@ -228,12 +238,12 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
                 csds_metrics::restart();
                 continue;
             }
-            let new_s = *new_node
-                .get_or_insert_with(|| Shared::boxed(Node::new(ikey, value.take(), height)));
+            let new_s =
+                *new_node.get_or_insert_with(|| alloc_node(Node::new(ikey, value.take(), height)));
             // SAFETY: unpublished; exclusive access.
-            let new_ref = unsafe { new_s.deref() };
+            let new_ref = unsafe { node(new_s) };
             for l in 0..=top {
-                new_ref.next[l].store(succs[l]);
+                new_ref.next(l).store(succs[l]);
             }
 
             if let Some(region) = &self.region {
@@ -242,21 +252,21 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
                 match attempt_elision(region, ELISION_RETRIES, |tx| {
                     for l in 0..=top {
                         // SAFETY: pinned.
-                        let p = unsafe { preds[l].deref() };
-                        let s = unsafe { succs[l].deref() };
-                        if tx.read(&p.marked) != 0 || tx.read(&s.marked) != 0 {
+                        let p = unsafe { node(preds[l]) };
+                        let s = unsafe { node(succs[l]) };
+                        if tx.read(&p.header().marked) != 0 || tx.read(&s.header().marked) != 0 {
                             return SpecStep::Invalid;
                         }
-                        if tx.read(p.next[l].as_raw_atomic()) != succs[l].as_raw() {
+                        if tx.read(p.next(l).as_raw_atomic()) != succs[l].as_raw() {
                             return SpecStep::Invalid;
                         }
                     }
                     // Written first, so a reader that sees a link sees it.
-                    tx.write(&new_ref.fully_linked, 1);
+                    tx.write(&new_ref.header().fully_linked, 1);
                     for l in 0..=top {
                         // SAFETY: pinned.
-                        let p = unsafe { preds[l].deref() };
-                        tx.write(p.next[l].as_raw_atomic(), new_s.as_raw());
+                        let p = unsafe { node(preds[l]) };
+                        tx.write(p.next(l).as_raw_atomic(), new_s.as_raw());
                     }
                     SpecStep::Commit(())
                 }) {
@@ -281,7 +291,7 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
             }
             for l in 0..=top {
                 // SAFETY: pinned.
-                unsafe { preds[l].deref() }.next[l].store(new_s);
+                unsafe { node(preds[l]) }.next(l).store(new_s);
             }
             new_ref.fully_linked.store(1, Ordering::Release);
             drop(fb);
@@ -307,10 +317,10 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
             if victim_s.is_none() {
                 let lf = found?;
                 // SAFETY: pinned.
-                let v = unsafe { succs[lf].deref() };
+                let v = unsafe { node(succs[lf]) };
                 // Only delete nodes that are fully linked at their full
                 // height and not already marked.
-                if !v.is_fully_linked() || v.top_level != lf {
+                if !v.is_fully_linked() || v.top_level() != lf {
                     return None;
                 }
                 match v.marked.load(Ordering::Acquire) {
@@ -325,7 +335,7 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
                 }
 
                 if speculate.is_none() {
-                    let g = lock_guard(&v.lock);
+                    let g = lock_guard(&v.header().lock);
                     let fb = self.region.as_ref().map(TxRegion::enter_fallback);
                     match v.marked.load(Ordering::Acquire) {
                         DELETED => return None, // lost to another remover
@@ -345,30 +355,30 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
             }
             let victim = victim_s.unwrap();
             // SAFETY: pinned; marked nodes stay reachable until unlinked.
-            let v = unsafe { victim.deref() };
-            let top = v.top_level;
+            let v = unsafe { node(victim) };
+            let top = v.top_level();
 
             if let Some(region) = speculate {
                 match attempt_elision(region, ELISION_RETRIES, |tx| {
-                    if tx.read(&v.marked) != 0 {
+                    if tx.read(&v.header().marked) != 0 {
                         return SpecStep::Invalid; // another remover won
                     }
                     for l in 0..=top {
                         // SAFETY: pinned.
-                        let p = unsafe { preds[l].deref() };
-                        if tx.read(&p.marked) != 0 {
+                        let p = unsafe { node(preds[l]) };
+                        if tx.read(&p.header().marked) != 0 {
                             return SpecStep::Invalid;
                         }
-                        if tx.read(p.next[l].as_raw_atomic()) != victim.as_raw() {
+                        if tx.read(p.next(l).as_raw_atomic()) != victim.as_raw() {
                             return SpecStep::Invalid;
                         }
                     }
-                    tx.write(&v.marked, 1);
+                    tx.write(&v.header().marked, 1);
                     for l in 0..=top {
                         // SAFETY: pinned.
-                        let p = unsafe { preds[l].deref() };
-                        let succ = tx.read(v.next[l].as_raw_atomic());
-                        tx.write(p.next[l].as_raw_atomic(), succ);
+                        let p = unsafe { node(preds[l]) };
+                        let succ = tx.read(v.next(l).as_raw_atomic());
+                        tx.write(p.next(l).as_raw_atomic(), succ);
                     }
                     SpecStep::Commit(())
                 }) {
@@ -376,7 +386,7 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
                         let out = v.value.clone();
                         // SAFETY: unlinked at all levels in one commit;
                         // retired exactly once by this remover.
-                        unsafe { guard.defer_drop(victim) };
+                        unsafe { retire(guard, victim) };
                         return out;
                     }
                     Elided::Invalid => {
@@ -398,8 +408,8 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
             let mut valid = true;
             for l in 0..=top {
                 // SAFETY: pinned.
-                let p = unsafe { preds[l].deref() };
-                if p.is_marked() || p.next[l].load(guard) != victim {
+                let p = unsafe { node(preds[l]) };
+                if p.is_marked() || p.next(l).load(guard) != victim {
                     valid = false;
                     break;
                 }
@@ -412,8 +422,8 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
             }
             for l in (0..=top).rev() {
                 // SAFETY: pinned.
-                let p = unsafe { preds[l].deref() };
-                p.next[l].store(v.next[l].load(guard));
+                let p = unsafe { node(preds[l]) };
+                p.next(l).store(v.next(l).load(guard));
             }
             drop(fb);
             drop(guards);
@@ -421,7 +431,7 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
             let out = v.value.clone();
             // SAFETY: unlinked at every level; retired once by this remover
             // (uniqueness guaranteed by the marked flag).
-            unsafe { guard.defer_drop(victim) };
+            unsafe { retire(guard, victim) };
             return out;
         }
     }
@@ -431,17 +441,17 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
         let g = pin();
         let mut out = Vec::new();
         // SAFETY: pinned bottom-level traversal.
-        let mut curr = unsafe { self.head.load(&g).deref() }.next[0].load(&g);
+        let mut curr = unsafe { node(self.head.load(&g)) }.next(0).load(&g);
         loop {
             // SAFETY: pinned.
-            let c = unsafe { curr.deref() };
+            let c = unsafe { node(curr) };
             if c.key == TAIL_IKEY {
                 return out;
             }
             if !c.is_deleted() && c.is_fully_linked() {
                 out.push(key::ukey(c.key));
             }
-            curr = c.next[0].load(&g);
+            curr = c.next(0).load(&g);
         }
     }
 
@@ -451,9 +461,9 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
         let ((_, succs), found) = self.find(ikey, guard);
         let lf = found?;
         // SAFETY: pinned.
-        let node = unsafe { succs[lf].deref() };
-        if node.is_fully_linked() && !node.is_deleted() {
-            node.value.as_ref()
+        let n = unsafe { node(succs[lf]) };
+        if n.is_fully_linked() && !n.is_deleted() {
+            n.header().value.as_ref()
         } else {
             None
         }
@@ -463,17 +473,17 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
     pub fn len_in(&self, guard: &Guard) -> usize {
         let mut n = 0;
         // SAFETY: pinned bottom-level traversal.
-        let mut curr = unsafe { self.head.load(guard).deref() }.next[0].load(guard);
+        let mut curr = unsafe { node(self.head.load(guard)) }.next(0).load(guard);
         loop {
             // SAFETY: pinned.
-            let c = unsafe { curr.deref() };
+            let c = unsafe { node(curr) };
             if c.key == TAIL_IKEY {
                 return n;
             }
             if !c.is_deleted() && c.is_fully_linked() {
                 n += 1;
             }
-            curr = c.next[0].load(guard);
+            curr = c.next(0).load(guard);
         }
     }
 
@@ -481,17 +491,17 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
     /// first live node instead of the default full O(n) count.
     pub fn is_empty_in(&self, guard: &Guard) -> bool {
         // SAFETY: pinned bottom-level traversal.
-        let mut curr = unsafe { self.head.load(guard).deref() }.next[0].load(guard);
+        let mut curr = unsafe { node(self.head.load(guard)) }.next(0).load(guard);
         loop {
             // SAFETY: pinned.
-            let c = unsafe { curr.deref() };
+            let c = unsafe { node(curr) };
             if c.key == TAIL_IKEY {
                 return true;
             }
             if !c.is_deleted() && c.is_fully_linked() {
                 return false;
             }
-            curr = c.next[0].load(guard);
+            curr = c.next(0).load(guard);
         }
     }
 
@@ -514,14 +524,14 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
             if let Some(lf) = found {
                 let victim = succs[lf];
                 // SAFETY: pinned.
-                let v = unsafe { victim.deref() };
-                if !v.is_fully_linked() || v.top_level != lf || v.is_marked() {
+                let v = unsafe { node(victim) };
+                if !v.is_fully_linked() || v.top_level() != lf || v.is_marked() {
                     // Half-built, deleted, or superseded: in every case the
                     // authoritative state is only a re-parse away.
                     csds_metrics::restart();
                     continue;
                 }
-                let current = v.value.as_ref().expect("live node holds a value");
+                let current = v.header().value.as_ref().expect("live node holds a value");
                 let Some(new_value) = f(Some(current)) else {
                     return RmwOutcome {
                         prev: Some(current.clone()),
@@ -529,7 +539,7 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
                         applied: false,
                     };
                 };
-                let top = v.top_level;
+                let top = v.top_level();
                 let vg = lock_guard(&v.lock);
                 let guards = Self::lock_preds(&preds, top);
                 let fb = self.region.as_ref().map(TxRegion::enter_fallback);
@@ -537,8 +547,8 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
                 if valid {
                     for l in 0..=top {
                         // SAFETY: pinned.
-                        let p = unsafe { preds[l].deref() };
-                        if p.is_marked() || p.next[l].load(guard) != victim {
+                        let p = unsafe { node(preds[l]) };
+                        if p.is_marked() || p.next(l).load(guard) != victim {
                             valid = false;
                             break;
                         }
@@ -551,19 +561,19 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
                     csds_metrics::restart();
                     continue;
                 }
-                let new_s = Shared::boxed(Node::new(ikey, Some(new_value), top + 1));
+                let new_s = alloc_node(Node::new(ikey, Some(new_value), top + 1));
                 // SAFETY: unpublished; the victim's next pointers are
                 // stable (writers of those edges lock the victim first).
-                let new_ref = unsafe { new_s.deref() };
+                let new_ref = unsafe { node(new_s) };
                 for l in 0..=top {
-                    new_ref.next[l].store(v.next[l].load(guard));
+                    new_ref.next(l).store(v.next(l).load(guard));
                 }
                 new_ref.fully_linked.store(1, Ordering::Release);
                 v.marked.store(SUPERSEDED, Ordering::Release);
                 for l in (0..=top).rev() {
                     // SAFETY: pinned; locked. Level 0 last: it is the level
                     // readers and `find` treat as authoritative.
-                    unsafe { preds[l].deref() }.next[l].store(new_s);
+                    unsafe { node(preds[l]) }.next(l).store(new_s);
                 }
                 drop(fb);
                 drop(guards);
@@ -571,8 +581,8 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
                 let prev = v.value.clone();
                 // SAFETY: unlinked at every level under the locks; the
                 // SUPERSEDED transition makes us the unique retirer.
-                unsafe { guard.defer_drop(victim) };
-                let cur = new_ref.value.as_ref();
+                unsafe { retire(guard, victim) };
+                let cur = new_ref.header().value.as_ref();
                 return RmwOutcome {
                     prev,
                     cur,
@@ -589,11 +599,11 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
             };
             let height = random_level();
             let top = height - 1;
-            let new_s = Shared::boxed(Node::new(ikey, Some(new_value), height));
+            let new_s = alloc_node(Node::new(ikey, Some(new_value), height));
             // SAFETY: unpublished.
-            let new_ref = unsafe { new_s.deref() };
+            let new_ref = unsafe { node(new_s) };
             for l in 0..=top {
-                new_ref.next[l].store(succs[l]);
+                new_ref.next(l).store(succs[l]);
             }
             let guards = Self::lock_preds(&preds, top);
             let fb = self.region.as_ref().map(TxRegion::enter_fallback);
@@ -601,18 +611,18 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
                 drop(fb);
                 drop(guards);
                 // SAFETY: never published.
-                unsafe { drop(new_s.into_box()) };
+                unsafe { drop(reclaim(new_s)) };
                 csds_metrics::restart();
                 continue;
             }
             new_ref.fully_linked.store(1, Ordering::Release);
             for l in 0..=top {
                 // SAFETY: pinned; locked.
-                unsafe { preds[l].deref() }.next[l].store(new_s);
+                unsafe { node(preds[l]) }.next(l).store(new_s);
             }
             drop(fb);
             drop(guards);
-            let cur = new_ref.value.as_ref();
+            let cur = new_ref.header().value.as_ref();
             return RmwOutcome {
                 prev: None,
                 cur,
@@ -666,20 +676,20 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
         let mut visited = 0;
         loop {
             // SAFETY: pinned.
-            let c = unsafe { curr.deref() };
+            let c = unsafe { node(curr) };
             // Compare in user-key space: `range.end` may exceed the largest
             // encodable internal key.
             if c.key == TAIL_IKEY || key::ukey(c.key) >= range.end {
                 return visited;
             }
             if c.is_fully_linked() && !c.is_deleted() {
-                let v = c.value.as_ref().expect("live node holds a value");
+                let v = c.header().value.as_ref().expect("live node holds a value");
                 visited += 1;
                 if !f(key::ukey(c.key), v) {
                     return visited;
                 }
             }
-            curr = c.next[0].load(guard);
+            curr = c.next(0).load(guard);
         }
     }
 }
@@ -712,13 +722,8 @@ impl<V: Clone + Send + Sync> GuardedMap<V> for HerlihySkipList<V> {
 
 impl<V> Drop for HerlihySkipList<V> {
     fn drop(&mut self) {
-        // Walk level 0 and free everything (towers share one allocation).
-        let mut p = self.head.load_raw();
-        while p != 0 {
-            // SAFETY: exclusive via &mut self.
-            let node = unsafe { Box::from_raw(p as *mut Node<V>) };
-            p = node.next[0].load_raw();
-        }
+        // SAFETY: exclusive via &mut self.
+        unsafe { free_all(&self.head) };
     }
 }
 
@@ -754,7 +759,8 @@ mod tests {
 
     #[test]
     fn concurrent_net_effect() {
-        testutil::concurrent_net_effect(Arc::new(HerlihySkipList::new()), 4, 4_000, 48);
+        let ops = if cfg!(miri) { 100 } else { 4_000 };
+        testutil::concurrent_net_effect(Arc::new(HerlihySkipList::new()), 4, ops, 48);
     }
 
     #[test]
@@ -762,7 +768,7 @@ mod tests {
         testutil::concurrent_net_effect(
             Arc::new(HerlihySkipList::with_mode(SyncMode::Elision)),
             4,
-            2_500,
+            if cfg!(miri) { 100 } else { 2_500 },
             48,
         );
     }

@@ -18,12 +18,17 @@
 use csds_ebr::{pin, Atomic, Guard, Shared};
 
 use crate::key::{self, HEAD_IKEY, TAIL_IKEY};
-use crate::skiplist::{random_level, MAX_LEVEL};
+use crate::skiplist::{
+    alloc_node, free_all, node, random_level, reclaim, retire, Header, MAX_LEVEL,
+};
 use crate::{GuardedMap, RmwFn, RmwOutcome};
 
 /// Tag bit: the node owning this `next` pointer is deleted at this level.
 const MARK: usize = 1;
 
+/// The node header; its successors follow it in the same block (see the
+/// [module layout](super)).
+///
 /// The value lives behind an atomic pointer (null in sentinels), exactly
 /// like [`HarrisList`](crate::list::HarrisList)'s protocol: presence stays
 /// the level-0 `next` mark; the winning remover **claims** the value (swap
@@ -35,8 +40,18 @@ const MARK: usize = 1;
 struct Node<V> {
     key: u64,
     value: Atomic<V>,
-    top_level: usize,
-    next: Box<[Atomic<Node<V>>]>,
+    top_level: u8,
+}
+
+// 24 bytes, so a node up to height 5 fits in 64.
+const _: () = assert!(std::mem::size_of::<Node<u64>>() == 24);
+
+// SAFETY: `top_level` is never written after construction.
+unsafe impl<V> Header for Node<V> {
+    #[inline]
+    fn top_level(&self) -> usize {
+        usize::from(self.top_level)
+    }
 }
 
 impl<V> Node<V> {
@@ -44,8 +59,7 @@ impl<V> Node<V> {
         Node {
             key: ikey,
             value: value.map_or_else(Atomic::null, Atomic::new),
-            top_level: height - 1,
-            next: (0..height).map(|_| Atomic::null()).collect(),
+            top_level: (height - 1) as u8,
         }
     }
 }
@@ -81,13 +95,14 @@ type Windows<'g, V> = (
 impl<V: Clone + Send + Sync> LockFreeSkipList<V> {
     /// Empty skiplist.
     pub fn new() -> Self {
-        let tail = Shared::boxed(Node::new(TAIL_IKEY, None, MAX_LEVEL));
-        let head = Node::new(HEAD_IKEY, None, MAX_LEVEL);
+        let tail = alloc_node(Node::new(TAIL_IKEY, None, MAX_LEVEL));
+        let head = alloc_node(Node::new(HEAD_IKEY, None, MAX_LEVEL));
         for l in 0..MAX_LEVEL {
-            head.next[l].store(tail);
+            // SAFETY: owned, unpublished.
+            unsafe { node(head) }.next(l).store(tail);
         }
         LockFreeSkipList {
-            head: Atomic::new(head),
+            head: Atomic::from(head),
         }
     }
 
@@ -100,23 +115,26 @@ impl<V: Clone + Send + Sync> LockFreeSkipList<V> {
             let mut pred = self.head.load(guard);
             for level in (0..MAX_LEVEL).rev() {
                 // SAFETY: pinned traversal; head never retired.
-                let mut curr = unsafe { pred.deref() }.next[level].load(guard).with_tag(0);
+                let mut curr = unsafe { node(pred) }.next(level).load(guard).with_tag(0);
                 loop {
                     // SAFETY: pinned.
-                    let c = unsafe { curr.deref() };
-                    let mut succ = c.next[level].load(guard);
+                    let c = unsafe { node(curr) };
+                    let mut succ = c.next(level).load(guard);
                     while succ.tag() == MARK {
                         // curr is deleted at this level: snip it.
                         // SAFETY: pinned.
-                        let p = unsafe { pred.deref() };
-                        match p.next[level].compare_exchange(curr, succ.with_tag(0), guard) {
+                        let p = unsafe { node(pred) };
+                        match p
+                            .next(level)
+                            .compare_exchange(curr, succ.with_tag(0), guard)
+                        {
                             Ok(_) => {
                                 if level == 0 {
                                     // Fully unlinked (upper levels were
                                     // snipped by this or earlier finds).
                                     // SAFETY: unique retirer — the winning
                                     // level-0 snip.
-                                    unsafe { guard.defer_drop(curr) };
+                                    unsafe { retire(guard, curr) };
                                 }
                             }
                             Err(_) => {
@@ -126,10 +144,10 @@ impl<V: Clone + Send + Sync> LockFreeSkipList<V> {
                         }
                         curr = succ.with_tag(0);
                         // SAFETY: pinned.
-                        succ = unsafe { curr.deref() }.next[level].load(guard);
+                        succ = unsafe { node(curr) }.next(level).load(guard);
                     }
                     // SAFETY: pinned.
-                    if unsafe { curr.deref() }.key < ikey {
+                    if unsafe { node(curr) }.key < ikey {
                         pred = curr;
                         curr = succ.with_tag(0);
                     } else {
@@ -140,7 +158,7 @@ impl<V: Clone + Send + Sync> LockFreeSkipList<V> {
                 succs[level] = curr;
             }
             // SAFETY: pinned.
-            let found = unsafe { succs[0].deref() }.key == ikey;
+            let found = unsafe { node(succs[0]) }.key == ikey;
             return ((preds, succs), found);
         }
     }
@@ -150,16 +168,17 @@ impl<V: Clone + Send + Sync> LockFreeSkipList<V> {
         let g = pin();
         let mut out = Vec::new();
         // SAFETY: pinned bottom-level traversal.
-        let mut curr = unsafe { self.head.load(&g).deref() }.next[0]
+        let mut curr = unsafe { node(self.head.load(&g)) }
+            .next(0)
             .load(&g)
             .with_tag(0);
         loop {
             // SAFETY: pinned.
-            let c = unsafe { curr.deref() };
+            let c = unsafe { node(curr) };
             if c.key == TAIL_IKEY {
                 return out;
             }
-            let next = c.next[0].load(&g);
+            let next = c.next(0).load(&g);
             if next.tag() != MARK {
                 out.push(key::ukey(c.key));
             }
@@ -175,13 +194,13 @@ impl<V: Clone + Send + Sync> LockFreeSkipList<V> {
         let mut candidate = Shared::null();
         for level in (0..MAX_LEVEL).rev() {
             // SAFETY: pinned; head never retired.
-            let mut curr = unsafe { pred.deref() }.next[level].load(guard).with_tag(0);
+            let mut curr = unsafe { node(pred) }.next(level).load(guard).with_tag(0);
             loop {
                 // SAFETY: pinned.
-                let c = unsafe { curr.deref() };
+                let c = unsafe { node(curr) };
                 if c.key < ikey {
                     pred = curr;
-                    curr = c.next[level].load(guard).with_tag(0);
+                    curr = c.next(level).load(guard).with_tag(0);
                 } else {
                     if c.key == ikey && candidate.is_null() {
                         candidate = curr;
@@ -194,8 +213,8 @@ impl<V: Clone + Send + Sync> LockFreeSkipList<V> {
             return None;
         }
         // SAFETY: pinned.
-        let c = unsafe { candidate.deref() };
-        if c.next[0].load(guard).tag() == MARK {
+        let c = unsafe { node(candidate) };
+        if c.next(0).load(guard).tag() == MARK {
             None
         } else {
             // Null means a racing remove (marked after our tag check)
@@ -209,16 +228,17 @@ impl<V: Clone + Send + Sync> LockFreeSkipList<V> {
     pub fn len_in(&self, guard: &Guard) -> usize {
         let mut n = 0;
         // SAFETY: pinned bottom-level traversal.
-        let mut curr = unsafe { self.head.load(guard).deref() }.next[0]
+        let mut curr = unsafe { node(self.head.load(guard)) }
+            .next(0)
             .load(guard)
             .with_tag(0);
         loop {
             // SAFETY: pinned.
-            let c = unsafe { curr.deref() };
+            let c = unsafe { node(curr) };
             if c.key == TAIL_IKEY {
                 return n;
             }
-            let next = c.next[0].load(guard);
+            let next = c.next(0).load(guard);
             if next.tag() != MARK {
                 n += 1;
             }
@@ -230,16 +250,17 @@ impl<V: Clone + Send + Sync> LockFreeSkipList<V> {
     /// first live node instead of the default full O(n) count.
     pub fn is_empty_in(&self, guard: &Guard) -> bool {
         // SAFETY: pinned bottom-level traversal.
-        let mut curr = unsafe { self.head.load(guard).deref() }.next[0]
+        let mut curr = unsafe { node(self.head.load(guard)) }
+            .next(0)
             .load(guard)
             .with_tag(0);
         loop {
             // SAFETY: pinned.
-            let c = unsafe { curr.deref() };
+            let c = unsafe { node(curr) };
             if c.key == TAIL_IKEY {
                 return true;
             }
-            let next = c.next[0].load(guard);
+            let next = c.next(0).load(guard);
             if next.tag() != MARK {
                 return false;
             }
@@ -260,7 +281,7 @@ impl<V: Clone + Send + Sync> LockFreeSkipList<V> {
             if found {
                 let node_s = succs[0];
                 // SAFETY: pinned.
-                let n = unsafe { node_s.deref() };
+                let n = unsafe { node(node_s) };
                 let vptr = n.value.load(guard);
                 if vptr.is_null() {
                     // A remove linearized and claimed; `find` will snip it.
@@ -313,26 +334,26 @@ impl<V: Clone + Send + Sync> LockFreeSkipList<V> {
                 (p, s)
             };
             // SAFETY: pinned.
-            if unsafe { succs[0].deref() }.key == ikey {
+            if unsafe { node(succs[0]) }.key == ikey {
                 // Appeared since the decision; re-run the closure.
                 csds_metrics::restart();
                 continue;
             }
             let height = random_level();
             let top = height - 1;
-            let new_s = Shared::boxed(Node::new(ikey, Some(new_value), height));
+            let new_s = alloc_node(Node::new(ikey, Some(new_value), height));
             // SAFETY: unpublished (level 0 not linked yet).
-            let new_ref = unsafe { new_s.deref() };
+            let new_ref = unsafe { node(new_s) };
             for l in 0..=top {
-                new_ref.next[l].store(succs[l]);
+                new_ref.next(l).store(succs[l]);
             }
             let vraw = new_ref.value.load(guard);
             // Level-0 CAS is the linearization point.
             // SAFETY: pinned.
-            let p0 = unsafe { preds[0].deref() };
-            if p0.next[0].compare_exchange(succs[0], new_s, guard).is_err() {
+            let p0 = unsafe { node(preds[0]) };
+            if p0.next(0).compare_exchange(succs[0], new_s, guard).is_err() {
                 // SAFETY: never published; Node::drop frees the value.
-                unsafe { drop(new_s.into_box()) };
+                unsafe { drop(reclaim(new_s)) };
                 csds_metrics::restart();
                 continue;
             }
@@ -343,7 +364,7 @@ impl<V: Clone + Send + Sync> LockFreeSkipList<V> {
             // the same protocol as `insert_in`.
             for l in 1..=top {
                 loop {
-                    let nl = new_ref.next[l].load(guard);
+                    let nl = new_ref.next(l).load(guard);
                     if nl.tag() == MARK {
                         let _ = self.find(ikey, guard);
                         return RmwOutcome {
@@ -361,16 +382,17 @@ impl<V: Clone + Send + Sync> LockFreeSkipList<V> {
                         };
                     }
                     if nl.with_tag(0) != succs2[l]
-                        && new_ref.next[l]
+                        && new_ref
+                            .next(l)
                             .compare_exchange(nl, succs2[l], guard)
                             .is_err()
                     {
                         continue;
                     }
                     // SAFETY: pinned.
-                    let p = unsafe { preds2[l].deref() };
-                    if p.next[l].compare_exchange(succs2[l], new_s, guard).is_ok() {
-                        if new_ref.next[0].load(guard).tag() == MARK {
+                    let p = unsafe { node(preds2[l]) };
+                    if p.next(l).compare_exchange(succs2[l], new_s, guard).is_ok() {
+                        if new_ref.next(0).load(guard).tag() == MARK {
                             let _ = self.find(ikey, guard);
                             return RmwOutcome {
                                 prev: None,
@@ -403,28 +425,28 @@ impl<V: Clone + Send + Sync> LockFreeSkipList<V> {
             if found {
                 if let Some(n) = new_node.take() {
                     // SAFETY: never published.
-                    unsafe { drop(n.into_box()) };
+                    unsafe { drop(reclaim(n)) };
                 }
                 return false;
             }
-            let new_s = *new_node
-                .get_or_insert_with(|| Shared::boxed(Node::new(ikey, value.take(), height)));
+            let new_s =
+                *new_node.get_or_insert_with(|| alloc_node(Node::new(ikey, value.take(), height)));
             // SAFETY: unpublished (level 0 not linked yet).
-            let new_ref = unsafe { new_s.deref() };
+            let new_ref = unsafe { node(new_s) };
             for l in 0..=top {
-                new_ref.next[l].store(succs[l]);
+                new_ref.next(l).store(succs[l]);
             }
             // Level-0 CAS is the linearization point.
             // SAFETY: pinned.
-            let p0 = unsafe { preds[0].deref() };
-            if p0.next[0].compare_exchange(succs[0], new_s, guard).is_err() {
+            let p0 = unsafe { node(preds[0]) };
+            if p0.next(0).compare_exchange(succs[0], new_s, guard).is_err() {
                 csds_metrics::restart();
                 continue;
             }
             // Link upper levels (best effort; abandon if we get deleted).
             for l in 1..=top {
                 loop {
-                    let nl = new_ref.next[l].load(guard);
+                    let nl = new_ref.next(l).load(guard);
                     if nl.tag() == MARK {
                         // Concurrently deleted: make sure whatever we linked
                         // is snipped before we unpin.
@@ -437,7 +459,8 @@ impl<V: Clone + Send + Sync> LockFreeSkipList<V> {
                         return true;
                     }
                     if nl.with_tag(0) != succs2[l]
-                        && new_ref.next[l]
+                        && new_ref
+                            .next(l)
                             .compare_exchange(nl, succs2[l], guard)
                             .is_err()
                     {
@@ -445,10 +468,10 @@ impl<V: Clone + Send + Sync> LockFreeSkipList<V> {
                         continue;
                     }
                     // SAFETY: pinned.
-                    let p = unsafe { preds2[l].deref() };
-                    if p.next[l].compare_exchange(succs2[l], new_s, guard).is_ok() {
+                    let p = unsafe { node(preds2[l]) };
+                    if p.next(l).compare_exchange(succs2[l], new_s, guard).is_ok() {
                         // If a remover marked us while we linked, snip.
-                        if new_ref.next[0].load(guard).tag() == MARK {
+                        if new_ref.next(0).load(guard).tag() == MARK {
                             let _ = self.find(ikey, guard);
                             return true;
                         }
@@ -483,29 +506,30 @@ impl<V: Clone + Send + Sync> LockFreeSkipList<V> {
         let mut lost = 0u64;
         let out = 'op: {
             // SAFETY: pinned bottom-level traversal; head never retired.
-            let mut curr = unsafe { self.head.load(guard).deref() }.next[0]
+            let mut curr = unsafe { node(self.head.load(guard)) }
+                .next(0)
                 .load(guard)
                 .with_tag(0);
             loop {
                 // SAFETY: pinned.
-                let c = unsafe { curr.deref() };
+                let c = unsafe { node(curr) };
                 if c.key == TAIL_IKEY {
                     break 'op None;
                 }
-                let next = c.next[0].load(guard);
+                let next = c.next(0).load(guard);
                 if next.tag() == MARK {
                     curr = next.with_tag(0);
                     continue;
                 }
                 // Candidate head. Mark its upper levels top-down first
                 // (idempotent; see the method docs for why level 0 is last).
-                for l in (1..=c.top_level).rev() {
+                for l in (1..=c.top_level()).rev() {
                     loop {
-                        let nxt = c.next[l].load(guard);
+                        let nxt = c.next(l).load(guard);
                         if nxt.tag() == MARK {
                             break;
                         }
-                        if c.next[l]
+                        if c.next(l)
                             .compare_exchange(nxt, nxt.with_tag(MARK), guard)
                             .is_ok()
                         {
@@ -513,7 +537,7 @@ impl<V: Clone + Send + Sync> LockFreeSkipList<V> {
                         }
                     }
                 }
-                match c.next[0].compare_exchange(next, next.with_tag(MARK), guard) {
+                match c.next(0).compare_exchange(next, next.with_tag(MARK), guard) {
                     Ok(_) => {
                         // Claim the value (serializes with `rmw_in`
                         // replacement, exactly as in `remove_in`).
@@ -551,16 +575,17 @@ impl<V: Clone + Send + Sync> LockFreeSkipList<V> {
     /// value box, in which case the walk moves past the node).
     pub fn peek_min_in<'g>(&'g self, guard: &'g Guard) -> Option<(u64, &'g V)> {
         // SAFETY: pinned bottom-level traversal.
-        let mut curr = unsafe { self.head.load(guard).deref() }.next[0]
+        let mut curr = unsafe { node(self.head.load(guard)) }
+            .next(0)
             .load(guard)
             .with_tag(0);
         loop {
             // SAFETY: pinned.
-            let c = unsafe { curr.deref() };
+            let c = unsafe { node(curr) };
             if c.key == TAIL_IKEY {
                 return None;
             }
-            let next = c.next[0].load(guard);
+            let next = c.next(0).load(guard);
             if next.tag() != MARK {
                 // SAFETY: value boxes are EBR-retired; pinned.
                 if let Some(v) = unsafe { c.value.load(guard).as_ref() } {
@@ -580,15 +605,15 @@ impl<V: Clone + Send + Sync> LockFreeSkipList<V> {
         }
         let victim = succs[0];
         // SAFETY: pinned.
-        let v = unsafe { victim.deref() };
+        let v = unsafe { node(victim) };
         // Mark upper levels top-down (idempotent).
-        for l in (1..=v.top_level).rev() {
+        for l in (1..=v.top_level()).rev() {
             loop {
-                let nxt = v.next[l].load(guard);
+                let nxt = v.next(l).load(guard);
                 if nxt.tag() == MARK {
                     break;
                 }
-                if v.next[l]
+                if v.next(l)
                     .compare_exchange(nxt, nxt.with_tag(MARK), guard)
                     .is_ok()
                 {
@@ -598,11 +623,11 @@ impl<V: Clone + Send + Sync> LockFreeSkipList<V> {
         }
         // Level-0 mark: linearization; only one remover can win it.
         loop {
-            let nxt = v.next[0].load(guard);
+            let nxt = v.next(0).load(guard);
             if nxt.tag() == MARK {
                 return None; // another remover linearized first
             }
-            if v.next[0]
+            if v.next(0)
                 .compare_exchange(nxt, nxt.with_tag(MARK), guard)
                 .is_ok()
             {
@@ -653,12 +678,8 @@ impl<V: Clone + Send + Sync> GuardedMap<V> for LockFreeSkipList<V> {
 
 impl<V> Drop for LockFreeSkipList<V> {
     fn drop(&mut self) {
-        let mut p = self.head.load_raw() & !MARK;
-        while p != 0 {
-            // SAFETY: exclusive via &mut self; retired nodes are EBR-owned.
-            let node = unsafe { Box::from_raw(p as *mut Node<V>) };
-            p = node.next[0].load_raw() & !MARK;
-        }
+        // SAFETY: exclusive via &mut self; retired nodes are EBR-owned.
+        unsafe { free_all(&self.head) };
     }
 }
 
@@ -687,7 +708,8 @@ mod tests {
 
     #[test]
     fn concurrent_net_effect() {
-        testutil::concurrent_net_effect(Arc::new(LockFreeSkipList::new()), 4, 4_000, 32);
+        let ops = if cfg!(miri) { 100 } else { 4_000 };
+        testutil::concurrent_net_effect(Arc::new(LockFreeSkipList::new()), 4, ops, 32);
     }
 
     #[test]
@@ -714,7 +736,7 @@ mod tests {
     #[test]
     fn concurrent_poppers_drain_exactly_once() {
         let s = Arc::new(LockFreeSkipList::new());
-        let n = 2_000u64;
+        let n = if cfg!(miri) { 100 } else { 2_000u64 };
         for k in 0..n {
             assert!(s.insert(k, k));
         }
@@ -744,16 +766,17 @@ mod tests {
     #[test]
     fn pop_min_races_inserts() {
         let s = Arc::new(LockFreeSkipList::new());
+        const N: u64 = if cfg!(miri) { 100 } else { 3_000 };
         let producer = {
             let s = Arc::clone(&s);
             std::thread::spawn(move || {
-                for k in 0..3_000u64 {
+                for k in 0..N {
                     assert!(s.insert(k, k));
                 }
             })
         };
         let mut got = Vec::new();
-        while got.len() < 3_000 {
+        while got.len() < N as usize {
             let g = pin();
             if let Some((k, _)) = s.pop_min_in(&g) {
                 got.push(k);
@@ -761,7 +784,7 @@ mod tests {
         }
         producer.join().unwrap();
         got.sort_unstable();
-        assert_eq!(got, (0..3_000u64).collect::<Vec<_>>());
+        assert_eq!(got, (0..N).collect::<Vec<_>>());
         assert!(s.is_empty());
     }
 
@@ -772,7 +795,8 @@ mod tests {
         for t in 0..4u64 {
             let s = Arc::clone(&s);
             handles.push(std::thread::spawn(move || {
-                for i in 0..2_500u64 {
+                const ITERS: u64 = if cfg!(miri) { 100 } else { 2_500 };
+                for i in 0..ITERS {
                     if (i + t) % 2 == 0 {
                         s.insert(11, i);
                     } else {

@@ -117,6 +117,16 @@ impl<T> Atomic<T> {
     }
 }
 
+impl<T> From<Shared<'_, T>> for Atomic<T> {
+    /// An atomic pointing where `ptr` points (tag included).
+    fn from(ptr: Shared<'_, T>) -> Self {
+        Atomic {
+            data: AtomicUsize::new(ptr.data),
+            _marker: PhantomData,
+        }
+    }
+}
+
 impl<T> std::fmt::Debug for Atomic<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Atomic({:#x})", self.load_raw())

@@ -9,7 +9,8 @@
 //! * [`pin`] returns a [`Guard`]; while a guard is live, the thread is
 //!   *pinned* at an epoch and may dereference shared pointers loaded from
 //!   [`Atomic`] cells;
-//! * removed nodes are retired with [`Guard::defer_drop`]; they are freed
+//! * removed nodes are retired with [`Guard::defer_drop`] (or, for a block
+//!   that is not a `Box<T>`, [`Guard::defer_free`]); they are freed
 //!   once the global epoch has advanced far enough that no pinned thread can
 //!   still hold a reference (the classic three-generation argument);
 //! * [`Shared`] pointers carry **tag bits** in their low-order alignment
@@ -80,9 +81,8 @@ struct CacheAligned<T>(T);
 struct Deferred {
     ptr: *mut u8,
     dropper: unsafe fn(*mut u8),
-    /// `size_of::<T>()` of the retired allocation — approximate garbage
-    /// accounting for the health telemetry (container overhead and heap
-    /// payloads behind the value are not counted).
+    /// Size of the retired allocation, for the health telemetry (allocator
+    /// overhead and heap payloads owned by the object are not counted).
     bytes: usize,
 }
 
@@ -92,22 +92,10 @@ struct Deferred {
 unsafe impl Send for Deferred {}
 
 impl Deferred {
-    /// # Safety
-    /// `ptr` must be a uniquely-owned `Box<T>`-allocated pointer.
-    unsafe fn new<T>(ptr: *mut T) -> Self {
-        unsafe fn drop_box<T>(p: *mut u8) {
-            drop(Box::from_raw(p as *mut T));
-        }
-        Deferred {
-            ptr: ptr as *mut u8,
-            dropper: drop_box::<T>,
-            bytes: std::mem::size_of::<T>(),
-        }
-    }
-
     fn execute(self) {
-        // SAFETY: by construction, `ptr` is a unique Box allocation and this
-        // is the only execution of the dropper.
+        // SAFETY: by construction (`Guard::defer_free`), `dropper` may free
+        // `ptr`, the allocation is uniquely owned, and this is the only
+        // execution of the dropper.
         unsafe { (self.dropper)(self.ptr) }
     }
 }
@@ -722,12 +710,40 @@ impl Guard {
     ///   (i.e. already unlinked from the shared structure);
     /// * it must be retired exactly once.
     pub unsafe fn defer_drop<T: Send>(&self, shared: Shared<'_, T>) {
+        unsafe fn drop_box<T>(p: *mut u8) {
+            drop(Box::from_raw(p as *mut T));
+        }
         debug_assert!(!shared.is_null());
-        let d = Deferred::new(shared.as_untagged_raw() as *mut T);
+        self.defer_free(
+            shared.as_untagged_raw() as *mut u8,
+            drop_box::<T>,
+            std::mem::size_of::<T>(),
+        );
+    }
+
+    /// Retire an allocation that is not a `Box<T>` (for example a node
+    /// whose header is followed by a variable-length tail in the same
+    /// block): `free(ptr)` runs once no pinned thread can still reference
+    /// it — at once under an [`unprotected`] guard. `bytes`, the
+    /// allocation's real size, feeds the garbage telemetry
+    /// ([`EbrHealth::garbage_bytes`]).
+    ///
+    /// # Safety
+    ///
+    /// * `free(ptr)` must drop and deallocate the object exactly as it was
+    ///   allocated, and may run on any thread (the object must be `Send`);
+    /// * the allocation must be unreachable for threads that pin *after*
+    ///   this call, and must be retired exactly once.
+    pub unsafe fn defer_free(&self, ptr: *mut u8, free: unsafe fn(*mut u8), bytes: usize) {
+        let d = Deferred {
+            ptr,
+            dropper: free,
+            bytes,
+        };
         if self.pinned {
             LOCAL.with(|l| l.defer(d));
         } else {
-            // Unprotected: sole-owner contract lets us drop right away.
+            // Unprotected: sole-owner contract lets us free right away.
             d.execute();
         }
     }

@@ -1,7 +1,7 @@
 //! One function per paper artifact, plus the registry used by `repro`.
 //!
-//! Every experiment prints the same rows/series the paper reports; the
-//! DESIGN.md per-experiment index maps each to its paper figure/table.
+//! Every experiment prints the same rows/series the paper reports; its
+//! registry `description` names the paper figure or table it regenerates.
 
 mod beyond;
 mod coarse;
