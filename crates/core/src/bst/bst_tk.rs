@@ -16,6 +16,12 @@
 //! changed, and the operation restarts instead of waiting. The root slot is
 //! guarded by a dedicated holder lock so the tree can shrink to a single
 //! leaf or to empty.
+//!
+//! Each acquisition is a guard that runs the critical-section delay hook
+//! and unlocks on drop. The one lock never released is the parent router a
+//! `remove` splices out: its guard is consumed by `retire`, which leaves the
+//! version odd for good, so a thread holding a stale pointer to the router
+//! can never lock it again.
 
 use csds_sync::atomic::{AtomicUsize, Ordering};
 
@@ -172,110 +178,133 @@ impl<V: Clone + Send + Sync> BstTk<V> {
         }
     }
 
+    /// The locked write phase on edge `p`: a versioned trylock on its lock,
+    /// restarting on any version movement (BST-TK never waits); then, in
+    /// elision mode, the region; then the validation and `write`. Both
+    /// guards are released on return, the region first. `false` means
+    /// restart.
+    #[inline]
+    fn write_locked(
+        &self,
+        p: &Edge<'_, V>,
+        expected: Shared<'_, Node<V>>,
+        write: impl FnOnce(),
+    ) -> bool {
+        let Some(_pg) = p.lock.try_lock_version(p.ver) else {
+            return false;
+        };
+        let _fb = self.region.as_ref().map(TxRegion::enter_fallback);
+        if !p.holds(expected) {
+            return false;
+        }
+        write();
+        true
+    }
+
+    /// The write phase of an absent key, shared by `insert_in` and
+    /// `rmw_in`: replace `leaf` — the one `p`'s slot held at parse time,
+    /// `None` for an empty tree — by a new leaf for `k` (alone, or beside
+    /// the old leaf under a new router). Speculates first in elision mode.
+    /// Returns the published value, or `Err(value)` when the operation
+    /// must restart.
+    fn link_leaf<'g>(
+        &'g self,
+        k: u64,
+        value: V,
+        p: &Edge<'g, V>,
+        leaf: Option<Shared<'g, Node<V>>>,
+    ) -> Result<&'g V, V> {
+        let new_leaf = Shared::boxed(Node::leaf(k, value));
+        let replacement = match leaf {
+            None => new_leaf,
+            Some(old_leaf) => {
+                // SAFETY: pinned.
+                let ol = unsafe { old_leaf.deref() };
+                // Router key: the larger of the two; smaller goes left.
+                let internal = Shared::boxed(Node::internal(k.max(ol.key)));
+                // SAFETY: unpublished.
+                let i = unsafe { internal.deref() };
+                let (left, right) = if k < ol.key {
+                    (new_leaf, old_leaf)
+                } else {
+                    (old_leaf, new_leaf)
+                };
+                i.left.store(left);
+                i.right.store(right);
+                internal
+            }
+        };
+        let expected = leaf.unwrap_or_else(Shared::null);
+        // SAFETY: published by the caller's successful write; pinned.
+        let published = || {
+            Ok(unsafe { new_leaf.deref() }
+                .value
+                .as_ref()
+                .expect("leaves hold values"))
+        };
+        // Free the unpublished replacement and hand the value back (the
+        // old leaf stays in the tree and is not ours to free).
+        let restart = || {
+            // SAFETY: never published; `new_leaf` is `replacement` itself
+            // or one of the router's children (nodes have no Drop impl, so
+            // dropping the router frees only the router).
+            unsafe {
+                if leaf.is_some() {
+                    drop(replacement.into_box());
+                }
+                Err(new_leaf
+                    .into_box()
+                    .value
+                    .take()
+                    .expect("leaves hold values"))
+            }
+        };
+
+        if let Some(region) = &self.region {
+            let p_removed = p.owner_removed();
+            match attempt_elision(region, ELISION_RETRIES, |tx| {
+                if let Some(r) = p_removed {
+                    if tx.read(r) != 0 {
+                        return SpecStep::Invalid;
+                    }
+                }
+                if tx.read(p.slot.as_raw_atomic()) != expected.as_raw() {
+                    return SpecStep::Invalid;
+                }
+                tx.write(p.slot.as_raw_atomic(), replacement.as_raw());
+                SpecStep::Commit(())
+            }) {
+                Elided::Committed(()) => return published(),
+                Elided::Invalid => return restart(),
+                Elided::FellBack => {}
+            }
+        }
+        // Linearization point: the slot store.
+        if self.write_locked(p, expected, || p.slot.store(replacement)) {
+            published()
+        } else {
+            restart()
+        }
+    }
+
     /// Guard-scoped `insert`.
-    pub fn insert_in(&self, k: u64, value: V, guard: &Guard) -> bool {
+    pub fn insert_in(&self, k: u64, mut value: V, guard: &Guard) -> bool {
         key::check_user_key(k);
-        let key = k;
-        let mut value = Some(value);
         loop {
-            let (_gp, p, leaf) = self.parse(key, guard);
+            let (_gp, p, leaf) = self.parse(k, guard);
             if let Some(leaf_s) = leaf {
                 // SAFETY: pinned.
-                if unsafe { leaf_s.deref() }.key == key {
+                if unsafe { leaf_s.deref() }.key == k {
                     return false;
                 }
             }
-            // Build the replacement subtree (new leaf alone, or an internal
-            // router with the old leaf and the new leaf).
-            let new_leaf = Shared::boxed(Node::leaf(key, value.take().unwrap()));
-            let replacement = match leaf {
-                None => new_leaf,
-                Some(old_leaf) => {
-                    // SAFETY: pinned.
-                    let ol = unsafe { old_leaf.deref() };
-                    // Router key: the larger of the two; smaller goes left.
-                    let internal = Shared::boxed(Node::internal(key.max(ol.key)));
-                    // SAFETY: unpublished.
-                    let i = unsafe { internal.deref() };
-                    if key < ol.key {
-                        i.left.store(new_leaf);
-                        i.right.store(old_leaf);
-                    } else {
-                        i.left.store(old_leaf);
-                        i.right.store(new_leaf);
-                    }
-                    internal
-                }
-            };
-            let expected = leaf.unwrap_or_else(Shared::null);
-
-            let reclaim = |repl: Shared<'_, Node<V>>, value_out: &mut Option<V>| {
-                // Take back ownership of the unpublished replacement (and
-                // recover the moved value for the retry).
-                // SAFETY: never published.
-                unsafe {
-                    if leaf.is_some() {
-                        let internal = repl.into_box();
-                        let new_leaf_raw = if internal.left.load_raw() == expected.as_raw() {
-                            internal.right.load_raw()
-                        } else {
-                            internal.left.load_raw()
-                        };
-                        let mut nl = Box::from_raw(new_leaf_raw as *mut Node<V>);
-                        *value_out = nl.value.take();
-                        // Prevent the internal's Drop (if any) — nodes have
-                        // no Drop impl; children are raw, nothing to do.
-                    } else {
-                        let mut nl = repl.into_box();
-                        *value_out = nl.value.take();
-                    }
-                }
-            };
-
-            if let Some(region) = &self.region {
-                let p_removed = p.owner_removed();
-                match attempt_elision(region, ELISION_RETRIES, |tx| {
-                    if let Some(r) = p_removed {
-                        if tx.read(r) != 0 {
-                            return SpecStep::Invalid;
-                        }
-                    }
-                    if tx.read(p.slot.as_raw_atomic()) != expected.as_raw() {
-                        return SpecStep::Invalid;
-                    }
-                    tx.write(p.slot.as_raw_atomic(), replacement.as_raw());
-                    SpecStep::Commit(())
-                }) {
-                    Elided::Committed(()) => return true,
-                    Elided::Invalid => {
-                        reclaim(replacement, &mut value);
-                        csds_metrics::restart();
-                        continue;
-                    }
-                    Elided::FellBack => {}
+            match self.link_leaf(k, value, &p, leaf) {
+                Ok(_) => return true,
+                Err(v) => {
+                    value = v;
+                    csds_metrics::restart();
                 }
             }
-
-            // Write phase: versioned trylock on the parent, restarting on
-            // any version movement (BST-TK never waits); then (elision mode)
-            // the region, the validation and the link.
-            if !p.lock.try_lock_version(p.ver) {
-                reclaim(replacement, &mut value);
-                csds_metrics::restart();
-                continue;
-            }
-            let fb = self.region.as_ref().map(TxRegion::enter_fallback);
-            if !p.holds(expected) {
-                drop(fb);
-                p.lock.unlock();
-                reclaim(replacement, &mut value);
-                csds_metrics::restart();
-                continue;
-            }
-            p.slot.store(replacement);
-            drop(fb);
-            p.lock.unlock();
-            return true;
         }
     }
 
@@ -315,22 +344,14 @@ impl<V: Clone + Send + Sync> BstTk<V> {
                             Elided::FellBack => {}
                         }
                     }
-                    if !speculated {
-                        if !p.lock.try_lock_version(p.ver) {
-                            csds_metrics::restart();
-                            continue;
-                        }
-                        let fb = self.region.as_ref().map(TxRegion::enter_fallback);
-                        if !p.holds(leaf_s) {
-                            drop(fb);
-                            p.lock.unlock();
-                            csds_metrics::restart();
-                            continue;
-                        }
-                        p.slot.store(Shared::null());
-                        l.removed.store(1, Ordering::Release);
-                        drop(fb);
-                        p.lock.unlock();
+                    if !speculated
+                        && !self.write_locked(&p, leaf_s, || {
+                            p.slot.store(Shared::null());
+                            l.removed.store(1, Ordering::Release);
+                        })
+                    {
+                        csds_metrics::restart();
+                        continue;
                     }
                     let out = l.value.clone();
                     // SAFETY: unlinked; retired once by this remover (the
@@ -383,21 +404,18 @@ impl<V: Clone + Send + Sync> BstTk<V> {
                     }
                     if !speculated {
                         // Grandparent first, then parent — both versioned
-                        // trylocks; restart on failure.
-                        if !gp.lock.try_lock_version(gp.ver) {
+                        // trylocks; restart on failure. Guards drop in
+                        // reverse: region, parent, grandparent.
+                        let Some(_gpg) = gp.lock.try_lock_version(gp.ver) else {
                             csds_metrics::restart();
                             continue;
-                        }
-                        if !parent.lock.try_lock_version(p.ver) {
-                            gp.lock.unlock();
+                        };
+                        let Some(pg) = p.lock.try_lock_version(p.ver) else {
                             csds_metrics::restart();
                             continue;
-                        }
-                        let fb = self.region.as_ref().map(TxRegion::enter_fallback);
+                        };
+                        let _fb = self.region.as_ref().map(TxRegion::enter_fallback);
                         if !(gp.holds(parent_s) && p.holds(leaf_s)) {
-                            drop(fb);
-                            parent.lock.unlock();
-                            gp.lock.unlock();
                             csds_metrics::restart();
                             continue;
                         }
@@ -405,7 +423,6 @@ impl<V: Clone + Send + Sync> BstTk<V> {
                         gp.slot.store(sibling);
                         parent.removed.store(1, Ordering::Release);
                         l.removed.store(1, Ordering::Release);
-                        drop(fb);
                         // The unlinked router stays locked *forever*: a
                         // thread that reached it through a stale pointer
                         // and then read its (post-unlink) version must not
@@ -415,7 +432,7 @@ impl<V: Clone + Send + Sync> BstTk<V> {
                         // a stale insert could link below a dead router
                         // (lost update) or a stale remove could splice out
                         // of one (double retire).
-                        gp.lock.unlock();
+                        pg.retire();
                     }
                     let out = l.value.clone();
                     // SAFETY: both unlinked by the winning unlink; retired
@@ -464,25 +481,15 @@ impl<V: Clone + Send + Sync> BstTk<V> {
                 };
                 let new_leaf = Shared::boxed(Node::leaf(k, new_value));
                 // Write phase: replace the leaf in its parent slot.
-                if !p.lock.try_lock_version(p.ver) {
+                if !self.write_locked(&p, leaf_s, || {
+                    p.slot.store(new_leaf); // linearization point
+                    l.removed.store(1, Ordering::Release);
+                }) {
                     // SAFETY: never published.
                     unsafe { drop(new_leaf.into_box()) };
                     csds_metrics::restart();
                     continue;
                 }
-                let fb = self.region.as_ref().map(TxRegion::enter_fallback);
-                if !p.holds(leaf_s) {
-                    drop(fb);
-                    p.lock.unlock();
-                    // SAFETY: never published.
-                    unsafe { drop(new_leaf.into_box()) };
-                    csds_metrics::restart();
-                    continue;
-                }
-                p.slot.store(new_leaf); // linearization point
-                l.removed.store(1, Ordering::Release);
-                drop(fb);
-                p.lock.unlock();
                 let prev = l.value.clone();
                 // SAFETY: unlinked by the winning slot store; retired once.
                 unsafe { guard.defer_drop(leaf_s) };
@@ -502,63 +509,17 @@ impl<V: Clone + Send + Sync> BstTk<V> {
                     applied: false,
                 };
             };
-            let new_leaf = Shared::boxed(Node::leaf(k, new_value));
-            let replacement = match leaf {
-                None => new_leaf,
-                Some(old_leaf) => {
-                    // SAFETY: pinned.
-                    let ol = unsafe { old_leaf.deref() };
-                    let internal = Shared::boxed(Node::internal(k.max(ol.key)));
-                    // SAFETY: unpublished.
-                    let i = unsafe { internal.deref() };
-                    if k < ol.key {
-                        i.left.store(new_leaf);
-                        i.right.store(old_leaf);
-                    } else {
-                        i.left.store(old_leaf);
-                        i.right.store(new_leaf);
-                    }
-                    internal
-                }
-            };
-            let expected = leaf.unwrap_or_else(Shared::null);
-            // Free an unpublished replacement (the old leaf, if any, stays
-            // in the tree and is not ours to free).
-            let reclaim = |repl: Shared<'_, Node<V>>| {
-                // SAFETY: never published; `new_leaf` is either `repl`
-                // itself or one of the router's children.
-                unsafe {
-                    if leaf.is_some() {
-                        drop(repl.into_box());
-                        drop(new_leaf.into_box());
-                    } else {
-                        drop(repl.into_box());
+            match self.link_leaf(k, new_value, &p, leaf) {
+                Ok(cur) => {
+                    return RmwOutcome {
+                        prev: None,
+                        cur: Some(cur),
+                        applied: true,
                     }
                 }
-            };
-            if !p.lock.try_lock_version(p.ver) {
-                reclaim(replacement);
-                csds_metrics::restart();
-                continue;
+                // The closure re-runs against the re-parsed tree.
+                Err(_) => csds_metrics::restart(),
             }
-            let fb = self.region.as_ref().map(TxRegion::enter_fallback);
-            if !p.holds(expected) {
-                drop(fb);
-                p.lock.unlock();
-                reclaim(replacement);
-                csds_metrics::restart();
-                continue;
-            }
-            p.slot.store(replacement); // linearization point
-            drop(fb);
-            p.lock.unlock();
-            // SAFETY: published; pinned.
-            let cur = unsafe { new_leaf.deref() }.value.as_ref();
-            return RmwOutcome {
-                prev: None,
-                cur,
-                applied: true,
-            };
         }
     }
 
@@ -740,6 +701,44 @@ mod tests {
             let snap = h.join().unwrap();
             assert_eq!(snap.lock_wait_ns, 0, "BST-TK must not wait for locks");
         }
+    }
+
+    #[test]
+    fn unlinked_router_stays_locked() {
+        // insert 10, 20 ⇒ root = router(20) over leaves 10 and 20.
+        let t = BstTk::new();
+        assert!(t.insert(10, 1));
+        assert!(t.insert(20, 2));
+        let guard = csds_ebr::pin();
+        let router_s = t.root.load(&guard);
+        // SAFETY: pinned; retired routers stay allocated until we unpin.
+        let router = unsafe { router_s.deref() };
+        assert!(!router.leaf);
+        assert!(!router.lock.is_locked());
+        assert_eq!(t.remove_in(10, &guard), Some(1));
+        assert_ne!(t.root.load(&guard), router_s, "router spliced out");
+        assert!(router.lock.is_locked(), "a spliced-out router stays locked");
+        assert!(router.lock.read_begin().is_none());
+        assert!(router
+            .lock
+            .try_lock_version(router.lock.version())
+            .is_none());
+        assert!(!t.root_lock.is_locked(), "the grandparent was released");
+        assert_eq!(t.get_in(20, &guard), Some(&2));
+    }
+
+    #[test]
+    fn elided_rmw_of_an_absent_key_speculates() {
+        // The absent arm shares `insert_in`'s write phase, speculation
+        // included: an uncontended rmw-insert commits without a lock.
+        let t = BstTk::with_mode(SyncMode::Elision);
+        assert!(t.insert(10, 1));
+        let _ = csds_metrics::take_and_reset();
+        assert_eq!(t.rmw(20, &mut |_| Some(2)), (None, Some(2), true));
+        let snap = csds_metrics::take_and_reset();
+        assert_eq!(snap.elide_commits, 1);
+        assert_eq!(snap.lock_acquires, 0);
+        assert_eq!(t.get(20), Some(2));
     }
 
     #[test]

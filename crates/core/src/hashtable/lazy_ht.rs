@@ -555,8 +555,7 @@ impl<V: Clone + Send + Sync> LazyHashTable<V> {
                         // Acquire only if the bucket is unchanged since the
                         // snapshot; success proves pred/curr are still the
                         // chain's current nodes.
-                        if bucket.lock.try_lock_version(seen) {
-                            csds_metrics::maybe_delay_in_cs();
+                        if let Some(g) = bucket.lock.try_lock_version(seen) {
                             // SAFETY: unpublished; chain now serialized.
                             unsafe { new_s.deref() }.next.store(c.next.load(guard));
                             c.marked.store(SUPERSEDED, Ordering::Release);
@@ -566,7 +565,7 @@ impl<V: Clone + Send + Sync> LazyHashTable<V> {
                                 // SAFETY: pinned; serialized by the lock.
                                 unsafe { pred.deref() }.next.store(new_s);
                             }
-                            bucket.lock.unlock();
+                            drop(g);
                             let prev = c.value.clone();
                             // SAFETY: unlinked under the lock; retired once.
                             unsafe { guard.defer_drop(curr) };
@@ -600,8 +599,7 @@ impl<V: Clone + Send + Sync> LazyHashTable<V> {
                             marked: AtomicUsize::new(LIVE),
                             next: Atomic::null(),
                         });
-                        if bucket.lock.try_lock_version(seen) {
-                            csds_metrics::maybe_delay_in_cs();
+                        if let Some(g) = bucket.lock.try_lock_version(seen) {
                             // SAFETY: unpublished. Head cannot have moved
                             // since the snapshot (version unchanged), but
                             // reload under the lock anyway — it is one L1
@@ -609,7 +607,7 @@ impl<V: Clone + Send + Sync> LazyHashTable<V> {
                             // validation argument.
                             unsafe { new_s.deref() }.next.store(bucket.head.load(guard));
                             bucket.head.store(new_s); // linearization point
-                            bucket.lock.unlock();
+                            drop(g);
                             // SAFETY: published; pinned.
                             let cur = unsafe { new_s.deref() }.value.as_ref();
                             return Ok(RmwOutcome {

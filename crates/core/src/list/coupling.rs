@@ -7,6 +7,12 @@
 //! ≈10 % of their time waiting for locks, "regardless of the structure
 //! size" (§5.1), so lock-coupling is *not* practically wait-free.
 //!
+//! The walk holds locks as guards: `locate` returns `pred`'s and `curr`'s
+//! [`LockGuard`]s, and each step moves `curr`'s guard into `pred`, which
+//! drops — unlocks — the old one. Every lock is therefore released by drop,
+//! on unwind too (a panicking `rmw_in` closure runs holding both), and
+//! every acquisition runs the critical-section delay hook.
+//!
 //! Because every access path holds locks, no unlocked traversals exist and
 //! the locking discipline alone keeps traversals safe. Unlinked nodes are
 //! nevertheless retired through EBR (rather than freed directly, as an
@@ -31,7 +37,7 @@
 use csds_sync::atomic::{AtomicUsize, Ordering};
 
 use csds_ebr::{Guard, Shared};
-use csds_sync::{OptikLock, RawMutex, TicketLock, OPTIMISTIC_RMW_RETRIES};
+use csds_sync::{lock_guard, LockGuard, OptikLock, RawMutex, TicketLock, OPTIMISTIC_RMW_RETRIES};
 
 use crate::key::{self, HEAD_IKEY, TAIL_IKEY};
 use crate::{GuardedMap, RmwFn, RmwOutcome};
@@ -47,15 +53,27 @@ struct Node<V> {
 }
 
 impl<V> Node<V> {
-    fn alloc(ikey: u64, value: Option<V>, next: usize) -> *mut Node<V> {
+    fn alloc(ikey: u64, value: Option<V>, next: *mut Node<V>) -> *mut Node<V> {
         Box::into_raw(Box::new(Node {
             key: ikey,
             value,
             lock: TicketLock::new(),
-            next: AtomicUsize::new(next),
+            next: AtomicUsize::new(next as usize),
         }))
     }
+
+    /// The successor, as read by a holder of this node's lock.
+    fn next(&self) -> *mut Node<V> {
+        self.next.load(Ordering::Relaxed) as *mut Node<V>
+    }
+
+    fn addr(&self) -> *mut Node<V> {
+        self as *const Node<V> as *mut Node<V>
+    }
 }
+
+/// A node together with the guard that holds its lock.
+type Locked<'a, V> = (&'a Node<V>, LockGuard<'a, TicketLock>);
 
 /// Lock-coupling sorted list. See the module docs.
 pub struct CouplingList<V> {
@@ -79,8 +97,8 @@ impl<V: Clone + Send + Sync> Default for CouplingList<V> {
 impl<V: Clone + Send + Sync> CouplingList<V> {
     /// Empty list.
     pub fn new() -> Self {
-        let tail = Node::<V>::alloc(TAIL_IKEY, None, 0);
-        let head = Node::alloc(HEAD_IKEY, None, tail as usize);
+        let tail = Node::<V>::alloc(TAIL_IKEY, None, std::ptr::null_mut());
+        let head = Node::alloc(HEAD_IKEY, None, tail);
         CouplingList {
             head,
             version: OptikLock::new(),
@@ -108,21 +126,31 @@ impl<V: Clone + Send + Sync> CouplingList<V> {
         }
     }
 
+    /// Lock `n` and pair it with its guard.
+    ///
+    /// # Safety
+    /// `n` must be a live node of this list whose lifetime covers `'a`: the
+    /// head, or a node reached through a locked predecessor's `next`.
+    unsafe fn lock_node<'a>(n: *mut Node<V>) -> Locked<'a, V> {
+        let n = &*n;
+        (n, lock_guard(&n.lock))
+    }
+
     /// Hand-over-hand traversal. Returns `(pred, curr)`, **both locked**,
-    /// with `pred.key < ikey <= curr.key`.
-    fn locate(&self, ikey: u64) -> (*mut Node<V>, *mut Node<V>) {
-        // SAFETY: head is never freed while &self is alive; each node we
-        // touch is protected by the lock we hold on it or its predecessor.
+    /// with `pred.key < ikey <= curr.key`. Each step locks the next node
+    /// after moving the guard of `curr` into `pred`, which drops — unlocks
+    /// — the old `pred`: the walk never holds more than two locks, and
+    /// waits holding one.
+    fn locate(&self, ikey: u64) -> (Locked<'_, V>, Locked<'_, V>) {
+        // SAFETY: head is never freed while &self is alive; every other
+        // node is reached through the `next` of a node we hold locked, so
+        // it cannot be unlinked (and retired) under us.
         unsafe {
-            let mut pred = self.head;
-            (*pred).lock.lock();
-            let mut curr = (*pred).next.load(Ordering::Relaxed) as *mut Node<V>;
-            (*curr).lock.lock();
-            while (*curr).key < ikey {
-                (*pred).lock.unlock();
+            let mut pred = Self::lock_node(self.head);
+            let mut curr = Self::lock_node(pred.0.next());
+            while curr.0.key < ikey {
                 pred = curr;
-                curr = (*pred).next.load(Ordering::Relaxed) as *mut Node<V>;
-                (*curr).lock.lock();
+                curr = Self::lock_node(pred.0.next());
             }
             (pred, curr)
         }
@@ -151,73 +179,49 @@ impl<V: Clone + Send + Sync> CouplingList<V> {
     /// (removers retire nodes through EBR and never mutate published
     /// values).
     fn get_locked<'g>(&'g self, ikey: u64, _guard: &'g Guard) -> Option<&'g V> {
-        let (pred, curr) = self.locate(ikey);
-        // SAFETY: both nodes locked by us; the value reference stays valid
-        // for 'g because unlinked nodes are retired, not freed, and the
-        // caller's pin predates any retirement that could follow.
-        unsafe {
-            let out: Option<&'g V> = if (*curr).key == ikey {
-                (*curr).value.as_ref().map(|v| &*(v as *const V))
-            } else {
-                None
-            };
-            (*curr).lock.unlock();
-            (*pred).lock.unlock();
-            out
+        let (_pred, (curr, _g)) = self.locate(ikey);
+        if curr.key == ikey {
+            curr.value.as_ref()
+        } else {
+            None
         }
+    }
+
+    /// Store `node` into the locked `pred`'s `next`: the writer window for
+    /// optimistic readers. Node locks serialize writers positionally; the
+    /// list version serializes them against lockless validated reads.
+    fn publish(&self, pred: &Node<V>, node: *mut Node<V>) {
+        let _w = lock_guard(&self.version);
+        pred.next.store(node as usize, Ordering::Release);
     }
 
     /// Guard-scoped `insert`.
     pub fn insert_in(&self, key: u64, value: V, _guard: &Guard) -> bool {
         let ikey = key::ikey(key);
-        let (pred, curr) = self.locate(ikey);
-        // SAFETY: both nodes locked by us; the new node is private until
-        // the `next` store publishes it under the pred lock.
-        unsafe {
-            if (*curr).key == ikey {
-                (*curr).lock.unlock();
-                (*pred).lock.unlock();
-                return false;
-            }
-            let node = Node::alloc(ikey, Some(value), curr as usize);
-            // Writer window for optimistic readers: node locks serialize
-            // writers positionally; the version word serializes them
-            // against lockless validated reads.
-            self.version.lock();
-            (*pred).next.store(node as usize, Ordering::Release);
-            self.version.unlock();
-            (*curr).lock.unlock();
-            (*pred).lock.unlock();
-            true
+        let ((pred, _pg), (curr, _cg)) = self.locate(ikey);
+        if curr.key == ikey {
+            return false;
         }
+        // The new node is private until `publish` links it under pred's lock.
+        self.publish(pred, Node::alloc(ikey, Some(value), curr.addr()));
+        true
     }
 
     /// Guard-scoped `remove`.
     pub fn remove_in(&self, key: u64, guard: &Guard) -> Option<V> {
         let ikey = key::ikey(key);
-        let (pred, curr) = self.locate(ikey);
-        // SAFETY: both nodes locked. After unlinking, `curr` is unreachable
-        // for new traversals; readers that already returned a reference
-        // into it hold a pin, so the node is retired through EBR.
-        unsafe {
-            if (*curr).key != ikey {
-                (*curr).lock.unlock();
-                (*pred).lock.unlock();
-                return None;
-            }
-            self.version.lock();
-            (*pred)
-                .next
-                .store((*curr).next.load(Ordering::Relaxed), Ordering::Release);
-            self.version.unlock();
-            let out = (*curr).value.clone();
-            (*curr).lock.unlock();
-            (*pred).lock.unlock();
-            // SAFETY: unlinked under both locks; retired exactly once by
-            // this (winning) remover.
-            guard.defer_drop(Shared::<Node<V>>::from_raw(curr as usize));
-            out
+        let ((pred, pg), (curr, cg)) = self.locate(ikey);
+        if curr.key != ikey {
+            return None;
         }
+        self.publish(pred, curr.next());
+        let out = curr.value.clone();
+        drop((cg, pg));
+        // SAFETY: unlinked under both locks, so unreachable for new
+        // traversals; readers that already returned a reference into it
+        // hold a pin. Retired exactly once, by this (winning) remover.
+        unsafe { guard.defer_drop(Shared::<Node<V>>::from_raw(curr.addr() as usize)) };
+        out
     }
 
     /// Decision-only optimistic RMW arm: lockless walk, run the closure,
@@ -229,7 +233,7 @@ impl<V: Clone + Send + Sync> CouplingList<V> {
     /// A version-certified *write* would be unsound here, unlike in the
     /// bucket tables: positional writers take their node locks during the
     /// parse and only bump the list version around the final publish store,
-    /// so a writer between `locate` and `version.lock()` is invisible to
+    /// so a writer between `locate` and `publish` is invisible to
     /// `read_begin`/`try_lock_version` — the list version word carries read
     /// authority, not write authority.
     fn rmw_decision_optimistic<'g>(
@@ -290,98 +294,58 @@ impl<V: Clone + Send + Sync> CouplingList<V> {
     }
 
     /// The read-decide-apply of [`rmw_in`](CouplingList::rmw_in) as one
-    /// hand-over-hand critical section.
+    /// hand-over-hand critical section. The closure runs holding both
+    /// guards, so a panic in it unwinds through them and releases the locks.
     fn rmw_locked<'g>(&'g self, ikey: u64, f: RmwFn<'_, V>, guard: &'g Guard) -> RmwOutcome<'g, V> {
-        let (pred, curr) = self.locate(ikey);
-        // SAFETY: both nodes locked by us; value references handed out are
-        // kept alive for 'g by the caller's pin (unlinked nodes are retired,
-        // never freed in place, and values are never mutated).
-        unsafe {
-            if (*curr).key == ikey {
-                let current: &'g V = {
-                    let v = (*curr).value.as_ref().expect("live node holds a value");
-                    &*(v as *const V)
-                };
-                match f(Some(current)) {
-                    None => {
-                        (*curr).lock.unlock();
-                        (*pred).lock.unlock();
-                        RmwOutcome {
-                            prev: Some(current.clone()),
-                            cur: Some(current),
-                            applied: false,
-                        }
-                    }
-                    Some(new_value) => {
-                        let node = Node::alloc(
-                            ikey,
-                            Some(new_value),
-                            (*curr).next.load(Ordering::Relaxed),
-                        );
-                        self.version.lock();
-                        (*pred).next.store(node as usize, Ordering::Release);
-                        self.version.unlock();
-                        let prev = (*curr).value.clone();
-                        let cur: Option<&'g V> = (*node).value.as_ref().map(|v| &*(v as *const V));
-                        (*curr).lock.unlock();
-                        (*pred).lock.unlock();
-                        // SAFETY: unlinked under both locks; retired once.
-                        guard.defer_drop(Shared::<Node<V>>::from_raw(curr as usize));
-                        RmwOutcome {
-                            prev,
-                            cur,
-                            applied: true,
-                        }
-                    }
-                }
-            } else {
-                match f(None) {
-                    None => {
-                        (*curr).lock.unlock();
-                        (*pred).lock.unlock();
-                        RmwOutcome {
-                            prev: None,
-                            cur: None,
-                            applied: false,
-                        }
-                    }
-                    Some(new_value) => {
-                        let node = Node::alloc(ikey, Some(new_value), curr as usize);
-                        self.version.lock();
-                        (*pred).next.store(node as usize, Ordering::Release);
-                        self.version.unlock();
-                        let cur: Option<&'g V> = (*node).value.as_ref().map(|v| &*(v as *const V));
-                        (*curr).lock.unlock();
-                        (*pred).lock.unlock();
-                        RmwOutcome {
-                            prev: None,
-                            cur,
-                            applied: true,
-                        }
-                    }
-                }
-            }
+        let ((pred, pg), (curr, cg)) = self.locate(ikey);
+        // Value references handed out are kept alive for 'g by the
+        // caller's pin: unlinked nodes are retired, never freed in place,
+        // and values are never mutated.
+        let found =
+            (curr.key == ikey).then(|| curr.value.as_ref().expect("live node holds a value"));
+        let prev = found.cloned();
+        let Some(new_value) = f(found) else {
+            return RmwOutcome {
+                prev,
+                cur: found,
+                applied: false,
+            };
+        };
+        // A present key is replaced by a fresh same-key node; an absent
+        // one is inserted in front of `curr`.
+        let next = if found.is_some() {
+            curr.next()
+        } else {
+            curr.addr()
+        };
+        let node = Node::alloc(ikey, Some(new_value), next);
+        self.publish(pred, node);
+        // SAFETY: published; kept alive for 'g like every node.
+        let cur = unsafe { &*node }.value.as_ref();
+        drop((cg, pg));
+        if found.is_some() {
+            // SAFETY: unlinked under both locks; retired once.
+            unsafe { guard.defer_drop(Shared::<Node<V>>::from_raw(curr.addr() as usize)) };
+        }
+        RmwOutcome {
+            prev,
+            cur,
+            applied: true,
         }
     }
 
-    /// Guard-scoped element count (hand-over-hand; O(n)).
+    /// Guard-scoped element count (hand-over-hand, as `locate`; O(n)).
     pub fn len_in(&self, _guard: &Guard) -> usize {
         let mut n = 0;
         // SAFETY: same locking discipline as `locate`.
         unsafe {
-            let mut pred = self.head;
-            (*pred).lock.lock();
-            let mut curr = (*pred).next.load(Ordering::Relaxed) as *mut Node<V>;
-            (*curr).lock.lock();
-            while (*curr).key != TAIL_IKEY {
+            let mut pred = Self::lock_node(self.head);
+            let mut curr = Self::lock_node(pred.0.next());
+            while curr.0.key != TAIL_IKEY {
                 n += 1;
-                (*pred).lock.unlock();
                 pred = curr;
-                curr = (*pred).next.load(Ordering::Relaxed) as *mut Node<V>;
-                (*curr).lock.lock();
+                curr = Self::lock_node(pred.0.next());
             }
-            (*curr).lock.unlock();
-            (*pred).lock.unlock();
         }
         n
     }
@@ -409,11 +373,8 @@ impl<V: Clone + Send + Sync> GuardedMap<V> for CouplingList<V> {
         // first node the tail sentinel" — observed under the head lock.
         // SAFETY: same locking discipline as `locate`.
         unsafe {
-            (*self.head).lock.lock();
-            let first = (*self.head).next.load(Ordering::Relaxed) as *mut Node<V>;
-            let empty = (*first).key == TAIL_IKEY;
-            (*self.head).lock.unlock();
-            empty
+            let (head, _g) = Self::lock_node(self.head);
+            (*head.next()).key == TAIL_IKEY
         }
     }
 

@@ -20,7 +20,7 @@
 use csds_sync::atomic::{AtomicU32, Ordering};
 
 use csds_ebr::{pin, Atomic, Guard, Shared};
-use csds_sync::{lock_guard, RawMutex, TasLock};
+use csds_sync::{lock_guard, LockGuard, RawMutex, TasLock};
 
 use crate::key::{self, HEAD_IKEY, TAIL_IKEY};
 use crate::skiplist::{
@@ -101,6 +101,9 @@ type FindResult<'g, V> = (
     Option<Shared<'g, Node<V>>>,
 );
 
+/// A node together with the guard that holds its lock.
+type Held<'g, V> = (Shared<'g, Node<V>>, LockGuard<'g, TasLock>);
+
 /// Pugh-style skiplist. See the module docs.
 pub struct PughSkipList<V> {
     head: Atomic<Node<V>>,
@@ -155,38 +158,45 @@ impl<V: Clone + Send + Sync> PughSkipList<V> {
     /// Lock `pred`, the start of a level's locked walk — unless it is the
     /// predecessor `held` from the previous level, which stays locked. A
     /// different held predecessor is released *before* `pred` is locked.
-    fn lock_pred<'g>(
-        held: Option<Shared<'g, Node<V>>>,
-        pred: Shared<'g, Node<V>>,
-    ) -> Shared<'g, Node<V>> {
-        if held == Some(pred) {
-            return pred;
-        }
+    fn lock_pred<'g>(held: Option<Held<'g, V>>, pred: Shared<'g, Node<V>>) -> Held<'g, V>
+    where
+        V: 'g,
+    {
         if let Some(h) = held {
-            // SAFETY: pinned; locked by us.
-            unsafe { node(h) }.lock.unlock();
+            if h.0 == pred {
+                return h;
+            }
         }
-        // SAFETY: pinned.
-        unsafe { node(pred) }.lock.lock();
-        csds_metrics::maybe_delay_in_cs();
-        pred
+        Self::lock(pred)
     }
 
-    /// Locked hand-over-hand walk at `level` from the locked `pred`:
-    /// returns a **locked**, live predecessor with `pred.key < ikey <=
-    /// pred.next(level).key`, or `None`, holding nothing, if the walk ran
-    /// into a deleted node (caller re-parses).
+    /// Lock `n` and pair it with its guard.
+    fn lock<'g>(n: Shared<'g, Node<V>>) -> Held<'g, V>
+    where
+        V: 'g,
+    {
+        // SAFETY: pinned.
+        (n, lock_guard(&unsafe { node(n) }.header().lock))
+    }
+
+    /// Locked walk at `level` from the locked `pred`: returns a **locked**,
+    /// live predecessor with `pred.key < ikey <= pred.next(level).key`, or
+    /// `None`, holding nothing, if the walk ran into a deleted node (caller
+    /// re-parses). Each step releases the current node before locking the
+    /// next.
     fn walk_locked<'g>(
-        mut pred: Shared<'g, Node<V>>,
+        mut pred: Held<'g, V>,
         ikey: u64,
         level: usize,
         guard: &'g Guard,
-    ) -> Option<Shared<'g, Node<V>>> {
+    ) -> Option<Held<'g, V>>
+    where
+        V: 'g,
+    {
         loop {
             // SAFETY: pinned.
-            let p = unsafe { node(pred) };
+            let p = unsafe { node(pred.0) };
             if p.is_deleted() {
-                p.lock.unlock();
                 return None;
             }
             let next = p.next(level).load(guard);
@@ -194,10 +204,8 @@ impl<V: Clone + Send + Sync> PughSkipList<V> {
             if unsafe { node(next) }.key >= ikey {
                 return Some(pred);
             }
-            p.lock.unlock();
-            pred = next;
-            // SAFETY: pinned.
-            unsafe { node(pred) }.lock.lock();
+            drop(pred);
+            pred = Self::lock(next);
         }
     }
 
@@ -303,7 +311,7 @@ impl<V: Clone + Send + Sync> PughSkipList<V> {
                 loop {
                     held =
                         Self::walk_locked(Self::lock_pred(held, preds[level]), ikey, level, guard);
-                    let Some(pred) = held else {
+                    let Some((pred, _)) = held else {
                         // Predecessor chain hit a deleted node; re-parse and
                         // retry this level (lower levels stay linked).
                         csds_metrics::restart();
@@ -337,7 +345,7 @@ impl<V: Clone + Send + Sync> PughSkipList<V> {
                     if level == 0 && s.key == ikey {
                         // Lost the level-0 race to a competing insert.
                         let deleted = s.is_deleted();
-                        p.lock.unlock();
+                        drop(held);
                         drop(ng);
                         if deleted {
                             csds_metrics::restart();
@@ -352,10 +360,7 @@ impl<V: Clone + Send + Sync> PughSkipList<V> {
                     break;
                 }
             }
-            if let Some(pred) = held {
-                // SAFETY: pinned; locked by us.
-                unsafe { node(pred) }.lock.unlock();
-            }
+            drop(held);
             drop(ng);
             // SAFETY: the box was owned by the (then-unpublished) node and
             // is kept alive by the caller's pin from before publication.
@@ -461,23 +466,18 @@ impl<V: Clone + Send + Sync> PughSkipList<V> {
         for level in (0..=v.top_level()).rev() {
             loop {
                 held = Self::walk_locked(Self::lock_pred(held, preds[level]), v.key, level, guard);
-                if let Some(pred) = held {
+                if let Some((pred, _)) = held {
                     // SAFETY: pinned; locked.
                     let p = unsafe { node(pred) };
                     if p.next(level).load(guard) == victim {
                         p.next(level).store(v.next(level).load(guard));
                         break;
                     }
-                    p.lock.unlock();
                     held = None;
                 }
                 csds_metrics::restart();
                 preds = self.find(v.key, guard).0;
             }
-        }
-        if let Some(pred) = held {
-            // SAFETY: pinned; locked by us.
-            unsafe { node(pred) }.lock.unlock();
         }
     }
 

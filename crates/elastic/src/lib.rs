@@ -829,14 +829,13 @@ impl<V: Clone + Send + Sync> ElasticHashTable<V> {
                     marked: AtomicUsize::new(0),
                     next: Atomic::null(),
                 });
-                if !b.lock.try_lock_version(seen) {
+                let Some(g) = b.lock.try_lock_version(seen) else {
                     // SAFETY: never published.
                     unsafe { drop(new_s.into_box()) };
                     csds_metrics::optimistic_failure();
                     csds_metrics::restart();
                     continue;
-                }
-                csds_metrics::maybe_delay_in_cs();
+                };
                 // Version unchanged ⇒ the chain and the tag are exactly as
                 // parsed; even if a newer table was installed meanwhile,
                 // this un-MOVED bucket is still its keys' authority and the
@@ -850,7 +849,7 @@ impl<V: Clone + Send + Sync> ElasticHashTable<V> {
                     // SAFETY: pinned; serialized by the bucket lock.
                     unsafe { pred.deref() }.next.store(new_s);
                 }
-                b.lock.unlock();
+                drop(g);
                 let prev = Some(c.value.clone());
                 // SAFETY: unlinked under the bucket lock; retired once.
                 unsafe { guard.defer_drop(curr) };
@@ -884,20 +883,19 @@ impl<V: Clone + Send + Sync> ElasticHashTable<V> {
                 marked: AtomicUsize::new(0),
                 next: Atomic::null(),
             });
-            if !b.lock.try_lock_version(seen) {
+            let Some(g) = b.lock.try_lock_version(seen) else {
                 // SAFETY: never published.
                 unsafe { drop(new_s.into_box()) };
                 csds_metrics::optimistic_failure();
                 csds_metrics::restart();
                 continue;
-            }
-            csds_metrics::maybe_delay_in_cs();
+            };
             debug_assert!(b.head.load(guard).tag() != MOVED);
             // Version unchanged ⇒ `head` is still the bucket head.
             // SAFETY: unpublished.
             unsafe { new_s.deref() }.next.store(head);
             b.head.store(new_s); // linearization point
-            b.lock.unlock();
+            drop(g);
             if shard.occupancy.incr() & (RESIZE_CHECK_PERIOD - 1) == 0 {
                 self.maybe_resize(shard, guard);
             }

@@ -37,10 +37,9 @@ fn validated_read_is_never_torn() {
         let p2 = Arc::clone(&p);
         let writer = csds_modelcheck::thread::spawn(move || {
             let seen = p2.lock.version();
-            if !OptikLock::version_is_locked(seen) && p2.lock.try_lock_version(seen) {
+            if let Some(_g) = p2.lock.try_lock_version(seen) {
                 p2.a.store(1, Ordering::Relaxed);
                 p2.b.store(1, Ordering::Relaxed);
-                p2.lock.unlock();
             }
         });
         if let Some(s) = p.lock.read_begin() {
@@ -68,10 +67,9 @@ fn unvalidated_read_tears_and_the_checker_sees_it() {
         let p2 = Arc::clone(&p);
         let writer = csds_modelcheck::thread::spawn(move || {
             let seen = p2.lock.version();
-            if !OptikLock::version_is_locked(seen) && p2.lock.try_lock_version(seen) {
+            if let Some(_g) = p2.lock.try_lock_version(seen) {
                 p2.a.store(1, Ordering::Relaxed);
                 p2.b.store(1, Ordering::Relaxed);
-                p2.lock.unlock();
             }
         });
         if p.lock.read_begin().is_some() {
@@ -102,18 +100,18 @@ fn try_lock_version_excludes_concurrent_writers() {
         let (p2, w2) = (Arc::clone(&p), Arc::clone(&wins));
         let t = csds_modelcheck::thread::spawn(move || {
             let seen = p2.lock.version();
-            if !OptikLock::version_is_locked(seen) && p2.lock.try_lock_version(seen) {
+            if let Some(g) = p2.lock.try_lock_version(seen) {
                 let v = p2.a.load(Ordering::Relaxed);
                 p2.a.store(v + 1, Ordering::Relaxed);
-                p2.lock.unlock();
+                drop(g);
                 w2.fetch_add(1, Ordering::Relaxed);
             }
         });
         let seen = p.lock.version();
-        if !OptikLock::version_is_locked(seen) && p.lock.try_lock_version(seen) {
+        if let Some(g) = p.lock.try_lock_version(seen) {
             let v = p.a.load(Ordering::Relaxed);
             p.a.store(v + 1, Ordering::Relaxed);
-            p.lock.unlock();
+            drop(g);
             wins.fetch_add(1, Ordering::Relaxed);
         }
         t.join().unwrap();

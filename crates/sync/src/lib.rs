@@ -48,9 +48,11 @@ pub fn optimistic_fast_paths() -> bool {
 
 /// A raw mutual-exclusion primitive.
 ///
-/// `unlock` is a safe function; the usual guard discipline is provided by
-/// [`LockGuard`], and the data-structure code in `csds-core` only unlocks
-/// through guards (or symmetric explicit paths in hand-over-hand traversals).
+/// `unlock` is a safe function, but the data structures never call it:
+/// every critical section in `csds_core`, `csds_elastic` and `csds_pq` holds
+/// a [`LockGuard`] (from [`lock_guard`] or
+/// [`OptikLock::try_lock_version`]), which releases on drop, unwinding
+/// included. Hand-over-hand walks move guards rather than unlocking.
 pub trait RawMutex: Send + Sync {
     /// A new, unlocked instance.
     fn new() -> Self;
@@ -64,16 +66,22 @@ pub trait RawMutex: Send + Sync {
     fn is_locked(&self) -> bool;
 }
 
-/// RAII guard for any [`RawMutex`]; created by [`lock_guard`] /
-/// [`try_lock_guard`]. Entering a guard fires the delay-injection hook, so
-/// the "unresponsive threads" experiment stalls threads *while holding locks*.
+/// RAII guard for any [`RawMutex`]; created by [`lock_guard`] and
+/// [`OptikLock::try_lock_version`]. Entering a guard fires the
+/// delay-injection hook, so the "unresponsive threads" experiment stalls
+/// threads *while holding locks*.
 pub struct LockGuard<'a, L: RawMutex> {
     lock: &'a L,
 }
 
 impl<'a, L: RawMutex> LockGuard<'a, L> {
-    /// Release early (identical to dropping the guard).
-    pub fn unlock(self) {}
+    /// Wrap a lock the caller has just acquired, running the
+    /// critical-section delay hook.
+    #[inline]
+    fn entered(lock: &'a L) -> Self {
+        csds_metrics::maybe_delay_in_cs();
+        LockGuard { lock }
+    }
 }
 
 impl<'a, L: RawMutex> Drop for LockGuard<'a, L> {
@@ -86,19 +94,7 @@ impl<'a, L: RawMutex> Drop for LockGuard<'a, L> {
 /// the critical-section delay-injection hook.
 pub fn lock_guard<L: RawMutex>(lock: &L) -> LockGuard<'_, L> {
     lock.lock();
-    csds_metrics::maybe_delay_in_cs();
-    LockGuard { lock }
-}
-
-/// Try to acquire `lock`; on success return a guard (after running the
-/// delay-injection hook).
-pub fn try_lock_guard<L: RawMutex>(lock: &L) -> Option<LockGuard<'_, L>> {
-    if lock.try_lock() {
-        csds_metrics::maybe_delay_in_cs();
-        Some(LockGuard { lock })
-    } else {
-        None
-    }
+    LockGuard::entered(lock)
 }
 
 #[cfg(test)]
@@ -181,14 +177,20 @@ mod tests {
 
     #[test]
     fn guard_releases_on_drop() {
-        let l = TasLock::new();
+        let l = OptikLock::new();
         {
             let _g = lock_guard(&l);
             assert!(l.is_locked());
-            assert!(try_lock_guard(&l).is_none());
+            assert!(l.try_lock_version(l.version()).is_none());
         }
         assert!(!l.is_locked());
-        assert!(try_lock_guard(&l).is_some());
+        let v = l.version();
+        assert!(l.try_lock_version(v).is_some());
+        assert!(!l.is_locked(), "the unbound guard released at once");
+        let g = l.try_lock_version(l.version()).expect("free lock");
+        assert!(l.is_locked());
+        drop(g);
+        assert_eq!(l.version(), v + 4);
     }
 
     #[test]

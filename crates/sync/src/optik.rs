@@ -9,6 +9,15 @@
 //! operation restarts instead of waiting, which is why BST-TK's measured
 //! lock-wait time is zero and its restart count is non-zero (paper §5.1).
 //!
+//! A successful `try_lock_version` returns a [`LockGuard`], the same guard
+//! [`lock_guard`] hands out: acquiring it runs the critical-section delay
+//! hook ([`csds_metrics::maybe_delay_in_cs`]), so a stalled holder stalls
+//! holding the lock, and dropping it unlocks, unwinding included.
+//! [`LockGuard::retire`] consumes it *without* unlocking — the one way to
+//! leave a version odd for good.
+//!
+//! [`lock_guard`]: crate::lock_guard
+//!
 //! The same version word doubles as a **seqlock** for readers
 //! ([`OptikLock::read_begin`] / [`OptikLock::read_validate`]): snapshot an
 //! even version, read the protected data without synchronizing, then
@@ -46,7 +55,7 @@
 use crate::atomic::{fence, AtomicU64, Ordering};
 use std::time::Instant;
 
-use crate::{Backoff, RawMutex};
+use crate::{Backoff, LockGuard, RawMutex};
 
 /// Bounded retries for optimistic *read* fast paths before falling back to
 /// the locked path.
@@ -75,11 +84,19 @@ impl OptikLock {
     }
 
     /// Acquire the lock only if the version still equals `seen` (which must
-    /// be even, i.e. observed free). Returns `false` — without waiting — if
-    /// the version moved or the lock is held.
+    /// be even, i.e. observed free), as a guard (see the module docs).
+    /// Returns `None` — without waiting — if the version moved or the lock
+    /// is held.
     #[inline]
-    #[must_use = "ignoring the result proceeds without the lock; branch on it"]
-    pub fn try_lock_version(&self, seen: u64) -> bool {
+    #[must_use = "dropping the guard releases the lock at once; bind it"]
+    pub fn try_lock_version(&self, seen: u64) -> Option<LockGuard<'_, OptikLock>> {
+        self.cas_version(seen).then(|| LockGuard::entered(self))
+    }
+
+    /// The CAS behind [`try_lock_version`](Self::try_lock_version) and
+    /// `try_lock`: even `seen` → odd, recorded as an uncontended acquire.
+    #[inline]
+    fn cas_version(&self, seen: u64) -> bool {
         if seen & 1 == 1 {
             return false;
         }
@@ -179,6 +196,17 @@ impl OptikLock {
     }
 }
 
+impl LockGuard<'_, OptikLock> {
+    /// Consume the guard **without** unlocking: the version stays odd for
+    /// good, so every later `try_lock_version` and `read_begin` on it
+    /// fails. For a node that must never be locked again, such as BST-TK's
+    /// spliced-out router.
+    #[inline]
+    pub fn retire(self) {
+        std::mem::forget(self);
+    }
+}
+
 /// Failed-validation recording, out of line: writers are rare on the read
 /// fast path, and keeping the recorder call (a thread-local access plus
 /// counter stores) out of [`OptikLock::optimistic_read`]'s loop body keeps
@@ -221,10 +249,10 @@ impl RawMutex for OptikLock {
     #[inline]
     fn try_lock(&self) -> bool {
         // Relaxed for the same reason as `lock`'s fast path: the load only
-        // seeds `try_lock_version`'s CAS, whose Acquire success ordering
-        // does the synchronizing.
+        // seeds `cas_version`'s CAS, whose Acquire success ordering does
+        // the synchronizing.
         let v = self.version.load(Ordering::Relaxed);
-        v & 1 == 0 && self.try_lock_version(v)
+        v & 1 == 0 && self.cas_version(v)
     }
 
     #[inline]
@@ -286,10 +314,49 @@ mod tests {
         // Someone else runs a critical section.
         l.lock();
         l.unlock();
-        assert!(!l.try_lock_version(seen), "stale version must be rejected");
+        assert!(
+            l.try_lock_version(seen).is_none(),
+            "stale version must be rejected"
+        );
         let fresh = l.version();
-        assert!(l.try_lock_version(fresh));
-        l.unlock();
+        let g = l.try_lock_version(fresh).expect("unchanged version");
+        assert!(l.is_locked());
+        drop(g);
+        assert_eq!(l.version(), fresh + 2);
+    }
+
+    #[test]
+    fn retired_guard_leaves_the_lock_dead() {
+        let l = OptikLock::new();
+        let v = l.version();
+        l.try_lock_version(v).expect("free lock").retire();
+        assert!(l.is_locked());
+        assert_eq!(l.version(), v + 1);
+        assert!(l.read_begin().is_none());
+        assert!(l.try_lock_version(l.version()).is_none());
+        assert!(l.try_lock_version(v).is_none());
+    }
+
+    #[test]
+    fn guard_unlocks_on_unwind_and_runs_the_delay_hook() {
+        let l = OptikLock::new();
+        let _ = csds_metrics::take_and_reset();
+        csds_metrics::set_delay_policy(Some(csds_metrics::DelayPolicy {
+            every: 1,
+            min_ns: 1,
+            max_ns: 1,
+            seed: 1,
+        }));
+        let v = l.version();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _g = l.try_lock_version(v).expect("free lock");
+            panic!("inside the critical section");
+        }));
+        csds_metrics::set_delay_policy(None);
+        assert!(unwound.is_err());
+        assert!(!l.is_locked(), "the guard released on unwind");
+        assert_eq!(l.version(), v + 2);
+        assert_eq!(csds_metrics::take_and_reset().injected_delays, 1);
     }
 
     #[test]
@@ -298,7 +365,7 @@ mod tests {
         l.lock();
         let seen = l.version();
         assert!(OptikLock::version_is_locked(seen));
-        assert!(!l.try_lock_version(seen));
+        assert!(l.try_lock_version(seen).is_none());
         l.unlock();
     }
 

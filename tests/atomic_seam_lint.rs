@@ -124,3 +124,49 @@ fn allowlist_entries_are_live() {
         }
     }
 }
+
+/// Structure locks are released only by dropping a guard: `lock_guard` or
+/// `OptikLock::try_lock_version` hands one out, it runs the delay hook on
+/// entry and unlocks on drop — unwinding included — and BST-TK's dead
+/// routers leave through `retire`. A hand-written unlock, or a hand-placed
+/// delay hook, in a structure crate bypasses one of those.
+#[test]
+fn structure_crates_release_locks_only_through_guards() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    // Assembled at runtime so this file does not match its own patterns.
+    let patterns = [
+        format!(".{}()", "unlock"),
+        format!("maybe_delay_{}", "in_cs"),
+    ];
+    let mut sources = Vec::new();
+    for dir in ["crates/core/src", "crates/elastic/src", "crates/pq/src"] {
+        collect_rust_sources(&root.join(dir), &mut sources);
+    }
+    assert!(
+        sources.len() > 15,
+        "source walk looks broken: only {} .rs files found",
+        sources.len()
+    );
+
+    let mut violations = Vec::new();
+    for path in sources {
+        let text = std::fs::read_to_string(&path).unwrap();
+        for (i, line) in text.lines().enumerate() {
+            let code = line.trim_start();
+            if code.starts_with("//") {
+                continue;
+            }
+            if patterns.iter().any(|p| code.contains(p.as_str())) {
+                let rel = path.strip_prefix(root).unwrap_or(&path);
+                violations.push(format!("  {}:{}: {}", rel.display(), i + 1, code));
+            }
+        }
+    }
+
+    assert!(
+        violations.is_empty(),
+        "a structure crate unlocks or injects delays by hand; hold a guard \
+         from `lock_guard` / `try_lock_version` instead:\n{}",
+        violations.join("\n")
+    );
+}

@@ -200,19 +200,26 @@ fn optimistic_fallbacks_stay_linearizable_under_stalled_lock_holders() {
     // — is how a user gets there: the bucket version stays odd for
     // microseconds and the others' validations spend their retries. The
     // histories are tiny, so rounds repeat until fallbacks have been
-    // recorded, which proves the checked histories contain them.
+    // recorded, which proves the checked histories contain them. BST-TK
+    // has no fallback, only write phases; each structure must have had
+    // delays injected into its critical sections, which proves the stalls
+    // reach every one of them.
+    const ALGOS: [AlgoKind; 5] = [
+        AlgoKind::CouplingList,
+        AlgoKind::CouplingHashTable,
+        AlgoKind::LazyHashTable,
+        AlgoKind::ElasticHashTable,
+        AlgoKind::BstTk,
+    ];
     let mut fallbacks = 0;
+    let mut injected = [0; ALGOS.len()];
     for round in 0..1024 {
-        for algo in [
-            AlgoKind::CouplingList,
-            AlgoKind::CouplingHashTable,
-            AlgoKind::LazyHashTable,
-            AlgoKind::ElasticHashTable,
-        ] {
-            fallbacks +=
-                check_round(algo, true, &[Some(PAPER_STALL); 3], round).optimistic_fallbacks;
+        for (algo, injected) in ALGOS.into_iter().zip(&mut injected) {
+            let stats = check_round(algo, true, &[Some(PAPER_STALL); 3], round);
+            fallbacks += stats.optimistic_fallbacks;
+            *injected += stats.injected_delays;
         }
-        if round >= 3 && fallbacks > 0 {
+        if round >= 3 && fallbacks > 0 && injected.iter().all(|&n| n > 0) {
             break;
         }
     }
@@ -220,6 +227,13 @@ fn optimistic_fallbacks_stay_linearizable_under_stalled_lock_holders() {
         fallbacks > 0,
         "no recorded operation took a locked fallback in 1024 stalled rounds"
     );
+    for (algo, injected) in ALGOS.into_iter().zip(injected) {
+        assert!(
+            injected > 0,
+            "{}: no delay reached a critical section in 1024 stalled rounds",
+            algo.name()
+        );
+    }
 }
 
 #[test]

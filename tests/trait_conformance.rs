@@ -252,6 +252,81 @@ fn reserved_keys_are_rejected_at_the_boundary() {
 }
 
 #[test]
+fn a_panicking_rmw_closure_leaves_every_structure_usable() {
+    // On the locked paths the closure runs inside a critical section, so a
+    // panic in it must unwind through the structure's lock guards. A
+    // closure allowed `after` calls panics on call `after + 1`: after 0 it
+    // panics at once; after 1 it first asks for a write and panics when
+    // re-run, which is how the lock-coupling structures reach their
+    // hand-over-hand section (their first call is a lockless decision arm).
+    // A leaked lock shows as a hang, so the follow-up operations run on a
+    // helper thread that the test waits for with a timeout.
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
+    const PRESENT: u64 = 1;
+    const ABSENT: u64 = 2;
+    for &algo in AlgoKind::all() {
+        let name = algo.name();
+        let map = Arc::new(algo.make(16));
+        assert!(map.insert(PRESENT, 10), "{name}");
+        for after in [0, 1] {
+            for key in [PRESENT, ABSENT] {
+                let len = map.len();
+                let mut calls = 0;
+                let out = catch_unwind(AssertUnwindSafe(|| {
+                    map.rmw(key, &mut |_| {
+                        calls += 1;
+                        if calls > after {
+                            panic!("rmw closure panics on call {calls}");
+                        }
+                        Some(99)
+                    })
+                }));
+                if let Ok(out) = out {
+                    // One call sufficed, and its write was applied: undo it.
+                    assert_eq!(out.1, Some(99), "{name}: key {key}");
+                    if key == PRESENT {
+                        assert_eq!(map.upsert(PRESENT, 10), Some(99), "{name}");
+                    } else {
+                        assert_eq!(map.remove(ABSENT), Some(99), "{name}");
+                    }
+                    continue;
+                }
+                let (done, wait) = mpsc::channel();
+                let shared = Arc::clone(&map);
+                let helper = std::thread::spawn(move || {
+                    let len = shared.len();
+                    shared.insert(key, 7);
+                    shared.remove(key);
+                    shared.rmw(key, &mut |_| Some(8));
+                    shared.remove(key);
+                    let _ = done.send(len);
+                });
+                let len_after = wait
+                    .recv_timeout(Duration::from_secs(10))
+                    .unwrap_or_else(|_| {
+                        panic!(
+                            "{name}: key {key} hangs after an rmw closure panicked on call {}",
+                            after + 1
+                        )
+                    });
+                helper.join().expect("helper finished its operations");
+                assert_eq!(
+                    len_after, len,
+                    "{name}: a panicking rmw on key {key} moved len"
+                );
+                if key == PRESENT {
+                    assert!(map.insert(PRESENT, 10), "{name}");
+                }
+            }
+        }
+        assert_eq!(map.len(), 1, "{name}");
+        assert_eq!(map.get(PRESENT), Some(10), "{name}");
+    }
+}
+
+#[test]
 fn elastic_conformance_survives_growth_through_both_call_paths() {
     // AlgoKind::all() already sweeps ElasticHashTable through every test in
     // this file at a stationary size; this one drives both call paths
