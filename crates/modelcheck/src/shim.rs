@@ -259,6 +259,27 @@ macro_rules! shim_atomic_int {
                     }
                 }
             }
+
+            #[inline]
+            #[track_caller]
+            pub fn fetch_and(&self, v: $Prim, ord: Ordering) -> $Prim {
+                match enter(OpKind::Rmw, self.addr(), Location::caller()) {
+                    None => self.raw.fetch_and(v, ord),
+                    Some((ctx, me)) => {
+                        let old = self.raw.fetch_and(v, Ordering::SeqCst);
+                        exec::record_rmw(
+                            unsafe { &*ctx },
+                            me,
+                            self.addr(),
+                            ord,
+                            old as u64,
+                            Location::caller(),
+                            concat!($tag, ".fetch_and"),
+                        );
+                        old
+                    }
+                }
+            }
         }
     };
 }

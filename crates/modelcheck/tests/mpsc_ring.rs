@@ -22,11 +22,12 @@ fn racing_producers_deliver_exactly_once() {
         let ok2 = p2.join().unwrap();
         // Capacity 2, two pushes: neither can observe a full ring.
         assert!(ok1 && ok2, "push spuriously reported full");
+        let rx = ring.consumer().expect("the ring's one consumer");
         let mut got = vec![
-            ring.pop().expect("first element missing"),
-            ring.pop().expect("second element missing"),
+            rx.pop().expect("first element missing"),
+            rx.pop().expect("second element missing"),
         ];
-        assert!(ring.pop().is_none(), "phantom third element");
+        assert!(rx.pop().is_none(), "phantom third element");
         got.sort_unstable();
         assert_eq!(got, vec![1, 2], "elements lost or duplicated");
     });
@@ -58,10 +59,11 @@ fn concurrent_producer_consumer_with_backpressure() {
         // Concurrent pop attempts; each may legitimately see "empty". The
         // consumer-side probe may under-promise (a claimed slot not yet
         // stamped reads "not ready") but never over-promises.
+        let rx = ring.consumer().expect("the ring's one consumer");
         let mut got = Vec::new();
         for _ in 0..2 {
-            let ready = ring.pop_ready();
-            let popped = ring.pop();
+            let ready = rx.pop_ready();
+            let popped = rx.pop();
             assert!(
                 !ready || popped.is_some(),
                 "probe promised a pop that failed"
@@ -71,7 +73,7 @@ fn concurrent_producer_consumer_with_backpressure() {
         let (a, b, c) = producer.join().unwrap();
         assert!(a && b, "two pushes into a capacity-2 ring cannot be full");
         // Drain what is left after the producer finished.
-        while let Some(v) = ring.pop() {
+        while let Some(v) = rx.pop() {
             got.push(v);
         }
         let mut expected = vec![1, 2];
@@ -103,15 +105,16 @@ fn close_vs_push(exit_on_claimed_count: bool) {
     let r2 = Arc::clone(&ring);
     let producer = thread::spawn(move || (r2.try_push(1u64).is_ok(), r2.try_push(2u64).is_ok()));
     ring.close();
+    let rx = ring.consumer().expect("the ring's one consumer");
     let mut got = Vec::new();
     let mut exited = false;
     // Two rounds are enough to go round once behind an unstamped slot; a
     // worker that has not left by then has simply not left yet.
     for _ in 0..2 {
-        while let Some(v) = ring.pop() {
+        while let Some(v) = rx.pop() {
             got.push(v);
         }
-        let (empty, ready) = (ring.is_empty(), ring.pop_ready());
+        let (empty, ready) = (ring.is_empty(), rx.pop_ready());
         if !empty && !ready {
             CHECKED_UNSTAMPED.fetch_add(1, Ordering::Relaxed);
         }
@@ -128,7 +131,7 @@ fn close_vs_push(exit_on_claimed_count: bool) {
         .collect();
     if !exited {
         // Quiescent now: the next round of the same loop finishes the job.
-        while let Some(v) = ring.pop() {
+        while let Some(v) = rx.pop() {
             got.push(v);
         }
         assert!(ring.is_closed() && ring.is_empty());

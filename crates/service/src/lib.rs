@@ -64,12 +64,20 @@
 //!   The poll is on only when the host has a hardware thread to spare
 //!   (`available_parallelism() > cores`); otherwise the budget is zero and
 //!   the worker parks at once, leaving the CPU to its clients. It reads
-//!   only consumer-side state ([`csds_sync::MpscRing::pop_ready`]: the
-//!   head and that slot's stamp), so a polling worker does not slow the
+//!   only consumer-side state ([`csds_sync::mpsc_ring::Consumer::pop_ready`]:
+//!   the head and that slot's stamp), so a polling worker does not slow the
 //!   submitters down. Before every real park the worker still drops its
 //!   routing cache, sweeps idle tenants, flushes its deferred garbage and
 //!   publishes its stats; [`CoreStats::parks`] and
 //!   [`CoreStats::spin_refills`] say how each idle wait ended.
+//! * **Wake-up** — the worker announces a park on its ring's tail
+//!   ([`csds_sync::mpsc_ring::Consumer::announce_park`]), and only if
+//!   nothing was claimed past its head and the ring is open. The first
+//!   push after that takes the announcement down with its claim CAS, and
+//!   [`csds_sync::MpscRing::try_push`] tells that one submitter to unpark
+//!   the worker. The tail's modification order decides the race, so a
+//!   submit pays nothing for the wake-up beyond its claim: no flag beside
+//!   the ring, no fence.
 //! * **Compound operations** — [`OpKind::Upsert`], [`OpKind::CompareSwap`]
 //!   and [`OpKind::FetchAdd`] ride the same rings and execute through the
 //!   map's native `upsert_in` / `compare_swap_in` / `rmw_in`, so a counter
@@ -91,14 +99,19 @@
 //!   nothing for this: no flag to read, no in-flight counter to raise. If a
 //!   request could somehow be dropped unexecuted, its [`Completion`]
 //!   resolves to [`ServiceError::Disconnected`] rather than hanging.
+//!   Shutdown is `close` and an unconditional `unpark` per core: a closed
+//!   ring refuses the worker's park announcement, so only a worker that
+//!   announced before the close can be asleep, and the unpark reaches it.
 //! * **A request is two cache lines** — the 64-byte ring slot (the op, its
 //!   namespace, a timestamp and the completion's sender, line-aligned) and
-//!   the completion ([`csds_sync::oneshot`]: one cell, a state word beside
-//!   the reply, fulfilled with one CAS and freed by whichever side touches
-//!   it last — no reference count). Freed cells go to a per-thread pool, so
-//!   a client in steady state allocates nothing per request. Nothing else
-//!   per request crosses cores, takes a lock, or reads the clock (see the
-//!   next point).
+//!   the completion ([`csds_sync::oneshot`]: one line-aligned cell, a state
+//!   word beside the reply, fulfilled with one CAS and freed by whichever
+//!   side touches it last — no reference count). Neither shares a line with
+//!   its neighbours, so a worker publishing the next reply does not
+//!   invalidate the line a client is reading this one from. Freed cells go
+//!   to a per-thread pool, so a client in steady state allocates nothing
+//!   per request. Nothing else per request crosses cores, takes a lock, or
+//!   reads the clock (see the next point).
 //! * **Observability** — per-core [`CoreStats`]: ops, batches, batch-size
 //!   and queue-depth maxima, and log₂ histograms
 //!   ([`csds_metrics::LogHistogram`]) of batch sizes and
@@ -147,7 +160,7 @@
 //! assert_eq!(stats.aggregate().ops, 18);
 //! ```
 
-use csds_sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
+use csds_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -156,6 +169,7 @@ use csds_ebr::Guard;
 use csds_elastic::ElasticHashTable;
 use csds_metrics::registry::SeqSlot;
 use csds_metrics::stat_table;
+use csds_sync::mpsc_ring::Consumer;
 use csds_sync::{Backoff, CachePadded, MpscRing};
 
 mod oneshot;
@@ -361,6 +375,10 @@ struct Request<V> {
 // slots to 64 bytes, so a 57-byte request would double the ring.
 const _: () = assert!(std::mem::size_of::<Request<u64>>() <= 56);
 
+// A completion's cell is whole lines: a worker publishing the next reply
+// does not invalidate the line a client is reading this one from.
+const _: () = assert!(csds_sync::oneshot::cell_size::<Reply<u64>>() % 64 == 0);
+
 /// One submission in this many, per client thread, carries a timestamp
 /// and lands in [`CoreStats::latency_ns`]. A clock read costs about as much
 /// as the ring push it would time, on both sides of the ring.
@@ -396,13 +414,12 @@ fn enqueue_stamp(started: Instant) -> u64 {
 }
 
 /// Per-core state shared between producers and the owning worker. Padded at
-/// the use site: one core's ring endpoints and sleep flag never share a
-/// line with a neighbour's.
+/// the use site: one core's ring endpoints never share a line with a
+/// neighbour's.
 struct CoreState<V> {
+    /// The worker's submission ring. Its tail carries the worker's park
+    /// announcement too: the push that takes it down unparks the worker.
     ring: MpscRing<Request<V>>,
-    /// True while the worker is parked (or about to park); producers that
-    /// observe it swap it off and unpark the worker.
-    sleeping: AtomicBool,
     /// The worker's thread handle, for unparking. Set once, before
     /// [`Service::start`] returns and so before any client exists.
     thread: OnceLock<std::thread::Thread>,
@@ -530,7 +547,7 @@ stat_table! {
         /// Times the worker blocked in the kernel (`park_timeout`) because
         /// its ring stayed empty past the idle-poll budget. Counted as the
         /// park begins, after the pre-park publication, so the live slot of
-        /// a sleeping core trails by the park in progress.
+        /// a parked core trails by the park in progress.
         parks: sum, "csds_service_parks_total", "times a service worker parked on an empty ring";
         /// Idle waits ended by a request arriving inside the idle-poll
         /// budget, i.e. parks avoided.
@@ -624,7 +641,6 @@ where
                 .map(|_| {
                     CachePadded::new(CoreState {
                         ring: MpscRing::with_capacity(cfg.ring_capacity.max(2)),
-                        sleeping: AtomicBool::new(false),
                         thread: OnceLock::new(),
                         live: SeqSlot::new(),
                     })
@@ -712,11 +728,11 @@ where
         for c in self.shared.cores.iter() {
             // From here every push to this core is refused, and every push
             // that was not is counted in the ring's tail, which is what the
-            // worker drains to before it exits.
+            // worker drains to before it exits. A closed ring refuses the
+            // worker's park announcement, so the unpark only has to reach a
+            // worker that announced before the close.
             c.ring.close();
-            if c.sleeping.swap(false, Ordering::SeqCst) {
-                c.unpark();
-            }
+            c.unpark();
         }
         let per_core = self
             .workers
@@ -818,9 +834,12 @@ impl<V: Clone + Send + Sync + PartialEq + FetchAddValue + 'static> ServiceClient
                 op,
             });
         }
-        // The push itself settles the race with shutdown: `shutdown` closes
-        // the ring, a closed ring refuses the push, and a push that won is
-        // counted in the ring's tail, which the worker drains before exiting.
+        // The push itself settles the races with shutdown and with the
+        // worker's park: `shutdown` closes the ring, a closed ring refuses
+        // the push, and a push that won is counted in the ring's tail, which
+        // the worker drains before exiting; a worker parks only on a tail
+        // nobody has claimed past its head, and the first claim after that
+        // is told to wake it.
         let core_idx = self.core_of(key);
         let core = &sh.cores[core_idx];
         let (tx, rx) = oneshot::completion();
@@ -831,19 +850,9 @@ impl<V: Clone + Send + Sync + PartialEq + FetchAddValue + 'static> ServiceClient
             enqueued: enqueue_stamp(sh.started),
             tx,
         });
-        // Publish the push before reading the sleep flag (paired with the
-        // worker's fence between raising the flag and re-checking the
-        // ring): at least one side observes the other, so the wakeup
-        // cannot be lost.
-        fence(Ordering::SeqCst);
         match pushed {
-            Ok(()) => {
-                // Load before swapping: the flag is almost always down, so
-                // the common case is a read of a shared line, not an RMW
-                // per request (about 4 % of `svc_pipelined`'s throughput).
-                if core.sleeping.load(Ordering::SeqCst)
-                    && core.sleeping.swap(false, Ordering::SeqCst)
-                {
+            Ok(woke) => {
+                if woke {
                     core.unpark();
                 }
                 Ok(rx)
@@ -1145,7 +1154,7 @@ const POLLS_PER_YIELD: u32 = 64;
 /// does not watch for `close`: the poll touches no line a producer writes
 /// before its publishing stamp, and the caller asks `is_closed` when the
 /// budget ends.
-fn poll_for_request<T>(ring: &MpscRing<T>, budget: Duration) -> bool {
+fn poll_for_request<T>(ring: &Consumer<'_, T>, budget: Duration) -> bool {
     if budget.is_zero() {
         return false;
     }
@@ -1178,6 +1187,7 @@ where
     M: GuardedMap<V> + ?Sized + 'static,
 {
     let core = &shared.cores[core_idx];
+    let ring = core.ring.consumer().expect("a core's ring has one worker");
     let mut stats = CoreStats::default();
     // The worker's map session. Dropped (unpinning the thread) before every
     // park and re-opened on wake: an idle core must never hold the global
@@ -1214,7 +1224,7 @@ where
         Duration::ZERO
     };
     loop {
-        let processed = core.ring.pop_batch(&mut batch, target) as u64;
+        let processed = ring.pop_batch(&mut batch, target) as u64;
         if processed > 0 {
             // Backlog at batch start. A batch that came out short drained
             // the ring up to the first unpublished slot, so `processed` is
@@ -1261,7 +1271,7 @@ where
             stats.max_depth = stats.max_depth.max(depth);
             stats.batch_sizes.record(processed);
             // Adapt the drain depth to the observed backlog.
-            let more = core.ring.pop_ready();
+            let more = ring.pop_ready();
             if full && more {
                 target = (target * 2).min(max_batch);
             } else if !more {
@@ -1290,14 +1300,15 @@ where
         target = floor.max(target / 2);
         stats.batch_target = target as u64;
         session = None;
-        if dirty && poll_for_request(&core.ring, spin_budget) {
+        if dirty && poll_for_request(&ring, spin_budget) {
             stats.spin_refills += 1;
             continue;
         }
         // Exit only when the ring is closed and everything it ever accepted
         // is out. `len` counts claimed slots, so a producer that won its
         // claim against `close` but has not stamped yet keeps the worker
-        // here (it comes back round through the re-check below).
+        // here (its park announcement is refused below, and it goes round
+        // again).
         if core.ring.is_closed() && core.ring.is_empty() {
             core.live.publish(&stats.to_words());
             break;
@@ -1324,7 +1335,7 @@ where
                 }
             }
             // Drain this worker's deferred garbage (removed nodes, retired
-            // tenant tables) before sleeping: only the retiring thread can
+            // tenant tables) before parking: only the retiring thread can
             // execute its local queue, so a parked worker would warehouse
             // that memory for the duration of its sleep. Each flush
             // advances the epoch at most one step and a bag sealed at
@@ -1345,22 +1356,22 @@ where
             core.live.publish(&stats.to_words());
             since_publish = 0;
         }
-        core.sleeping.store(true, Ordering::SeqCst);
-        // Paired with the producer-side fence: re-check after raising the
-        // flag so a push racing the park is either seen here or sees the
-        // flag and unparks us. The probe reads the head slot's stamp, and a
-        // producer stamps before its fence, so a push that has claimed the
-        // tail but not yet stamped reads "empty" here and finds the flag up
-        // afterwards. The park timeout is a belt-and-braces bound, not the
-        // wakeup mechanism.
-        fence(Ordering::SeqCst);
-        if core.ring.pop_ready() || core.ring.is_closed() {
-            core.sleeping.store(false, Ordering::SeqCst);
+        // Announce the park on the ring's tail. It is refused if anything
+        // was claimed since the drain, stamped or not, or if the ring is
+        // closed; otherwise the first push from here on unparks us. A
+        // refusal behind a slot that is not stamped yet yields, so that
+        // the producer can finish on a CPU it may share with this worker.
+        // The park timeout is a belt-and-braces bound, not the wake-up
+        // mechanism.
+        if !ring.announce_park() {
+            if !ring.pop_ready() {
+                std::thread::yield_now();
+            }
             continue;
         }
         stats.parks += 1;
         std::thread::park_timeout(Duration::from_millis(1));
-        core.sleeping.store(false, Ordering::SeqCst);
+        ring.withdraw_park();
     }
     stats
 }

@@ -24,7 +24,8 @@
 //! allocator. A `Completion` dropped unawaited leaves its cell to the
 //! worker, which frees it when it replies. Together the ring slot and the
 //! cell are the two cache lines a request moves between a client and a
-//! worker.
+//! worker; both are line-aligned, so neither shares a line with the
+//! request before or after it.
 
 use std::future::Future;
 use std::pin::Pin;

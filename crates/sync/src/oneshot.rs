@@ -49,7 +49,9 @@
 //! the reply is there before the first poll), no lock and no reference
 //! count. Freed cells go to a bounded per-thread pool keyed by the cell's
 //! layout, so a thread that keeps receiving keeps reusing the cells it
-//! freed instead of calling the allocator.
+//! freed instead of calling the allocator. A cell is aligned to a 64-byte
+//! line ([`cell_size`] is whole lines), so a sender publishing into one
+//! cell does not invalidate the line a receiver is reading another from.
 //!
 //! Both halves run under `csds_modelcheck` through the atomic seam
 //! (`crates/modelcheck/tests/oneshot.rs`). Built with the `modelcheck`
@@ -79,6 +81,11 @@ const RX_GONE: u32 = 5;
 #[cfg(feature = "modelcheck")]
 const POISON: u32 = 0xDEAD_CE11;
 
+/// Line-aligned, so a cell is whole cache lines and shares none with its
+/// neighbours: a worker that publishes one reply does not invalidate the
+/// line a client is reading the previous reply from. The pool is keyed by
+/// layout, so the padding costs nothing per hand-off.
+#[repr(align(64))]
 struct Cell<T> {
     state: AtomicU32,
     value: UnsafeCell<MaybeUninit<T>>,
@@ -200,6 +207,12 @@ impl<T> Cell<T> {
             }
         }
     }
+}
+
+/// The bytes one channel of `T` occupies: its cell, a whole number of
+/// 64-byte lines.
+pub const fn cell_size<T>() -> usize {
+    std::mem::size_of::<Cell<T>>()
 }
 
 /// A connected sender/receiver pair.
