@@ -20,12 +20,10 @@
 //! latency bound) are printed after the group so batch amortization is
 //! visible, not just end-to-end throughput.
 
-use std::time::{Duration, Instant};
-
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use csds_bench::{tune, BenchMap};
-use csds_harness::{prefill, service_op, AlgoKind};
-use csds_service::{NamespaceId, ServiceClient, ServiceConfig, DEFAULT_NAMESPACE};
+use csds_harness::{pipeline, prefill, AlgoKind};
+use csds_service::{ServiceConfig, DEFAULT_NAMESPACE};
 use csds_workload::{FastRng, KeyDist, KeySampler, OpMix, TenantSampler};
 
 /// Stationary population; key range is twice this (paper §3.3).
@@ -33,38 +31,10 @@ const SIZE: usize = 4096;
 const UPDATE_PCT: u32 = 10;
 const BATCH: usize = 64;
 
-/// One client pipelining batches of [`BATCH`] operations: every request is
-/// submitted before any reply is awaited. `sample` draws each request's
-/// namespace and key, so a multi-tenant batch mixes hot and cold tenants.
-fn run_client(
-    client: &ServiceClient<u64>,
-    total_ops: u64,
-    mut rng: FastRng,
-    sample: impl Fn(&mut FastRng) -> (NamespaceId, u64),
-) -> Duration {
-    let mix = OpMix::updates(UPDATE_PCT);
-    let mut pending = Vec::with_capacity(BATCH);
-    let mut done = 0u64;
-    let start = Instant::now();
-    while done < total_ops {
-        let n = BATCH.min((total_ops - done) as usize);
-        for _ in 0..n {
-            let (ns, key) = sample(&mut rng);
-            let op = service_op(mix.sample(&mut rng), key);
-            let submitted = client.namespace(ns).submit(key, op);
-            pending.push(submitted.expect("service is running"));
-        }
-        for f in pending.drain(..) {
-            black_box(f.wait().expect("accepted ops execute"));
-        }
-        done += n as u64;
-    }
-    start.elapsed()
-}
-
 fn closed_loop_vs_service(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig0_service");
     tune(&mut g);
+    let mix = OpMix::updates(UPDATE_PCT);
     for threads in [1usize, 2, 4] {
         let bm = BenchMap::new(AlgoKind::ElasticHashTable, SIZE);
         g.bench_function(format!("closed_loop/handles_{threads}t"), move |b| {
@@ -87,8 +57,10 @@ fn closed_loop_vs_service(c: &mut Criterion) {
         g.bench_function(format!("service/batched_{cores}c"), move |b| {
             let sampler = KeySampler::new(KeyDist::Uniform, SIZE as u64 * 2);
             b.iter_custom(|iters| {
-                run_client(&client, iters, FastRng::new(0x5E41 ^ iters), |rng| {
-                    (DEFAULT_NAMESPACE, sampler.sample(rng))
+                let mut rng = FastRng::new(0x5E41 ^ iters);
+                pipeline(&client, iters, BATCH, || {
+                    let key = sampler.sample(&mut rng);
+                    (DEFAULT_NAMESPACE, key, mix.sample(&mut rng))
                 })
             })
         });
@@ -113,8 +85,11 @@ fn closed_loop_vs_service(c: &mut Criterion) {
         g.bench_function(format!("service/tenants_{namespaces}ns"), move |b| {
             let sampler = TenantSampler::zipf_over_zipf(namespaces, SIZE as u64 * 2);
             b.iter_custom(|iters| {
-                let rng = FastRng::new(0x7E4A ^ iters ^ namespaces);
-                run_client(&client, iters, rng, |rng| sampler.sample(rng))
+                let mut rng = FastRng::new(0x7E4A ^ iters ^ namespaces);
+                pipeline(&client, iters, BATCH, || {
+                    let (ns, key) = sampler.sample(&mut rng);
+                    (ns, key, mix.sample(&mut rng))
+                })
             })
         });
         tenant_services.push((namespaces, svc));

@@ -1,10 +1,10 @@
-//! Shared helpers for the criterion benches (one bench target per paper
-//! figure/table; see `benches/`).
+//! Shared helpers for the criterion microbenches in `benches/` (the
+//! substrate, the service and the structure kinds; the paper's figures and
+//! tables are `repro run`).
 //!
 //! Criterion measures *time per iteration*; we define one iteration as one
 //! map operation and split the requested iteration count across worker
-//! threads with [`csds_harness::run_timed`], so throughput
-//! comparisons between algorithms reproduce the paper's figures' shapes.
+//! threads with [`csds_harness::run_timed`].
 //!
 //! Benches run the **handle** path by default (one `MapHandle` per worker,
 //! fence-free repin between operations — the production configuration);
@@ -26,13 +26,8 @@ pub struct BenchMap {
 impl BenchMap {
     /// Build and prefill `algo` to `size` elements (key range 2×size).
     pub fn new(algo: AlgoKind, size: usize) -> Self {
-        Self::over(algo.make(size * 2), size)
-    }
-
-    /// Prefill an already-built (empty) structure to `size` elements (key
-    /// range 2×size) — for variants the [`AlgoKind`] factory does not list.
-    pub fn over(map: Box<dyn GuardedMap<u64>>, size: usize) -> Self {
         let key_range = size as u64 * 2;
+        let map = algo.make(size * 2);
         prefill(&*map, size, key_range, 0xB0B5EED);
         BenchMap { map, key_range }
     }
@@ -46,18 +41,7 @@ impl BenchMap {
     /// Run `total_ops` operations (uniform keys) across `threads`, one
     /// `MapHandle` per worker.
     pub fn run(&self, total_ops: u64, threads: usize, update_pct: u32) -> Duration {
-        self.run_dist(total_ops, threads, update_pct, KeyDist::Uniform)
-    }
-
-    /// Run with an explicit key distribution (handle path).
-    pub fn run_dist(
-        &self,
-        total_ops: u64,
-        threads: usize,
-        update_pct: u32,
-        dist: KeyDist,
-    ) -> Duration {
-        let sampler = KeySampler::new(dist, self.key_range);
+        let sampler = KeySampler::new(KeyDist::Uniform, self.key_range);
         run_timed(threads, Stop::Ops(total_ops), |t| {
             let seed = thread_seed(0x5EED ^ total_ops, t);
             map_worker(&*self.map, &sampler, update_pct, seed)

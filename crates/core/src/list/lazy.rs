@@ -82,19 +82,13 @@ type NodePair<'g, V, L> = (Shared<'g, Node<V, L>>, Shared<'g, Node<V, L>>);
 /// Lazy list-based set. See the module docs.
 ///
 /// Generic over the per-node lock `L` (default [`TasLock`], as in the
-/// paper §3.2); the `ablations` bench compares TAS, ticket and MCS node
-/// locks and reproduces the paper's "no benefit from more complex locks"
-/// observation.
+/// paper §3.2), so a comparison of node locks for the paper's "no benefit
+/// from more complex locks" observation names e.g.
+/// `LazyList<u64, csds_sync::McsLock>` directly.
 pub struct LazyList<V, L: RawMutex = TasLock> {
     head: Atomic<Node<V, L>>,
     region: Option<TxRegion>,
 }
-
-/// Lazy list with ticket node locks (ablation).
-pub type LazyListTicket<V> = LazyList<V, csds_sync::TicketLock>;
-
-/// Lazy list with MCS node locks (ablation).
-pub type LazyListMcs<V> = LazyList<V, csds_sync::McsLock>;
 
 impl<V: Clone + Send + Sync, L: RawMutex + 'static> Default for LazyList<V, L> {
     fn default() -> Self {

@@ -20,5 +20,5 @@ mod waitfree;
 
 pub use coupling::CouplingList;
 pub use harris::HarrisList;
-pub use lazy::{LazyList, LazyListMcs, LazyListTicket};
+pub use lazy::LazyList;
 pub use waitfree::WaitFreeList;

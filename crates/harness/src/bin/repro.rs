@@ -4,8 +4,6 @@
 //! repro list                 # show every experiment
 //! repro run <id> [--full]    # run one experiment (quick by default)
 //! repro all [--full]         # run everything, in paper order
-//! repro bench [--json] [--out FILE] [--full|--smoke]
-//!                            # the recorded bench trajectory (BENCH_<pr>.json)
 //! repro watch [--secs N] [--threads N] [--prom]
 //!                            # live dashboard over the metrics registry
 //! repro trace [--out FILE]   # event-tour -> chrome://tracing JSON
@@ -13,13 +11,11 @@
 
 use csds_harness::experiments;
 use csds_harness::obs;
-use csds_harness::trajectory;
 use csds_harness::Scale;
 
 fn usage() -> ! {
     eprintln!(
         "usage:\n  repro list\n  repro run <experiment> [--full]\n  repro all [--full]\n  \
-         repro bench [--json] [--out FILE] [--full|--smoke]\n  \
          repro watch [--secs N] [--threads N] [--prom]\n  \
          repro trace [--out FILE]\n\
          \nexperiments:"
@@ -55,46 +51,6 @@ fn main() {
                 scale.reps()
             );
             (exp.run)(scale);
-        }
-        Some("bench") => {
-            let json = args.iter().any(|a| a == "--json");
-            let smoke = args.iter().any(|a| a == "--smoke");
-            let out = args
-                .iter()
-                .position(|a| a == "--out")
-                .and_then(|i| args.get(i + 1))
-                .filter(|p| !p.starts_with("--"))
-                .cloned();
-            // Smoke mode (CI): prove the whole matrix runs, in ~a second.
-            let (label, duration, reps) = if smoke {
-                ("smoke", std::time::Duration::from_millis(10), 1)
-            } else if scale.quick {
-                ("quick", scale.duration(), scale.reps())
-            } else {
-                ("full", scale.duration(), scale.reps())
-            };
-            let rows = trajectory::run_trajectory(duration, reps);
-            let tenants = trajectory::run_tenant_points(duration);
-            let pq = trajectory::run_pq_points(duration);
-            let text = if json {
-                trajectory::to_json(&rows, &tenants, &pq, label)
-            } else {
-                let mut t = trajectory::render_table(&rows);
-                t.push('\n');
-                t.push_str("multi-tenant service (zipf-over-zipf, 2 cores):\n");
-                t.push_str(&trajectory::render_tenant_table(&tenants));
-                t.push('\n');
-                t.push_str("priority queues (blocking vs lock-free):\n");
-                t.push_str(&trajectory::render_pq_table(&pq));
-                t
-            };
-            match out {
-                Some(path) => {
-                    std::fs::write(&path, &text).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-                    eprintln!("wrote {path}");
-                }
-                None => print!("{text}"),
-            }
         }
         Some("watch") => {
             let secs = args

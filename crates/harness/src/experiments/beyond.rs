@@ -16,6 +16,8 @@ pub fn fig10(scale: Scale) {
             "threads",
             "queue wait",
             "stack wait",
+            "queue waited ops",
+            "stack waited ops",
             "queue Mops/s",
             "stack Mops/s",
             "ms-queue Mops/s",
@@ -46,6 +48,8 @@ pub fn fig10(scale: Scale) {
             threads.to_string(),
             pct(q.wait_fraction()),
             pct(s.wait_fraction()),
+            pct(q.waited_op_share()),
+            pct(s.waited_op_share()),
             mops(q.throughput_mops()),
             mops(s.throughput_mops()),
             mops(mq.throughput_mops()),

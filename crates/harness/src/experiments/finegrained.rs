@@ -17,7 +17,7 @@ pub fn fig5(scale: Scale) {
     let threads = scale.default_threads();
     let mut table = Table::new(
         format!("Fig. 5 - fraction of time waiting for locks, {threads} threads"),
-        &["structure", "size", "upd%", "wait fraction"],
+        &["structure", "size", "upd%", "wait fraction", "waited ops"],
     );
     for family in Family::all() {
         for size in SIZES {
@@ -35,12 +35,17 @@ pub fn fig5(scale: Scale) {
                     size.to_string(),
                     pct_u.to_string(),
                     pct(r.wait_fraction()),
+                    pct(r.waited_op_share()),
                 ]);
             }
         }
     }
     table.print();
     println!("paper: <2% in all configurations; BST exactly 0 (trylock restarts)");
+    println!(
+        "waited ops: share of operations that waited for a lock at least once; unlike the\n\
+         time fraction, a waiter that is descheduled counts once however long it is away"
+    );
 }
 
 /// **Figure 6** — fraction of operations that restart at least once.
@@ -95,11 +100,7 @@ pub fn outliers(scale: Scale) {
     table.row(vec!["operations completed".into(), r.total_ops.to_string()]);
     table.row(vec![
         "requests that waited for a lock".into(),
-        format!(
-            "{} ({})",
-            r.stats.ops_waited,
-            pct(r.stats.ops_waited as f64 / r.stats.ops.max(1) as f64)
-        ),
+        format!("{} ({})", r.stats.ops_waited, pct(r.waited_op_share())),
     ]);
     table.row(vec![
         "max single lock wait".into(),
@@ -166,7 +167,12 @@ pub fn fig7(scale: Scale) {
     let threads = scale.default_threads();
     let mut table = Table::new(
         format!("Fig. 7 - Zipfian s=0.8, 2048 elements, {threads} threads, 10% updates"),
-        &["structure", "wait fraction", "restarted fraction"],
+        &[
+            "structure",
+            "wait fraction",
+            "waited ops",
+            "restarted fraction",
+        ],
     );
     for family in Family::all() {
         let mut cfg = MapRunConfig::paper_default(
@@ -181,6 +187,7 @@ pub fn fig7(scale: Scale) {
         table.row(vec![
             family.label().into(),
             pct(r.wait_fraction()),
+            pct(r.waited_op_share()),
             pct(r.restart_fraction()),
         ]);
     }
@@ -199,7 +206,13 @@ pub fn fig8(scale: Scale) {
                 "Fig. 8 - {} under extreme contention (40 threads, 25% updates)",
                 family.label()
             ),
-            &["size", "wait fraction", "restarted >=1", "restarted >3"],
+            &[
+                "size",
+                "wait fraction",
+                "waited ops",
+                "restarted >=1",
+                "restarted >3",
+            ],
         );
         for size in sizes {
             let cfg =
@@ -208,6 +221,7 @@ pub fn fig8(scale: Scale) {
             table.row(vec![
                 size.to_string(),
                 pct(r.wait_fraction()),
+                pct(r.waited_op_share()),
                 pct(r.restart_fraction()),
                 pct(r.repeated_restart_fraction()),
             ]);
@@ -230,6 +244,7 @@ pub fn fig9(scale: Scale) {
         &[
             "structure",
             "wait fraction",
+            "waited ops",
             "restarted fraction",
             "delays injected",
         ],
@@ -247,6 +262,7 @@ pub fn fig9(scale: Scale) {
         table.row(vec![
             family.label().into(),
             pct(r.wait_fraction()),
+            pct(r.waited_op_share()),
             pct(r.restart_fraction()),
             r.stats.injected_delays.to_string(),
         ]);

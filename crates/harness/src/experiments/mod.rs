@@ -34,7 +34,7 @@ pub fn registry() -> Vec<Experiment> {
     vec![
         Experiment {
             id: "fig1",
-            description: "Fig. 1: blocking vs lock-free vs wait-free list throughput (1024 elems, 10% updates)",
+            description: "Figs. 1-2: blocking vs lock-free vs wait-free list throughput (1024 elems, 10% updates), read-only traversal cost",
             run: fig1,
         },
         Experiment {

@@ -75,6 +75,7 @@ pub fn model(scale: Scale) {
             "model p_conflict",
             "measured restart frac",
             "measured wait frac",
+            "measured waited ops",
         ],
     );
     for size in [64usize, 128, 256, 512] {
@@ -86,6 +87,7 @@ pub fn model(scale: Scale) {
             pct(p_model),
             pct(r.restart_fraction()),
             pct(r.wait_fraction()),
+            pct(r.waited_op_share()),
         ]);
     }
     mvm.print();

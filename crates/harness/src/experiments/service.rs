@@ -9,12 +9,12 @@
 
 use std::sync::Arc;
 
-use csds_service::ServiceConfig;
+use csds_service::{ServiceConfig, DEFAULT_NAMESPACE};
 use csds_workload::{FastRng, KeyDist, KeySampler, OpMix, TenantSampler};
 
 use crate::factory::AlgoKind;
 use crate::report::{mops, Table};
-use crate::runner::service_op;
+use crate::runner::pipeline;
 use crate::Scale;
 
 /// Format a nanosecond upper bound compactly (`<2us`, `<512ns`, …).
@@ -48,23 +48,11 @@ fn drive(algo: AlgoKind, mix: OpMix, cores: usize, total: u64) -> (f64, csds_ser
     for k in 0..KEY_RANGE / 2 {
         let _ = csds_core::ConcurrentMap::insert(warm.as_ref(), k, k);
     }
-    let start = std::time::Instant::now();
-    let mut batch = Vec::with_capacity(BATCH);
-    let mut done = 0u64;
-    while done < total {
-        let n = BATCH.min((total - done) as usize);
-        for _ in 0..n {
-            let key = sampler.sample(&mut rng);
-            let op = service_op(mix.sample(&mut rng), key);
-            batch.push((key, op));
-        }
-        let pending = client.submit_batch(batch.drain(..)).expect("running");
-        for f in pending {
-            let _ = f.wait().expect("accepted ops execute");
-        }
-        done += n as u64;
-    }
-    let elapsed = start.elapsed().as_secs_f64();
+    let elapsed = pipeline(&client, total, BATCH, || {
+        let key = sampler.sample(&mut rng);
+        (DEFAULT_NAMESPACE, key, mix.sample(&mut rng))
+    })
+    .as_secs_f64();
     let stats = svc.shutdown();
     (elapsed, stats.aggregate())
 }
@@ -173,22 +161,11 @@ fn drive_tenants(
     let mix = OpMix::updates(10);
     let sampler = TenantSampler::zipf_over_zipf(namespaces, KEY_RANGE);
     let mut rng = FastRng::new(0x7E4A_4711 ^ namespaces);
-    let start = std::time::Instant::now();
-    let mut pending = Vec::with_capacity(BATCH);
-    let mut done = 0u64;
-    while done < total {
-        let n = BATCH.min((total - done) as usize);
-        for _ in 0..n {
-            let (ns, key) = sampler.sample(&mut rng);
-            let op = service_op(mix.sample(&mut rng), key);
-            pending.push(client.namespace(ns).submit(key, op).expect("running"));
-        }
-        for f in pending.drain(..) {
-            let _ = f.wait().expect("accepted ops execute");
-        }
-        done += n as u64;
-    }
-    let elapsed = start.elapsed().as_secs_f64();
+    let elapsed = pipeline(&client, total, BATCH, || {
+        let (ns, key) = sampler.sample(&mut rng);
+        (ns, key, mix.sample(&mut rng))
+    })
+    .as_secs_f64();
     let counts = svc.namespace_counts();
     let stats = svc.shutdown();
     (elapsed, stats.aggregate(), counts)

@@ -7,15 +7,12 @@
 //! * [`runner`] — the measurement loop: prefill, barrier start, timed run,
 //!   per-thread metric collection (throughput, lock-wait time, restarts,
 //!   elision statistics, per-request outliers);
-//! * [`experiments`] — one function per paper artifact (`fig1`, `fig3` …
-//!   `table2`, `table3`, `fig10`, plus the §5.1 outlier study, the §5.1
-//!   lock-coupling comparison and the §6 model validation);
-//! * [`report`] — fixed-width table rendering shared by all experiments.
-//!
-//! * [`trajectory`] — the `repro bench [--json]` matrix: a fixed set of
-//!   runs re-recorded every PR (committed as `BENCH_<pr>.json`) so the
-//!   repo carries its own performance history.
-//!
+//! * [`experiments`] — one function per paper artifact (`fig1`, which
+//!   also prints Fig. 2's read-only comparison, `fig3` … `table2`,
+//!   `table3`, `fig10`, plus the §5.1 outlier study, the §5.1
+//!   lock-coupling comparison and the §6 model validation). They are the
+//!   repo's one instrument for the paper's claims;
+//! * [`report`] — fixed-width table rendering shared by all experiments;
 //! * [`obs`] — the observability layer's harness face: `repro watch`
 //!   (live dashboard over the seqlock metrics registry and the EBR health
 //!   probe) and `repro trace` (guided tour emitting a chrome://tracing
@@ -26,7 +23,6 @@
 //! repro list
 //! repro run fig3 [--full]
 //! repro all [--full]
-//! repro bench [--json] [--out FILE] [--full|--smoke]
 //! repro watch [--secs N] [--threads N] [--prom]
 //! repro trace [--out FILE]
 //! ```
@@ -36,12 +32,11 @@ pub mod factory;
 pub mod obs;
 pub mod report;
 pub mod runner;
-pub mod trajectory;
 
 pub use factory::{AlgoKind, Family, PqKind};
 pub use runner::{
-    apply_map_op, map_worker, pq_worker, prefill, prefill_pq, run_map_avg, run_timed, service_op,
-    thread_seed, MapRunConfig, PoolKind, PoolRunConfig, PqRunConfig, RunResult, Stop,
+    apply_map_op, map_worker, pipeline, pq_worker, prefill, prefill_pq, run_map_avg, run_timed,
+    service_op, thread_seed, MapRunConfig, PoolKind, PoolRunConfig, RunResult, Stop,
 };
 
 use std::time::Duration;

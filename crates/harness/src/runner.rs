@@ -7,8 +7,9 @@
 //! the fine-grained delay metrics are collected at the end.
 //!
 //! There is exactly one spawn/barrier/loop/join body, [`run_timed`]; the
-//! map, pool and priority-queue configurations (and the criterion benches'
-//! fixed-op-count runs) differ only in the per-thread closure they hand it.
+//! map and pool configurations, the priority-queue workers (and the
+//! criterion benches' fixed-op-count runs) differ only in the per-thread
+//! closure they hand it.
 
 use csds_sync::atomic::{AtomicBool, Ordering};
 use std::hint::black_box;
@@ -19,10 +20,10 @@ use csds_core::queuestack::{LockedStack, MsQueue, TreiberStack, TwoLockQueue};
 use csds_core::{ConcurrentMap, ConcurrentPool, GuardedMap, GuardedPool, MapHandle, PoolHandle};
 use csds_metrics::{DelayPolicy, StatsSnapshot};
 use csds_pq::{ConcurrentPq, GuardedPq, PqHandle};
-use csds_service::OpKind;
+use csds_service::{NamespaceId, OpKind, ServiceClient};
 use csds_workload::{FastRng, KeyDist, KeySampler, Op, OpMix, PqOp, PqOpMix};
 
-use crate::factory::{AlgoKind, PqKind};
+use crate::factory::AlgoKind;
 
 /// Configuration of one map-structure run.
 #[derive(Clone, Debug)]
@@ -116,6 +117,14 @@ impl RunResult {
     /// Fraction of total thread-time spent waiting for locks (Figs. 5/7/8/9/10).
     pub fn wait_fraction(&self) -> f64 {
         self.stats.wait_fraction(self.elapsed, self.threads)
+    }
+
+    /// Fraction of operations that waited for a lock at least once. Unlike
+    /// [`wait_fraction`](Self::wait_fraction), a descheduled waiter counts
+    /// once here however long it was away, so this share separates
+    /// contention from preemption on an oversubscribed host.
+    pub fn waited_op_share(&self) -> f64 {
+        self.stats.ops_waited as f64 / self.stats.ops.max(1) as f64
     }
 
     /// Fraction of operations restarted at least once (Fig. 6).
@@ -308,6 +317,35 @@ pub fn service_op(op: Op, key: u64) -> OpKind<u64> {
     }
 }
 
+/// One pipelining service client: submit `depth` requests, await their
+/// replies in submission order, and repeat until `total` requests have
+/// completed. `sample` draws each request's namespace, key and operation
+/// (issued through [`service_op`]). Returns the time from the first submit
+/// to the last reply.
+pub fn pipeline(
+    client: &ServiceClient<u64>,
+    total: u64,
+    depth: usize,
+    mut sample: impl FnMut() -> (NamespaceId, u64, Op),
+) -> Duration {
+    let mut pending = Vec::with_capacity(depth);
+    let mut done = 0u64;
+    let start = Instant::now();
+    while done < total {
+        let n = depth.min((total - done) as usize);
+        for _ in 0..n {
+            let (ns, key, op) = sample();
+            let submitted = client.namespace(ns).submit(key, service_op(op, key));
+            pending.push(submitted.expect("service is running"));
+        }
+        for f in pending.drain(..) {
+            black_box(f.wait().expect("accepted ops execute"));
+        }
+        done += n as u64;
+    }
+    start.elapsed()
+}
+
 /// A [`run_timed`] per-thread closure issuing `update_pct` % updates over
 /// keys drawn from `sampler` through one [`MapHandle`] session on `map`
 /// (with `op_boundary` after every operation).
@@ -426,27 +464,6 @@ impl PoolRunConfig {
     }
 }
 
-/// Configuration of one priority-queue run (push/pop/peek mix over a
-/// priority space; the queue is prefilled so early pops have something to
-/// fight over).
-#[derive(Clone, Debug)]
-pub struct PqRunConfig {
-    /// Queue under test.
-    pub kind: PqKind,
-    /// Prefilled element count.
-    pub prefill: usize,
-    /// Priority space for pushes (`[0, key_range)`).
-    pub key_range: u64,
-    /// Operation mix.
-    pub mix: PqOpMix,
-    /// Worker thread count.
-    pub threads: usize,
-    /// Measurement window.
-    pub duration: Duration,
-    /// Base seed.
-    pub seed: u64,
-}
-
 /// A [`run_timed`] per-thread closure issuing `mix` over priorities in
 /// `[0, key_range)` through one [`PqHandle`] session on `pq` (with
 /// `op_boundary` after every operation).
@@ -485,20 +502,6 @@ pub fn prefill_pq(pq: &(impl ConcurrentPq<u64> + ?Sized), size: usize, key_range
     }
 }
 
-impl PqRunConfig {
-    /// Execute one timed run of this priority-queue workload (one
-    /// [`PqHandle`] per worker thread). Unlike the map runs, every pop-min
-    /// lands on the head run, so contention scales with the pop share
-    /// rather than with key locality.
-    pub fn run(&self) -> RunResult {
-        let pq = self.kind.make();
-        prefill_pq(&*pq, self.prefill, self.key_range, self.seed);
-        run_timed(self.threads, Stop::After(self.duration), |t| {
-            pq_worker(&*pq, self.mix, self.key_range, thread_seed(self.seed, t))
-        })
-    }
-}
-
 /// Run `reps` repetitions and average (the paper averages 11 runs).
 pub fn run_map_avg(cfg: &MapRunConfig, reps: usize) -> RunResult {
     let results: Vec<RunResult> = (0..reps)
@@ -514,6 +517,7 @@ pub fn run_map_avg(cfg: &MapRunConfig, reps: usize) -> RunResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::factory::PqKind;
 
     fn quick_cfg(algo: AlgoKind) -> MapRunConfig {
         MapRunConfig::paper_default(algo, 128, 10, 3, Duration::from_millis(60))
@@ -595,17 +599,13 @@ mod tests {
 
     #[test]
     fn pq_run_smoke() {
+        const KEY_RANGE: u64 = 1 << 20;
         for kind in PqKind::all() {
-            let r = PqRunConfig {
-                kind: *kind,
-                prefill: 256,
-                key_range: 1 << 20,
-                mix: PqOpMix::mixed(),
-                threads: 3,
-                duration: Duration::from_millis(60),
-                seed: 1,
-            }
-            .run();
+            let pq = kind.make();
+            prefill_pq(&*pq, 256, KEY_RANGE, 1);
+            let r = run_timed(3, Stop::After(Duration::from_millis(60)), |t| {
+                pq_worker(&*pq, PqOpMix::mixed(), KEY_RANGE, thread_seed(1, t))
+            });
             assert!(r.total_ops > 100, "{}: {} ops", kind.name(), r.total_ops);
             assert!(
                 r.stats.pq_pops > 0 && r.stats.pq_pushes > 0,

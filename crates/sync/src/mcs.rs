@@ -4,7 +4,8 @@
 //! global cache traffic under contention. The paper finds MCS unnecessary
 //! for CSDSs ("no benefits ... due to the low degree of contention for any
 //! particular lock", §3.2); we include it so that finding is reproducible
-//! (`ablations` bench).
+//! (`fig0_substrate` times it beside the simpler locks, and the lazy list
+//! is generic over its node lock).
 //!
 //! The textbook MCS interface threads a queue node through `lock`/`unlock`.
 //! To satisfy the uniform [`RawMutex`] interface the lock keeps a per-thread

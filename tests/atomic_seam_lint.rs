@@ -10,6 +10,10 @@
 //!
 //! The check is textual (source scan), so it also catches references in
 //! doc examples and comments; keep those speaking in terms of the seam.
+//!
+//! The same source scan keeps two further rules: structure locks are
+//! released only through guards, and every criterion bench is declared
+//! and cited in `README.md`.
 
 use std::path::{Path, PathBuf};
 
@@ -168,5 +172,56 @@ fn structure_crates_release_locks_only_through_guards() {
         "a structure crate unlocks or injects delays by hand; hold a guard \
          from `lock_guard` / `try_lock_version` instead:\n{}",
         violations.join("\n")
+    );
+}
+
+/// Every criterion bench is a cited instrument: the `[[bench]]` targets of
+/// `crates/bench/Cargo.toml` are exactly the files in
+/// `crates/bench/benches/`, and `README.md` names each one. The paper's
+/// figures are measured by `repro run`; a bench that no document cites
+/// re-times something nobody reads.
+#[test]
+fn every_bench_target_is_declared_and_cited() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let manifest = std::fs::read_to_string(root.join("crates/bench/Cargo.toml")).unwrap();
+    let mut declared: Vec<String> = manifest
+        .split("[[bench]]")
+        .skip(1)
+        .map(|entry| {
+            let name = entry
+                .lines()
+                .find_map(|l| l.trim().strip_prefix("name"))
+                .expect("a [[bench]] entry without a name");
+            name.trim_start_matches([' ', '='])
+                .trim_matches('"')
+                .to_string()
+        })
+        .collect();
+    let mut sources = Vec::new();
+    collect_rust_sources(&root.join("crates/bench/benches"), &mut sources);
+    let mut files: Vec<String> = sources
+        .iter()
+        .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
+        .collect();
+    assert!(
+        !files.is_empty(),
+        "source walk looks broken: no bench files"
+    );
+    declared.sort();
+    files.sort();
+    assert_eq!(
+        declared, files,
+        "crates/bench/Cargo.toml's [[bench]] names and crates/bench/benches/*.rs differ"
+    );
+
+    let readme = std::fs::read_to_string(root.join("README.md")).unwrap();
+    let uncited: Vec<&String> = declared
+        .iter()
+        .filter(|name| !readme.contains(name.as_str()))
+        .collect();
+    assert!(
+        uncited.is_empty(),
+        "bench targets that README.md never names (cite what each measures, or delete it): \
+         {uncited:?}"
     );
 }

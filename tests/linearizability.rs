@@ -3,7 +3,7 @@
 //! the basic vocabulary and the compound vocabulary (upsert / CAS /
 //! fetch-add) alike, for every algorithm in the library.
 
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use csds::core::ConcurrentMap;
@@ -11,6 +11,7 @@ use csds::harness::AlgoKind;
 use csds::htm::TxRegion;
 use csds::lincheck::{check_history, Event, OpKind};
 use csds::metrics::{DelayPolicy, StatsSnapshot};
+use csds::sync::atomic::{AtomicUsize, Ordering};
 
 /// Small value space so compare-and-swaps actually match sometimes.
 const VALUES: u64 = 4;
@@ -32,11 +33,61 @@ const OVER_QUANTUM_STALL: DelayPolicy = DelayPolicy {
     seed: 0,
 };
 
+/// Operation pairs recorded on different threads, and how many of them
+/// overlap in real time. A history whose operations never overlap is
+/// sequential, and checking it proves nothing about concurrency.
+#[derive(Clone, Copy, Debug, Default)]
+struct Overlap {
+    overlapping: u64,
+    pairs: u64,
+}
+
+impl Overlap {
+    /// Count the cross-thread pairs of `per_thread` (one history per
+    /// recording thread) whose `[invoke, respond]` intervals intersect.
+    fn of(per_thread: &[Vec<Event>]) -> Self {
+        let mut o = Overlap::default();
+        for (i, mine) in per_thread.iter().enumerate() {
+            for theirs in &per_thread[i + 1..] {
+                for a in mine {
+                    for b in theirs {
+                        o.pairs += 1;
+                        o.overlapping += u64::from(a.invoke < b.respond && b.invoke < a.respond);
+                    }
+                }
+            }
+        }
+        o
+    }
+
+    fn add(&mut self, other: Overlap) {
+        self.overlapping += other.overlapping;
+        self.pairs += other.pairs;
+    }
+
+    /// Report the overlapping share of `test`'s rounds and fail if it is 0.
+    fn assert_some(&self, test: &str) {
+        let share = self.overlapping as f64 / self.pairs.max(1) as f64;
+        eprintln!(
+            "{test}: {} of {} cross-thread operation pairs overlap ({:.1}%)",
+            self.overlapping,
+            self.pairs,
+            100.0 * share
+        );
+        assert!(
+            self.overlapping > 0,
+            "{test}: no two operations on different threads overlapped in any round, \
+             so the histories checked nothing concurrent"
+        );
+    }
+}
+
 /// Record a short concurrent history on `algo` over a handful of keys, one
 /// recording thread per entry of `stalls`. `compound` adds
 /// upsert/CAS/fetch-add arms to the recorded mix; a `Some` entry arms that
 /// [`DelayPolicy`] (with a seed of the thread's own) on its thread. Also
-/// returns the recording threads' summed counters.
+/// returns the recording threads' summed counters and how much their
+/// operations overlapped.
 fn record_history(
     algo: AlgoKind,
     stalls: &[Option<DelayPolicy>],
@@ -44,16 +95,22 @@ fn record_history(
     keys: u64,
     compound: bool,
     seed: u64,
-) -> (Vec<Event>, StatsSnapshot) {
+) -> (Vec<Event>, StatsSnapshot, Overlap) {
     let threads = stalls.len();
     let map = Arc::new(algo.make(16));
     let origin = Instant::now();
-    let barrier = Arc::new(Barrier::new(threads));
+    // The recorders start together: each announces itself, then spins
+    // until all have, so the last to arrive and whichever recorder holds
+    // the other CPU begin at the same instant. (Released by a barrier, or
+    // by a flag the spawning thread raises, the first recorder often
+    // finishes its few operations before the next one is running.) The
+    // yield lets a recorder that has not yet arrived onto a busy CPU.
+    let ready = Arc::new(AtomicUsize::new(0));
     let events = Arc::new(Mutex::new((Vec::new(), StatsSnapshot::default())));
     let mut handles = Vec::new();
     for (t, &stall) in stalls.iter().enumerate() {
         let map = Arc::clone(&map);
-        let barrier = Arc::clone(&barrier);
+        let ready = Arc::clone(&ready);
         let events = Arc::clone(&events);
         handles.push(std::thread::spawn(move || {
             let mut state = seed ^ (t as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15);
@@ -73,7 +130,16 @@ fn record_history(
                 }));
             }
             let _ = csds::metrics::take_and_reset();
-            barrier.wait();
+            ready.fetch_add(1, Ordering::AcqRel);
+            let mut spins = 0u32;
+            while ready.load(Ordering::Acquire) < threads {
+                spins = spins.wrapping_add(1);
+                if spins % 64 == 0 {
+                    std::thread::yield_now();
+                } else {
+                    std::hint::spin_loop();
+                }
+            }
             for _ in 0..ops_per_thread {
                 let key = rng() % keys;
                 let arms = if compound { 6 } else { 3 };
@@ -119,54 +185,64 @@ fn record_history(
                 local.push(Event::new(key, kind, invoke, respond.max(invoke)));
             }
             let mut events = events.lock().unwrap();
-            events.0.extend(local);
+            events.0.push(local);
             events.1.merge(&csds::metrics::take_and_reset());
         }));
     }
     for h in handles {
         h.join().unwrap();
     }
-    Arc::try_unwrap(events).unwrap().into_inner().unwrap()
+    let (per_thread, stats) = Arc::try_unwrap(events).unwrap().into_inner().unwrap();
+    let overlap = Overlap::of(&per_thread);
+    (per_thread.concat(), stats, overlap)
 }
 
-fn check_algo(algo: AlgoKind, compound: bool, rounds: u64) {
+/// Check `rounds` rounds of every algorithm in `algos`, then further
+/// rounds (at most 1024 in all) until two operations on different threads
+/// have overlapped: on a loaded host every recorder of a short round can
+/// run in turn. Returns how much the checked operations overlapped.
+fn check_algos(algos: &[AlgoKind], compound: bool, rounds: u64) -> Overlap {
     // Several small rounds rather than one big history: the checker is
     // exponential per key, and short rounds catch races just as well.
-    for round in 0..rounds {
-        check_round(algo, compound, &[None; 3], round);
+    let mut overlap = Overlap::default();
+    for round in 0..1024 {
+        if round >= rounds && overlap.overlapping > 0 {
+            break;
+        }
+        for &algo in algos {
+            overlap.add(check_round(algo, compound, &[None; 3], round).1);
+        }
     }
+    overlap
 }
 
-/// Record and check one round; returns the recording threads' counters.
+/// Record and check one round; returns the recording threads' counters and
+/// how much their operations overlapped.
 fn check_round(
     algo: AlgoKind,
     compound: bool,
     stalls: &[Option<DelayPolicy>; 3],
     round: u64,
-) -> StatsSnapshot {
+) -> (StatsSnapshot, Overlap) {
     // 3 threads x 6 ops over 4 keys ⇒ ≤ 18 events, ≤ ~10 per key.
-    let (history, stats) = record_history(algo, stalls, 6, 4, compound, 0xC0DE + round);
+    let (history, stats, overlap) = record_history(algo, stalls, 6, 4, compound, 0xC0DE + round);
     let result = check_history(&[], &history);
     assert!(
         result.is_ok(),
         "{}: round {round} not linearizable (compound={compound}, stalls={stalls:?}): {result:?}\nhistory: {history:#?}",
         algo.name()
     );
-    stats
+    (stats, overlap)
 }
 
 #[test]
 fn every_algorithm_is_linearizable_on_the_basic_vocabulary() {
-    for &algo in AlgoKind::all() {
-        check_algo(algo, false, 4);
-    }
+    check_algos(AlgoKind::all(), false, 4).assert_some("basic vocabulary");
 }
 
 #[test]
 fn every_algorithm_is_linearizable_on_the_compound_vocabulary() {
-    for &algo in AlgoKind::all() {
-        check_algo(algo, true, 6);
-    }
+    check_algos(AlgoKind::all(), true, 6).assert_some("compound vocabulary");
 }
 
 #[test]
@@ -175,7 +251,7 @@ fn figure_structures_get_extra_rounds() {
     // the lock-free list and the structures carrying the optimistic
     // version-validated fast paths: deeper sampling on the designs users
     // reach for and on the paths whose parses run unsynchronized.
-    for algo in [
+    let algos = [
         AlgoKind::LazyList,
         AlgoKind::LazyListElided,
         AlgoKind::HarrisList,
@@ -188,9 +264,8 @@ fn figure_structures_get_extra_rounds() {
         AlgoKind::ElasticHashTable,
         AlgoKind::BstTk,
         AlgoKind::BstTkElided,
-    ] {
-        check_algo(algo, true, 8);
-    }
+    ];
+    check_algos(&algos, true, 8).assert_some("figure structures");
 }
 
 #[test]
@@ -213,13 +288,16 @@ fn optimistic_fallbacks_stay_linearizable_under_stalled_lock_holders() {
     ];
     let mut fallbacks = 0;
     let mut injected = [0; ALGOS.len()];
+    let mut overlap = Overlap::default();
     for round in 0..1024 {
         for (algo, injected) in ALGOS.into_iter().zip(&mut injected) {
-            let stats = check_round(algo, true, &[Some(PAPER_STALL); 3], round);
+            let (stats, o) = check_round(algo, true, &[Some(PAPER_STALL); 3], round);
+            overlap.add(o);
             fallbacks += stats.optimistic_fallbacks;
             *injected += stats.injected_delays;
         }
-        if round >= 3 && fallbacks > 0 && injected.iter().all(|&n| n > 0) {
+        let covered = fallbacks > 0 && injected.iter().all(|&n| n > 0);
+        if round >= 3 && covered && overlap.overlapping > 0 {
             break;
         }
     }
@@ -234,6 +312,7 @@ fn optimistic_fallbacks_stay_linearizable_under_stalled_lock_holders() {
             algo.name()
         );
     }
+    overlap.assert_some("stalled lock holders");
 }
 
 #[test]
@@ -244,6 +323,7 @@ fn elided_fallbacks_stay_linearizable_beside_speculation() {
     // fallback count proves the checked histories contain fallbacks.
     let stalls = [None, Some(OVER_QUANTUM_STALL), Some(OVER_QUANTUM_STALL)];
     let mut fallbacks = 0;
+    let mut overlap = Overlap::default();
     for round in 0..256 {
         for algo in [
             AlgoKind::LazyListElided,
@@ -251,9 +331,11 @@ fn elided_fallbacks_stay_linearizable_beside_speculation() {
             AlgoKind::LazyHashTableElided,
             AlgoKind::BstTkElided,
         ] {
-            fallbacks += check_round(algo, true, &stalls, round).elide_fallbacks;
+            let (stats, o) = check_round(algo, true, &stalls, round);
+            overlap.add(o);
+            fallbacks += stats.elide_fallbacks;
         }
-        if round >= 3 && fallbacks > 0 {
+        if round >= 3 && fallbacks > 0 && overlap.overlapping > 0 {
             break;
         }
     }
@@ -261,6 +343,7 @@ fn elided_fallbacks_stay_linearizable_beside_speculation() {
         fallbacks > 0,
         "no recorded operation fell back from speculation in 256 stalled rounds"
     );
+    overlap.assert_some("elided fallbacks");
 }
 
 #[test]
