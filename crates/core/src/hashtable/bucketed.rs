@@ -22,7 +22,8 @@ use crate::{key, GuardedMap, RmwFn, RmwOutcome};
 /// Hash table delegating each bucket to an inner [`GuardedMap`].
 ///
 /// Bucket heads are deliberately **not** cache-line padded: measured on the
-/// `fig0_substrate` read-heavy run, padding each bucket to 128 B blew the
+/// substrate bench's read-heavy run (README, "Frozen bench records",
+/// 052dafe), padding each bucket to 128 B blew the
 /// bucket array up 8× (mostly padding) and cost 13× in throughput at 1024
 /// keys — capacity misses from the sparse array dwarf any adjacent-bucket
 /// false sharing at load factor 1.

@@ -61,8 +61,9 @@ struct Bucket<V> {
 /// Buckets (lock + chain head, 16 bytes) are deliberately **not** padded to
 /// cache lines: at load factor 1 the bucket array is the table's hot memory
 /// and an 8× footprint blow-up costs far more in capacity misses than
-/// adjacent-bucket false sharing (measured on `fig0_substrate`, where
-/// padding the sibling lock-free table's buckets cost 13×).
+/// adjacent-bucket false sharing (measured by the substrate bench, README
+/// "Frozen bench records" at 052dafe, where padding the sibling lock-free
+/// table's buckets cost 13×).
 pub struct LazyHashTable<V> {
     buckets: Vec<Bucket<V>>,
     mask: usize,

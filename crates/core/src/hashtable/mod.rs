@@ -7,18 +7,15 @@
 //!
 //! * [`LazyHashTable`] — the paper's blocking hash table: per-bucket lock +
 //!   synchronization-free reads (used in Figs. 3–9 and Tables 2–3).
-//! * [`CowHashTable`] — copy-on-write bucket arrays \[52\].
 //! * [`Bucketed`] — generic "map per bucket" adapter, instantiated as:
 //!   [`CouplingHashTable`] (lock-coupling chain \[30\]),
 //!   [`LockFreeHashTable`] (Harris chain ≈ Michael's lock-free table \[43\]),
 //!   [`WaitFreeHashTable`] (wait-free chain; paper footnote 2).
 
 mod bucketed;
-mod cow_ht;
 mod lazy_ht;
 
 pub use bucketed::{Bucketed, CouplingHashTable, LockFreeHashTable, WaitFreeHashTable};
-pub use cow_ht::CowHashTable;
 pub use lazy_ht::LazyHashTable;
 
 /// Fibonacci multiplicative hash onto `2^bits` buckets.

@@ -22,7 +22,7 @@
 //! |---|---|---|---|
 //! | linked list | [`list::LazyList`], [`list::CouplingList`] | [`list::HarrisList`] | [`list::WaitFreeList`] |
 //! | skip list | [`skiplist::HerlihySkipList`], [`skiplist::PughSkipList`] | [`skiplist::LockFreeSkipList`] | — |
-//! | hash table | [`hashtable::LazyHashTable`], [`hashtable::CouplingHashTable`], [`hashtable::CowHashTable`] | [`hashtable::LockFreeHashTable`] | [`hashtable::WaitFreeHashTable`] |
+//! | hash table | [`hashtable::LazyHashTable`], [`hashtable::CouplingHashTable`] | [`hashtable::LockFreeHashTable`] | [`hashtable::WaitFreeHashTable`] |
 //! | BST | [`bst::BstTk`] | — | — |
 //! | queue/stack (§7) | [`queuestack::TwoLockQueue`], [`queuestack::LockedStack`] | [`queuestack::MsQueue`], [`queuestack::TreiberStack`] | — |
 //!

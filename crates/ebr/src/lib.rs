@@ -26,7 +26,8 @@
 //!   the only sequentially consistent synchronization on the path; unpin is
 //!   a plain `Release` store. (An earlier iteration kept threads *lazily*
 //!   pinned across guard drops so a repin at an unchanged epoch could skip
-//!   the fence. Measured on `fig0_substrate`, that made pin/unpin 4× faster
+//!   the fence. Measured by the substrate bench (README, "Frozen bench
+//!   records", 052dafe), that made pin/unpin 4× faster
 //!   — and made every *structure* slower, up to 12× for the hash table:
 //!   any thread that pins once and then goes idle stalls the epoch for
 //!   everyone, and benchmarks, servers and thread pools all have such

@@ -1344,6 +1344,35 @@ mod tests {
     }
 
     #[test]
+    fn grows_from_sixteen_buckets_under_a_concurrent_reader() {
+        const N: u64 = 4096;
+        let h = ElasticHashTable::<u64>::with_config(ElasticConfig::default());
+        assert_eq!(h.buckets(), 16);
+        let done = csds_sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut k = 0;
+                while !done.load(Ordering::Relaxed) {
+                    if let Some(v) = h.get(k % N) {
+                        assert_eq!(v, k % N, "read a wrong value mid-growth");
+                    }
+                    k += 1;
+                }
+            });
+            for k in 0..N {
+                assert!(h.insert(k, k));
+            }
+            done.store(true, Ordering::Relaxed);
+        });
+        assert!(
+            h.buckets() >= 1024,
+            "{N} inserts grew the table to only {} buckets",
+            h.buckets()
+        );
+        assert_eq!(h.len(), N as usize);
+    }
+
+    #[test]
     fn tenant_table_compacts_to_single_bucket_without_traffic() {
         // The namespace-directory shape: a tenant table grows under load,
         // empties, and then sees no further operations. `compact_in` alone

@@ -7,6 +7,7 @@ mod beyond;
 mod coarse;
 mod elision;
 mod finegrained;
+mod locks;
 mod model;
 mod service;
 
@@ -14,6 +15,7 @@ pub use beyond::fig10;
 pub use coarse::{fig1, fig3, fig4};
 pub use elision::{table2, table3};
 pub use finegrained::{coupling, fig5, fig6, fig7, fig8, fig9, outliers};
+pub use locks::locks;
 pub use model::model;
 pub use service::service;
 
@@ -36,6 +38,11 @@ pub fn registry() -> Vec<Experiment> {
             id: "fig1",
             description: "Figs. 1-2: blocking vs lock-free vs wait-free list throughput (1024 elems, 10% updates), read-only traversal cost",
             run: fig1,
+        },
+        Experiment {
+            id: "locks",
+            description: "Sec. 3.2: lazy list with TAS vs ticket vs MCS node locks (1024 elems, 10% updates, 1 and all hardware threads)",
+            run: locks,
         },
         Experiment {
             id: "fig3",
@@ -94,7 +101,7 @@ pub fn registry() -> Vec<Experiment> {
         },
         Experiment {
             id: "fig10",
-            description: "Fig. 10: queue/stack fraction of time waiting (approaches 1)",
+            description: "Fig. 10: queue/stack and priority-queue fraction of time waiting (approaches 1)",
             run: fig10,
         },
         Experiment {
@@ -129,6 +136,6 @@ mod tests {
         assert!(find("fig3").is_some());
         assert!(find("service").is_some());
         assert!(find("nope").is_none());
-        assert_eq!(reg.len(), 15);
+        assert_eq!(reg.len(), 16);
     }
 }

@@ -4,7 +4,7 @@
 
 use csds_core::bst::BstTk;
 use csds_core::hashtable::{
-    CouplingHashTable, CowHashTable, LazyHashTable, LockFreeHashTable, WaitFreeHashTable,
+    CouplingHashTable, LazyHashTable, LockFreeHashTable, WaitFreeHashTable,
 };
 use csds_core::list::{CouplingList, HarrisList, LazyList, WaitFreeList};
 use csds_core::skiplist::{HerlihySkipList, LockFreeSkipList, PughSkipList};
@@ -87,7 +87,6 @@ pub enum AlgoKind {
     LazyHashTable,
     LazyHashTableElided,
     CouplingHashTable,
-    CowHashTable,
     LockFreeHashTable,
     WaitFreeHashTable,
     ElasticHashTable,
@@ -112,7 +111,6 @@ impl AlgoKind {
             LazyHashTable,
             LazyHashTableElided,
             CouplingHashTable,
-            CowHashTable,
             LockFreeHashTable,
             WaitFreeHashTable,
             ElasticHashTable,
@@ -137,7 +135,6 @@ impl AlgoKind {
             LazyHashTable => "lazy-ht",
             LazyHashTableElided => "lazy-ht+tsx",
             CouplingHashTable => "coupling-ht",
-            CowHashTable => "cow-ht",
             LockFreeHashTable => "lockfree-ht",
             WaitFreeHashTable => "waitfree-ht",
             ElasticHashTable => "elastic-ht",
@@ -154,8 +151,8 @@ impl AlgoKind {
             HerlihySkipList | HerlihySkipListElided | PughSkipList | LockFreeSkipList => {
                 Family::SkipList
             }
-            LazyHashTable | LazyHashTableElided | CouplingHashTable | CowHashTable
-            | LockFreeHashTable | WaitFreeHashTable | ElasticHashTable => Family::HashTable,
+            LazyHashTable | LazyHashTableElided | CouplingHashTable | LockFreeHashTable
+            | WaitFreeHashTable | ElasticHashTable => Family::HashTable,
             BstTk | BstTkElided => Family::Bst,
         }
     }
@@ -184,7 +181,6 @@ impl AlgoKind {
                 SyncMode::Elision,
             )),
             Self::CouplingHashTable => Box::new(CouplingHashTable::<u64>::with_capacity(capacity)),
-            Self::CowHashTable => Box::new(CowHashTable::<u64>::with_capacity(capacity)),
             Self::LockFreeHashTable => Box::new(LockFreeHashTable::<u64>::with_capacity(capacity)),
             Self::WaitFreeHashTable => Box::new(WaitFreeHashTable::<u64>::with_capacity(capacity)),
             Self::ElasticHashTable => Box::new(ElasticHashTable::<u64>::with_capacity(capacity)),

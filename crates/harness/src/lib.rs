@@ -9,9 +9,10 @@
 //!   elision statistics, per-request outliers);
 //! * [`experiments`] — one function per paper artifact (`fig1`, which
 //!   also prints Fig. 2's read-only comparison, `fig3` … `table2`,
-//!   `table3`, `fig10`, plus the §5.1 outlier study, the §5.1
-//!   lock-coupling comparison and the §6 model validation). They are the
-//!   repo's one instrument for the paper's claims;
+//!   `table3`, `fig10`, plus the §3.2 node-lock comparison `locks`, the
+//!   §5.1 outlier study, the §5.1 lock-coupling comparison and the §6
+//!   model validation). They are the repo's one instrument for the
+//!   paper's claims;
 //! * [`report`] — fixed-width table rendering shared by all experiments;
 //! * [`obs`] — the observability layer's harness face: `repro watch`
 //!   (live dashboard over the seqlock metrics registry and the EBR health
@@ -36,7 +37,7 @@ pub mod runner;
 pub use factory::{AlgoKind, Family, PqKind};
 pub use runner::{
     apply_map_op, map_worker, pipeline, pq_worker, prefill, prefill_pq, run_map_avg, run_timed,
-    service_op, thread_seed, MapRunConfig, PoolKind, PoolRunConfig, RunResult, Stop,
+    service_op, thread_seed, MapRunConfig, PoolKind, PoolRunConfig, RunResult,
 };
 
 use std::time::Duration;

@@ -7,9 +7,8 @@
 //! the fine-grained delay metrics are collected at the end.
 //!
 //! There is exactly one spawn/barrier/loop/join body, [`run_timed`]; the
-//! map and pool configurations, the priority-queue workers (and the
-//! criterion benches' fixed-op-count runs) differ only in the per-thread
-//! closure they hand it.
+//! map and pool configurations and the priority-queue workers differ only
+//! in the per-thread closure they hand it.
 
 use csds_sync::atomic::{AtomicBool, Ordering};
 use std::hint::black_box;
@@ -189,20 +188,9 @@ pub fn prefill(map: &(impl ConcurrentMap<u64> + ?Sized), size: usize, key_range:
     }
 }
 
-/// When the workers of a [`run_timed`] call stop.
-#[derive(Clone, Copy, Debug)]
-pub enum Stop {
-    /// After a wall-clock window (the paper's fixed-duration runs).
-    After(Duration),
-    /// After this many operations in total, split evenly across the threads
-    /// (criterion's `iter_custom` contract: work proportional to the
-    /// iteration count).
-    Ops(u64),
-}
-
 /// The one timed driver: spawn `threads` workers, release them together,
-/// run each worker's operation closure until `stop`, join, and merge the
-/// per-thread counters.
+/// run each worker's operation closure until the `window` has passed, join,
+/// and merge the per-thread counters.
 ///
 /// `per_thread(t)` runs **on worker `t`** right after the start barrier and
 /// returns the closure that performs one operation — so it is the place to
@@ -213,13 +201,9 @@ pub enum Stop {
 /// barrier to the last join.
 pub fn run_timed<W: FnMut()>(
     threads: usize,
-    stop: Stop,
+    window: Duration,
     per_thread: impl Fn(usize) -> W + Sync,
 ) -> RunResult {
-    let quota = match stop {
-        Stop::After(_) => u64::MAX,
-        Stop::Ops(total) => total.div_ceil(threads as u64),
-    };
     let expired = AtomicBool::new(false);
     let barrier = Barrier::new(threads + 1);
     std::thread::scope(|s| {
@@ -232,7 +216,7 @@ pub fn run_timed<W: FnMut()>(
                     barrier.wait();
                     let mut op = per_thread(t);
                     let mut ops = 0u64;
-                    while ops < quota && !expired.load(Ordering::Relaxed) {
+                    while !expired.load(Ordering::Relaxed) {
                         op();
                         ops += 1;
                     }
@@ -243,10 +227,8 @@ pub fn run_timed<W: FnMut()>(
             .collect();
         barrier.wait();
         let start = Instant::now();
-        if let Stop::After(window) = stop {
-            std::thread::sleep(window);
-            expired.store(true, Ordering::Relaxed);
-        }
+        std::thread::sleep(window);
+        expired.store(true, Ordering::Relaxed);
         let mut per_thread_ops = Vec::with_capacity(threads);
         let mut stats = StatsSnapshot::default();
         for w in workers {
@@ -270,7 +252,7 @@ pub fn thread_seed(base: u64, t: usize) -> u64 {
 }
 
 /// Issue one workload operation through a [`MapHandle`] — the single
-/// `Op` → map-call mapping every runner, bench and example shares. Values
+/// `Op` → map-call mapping every runner and example shares. Values
 /// are the key itself; `FetchAdd` is the counter bump (absent = 0).
 #[inline]
 pub fn apply_map_op<M: GuardedMap<u64> + ?Sized>(h: &mut MapHandle<'_, u64, M>, op: Op, key: u64) {
@@ -374,7 +356,7 @@ impl MapRunConfig {
         let map = self.algo.make(self.key_range as usize);
         prefill(&*map, self.size, self.key_range, self.seed);
         let sampler = KeySampler::new(self.dist, self.key_range);
-        run_timed(self.threads, Stop::After(self.duration), |t| {
+        run_timed(self.threads, self.duration, |t| {
             let seed = thread_seed(self.seed, t);
             // Arm the delay injector with a per-thread seed (it dies with
             // the worker thread).
@@ -448,7 +430,7 @@ impl PoolRunConfig {
         for i in 0..self.prefill {
             pool.push(i as u64);
         }
-        run_timed(self.threads, Stop::After(self.duration), |t| {
+        run_timed(self.threads, self.duration, |t| {
             let mut rng = FastRng::new(thread_seed(self.seed, t));
             let mut handle = PoolHandle::new(&*pool);
             move || {
@@ -563,7 +545,7 @@ mod tests {
         let map = cfg.algo.make(cfg.key_range as usize);
         prefill(map.as_ref(), cfg.size, cfg.key_range, 7);
         // Mini-run against the same map, so its final size can be read.
-        run_timed(cfg.threads, Stop::After(cfg.duration), |t| {
+        run_timed(cfg.threads, cfg.duration, |t| {
             let mut rng = FastRng::new(t as u64 + 1);
             let (map, range) = (&*map, cfg.key_range);
             move || {
@@ -603,7 +585,7 @@ mod tests {
         for kind in PqKind::all() {
             let pq = kind.make();
             prefill_pq(&*pq, 256, KEY_RANGE, 1);
-            let r = run_timed(3, Stop::After(Duration::from_millis(60)), |t| {
+            let r = run_timed(3, Duration::from_millis(60), |t| {
                 pq_worker(&*pq, PqOpMix::mixed(), KEY_RANGE, thread_seed(1, t))
             });
             assert!(r.total_ops > 100, "{}: {} ops", kind.name(), r.total_ops);

@@ -33,8 +33,8 @@
 //!   recorded as timestamped events exportable to chrome://tracing.
 //!
 //! Building with the **`off` feature** compiles every recording function
-//! down to a no-op — that is the "instrumentation compiled out" arm of the
-//! `fig0_obs` overhead A/B.
+//! down to a no-op — that is the "instrumentation compiled out" build of
+//! the benchmark (`benchmark/`, run with `--features csds_metrics/off`).
 
 use std::cell::{Cell, RefCell};
 use std::time::{Duration, Instant};

@@ -2,7 +2,7 @@
 //! thread-parking `block_on`.
 //!
 //! No async runtime exists in this offline workspace (the same constraint
-//! that produced the `criterion`/`proptest` shims), so the service
+//! that produced the `proptest` shim), so the service
 //! hand-rolls the two pieces it actually needs:
 //!
 //! * [`Completion`] — the receiving half of a [`csds_sync::oneshot`]

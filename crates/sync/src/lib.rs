@@ -5,7 +5,7 @@
 //! blocking structures, observing "no benefits from using more complex locks,
 //! such as MCS locks, due to the low degree of contention for any particular
 //! lock". We provide all of them (plus the OPTIK-style versioned trylock that
-//! BST-TK relies on) so that claim is reproducible (`ablation_lock_kind`).
+//! BST-TK relies on) so that claim is reproducible (`repro run locks`).
 //!
 //! Every lock is instrumented: acquisitions that do not succeed immediately
 //! take a timed slow path and report the wait to [`csds_metrics::lock_wait`].
@@ -34,7 +34,7 @@ pub use mpsc_ring::MpscRing;
 pub use optik::{OptikLock, OPTIMISTIC_READ_RETRIES, OPTIMISTIC_RMW_RETRIES};
 pub use padded::CachePadded;
 pub use sharded_counter::ShardedCounter;
-pub use tas::{TasLock, TtasLock};
+pub use tas::TasLock;
 pub use ticket::TicketLock;
 
 /// Constant `true` since the optimistic fast paths lost their process-wide
@@ -137,11 +137,6 @@ mod tests {
     }
 
     #[test]
-    fn ttas_mutual_exclusion() {
-        hammer::<TtasLock>();
-    }
-
-    #[test]
     fn ticket_mutual_exclusion() {
         hammer::<TicketLock>();
     }
@@ -169,7 +164,6 @@ mod tests {
             l.unlock();
         }
         check::<TasLock>();
-        check::<TtasLock>();
         check::<TicketLock>();
         check::<McsLock>();
         check::<OptikLock>();

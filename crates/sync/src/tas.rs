@@ -1,4 +1,4 @@
-//! Test-and-set and test-and-test-and-set spin locks.
+//! Test-and-set spin lock.
 //!
 //! A [`TasLock`] is a single byte — this matters because the lazy list and
 //! the optimistic skiplist embed one lock *per node* (paper §3.2). The
@@ -82,80 +82,6 @@ impl TasLock {
     }
 }
 
-/// Test-and-test-and-set lock: identical to [`TasLock`] but reads before the
-/// very first CAS as well, which is gentler under heavy contention.
-pub struct TtasLock {
-    flag: AtomicBool,
-}
-
-impl RawMutex for TtasLock {
-    fn new() -> Self {
-        TtasLock {
-            flag: AtomicBool::new(false),
-        }
-    }
-
-    #[inline]
-    fn lock(&self) {
-        if !self.flag.load(Ordering::Relaxed)
-            && self
-                .flag
-                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
-        {
-            csds_metrics::lock_acquire(false);
-            return;
-        }
-        self.lock_slow();
-    }
-
-    #[inline]
-    fn try_lock(&self) -> bool {
-        if self.flag.load(Ordering::Relaxed) {
-            return false;
-        }
-        let ok = self
-            .flag
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok();
-        if ok {
-            csds_metrics::lock_acquire(false);
-        }
-        ok
-    }
-
-    #[inline]
-    fn unlock(&self) {
-        self.flag.store(false, Ordering::Release);
-    }
-
-    fn is_locked(&self) -> bool {
-        self.flag.load(Ordering::Relaxed)
-    }
-}
-
-impl TtasLock {
-    #[cold]
-    fn lock_slow(&self) {
-        let start = Instant::now();
-        let mut backoff = Backoff::new();
-        loop {
-            while self.flag.load(Ordering::Relaxed) {
-                backoff.snooze();
-            }
-            if self
-                .flag
-                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
-            {
-                break;
-            }
-        }
-        csds_metrics::lock_wait(start.elapsed().as_nanos() as u64);
-        csds_metrics::lock_acquire(true);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,15 +99,6 @@ mod tests {
             assert!(l.is_locked());
             l.unlock();
             assert!(!l.is_locked());
-        }
-    }
-
-    #[test]
-    fn ttas_lock_unlock_cycles() {
-        let l = TtasLock::new();
-        for _ in 0..100 {
-            assert!(l.try_lock());
-            l.unlock();
         }
     }
 }

@@ -224,12 +224,6 @@ impl OpMix {
         Self::rmw(0, 50, 0, 0)
     }
 
-    /// Preset: CAS-heavy traffic (10% basic updates, 40% CAS, 50% reads) —
-    /// optimistic conditional writes over a live population.
-    pub fn mix_rmw_cas_heavy() -> Self {
-        Self::rmw(10, 0, 40, 0)
-    }
-
     /// Preset: counter service (100% `fetch_add`).
     pub fn mix_rmw_counter() -> Self {
         Self::rmw(0, 0, 0, 100)
@@ -299,19 +293,6 @@ impl PqOpMix {
             "pq op-mix shares must sum to at most 100%"
         );
         PqOpMix { push_pct, pop_pct }
-    }
-
-    /// Preset: producer-dominated traffic (60% push, 30% pop, 10% peek) —
-    /// the queue grows, pops rarely collide.
-    pub fn push_heavy() -> Self {
-        Self::new(60, 30)
-    }
-
-    /// Preset: consumer-dominated traffic (30% push, 60% pop, 10% peek) —
-    /// the queue hovers near empty and every popper fights over the same
-    /// few head nodes: the worst-case contention point.
-    pub fn pop_heavy() -> Self {
-        Self::new(30, 60)
     }
 
     /// Preset: balanced scheduler traffic (45% push, 45% pop, 10% peek) —
@@ -683,9 +664,6 @@ mod tests {
         );
         assert!((pop as f64 / N as f64 - 0.45).abs() < 0.01, "pops {pop}");
         assert!((peek as f64 / N as f64 - 0.10).abs() < 0.01, "peeks {peek}");
-        // Presets: push-heavy grows, pop-heavy drains.
-        assert!(PqOpMix::push_heavy().push_pct > PqOpMix::push_heavy().pop_pct);
-        assert!(PqOpMix::pop_heavy().pop_pct > PqOpMix::pop_heavy().push_pct);
     }
 
     #[test]

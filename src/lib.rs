@@ -53,7 +53,7 @@ pub use csds_workload as workload;
 pub mod prelude {
     pub use csds_core::bst::BstTk;
     pub use csds_core::hashtable::{
-        CouplingHashTable, CowHashTable, LazyHashTable, LockFreeHashTable, WaitFreeHashTable,
+        CouplingHashTable, LazyHashTable, LockFreeHashTable, WaitFreeHashTable,
     };
     pub use csds_core::list::{CouplingList, HarrisList, LazyList, WaitFreeList};
     pub use csds_core::queuestack::{LockedStack, MsQueue, TreiberStack, TwoLockQueue};

@@ -12,8 +12,8 @@
 //! doc examples and comments; keep those speaking in terms of the seam.
 //!
 //! The same source scan keeps two further rules: structure locks are
-//! released only through guards, and every criterion bench is declared
-//! and cited in `README.md`.
+//! released only through guards, and every `repro run <id>` that
+//! `README.md` or the verify skill cites names a registered experiment.
 
 use std::path::{Path, PathBuf};
 
@@ -30,8 +30,8 @@ const ALLOWLIST: &[&str] = &[
     "crates/metrics/src/atomic.rs",
     // The model checker implements the shims on top of the std atomics.
     "crates/modelcheck/",
-    // Local stand-ins for external crates (criterion/proptest): external
-    // idiom, never model-checked.
+    // Local stand-in for an external crate (proptest): external idiom,
+    // never model-checked.
     "crates/shims/",
 ];
 
@@ -175,53 +175,53 @@ fn structure_crates_release_locks_only_through_guards() {
     );
 }
 
-/// Every criterion bench is a cited instrument: the `[[bench]]` targets of
-/// `crates/bench/Cargo.toml` are exactly the files in
-/// `crates/bench/benches/`, and `README.md` names each one. The paper's
-/// figures are measured by `repro run`; a bench that no document cites
-/// re-times something nobody reads.
+/// Every figure the documents cite has a command that regenerates it:
+/// each `repro run <id>` in `README.md` and the verify skill names an
+/// experiment of `csds::harness::experiments::registry()`, and neither
+/// file points at a bench harness this workspace no longer has.
 #[test]
-fn every_bench_target_is_declared_and_cited() {
+fn every_cited_repro_run_names_a_registered_experiment() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let manifest = std::fs::read_to_string(root.join("crates/bench/Cargo.toml")).unwrap();
-    let mut declared: Vec<String> = manifest
-        .split("[[bench]]")
-        .skip(1)
-        .map(|entry| {
-            let name = entry
-                .lines()
-                .find_map(|l| l.trim().strip_prefix("name"))
-                .expect("a [[bench]] entry without a name");
-            name.trim_start_matches([' ', '='])
-                .trim_matches('"')
-                .to_string()
-        })
-        .collect();
-    let mut sources = Vec::new();
-    collect_rust_sources(&root.join("crates/bench/benches"), &mut sources);
-    let mut files: Vec<String> = sources
+    let ids: Vec<&str> = csds::harness::experiments::registry()
         .iter()
-        .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
+        .map(|e| e.id)
         .collect();
-    assert!(
-        !files.is_empty(),
-        "source walk looks broken: no bench files"
-    );
-    declared.sort();
-    files.sort();
-    assert_eq!(
-        declared, files,
-        "crates/bench/Cargo.toml's [[bench]] names and crates/bench/benches/*.rs differ"
-    );
-
-    let readme = std::fs::read_to_string(root.join("README.md")).unwrap();
-    let uncited: Vec<&String> = declared
-        .iter()
-        .filter(|name| !readme.contains(name.as_str()))
-        .collect();
-    assert!(
-        uncited.is_empty(),
-        "bench targets that README.md never names (cite what each measures, or delete it): \
-         {uncited:?}"
-    );
+    for doc in ["README.md", ".claude/skills/verify/SKILL.md"] {
+        let text = std::fs::read_to_string(root.join(doc)).unwrap();
+        // Spelled in halves so a repository-wide search for stale
+        // references to the deleted bench package finds none here.
+        for stale in [concat!("cargo", " bench"), concat!("csds", "_bench")] {
+            assert!(
+                !text.contains(stale),
+                "{doc} says `{stale}`; `repro run` and `benchmark/` are the instruments"
+            );
+        }
+        let mut cited = Vec::new();
+        for (i, _) in text.match_indices("repro") {
+            let rest = text[i + "repro".len()..].trim_start_matches([' ', '-']);
+            let Some(rest) = rest.strip_prefix("run ") else {
+                continue;
+            };
+            let id: String = rest
+                .chars()
+                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+                .collect();
+            // `repro run <id>` placeholders and a bare `repro run` cite nothing.
+            if !id.is_empty() {
+                cited.push(id);
+            }
+        }
+        assert!(
+            !cited.is_empty(),
+            "{doc}: citation scan looks broken, no `repro run <id>` found"
+        );
+        let unknown: Vec<&String> = cited
+            .iter()
+            .filter(|id| !ids.contains(&id.as_str()))
+            .collect();
+        assert!(
+            unknown.is_empty(),
+            "{doc} cites `repro run` ids the registry does not have: {unknown:?}"
+        );
+    }
 }

@@ -187,7 +187,6 @@ model_prop!(herlihy_skiplist_obeys_model, AlgoKind::HerlihySkipList);
 model_prop!(pugh_skiplist_obeys_model, AlgoKind::PughSkipList);
 model_prop!(lockfree_skiplist_obeys_model, AlgoKind::LockFreeSkipList);
 model_prop!(lazy_hashtable_obeys_model, AlgoKind::LazyHashTable);
-model_prop!(cow_hashtable_obeys_model, AlgoKind::CowHashTable);
 model_prop!(elastic_hashtable_obeys_model, AlgoKind::ElasticHashTable);
 model_prop!(bst_tk_obeys_model, AlgoKind::BstTk);
 model_prop!(bst_tk_elided_obeys_model, AlgoKind::BstTkElided);
