@@ -41,9 +41,17 @@
 //! * retired nodes go into a **fixed-capacity inline bag** (no allocation
 //!   per retirement, a single `RefCell` borrow, never nested); full bags
 //!   are sealed into a flat Vec-backed ring. Epoch advance + collection
-//!   runs amortized behind the `MAINTENANCE_PERIOD` pin counter, and the
-//!   registry scan is skipped when neither this thread nor the orphan
-//!   stack holds garbage.
+//!   runs behind the `MAINTENANCE_PERIOD` pin counter, and only when the
+//!   thread holds at least a bag's worth (`BAG_CAP`) of pending garbage or
+//!   the orphan stack is non-empty: reclamation work follows the garbage a
+//!   thread holds, not the operations it runs, so a read-mostly thread
+//!   neither scans the registry nor moves the epoch (which would make
+//!   every other thread re-publish) for the odd node it retires;
+//! * the process-wide garbage gauges ([`health`]) are fed per thread in
+//!   batches: a retirement adds to the thread's own tally, which reaches
+//!   the shared counters once per `BAG_CAP` items, at each maintenance
+//!   tick, at thread exit and in [`health`] for the caller — not on every
+//!   retire.
 //!
 //! # Safety argument (sketch)
 //!
@@ -367,6 +375,20 @@ fn maintenance_period() -> u64 {
     MAINTENANCE_PERIOD
 }
 
+/// The pending-garbage count (items) at which a maintenance tick attempts
+/// an epoch advance and collects: one bag. Under the model checker the
+/// `ebr.advance_threshold` config key lowers it (usually to 1), so that the
+/// two or three retirements a model can afford still reach the
+/// advance/collect path.
+#[inline]
+fn advance_threshold() -> u64 {
+    #[cfg(feature = "modelcheck")]
+    if let Some(t) = csds_modelcheck::model_config_u64("ebr.advance_threshold") {
+        return t.max(1);
+    }
+    BAG_CAP as u64
+}
+
 /// Flat Vec-backed ring buffer of sealed bags (oldest-first FIFO).
 struct SealedRing {
     /// Power-of-two capacity; `None` marks an empty cell.
@@ -386,10 +408,6 @@ impl SealedRing {
 
     fn len(&self) -> usize {
         self.len
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     fn grow(&mut self) {
@@ -455,10 +473,6 @@ impl LocalBags {
         }
     }
 
-    fn has_garbage(&self) -> bool {
-        self.open_len > 0 || !self.sealed.is_empty()
-    }
-
     /// Move the open bag's contents into the sealed ring.
     fn seal_open(&mut self) {
         if self.open_len == 0 {
@@ -475,9 +489,9 @@ impl LocalBags {
         });
     }
 
-    /// Append one deferred destructor tagged `tag`; returns the sealed-bag
-    /// count so the caller can decide whether to run early maintenance.
-    fn push(&mut self, tag: u64, d: Deferred) -> usize {
+    /// Append one deferred destructor tagged `tag`, sealing the open bag
+    /// when the tag changes or the bag fills.
+    fn push(&mut self, tag: u64, d: Deferred) {
         if self.open_epoch != tag {
             self.seal_open();
             self.open_epoch = tag;
@@ -487,7 +501,6 @@ impl LocalBags {
         if self.open_len == BAG_CAP {
             self.seal_open();
         }
-        self.sealed.len()
     }
 
     /// Drain everything (for orphan donation at thread exit).
@@ -513,6 +526,10 @@ struct Local {
     /// Deferred destructors retired by this thread and not yet executed
     /// locally (orphan donations leave with the thread at exit).
     deferred_pending: Cell<u64>,
+    /// Retirements (items, bytes) not yet added to the process-wide
+    /// garbage gauges; settled by [`Local::flush_gauge`].
+    gauge_items: Cell<u64>,
+    gauge_bytes: Cell<u64>,
     /// Reclamation-watchdog threshold for this thread (items); see
     /// [`set_watchdog_threshold`].
     watchdog_threshold: Cell<u64>,
@@ -527,6 +544,8 @@ impl Local {
             pin_count: Cell::new(0),
             bags: RefCell::new(LocalBags::new()),
             deferred_pending: Cell::new(0),
+            gauge_items: Cell::new(0),
+            gauge_bytes: Cell::new(0),
             watchdog_threshold: Cell::new(WATCHDOG_THRESHOLD_DEFAULT),
         }
     }
@@ -567,14 +586,22 @@ impl Local {
     #[inline]
     fn defer(&self, d: Deferred) {
         // Tag = pin_epoch + 1: an upper bound on the global epoch at unlink
-        // time (see module docs). Collection is amortized purely behind the
-        // MAINTENANCE_PERIOD pin counter: triggering extra maintenance on
-        // queue depth degenerates into a registry scan per retirement
-        // whenever a pinned thread is legitimately blocking the advance.
+        // time (see module docs). A retirement never runs maintenance
+        // itself: the bag threshold is only checked at the MAINTENANCE_PERIOD
+        // pin tick, because triggering on queue depth here degenerates into
+        // a registry scan per retirement whenever a pinned thread is
+        // legitimately blocking the advance.
         let tag = self.pin_epoch.get() + 1;
-        let bytes = d.bytes;
-        let _sealed = self.bags.borrow_mut().push(tag, d);
-        csds_metrics::ebr_garbage_delta(1, bytes as i64);
+        let bytes = d.bytes as u64;
+        self.bags.borrow_mut().push(tag, d);
+        // The gauge is settled a bag at a time: a shared fetch_add pair per
+        // retirement would put one cache line under every retiring thread.
+        let items = self.gauge_items.get() + 1;
+        self.gauge_items.set(items);
+        self.gauge_bytes.set(self.gauge_bytes.get() + bytes);
+        if items >= BAG_CAP as u64 {
+            self.flush_gauge();
+        }
         // Reclamation watchdog: collection is amortized behind the pin
         // counter (above), so a thread whose pin path never runs maintenance
         // — the PR 6 repin-starvation class: two long-lived sessions on one
@@ -616,12 +643,27 @@ impl Local {
         }
     }
 
-    /// Amortized maintenance: attempt an epoch advance and collect. Unless
-    /// `force`d, the registry scan is skipped entirely when neither this
-    /// thread nor the orphan stack holds garbage.
+    /// Add this thread's unsettled retirements to the process-wide garbage
+    /// gauges. Runs before any collection on this thread, so a destructor's
+    /// decrement never lands ahead of its retirement's increment.
+    fn flush_gauge(&self) {
+        let items = self.gauge_items.replace(0);
+        if items > 0 {
+            let bytes = self.gauge_bytes.replace(0);
+            csds_metrics::ebr_garbage_delta(items as i64, bytes as i64);
+        }
+    }
+
+    /// Amortized maintenance: settle the gauge, then attempt an epoch
+    /// advance and collect. Unless `force`d, the advance and the registry
+    /// scan behind it run only when this thread holds at least a bag of
+    /// pending garbage (`advance_threshold`) or the orphan stack is
+    /// non-empty. A thread below the threshold keeps its few items until
+    /// its garbage grows, a forced pass ([`Guard::flush`]) or its exit.
     fn maintenance(&self, force: bool) {
+        self.flush_gauge();
         let c = collector();
-        if !force && !self.bags.borrow().has_garbage() && c.orphans.is_empty() {
+        if !force && self.deferred_pending.get() < advance_threshold() && c.orphans.is_empty() {
             return;
         }
         // Latency is only timed past the early-out, so the gauge measures
@@ -636,8 +678,10 @@ impl Local {
 
 impl Drop for Local {
     fn drop(&mut self) {
-        // Thread exit: donate garbage, then unpin and logically delete the
-        // slot so a future thread can recycle it.
+        // Thread exit: settle the gauge (before the donation, which any
+        // thread may collect at once), donate garbage, then unpin and
+        // logically delete the slot so a future thread can recycle it.
+        self.flush_gauge();
         let bags = self.bags.borrow_mut().drain_all();
         collector().orphans.donate(bags);
         self.slot.state.store(0, Ordering::Release);
@@ -885,9 +929,13 @@ pub struct EbrHealth {
     pub pinned_lags: Vec<u64>,
     /// Largest entry of `pinned_lags` (0 when nothing is pinned).
     pub max_epoch_lag: u64,
-    /// Process-wide deferred garbage not yet reclaimed (items).
+    /// Process-wide deferred garbage not yet reclaimed (items). Exact for
+    /// the calling thread's retirements; each other live thread's most
+    /// recent retirements may be missing, fewer than 64 (one bag) per
+    /// thread, until its next maintenance tick or its exit.
     pub garbage_items: u64,
-    /// Approximate bytes of that garbage (retired allocations only).
+    /// Approximate bytes of that garbage (retired allocations only), with
+    /// the same per-thread lag as [`EbrHealth::garbage_items`].
     pub garbage_bytes: u64,
 }
 
@@ -895,7 +943,13 @@ pub struct EbrHealth {
 /// registry scan, plus the process-wide deferred-garbage gauges maintained
 /// through `csds_metrics`. Watchdog *firings* are counters in the metrics
 /// registry (`ebr_stall_events`), not here.
+///
+/// The calling thread's own retirements are settled into the gauges first,
+/// so they are exact for the caller; each other live thread may lag by
+/// fewer than `BAG_CAP` (64) items. A caller that never pinned is
+/// registered as an (unpinned) participant by the call.
 pub fn health() -> EbrHealth {
+    LOCAL.with(Local::flush_gauge);
     let c = collector();
     let global = c.epoch.0.load(Ordering::Acquire);
     let mut h = EbrHealth {
@@ -1140,7 +1194,7 @@ mod tests {
     #[test]
     fn sealed_ring_fifo_and_growth() {
         let mut ring = SealedRing::new();
-        assert!(ring.is_empty());
+        assert_eq!(ring.len(), 0);
         for i in 0..100 {
             ring.push_back(Bag {
                 epoch: i,

@@ -279,3 +279,131 @@ fn canary_survives_concurrent_swap_and_retire() {
         g.flush();
     }
 }
+
+/// The crate's bag capacity: the pending garbage at which a maintenance
+/// tick advances the epoch and collects, and the batch in which a thread's
+/// retirements reach the process-wide garbage gauges.
+const BAG_CAP: usize = 64;
+
+/// Retire `n` fresh `T`s through `g`.
+fn retire<T: Send>(g: &csds_ebr::Guard, n: usize, make: impl Fn() -> T) {
+    for _ in 0..n {
+        let s = Shared::boxed(make());
+        // SAFETY: never published; unique, retired once.
+        unsafe { g.defer_drop(s) };
+    }
+}
+
+/// Flush on the calling thread until the process-wide garbage gauge reads
+/// zero. With the write side of `EPOCH_TO_ITSELF` held no other thread of
+/// this binary pins, so the gauge is exact and zero means the orphan stack
+/// is empty too.
+fn drain_all_garbage() {
+    assert!(
+        churn_until(
+            || csds_ebr::health().garbage_items == 0,
+            Duration::from_secs(30)
+        ),
+        "garbage never drained: {} items",
+        csds_ebr::health().garbage_items
+    );
+}
+
+#[test]
+fn less_than_a_bag_of_garbage_never_advances_the_epoch() {
+    let _alone = EPOCH_TO_ITSELF
+        .write()
+        .unwrap_or_else(PoisonError::into_inner);
+    struct Small;
+    // Orphans left by earlier tests would give this thread a reason to
+    // advance; clear them first.
+    drain_all_garbage();
+    const REPINS: usize = if cfg!(miri) { 640 } else { 10_000 };
+    let snap = std::thread::spawn(|| {
+        let _ = csds_metrics::take_and_reset();
+        let mut g = csds_ebr::pin();
+        retire(&g, BAG_CAP - 1, || Small);
+        for _ in 0..REPINS {
+            g.repin();
+        }
+        let snap = csds_metrics::take_and_reset();
+        drop(g);
+        snap
+    })
+    .join()
+    .unwrap();
+    assert_eq!(
+        (snap.epoch_advances, snap.ebr_collects),
+        (0, 0),
+        "{} pending items (under one bag) ran {} advances and {} \
+         collections over {REPINS} repins",
+        BAG_CAP - 1,
+        snap.epoch_advances,
+        snap.ebr_collects
+    );
+    drain_all_garbage();
+}
+
+#[test]
+fn a_repinning_session_holds_a_few_bags_at_most() {
+    let _alone = EPOCH_TO_ITSELF
+        .write()
+        .unwrap_or_else(PoisonError::into_inner);
+    struct Churned;
+    const OPS: usize = if cfg!(miri) { 1_024 } else { 50_000 };
+    const WARM_UP: usize = 4 * BAG_CAP;
+    let worst = std::thread::spawn(|| {
+        let mut g = csds_ebr::pin();
+        let mut worst = 0;
+        for op in 0..OPS {
+            retire(&g, 1, || Churned);
+            g.repin();
+            if op >= WARM_UP {
+                worst = worst.max(csds_ebr::local_garbage_items());
+            }
+        }
+        drop(g);
+        worst
+    })
+    .join()
+    .unwrap();
+    assert!(
+        worst <= 4 * BAG_CAP as u64,
+        "a session retiring once per op held {worst} pending items; the \
+         bag trigger should keep it within {}",
+        4 * BAG_CAP
+    );
+    drain_all_garbage();
+}
+
+#[test]
+fn an_exiting_thread_settles_its_garbage_gauge() {
+    let _alone = EPOCH_TO_ITSELF
+        .write()
+        .unwrap_or_else(PoisonError::into_inner);
+    struct Left {
+        _payload: [u8; 24],
+    }
+    let before = csds_ebr::health();
+    let threads: Vec<_> = (0..2)
+        .map(|_| {
+            std::thread::spawn(|| {
+                let g = csds_ebr::pin();
+                retire(&g, BAG_CAP - 1, || Left { _payload: [0; 24] });
+            })
+        })
+        .collect();
+    for t in threads {
+        t.join().unwrap();
+    }
+    // Neither thread reached a bag or a maintenance tick, so only the exit
+    // flush can have put their retirements into the gauge.
+    let after = csds_ebr::health();
+    let items = 2 * (BAG_CAP - 1) as u64;
+    assert_eq!(after.garbage_items, before.garbage_items + items);
+    assert_eq!(
+        after.garbage_bytes,
+        before.garbage_bytes + items * std::mem::size_of::<Left>() as u64
+    );
+    drain_all_garbage();
+}

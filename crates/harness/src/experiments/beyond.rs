@@ -6,7 +6,7 @@ use csds_workload::PqOpMix;
 use crate::factory::PqKind;
 use crate::report::{mops, pct, Table};
 use crate::runner::{
-    pq_worker, prefill_pq, run_timed, thread_seed, PoolKind, PoolRunConfig, RunResult,
+    pq_worker, prefill_pq, run_avg, run_timed, thread_seed, PoolKind, PoolRunConfig, RunResult,
 };
 use crate::Scale;
 
@@ -14,6 +14,8 @@ use crate::Scale;
 const PREFILL: usize = 1024;
 /// Priority space of the priority queues (the paper's 2× rule).
 const PQ_KEY_RANGE: u64 = 2 * PREFILL as u64;
+/// Seed of every Fig. 10 cell's first repetition.
+const SEED: u64 = 0xF16;
 
 /// **Figure 10** — fraction of time spent waiting for locks in a blocking
 /// queue and stack, 50 % push / 50 % pop, 1024 prefilled nodes, increasing
@@ -25,6 +27,8 @@ const PQ_KEY_RANGE: u64 = 2 * PREFILL as u64;
 /// targets the head run. The second table runs the blocking Pugh queue
 /// and the lock-free Lotan–Shavit queue (45/45/10 push/pop/peek over
 /// twice the prefilled priority range) at the same thread counts.
+///
+/// Every cell averages `scale.reps()` runs.
 pub fn fig10(scale: Scale) {
     let mut table = Table::new(
         "Fig. 10 - queue/stack wait fraction (50/50 push-pop, 1024 prefilled)",
@@ -57,14 +61,16 @@ pub fn fig10(scale: Scale) {
     };
     for threads in threads_list {
         let run = |kind: PoolKind| -> RunResult {
-            PoolRunConfig {
-                kind,
-                prefill: PREFILL,
-                threads,
-                duration: scale.duration(),
-                seed: 0xF16,
-            }
-            .run()
+            run_avg(scale.reps(), SEED, |seed| {
+                PoolRunConfig {
+                    kind,
+                    prefill: PREFILL,
+                    threads,
+                    duration: scale.duration(),
+                    seed,
+                }
+                .run()
+            })
         };
         let q = run(PoolKind::TwoLockQueue);
         let s = run(PoolKind::LockedStack);
@@ -82,10 +88,12 @@ pub fn fig10(scale: Scale) {
             mops(ts.throughput_mops()),
         ]);
         let pq_run = |kind: PqKind| -> RunResult {
-            let pq = kind.make();
-            prefill_pq(&*pq, PREFILL, PQ_KEY_RANGE, 0xF16);
-            run_timed(threads, scale.duration(), |t| {
-                pq_worker(&*pq, PqOpMix::mixed(), PQ_KEY_RANGE, thread_seed(0xF16, t))
+            run_avg(scale.reps(), SEED, |seed| {
+                let pq = kind.make();
+                prefill_pq(&*pq, PREFILL, PQ_KEY_RANGE, seed);
+                run_timed(threads, scale.duration(), |t| {
+                    pq_worker(&*pq, PqOpMix::mixed(), PQ_KEY_RANGE, thread_seed(seed, t))
+                })
             })
         };
         let pugh = pq_run(PqKind::PughPq);

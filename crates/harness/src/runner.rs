@@ -484,16 +484,25 @@ pub fn prefill_pq(pq: &(impl ConcurrentPq<u64> + ?Sized), size: usize, key_range
     }
 }
 
-/// Run `reps` repetitions and average (the paper averages 11 runs).
+/// Run `reps` repetitions of one configuration and average them (the paper
+/// averages 11 runs). Repetition `i` gets `run(seed + i * 0x1234_5678)`.
+pub fn run_avg(reps: usize, seed: u64, run: impl Fn(u64) -> RunResult) -> RunResult {
+    RunResult::merge_reps(
+        (0..reps as u64)
+            .map(|i| run(seed.wrapping_add(i * 0x1234_5678)))
+            .collect(),
+    )
+}
+
+/// [`run_avg`] over a map configuration, varying its seed.
 pub fn run_map_avg(cfg: &MapRunConfig, reps: usize) -> RunResult {
-    let results: Vec<RunResult> = (0..reps)
-        .map(|i| {
-            let mut c = cfg.clone();
-            c.seed = cfg.seed.wrapping_add(i as u64 * 0x1234_5678);
-            c.run()
-        })
-        .collect();
-    RunResult::merge_reps(results)
+    run_avg(reps, cfg.seed, |seed| {
+        MapRunConfig {
+            seed,
+            ..cfg.clone()
+        }
+        .run()
+    })
 }
 
 #[cfg(test)]
@@ -609,6 +618,17 @@ mod tests {
         let m = RunResult::merge_reps(vec![mk(100), mk(300)]);
         assert_eq!(m.total_ops, 200);
         assert_eq!(m.elapsed, Duration::from_millis(100));
+        // `run_avg` runs every repetition, each on a seed of its own.
+        let seeds = std::cell::RefCell::new(Vec::new());
+        let m = run_avg(3, 7, |seed| {
+            seeds.borrow_mut().push(seed);
+            mk(100 * seeds.borrow().len() as u64)
+        });
+        assert_eq!(m.total_ops, 200);
+        assert_eq!(
+            seeds.into_inner(),
+            [7, 7 + 0x1234_5678, 7 + 2 * 0x1234_5678]
+        );
     }
 
     #[test]

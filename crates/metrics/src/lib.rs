@@ -572,8 +572,10 @@ pub fn pq_pop_contention(attempts: u64) {
 }
 
 /// Adjust the process-wide deferred-garbage gauges by signed deltas
-/// (`items`, approximate `bytes`). EBR calls this on defer (+) and after
-/// collection (−); wrapping arithmetic makes negative deltas exact.
+/// (`items`, approximate `bytes`). EBR calls this with each thread's
+/// batched retirements (+, a bag at a time, at maintenance ticks and at
+/// thread exit) and after collection (−); wrapping arithmetic makes
+/// negative deltas exact.
 #[inline]
 pub fn ebr_garbage_delta(items: i64, bytes: i64) {
     if cfg!(feature = "off") {

@@ -247,12 +247,15 @@ impl Registry {
         for (name, help, v) in [
             (
                 "csds_ebr_garbage_items",
-                "deferred EBR garbage items not yet reclaimed",
+                "deferred EBR garbage items not yet reclaimed; each live thread's \
+                 latest retirements, fewer than 64, may be missing until its next \
+                 maintenance tick or its exit",
                 g_items,
             ),
             (
                 "csds_ebr_garbage_bytes",
-                "approximate bytes of deferred EBR garbage",
+                "approximate bytes of deferred EBR garbage, with the same \
+                 per-thread lag as csds_ebr_garbage_items",
                 g_bytes,
             ),
             (

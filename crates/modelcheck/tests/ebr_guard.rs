@@ -5,11 +5,15 @@
 //! publication, epoch CAS and fence through the shim atomics, so these
 //! models check the production pin/repin/advance/collect protocol itself.
 //!
-//! The `ebr.maintenance_period` knob shrinks the amortization constant to 1
-//! so the handful of pins a model can afford still reaches the
-//! advance/collect path; `ebr.omit_repin_maintenance` re-introduces the
-//! historical "repin never collects" bug so we can demonstrate the checker
-//! catches it.
+//! Two knobs let the handful of pins and retirements a model can afford
+//! still reach the advance/collect path: `ebr.maintenance_period` shrinks
+//! the amortization constant (pins between maintenance ticks) to 1, and
+//! `ebr.advance_threshold` lowers the pending garbage a tick needs before
+//! it advances and collects from one bag (64 items) to 1.
+//! `ebr.omit_repin_maintenance` re-introduces the historical "repin never
+//! collects" bug so we can demonstrate the checker catches it; the
+//! negative sets the other two knobs exactly as its positive twin does, so
+//! it fails because of the omitted repin tick and nothing else.
 
 use csds_ebr::{pin, Shared};
 use csds_modelcheck::Model;
@@ -28,32 +32,35 @@ impl Drop for Counted {
 
 /// A long-lived guard that retires garbage and only ever `repin`s (the
 /// session-handle pattern) must still reclaim: repins tick the maintenance
-/// counter, so with period 1 a few repins advance the epoch past the
-/// retirement tag and run collection.
+/// counter, so with period 1 and threshold 1 a few repins advance the
+/// epoch past the retirement tag and run collection.
 #[test]
 fn repin_driven_session_reclaims_garbage() {
-    let report = Model::new().cfg("ebr.maintenance_period", 1).check(|| {
-        let drops = Arc::new(AtomicUsize::new(0));
-        let mut g = pin();
-        // A session retires as it goes: the second retirement carries a
-        // newer epoch tag, sealing the first one's bag (only sealed
-        // bags are collected — the open bag is always in flight).
-        let s = Shared::boxed(Counted(Arc::clone(&drops)));
-        // SAFETY: never published; unique, retired once.
-        unsafe { g.defer_drop(s) };
-        assert!(g.repin(), "sole guard repin must be effective");
-        assert!(g.repin());
-        let s = Shared::boxed(Counted(Arc::clone(&drops)));
-        // SAFETY: as above.
-        unsafe { g.defer_drop(s) };
-        assert!(g.repin());
-        assert!(g.repin());
-        assert!(
-            drops.load(Ordering::Relaxed) >= 1,
-            "repin-driven session never reclaimed its garbage"
-        );
-        drop(g);
-    });
+    let report = Model::new()
+        .cfg("ebr.maintenance_period", 1)
+        .cfg("ebr.advance_threshold", 1)
+        .check(|| {
+            let drops = Arc::new(AtomicUsize::new(0));
+            let mut g = pin();
+            // A session retires as it goes: the second retirement carries a
+            // newer epoch tag, sealing the first one's bag (only sealed
+            // bags are collected — the open bag is always in flight).
+            let s = Shared::boxed(Counted(Arc::clone(&drops)));
+            // SAFETY: never published; unique, retired once.
+            unsafe { g.defer_drop(s) };
+            assert!(g.repin(), "sole guard repin must be effective");
+            assert!(g.repin());
+            let s = Shared::boxed(Counted(Arc::clone(&drops)));
+            // SAFETY: as above.
+            unsafe { g.defer_drop(s) };
+            assert!(g.repin());
+            assert!(g.repin());
+            assert!(
+                drops.load(Ordering::Relaxed) >= 1,
+                "repin-driven session never reclaimed its garbage"
+            );
+            drop(g);
+        });
     assert!(report.complete);
 }
 
@@ -64,6 +71,7 @@ fn repin_driven_session_reclaims_garbage() {
 fn checker_catches_reintroduced_repin_maintenance_bug() {
     let report = Model::new()
         .cfg("ebr.maintenance_period", 1)
+        .cfg("ebr.advance_threshold", 1)
         .cfg("ebr.omit_repin_maintenance", 1)
         .run(|| {
             let drops = Arc::new(AtomicUsize::new(0));
