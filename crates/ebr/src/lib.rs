@@ -42,11 +42,13 @@
 //!   per retirement, a single `RefCell` borrow, never nested); full bags
 //!   are sealed into a flat Vec-backed ring. Epoch advance + collection
 //!   runs behind the `MAINTENANCE_PERIOD` pin counter, and only when the
-//!   thread holds at least a bag's worth (`BAG_CAP`) of pending garbage or
-//!   the orphan stack is non-empty: reclamation work follows the garbage a
-//!   thread holds, not the operations it runs, so a read-mostly thread
-//!   neither scans the registry nor moves the epoch (which would make
-//!   every other thread re-publish) for the odd node it retires;
+//!   thread holds a bag of pending garbage (`BAG_CAP` items, or `BAG_BYTES`
+//!   bytes) or the orphan stack is non-empty: reclamation work follows the
+//!   garbage a thread holds, not the operations it runs, so a read-mostly
+//!   thread neither scans the registry nor moves the epoch (which would
+//!   make every other thread re-publish) for the odd node it retires,
+//!   while one large retirement (a bucket array) is still freed within a
+//!   few ticks — a pass also frees the open bag once its tag is old enough;
 //! * the process-wide garbage gauges ([`health`]) are fed per thread in
 //!   batches: a retirement adds to the thread's own tally, which reaches
 //!   the shared counters once per `BAG_CAP` items, at each maintenance
@@ -117,14 +119,16 @@ struct Bag {
 
 /// Run one batch of deferred destructors, settling the process-wide
 /// deferred-garbage gauges first (so a destructor that re-enters this
-/// module observes the gauges already decremented).
-fn execute_items(items: Vec<Deferred>) {
+/// module observes the gauges already decremented). Returns the bytes
+/// freed.
+fn execute_items(items: Vec<Deferred>) -> u64 {
     let n = items.len() as i64;
     let bytes: usize = items.iter().map(|d| d.bytes).sum();
     csds_metrics::ebr_garbage_delta(-n, -(bytes as i64));
     for d in items {
         d.execute();
     }
+    bytes as u64
 }
 
 /// Per-thread participant record. Cache-line padded: `state` is stored by
@@ -351,8 +355,16 @@ fn collector() -> &'static Collector {
     GLOBAL.get()
 }
 
-/// Capacity of the inline open bag; sealing happens when it fills.
+/// Capacity of the inline open bag; sealing happens when it fills. Also
+/// the pending garbage (items) at which a maintenance tick advances the
+/// epoch and collects.
 const BAG_CAP: usize = 64;
+/// Pending garbage (bytes) at which a maintenance tick advances the epoch
+/// and collects even below `BAG_CAP` items: a bag of 256-byte objects. A
+/// node-sized retirement reaches `BAG_CAP` first; one large allocation (a
+/// retired bucket array) is collected within a few ticks instead of waiting
+/// for 63 more retirements that a read-only thread may never make.
+const BAG_BYTES: u64 = (BAG_CAP * 256) as u64;
 /// Run maintenance (advance + collect) every this many pin operations.
 const MAINTENANCE_PERIOD: u64 = 64;
 /// Default reclamation-watchdog threshold (pending deferred items): well
@@ -373,20 +385,6 @@ fn maintenance_period() -> u64 {
         return p.max(1);
     }
     MAINTENANCE_PERIOD
-}
-
-/// The pending-garbage count (items) at which a maintenance tick attempts
-/// an epoch advance and collects: one bag. Under the model checker the
-/// `ebr.advance_threshold` config key lowers it (usually to 1), so that the
-/// two or three retirements a model can afford still reach the
-/// advance/collect path.
-#[inline]
-fn advance_threshold() -> u64 {
-    #[cfg(feature = "modelcheck")]
-    if let Some(t) = csds_modelcheck::model_config_u64("ebr.advance_threshold") {
-        return t.max(1);
-    }
-    BAG_CAP as u64
 }
 
 /// Flat Vec-backed ring buffer of sealed bags (oldest-first FIFO).
@@ -526,10 +524,8 @@ struct Local {
     /// Deferred destructors retired by this thread and not yet executed
     /// locally (orphan donations leave with the thread at exit).
     deferred_pending: Cell<u64>,
-    /// Retirements (items, bytes) not yet added to the process-wide
-    /// garbage gauges; settled by [`Local::flush_gauge`].
-    gauge_items: Cell<u64>,
-    gauge_bytes: Cell<u64>,
+    /// Bytes of those `deferred_pending` items.
+    pending_bytes: Cell<u64>,
     /// Reclamation-watchdog threshold for this thread (items); see
     /// [`set_watchdog_threshold`].
     watchdog_threshold: Cell<u64>,
@@ -544,8 +540,7 @@ impl Local {
             pin_count: Cell::new(0),
             bags: RefCell::new(LocalBags::new()),
             deferred_pending: Cell::new(0),
-            gauge_items: Cell::new(0),
-            gauge_bytes: Cell::new(0),
+            pending_bytes: Cell::new(0),
             watchdog_threshold: Cell::new(WATCHDOG_THRESHOLD_DEFAULT),
         }
     }
@@ -594,14 +589,17 @@ impl Local {
         let tag = self.pin_epoch.get() + 1;
         let bytes = d.bytes as u64;
         self.bags.borrow_mut().push(tag, d);
+        self.pending_bytes.set(self.pending_bytes.get() + bytes);
         // The gauge is settled a bag at a time: a shared fetch_add pair per
         // retirement would put one cache line under every retiring thread.
-        let items = self.gauge_items.get() + 1;
-        self.gauge_items.set(items);
-        self.gauge_bytes.set(self.gauge_bytes.get() + bytes);
-        if items >= BAG_CAP as u64 {
-            self.flush_gauge();
-        }
+        GAUGE.with(|t| {
+            let items = t.items.get() + 1;
+            t.items.set(items);
+            t.bytes.set(t.bytes.get() + bytes);
+            if items >= BAG_CAP as u64 {
+                t.settle();
+            }
+        });
         // Reclamation watchdog: collection is amortized behind the pin
         // counter (above), so a thread whose pin path never runs maintenance
         // — the PR 6 repin-starvation class: two long-lived sessions on one
@@ -617,10 +615,21 @@ impl Local {
         }
     }
 
-    /// Free local sealed bags old enough under `global`. Bags are taken out
-    /// of the ring before their destructors run, so a destructor that
-    /// re-enters this module never observes a held borrow.
+    /// Free local bags old enough under `global`: the sealed ones, and the
+    /// open bag once its tag is old enough too, so a thread that stops
+    /// retiring does not keep its last few items (a retired bucket array,
+    /// say) for good. Bags are taken out of the ring before their
+    /// destructors run, so a destructor that re-enters this module never
+    /// observes a held borrow.
     fn collect_sealed(&self, global: u64) {
+        {
+            // No later retirement can carry a tag this old: this thread is
+            // pinned at `global - 1` or later, and tags are pin epoch + 1.
+            let mut bags = self.bags.borrow_mut();
+            if bags.open_epoch + 2 <= global {
+                bags.seal_open();
+            }
+        }
         loop {
             let bag = {
                 let mut bags = self.bags.borrow_mut();
@@ -636,34 +645,29 @@ impl Local {
                             .get()
                             .saturating_sub(b.items.len() as u64),
                     );
-                    execute_items(b.items);
+                    let bytes = execute_items(b.items);
+                    self.pending_bytes
+                        .set(self.pending_bytes.get().saturating_sub(bytes));
                 }
                 None => break,
             }
         }
     }
 
-    /// Add this thread's unsettled retirements to the process-wide garbage
-    /// gauges. Runs before any collection on this thread, so a destructor's
-    /// decrement never lands ahead of its retirement's increment.
-    fn flush_gauge(&self) {
-        let items = self.gauge_items.replace(0);
-        if items > 0 {
-            let bytes = self.gauge_bytes.replace(0);
-            csds_metrics::ebr_garbage_delta(items as i64, bytes as i64);
-        }
-    }
-
     /// Amortized maintenance: settle the gauge, then attempt an epoch
     /// advance and collect. Unless `force`d, the advance and the registry
-    /// scan behind it run only when this thread holds at least a bag of
-    /// pending garbage (`advance_threshold`) or the orphan stack is
-    /// non-empty. A thread below the threshold keeps its few items until
+    /// scan behind it run only when this thread holds a bag of pending
+    /// garbage (`BAG_CAP` items or `BAG_BYTES` bytes) or the orphan stack
+    /// is non-empty. A thread below both keeps its few small items until
     /// its garbage grows, a forced pass ([`Guard::flush`]) or its exit.
     fn maintenance(&self, force: bool) {
-        self.flush_gauge();
+        GAUGE.with(GaugeTally::settle);
         let c = collector();
-        if !force && self.deferred_pending.get() < advance_threshold() && c.orphans.is_empty() {
+        if !force
+            && self.deferred_pending.get() < BAG_CAP as u64
+            && self.pending_bytes.get() < BAG_BYTES
+            && c.orphans.is_empty()
+        {
             return;
         }
         // Latency is only timed past the early-out, so the gauge measures
@@ -681,7 +685,7 @@ impl Drop for Local {
         // Thread exit: settle the gauge (before the donation, which any
         // thread may collect at once), donate garbage, then unpin and
         // logically delete the slot so a future thread can recycle it.
-        self.flush_gauge();
+        GAUGE.with(GaugeTally::settle);
         let bags = self.bags.borrow_mut().drain_all();
         collector().orphans.donate(bags);
         self.slot.state.store(0, Ordering::Release);
@@ -691,6 +695,39 @@ impl Drop for Local {
 
 csds_sync::atomic::seam_thread_local! {
     static LOCAL: Local = Local::new();
+}
+
+/// A thread's retirements (items, bytes) not yet added to the process-wide
+/// garbage gauges.
+struct GaugeTally {
+    items: Cell<u64>,
+    bytes: Cell<u64>,
+}
+
+impl GaugeTally {
+    /// Add the tally to the process-wide gauges. Runs before any
+    /// collection on this thread, so a destructor's decrement never lands
+    /// ahead of its retirement's increment.
+    fn settle(&self) {
+        let items = self.items.replace(0);
+        if items > 0 {
+            let bytes = self.bytes.replace(0);
+            csds_metrics::ebr_garbage_delta(items as i64, bytes as i64);
+        }
+    }
+}
+
+// Not a field of `Local`: `health` settles its caller's tally without
+// registering a participant, and `Local`'s destructor settles it at thread
+// exit (a const thread-local without a destructor stays reachable during
+// thread teardown).
+std::thread_local! {
+    static GAUGE: GaugeTally = const {
+        GaugeTally {
+            items: Cell::new(0),
+            bytes: Cell::new(0),
+        }
+    };
 }
 
 /// An RAII token proving the current thread is pinned.
@@ -946,10 +983,9 @@ pub struct EbrHealth {
 ///
 /// The calling thread's own retirements are settled into the gauges first,
 /// so they are exact for the caller; each other live thread may lag by
-/// fewer than `BAG_CAP` (64) items. A caller that never pinned is
-/// registered as an (unpinned) participant by the call.
+/// fewer than `BAG_CAP` (64) items. The call registers no participant.
 pub fn health() -> EbrHealth {
-    LOCAL.with(Local::flush_gauge);
+    GAUGE.with(GaugeTally::settle);
     let c = collector();
     let global = c.epoch.0.load(Ordering::Acquire);
     let mut h = EbrHealth {

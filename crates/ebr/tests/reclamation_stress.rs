@@ -407,3 +407,70 @@ fn an_exiting_thread_settles_its_garbage_gauge() {
     );
     drain_all_garbage();
 }
+
+#[test]
+fn a_thread_that_stops_retiring_frees_its_large_garbage() {
+    let _alone = EPOCH_TO_ITSELF
+        .write()
+        .unwrap_or_else(PoisonError::into_inner);
+    static FREED: AtomicBool = AtomicBool::new(false);
+    /// Above the crate's byte trigger (a bag of 256-byte objects) on its
+    /// own, like a retired bucket array.
+    struct Large {
+        _payload: [u8; 32 * 1024],
+    }
+    impl Drop for Large {
+        fn drop(&mut self) {
+            FREED.store(true, Ordering::SeqCst);
+        }
+    }
+    drain_all_garbage();
+    // One large retirement, then reads only: the thread never reaches a
+    // bag of items, and its open bag is never sealed by a newer tag.
+    const REPINS: usize = 16 * BAG_CAP;
+    let (freed_after, left) = std::thread::spawn(|| {
+        let mut g = csds_ebr::pin();
+        retire(&g, 1, || Large {
+            _payload: [0; 32 * 1024],
+        });
+        let mut freed_after = None;
+        for n in 1..=REPINS {
+            g.repin();
+            if FREED.load(Ordering::SeqCst) {
+                freed_after = Some(n);
+                break;
+            }
+        }
+        let left = csds_ebr::local_garbage_items();
+        drop(g);
+        (freed_after, left)
+    })
+    .join()
+    .unwrap();
+    assert!(
+        freed_after.is_some(),
+        "a {} KiB retirement outlived {REPINS} repins of a thread that \
+         stopped retiring",
+        std::mem::size_of::<Large>() / 1024
+    );
+    assert_eq!(left, 0);
+    drain_all_garbage();
+}
+
+#[test]
+fn health_registers_no_participant() {
+    let _alone = EPOCH_TO_ITSELF
+        .write()
+        .unwrap_or_else(PoisonError::into_inner);
+    // A monitor thread that never pins (a dashboard loop, a benchmark's
+    // conductor) must not occupy a registry slot that every epoch advance
+    // then scans.
+    let (before, seen, after) = std::thread::spawn(|| {
+        let before = csds_ebr::registry_stats().1;
+        let seen = csds_ebr::health().active_participants;
+        (before, seen, csds_ebr::registry_stats().1)
+    })
+    .join()
+    .unwrap();
+    assert_eq!((seen, after), (before, before));
+}

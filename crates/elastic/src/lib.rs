@@ -218,6 +218,26 @@ impl<V> Table<V> {
     }
 }
 
+/// Retire a detached table at its real size, header plus bucket array, so
+/// the garbage telemetry and EBR's byte trigger see the bucket array a
+/// thread holds rather than a header-sized item.
+///
+/// # Safety
+/// As [`Guard::defer_drop`]: `t` is unreachable for new pins and this is
+/// its only retirement.
+unsafe fn retire_table<V: Send + Sync>(guard: &Guard, t: Shared<'_, Table<V>>) {
+    unsafe fn free<V>(p: *mut u8) {
+        drop(Box::from_raw(p as *mut Table<V>));
+    }
+    // SAFETY: the caller holds a pin and `t` is not yet freed.
+    let buckets = unsafe { t.deref() }.buckets.len();
+    let bytes = std::mem::size_of::<Table<V>>() + buckets * std::mem::size_of::<Bucket<V>>();
+    // SAFETY: the caller's contract above; `t` was allocated as a
+    // `Box<Table<V>>`, which `free` drops, and `V: Send` lets it run on
+    // any thread.
+    guard.defer_free(t.as_untagged_raw() as *mut u8, free::<V>, bytes);
+}
+
 impl<V> Drop for Table<V> {
     fn drop(&mut self) {
         for b in self.buckets.iter() {
@@ -536,7 +556,7 @@ impl<V: Clone + Send + Sync> ElasticHashTable<V> {
                 // SAFETY: fully drained (every bucket MOVED), detached from
                 // the shard, and retired exactly once (one thread sees
                 // done == total).
-                unsafe { guard.defer_drop(prev) };
+                unsafe { retire_table(guard, prev) };
                 self.stats
                     .migrations_completed
                     .fetch_add(1, Ordering::Relaxed);

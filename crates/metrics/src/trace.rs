@@ -284,8 +284,25 @@ pub fn chrome_trace_json(traces: &[ThreadTrace]) -> String {
 mod tests {
     use super::*;
 
+    /// Arming and draining are process-wide and libtest runs tests side by
+    /// side: the tests that arm tracing take turns.
+    static ARMING: Mutex<()> = Mutex::new(());
+
+    /// The calling thread's drained trace. Other tests' threads may record
+    /// while this one has tracing armed, so their rings are skipped.
+    fn own(traces: Vec<ThreadTrace>) -> ThreadTrace {
+        let tid = LOCAL_RING
+            .with(|c| c.get().map(|(tid, _)| *tid))
+            .expect("this thread has emitted while armed");
+        traces
+            .into_iter()
+            .find(|t| t.tid == tid)
+            .expect("a thread's ring stays registered")
+    }
+
     #[test]
     fn emit_requires_arming() {
+        let _arming = ARMING.lock().unwrap_or_else(|e| e.into_inner());
         let _ = drain_all();
         emit(EventKind::EpochAdvance, 1);
         let quiet: usize = drain_all().iter().map(|t| t.events.len()).sum();
@@ -295,8 +312,7 @@ mod tests {
         emit(EventKind::EpochAdvance, 7);
         emit(EventKind::ServiceBusy, 3);
         set_tracing(false);
-        let traces = drain_all();
-        let events: Vec<_> = traces.iter().flat_map(|t| t.events.iter()).collect();
+        let events = own(drain_all()).events;
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].kind, EventKind::EpochAdvance);
         assert_eq!(events[0].arg, 7);
@@ -307,22 +323,18 @@ mod tests {
 
     #[test]
     fn ring_drops_oldest() {
+        let _arming = ARMING.lock().unwrap_or_else(|e| e.into_inner());
         set_tracing(true);
         let _ = drain_all();
         for i in 0..(RING_CAPACITY + 10) as u64 {
             emit(EventKind::BucketsMoved, i);
         }
         set_tracing(false);
-        let traces = drain_all();
-        let mine: Vec<_> = traces
-            .into_iter()
-            .filter(|t| !t.events.is_empty())
-            .collect();
-        assert_eq!(mine.len(), 1);
-        assert_eq!(mine[0].events.len(), RING_CAPACITY);
-        assert_eq!(mine[0].dropped, 10);
+        let mine = own(drain_all());
+        assert_eq!(mine.events.len(), RING_CAPACITY);
+        assert_eq!(mine.dropped, 10);
         // Oldest evicted: the first retained arg is 10.
-        assert_eq!(mine[0].events[0].arg, 10);
+        assert_eq!(mine.events[0].arg, 10);
     }
 
     #[test]

@@ -5,15 +5,16 @@
 //! publication, epoch CAS and fence through the shim atomics, so these
 //! models check the production pin/repin/advance/collect protocol itself.
 //!
-//! Two knobs let the handful of pins and retirements a model can afford
-//! still reach the advance/collect path: `ebr.maintenance_period` shrinks
-//! the amortization constant (pins between maintenance ticks) to 1, and
-//! `ebr.advance_threshold` lowers the pending garbage a tick needs before
-//! it advances and collects from one bag (64 items) to 1.
-//! `ebr.omit_repin_maintenance` re-introduces the historical "repin never
-//! collects" bug so we can demonstrate the checker catches it; the
-//! negative sets the other two knobs exactly as its positive twin does, so
-//! it fails because of the omitted repin tick and nothing else.
+//! The `ebr.maintenance_period` knob shrinks the amortization constant
+//! (pins between maintenance ticks) to 1, so the handful of repins a model
+//! can afford still reaches the advance/collect path. A tick advances and
+//! collects only once the thread holds a bag of garbage (64 items); the
+//! retirement models simply retire that many, which costs no scheduled
+//! steps (a retirement touches no shim atomic). `ebr.omit_repin_maintenance`
+//! re-introduces the historical "repin never collects" bug so we can
+//! demonstrate the checker catches it; the negative runs the same session
+//! as its positive twin, so it fails because of the omitted repin tick and
+//! nothing else.
 
 use csds_ebr::{pin, Shared};
 use csds_modelcheck::Model;
@@ -30,37 +31,46 @@ impl Drop for Counted {
     }
 }
 
-/// A long-lived guard that retires garbage and only ever `repin`s (the
-/// session-handle pattern) must still reclaim: repins tick the maintenance
-/// counter, so with period 1 and threshold 1 a few repins advance the
-/// epoch past the retirement tag and run collection.
+/// Pending garbage at which a maintenance tick advances the epoch and
+/// collects: one bag (the crate's `BAG_CAP`).
+const BAG_CAP: usize = 64;
+
+/// Retire a fresh drop-counted object through `g`.
+fn retire_one(g: &csds_ebr::Guard, drops: &Arc<AtomicUsize>) {
+    let s = Shared::boxed(Counted(Arc::clone(drops)));
+    // SAFETY: never published; unique, retired once.
+    unsafe { g.defer_drop(s) };
+}
+
+/// The session-handle pattern: one long-lived guard that retires garbage
+/// and only ever `repin`s. A bag of retirements fills and seals the first
+/// bag; with period 1 each repin is a maintenance tick, so three repins
+/// advance the epoch to the bag's tag + 2 and collect it.
+fn repin_driven_session() {
+    let drops = Arc::new(AtomicUsize::new(0));
+    let mut g = pin();
+    for _ in 0..BAG_CAP {
+        retire_one(&g, &drops);
+    }
+    assert!(g.repin(), "sole guard repin must be effective");
+    assert!(g.repin());
+    retire_one(&g, &drops);
+    assert!(g.repin());
+    assert!(g.repin());
+    assert!(
+        drops.load(Ordering::Relaxed) >= 1,
+        "repin-driven session never reclaimed its garbage"
+    );
+    drop(g);
+}
+
+/// A long-lived guard that retires garbage and only ever `repin`s must
+/// still reclaim: repins tick the maintenance counter.
 #[test]
 fn repin_driven_session_reclaims_garbage() {
     let report = Model::new()
         .cfg("ebr.maintenance_period", 1)
-        .cfg("ebr.advance_threshold", 1)
-        .check(|| {
-            let drops = Arc::new(AtomicUsize::new(0));
-            let mut g = pin();
-            // A session retires as it goes: the second retirement carries a
-            // newer epoch tag, sealing the first one's bag (only sealed
-            // bags are collected — the open bag is always in flight).
-            let s = Shared::boxed(Counted(Arc::clone(&drops)));
-            // SAFETY: never published; unique, retired once.
-            unsafe { g.defer_drop(s) };
-            assert!(g.repin(), "sole guard repin must be effective");
-            assert!(g.repin());
-            let s = Shared::boxed(Counted(Arc::clone(&drops)));
-            // SAFETY: as above.
-            unsafe { g.defer_drop(s) };
-            assert!(g.repin());
-            assert!(g.repin());
-            assert!(
-                drops.load(Ordering::Relaxed) >= 1,
-                "repin-driven session never reclaimed its garbage"
-            );
-            drop(g);
-        });
+        .check(repin_driven_session);
     assert!(report.complete);
 }
 
@@ -71,27 +81,8 @@ fn repin_driven_session_reclaims_garbage() {
 fn checker_catches_reintroduced_repin_maintenance_bug() {
     let report = Model::new()
         .cfg("ebr.maintenance_period", 1)
-        .cfg("ebr.advance_threshold", 1)
         .cfg("ebr.omit_repin_maintenance", 1)
-        .run(|| {
-            let drops = Arc::new(AtomicUsize::new(0));
-            let mut g = pin();
-            let s = Shared::boxed(Counted(Arc::clone(&drops)));
-            // SAFETY: never published; unique, retired once.
-            unsafe { g.defer_drop(s) };
-            assert!(g.repin());
-            assert!(g.repin());
-            let s = Shared::boxed(Counted(Arc::clone(&drops)));
-            // SAFETY: as above.
-            unsafe { g.defer_drop(s) };
-            assert!(g.repin());
-            assert!(g.repin());
-            assert!(
-                drops.load(Ordering::Relaxed) >= 1,
-                "repin-driven session never reclaimed its garbage"
-            );
-            drop(g);
-        });
+        .run(repin_driven_session);
     let f = report
         .failure
         .expect("with repin maintenance omitted the session must leak");
