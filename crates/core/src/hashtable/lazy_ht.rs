@@ -15,14 +15,17 @@
 //!
 //! The bucket lock is an [`OptikLock`], so its version word doubles as a
 //! per-bucket seqlock: in [`SyncMode::Locks`] every chain mutation runs
-//! inside a bucket critical section, which lets `rmw_in` parse + run the
-//! user closure unsynchronized and then either validate the version (a
-//! read-only decision takes no lock at all) or acquire with
-//! [`OptikLock::try_lock_version`] — taking the lock's cache-line bounce
+//! inside a bucket critical section. `rmw_in` is one loop whose rounds
+//! differ only in how they hold the bucket. The first rounds take a version
+//! snapshot, parse and run the user closure unsynchronized, then validate
+//! the version (a read-only decision takes no lock at all) or acquire with
+//! [`OptikLock::try_lock_version`], taking the lock's cache-line bounce
 //! only when the bucket actually changed underneath (paper §5.1's
 //! validate-instead-of-wait idiom, extended from BST-TK to the hash table).
-//! Reads never locked and do not validate either: a single-key read has no
-//! use for a bucket snapshot.
+//! The last round holds the bucket lock. An elision-mode table runs only
+//! that round: its transactional writers bump no versions. Reads never
+//! locked and do not validate either: a single-key read has no use for a
+//! bucket snapshot.
 
 use csds_sync::atomic::{AtomicUsize, Ordering};
 
@@ -372,261 +375,146 @@ impl<V: Clone + Send + Sync> LazyHashTable<V> {
     /// [`GuardedMap::rmw_in`] — in-place mutation under the bucket lock,
     /// the compound operation the paper's blocking designs get for free.
     ///
-    /// The whole read-decide-apply runs in one bucket critical section
-    /// (in elision-mode tables the fallback sequence lock is additionally
-    /// held, so concurrent speculative write phases serialize against it).
     /// A present key is replaced by swapping in a fresh same-key node at
     /// the same chain position, marking the old node `SUPERSEDED`; an
     /// absent key is pushed at the bucket head. **Linearization point: the
     /// chain-link store** (`pred.next`/bucket-head), or the locked (or
     /// version-validated) observation for read-only decisions.
     ///
-    /// In [`SyncMode::Locks`] the operation first runs **validate-then-
-    /// lock**: snapshot the bucket version, parse and run the closure
-    /// unsynchronized, then either [`OptikLock::read_validate`] (read-only
-    /// decision — no lock at all) or [`OptikLock::try_lock_version`]
-    /// (write decision — the lock is taken only if the bucket is
-    /// unchanged, so the uncontended case pays one CAS on an
-    /// already-owned line instead of a full lock handoff). A failed
-    /// validation restarts (bounded by [`OPTIMISTIC_RMW_RETRIES`]) and
-    /// then falls back to the pessimistic locked path (`rmw_locked`) —
-    /// which is why the closure is documented as "may run more than once".
+    /// In [`SyncMode::Locks`] the first [`OPTIMISTIC_RMW_RETRIES`] rounds
+    /// run **validate-then-lock** (see `rmw_rounds`), so the closure "may
+    /// run more than once". Transactional writers do not bump lock
+    /// versions, so an elision-mode table goes straight to the locked
+    /// round.
     pub fn rmw_in<'g>(&'g self, key: u64, f: RmwFn<'_, V>, guard: &'g Guard) -> RmwOutcome<'g, V> {
         crate::key::check_user_key(key);
-        let bucket = self.bucket(key);
-        // Transactional writers do not bump lock versions, so only a
-        // locking-mode table can validate against them.
-        if self.region.is_none() {
-            match Self::rmw_optimistic(bucket, key, &mut *f, guard) {
-                Ok(out) => return out,
-                Err(()) => csds_metrics::optimistic_fallback(),
-            }
-        }
-        self.rmw_locked(bucket, key, f, guard)
+        let snapshots = if self.region.is_none() {
+            OPTIMISTIC_RMW_RETRIES
+        } else {
+            0
+        };
+        self.rmw_rounds(key, f, snapshots, guard)
     }
 
-    /// The pessimistic RMW: the whole read-decide-apply in one bucket
-    /// critical section. The only path of an elision-mode table and the
-    /// bounded-retry fallback of `rmw_optimistic`.
-    fn rmw_locked<'g>(
+    /// The one RMW loop: parse, run the closure, then store the write. Its
+    /// rounds differ only in how they hold the bucket. Each of the first
+    /// `snapshots` rounds snapshots the bucket version, parses and runs the
+    /// closure unsynchronized, then certifies a read-only decision with
+    /// [`OptikLock::read_validate`] (no lock at all) or a write with
+    /// [`OptikLock::try_lock_version`] (the lock is taken only if the bucket
+    /// is unchanged, so success proves `pred`/`curr` are still the chain's
+    /// nodes). A torn round restarts. The last round holds the bucket lock
+    /// (and, in elision mode, the region's fallback lock, so concurrent
+    /// speculative write phases abort or serialize) across the whole
+    /// read-decide-apply.
+    fn rmw_rounds<'g>(
         &'g self,
-        bucket: &'g Bucket<V>,
         key: u64,
         f: RmwFn<'_, V>,
+        snapshots: usize,
         guard: &'g Guard,
     ) -> RmwOutcome<'g, V> {
-        let g = lock_guard(&bucket.lock);
-        // Elision mode: hold the region's sequence lock across validation
-        // and stores so concurrent speculation aborts or serializes.
-        let fb = self.region.as_ref().map(TxRegion::enter_fallback);
-        let (pred, curr) = Self::scan(bucket, key, guard);
-        if !curr.is_null() {
-            // Under the bucket lock the chain holds no marked nodes (mark,
-            // unlink and replacement share this critical section).
-            // SAFETY: pinned.
-            let c = unsafe { curr.deref() };
-            debug_assert_eq!(c.marked.load(Ordering::Acquire), LIVE);
-            let current = c.value.as_ref().expect("live node holds a value");
-            match f(Some(current)) {
-                None => {
-                    drop(fb);
-                    drop(g);
-                    RmwOutcome {
-                        prev: Some(current.clone()),
-                        cur: Some(current),
-                        applied: false,
-                    }
+        let bucket = self.bucket(key);
+        let mut snapshots_left = snapshots;
+        loop {
+            let seen = if snapshots_left > 0 {
+                snapshots_left -= 1;
+                csds_metrics::optimistic_attempt();
+                let Some(seen) = bucket.lock.read_begin() else {
+                    // A writer is inside the bucket right now.
+                    torn_round();
+                    continue;
+                };
+                Some(seen)
+            } else {
+                if snapshots > 0 {
+                    csds_metrics::optimistic_fallback();
                 }
-                Some(new_value) => {
-                    let new_s = Shared::boxed(Node {
-                        key,
-                        value: Some(new_value),
-                        marked: AtomicUsize::new(LIVE),
-                        next: Atomic::null(),
-                    });
-                    // SAFETY: unpublished; chain serialized by the lock.
-                    unsafe { new_s.deref() }.next.store(c.next.load(guard));
-                    c.marked.store(SUPERSEDED, Ordering::Release);
-                    if pred.is_null() {
-                        bucket.head.store(new_s); // linearization point
-                    } else {
-                        // SAFETY: pinned; serialized by the bucket lock.
-                        unsafe { pred.deref() }.next.store(new_s);
-                    }
-                    drop(fb);
-                    drop(g);
-                    let prev = c.value.clone();
-                    // SAFETY: unlinked under the bucket lock; retired once.
-                    unsafe { guard.defer_drop(curr) };
-                    // SAFETY: published; pinned.
-                    let cur = unsafe { new_s.deref() }.value.as_ref();
-                    RmwOutcome {
-                        prev,
-                        cur,
-                        applied: true,
-                    }
-                }
-            }
-        } else {
-            match f(None) {
-                None => {
-                    drop(fb);
-                    drop(g);
-                    RmwOutcome {
-                        prev: None,
-                        cur: None,
-                        applied: false,
-                    }
-                }
-                Some(new_value) => {
-                    let new_s = Shared::boxed(Node {
-                        key,
-                        value: Some(new_value),
-                        marked: AtomicUsize::new(LIVE),
-                        next: Atomic::null(),
-                    });
-                    // SAFETY: unpublished.
-                    unsafe { new_s.deref() }.next.store(bucket.head.load(guard));
-                    bucket.head.store(new_s); // linearization point
-                    drop(fb);
-                    drop(g);
-                    // SAFETY: published; pinned.
-                    let cur = unsafe { new_s.deref() }.value.as_ref();
-                    RmwOutcome {
-                        prev: None,
-                        cur,
-                        applied: true,
-                    }
-                }
-            }
-        }
-    }
-
-    /// The validate-then-lock RMW attempt loop (Locks mode only): up to
-    /// [`OPTIMISTIC_RMW_RETRIES`] rounds of snapshot → unsynchronized
-    /// parse → closure → validate/lock. `Err(())` means every round was
-    /// torn by a concurrent writer; the caller takes the pessimistic path.
-    fn rmw_optimistic<'g>(
-        bucket: &'g Bucket<V>,
-        key: u64,
-        f: RmwFn<'_, V>,
-        guard: &'g Guard,
-    ) -> Result<RmwOutcome<'g, V>, ()> {
-        for _ in 0..OPTIMISTIC_RMW_RETRIES {
-            csds_metrics::optimistic_attempt();
-            let Some(seen) = bucket.lock.read_begin() else {
-                // A writer is inside the bucket right now.
-                csds_metrics::optimistic_failure();
-                csds_metrics::restart();
-                continue;
+                None
             };
+            let mut locked = seen.is_none().then(|| {
+                let g = lock_guard(&bucket.lock);
+                (self.region.as_ref().map(TxRegion::enter_fallback), g)
+            });
             let (pred, curr) = Self::scan(bucket, key, guard);
-            if !curr.is_null() {
-                // SAFETY: pinned.
-                let c = unsafe { curr.deref() };
-                if c.marked.load(Ordering::Acquire) != LIVE {
-                    // From a quiescent snapshot no marked node is reachable
-                    // (mark and unlink share one critical section), so this
-                    // chain is torn; validation would fail.
-                    csds_metrics::optimistic_failure();
-                    csds_metrics::restart();
+            // SAFETY: pinned.
+            let found = (!curr.is_null()).then(|| unsafe { curr.deref() });
+            if found.is_some_and(|c| c.marked.load(Ordering::Acquire) != LIVE) {
+                // Mark, unlink and replacement share one critical section,
+                // so neither the lock holder nor a quiescent snapshot can
+                // reach a marked node: this snapshot is torn.
+                debug_assert!(locked.is_none());
+                torn_round();
+                continue;
+            }
+            let current = found.map(|c| c.value.as_ref().expect("live node holds a value"));
+            let Some(new_value) = f(current) else {
+                // Read-only decision: the lock, or a seqlock-style
+                // validation, certifies the observation.
+                if seen.is_some_and(|seen| !bucket.lock.read_validate(seen)) {
+                    torn_round();
                     continue;
                 }
-                let current = c.value.as_ref().expect("live node holds a value");
-                match f(Some(current)) {
+                drop(locked);
+                return RmwOutcome {
+                    prev: current.cloned(),
+                    cur: current,
+                    applied: false,
+                };
+            };
+            let new_s = Shared::boxed(Node {
+                key,
+                value: Some(new_value),
+                marked: AtomicUsize::new(LIVE),
+                next: Atomic::null(),
+            });
+            if let Some(seen) = seen {
+                match bucket.lock.try_lock_version(seen) {
+                    Some(g) => locked = Some((None, g)),
                     None => {
-                        // Read-only decision: no lock at all — validate the
-                        // version like a seqlock read and linearize at the
-                        // snapshot.
-                        if bucket.lock.read_validate(seen) {
-                            return Ok(RmwOutcome {
-                                prev: Some(current.clone()),
-                                cur: Some(current),
-                                applied: false,
-                            });
-                        }
-                    }
-                    Some(new_value) => {
-                        let new_s = Shared::boxed(Node {
-                            key,
-                            value: Some(new_value),
-                            marked: AtomicUsize::new(LIVE),
-                            next: Atomic::null(),
-                        });
-                        // Acquire only if the bucket is unchanged since the
-                        // snapshot; success proves pred/curr are still the
-                        // chain's current nodes.
-                        if let Some(g) = bucket.lock.try_lock_version(seen) {
-                            // SAFETY: unpublished; chain now serialized.
-                            unsafe { new_s.deref() }.next.store(c.next.load(guard));
-                            c.marked.store(SUPERSEDED, Ordering::Release);
-                            if pred.is_null() {
-                                bucket.head.store(new_s); // linearization point
-                            } else {
-                                // SAFETY: pinned; serialized by the lock.
-                                unsafe { pred.deref() }.next.store(new_s);
-                            }
-                            drop(g);
-                            let prev = c.value.clone();
-                            // SAFETY: unlinked under the lock; retired once.
-                            unsafe { guard.defer_drop(curr) };
-                            // SAFETY: published; pinned.
-                            let cur = unsafe { new_s.deref() }.value.as_ref();
-                            return Ok(RmwOutcome {
-                                prev,
-                                cur,
-                                applied: true,
-                            });
-                        }
                         // SAFETY: never published.
                         unsafe { drop(new_s.into_box()) };
-                    }
-                }
-            } else {
-                match f(None) {
-                    None => {
-                        if bucket.lock.read_validate(seen) {
-                            return Ok(RmwOutcome {
-                                prev: None,
-                                cur: None,
-                                applied: false,
-                            });
-                        }
-                    }
-                    Some(new_value) => {
-                        let new_s = Shared::boxed(Node {
-                            key,
-                            value: Some(new_value),
-                            marked: AtomicUsize::new(LIVE),
-                            next: Atomic::null(),
-                        });
-                        if let Some(g) = bucket.lock.try_lock_version(seen) {
-                            // SAFETY: unpublished. Head cannot have moved
-                            // since the snapshot (version unchanged), but
-                            // reload under the lock anyway — it is one L1
-                            // hit and keeps this store independent of the
-                            // validation argument.
-                            unsafe { new_s.deref() }.next.store(bucket.head.load(guard));
-                            bucket.head.store(new_s); // linearization point
-                            drop(g);
-                            // SAFETY: published; pinned.
-                            let cur = unsafe { new_s.deref() }.value.as_ref();
-                            return Ok(RmwOutcome {
-                                prev: None,
-                                cur,
-                                applied: true,
-                            });
-                        }
-                        // SAFETY: never published.
-                        unsafe { drop(new_s.into_box()) };
+                        torn_round();
+                        continue;
                     }
                 }
             }
-            csds_metrics::optimistic_failure();
-            csds_metrics::restart();
+            // The chain is serialized from here on. Replace `curr` in place,
+            // or push at the head (reloaded under the lock: one L1 hit, and
+            // it keeps the store independent of the validation argument).
+            let (succ, link) = match found {
+                // SAFETY: pinned; serialized by the bucket lock.
+                Some(c) if !pred.is_null() => (c.next.load(guard), &unsafe { pred.deref() }.next),
+                Some(c) => (c.next.load(guard), &bucket.head),
+                None => (bucket.head.load(guard), &bucket.head),
+            };
+            // SAFETY: unpublished.
+            unsafe { new_s.deref() }.next.store(succ);
+            if let Some(c) = found {
+                c.marked.store(SUPERSEDED, Ordering::Release);
+            }
+            link.store(new_s); // linearization point
+            drop(locked);
+            let prev = found.and_then(|c| c.value.clone());
+            if found.is_some() {
+                // SAFETY: unlinked under the bucket lock; retired once.
+                unsafe { guard.defer_drop(curr) };
+            }
+            // SAFETY: published; pinned.
+            let cur = unsafe { new_s.deref() }.value.as_ref();
+            return RmwOutcome {
+                prev,
+                cur,
+                applied: true,
+            };
         }
-        Err(())
     }
+}
+
+/// A snapshot round was torn by a concurrent writer: count it and restart.
+fn torn_round() {
+    csds_metrics::optimistic_failure();
+    csds_metrics::restart();
 }
 
 impl<V: Clone + Send + Sync> GuardedMap<V> for LazyHashTable<V> {
@@ -710,14 +598,14 @@ mod tests {
         let h = LazyHashTable::with_capacity(16);
         testutil::sequential_rmw_model_check(|k, f| h.rmw(k, f), |k| h.get(k), 2_000, 64);
 
-        // No sequential run exhausts `rmw_optimistic`'s retries, so drive
-        // its fallback directly.
+        // No sequential run exhausts the snapshot rounds, so drive the
+        // locked round alone.
         let h = LazyHashTable::with_capacity(16);
         let _ = csds_metrics::take_and_reset();
         testutil::sequential_rmw_model_check(
             |k, f| {
                 let guard = csds_ebr::pin();
-                let out = h.rmw_locked(h.bucket(k), k, f, &guard);
+                let out = h.rmw_rounds(k, f, 0, &guard);
                 (out.prev, out.cur.cloned(), out.applied)
             },
             |k| h.get(k),
@@ -725,8 +613,18 @@ mod tests {
             64,
         );
         let snap = csds_metrics::take_and_reset();
-        assert_eq!(snap.optimistic_attempts, 0, "rmw_locked validates nothing");
+        assert_eq!(
+            snap.optimistic_attempts, 0,
+            "the locked round validates nothing"
+        );
         assert!(snap.lock_acquires >= 2_000, "one bucket lock per RMW");
+
+        // Transactional writers bump no lock versions, so an elision-mode
+        // table must never validate against them.
+        let h = LazyHashTable::with_capacity_and_mode(16, SyncMode::Elision);
+        testutil::sequential_rmw_model_check(|k, f| h.rmw(k, f), |k| h.get(k), 2_000, 64);
+        let snap = csds_metrics::take_and_reset();
+        assert_eq!(snap.optimistic_attempts, 0, "an elided table validated");
     }
 
     #[test]

@@ -824,8 +824,8 @@ pub(crate) mod testutil {
 
     /// Model comparison of the closure RMW (replace, fetch-add-if-present,
     /// decline) and of reads, driven through whichever entries the caller
-    /// wraps — a structure's public path, or its private `*_locked`
-    /// fallbacks, which no sequential run reaches on its own.
+    /// wraps — a structure's public path, or its locked round or locked
+    /// read alone, which no sequential run reaches on its own.
     pub fn sequential_rmw_model_check(
         mut rmw: impl FnMut(u64, super::RmwFn<'_, u64>) -> (Option<u64>, Option<u64>, bool),
         mut get: impl FnMut(u64) -> Option<u64>,

@@ -22,10 +22,13 @@
 //!
 //! One amendment to the classic algorithm: the list carries a single
 //! [`OptikLock`] version word that every writer bumps around its publish
-//! store, which lets `get_in` (and read-only `rmw_in` decisions) first
-//! attempt a **seqlock read** — a fully lockless walk validated against
-//! the version — and take the hand-over-hand locked walk only as
-//! fallback. Inside a [`Bucketed`]
+//! store, which lets `get_in` first attempt a **seqlock read** — a fully
+//! lockless walk validated against the version — and take the
+//! hand-over-hand locked walk only as fallback. `rmw_in` is one loop whose
+//! first rounds are the same seqlock read with the closure run on its
+//! result: a declined decision is certified by the validation alone, and a
+//! write goes to the loop's hand-over-hand round (the version word carries
+//! read authority only; see `rmw_rounds`). Inside a [`Bucketed`]
 //! table this is exactly the "snapshot bucket version → lockless chain
 //! walk → validate" protocol (the chains are short, so the one-word writer
 //! serialization is held for two stores). The paper's §5.1 indictment of
@@ -224,79 +227,67 @@ impl<V: Clone + Send + Sync> CouplingList<V> {
         out
     }
 
-    /// Decision-only optimistic RMW arm: lockless walk, run the closure,
-    /// and if it *declines* (returns `None`), certify the whole parse with
-    /// a seqlock validation — no lock touched at all. Returns `None` when
-    /// the closure wants to write or every round was torn, sending the
-    /// caller to the hand-over-hand path.
+    /// Guard-scoped atomic closure RMW; the native override behind
+    /// [`GuardedMap::rmw_in`]. Runs `rmw_rounds` with
+    /// [`OPTIMISTIC_RMW_RETRIES`] snapshot rounds, so the closure may run
+    /// more than once. **Linearization point: the `pred.next` store**, or
+    /// the validated or locked observation for read-only decisions.
+    pub fn rmw_in<'g>(&'g self, key: u64, f: RmwFn<'_, V>, guard: &'g Guard) -> RmwOutcome<'g, V> {
+        self.rmw_rounds(key::ikey(key), f, OPTIMISTIC_RMW_RETRIES, guard)
+    }
+
+    /// The one RMW loop. Each of the first `snapshots` rounds walks the
+    /// list lockless and runs the closure; if it *declines* (returns
+    /// `None`), a seqlock validation of the list version certifies the
+    /// whole parse, with no lock touched at all.
     ///
-    /// A version-certified *write* would be unsound here, unlike in the
-    /// bucket tables: positional writers take their node locks during the
-    /// parse and only bump the list version around the final publish store,
-    /// so a writer between `locate` and `publish` is invisible to
-    /// `read_begin`/`try_lock_version` — the list version word carries read
+    /// A write decision ends those rounds at once: a version-certified
+    /// *write* would be unsound here, unlike in the bucket tables.
+    /// Positional writers take their node locks during the parse and only
+    /// bump the list version around the final publish store, so a writer
+    /// between `locate` and `publish` is invisible to
+    /// `read_begin`/`try_lock_version`. The list version word carries read
     /// authority, not write authority.
-    fn rmw_decision_optimistic<'g>(
+    ///
+    /// The last round is the hand-over-hand walk, which ends holding both
+    /// `pred`'s and `curr`'s locks, so the read-decide-apply is one critical
+    /// section: a present key is replaced by a fresh same-key node (readers
+    /// racing past the old one return its value and linearize before the
+    /// swap), an absent key is inserted in place. The closure runs holding
+    /// both guards, so a panic in it unwinds through them and releases the
+    /// locks.
+    fn rmw_rounds<'g>(
         &'g self,
         ikey: u64,
-        f: &mut (dyn FnMut(Option<&V>) -> Option<V> + '_),
+        f: RmwFn<'_, V>,
+        snapshots: usize,
         guard: &'g Guard,
-    ) -> Option<RmwOutcome<'g, V>> {
-        for _ in 0..OPTIMISTIC_RMW_RETRIES {
-            csds_metrics::optimistic_attempt();
-            let Some(seen) = self.version.read_begin() else {
+    ) -> RmwOutcome<'g, V> {
+        'snapshots: {
+            for _ in 0..snapshots {
+                csds_metrics::optimistic_attempt();
+                if let Some(seen) = self.version.read_begin() {
+                    let found = self.walk_lockless(ikey, guard);
+                    if f(found).is_some() {
+                        // The designed handoff to the locked round, not a
+                        // torn snapshot: no failure, no fallback.
+                        break 'snapshots;
+                    }
+                    if self.version.read_validate(seen) {
+                        return RmwOutcome {
+                            prev: found.cloned(),
+                            cur: found,
+                            applied: false,
+                        };
+                    }
+                }
                 csds_metrics::optimistic_failure();
                 csds_metrics::restart();
-                continue;
-            };
-            let found = self.walk_lockless(ikey, guard);
-            if f(found).is_some() {
-                // The closure wants to write; retrying cannot help. This is
-                // the designed handoff, not a torn parse, so it does not
-                // count as an optimistic failure.
-                return None;
             }
-            if self.version.read_validate(seen) {
-                return Some(RmwOutcome {
-                    prev: found.cloned(),
-                    cur: found,
-                    applied: false,
-                });
+            if snapshots > 0 {
+                csds_metrics::optimistic_fallback();
             }
-            csds_metrics::optimistic_failure();
-            csds_metrics::restart();
         }
-        csds_metrics::optimistic_fallback();
-        None
-    }
-
-    /// Guard-scoped atomic closure RMW; the native override behind
-    /// [`GuardedMap::rmw_in`].
-    ///
-    /// Fast path: a **decision-only** optimistic arm — lockless walk,
-    /// closure, seqlock validation — that answers read-only decisions with
-    /// no lock at all (`rmw_decision_optimistic`; the closure may run again
-    /// on the fallback).
-    ///
-    /// Fallback / write path (`rmw_locked`): the hand-over-hand walk ends
-    /// holding both `pred`'s and `curr`'s locks, so the whole
-    /// read-decide-apply sequence is one critical section: a present key is
-    /// replaced by swapping in a fresh same-key node (readers racing past
-    /// the old one return its value and linearize before the swap), an
-    /// absent key is inserted in place. **Linearization point: the
-    /// `pred.next` store** (or the parse itself for read-only decisions).
-    pub fn rmw_in<'g>(&'g self, key: u64, f: RmwFn<'_, V>, guard: &'g Guard) -> RmwOutcome<'g, V> {
-        let ikey = key::ikey(key);
-        if let Some(out) = self.rmw_decision_optimistic(ikey, f, guard) {
-            return out;
-        }
-        self.rmw_locked(ikey, f, guard)
-    }
-
-    /// The read-decide-apply of [`rmw_in`](CouplingList::rmw_in) as one
-    /// hand-over-hand critical section. The closure runs holding both
-    /// guards, so a panic in it unwinds through them and releases the locks.
-    fn rmw_locked<'g>(&'g self, ikey: u64, f: RmwFn<'_, V>, guard: &'g Guard) -> RmwOutcome<'g, V> {
         let ((pred, pg), (curr, cg)) = self.locate(ikey);
         // Value references handed out are kept alive for 'g by the
         // caller's pin: unlinked nodes are retired, never freed in place,
@@ -434,14 +425,15 @@ mod tests {
         let l = CouplingList::new();
         testutil::sequential_rmw_model_check(|k, f| l.rmw(k, f), |k| l.get(k), 2_000, 64);
 
-        // No sequential run exhausts the optimistic retries, so drive both
-        // hand-over-hand fallbacks directly.
+        // No sequential run exhausts the snapshot rounds, so drive both
+        // hand-over-hand fallbacks directly: the RMW loop with no snapshot
+        // rounds, and the locked read.
         let l = CouplingList::new();
         let _ = csds_metrics::take_and_reset();
         testutil::sequential_rmw_model_check(
             |k, f| {
                 let guard = csds_ebr::pin();
-                let out = l.rmw_locked(key::ikey(k), f, &guard);
+                let out = l.rmw_rounds(key::ikey(k), f, 0, &guard);
                 (out.prev, out.cur.cloned(), out.applied)
             },
             |k| l.get_locked(key::ikey(k), &csds_ebr::pin()).copied(),

@@ -201,21 +201,34 @@ impl<V: Clone + Send + Sync, L: RawMutex + 'static> LazyList<V, L> {
                 }
             }
 
-            // Write phase: lock pred, (elision mode) enter the region,
-            // validate, link.
-            let g = lock_guard(&pred.lock);
-            let fb = self.region.as_ref().map(TxRegion::enter_fallback);
-            if pred.is_marked() || curr.is_marked() || pred.next.load(guard) != curr_s {
-                drop(fb);
-                drop(g);
-                csds_metrics::restart();
-                continue;
+            if self.link_locked(pred, curr_s, new_s, guard) {
+                return true;
             }
-            pred.next.store(new_s);
-            drop(fb);
-            drop(g);
-            return true;
         }
+    }
+
+    /// The locked write phase of an absent key, shared by `insert_in` and
+    /// `rmw_in`: lock `pred`, (elision mode) enter the region, validate the
+    /// window, link `new_s` (whose `next` already points at `curr_s`).
+    /// Linearizes at the `pred.next` store. `false` means the window went
+    /// stale and the caller re-parses; `new_s` is still the caller's.
+    fn link_locked(
+        &self,
+        pred: &Node<V, L>,
+        curr_s: Shared<'_, Node<V, L>>,
+        new_s: Shared<'_, Node<V, L>>,
+        guard: &Guard,
+    ) -> bool {
+        let _g = lock_guard(&pred.lock);
+        let _fb = self.region.as_ref().map(TxRegion::enter_fallback);
+        // SAFETY: pinned.
+        let curr = unsafe { curr_s.deref() };
+        if pred.is_marked() || curr.is_marked() || pred.next.load(guard) != curr_s {
+            csds_metrics::restart();
+            return false;
+        }
+        pred.next.store(new_s);
+        true
     }
 
     /// Guard-scoped `remove`.
@@ -403,19 +416,12 @@ impl<V: Clone + Send + Sync, L: RawMutex + 'static> LazyList<V, L> {
             });
             // SAFETY: unpublished.
             unsafe { new_s.deref() }.next.store(curr_s);
-            let gp = lock_guard(&pred.lock);
-            let fb = self.region.as_ref().map(TxRegion::enter_fallback);
-            if pred.is_marked() || curr.is_marked() || pred.next.load(guard) != curr_s {
-                drop(fb);
-                drop(gp);
-                // SAFETY: never published.
+            if !self.link_locked(pred, curr_s, new_s, guard) {
+                // SAFETY: never published; the closure re-runs against the
+                // re-parsed window.
                 unsafe { drop(new_s.into_box()) };
-                csds_metrics::restart();
                 continue;
             }
-            pred.next.store(new_s); // linearization point
-            drop(fb);
-            drop(gp);
             // SAFETY: published; pinned.
             let cur = unsafe { new_s.deref() }.value.as_ref();
             return RmwOutcome {

@@ -279,25 +279,41 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
                 }
             }
 
-            // Write phase: lock the predecessors, (elision mode) enter the
-            // region, validate, link bottom-up, publish.
-            let guards = Self::lock_preds(&preds, top);
-            let fb = self.region.as_ref().map(TxRegion::enter_fallback);
-            if !self.validate_windows(&preds, &succs, top, guard) {
-                drop(fb);
-                drop(guards);
-                csds_metrics::restart();
-                continue;
+            if self.link_locked(&preds, &succs, new_s, guard) {
+                return true;
             }
-            for l in 0..=top {
-                // SAFETY: pinned.
-                unsafe { node(preds[l]) }.next(l).store(new_s);
-            }
-            new_ref.fully_linked.store(1, Ordering::Release);
-            drop(fb);
-            drop(guards);
-            return true;
         }
+    }
+
+    /// The locked write phase of an absent key, shared by `insert_in` and
+    /// `rmw_in`: lock the distinct predecessors, (elision mode) enter the
+    /// region, validate, link `new_s` (whose successors are already set to
+    /// `succs`) bottom-up, then publish `fully_linked`. Linearizes at that
+    /// `fully_linked` store: until then readers and removers treat the
+    /// tower as absent. `false` means a window went stale and the caller
+    /// re-parses; `new_s` is still the caller's.
+    fn link_locked(
+        &self,
+        preds: &[Shared<'_, Node<V>>; MAX_LEVEL],
+        succs: &[Shared<'_, Node<V>>; MAX_LEVEL],
+        new_s: Shared<'_, Node<V>>,
+        guard: &Guard,
+    ) -> bool {
+        // SAFETY: pinned; unpublished or published by this call.
+        let new_ref = unsafe { node(new_s) };
+        let top = new_ref.top_level();
+        let _guards = Self::lock_preds(preds, top);
+        let _fb = self.region.as_ref().map(TxRegion::enter_fallback);
+        if !self.validate_windows(preds, succs, top, guard) {
+            csds_metrics::restart();
+            return false;
+        }
+        for l in 0..=top {
+            // SAFETY: pinned; locked.
+            unsafe { node(preds[l]) }.next(l).store(new_s);
+        }
+        new_ref.fully_linked.store(1, Ordering::Release);
+        true
     }
 
     /// Guard-scoped `remove`.
@@ -514,9 +530,9 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
     /// predecessor pointer is swung to the replacement while the old tower
     /// is marked `SUPERSEDED`, all inside the critical section, so the
     /// key is never observably absent. **Linearization point: the level-0
-    /// predecessor store.** Absent key: the standard insert write phase
-    /// (lock, validate, link bottom-up; linearizes at the level-0 link).
-    /// Read-only decisions linearize at the parse phase's tower read.
+    /// predecessor store.** Absent key: the insert write phase
+    /// (`link_locked`; linearizes at the `fully_linked` store). Read-only
+    /// decisions linearize at the parse phase's tower read.
     pub fn rmw_in<'g>(&'g self, ukey: u64, f: RmwFn<'_, V>, guard: &'g Guard) -> RmwOutcome<'g, V> {
         let ikey = key::ikey(ukey);
         loop {
@@ -605,23 +621,12 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
             for l in 0..=top {
                 new_ref.next(l).store(succs[l]);
             }
-            let guards = Self::lock_preds(&preds, top);
-            let fb = self.region.as_ref().map(TxRegion::enter_fallback);
-            if !self.validate_windows(&preds, &succs, top, guard) {
-                drop(fb);
-                drop(guards);
-                // SAFETY: never published.
+            if !self.link_locked(&preds, &succs, new_s, guard) {
+                // SAFETY: never published; the closure re-runs against the
+                // re-parsed windows.
                 unsafe { drop(reclaim(new_s)) };
-                csds_metrics::restart();
                 continue;
             }
-            new_ref.fully_linked.store(1, Ordering::Release);
-            for l in 0..=top {
-                // SAFETY: pinned; locked.
-                unsafe { node(preds[l]) }.next(l).store(new_s);
-            }
-            drop(fb);
-            drop(guards);
             let cur = new_ref.header().value.as_ref();
             return RmwOutcome {
                 prev: None,

@@ -47,16 +47,18 @@
 //!
 //! # Optimistic RMW
 //!
-//! While a shard has no migration in flight, `rmw_in` runs a
-//! validate-then-lock fast path: it snapshots the bucket's version word
-//! ([`OptikLock::read_begin`]), parses the chain with no synchronization,
-//! runs the closure, and then either revalidates (read-only decision — the
+//! `rmw_in` is one loop whose rounds differ only in how they hold the
+//! bucket. While a shard has no migration in flight, the first rounds run
+//! validate-then-lock: snapshot the bucket's version word
+//! ([`OptikLock::read_begin`]), parse the chain with no synchronization,
+//! run the closure, and then either revalidate (read-only decision — the
 //! version, the shard's table pointer *and* the `MOVED` tag must all be
-//! unchanged) or acquires via `try_lock_version`, whose success certifies
+//! unchanged) or acquire via `try_lock_version`, whose success certifies
 //! the whole parse because **every** bucket mutation — including the
 //! `MOVED` freeze — happens under that bucket's lock. Torn parses retry a
-//! bounded number of times and then fall back to the pessimistic loop,
-//! which also helps any in-flight drain.
+//! bounded number of times. The last round, and any round that meets a
+//! migration, locks the bucket the way `insert_in` and `remove_in` do:
+//! help the drain, lock, re-check `MOVED`, retry.
 //!
 //! Resize events are observable two ways: process-wide through the
 //! [`csds_metrics`] resize counters (`resize_migrations_started`, buckets
@@ -67,7 +69,9 @@ use csds_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use csds_core::{check_user_key, GuardedMap, RmwFn, RmwOutcome};
 use csds_ebr::{Atomic, Guard, Shared};
-use csds_sync::{lock_guard, OptikLock, RawMutex, ShardedCounter, OPTIMISTIC_RMW_RETRIES};
+use csds_sync::{
+    lock_guard, LockGuard, OptikLock, RawMutex, ShardedCounter, OPTIMISTIC_RMW_RETRIES,
+};
 
 /// Head-pointer tag marking an old bucket whose contents have moved to the
 /// shard's new table (terminal: set once, under the bucket lock).
@@ -413,27 +417,34 @@ impl<V: Clone + Send + Sync> ElasticHashTable<V> {
         }
     }
 
-    /// Walk a chain for `key`. The head must be untagged; the chain is
-    /// immutable-or-locked from the walker's perspective and every node is
-    /// pinned by `guard`.
-    fn search_chain<'g>(
-        mut cur: Shared<'g, Node<V>>,
+    /// Walk a chain from its untagged `head` for `key`: `(pred, curr)`,
+    /// where `curr` is the node holding `key` (null if absent) and `pred`
+    /// its predecessor (null when `curr` is the head node). Every node is
+    /// pinned by `guard`; the walk takes no lock, so its result means
+    /// something only under the bucket lock, at a validated version, or
+    /// (for readers) at the instant each link was loaded.
+    #[inline]
+    fn find<'g>(
+        head: Shared<'g, Node<V>>,
         key: u64,
         guard: &'g Guard,
-    ) -> Option<&'g Node<V>> {
-        while !cur.is_null() {
-            // SAFETY: pinned traversal.
-            let n = unsafe { cur.deref() };
+    ) -> (Shared<'g, Node<V>>, Shared<'g, Node<V>>) {
+        let mut pred = Shared::null();
+        let mut curr = head;
+        // SAFETY: pinned traversal.
+        while let Some(n) = unsafe { curr.as_ref() } {
             if n.key == key {
-                return Some(n);
+                break;
             }
-            cur = n.next.load(guard);
+            pred = curr;
+            curr = n.next.load(guard);
         }
-        None
+        (pred, curr)
     }
 
     fn read_chain<'g>(head: Shared<'g, Node<V>>, key: u64, guard: &'g Guard) -> Option<&'g V> {
-        let n = Self::search_chain(head, key, guard)?;
+        // SAFETY: pinned.
+        let n = unsafe { Self::find(head, key, guard).1.as_ref() }?;
         if n.marked.load(Ordering::Acquire) != 0 {
             None
         } else {
@@ -650,13 +661,19 @@ impl<V: Clone + Send + Sync> ElasticHashTable<V> {
         }
     }
 
-    /// Guard-scoped `insert` (no overwrite). May briefly lock one bucket
-    /// and, during a migration, drain a few old buckets first.
-    pub fn insert_in(&self, key: u64, value: V, guard: &Guard) -> bool {
-        check_user_key(key);
-        let h = hash(key);
-        let shard = self.shard(h);
-        let mut value = Some(value);
+    /// Lock the bucket that is the authority for hash `h`, as every update
+    /// does: help an in-flight migration drain `h`'s old bucket (so its
+    /// authority has moved to the current table), lock the current bucket,
+    /// and retry if it was frozen `MOVED` between the table load and the
+    /// lock (a whole resize of the shard completed underneath). Returns the
+    /// bucket, its guard and its head.
+    #[inline]
+    fn lock_bucket<'g>(
+        &self,
+        shard: &'g Shard<V>,
+        h: u64,
+        guard: &'g Guard,
+    ) -> (&'g Bucket<V>, LockGuard<'g, OptikLock>, Shared<'g, Node<V>>) {
         loop {
             let t = shard.table.load(guard);
             // SAFETY: pinned.
@@ -665,37 +682,41 @@ impl<V: Clone + Send + Sync> ElasticHashTable<V> {
             let b = &tref.buckets[bucket_index(h, tref.mask)];
             let bg = lock_guard(&b.lock);
             let head = b.head.load(guard);
-            if head.tag() == MOVED {
-                // Frozen underneath us: a whole resize of this shard
-                // completed between the table load and the lock.
-                drop(bg);
-                csds_metrics::restart();
-                continue;
+            if head.tag() != MOVED {
+                return (b, bg, head);
             }
-            if Self::search_chain(head, key, guard).is_some() {
-                // Under the lock the chain holds no marked nodes (mark and
-                // unlink share the removal critical section), so a hit
-                // means present.
-                drop(bg);
-                return false;
-            }
-            let new = Shared::boxed(Node {
-                key,
-                value: value
-                    .take()
-                    .expect("insert retries never consume the value"),
-                marked: AtomicUsize::new(0),
-                next: Atomic::null(),
-            });
-            // SAFETY: unpublished.
-            unsafe { new.deref() }.next.store(head);
-            b.head.store(new);
             drop(bg);
-            if shard.occupancy.incr() & (RESIZE_CHECK_PERIOD - 1) == 0 {
-                self.maybe_resize(shard, guard);
-            }
-            return true;
+            csds_metrics::restart();
         }
+    }
+
+    /// Guard-scoped `insert` (no overwrite). May briefly lock one bucket
+    /// and, during a migration, drain a few old buckets first.
+    pub fn insert_in(&self, key: u64, value: V, guard: &Guard) -> bool {
+        check_user_key(key);
+        let h = hash(key);
+        let shard = self.shard(h);
+        let (b, bg, head) = self.lock_bucket(shard, h, guard);
+        if !Self::find(head, key, guard).1.is_null() {
+            // Under the lock the chain holds no marked nodes (mark and
+            // unlink share the removal critical section), so a hit means
+            // present.
+            return false;
+        }
+        let new = Shared::boxed(Node {
+            key,
+            value,
+            marked: AtomicUsize::new(0),
+            next: Atomic::null(),
+        });
+        // SAFETY: unpublished.
+        unsafe { new.deref() }.next.store(head);
+        b.head.store(new);
+        drop(bg);
+        if shard.occupancy.incr() & (RESIZE_CHECK_PERIOD - 1) == 0 {
+            self.maybe_resize(shard, guard);
+        }
+        true
     }
 
     /// Guard-scoped `remove`.
@@ -703,240 +724,31 @@ impl<V: Clone + Send + Sync> ElasticHashTable<V> {
         check_user_key(key);
         let h = hash(key);
         let shard = self.shard(h);
-        loop {
-            let t = shard.table.load(guard);
-            // SAFETY: pinned.
-            let tref = unsafe { t.deref() };
-            self.help_migration(tref, h, guard);
-            let b = &tref.buckets[bucket_index(h, tref.mask)];
-            let bg = lock_guard(&b.lock);
-            let head = b.head.load(guard);
-            if head.tag() == MOVED {
-                drop(bg);
-                csds_metrics::restart();
-                continue;
-            }
-            // Find (pred, curr) under the lock.
-            let mut pred: Shared<'_, Node<V>> = Shared::null();
-            let mut curr = head;
-            while !curr.is_null() {
-                // SAFETY: pinned.
-                let n = unsafe { curr.deref() };
-                if n.key == key {
-                    break;
-                }
-                pred = curr;
-                curr = n.next.load(guard);
-            }
-            if curr.is_null() {
-                drop(bg);
-                return None;
-            }
-            // SAFETY: pinned.
-            let c = unsafe { curr.deref() };
-            c.marked.store(1, Ordering::Release);
-            let succ = c.next.load(guard);
-            if pred.is_null() {
-                b.head.store(succ);
-            } else {
-                // SAFETY: pinned; chain serialized by the bucket lock.
-                unsafe { pred.deref() }.next.store(succ);
-            }
-            drop(bg);
-            let out = c.value.clone();
-            // SAFETY: unlinked under the bucket lock; retired once.
-            unsafe { guard.defer_drop(curr) };
-            if shard.occupancy.decr() & (RESIZE_CHECK_PERIOD - 1) == 0 {
-                self.maybe_resize(shard, guard);
-            }
-            return Some(out);
+        let (b, bg, head) = self.lock_bucket(shard, h, guard);
+        let (pred, curr) = Self::find(head, key, guard);
+        // SAFETY: pinned.
+        let c = unsafe { curr.as_ref() }?;
+        c.marked.store(1, Ordering::Release);
+        let succ = c.next.load(guard);
+        if pred.is_null() {
+            b.head.store(succ);
+        } else {
+            // SAFETY: pinned; chain serialized by the bucket lock.
+            unsafe { pred.deref() }.next.store(succ);
         }
-    }
-
-    /// Optimistic (validate-then-lock) RMW fast path; see
-    /// [`rmw_in`](Self::rmw_in). Engaged only while the shard has **no
-    /// migration in flight** (`prev` null): authority is then wholly with
-    /// the current table, so the bucket's version word is the single
-    /// validation point. The parse runs unsynchronized; a read-only
-    /// decision (closure returned `None`) is returned only after
-    /// [`OptikLock::read_validate`] **plus** a table-pointer and `MOVED`-tag
-    /// re-check prove the bucket stayed authoritative and quiescent, and a
-    /// write acquires via `try_lock_version(seen)` — success certifies the
-    /// parse wholesale (every bucket mutation, including the `MOVED`
-    /// freeze, bumps the version), so the write proceeds with no re-scan.
-    ///
-    /// `Err(())` after [`OPTIMISTIC_RMW_RETRIES`] torn parses (or on any
-    /// in-flight migration) sends the caller to the pessimistic loop, which
-    /// helps the drain.
-    fn rmw_fast<'g>(
-        &'g self,
-        shard: &'g Shard<V>,
-        key: u64,
-        h: u64,
-        f: RmwFn<'_, V>,
-        guard: &'g Guard,
-    ) -> Result<RmwOutcome<'g, V>, ()> {
-        for _ in 0..OPTIMISTIC_RMW_RETRIES {
-            csds_metrics::optimistic_attempt();
-            let t = shard.table.load(guard);
-            // SAFETY: pinned; the current table is live.
-            let tref = unsafe { t.deref() };
-            if !tref.prev.load(guard).is_null() {
-                // Migration in flight: authority may be mid-transfer, and
-                // the update owes the drain a quantum of work anyway.
-                return Err(());
-            }
-            let b = &tref.buckets[bucket_index(h, tref.mask)];
-            let Some(seen) = b.lock.read_begin() else {
-                csds_metrics::optimistic_failure();
-                csds_metrics::restart();
-                continue;
-            };
-            let head = b.head.load(guard);
-            if head.tag() == MOVED {
-                csds_metrics::optimistic_failure();
-                csds_metrics::restart();
-                continue;
-            }
-            // Unsynchronized parse. Mark and unlink share the removal
-            // critical section, so a marked node is unreachable from any
-            // quiescent snapshot — seeing one means the parse is torn.
-            let mut pred: Shared<'_, Node<V>> = Shared::null();
-            let mut curr = head;
-            let mut torn = false;
-            while !curr.is_null() {
-                // SAFETY: pinned traversal.
-                let n = unsafe { curr.deref() };
-                if n.marked.load(Ordering::Acquire) != 0 {
-                    torn = true;
-                    break;
-                }
-                if n.key == key {
-                    break;
-                }
-                pred = curr;
-                curr = n.next.load(guard);
-            }
-            if torn {
-                csds_metrics::optimistic_failure();
-                csds_metrics::restart();
-                continue;
-            }
-            if !curr.is_null() {
-                // SAFETY: pinned.
-                let c = unsafe { curr.deref() };
-                let Some(new_value) = f(Some(&c.value)) else {
-                    // Read-only decision: quiescent bucket + still the
-                    // current table + still un-MOVED ⇒ the observation was
-                    // authoritative for the whole window.
-                    if b.lock.read_validate(seen)
-                        && shard.table.load(guard) == t
-                        && b.head.load(guard).tag() != MOVED
-                    {
-                        return Ok(RmwOutcome {
-                            prev: Some(c.value.clone()),
-                            cur: Some(&c.value),
-                            applied: false,
-                        });
-                    }
-                    csds_metrics::optimistic_failure();
-                    csds_metrics::restart();
-                    continue;
-                };
-                let new_s = Shared::boxed(Node {
-                    key,
-                    value: new_value,
-                    marked: AtomicUsize::new(0),
-                    next: Atomic::null(),
-                });
-                let Some(g) = b.lock.try_lock_version(seen) else {
-                    // SAFETY: never published.
-                    unsafe { drop(new_s.into_box()) };
-                    csds_metrics::optimistic_failure();
-                    csds_metrics::restart();
-                    continue;
-                };
-                // Version unchanged ⇒ the chain and the tag are exactly as
-                // parsed; even if a newer table was installed meanwhile,
-                // this un-MOVED bucket is still its keys' authority and the
-                // drain will clone the update across under this same lock.
-                debug_assert!(b.head.load(guard).tag() != MOVED);
-                // SAFETY: unpublished; chain serialized by the bucket lock.
-                unsafe { new_s.deref() }.next.store(c.next.load(guard));
-                if pred.is_null() {
-                    b.head.store(new_s); // linearization point
-                } else {
-                    // SAFETY: pinned; serialized by the bucket lock.
-                    unsafe { pred.deref() }.next.store(new_s);
-                }
-                drop(g);
-                let prev = Some(c.value.clone());
-                // SAFETY: unlinked under the bucket lock; retired once.
-                unsafe { guard.defer_drop(curr) };
-                // SAFETY: published; pinned.
-                let cur = Some(&unsafe { new_s.deref() }.value);
-                return Ok(RmwOutcome {
-                    prev,
-                    cur,
-                    applied: true,
-                });
-            }
-            // Absent.
-            let Some(new_value) = f(None) else {
-                if b.lock.read_validate(seen)
-                    && shard.table.load(guard) == t
-                    && b.head.load(guard).tag() != MOVED
-                {
-                    return Ok(RmwOutcome {
-                        prev: None,
-                        cur: None,
-                        applied: false,
-                    });
-                }
-                csds_metrics::optimistic_failure();
-                csds_metrics::restart();
-                continue;
-            };
-            let new_s = Shared::boxed(Node {
-                key,
-                value: new_value,
-                marked: AtomicUsize::new(0),
-                next: Atomic::null(),
-            });
-            let Some(g) = b.lock.try_lock_version(seen) else {
-                // SAFETY: never published.
-                unsafe { drop(new_s.into_box()) };
-                csds_metrics::optimistic_failure();
-                csds_metrics::restart();
-                continue;
-            };
-            debug_assert!(b.head.load(guard).tag() != MOVED);
-            // Version unchanged ⇒ `head` is still the bucket head.
-            // SAFETY: unpublished.
-            unsafe { new_s.deref() }.next.store(head);
-            b.head.store(new_s); // linearization point
-            drop(g);
-            if shard.occupancy.incr() & (RESIZE_CHECK_PERIOD - 1) == 0 {
-                self.maybe_resize(shard, guard);
-            }
-            // SAFETY: published; pinned.
-            let cur = Some(&unsafe { new_s.deref() }.value);
-            return Ok(RmwOutcome {
-                prev: None,
-                cur,
-                applied: true,
-            });
+        drop(bg);
+        let out = c.value.clone();
+        // SAFETY: unlinked under the bucket lock; retired once.
+        unsafe { guard.defer_drop(curr) };
+        if shard.occupancy.decr() & (RESIZE_CHECK_PERIOD - 1) == 0 {
+            self.maybe_resize(shard, guard);
         }
-        Err(())
+        Some(out)
     }
 
     /// Guard-scoped atomic closure RMW; the native override behind
     /// [`GuardedMap::rmw_in`] — in-place mutation under the bucket lock,
-    /// **following `MOVED` authority exactly like every other update**:
-    /// the operation first helps the in-flight migration drain its key's
-    /// old bucket (so authority has transferred to the current table), then
-    /// locks the current bucket and re-checks the `MOVED` tag after
-    /// acquisition, restarting if an entire resize completed underneath it.
+    /// **following `MOVED` authority exactly like every other update**.
     ///
     /// A present key is replaced by swapping in a fresh same-key node at
     /// the same chain position (the old node is unlinked in the same
@@ -944,108 +756,99 @@ impl<V: Clone + Send + Sync> ElasticHashTable<V> {
     /// key absent or doubled); an absent key is pushed at the bucket head
     /// and feeds the occupancy counter / resize thresholds like
     /// `insert_in`. **Linearization point: the chain-link store** (the
-    /// locked observation for read-only decisions).
-    ///
-    /// That is `rmw_locked`; it runs when the validate-then-lock attempt
-    /// (`rmw_fast`) meets a migration or spends its retries.
+    /// locked or version-validated observation for read-only decisions).
+    /// The first [`OPTIMISTIC_RMW_RETRIES`] rounds validate instead of
+    /// locking (see `rmw_rounds`), so the closure may run more than once.
     pub fn rmw_in<'g>(&'g self, key: u64, f: RmwFn<'_, V>, guard: &'g Guard) -> RmwOutcome<'g, V> {
         check_user_key(key);
-        let h = hash(key);
-        let shard = self.shard(h);
-        match self.rmw_fast(shard, key, h, &mut *f, guard) {
-            Ok(out) => out,
-            Err(()) => {
-                csds_metrics::optimistic_fallback();
-                self.rmw_locked(shard, key, h, f, guard)
-            }
-        }
+        self.rmw_rounds(key, f, OPTIMISTIC_RMW_RETRIES, guard)
     }
 
-    /// The pessimistic RMW loop of [`rmw_in`](Self::rmw_in): help the
-    /// migration, lock the authoritative bucket, read-decide-apply inside
-    /// the critical section.
-    fn rmw_locked<'g>(
+    /// The one RMW loop: parse, run the closure, then store the write. Its
+    /// rounds differ only in how they hold the bucket.
+    ///
+    /// Each of the first `snapshots` rounds runs **validate-then-lock**
+    /// while the shard has no migration in flight (`prev` null), so the
+    /// current table is the sole authority and the bucket's version word
+    /// the single validation point. It snapshots the version, parses and
+    /// runs the closure unsynchronized, then certifies a read-only decision
+    /// with [`OptikLock::read_validate`] plus a table-pointer and `MOVED`
+    /// re-check, or a write with `try_lock_version(seen)`, whose success
+    /// certifies the parse wholesale (every bucket mutation, the `MOVED`
+    /// freeze included, bumps the version). A torn round restarts. A
+    /// migration in flight skips to the last round, which takes the bucket
+    /// through [`lock_bucket`](Self::lock_bucket) and so helps the drain.
+    fn rmw_rounds<'g>(
         &'g self,
-        shard: &'g Shard<V>,
         key: u64,
-        h: u64,
         f: RmwFn<'_, V>,
+        snapshots: usize,
         guard: &'g Guard,
     ) -> RmwOutcome<'g, V> {
+        let h = hash(key);
+        let shard = self.shard(h);
+        let mut snapshots_left = snapshots;
         loop {
-            let t = shard.table.load(guard);
+            // A snapshot round keeps `(version, table)`; the locked round
+            // its bucket guard.
+            let (b, head, snapshot, mut locked) = if snapshots_left > 0 {
+                snapshots_left -= 1;
+                csds_metrics::optimistic_attempt();
+                let t = shard.table.load(guard);
+                // SAFETY: pinned; the current table is live.
+                let tref = unsafe { t.deref() };
+                if !tref.prev.load(guard).is_null() {
+                    // Authority may be mid-transfer, and the update owes the
+                    // drain a quantum of work anyway.
+                    snapshots_left = 0;
+                    continue;
+                }
+                let b = &tref.buckets[bucket_index(h, tref.mask)];
+                let Some(seen) = b.lock.read_begin() else {
+                    torn_round();
+                    continue;
+                };
+                let head = b.head.load(guard);
+                if head.tag() == MOVED {
+                    torn_round();
+                    continue;
+                }
+                (b, head, Some((seen, t)), None)
+            } else {
+                if snapshots > 0 {
+                    csds_metrics::optimistic_fallback();
+                }
+                let (b, bg, head) = self.lock_bucket(shard, h, guard);
+                (b, head, None, Some(bg))
+            };
+            let (pred, curr) = Self::find(head, key, guard);
             // SAFETY: pinned.
-            let tref = unsafe { t.deref() };
-            self.help_migration(tref, h, guard);
-            let b = &tref.buckets[bucket_index(h, tref.mask)];
-            let bg = lock_guard(&b.lock);
-            let head = b.head.load(guard);
-            if head.tag() == MOVED {
-                // Frozen underneath us: a whole resize of this shard
-                // completed between the table load and the lock.
-                drop(bg);
-                csds_metrics::restart();
+            let found = unsafe { curr.as_ref() };
+            if found.is_some_and(|c| c.marked.load(Ordering::Acquire) != 0) {
+                // Mark and unlink share the removal critical section, so
+                // neither the lock holder nor a quiescent snapshot can reach
+                // a marked node: this snapshot is torn.
+                debug_assert!(locked.is_none());
+                torn_round();
                 continue;
             }
-            // Find (pred, curr) under the lock; marked nodes cannot be in
-            // the chain here (mark and unlink share the removal section).
-            let mut pred: Shared<'_, Node<V>> = Shared::null();
-            let mut curr = head;
-            while !curr.is_null() {
-                // SAFETY: pinned.
-                let n = unsafe { curr.deref() };
-                if n.key == key {
-                    break;
+            let current = found.map(|c| &c.value);
+            let Some(new_value) = f(current) else {
+                // Read-only decision. A snapshot is authoritative for the
+                // whole window if the bucket stayed quiescent, its table
+                // current and the bucket un-MOVED.
+                if snapshot.is_some_and(|(seen, t)| {
+                    !(b.lock.read_validate(seen)
+                        && shard.table.load(guard) == t
+                        && b.head.load(guard).tag() != MOVED)
+                }) {
+                    torn_round();
+                    continue;
                 }
-                pred = curr;
-                curr = n.next.load(guard);
-            }
-            if !curr.is_null() {
-                // SAFETY: pinned.
-                let c = unsafe { curr.deref() };
-                let Some(new_value) = f(Some(&c.value)) else {
-                    drop(bg);
-                    return RmwOutcome {
-                        prev: Some(c.value.clone()),
-                        cur: Some(&c.value),
-                        applied: false,
-                    };
-                };
-                let new_s = Shared::boxed(Node {
-                    key,
-                    value: new_value,
-                    marked: AtomicUsize::new(0),
-                    next: Atomic::null(),
-                });
-                // SAFETY: unpublished; chain serialized by the bucket lock.
-                unsafe { new_s.deref() }.next.store(c.next.load(guard));
-                if pred.is_null() {
-                    b.head.store(new_s); // linearization point
-                } else {
-                    // SAFETY: pinned; serialized by the bucket lock.
-                    unsafe { pred.deref() }.next.store(new_s);
-                }
-                drop(bg);
-                let prev = Some(c.value.clone());
-                // SAFETY: unlinked under the bucket lock (unreachable for
-                // new readers and for migration scans); retired once. The
-                // node stays unmarked: readers that already reached it
-                // return its stale value and linearize before the swap.
-                unsafe { guard.defer_drop(curr) };
-                // SAFETY: published; pinned.
-                let cur = Some(&unsafe { new_s.deref() }.value);
+                drop(locked);
                 return RmwOutcome {
-                    prev,
-                    cur,
-                    applied: true,
-                };
-            }
-            // Absent.
-            let Some(new_value) = f(None) else {
-                drop(bg);
-                return RmwOutcome {
-                    prev: None,
-                    cur: None,
+                    prev: current.cloned(),
+                    cur: current,
                     applied: false,
                 };
             };
@@ -1055,17 +858,46 @@ impl<V: Clone + Send + Sync> ElasticHashTable<V> {
                 marked: AtomicUsize::new(0),
                 next: Atomic::null(),
             });
+            if let Some((seen, _)) = snapshot {
+                match b.lock.try_lock_version(seen) {
+                    Some(g) => locked = Some(g),
+                    None => {
+                        // SAFETY: never published.
+                        unsafe { drop(new_s.into_box()) };
+                        torn_round();
+                        continue;
+                    }
+                }
+            }
+            // Locked, or version unchanged: the chain and the tag are exactly
+            // as parsed. Even if a newer table was installed meanwhile, this
+            // un-MOVED bucket is still its keys' authority and the drain
+            // will clone the update across under this same lock.
+            debug_assert!(b.head.load(guard).tag() != MOVED);
+            let (succ, link) = match found {
+                // SAFETY: pinned; serialized by the bucket lock.
+                Some(c) if !pred.is_null() => (c.next.load(guard), &unsafe { pred.deref() }.next),
+                Some(c) => (c.next.load(guard), &b.head),
+                None => (head, &b.head),
+            };
             // SAFETY: unpublished.
-            unsafe { new_s.deref() }.next.store(head);
-            b.head.store(new_s); // linearization point
-            drop(bg);
-            if shard.occupancy.incr() & (RESIZE_CHECK_PERIOD - 1) == 0 {
+            unsafe { new_s.deref() }.next.store(succ);
+            link.store(new_s); // linearization point
+            drop(locked);
+            let prev = found.map(|c| c.value.clone());
+            if found.is_some() {
+                // SAFETY: unlinked under the bucket lock (unreachable for
+                // new readers and for migration scans); retired once. The
+                // node stays unmarked: readers that already reached it
+                // return its stale value and linearize before the swap.
+                unsafe { guard.defer_drop(curr) };
+            } else if shard.occupancy.incr() & (RESIZE_CHECK_PERIOD - 1) == 0 {
                 self.maybe_resize(shard, guard);
             }
             // SAFETY: published; pinned.
             let cur = Some(&unsafe { new_s.deref() }.value);
             return RmwOutcome {
-                prev: None,
+                prev,
                 cur,
                 applied: true,
             };
@@ -1253,6 +1085,12 @@ impl<V: Clone + Send + Sync> ElasticHashTable<V> {
             shrinks: self.stats.shrinks.load(Ordering::Relaxed),
         }
     }
+}
+
+/// A snapshot round was torn by a concurrent writer: count it and restart.
+fn torn_round() {
+    csds_metrics::optimistic_failure();
+    csds_metrics::restart();
 }
 
 impl<V: Clone + Send + Sync> GuardedMap<V> for ElasticHashTable<V> {
@@ -1886,14 +1724,14 @@ mod tests {
     }
 
     #[test]
-    fn rmw_locked_is_a_complete_rmw_on_its_own() {
-        // Sequentially only a migration sends `rmw_in` here (next test);
-        // call the fallback directly so all four outcomes run through it.
+    fn locked_round_is_a_complete_rmw_on_its_own() {
+        // Sequentially only a migration sends `rmw_in` to its locked round
+        // (next test); run the loop with no snapshot rounds so all four
+        // outcomes go through that round.
         let h: ElasticHashTable<u64> = ElasticHashTable::with_capacity(64);
         let guard = csds_ebr::pin();
         let locked = |k: u64, f: RmwFn<'_, u64>| {
-            let hk = hash(k);
-            let out = h.rmw_locked(h.shard(hk), k, hk, f, &guard);
+            let out = h.rmw_rounds(k, f, 0, &guard);
             (out.prev, out.cur.copied(), out.applied)
         };
         let _ = csds_metrics::take_and_reset();
@@ -1905,7 +1743,10 @@ mod tests {
         );
         assert_eq!(locked(7, &mut |_| None), (Some(2), Some(2), false));
         let snap = csds_metrics::take_and_reset();
-        assert_eq!(snap.optimistic_attempts, 0, "rmw_locked validates nothing");
+        assert_eq!(
+            snap.optimistic_attempts, 0,
+            "the locked round validates nothing"
+        );
         assert!(snap.lock_acquires >= 4, "one bucket lock per RMW");
         assert_eq!(h.get(7), Some(2));
         assert_eq!((h.len(), h.occupancy()), (1, 1));

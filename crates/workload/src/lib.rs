@@ -39,16 +39,6 @@ impl FastRng {
         }
     }
 
-    /// Seed from ambient entropy (for non-deterministic runs): hashes the
-    /// process-random `RandomState` keys, the thread id and the clock.
-    pub fn from_entropy() -> Self {
-        use std::hash::{BuildHasher, Hash, Hasher};
-        let mut h = std::collections::hash_map::RandomState::new().build_hasher();
-        std::thread::current().id().hash(&mut h);
-        std::time::Instant::now().hash(&mut h);
-        Self::new(h.finish())
-    }
-
     /// Next raw 64-bit value.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {

@@ -184,9 +184,18 @@ model_prop!(coupling_list_obeys_model, AlgoKind::CouplingList);
 model_prop!(harris_list_obeys_model, AlgoKind::HarrisList);
 model_prop!(waitfree_list_obeys_model, AlgoKind::WaitFreeList);
 model_prop!(herlihy_skiplist_obeys_model, AlgoKind::HerlihySkipList);
+model_prop!(
+    herlihy_skiplist_elided_obeys_model,
+    AlgoKind::HerlihySkipListElided
+);
 model_prop!(pugh_skiplist_obeys_model, AlgoKind::PughSkipList);
 model_prop!(lockfree_skiplist_obeys_model, AlgoKind::LockFreeSkipList);
 model_prop!(lazy_hashtable_obeys_model, AlgoKind::LazyHashTable);
+model_prop!(
+    lazy_hashtable_elided_obeys_model,
+    AlgoKind::LazyHashTableElided
+);
+model_prop!(coupling_hashtable_obeys_model, AlgoKind::CouplingHashTable);
 model_prop!(elastic_hashtable_obeys_model, AlgoKind::ElasticHashTable);
 model_prop!(bst_tk_obeys_model, AlgoKind::BstTk);
 model_prop!(bst_tk_elided_obeys_model, AlgoKind::BstTkElided);
