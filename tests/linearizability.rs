@@ -275,16 +275,19 @@ fn optimistic_fallbacks_stay_linearizable_under_stalled_lock_holders() {
     // — is how a user gets there: the bucket version stays odd for
     // microseconds and the others' validations spend their retries. The
     // histories are tiny, so rounds repeat until fallbacks have been
-    // recorded, which proves the checked histories contain them. BST-TK
-    // has no fallback, only write phases; each structure must have had
-    // delays injected into its critical sections, which proves the stalls
-    // reach every one of them.
-    const ALGOS: [AlgoKind; 5] = [
+    // recorded, which proves the checked histories contain them. BST-TK,
+    // the lazy list and both skip lists have no fallback, only write
+    // phases; each structure must have had delays injected into its
+    // critical sections, which proves the stalls reach every one of them.
+    const ALGOS: [AlgoKind; 8] = [
         AlgoKind::CouplingList,
         AlgoKind::CouplingHashTable,
         AlgoKind::LazyHashTable,
         AlgoKind::ElasticHashTable,
         AlgoKind::BstTk,
+        AlgoKind::LazyList,
+        AlgoKind::HerlihySkipList,
+        AlgoKind::PughSkipList,
     ];
     let mut fallbacks = 0;
     let mut injected = [0; ALGOS.len()];
