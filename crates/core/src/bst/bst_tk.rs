@@ -29,6 +29,7 @@ use csds_ebr::{Atomic, Guard, Shared};
 use csds_htm::{attempt_elision, Elided, SpecStep, TxRegion};
 use csds_sync::{OptikLock, RawMutex};
 
+use crate::write::{Decide, Insert, Remove, Write, Written};
 use crate::{key, GuardedMap, RmwFn, RmwOutcome, SyncMode, ELISION_RETRIES};
 
 struct Node<V> {
@@ -178,46 +179,69 @@ impl<V: Clone + Send + Sync> BstTk<V> {
         }
     }
 
-    /// The locked write phase on edge `p`: a versioned trylock on its lock,
-    /// restarting on any version movement (BST-TK never waits); then, in
-    /// elision mode, the region; then the validation and `write`. Both
-    /// guards are released on return, the region first. `false` means
-    /// restart.
-    #[inline]
-    fn write_locked(
-        &self,
-        p: &Edge<'_, V>,
-        expected: Shared<'_, Node<V>>,
-        write: impl FnOnce(),
-    ) -> bool {
-        let Some(_pg) = p.lock.try_lock_version(p.ver) else {
-            return false;
-        };
-        let _fb = self.region.as_ref().map(TxRegion::enter_fallback);
-        if !p.holds(expected) {
-            return false;
+    /// The write loop behind `insert_in`, `remove_in` and `rmw_in`: parse
+    /// to the leaf responsible for `k`, decide on what it holds, then write
+    /// through [`put_leaf`](Self::put_leaf) or
+    /// [`unlink_leaf`](Self::unlink_leaf). Any version movement restarts,
+    /// as everywhere in BST-TK: the write phases never wait. Read-only
+    /// decisions linearize at the parse's leaf read.
+    fn write<'g>(&'g self, k: u64, mut decide: impl Decide<V>, guard: &'g Guard) -> Written<'g, V> {
+        key::check_user_key(k);
+        loop {
+            let (gp, p, leaf) = self.parse(k, guard);
+            // SAFETY: pinned.
+            let found = leaf.filter(|l| unsafe { l.deref() }.key == k);
+            // SAFETY: pinned.
+            let cur = found.map(|l| {
+                unsafe { l.deref() }
+                    .value
+                    .as_ref()
+                    .expect("leaves hold values")
+            });
+            match decide.decide(cur) {
+                Write::Put(value) => match self.put_leaf(k, value, &p, leaf, found.is_some()) {
+                    Ok(put) => {
+                        if let Some(old) = found {
+                            // SAFETY: unlinked by the winning slot store;
+                            // retired once.
+                            unsafe { guard.defer_drop(old) };
+                        }
+                        return Written::wrote(cur, Some(put));
+                    }
+                    Err(value) => decide.unapplied(value),
+                },
+                Write::Remove if found.is_some() => {
+                    if self.unlink_leaf(gp.as_ref(), &p, found.expect("present"), guard) {
+                        return Written::wrote(cur, None);
+                    }
+                }
+                _ => return Written::kept(cur),
+            }
+            csds_metrics::restart();
         }
-        write();
-        true
     }
 
-    /// The write phase of an absent key, shared by `insert_in` and
-    /// `rmw_in`: replace `leaf` — the one `p`'s slot held at parse time,
-    /// `None` for an empty tree — by a new leaf for `k` (alone, or beside
-    /// the old leaf under a new router). Speculates first in elision mode.
-    /// Returns the published value, or `Err(value)` when the operation
-    /// must restart.
-    fn link_leaf<'g>(
+    /// The write phase of a put on edge `p`, whose slot held `leaf` (`None`
+    /// for an empty tree) at parse time. An absent key's new leaf replaces
+    /// `leaf` alone, or beside it under a new router; with `replace`, the
+    /// new leaf replaces the present key's `leaf` wholesale (leaves are
+    /// immutable), which is marked removed. A link speculates first in
+    /// elision mode; a replace goes straight to the lock. The locked write
+    /// takes a versioned trylock on `p`'s lock, restarting on any version
+    /// movement, then the region in elision mode, then validates and
+    /// stores. **Linearization point: the slot store.** Returns the
+    /// published value, or `Err(value)` when the operation must restart.
+    fn put_leaf<'g>(
         &'g self,
         k: u64,
         value: V,
         p: &Edge<'g, V>,
         leaf: Option<Shared<'g, Node<V>>>,
+        replace: bool,
     ) -> Result<&'g V, V> {
         let new_leaf = Shared::boxed(Node::leaf(k, value));
         let replacement = match leaf {
-            None => new_leaf,
-            Some(old_leaf) => {
+            Some(old_leaf) if !replace => {
                 // SAFETY: pinned.
                 let ol = unsafe { old_leaf.deref() };
                 // Router key: the larger of the two; smaller goes left.
@@ -233,6 +257,7 @@ impl<V: Clone + Send + Sync> BstTk<V> {
                 i.right.store(right);
                 internal
             }
+            _ => new_leaf,
         };
         let expected = leaf.unwrap_or_else(Shared::null);
         // SAFETY: published by the caller's successful write; pinned.
@@ -249,7 +274,7 @@ impl<V: Clone + Send + Sync> BstTk<V> {
             // or one of the router's children (nodes have no Drop impl, so
             // dropping the router frees only the router).
             unsafe {
-                if leaf.is_some() {
+                if replacement != new_leaf {
                     drop(replacement.into_box());
                 }
                 Err(new_leaf
@@ -260,7 +285,7 @@ impl<V: Clone + Send + Sync> BstTk<V> {
             }
         };
 
-        if let Some(region) = &self.region {
+        if let (Some(region), false) = (&self.region, replace) {
             let p_removed = p.owner_removed();
             match attempt_elision(region, ELISION_RETRIES, |tx| {
                 if let Some(r) = p_removed {
@@ -279,253 +304,139 @@ impl<V: Clone + Send + Sync> BstTk<V> {
                 Elided::FellBack => {}
             }
         }
-        // Linearization point: the slot store.
-        if self.write_locked(p, expected, || p.slot.store(replacement)) {
-            published()
-        } else {
-            restart()
+        let Some(_pg) = p.lock.try_lock_version(p.ver) else {
+            return restart();
+        };
+        let _fb = self.region.as_ref().map(TxRegion::enter_fallback);
+        if !p.holds(expected) {
+            return restart();
         }
-    }
-
-    /// Guard-scoped `insert`.
-    pub fn insert_in(&self, k: u64, mut value: V, guard: &Guard) -> bool {
-        key::check_user_key(k);
-        loop {
-            let (_gp, p, leaf) = self.parse(k, guard);
-            if let Some(leaf_s) = leaf {
-                // SAFETY: pinned.
-                if unsafe { leaf_s.deref() }.key == k {
-                    return false;
-                }
-            }
-            match self.link_leaf(k, value, &p, leaf) {
-                Ok(_) => return true,
-                Err(v) => {
-                    value = v;
-                    csds_metrics::restart();
-                }
-            }
-        }
-    }
-
-    /// Guard-scoped `remove`.
-    pub fn remove_in(&self, k: u64, guard: &Guard) -> Option<V> {
-        key::check_user_key(k);
-        let key = k;
-        loop {
-            let (gp, p, leaf) = self.parse(key, guard);
-            let leaf_s = leaf?;
+        p.slot.store(replacement); // linearization point
+        if replace {
             // SAFETY: pinned.
-            let l = unsafe { leaf_s.deref() };
-            if l.key != key {
-                return None;
-            }
-            let mut speculated = false;
-            match gp {
-                None => {
-                    // The leaf is the entire tree: empty it.
-                    if let Some(region) = &self.region {
-                        match attempt_elision(region, ELISION_RETRIES, |tx| {
-                            if tx.read(&l.removed) != 0 {
-                                return SpecStep::Invalid;
-                            }
-                            if tx.read(p.slot.as_raw_atomic()) != leaf_s.as_raw() {
-                                return SpecStep::Invalid;
-                            }
-                            tx.write(p.slot.as_raw_atomic(), 0);
-                            tx.write(&l.removed, 1);
-                            SpecStep::Commit(())
-                        }) {
-                            Elided::Committed(()) => speculated = true,
-                            Elided::Invalid => {
-                                csds_metrics::restart();
-                                continue;
-                            }
-                            Elided::FellBack => {}
-                        }
-                    }
-                    if !speculated
-                        && !self.write_locked(&p, leaf_s, || {
-                            p.slot.store(Shared::null());
-                            l.removed.store(1, Ordering::Release);
-                        })
-                    {
-                        csds_metrics::restart();
-                        continue;
-                    }
-                    let out = l.value.clone();
-                    // SAFETY: unlinked; retired once by this remover (the
-                    // winning unlink).
-                    unsafe { guard.defer_drop(leaf_s) };
-                    return out;
-                }
-                Some(gp) => {
-                    // Unlink the leaf and its parent router; splice the
-                    // sibling into the grandparent slot.
-                    let parent_s = p.owner.expect("edge below root has an owner");
-                    // SAFETY: pinned.
-                    let parent = unsafe { parent_s.deref() };
-                    let sibling_slot = if std::ptr::eq(p.slot, &parent.left) {
-                        &parent.right
-                    } else {
-                        &parent.left
-                    };
+            unsafe { expected.deref() }
+                .removed
+                .store(1, Ordering::Release);
+        }
+        published()
+    }
 
-                    if let Some(region) = &self.region {
-                        let gp_removed = gp.owner_removed();
-                        match attempt_elision(region, ELISION_RETRIES, |tx| {
-                            if let Some(r) = gp_removed {
-                                if tx.read(r) != 0 {
-                                    return SpecStep::Invalid;
-                                }
-                            }
-                            if tx.read(&parent.removed) != 0 || tx.read(&l.removed) != 0 {
-                                return SpecStep::Invalid;
-                            }
-                            if tx.read(gp.slot.as_raw_atomic()) != parent_s.as_raw() {
-                                return SpecStep::Invalid;
-                            }
-                            if tx.read(p.slot.as_raw_atomic()) != leaf_s.as_raw() {
-                                return SpecStep::Invalid;
-                            }
-                            let sibling = tx.read(sibling_slot.as_raw_atomic());
-                            tx.write(gp.slot.as_raw_atomic(), sibling);
-                            tx.write(&parent.removed, 1);
-                            tx.write(&l.removed, 1);
-                            SpecStep::Commit(())
-                        }) {
-                            Elided::Committed(()) => speculated = true,
-                            Elided::Invalid => {
-                                csds_metrics::restart();
-                                continue;
-                            }
-                            Elided::FellBack => {}
+    /// The write phase of a remove: unlink `leaf_s`, the leaf `p`'s slot
+    /// held at parse time. Below the root this splices the leaf's sibling
+    /// into the grandparent's slot, unlinking the parent router too; a
+    /// root leaf empties the tree. Speculates first in elision mode. The
+    /// locked write trylocks the grandparent, then the parent (restarting
+    /// on any version movement), enters the region in elision mode,
+    /// validates and stores. **Linearization point: the slot store.**
+    /// `false` means restart.
+    fn unlink_leaf(
+        &self,
+        gp: Option<&Edge<'_, V>>,
+        p: &Edge<'_, V>,
+        leaf_s: Shared<'_, Node<V>>,
+        guard: &Guard,
+    ) -> bool {
+        // SAFETY: pinned.
+        let l = unsafe { leaf_s.deref() };
+        // Below the root: the grandparent edge, the parent router and the
+        // leaf's sibling slot.
+        let splice = gp.map(|gp| {
+            let parent_s = p.owner.expect("edge below root has an owner");
+            // SAFETY: pinned.
+            let parent = unsafe { parent_s.deref() };
+            let sibling_slot = if std::ptr::eq(p.slot, &parent.left) {
+                &parent.right
+            } else {
+                &parent.left
+            };
+            (gp, parent_s, parent, sibling_slot)
+        });
+        let slot = splice.map_or(p.slot, |(gp, ..)| gp.slot);
+        let committed = match &self.region {
+            Some(region) => match attempt_elision(region, ELISION_RETRIES, |tx| {
+                if let Some((gp, _, parent, _)) = splice {
+                    if let Some(r) = gp.owner_removed() {
+                        if tx.read(r) != 0 {
+                            return SpecStep::Invalid;
                         }
                     }
-                    if !speculated {
-                        // Grandparent first, then parent — both versioned
-                        // trylocks; restart on failure. Guards drop in
-                        // reverse: region, parent, grandparent.
-                        let Some(_gpg) = gp.lock.try_lock_version(gp.ver) else {
-                            csds_metrics::restart();
-                            continue;
-                        };
-                        let Some(pg) = p.lock.try_lock_version(p.ver) else {
-                            csds_metrics::restart();
-                            continue;
-                        };
-                        let _fb = self.region.as_ref().map(TxRegion::enter_fallback);
-                        if !(gp.holds(parent_s) && p.holds(leaf_s)) {
-                            csds_metrics::restart();
-                            continue;
-                        }
-                        let sibling = sibling_slot.load(guard);
-                        gp.slot.store(sibling);
-                        parent.removed.store(1, Ordering::Release);
-                        l.removed.store(1, Ordering::Release);
-                        // The unlinked router stays locked *forever*: a
-                        // thread that reached it through a stale pointer
-                        // and then read its (post-unlink) version must not
-                        // be able to acquire it — its version word is odd
-                        // for the rest of its (EBR-bounded) lifetime, so
-                        // every try_lock_version on it fails. Without this,
-                        // a stale insert could link below a dead router
-                        // (lost update) or a stale remove could splice out
-                        // of one (double retire).
-                        pg.retire();
+                    if tx.read(&parent.removed) != 0 {
+                        return SpecStep::Invalid;
                     }
-                    let out = l.value.clone();
-                    // SAFETY: both unlinked by the winning unlink; retired
-                    // exactly once.
-                    unsafe {
-                        guard.defer_drop(parent_s);
-                        guard.defer_drop(leaf_s);
-                    }
-                    return out;
                 }
+                if tx.read(&l.removed) != 0 {
+                    return SpecStep::Invalid;
+                }
+                if let Some((gp, parent_s, ..)) = splice {
+                    if tx.read(gp.slot.as_raw_atomic()) != parent_s.as_raw() {
+                        return SpecStep::Invalid;
+                    }
+                }
+                if tx.read(p.slot.as_raw_atomic()) != leaf_s.as_raw() {
+                    return SpecStep::Invalid;
+                }
+                let to = splice.map_or(0, |(.., sibling)| tx.read(sibling.as_raw_atomic()));
+                tx.write(slot.as_raw_atomic(), to);
+                if let Some((_, _, parent, _)) = splice {
+                    tx.write(&parent.removed, 1);
+                }
+                tx.write(&l.removed, 1);
+                SpecStep::Commit(())
+            }) {
+                Elided::Committed(()) => true,
+                Elided::Invalid => return false,
+                Elided::FellBack => false,
+            },
+            None => false,
+        };
+        if !committed {
+            // Grandparent first, then parent — both versioned trylocks.
+            // Guards drop in reverse: region, parent, grandparent.
+            let _gpg = match splice {
+                Some((gp, ..)) => match gp.lock.try_lock_version(gp.ver) {
+                    Some(g) => Some(g),
+                    None => return false,
+                },
+                None => None,
+            };
+            let Some(pg) = p.lock.try_lock_version(p.ver) else {
+                return false;
+            };
+            let _fb = self.region.as_ref().map(TxRegion::enter_fallback);
+            if !(splice.map_or(true, |(gp, parent_s, ..)| gp.holds(parent_s)) && p.holds(leaf_s)) {
+                return false;
+            }
+            slot.store(splice.map_or(Shared::null(), |(.., sibling)| sibling.load(guard)));
+            if let Some((_, _, parent, _)) = splice {
+                parent.removed.store(1, Ordering::Release);
+            }
+            l.removed.store(1, Ordering::Release);
+            if splice.is_some() {
+                // The unlinked router stays locked *forever*: a thread that
+                // reached it through a stale pointer and then read its
+                // (post-unlink) version must not be able to acquire it — its
+                // version word is odd for the rest of its (EBR-bounded)
+                // lifetime, so every try_lock_version on it fails. Without
+                // this, a stale insert could link below a dead router (lost
+                // update) or a stale remove could splice out of one (double
+                // retire).
+                pg.retire();
             }
         }
+        // SAFETY: unlinked by the winning unlink; retired exactly once.
+        unsafe {
+            if let Some((_, parent_s, ..)) = splice {
+                guard.defer_drop(parent_s);
+            }
+            guard.defer_drop(leaf_s);
+        }
+        true
     }
 }
 
-impl<V: Clone + Send + Sync> BstTk<V> {
-    /// Guard-scoped atomic closure RMW; the native override behind
-    /// [`GuardedMap::rmw_in`].
-    ///
-    /// The external tree makes replacement structural and atomic: a present
-    /// key's leaf is swapped wholesale for a fresh leaf carrying the
-    /// closure's value, via one store into the parent slot under the
-    /// parent's versioned trylock (elision-mode trees then also enter the
-    /// region); an absent key reuses the insert write phase (new leaf, or
-    /// router + two leaves). **Linearization
-    /// point: the parent-slot store**; read-only decisions linearize at the
-    /// parse phase's leaf read. Version mismatches restart, as everywhere
-    /// in BST-TK.
-    pub fn rmw_in<'g>(&'g self, k: u64, f: RmwFn<'_, V>, guard: &'g Guard) -> RmwOutcome<'g, V> {
-        key::check_user_key(k);
-        loop {
-            let (_gp, p, leaf) = self.parse(k, guard);
-            let matched = leaf.and_then(|ls| {
-                // SAFETY: pinned.
-                let l = unsafe { ls.deref() };
-                (l.key == k).then_some((ls, l))
-            });
-            if let Some((leaf_s, l)) = matched {
-                let current = l.value.as_ref().expect("leaves hold values");
-                let Some(new_value) = f(Some(current)) else {
-                    return RmwOutcome {
-                        prev: Some(current.clone()),
-                        cur: Some(current),
-                        applied: false,
-                    };
-                };
-                let new_leaf = Shared::boxed(Node::leaf(k, new_value));
-                // Write phase: replace the leaf in its parent slot.
-                if !self.write_locked(&p, leaf_s, || {
-                    p.slot.store(new_leaf); // linearization point
-                    l.removed.store(1, Ordering::Release);
-                }) {
-                    // SAFETY: never published.
-                    unsafe { drop(new_leaf.into_box()) };
-                    csds_metrics::restart();
-                    continue;
-                }
-                let prev = l.value.clone();
-                // SAFETY: unlinked by the winning slot store; retired once.
-                unsafe { guard.defer_drop(leaf_s) };
-                // SAFETY: published; pinned.
-                let cur = unsafe { new_leaf.deref() }.value.as_ref();
-                return RmwOutcome {
-                    prev,
-                    cur,
-                    applied: true,
-                };
-            }
-            // Absent: the closure may decline or insert.
-            let Some(new_value) = f(None) else {
-                return RmwOutcome {
-                    prev: None,
-                    cur: None,
-                    applied: false,
-                };
-            };
-            match self.link_leaf(k, new_value, &p, leaf) {
-                Ok(cur) => {
-                    return RmwOutcome {
-                        prev: None,
-                        cur: Some(cur),
-                        applied: true,
-                    }
-                }
-                // The closure re-runs against the re-parsed tree.
-                Err(_) => csds_metrics::restart(),
-            }
-        }
-    }
-
-    /// Guard-scoped `get`: clone-free reference valid for `'g`. The paper's
-    /// BST-TK search — no stores, no version checks, no restarts — in both
-    /// [`SyncMode`]s.
+impl<V: Clone + Send + Sync> GuardedMap<V> for BstTk<V> {
+    /// Clone-free reference valid for `'g`. The paper's BST-TK search — no
+    /// stores, no version checks, no restarts — in both [`SyncMode`]s.
     ///
     /// Linearizable as it stands. The tree is external and leaves are
     /// immutable after publication (an RMW replaces the leaf wholesale), so
@@ -536,7 +447,7 @@ impl<V: Clone + Send + Sync> BstTk<V> {
     /// was still on `k`'s search path. By induction from the root load, every
     /// node the descent reaches — the leaf included — was on the search path
     /// at some instant inside the call, and the read linearizes there.
-    pub fn get_in<'g>(&'g self, k: u64, guard: &'g Guard) -> Option<&'g V> {
+    fn get_in<'g>(&'g self, k: u64, guard: &'g Guard) -> Option<&'g V> {
         key::check_user_key(k);
         let mut curr = self.root.load(guard);
         loop {
@@ -552,8 +463,15 @@ impl<V: Clone + Send + Sync> BstTk<V> {
         }
     }
 
-    /// Guard-scoped element count (O(n); quiescently consistent).
-    pub fn len_in(&self, guard: &Guard) -> usize {
+    fn insert_in(&self, key: u64, value: V, guard: &Guard) -> bool {
+        self.write(key, Insert(Some(value)), guard).applied
+    }
+
+    fn remove_in(&self, key: u64, guard: &Guard) -> Option<V> {
+        self.write(key, Remove, guard).prev.cloned()
+    }
+
+    fn len_in(&self, guard: &Guard) -> usize {
         let mut n = 0;
         let mut stack = vec![self.root.load(guard)];
         while let Some(s) = stack.pop() {
@@ -571,24 +489,6 @@ impl<V: Clone + Send + Sync> BstTk<V> {
         }
         n
     }
-}
-
-impl<V: Clone + Send + Sync> GuardedMap<V> for BstTk<V> {
-    fn get_in<'g>(&'g self, key: u64, guard: &'g Guard) -> Option<&'g V> {
-        BstTk::get_in(self, key, guard)
-    }
-
-    fn insert_in(&self, key: u64, value: V, guard: &Guard) -> bool {
-        BstTk::insert_in(self, key, value, guard)
-    }
-
-    fn remove_in(&self, key: u64, guard: &Guard) -> Option<V> {
-        BstTk::remove_in(self, key, guard)
-    }
-
-    fn len_in(&self, guard: &Guard) -> usize {
-        BstTk::len_in(self, guard)
-    }
 
     fn is_empty_in(&self, guard: &Guard) -> bool {
         // O(1): leaves are the only value carriers and the root of an empty
@@ -596,8 +496,11 @@ impl<V: Clone + Send + Sync> GuardedMap<V> for BstTk<V> {
         self.root.load(guard).is_null()
     }
 
+    /// The write loop with the closure's decision: a present key's leaf is
+    /// swapped wholesale for a fresh leaf, an absent key linked as insert
+    /// links it; both linearize at the parent-slot store.
     fn rmw_in<'g>(&'g self, key: u64, f: RmwFn<'_, V>, guard: &'g Guard) -> RmwOutcome<'g, V> {
-        BstTk::rmw_in(self, key, f, guard)
+        self.write(key, f, guard).into()
     }
 }
 

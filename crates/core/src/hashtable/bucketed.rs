@@ -58,51 +58,6 @@ where
     pub fn buckets(&self) -> usize {
         self.buckets.len()
     }
-
-    /// Guard-scoped `get`: clone-free reference valid for `'g`.
-    pub fn get_in<'g>(&'g self, k: u64, guard: &'g Guard) -> Option<&'g V> {
-        key::check_user_key(k);
-        self.bucket(k).get_in(k, guard)
-    }
-
-    /// Guard-scoped membership test: delegates to the key's bucket so the
-    /// inner map's native (possibly optimistic) `contains_in` is reached.
-    pub fn contains_in(&self, k: u64, guard: &Guard) -> bool {
-        key::check_user_key(k);
-        self.bucket(k).contains_in(k, guard)
-    }
-
-    /// Guard-scoped `insert`.
-    pub fn insert_in(&self, k: u64, value: V, guard: &Guard) -> bool {
-        key::check_user_key(k);
-        self.bucket(k).insert_in(k, value, guard)
-    }
-
-    /// Guard-scoped `remove`.
-    pub fn remove_in(&self, k: u64, guard: &Guard) -> Option<V> {
-        key::check_user_key(k);
-        self.bucket(k).remove_in(k, guard)
-    }
-
-    /// Guard-scoped element count (one traversal under one guard).
-    pub fn len_in(&self, guard: &Guard) -> usize {
-        self.buckets.iter().map(|b| b.len_in(guard)).sum()
-    }
-
-    /// Guard-scoped emptiness: early-exits at the first non-empty bucket
-    /// (each inner list early-exits at its first live node) instead of the
-    /// default full count.
-    pub fn is_empty_in(&self, guard: &Guard) -> bool {
-        self.buckets.iter().all(|b| b.is_empty_in(guard))
-    }
-
-    /// Guard-scoped atomic closure RMW: delegates to the key's bucket,
-    /// which provides the native implementation (and its linearization
-    /// point).
-    pub fn rmw_in<'g>(&'g self, k: u64, f: RmwFn<'_, V>, guard: &'g Guard) -> RmwOutcome<'g, V> {
-        key::check_user_key(k);
-        self.bucket(k).rmw_in(k, f, guard)
-    }
 }
 
 impl<M, V> GuardedMap<V> for Bucketed<M, V>
@@ -110,32 +65,49 @@ where
     M: GuardedMap<V>,
     V: Clone + Send + Sync,
 {
-    fn get_in<'g>(&'g self, key: u64, guard: &'g Guard) -> Option<&'g V> {
-        Bucketed::get_in(self, key, guard)
+    /// Guard-scoped `get`: clone-free reference valid for `'g`.
+    fn get_in<'g>(&'g self, k: u64, guard: &'g Guard) -> Option<&'g V> {
+        key::check_user_key(k);
+        self.bucket(k).get_in(k, guard)
     }
 
-    fn contains_in(&self, key: u64, guard: &Guard) -> bool {
-        Bucketed::contains_in(self, key, guard)
+    /// Guard-scoped membership test: delegates to the key's bucket so the
+    /// inner map's native (possibly optimistic) `contains_in` is reached.
+    fn contains_in(&self, k: u64, guard: &Guard) -> bool {
+        key::check_user_key(k);
+        self.bucket(k).contains_in(k, guard)
     }
 
-    fn insert_in(&self, key: u64, value: V, guard: &Guard) -> bool {
-        Bucketed::insert_in(self, key, value, guard)
+    /// Guard-scoped `insert`.
+    fn insert_in(&self, k: u64, value: V, guard: &Guard) -> bool {
+        key::check_user_key(k);
+        self.bucket(k).insert_in(k, value, guard)
     }
 
-    fn remove_in(&self, key: u64, guard: &Guard) -> Option<V> {
-        Bucketed::remove_in(self, key, guard)
+    /// Guard-scoped `remove`.
+    fn remove_in(&self, k: u64, guard: &Guard) -> Option<V> {
+        key::check_user_key(k);
+        self.bucket(k).remove_in(k, guard)
     }
 
+    /// Guard-scoped element count (one traversal under one guard).
     fn len_in(&self, guard: &Guard) -> usize {
-        Bucketed::len_in(self, guard)
+        self.buckets.iter().map(|b| b.len_in(guard)).sum()
     }
 
+    /// Guard-scoped emptiness: early-exits at the first non-empty bucket
+    /// (each inner list early-exits at its first live node) instead of the
+    /// default full count.
     fn is_empty_in(&self, guard: &Guard) -> bool {
-        Bucketed::is_empty_in(self, guard)
+        self.buckets.iter().all(|b| b.is_empty_in(guard))
     }
 
-    fn rmw_in<'g>(&'g self, key: u64, f: RmwFn<'_, V>, guard: &'g Guard) -> RmwOutcome<'g, V> {
-        Bucketed::rmw_in(self, key, f, guard)
+    /// Guard-scoped atomic closure RMW: delegates to the key's bucket,
+    /// which provides the native implementation (and its linearization
+    /// point).
+    fn rmw_in<'g>(&'g self, k: u64, f: RmwFn<'_, V>, guard: &'g Guard) -> RmwOutcome<'g, V> {
+        key::check_user_key(k);
+        self.bucket(k).rmw_in(k, f, guard)
     }
 }
 

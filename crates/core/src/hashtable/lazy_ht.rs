@@ -34,6 +34,7 @@ use csds_htm::{attempt_elision, Elided, SpecStep, TxRegion};
 use csds_sync::{lock_guard, OptikLock, RawMutex, OPTIMISTIC_RMW_RETRIES};
 
 use crate::hashtable::{bucket_count, bucket_of};
+use crate::write::{Decide, Insert, Remove, Write, Written};
 use crate::{key, GuardedMap, RmwFn, RmwOutcome, SyncMode, ELISION_RETRIES};
 
 /// `marked` state: node is live.
@@ -147,275 +148,41 @@ impl<V: Clone + Send + Sync> LazyHashTable<V> {
         }
     }
 
-    /// Guard-scoped `get`: clone-free reference valid for `'g`. No lock, no
-    /// version, no retry in either [`SyncMode`] (see `read_chain`).
-    pub fn get_in<'g>(&'g self, k: u64, guard: &'g Guard) -> Option<&'g V> {
-        key::check_user_key(k);
-        Self::read_chain(self.bucket(k), k, guard)
-    }
-
-    /// Guard-scoped membership test: [`get_in`](LazyHashTable::get_in)
-    /// without materializing the value reference.
-    pub fn contains_in(&self, k: u64, guard: &Guard) -> bool {
-        key::check_user_key(k);
-        Self::read_chain(self.bucket(k), k, guard).is_some()
-    }
-
-    /// Guard-scoped `insert`.
-    pub fn insert_in(&self, key: u64, value: V, guard: &Guard) -> bool {
-        crate::key::check_user_key(key);
-        let bucket = self.bucket(key);
-        let mut value = Some(value);
-
-        if let Some(region) = &self.region {
-            let mut new_node: Option<Shared<'_, Node<V>>> = None;
-            let new_s = loop {
-                let head = bucket.head.load(guard);
-                let (_, curr) = Self::scan(bucket, key, guard);
-                if !curr.is_null() {
-                    // SAFETY: pinned.
-                    if unsafe { curr.deref() }.marked.load(Ordering::Acquire) == 0 {
-                        if let Some(n) = new_node.take() {
-                            // SAFETY: never published.
-                            unsafe { drop(n.into_box()) };
-                        }
-                        return false;
-                    }
-                    // Mid-removal; re-scan.
-                    csds_metrics::restart();
-                    continue;
-                }
-                let new_s = *new_node.get_or_insert_with(|| {
-                    Shared::boxed(Node {
-                        key,
-                        value: value.take(),
-                        marked: AtomicUsize::new(0),
-                        next: Atomic::null(),
-                    })
-                });
-                // SAFETY: unpublished.
-                unsafe { new_s.deref() }.next.store(head);
-                // Any insert to this bucket moves `head`; any removal of the
-                // head node moves `head` too — validating `head` therefore
-                // rules out a duplicate appearing since our scan.
-                match attempt_elision(region, ELISION_RETRIES, |tx| {
-                    if tx.read(bucket.head.as_raw_atomic()) != head.as_raw() {
-                        return SpecStep::Invalid;
-                    }
-                    tx.write(bucket.head.as_raw_atomic(), new_s.as_raw());
-                    SpecStep::Commit(())
-                }) {
-                    Elided::Committed(()) => return true,
-                    Elided::Invalid => {
-                        csds_metrics::restart();
-                        continue;
-                    }
-                    Elided::FellBack => break new_s,
-                }
-            };
-            // SAFETY: never published; the locked write phase below builds
-            // its own node from the value.
-            value = unsafe { new_s.into_box() }.value;
-        }
-
-        // Write phase: serialize the bucket (and, in elision mode, the
-        // region); no restarts possible.
-        let g = lock_guard(&bucket.lock);
-        let fb = self.region.as_ref().map(TxRegion::enter_fallback);
-        let (_, curr) = Self::scan(bucket, key, guard);
-        if !curr.is_null() {
-            drop(fb);
-            drop(g);
-            return false;
-        }
-        let new_s = Shared::boxed(Node {
-            key,
-            value,
-            marked: AtomicUsize::new(0),
-            next: Atomic::null(),
-        });
-        // SAFETY: unpublished.
-        unsafe { new_s.deref() }.next.store(bucket.head.load(guard));
-        bucket.head.store(new_s);
-        drop(fb);
-        drop(g);
-        true
-    }
-
-    /// Guard-scoped `remove`.
-    pub fn remove_in(&self, key: u64, guard: &Guard) -> Option<V> {
-        crate::key::check_user_key(key);
-        let bucket = self.bucket(key);
-
-        if let Some(region) = &self.region {
-            loop {
-                let (pred, curr) = Self::scan(bucket, key, guard);
-                if curr.is_null() {
-                    return None;
-                }
-                // SAFETY: pinned.
-                let c = unsafe { curr.deref() };
-                match c.marked.load(Ordering::Acquire) {
-                    DELETED => return None,
-                    SUPERSEDED => {
-                        // Replaced in place: the key lives on in its
-                        // replacement node; re-scan and remove that one.
-                        csds_metrics::restart();
-                        continue;
-                    }
-                    _ => {}
-                }
-                let link = if pred.is_null() {
-                    bucket.head.as_raw_atomic()
-                } else {
-                    // SAFETY: pinned.
-                    unsafe { pred.deref() }.next.as_raw_atomic()
-                };
-                let pred_marked = if pred.is_null() {
-                    None
-                } else {
-                    // SAFETY: pinned.
-                    Some(&unsafe { pred.deref() }.marked)
-                };
-                match attempt_elision(region, ELISION_RETRIES, |tx| {
-                    if let Some(pm) = pred_marked {
-                        if tx.read(pm) != 0 {
-                            return SpecStep::Invalid;
-                        }
-                    }
-                    if tx.read(&c.marked) != 0 {
-                        return SpecStep::Invalid;
-                    }
-                    if tx.read(link) != curr.as_raw() {
-                        return SpecStep::Invalid;
-                    }
-                    let succ = tx.read(c.next.as_raw_atomic());
-                    tx.write(&c.marked, 1);
-                    tx.write(link, succ);
-                    SpecStep::Commit(())
-                }) {
-                    Elided::Committed(()) => {
-                        let out = c.value.clone();
-                        // SAFETY: unlinked atomically; retired once.
-                        unsafe { guard.defer_drop(curr) };
-                        return out;
-                    }
-                    Elided::Invalid => {
-                        csds_metrics::restart();
-                        continue;
-                    }
-                    Elided::FellBack => break,
-                }
-            }
-        }
-
-        // Write phase: serialize the bucket (and, in elision mode, the
-        // region); no restarts possible.
-        let g = lock_guard(&bucket.lock);
-        let fb = self.region.as_ref().map(TxRegion::enter_fallback);
-        let (pred, curr) = Self::scan(bucket, key, guard);
-        if curr.is_null() {
-            drop(fb);
-            drop(g);
-            return None;
-        }
-        // SAFETY: pinned.
-        let c = unsafe { curr.deref() };
-        c.marked.store(1, Ordering::Release);
-        let succ = c.next.load(guard);
-        if pred.is_null() {
-            bucket.head.store(succ);
-        } else {
-            // SAFETY: pinned; serialized by the bucket lock.
-            unsafe { pred.deref() }.next.store(succ);
-        }
-        drop(fb);
-        drop(g);
-        let out = c.value.clone();
-        // SAFETY: unlinked under the bucket lock; retired once.
-        unsafe { guard.defer_drop(curr) };
-        out
-    }
-
-    /// Guard-scoped element count (O(n); quiescently consistent).
-    pub fn len_in(&self, guard: &Guard) -> usize {
-        let mut n = 0;
-        for b in &self.buckets {
-            let mut curr = b.head.load(guard);
-            while !curr.is_null() {
-                // SAFETY: pinned traversal.
-                let c = unsafe { curr.deref() };
-                if c.marked.load(Ordering::Acquire) != DELETED {
-                    n += 1;
-                }
-                curr = c.next.load(guard);
-            }
-        }
-        n
-    }
-
-    /// Guard-scoped emptiness: O(buckets) early-exit walk instead of the
-    /// default full O(n) count — returns at the first live node.
-    pub fn is_empty_in(&self, guard: &Guard) -> bool {
-        for b in &self.buckets {
-            let mut curr = b.head.load(guard);
-            while !curr.is_null() {
-                // SAFETY: pinned traversal.
-                let c = unsafe { curr.deref() };
-                if c.marked.load(Ordering::Acquire) != DELETED {
-                    return false;
-                }
-                curr = c.next.load(guard);
-            }
-        }
-        true
-    }
-
-    /// Guard-scoped atomic closure RMW; the native override behind
-    /// [`GuardedMap::rmw_in`] — in-place mutation under the bucket lock,
-    /// the compound operation the paper's blocking designs get for free.
+    /// The write loop behind `insert_in`, `remove_in` and `rmw_in`: parse,
+    /// decide, then store the write. Its rounds differ only in how they
+    /// hold the bucket.
     ///
-    /// A present key is replaced by swapping in a fresh same-key node at
-    /// the same chain position, marking the old node `SUPERSEDED`; an
-    /// absent key is pushed at the bucket head. **Linearization point: the
-    /// chain-link store** (`pred.next`/bucket-head), or the locked (or
-    /// version-validated) observation for read-only decisions.
+    /// * Each of the first `snapshots` rounds snapshots the bucket version,
+    ///   parses and decides unsynchronized, then certifies a read-only
+    ///   decision with [`OptikLock::read_validate`] (no lock at all) or a
+    ///   write with [`OptikLock::try_lock_version`] (the lock is taken only
+    ///   if the bucket is unchanged, so success proves `pred`/`curr` are
+    ///   still the chain's nodes). A torn round restarts. Only `rmw_in`
+    ///   asks for these rounds.
+    /// * An elision-mode table's rounds speculate until the write is a
+    ///   replace or speculation gives up: parse and decide unsynchronized
+    ///   (a read-only decision linearizes like `read_chain`), then run a
+    ///   link or an unlink as one transaction. A deleted node reads as
+    ///   absent, and a put waits for its unlink.
+    /// * The last round holds the bucket lock (and, in elision mode, the
+    ///   region's fallback lock, so speculative write phases abort or
+    ///   serialize) across the whole read-decide-apply, and cannot fail.
     ///
-    /// In [`SyncMode::Locks`] the first [`OPTIMISTIC_RMW_RETRIES`] rounds
-    /// run **validate-then-lock** (see `rmw_rounds`), so the closure "may
-    /// run more than once". Transactional writers do not bump lock
-    /// versions, so an elision-mode table goes straight to the locked
-    /// round.
-    pub fn rmw_in<'g>(&'g self, key: u64, f: RmwFn<'_, V>, guard: &'g Guard) -> RmwOutcome<'g, V> {
-        crate::key::check_user_key(key);
-        let snapshots = if self.region.is_none() {
-            OPTIMISTIC_RMW_RETRIES
-        } else {
-            0
-        };
-        self.rmw_rounds(key, f, snapshots, guard)
-    }
-
-    /// The one RMW loop: parse, run the closure, then store the write. Its
-    /// rounds differ only in how they hold the bucket. Each of the first
-    /// `snapshots` rounds snapshots the bucket version, parses and runs the
-    /// closure unsynchronized, then certifies a read-only decision with
-    /// [`OptikLock::read_validate`] (no lock at all) or a write with
-    /// [`OptikLock::try_lock_version`] (the lock is taken only if the bucket
-    /// is unchanged, so success proves `pred`/`curr` are still the chain's
-    /// nodes). A torn round restarts. The last round holds the bucket lock
-    /// (and, in elision mode, the region's fallback lock, so concurrent
-    /// speculative write phases abort or serialize) across the whole
-    /// read-decide-apply.
+    /// A present key is replaced by a fresh same-key node at the same chain
+    /// position, the old one marked `SUPERSEDED`, or unlinked after a
+    /// `DELETED` mark; an absent key is pushed at the bucket head.
+    /// **Linearization point: the chain-link store.**
     fn rmw_rounds<'g>(
         &'g self,
         key: u64,
-        f: RmwFn<'_, V>,
+        mut decide: impl Decide<V>,
         snapshots: usize,
         guard: &'g Guard,
-    ) -> RmwOutcome<'g, V> {
+    ) -> Written<'g, V> {
+        key::check_user_key(key);
         let bucket = self.bucket(key);
         let mut snapshots_left = snapshots;
+        let mut speculate = self.region.as_ref();
         loop {
             let seen = if snapshots_left > 0 {
                 snapshots_left -= 1;
@@ -432,81 +199,158 @@ impl<V: Clone + Send + Sync> LazyHashTable<V> {
                 }
                 None
             };
-            let mut locked = seen.is_none().then(|| {
+            let mut locked = (seen.is_none() && speculate.is_none()).then(|| {
                 let g = lock_guard(&bucket.lock);
                 (self.region.as_ref().map(TxRegion::enter_fallback), g)
             });
+            // Loaded before the scan: a speculative link validates it.
+            let head = bucket.head.load(guard);
             let (pred, curr) = Self::scan(bucket, key, guard);
             // SAFETY: pinned.
             let found = (!curr.is_null()).then(|| unsafe { curr.deref() });
-            if found.is_some_and(|c| c.marked.load(Ordering::Acquire) != LIVE) {
-                // Mark, unlink and replacement share one critical section,
-                // so neither the lock holder nor a quiescent snapshot can
-                // reach a marked node: this snapshot is torn.
-                debug_assert!(locked.is_none());
-                torn_round();
-                continue;
-            }
-            let current = found.map(|c| c.value.as_ref().expect("live node holds a value"));
-            let Some(new_value) = f(current) else {
-                // Read-only decision: the lock, or a seqlock-style
-                // validation, certifies the observation.
-                if seen.is_some_and(|seen| !bucket.lock.read_validate(seen)) {
-                    torn_round();
+            let cur = match found.map(|c| (c, c.marked.load(Ordering::Acquire))) {
+                None => None,
+                Some((c, LIVE)) => Some(c.value.as_ref().expect("live node holds a value")),
+                Some((_, DELETED)) if speculate.is_some() => None,
+                Some(_) => {
+                    // Mark, unlink and replacement share one critical
+                    // section, so neither the lock holder nor a quiescent
+                    // snapshot can reach a marked node: this round is torn.
+                    debug_assert!(locked.is_none());
+                    if seen.is_some() {
+                        torn_round();
+                    } else {
+                        csds_metrics::restart();
+                    }
                     continue;
                 }
-                drop(locked);
-                return RmwOutcome {
-                    prev: current.cloned(),
-                    cur: current,
-                    applied: false,
-                };
             };
-            let new_s = Shared::boxed(Node {
-                key,
-                value: Some(new_value),
-                marked: AtomicUsize::new(LIVE),
-                next: Atomic::null(),
-            });
-            if let Some(seen) = seen {
-                match bucket.lock.try_lock_version(seen) {
-                    Some(g) => locked = Some((None, g)),
-                    None => {
-                        // SAFETY: never published.
-                        unsafe { drop(new_s.into_box()) };
+            let new_s = match decide.decide(cur) {
+                Write::Put(value) if found.is_some() && cur.is_none() => {
+                    decide.unapplied(value);
+                    csds_metrics::restart();
+                    continue;
+                }
+                Write::Put(value) => Some(Shared::boxed(Node {
+                    key,
+                    value: Some(value),
+                    marked: AtomicUsize::new(LIVE),
+                    next: Atomic::null(),
+                })),
+                Write::Remove if cur.is_some() => None,
+                _ => {
+                    // Read-only decision: the lock, or a seqlock-style
+                    // validation, certifies the observation.
+                    if seen.is_some_and(|seen| !bucket.lock.read_validate(seen)) {
                         torn_round();
                         continue;
                     }
+                    return Written::kept(cur);
                 }
-            }
-            // The chain is serialized from here on. Replace `curr` in place,
-            // or push at the head (reloaded under the lock: one L1 hit, and
-            // it keeps the store independent of the validation argument).
-            let (succ, link) = match found {
-                // SAFETY: pinned; serialized by the bucket lock.
-                Some(c) if !pred.is_null() => (c.next.load(guard), &unsafe { pred.deref() }.next),
-                Some(c) => (c.next.load(guard), &bucket.head),
-                None => (bucket.head.load(guard), &bucket.head),
             };
-            // SAFETY: unpublished.
-            unsafe { new_s.deref() }.next.store(succ);
-            if let Some(c) = found {
-                c.marked.store(SUPERSEDED, Ordering::Release);
-            }
-            link.store(new_s); // linearization point
+            // The slot that points at `curr`.
+            let link = if pred.is_null() {
+                &bucket.head
+            } else {
+                // SAFETY: pinned.
+                &unsafe { pred.deref() }.next
+            };
+            let applied = 'round: {
+                if let Some(region) = speculate {
+                    if cur.is_none() || new_s.is_none() {
+                        // A link or an unlink: insert's and remove's
+                        // transactions.
+                        // SAFETY: pinned.
+                        let pred_marked =
+                            (!pred.is_null()).then(|| &unsafe { pred.deref() }.marked);
+                        match attempt_elision(region, ELISION_RETRIES, |tx| match (new_s, found) {
+                            // Any insert to this bucket moves `head`; any
+                            // removal of the head node moves `head` too —
+                            // validating `head` therefore rules out a
+                            // duplicate appearing since our scan.
+                            (Some(n), _) => {
+                                if tx.read(bucket.head.as_raw_atomic()) != head.as_raw() {
+                                    return SpecStep::Invalid;
+                                }
+                                // SAFETY: unpublished.
+                                unsafe { n.deref() }.next.store(head);
+                                tx.write(bucket.head.as_raw_atomic(), n.as_raw());
+                                SpecStep::Commit(())
+                            }
+                            (None, c) => {
+                                let c = c.expect("an unlink has a node");
+                                if pred_marked.is_some_and(|pm| tx.read(pm) != 0)
+                                    || tx.read(&c.marked) != 0
+                                    || tx.read(link.as_raw_atomic()) != curr.as_raw()
+                                {
+                                    return SpecStep::Invalid;
+                                }
+                                let succ = tx.read(c.next.as_raw_atomic());
+                                tx.write(&c.marked, DELETED);
+                                tx.write(link.as_raw_atomic(), succ);
+                                SpecStep::Commit(())
+                            }
+                        }) {
+                            Elided::Committed(()) => break 'round true,
+                            Elided::Invalid => {
+                                csds_metrics::restart();
+                                break 'round false;
+                            }
+                            Elided::FellBack => {}
+                        }
+                    }
+                    // A replace, or speculation gave up: the locked round
+                    // decides again.
+                    speculate = None;
+                    break 'round false;
+                }
+                if let Some(seen) = seen {
+                    match bucket.lock.try_lock_version(seen) {
+                        Some(g) => locked = Some((None, g)),
+                        None => {
+                            torn_round();
+                            break 'round false;
+                        }
+                    }
+                }
+                // The chain is serialized from here on. Replace or unlink
+                // `curr`, or push at the head (reloaded under the lock: one
+                // L1 hit, and it keeps the store independent of the
+                // validation argument).
+                let (succ, link) = match found {
+                    Some(c) => (c.next.load(guard), link),
+                    None => (bucket.head.load(guard), &bucket.head),
+                };
+                if let Some(c) = found {
+                    let mark = if new_s.is_some() { SUPERSEDED } else { DELETED };
+                    c.marked.store(mark, Ordering::Release);
+                }
+                link.store(new_s.map_or(succ, |n| {
+                    // SAFETY: unpublished.
+                    unsafe { n.deref() }.next.store(succ);
+                    n
+                })); // linearization point
+                true
+            };
             drop(locked);
-            let prev = found.and_then(|c| c.value.clone());
-            if found.is_some() {
-                // SAFETY: unlinked under the bucket lock; retired once.
-                unsafe { guard.defer_drop(curr) };
+            if applied {
+                if found.is_some() {
+                    // SAFETY: unlinked under the bucket lock or in one
+                    // commit; retired once.
+                    unsafe { guard.defer_drop(curr) };
+                }
+                // SAFETY: published; pinned.
+                let put = new_s.and_then(|n| unsafe { n.deref() }.value.as_ref());
+                return Written::wrote(cur, put);
             }
-            // SAFETY: published; pinned.
-            let cur = unsafe { new_s.deref() }.value.as_ref();
-            return RmwOutcome {
-                prev,
-                cur,
-                applied: true,
-            };
+            if let Some(n) = new_s {
+                // SAFETY: never published.
+                decide.unapplied(
+                    unsafe { n.into_box() }
+                        .value
+                        .expect("put nodes hold a value"),
+                );
+            }
         }
     }
 }
@@ -518,32 +362,73 @@ fn torn_round() {
 }
 
 impl<V: Clone + Send + Sync> GuardedMap<V> for LazyHashTable<V> {
-    fn get_in<'g>(&'g self, key: u64, guard: &'g Guard) -> Option<&'g V> {
-        LazyHashTable::get_in(self, key, guard)
+    /// Clone-free reference valid for `'g`. No lock, no version, no retry in
+    /// either [`SyncMode`] (see `read_chain`).
+    fn get_in<'g>(&'g self, k: u64, guard: &'g Guard) -> Option<&'g V> {
+        key::check_user_key(k);
+        Self::read_chain(self.bucket(k), k, guard)
     }
 
-    fn contains_in(&self, key: u64, guard: &Guard) -> bool {
-        LazyHashTable::contains_in(self, key, guard)
+    /// [`get_in`](GuardedMap::get_in) without materializing the value
+    /// reference.
+    fn contains_in(&self, k: u64, guard: &Guard) -> bool {
+        key::check_user_key(k);
+        Self::read_chain(self.bucket(k), k, guard).is_some()
     }
 
     fn insert_in(&self, key: u64, value: V, guard: &Guard) -> bool {
-        LazyHashTable::insert_in(self, key, value, guard)
+        self.rmw_rounds(key, Insert(Some(value)), 0, guard).applied
     }
 
     fn remove_in(&self, key: u64, guard: &Guard) -> Option<V> {
-        LazyHashTable::remove_in(self, key, guard)
+        self.rmw_rounds(key, Remove, 0, guard).prev.cloned()
     }
 
     fn len_in(&self, guard: &Guard) -> usize {
-        LazyHashTable::len_in(self, guard)
+        let mut n = 0;
+        for b in &self.buckets {
+            let mut curr = b.head.load(guard);
+            while !curr.is_null() {
+                // SAFETY: pinned traversal.
+                let c = unsafe { curr.deref() };
+                if c.marked.load(Ordering::Acquire) != DELETED {
+                    n += 1;
+                }
+                curr = c.next.load(guard);
+            }
+        }
+        n
     }
 
+    /// O(buckets) early-exit walk instead of the default full O(n) count —
+    /// returns at the first live node.
     fn is_empty_in(&self, guard: &Guard) -> bool {
-        LazyHashTable::is_empty_in(self, guard)
+        for b in &self.buckets {
+            let mut curr = b.head.load(guard);
+            while !curr.is_null() {
+                // SAFETY: pinned traversal.
+                let c = unsafe { curr.deref() };
+                if c.marked.load(Ordering::Acquire) != DELETED {
+                    return false;
+                }
+                curr = c.next.load(guard);
+            }
+        }
+        true
     }
 
+    /// `rmw_rounds` with the closure's decision. In [`SyncMode::Locks`] the
+    /// first [`OPTIMISTIC_RMW_RETRIES`] rounds run **validate-then-lock**,
+    /// so the closure "may run more than once". Transactional writers do
+    /// not bump lock versions, so an elision-mode table takes no snapshot
+    /// rounds; it speculates a link as insert does.
     fn rmw_in<'g>(&'g self, key: u64, f: RmwFn<'_, V>, guard: &'g Guard) -> RmwOutcome<'g, V> {
-        LazyHashTable::rmw_in(self, key, f, guard)
+        let snapshots = if self.region.is_none() {
+            OPTIMISTIC_RMW_RETRIES
+        } else {
+            0
+        };
+        self.rmw_rounds(key, f, snapshots, guard).into()
     }
 }
 
@@ -606,7 +491,7 @@ mod tests {
             |k, f| {
                 let guard = csds_ebr::pin();
                 let out = h.rmw_rounds(k, f, 0, &guard);
-                (out.prev, out.cur.cloned(), out.applied)
+                (out.prev.cloned(), out.cur.cloned(), out.applied)
             },
             |k| h.get(k),
             2_000,

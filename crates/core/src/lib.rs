@@ -38,14 +38,16 @@
 //! [`compare_swap_in`](GuardedMap::compare_swap_in) (value CAS),
 //! [`update_in`](GuardedMap::update_in) (closure RMW of existing keys) and
 //! [`get_or_insert_with_in`](GuardedMap::get_or_insert_with_in). Each
-//! structure documents its linearization points on the inherent methods.
+//! structure documents its linearization points on its `GuardedMap` impl
+//! and its private write loop.
 //!
 //! # Two ways to call an operation
 //!
 //! Every structure exposes its operations at two levels:
 //!
-//! * **Guard-scoped** ([`GuardedMap`] / [`GuardedPool`], and the inherent
-//!   `*_in` methods): the caller supplies an EBR [`Guard`]. Reads are
+//! * **Guard-scoped** ([`GuardedMap`] / [`GuardedPool`], and inherent
+//!   `*_in` methods such as `pop_min_in` or `range_in` that no trait
+//!   has): the caller supplies an EBR [`Guard`]. Reads are
 //!   clone-free — `get_in` returns `Option<&'g V>` borrowed for the guard's
 //!   lifetime — and a guard can be reused across many operations. This is
 //!   the hot path; [`MapHandle`] / [`PoolHandle`] package it as a
@@ -69,6 +71,7 @@ pub mod queuestack;
 pub mod skiplist;
 
 pub(crate) mod key;
+pub(crate) mod write;
 
 pub use key::{check_user_key, MAX_USER_KEY};
 
@@ -168,12 +171,27 @@ impl<V> CasOutcome<V> {
 ///
 /// ```compile_fail
 /// use csds_core::list::HarrisList;
+/// use csds_core::GuardedMap;
 ///
 /// let map: HarrisList<u64> = HarrisList::new();
 /// let guard = csds_ebr::pin();
 /// map.insert_in(1, 10, &guard);
 /// let r = map.get_in(1, &guard);
 /// drop(map); // ERROR: `map` is still borrowed by `r`
+/// assert_eq!(r, Some(&10));
+/// ```
+///
+/// Without the `drop`, the same lines compile, so the example above fails
+/// on the borrow alone:
+///
+/// ```
+/// use csds_core::list::HarrisList;
+/// use csds_core::GuardedMap;
+///
+/// let map: HarrisList<u64> = HarrisList::new();
+/// let guard = csds_ebr::pin();
+/// map.insert_in(1, 10, &guard);
+/// let r = map.get_in(1, &guard);
 /// assert_eq!(r, Some(&10));
 /// ```
 ///
@@ -229,12 +247,15 @@ pub trait GuardedMap<V>: Send + Sync {
     /// the application of its decision. `f` may run multiple times under
     /// contention (see [`RmwFn`]); only the last run's decision is applied.
     ///
-    /// Linearization: each structure documents its point on the inherent
-    /// method. In every blocking structure the RMW linearizes inside the
-    /// same critical section its `insert`/`remove` use (bucket lock, node
-    /// locks, versioned trylock); in the lock-free structures an
-    /// existing-key replace linearizes at a CAS on the node's value
-    /// pointer, an insert at the structure's usual publish point.
+    /// Linearization: each structure documents its point on its
+    /// implementation of this method. In every blocking structure insert,
+    /// remove and RMW share one write phase by construction: one private
+    /// write loop parses, asks a decision (keep, put a value, or remove)
+    /// that `insert_in`, `remove_in` and the RMW closure each supply, and
+    /// writes under the same critical section (bucket lock, node locks,
+    /// versioned trylock). In the lock-free structures an existing-key
+    /// replace linearizes at a CAS on the node's value pointer, an insert
+    /// at the structure's usual publish point.
     ///
     /// Object-safe (`&mut dyn FnMut`): the harness's and service's
     /// `dyn GuardedMap<u64>` objects dispatch it directly.
@@ -654,8 +675,8 @@ impl<'m, V, M: GuardedMap<V> + ?Sized> MapHandle<'m, V, M> {
         self.session.stalled_ops()
     }
 
-    /// The session guard, e.g. for calling inherent `*_in` methods of the
-    /// underlying structure directly.
+    /// The session guard, e.g. for calling the underlying structure's
+    /// inherent `*_in` methods (such as `range_in`) directly.
     pub fn guard(&self) -> &Guard {
         self.session.guard()
     }

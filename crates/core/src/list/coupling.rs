@@ -43,6 +43,7 @@ use csds_ebr::{Guard, Shared};
 use csds_sync::{lock_guard, LockGuard, OptikLock, RawMutex, TicketLock, OPTIMISTIC_RMW_RETRIES};
 
 use crate::key::{self, HEAD_IKEY, TAIL_IKEY};
+use crate::write::{Decide, Insert, Remove, Write, Written};
 use crate::{GuardedMap, RmwFn, RmwOutcome};
 
 struct Node<V> {
@@ -159,24 +160,6 @@ impl<V: Clone + Send + Sync> CouplingList<V> {
         }
     }
 
-    /// Guard-scoped `get`.
-    ///
-    /// Fast path: a seqlock read — lockless walk validated against the
-    /// list version ([`OptikLock::optimistic_read`], bounded retries).
-    /// Fallback (every attempt torn by concurrent writers): the classic
-    /// hand-over-hand locked walk, `get_locked`.
-    pub fn get_in<'g>(&'g self, key: u64, guard: &'g Guard) -> Option<&'g V> {
-        let ikey = key::ikey(key);
-        if let Some(out) = self
-            .version
-            .optimistic_read(|| self.walk_lockless(ikey, guard))
-        {
-            return out;
-        }
-        csds_metrics::optimistic_fallback();
-        self.get_locked(ikey, guard)
-    }
-
     /// The paper's lock-coupling read: the locks cover the traversal; the
     /// guard keeps the returned reference alive after they are released
     /// (removers retire nodes through EBR and never mutate published
@@ -198,48 +181,11 @@ impl<V: Clone + Send + Sync> CouplingList<V> {
         pred.next.store(node as usize, Ordering::Release);
     }
 
-    /// Guard-scoped `insert`.
-    pub fn insert_in(&self, key: u64, value: V, _guard: &Guard) -> bool {
-        let ikey = key::ikey(key);
-        let ((pred, _pg), (curr, _cg)) = self.locate(ikey);
-        if curr.key == ikey {
-            return false;
-        }
-        // The new node is private until `publish` links it under pred's lock.
-        self.publish(pred, Node::alloc(ikey, Some(value), curr.addr()));
-        true
-    }
-
-    /// Guard-scoped `remove`.
-    pub fn remove_in(&self, key: u64, guard: &Guard) -> Option<V> {
-        let ikey = key::ikey(key);
-        let ((pred, pg), (curr, cg)) = self.locate(ikey);
-        if curr.key != ikey {
-            return None;
-        }
-        self.publish(pred, curr.next());
-        let out = curr.value.clone();
-        drop((cg, pg));
-        // SAFETY: unlinked under both locks, so unreachable for new
-        // traversals; readers that already returned a reference into it
-        // hold a pin. Retired exactly once, by this (winning) remover.
-        unsafe { guard.defer_drop(Shared::<Node<V>>::from_raw(curr.addr() as usize)) };
-        out
-    }
-
-    /// Guard-scoped atomic closure RMW; the native override behind
-    /// [`GuardedMap::rmw_in`]. Runs `rmw_rounds` with
-    /// [`OPTIMISTIC_RMW_RETRIES`] snapshot rounds, so the closure may run
-    /// more than once. **Linearization point: the `pred.next` store**, or
-    /// the validated or locked observation for read-only decisions.
-    pub fn rmw_in<'g>(&'g self, key: u64, f: RmwFn<'_, V>, guard: &'g Guard) -> RmwOutcome<'g, V> {
-        self.rmw_rounds(key::ikey(key), f, OPTIMISTIC_RMW_RETRIES, guard)
-    }
-
-    /// The one RMW loop. Each of the first `snapshots` rounds walks the
-    /// list lockless and runs the closure; if it *declines* (returns
-    /// `None`), a seqlock validation of the list version certifies the
-    /// whole parse, with no lock touched at all.
+    /// The write loop behind `insert_in`, `remove_in` and `rmw_in`. Each of
+    /// the first `snapshots` rounds walks the list lockless and decides; if
+    /// the decision is *read-only*, a seqlock validation of the list
+    /// version certifies the whole parse, with no lock touched at all.
+    /// Only `rmw_in` asks for these rounds.
     ///
     /// A write decision ends those rounds at once: a version-certified
     /// *write* would be unsound here, unlike in the bucket tables.
@@ -251,34 +197,37 @@ impl<V: Clone + Send + Sync> CouplingList<V> {
     ///
     /// The last round is the hand-over-hand walk, which ends holding both
     /// `pred`'s and `curr`'s locks, so the read-decide-apply is one critical
-    /// section: a present key is replaced by a fresh same-key node (readers
-    /// racing past the old one return its value and linearize before the
-    /// swap), an absent key is inserted in place. The closure runs holding
-    /// both guards, so a panic in it unwinds through them and releases the
-    /// locks.
+    /// section and cannot fail: a present key is replaced by a fresh
+    /// same-key node (readers racing past the old one return its value and
+    /// linearize before the swap) or unlinked, an absent key is inserted in
+    /// place. **Linearization point: the `pred.next` store**, or the
+    /// validated or locked observation for read-only decisions. The
+    /// closure runs holding both guards, so a panic in it unwinds through
+    /// them and releases the locks.
     fn rmw_rounds<'g>(
         &'g self,
         ikey: u64,
-        f: RmwFn<'_, V>,
+        mut decide: impl Decide<V>,
         snapshots: usize,
         guard: &'g Guard,
-    ) -> RmwOutcome<'g, V> {
+    ) -> Written<'g, V> {
         'snapshots: {
             for _ in 0..snapshots {
                 csds_metrics::optimistic_attempt();
                 if let Some(seen) = self.version.read_begin() {
                     let found = self.walk_lockless(ikey, guard);
-                    if f(found).is_some() {
+                    match decide.decide(found) {
+                        Write::Keep if self.version.read_validate(seen) => {
+                            return Written::kept(found)
+                        }
+                        Write::Keep => {}
                         // The designed handoff to the locked round, not a
                         // torn snapshot: no failure, no fallback.
-                        break 'snapshots;
-                    }
-                    if self.version.read_validate(seen) {
-                        return RmwOutcome {
-                            prev: found.cloned(),
-                            cur: found,
-                            applied: false,
-                        };
+                        Write::Put(value) => {
+                            decide.unapplied(value);
+                            break 'snapshots;
+                        }
+                        Write::Remove => break 'snapshots,
                     }
                 }
                 csds_metrics::optimistic_failure();
@@ -294,39 +243,62 @@ impl<V: Clone + Send + Sync> CouplingList<V> {
         // and values are never mutated.
         let found =
             (curr.key == ikey).then(|| curr.value.as_ref().expect("live node holds a value"));
-        let prev = found.cloned();
-        let Some(new_value) = f(found) else {
-            return RmwOutcome {
-                prev,
-                cur: found,
-                applied: false,
-            };
+        let put = match decide.decide(found) {
+            Write::Put(value) => Some(value),
+            Write::Remove if found.is_some() => None,
+            _ => return Written::kept(found),
         };
-        // A present key is replaced by a fresh same-key node; an absent
-        // one is inserted in front of `curr`.
-        let next = if found.is_some() {
+        // The new node, if any, takes `curr`'s place or goes in front of it.
+        let succ = if found.is_some() {
             curr.next()
         } else {
             curr.addr()
         };
-        let node = Node::alloc(ikey, Some(new_value), next);
-        self.publish(pred, node);
+        let node = put.map(|value| Node::alloc(ikey, Some(value), succ));
+        self.publish(pred, node.unwrap_or(succ));
         // SAFETY: published; kept alive for 'g like every node.
-        let cur = unsafe { &*node }.value.as_ref();
+        let put = node.and_then(|n| unsafe { &*n }.value.as_ref());
         drop((cg, pg));
         if found.is_some() {
-            // SAFETY: unlinked under both locks; retired once.
+            // SAFETY: unlinked under both locks, so unreachable for new
+            // traversals; readers that already returned a reference into
+            // it hold a pin. Retired exactly once, by this writer.
             unsafe { guard.defer_drop(Shared::<Node<V>>::from_raw(curr.addr() as usize)) };
         }
-        RmwOutcome {
-            prev,
-            cur,
-            applied: true,
+        Written::wrote(found, put)
+    }
+}
+
+impl<V: Clone + Send + Sync> GuardedMap<V> for CouplingList<V> {
+    /// Fast path: a seqlock read — lockless walk validated against the list
+    /// version ([`OptikLock::optimistic_read`], bounded retries). Fallback
+    /// (every attempt torn by concurrent writers): the classic
+    /// hand-over-hand locked walk, `get_locked`.
+    fn get_in<'g>(&'g self, key: u64, guard: &'g Guard) -> Option<&'g V> {
+        let ikey = key::ikey(key);
+        if let Some(out) = self
+            .version
+            .optimistic_read(|| self.walk_lockless(ikey, guard))
+        {
+            return out;
         }
+        csds_metrics::optimistic_fallback();
+        self.get_locked(ikey, guard)
     }
 
-    /// Guard-scoped element count (hand-over-hand, as `locate`; O(n)).
-    pub fn len_in(&self, _guard: &Guard) -> usize {
+    fn insert_in(&self, key: u64, value: V, guard: &Guard) -> bool {
+        self.rmw_rounds(key::ikey(key), Insert(Some(value)), 0, guard)
+            .applied
+    }
+
+    fn remove_in(&self, key: u64, guard: &Guard) -> Option<V> {
+        self.rmw_rounds(key::ikey(key), Remove, 0, guard)
+            .prev
+            .cloned()
+    }
+
+    /// Hand-over-hand, as `locate`; O(n).
+    fn len_in(&self, _guard: &Guard) -> usize {
         let mut n = 0;
         // SAFETY: same locking discipline as `locate`.
         unsafe {
@@ -340,24 +312,6 @@ impl<V: Clone + Send + Sync> CouplingList<V> {
         }
         n
     }
-}
-
-impl<V: Clone + Send + Sync> GuardedMap<V> for CouplingList<V> {
-    fn get_in<'g>(&'g self, key: u64, guard: &'g Guard) -> Option<&'g V> {
-        CouplingList::get_in(self, key, guard)
-    }
-
-    fn insert_in(&self, key: u64, value: V, guard: &Guard) -> bool {
-        CouplingList::insert_in(self, key, value, guard)
-    }
-
-    fn remove_in(&self, key: u64, guard: &Guard) -> Option<V> {
-        CouplingList::remove_in(self, key, guard)
-    }
-
-    fn len_in(&self, guard: &Guard) -> usize {
-        CouplingList::len_in(self, guard)
-    }
 
     fn is_empty_in(&self, _guard: &Guard) -> bool {
         // O(1): no logical deletion exists, so emptiness is just "is the
@@ -369,8 +323,12 @@ impl<V: Clone + Send + Sync> GuardedMap<V> for CouplingList<V> {
         }
     }
 
+    /// `rmw_rounds` with the closure's decision and
+    /// [`OPTIMISTIC_RMW_RETRIES`] snapshot rounds, so the closure may run
+    /// more than once.
     fn rmw_in<'g>(&'g self, key: u64, f: RmwFn<'_, V>, guard: &'g Guard) -> RmwOutcome<'g, V> {
-        CouplingList::rmw_in(self, key, f, guard)
+        self.rmw_rounds(key::ikey(key), f, OPTIMISTIC_RMW_RETRIES, guard)
+            .into()
     }
 }
 
@@ -434,7 +392,7 @@ mod tests {
             |k, f| {
                 let guard = csds_ebr::pin();
                 let out = l.rmw_rounds(key::ikey(k), f, 0, &guard);
-                (out.prev, out.cur.cloned(), out.applied)
+                (out.prev.cloned(), out.cur.cloned(), out.applied)
             },
             |k| l.get_locked(key::ikey(k), &csds_ebr::pin()).copied(),
             2_000,

@@ -122,9 +122,9 @@ impl<V: Clone + Send + Sync> HarrisList<V> {
     }
 }
 
-impl<V: Clone + Send + Sync> HarrisList<V> {
+impl<V: Clone + Send + Sync> GuardedMap<V> for HarrisList<V> {
     /// Guard-scoped `get`: clone-free reference valid for `'g`.
-    pub fn get_in<'g>(&'g self, key: u64, guard: &'g Guard) -> Option<&'g V> {
+    fn get_in<'g>(&'g self, key: u64, guard: &'g Guard) -> Option<&'g V> {
         let ikey = key::ikey(key);
         // Pure wait-free traversal: no stores, no cleanup, no restarts.
         // SAFETY: head never retired; traversal pinned.
@@ -146,7 +146,7 @@ impl<V: Clone + Send + Sync> HarrisList<V> {
     }
 
     /// Guard-scoped `insert`.
-    pub fn insert_in(&self, key: u64, value: V, guard: &Guard) -> bool {
+    fn insert_in(&self, key: u64, value: V, guard: &Guard) -> bool {
         let ikey = key::ikey(key);
         let mut new_node: Option<Shared<'_, Node<V>>> = None;
         let mut value = Some(value);
@@ -184,7 +184,7 @@ impl<V: Clone + Send + Sync> HarrisList<V> {
     }
 
     /// Guard-scoped `remove`.
-    pub fn remove_in(&self, key: u64, guard: &Guard) -> Option<V> {
+    fn remove_in(&self, key: u64, guard: &Guard) -> Option<V> {
         let ikey = key::ikey(key);
         loop {
             let (pred, curr) = self.search(ikey, guard);
@@ -234,7 +234,7 @@ impl<V: Clone + Send + Sync> HarrisList<V> {
     }
 
     /// Guard-scoped element count (O(n); quiescently consistent).
-    pub fn len_in(&self, guard: &Guard) -> usize {
+    fn len_in(&self, guard: &Guard) -> usize {
         let mut n = 0;
         // SAFETY: head never retired; traversal pinned.
         let mut curr = unsafe { self.head.load(guard).deref() }.next.load(guard);
@@ -252,7 +252,7 @@ impl<V: Clone + Send + Sync> HarrisList<V> {
     }
 
     /// Guard-scoped emptiness: early-exits at the first unmarked node.
-    pub fn is_empty_in(&self, guard: &Guard) -> bool {
+    fn is_empty_in(&self, guard: &Guard) -> bool {
         // SAFETY: head never retired; traversal pinned.
         let mut curr = unsafe { self.head.load(guard).deref() }.next.load(guard);
         loop {
@@ -278,7 +278,7 @@ impl<V: Clone + Send + Sync> HarrisList<V> {
     /// observes and returns the replaced-in value). Absent key: the
     /// standard publish CAS on `pred.next`. Read-only decisions linearize
     /// at the `value` load.
-    pub fn rmw_in<'g>(&'g self, key: u64, f: RmwFn<'_, V>, guard: &'g Guard) -> RmwOutcome<'g, V> {
+    fn rmw_in<'g>(&'g self, key: u64, f: RmwFn<'_, V>, guard: &'g Guard) -> RmwOutcome<'g, V> {
         let ikey = key::ikey(key);
         loop {
             let (pred, curr) = self.search(ikey, guard);
@@ -364,32 +364,6 @@ impl<V: Clone + Send + Sync> HarrisList<V> {
                 }
             }
         }
-    }
-}
-
-impl<V: Clone + Send + Sync> GuardedMap<V> for HarrisList<V> {
-    fn get_in<'g>(&'g self, key: u64, guard: &'g Guard) -> Option<&'g V> {
-        HarrisList::get_in(self, key, guard)
-    }
-
-    fn insert_in(&self, key: u64, value: V, guard: &Guard) -> bool {
-        HarrisList::insert_in(self, key, value, guard)
-    }
-
-    fn remove_in(&self, key: u64, guard: &Guard) -> Option<V> {
-        HarrisList::remove_in(self, key, guard)
-    }
-
-    fn len_in(&self, guard: &Guard) -> usize {
-        HarrisList::len_in(self, guard)
-    }
-
-    fn is_empty_in(&self, guard: &Guard) -> bool {
-        HarrisList::is_empty_in(self, guard)
-    }
-
-    fn rmw_in<'g>(&'g self, key: u64, f: RmwFn<'_, V>, guard: &'g Guard) -> RmwOutcome<'g, V> {
-        HarrisList::rmw_in(self, key, f, guard)
     }
 }
 

@@ -6,17 +6,23 @@
 //!
 //! * `get` traverses `next` pointers with **no stores and no restarts**;
 //! * updates **parse** to the `(pred, curr)` window without synchronization,
-//!   then lock only `pred` (insert) or `pred` and `curr` (remove), validate
-//!   (`!pred.marked && !curr.marked && pred.next == curr`), and apply;
+//!   then lock only `pred` (a link) or `pred` and `curr` (a replace or an
+//!   unlink), validate (`!pred.marked && !curr.marked && pred.next ==
+//!   curr`), and apply;
 //! * removal is **lazy**: mark `curr` (logical delete), then unlink
 //!   (physical delete); readers ignore marked nodes.
 //!
-//! In [`SyncMode::Elision`] the write phase runs as an emulated hardware
-//! transaction instead of taking the per-node locks (paper §5.4); the
-//! validation becomes the transaction's read set and the two stores its
-//! write set. When speculation gives up, the operation runs the one locked
-//! write phase, which enters the region after its last lock and before it
-//! validates.
+//! `insert_in`, `remove_in` and `rmw_in` run one write loop, `write`: it
+//! parses, asks its caller's decision (keep, put a value, or remove) about
+//! the node found, and makes that one write through `apply`. A stale window
+//! parses and decides again.
+//!
+//! In [`SyncMode::Elision`] a link or an unlink first runs as an emulated
+//! hardware transaction instead of taking the per-node locks (paper §5.4);
+//! the validation becomes the transaction's read set and the stores its
+//! write set. A replace, and a write whose speculation gave up, run the one
+//! locked write phase, which enters the region after its last lock and
+//! before it validates.
 
 use csds_sync::atomic::{AtomicUsize, Ordering};
 
@@ -25,6 +31,7 @@ use csds_htm::{attempt_elision, Elided, SpecStep, TxRegion};
 use csds_sync::{lock_guard, RawMutex, TasLock};
 
 use crate::key::{self, HEAD_IKEY, TAIL_IKEY};
+use crate::write::{Decide, Insert, Remove, Write, Written};
 use crate::{GuardedMap, RmwFn, RmwOutcome, SyncMode, ELISION_RETRIES};
 
 /// `marked` state: node is live.
@@ -33,7 +40,7 @@ const LIVE: usize = 0;
 /// absent).
 const DELETED: usize = 1;
 /// `marked` state: node was atomically replaced by a same-key node carrying
-/// a new value ([`LazyList::rmw_in`]). The key is still present; readers
+/// a new value (a put on a present key). The key is still present; readers
 /// that raced onto this node return its (now stale) value and linearize
 /// before the replacement, while writer validation (`marked != 0`) treats
 /// the node as gone.
@@ -133,320 +140,142 @@ impl<V: Clone + Send + Sync, L: RawMutex + 'static> LazyList<V, L> {
         }
     }
 
-    /// Guard-scoped `get`: clone-free reference valid for `'g`.
-    pub fn get_in<'g>(&'g self, key: u64, guard: &'g Guard) -> Option<&'g V> {
-        let ikey = key::ikey(key);
-        let (_, curr_s) = self.search(ikey, guard);
-        // SAFETY: pinned.
-        let curr = unsafe { curr_s.deref() };
-        if curr.key == ikey && !curr.is_deleted() {
-            curr.value.as_ref()
-        } else {
-            None
-        }
-    }
-
-    /// Guard-scoped `insert`.
-    pub fn insert_in(&self, key: u64, value: V, guard: &Guard) -> bool {
-        let ikey = key::ikey(key);
-        // The new node is allocated once and reused across restarts.
-        let mut new_node: Option<Shared<'_, Node<V, L>>> = None;
-        let mut value = Some(value);
-        loop {
-            let (pred_s, curr_s) = self.search(ikey, guard);
-            // SAFETY: pinned.
-            let pred = unsafe { pred_s.deref() };
-            let curr = unsafe { curr_s.deref() };
-            if curr.key == ikey {
-                if curr.is_marked() {
-                    // A removal of the same key is mid-flight; re-parse.
-                    csds_metrics::restart();
-                    continue;
-                }
-                if let Some(n) = new_node.take() {
-                    // SAFETY: never published; we still own the allocation.
-                    unsafe { drop(n.into_box()) };
-                }
-                return false;
-            }
-            let new_s = *new_node.get_or_insert_with(|| {
-                Shared::boxed(Node {
-                    key: ikey,
-                    value: value.take(),
-                    lock: L::new(),
-                    marked: AtomicUsize::new(0),
-                    next: Atomic::null(),
-                })
-            });
-            // SAFETY: `new_s` is unpublished; we have exclusive access.
-            unsafe { new_s.deref() }.next.store(curr_s);
-
-            if let Some(region) = &self.region {
-                match attempt_elision(region, ELISION_RETRIES, |tx| {
-                    if tx.read(&pred.marked) != 0 {
-                        return SpecStep::Invalid;
-                    }
-                    if tx.read(pred.next.as_raw_atomic()) != curr_s.as_raw() {
-                        return SpecStep::Invalid;
-                    }
-                    tx.write(pred.next.as_raw_atomic(), new_s.as_raw());
-                    SpecStep::Commit(())
-                }) {
-                    Elided::Committed(()) => return true,
-                    Elided::Invalid => {
-                        csds_metrics::restart();
-                        continue;
-                    }
-                    Elided::FellBack => {}
-                }
-            }
-
-            if self.link_locked(pred, curr_s, new_s, guard) {
-                return true;
-            }
-        }
-    }
-
-    /// The locked write phase of an absent key, shared by `insert_in` and
-    /// `rmw_in`: lock `pred`, (elision mode) enter the region, validate the
-    /// window, link `new_s` (whose `next` already points at `curr_s`).
-    /// Linearizes at the `pred.next` store. `false` means the window went
-    /// stale and the caller re-parses; `new_s` is still the caller's.
-    fn link_locked(
-        &self,
-        pred: &Node<V, L>,
-        curr_s: Shared<'_, Node<V, L>>,
-        new_s: Shared<'_, Node<V, L>>,
-        guard: &Guard,
-    ) -> bool {
-        let _g = lock_guard(&pred.lock);
-        let _fb = self.region.as_ref().map(TxRegion::enter_fallback);
-        // SAFETY: pinned.
-        let curr = unsafe { curr_s.deref() };
-        if pred.is_marked() || curr.is_marked() || pred.next.load(guard) != curr_s {
-            csds_metrics::restart();
-            return false;
-        }
-        pred.next.store(new_s);
-        true
-    }
-
-    /// Guard-scoped `remove`.
-    pub fn remove_in(&self, key: u64, guard: &Guard) -> Option<V> {
+    /// The write loop behind `insert_in`, `remove_in` and `rmw_in`: parse
+    /// to the `(pred, curr)` window, decide on what it holds, then write
+    /// through [`apply`](Self::apply); a stale window parses and decides
+    /// again. A `SUPERSEDED` `curr` re-parses before the decision: its key
+    /// lives on in the replacing node. A `DELETED` one reads as absent, and
+    /// a put waits for the remover to unlink it. Read-only decisions
+    /// linearize at the parse's observation of `curr`.
+    fn write<'g>(
+        &'g self,
+        key: u64,
+        mut decide: impl Decide<V>,
+        guard: &'g Guard,
+    ) -> Written<'g, V> {
         let ikey = key::ikey(key);
         loop {
             let (pred_s, curr_s) = self.search(ikey, guard);
             // SAFETY: pinned.
-            let pred = unsafe { pred_s.deref() };
-            let curr = unsafe { curr_s.deref() };
-            if curr.key != ikey {
-                return None;
-            }
-            match curr.marked.load(Ordering::Acquire) {
-                // Already logically deleted by someone else.
-                DELETED => return None,
-                // Replaced by a same-key node: the key is still present in
-                // its new node; re-parse and remove that one.
-                SUPERSEDED => {
-                    csds_metrics::restart();
-                    continue;
-                }
-                _ => {}
-            }
-
-            if let Some(region) = &self.region {
-                match attempt_elision(region, ELISION_RETRIES, |tx| {
-                    if tx.read(&pred.marked) != 0 || tx.read(&curr.marked) != 0 {
-                        return SpecStep::Invalid;
-                    }
-                    if tx.read(pred.next.as_raw_atomic()) != curr_s.as_raw() {
-                        return SpecStep::Invalid;
-                    }
-                    let succ = tx.read(curr.next.as_raw_atomic());
-                    tx.write(&curr.marked, 1);
-                    tx.write(pred.next.as_raw_atomic(), succ);
-                    SpecStep::Commit(())
-                }) {
-                    Elided::Committed(()) => {
-                        let v = curr.value.clone();
-                        // SAFETY: `curr` is unlinked (committed atomically)
-                        // and retired exactly once by this remover.
-                        unsafe { guard.defer_drop(curr_s) };
-                        return v;
-                    }
-                    Elided::Invalid => {
-                        csds_metrics::restart();
-                        continue;
-                    }
-                    Elided::FellBack => {}
-                }
-            }
-
-            // Write phase: lock pred and curr in list order, (elision mode)
-            // enter the region, validate, mark and unlink.
-            let gp = lock_guard(&pred.lock);
-            let gc = lock_guard(&curr.lock);
-            let fb = self.region.as_ref().map(TxRegion::enter_fallback);
-            if pred.is_marked() || curr.is_marked() || pred.next.load(guard) != curr_s {
-                drop(fb);
-                drop(gc);
-                drop(gp);
+            let (pred, curr) = unsafe { (pred_s.deref(), curr_s.deref()) };
+            let found = curr.key == ikey;
+            let state = curr.marked.load(Ordering::Acquire);
+            if found && state == SUPERSEDED {
                 csds_metrics::restart();
                 continue;
             }
-            curr.marked.store(1, Ordering::Release); // logical delete
-            pred.next.store(curr.next.load(guard)); // physical delete
-            drop(fb);
-            drop(gc);
-            drop(gp);
-            let v = curr.value.clone();
-            // SAFETY: `curr` is unlinked; only this remover retires it (the
-            // marked flag flipped under both locks guarantees uniqueness).
-            unsafe { guard.defer_drop(curr_s) };
-            return v;
-        }
-    }
-
-    /// Guard-scoped element count (O(n); quiescently consistent).
-    pub fn len_in(&self, guard: &Guard) -> usize {
-        let mut n = 0;
-        // SAFETY: head never retired; traversal is pinned.
-        let mut curr = unsafe { self.head.load(guard).deref() }.next.load(guard);
-        loop {
-            // SAFETY: pinned traversal.
-            let c = unsafe { curr.deref() };
-            if c.key == TAIL_IKEY {
-                return n;
-            }
-            if !c.is_deleted() {
-                n += 1;
-            }
-            curr = c.next.load(guard);
-        }
-    }
-
-    /// Guard-scoped atomic closure RMW; the native override behind
-    /// [`GuardedMap::rmw_in`].
-    ///
-    /// Present key: the write phase locks `pred` and `curr` (the same
-    /// discipline as `remove_in`), re-validates the window, and atomically
-    /// replaces `curr` with a fresh same-key node carrying the closure's
-    /// value — the old node is marked `SUPERSEDED` and unlinked in the
-    /// same critical section, so no reader can observe the key absent.
-    /// **Linearization point: the `pred.next` store** (lock release order
-    /// for racing writers). Absent key: the insert linearizes at the
-    /// `pred.next` store of the standard insert write phase. Read-only
-    /// decisions linearize at the parse phase's observation of `curr`.
-    pub fn rmw_in<'g>(&'g self, key: u64, f: RmwFn<'_, V>, guard: &'g Guard) -> RmwOutcome<'g, V> {
-        let ikey = key::ikey(key);
-        loop {
-            let (pred_s, curr_s) = self.search(ikey, guard);
-            // SAFETY: pinned.
-            let pred = unsafe { pred_s.deref() };
-            let curr = unsafe { curr_s.deref() };
-            if curr.key == ikey {
-                if curr.is_marked() {
-                    // Deleted (await unlink) or superseded (stale window):
-                    // re-parse either way.
+            let cur = (found && state == LIVE)
+                .then(|| curr.value.as_ref().expect("live node holds a value"));
+            let new_s = match decide.decide(cur) {
+                Write::Keep => return Written::kept(cur),
+                Write::Put(v) if found && cur.is_none() => {
+                    decide.unapplied(v);
                     csds_metrics::restart();
                     continue;
                 }
-                let current = curr.value.as_ref().expect("live node holds a value");
-                let Some(new_value) = f(Some(current)) else {
-                    // Read-only decision: linearizes at the parse.
-                    return RmwOutcome {
-                        prev: Some(current.clone()),
-                        cur: Some(current),
-                        applied: false,
-                    };
-                };
-                // Write phase: both locks, fallback seq-lock (elision mode)
-                // held across validation *and* stores.
-                let gp = lock_guard(&pred.lock);
-                let gc = lock_guard(&curr.lock);
-                let fb = self.region.as_ref().map(TxRegion::enter_fallback);
-                if pred.is_marked() || curr.is_marked() || pred.next.load(guard) != curr_s {
-                    drop(fb);
-                    drop(gc);
-                    drop(gp);
-                    csds_metrics::restart();
-                    continue;
-                }
-                let new_s = Shared::boxed(Node {
+                Write::Put(v) => Some(Shared::boxed(Node {
                     key: ikey,
-                    value: Some(new_value),
+                    value: Some(v),
                     lock: L::new(),
                     marked: AtomicUsize::new(LIVE),
                     next: Atomic::null(),
-                });
-                // SAFETY: unpublished; `curr.next` is stable under `gc`
-                // (any writer of that edge locks `curr` first).
-                unsafe { new_s.deref() }.next.store(curr.next.load(guard));
-                curr.marked.store(SUPERSEDED, Ordering::Release);
-                pred.next.store(new_s); // linearization point
-                drop(fb);
-                drop(gc);
-                drop(gp);
-                let prev = curr.value.clone();
-                // SAFETY: unlinked under both locks; the SUPERSEDED
-                // transition makes this replacer the unique retirer.
-                unsafe { guard.defer_drop(curr_s) };
+                })),
+                Write::Remove => None,
+            };
+            if self.apply(pred, curr_s, cur.is_some(), new_s, guard) {
+                if cur.is_some() {
+                    // SAFETY: unlinked by this writer, whose mark (under
+                    // both locks, or committed) makes it the unique retirer.
+                    unsafe { guard.defer_drop(curr_s) };
+                }
                 // SAFETY: published; pinned.
-                let cur = unsafe { new_s.deref() }.value.as_ref();
-                return RmwOutcome {
-                    prev,
-                    cur,
-                    applied: true,
-                };
+                let put = new_s.and_then(|n| unsafe { n.deref() }.value.as_ref());
+                return Written::wrote(cur, put);
             }
-            // Absent.
-            let Some(new_value) = f(None) else {
-                return RmwOutcome {
-                    prev: None,
-                    cur: None,
-                    applied: false,
-                };
-            };
-            let new_s = Shared::boxed(Node {
-                key: ikey,
-                value: Some(new_value),
-                lock: L::new(),
-                marked: AtomicUsize::new(LIVE),
-                next: Atomic::null(),
-            });
-            // SAFETY: unpublished.
-            unsafe { new_s.deref() }.next.store(curr_s);
-            if !self.link_locked(pred, curr_s, new_s, guard) {
-                // SAFETY: never published; the closure re-runs against the
-                // re-parsed window.
-                unsafe { drop(new_s.into_box()) };
-                continue;
+            csds_metrics::restart();
+            if let Some(n) = new_s {
+                // SAFETY: never published; the value goes back to the
+                // decision.
+                decide.unapplied(
+                    unsafe { n.into_box() }
+                        .value
+                        .expect("put nodes hold a value"),
+                );
             }
-            // SAFETY: published; pinned.
-            let cur = unsafe { new_s.deref() }.value.as_ref();
-            return RmwOutcome {
-                prev: None,
-                cur,
-                applied: true,
-            };
         }
     }
 
-    /// Guard-scoped emptiness: early-exits at the first live node.
-    pub fn is_empty_in(&self, guard: &Guard) -> bool {
-        // SAFETY: head never retired; traversal is pinned.
-        let mut curr = unsafe { self.head.load(guard).deref() }.next.load(guard);
-        loop {
-            // SAFETY: pinned traversal.
-            let c = unsafe { curr.deref() };
-            if c.key == TAIL_IKEY {
-                return true;
-            }
-            if !c.is_deleted() {
-                return false;
-            }
-            curr = c.next.load(guard);
+    /// One write on the parsed window: link `new_s` in front of `curr`
+    /// (`present` false), replace a present `curr` by `new_s`, or unlink it
+    /// (`new_s` `None`). In elision mode a link or an unlink speculates
+    /// first, with the read and write sets insert and remove have always
+    /// had; a replace goes straight to the locks. The locked write locks
+    /// `pred` (and a present `curr`, in list order), enters the region in
+    /// elision mode, validates the window and stores. A link or a replace
+    /// linearizes at the `pred.next` store, an unlink at its `DELETED`
+    /// mark; a replaced node is marked `SUPERSEDED` in the same critical
+    /// section, so no reader sees the key absent. `false`: the window went
+    /// stale, and `new_s`, never published, is still the caller's.
+    fn apply(
+        &self,
+        pred: &Node<V, L>,
+        curr_s: Shared<'_, Node<V, L>>,
+        present: bool,
+        new_s: Option<Shared<'_, Node<V, L>>>,
+        guard: &Guard,
+    ) -> bool {
+        // SAFETY: pinned.
+        let curr = unsafe { curr_s.deref() };
+        if let Some(n) = new_s {
+            // SAFETY: unpublished; a replace re-points it under the locks.
+            unsafe { n.deref() }.next.store(curr_s);
         }
+        if let (Some(region), false) = (&self.region, present && new_s.is_some()) {
+            let link = pred.next.as_raw_atomic();
+            match attempt_elision(region, ELISION_RETRIES, |tx| {
+                if tx.read(&pred.marked) != 0
+                    || (present && tx.read(&curr.marked) != 0)
+                    || tx.read(link) != curr_s.as_raw()
+                {
+                    return SpecStep::Invalid;
+                }
+                if let Some(n) = new_s {
+                    tx.write(link, n.as_raw());
+                } else {
+                    let succ = tx.read(curr.next.as_raw_atomic());
+                    tx.write(&curr.marked, DELETED);
+                    tx.write(link, succ);
+                }
+                SpecStep::Commit(())
+            }) {
+                Elided::Committed(()) => return true,
+                Elided::Invalid => return false,
+                Elided::FellBack => {}
+            }
+        }
+        let _gp = lock_guard(&pred.lock);
+        let _gc = present.then(|| lock_guard(&curr.lock));
+        let _fb = self.region.as_ref().map(TxRegion::enter_fallback);
+        if pred.is_marked() || curr.is_marked() || pred.next.load(guard) != curr_s {
+            return false;
+        }
+        // `curr.next` is stable under `curr`'s lock: any writer of that edge
+        // locks `curr` first.
+        let succ = if present {
+            curr.next.load(guard)
+        } else {
+            curr_s
+        };
+        if present {
+            let mark = if new_s.is_some() { SUPERSEDED } else { DELETED };
+            curr.marked.store(mark, Ordering::Release);
+        }
+        pred.next.store(new_s.map_or(succ, |n| {
+            // SAFETY: unpublished.
+            unsafe { n.deref() }.next.store(succ);
+            n
+        }));
+        true
     }
 
     /// Snapshot of the user keys currently present (racy but memory-safe;
@@ -471,28 +300,66 @@ impl<V: Clone + Send + Sync, L: RawMutex + 'static> LazyList<V, L> {
 }
 
 impl<V: Clone + Send + Sync, L: RawMutex + 'static> GuardedMap<V> for LazyList<V, L> {
+    /// Clone-free reference valid for `'g`; no stores, no restarts.
     fn get_in<'g>(&'g self, key: u64, guard: &'g Guard) -> Option<&'g V> {
-        LazyList::get_in(self, key, guard)
+        let ikey = key::ikey(key);
+        let (_, curr_s) = self.search(ikey, guard);
+        // SAFETY: pinned.
+        let curr = unsafe { curr_s.deref() };
+        if curr.key == ikey && !curr.is_deleted() {
+            curr.value.as_ref()
+        } else {
+            None
+        }
     }
 
     fn insert_in(&self, key: u64, value: V, guard: &Guard) -> bool {
-        LazyList::insert_in(self, key, value, guard)
+        self.write(key, Insert(Some(value)), guard).applied
     }
 
     fn remove_in(&self, key: u64, guard: &Guard) -> Option<V> {
-        LazyList::remove_in(self, key, guard)
+        self.write(key, Remove, guard).prev.cloned()
     }
 
     fn len_in(&self, guard: &Guard) -> usize {
-        LazyList::len_in(self, guard)
+        let mut n = 0;
+        // SAFETY: head never retired; traversal is pinned.
+        let mut curr = unsafe { self.head.load(guard).deref() }.next.load(guard);
+        loop {
+            // SAFETY: pinned traversal.
+            let c = unsafe { curr.deref() };
+            if c.key == TAIL_IKEY {
+                return n;
+            }
+            if !c.is_deleted() {
+                n += 1;
+            }
+            curr = c.next.load(guard);
+        }
     }
 
+    /// Early-exits at the first live node.
     fn is_empty_in(&self, guard: &Guard) -> bool {
-        LazyList::is_empty_in(self, guard)
+        // SAFETY: head never retired; traversal is pinned.
+        let mut curr = unsafe { self.head.load(guard).deref() }.next.load(guard);
+        loop {
+            // SAFETY: pinned traversal.
+            let c = unsafe { curr.deref() };
+            if c.key == TAIL_IKEY {
+                return true;
+            }
+            if !c.is_deleted() {
+                return false;
+            }
+            curr = c.next.load(guard);
+        }
     }
 
+    /// The write loop with the closure's decision: a present key is
+    /// replaced by a fresh same-key node, an absent one linked as insert
+    /// links it; both linearize at the `pred.next` store.
     fn rmw_in<'g>(&'g self, key: u64, f: RmwFn<'_, V>, guard: &'g Guard) -> RmwOutcome<'g, V> {
-        LazyList::rmw_in(self, key, f, guard)
+        self.write(key, f, guard).into()
     }
 }
 

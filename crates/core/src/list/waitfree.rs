@@ -615,43 +615,6 @@ impl<V: Clone + Send + Sync> WaitFreeList<V> {
         let d = unsafe { Shared::<OpDesc<V>>::from_raw(l.desc).deref() };
         d.state.load(Ordering::Acquire) == node.as_raw()
     }
-}
-
-impl<V: Clone + Send + Sync> WaitFreeList<V> {
-    /// Guard-scoped `get`: clone-free reference valid for `'g`.
-    pub fn get_in<'g>(&'g self, key: u64, guard: &'g Guard) -> Option<&'g V> {
-        let ikey = key::ikey(key);
-        // Store-free traversal: node → link → node, skipping deleted nodes;
-        // never helps, never restarts.
-        // SAFETY: pinned read-only traversal.
-        unsafe {
-            let mut link = self.head.load(guard).deref().link.load(guard);
-            loop {
-                let l = link.deref();
-                let node_s = Shared::<Node<V>>::from_raw(l.succ);
-                let node = node_s.deref();
-                if node.key >= ikey {
-                    if node.key != ikey {
-                        return None;
-                    }
-                    let nl = node.link.load(guard);
-                    return if Self::link_says_deleted(node_s, nl.deref()) {
-                        None
-                    } else {
-                        // Null: a racing remove (committed after our link
-                        // check) already claimed the value — absent.
-                        node.value.load(guard).as_ref()
-                    };
-                }
-                link = node.link.load(guard);
-            }
-        }
-    }
-
-    /// Guard-scoped `insert`.
-    pub fn insert_in(&self, key: u64, value: V, guard: &Guard) -> bool {
-        self.insert_op(key::ikey(key), value, guard).is_some()
-    }
 
     /// Insert machinery shared by [`insert_in`](Self::insert_in) and
     /// [`rmw_in`](Self::rmw_in): announce, help, run. Returns a reference
@@ -699,9 +662,46 @@ impl<V: Clone + Send + Sync> WaitFreeList<V> {
             None
         }
     }
+}
+
+impl<V: Clone + Send + Sync> GuardedMap<V> for WaitFreeList<V> {
+    /// Guard-scoped `get`: clone-free reference valid for `'g`.
+    fn get_in<'g>(&'g self, key: u64, guard: &'g Guard) -> Option<&'g V> {
+        let ikey = key::ikey(key);
+        // Store-free traversal: node → link → node, skipping deleted nodes;
+        // never helps, never restarts.
+        // SAFETY: pinned read-only traversal.
+        unsafe {
+            let mut link = self.head.load(guard).deref().link.load(guard);
+            loop {
+                let l = link.deref();
+                let node_s = Shared::<Node<V>>::from_raw(l.succ);
+                let node = node_s.deref();
+                if node.key >= ikey {
+                    if node.key != ikey {
+                        return None;
+                    }
+                    let nl = node.link.load(guard);
+                    return if Self::link_says_deleted(node_s, nl.deref()) {
+                        None
+                    } else {
+                        // Null: a racing remove (committed after our link
+                        // check) already claimed the value — absent.
+                        node.value.load(guard).as_ref()
+                    };
+                }
+                link = node.link.load(guard);
+            }
+        }
+    }
+
+    /// Guard-scoped `insert`.
+    fn insert_in(&self, key: u64, value: V, guard: &Guard) -> bool {
+        self.insert_op(key::ikey(key), value, guard).is_some()
+    }
 
     /// Guard-scoped `remove`.
-    pub fn remove_in(&self, key: u64, guard: &Guard) -> Option<V> {
+    fn remove_in(&self, key: u64, guard: &Guard) -> Option<V> {
         let ikey = key::ikey(key);
         let desc = Shared::boxed(OpDesc::<V> {
             phase: self.new_phase(),
@@ -736,6 +736,28 @@ impl<V: Clone + Send + Sync> WaitFreeList<V> {
         }
     }
 
+    /// Guard-scoped element count (O(n); quiescently consistent).
+    fn len_in(&self, guard: &Guard) -> usize {
+        let mut n = 0;
+        // SAFETY: pinned read-only traversal (same shape as `keys`).
+        unsafe {
+            let mut link = self.head.load(guard).deref().link.load(guard);
+            loop {
+                let l = link.deref();
+                let node_s = Shared::<Node<V>>::from_raw(l.succ);
+                let node = node_s.deref();
+                if node.key == TAIL_IKEY {
+                    return n;
+                }
+                let nl_s = node.link.load(guard);
+                if !Self::link_says_deleted(node_s, nl_s.deref()) {
+                    n += 1;
+                }
+                link = nl_s;
+            }
+        }
+    }
+
     /// Guard-scoped atomic closure RMW; the native override behind
     /// [`GuardedMap::rmw_in`] — value-pointer replacement (see `Node`).
     /// **Linearization point: the successful CAS on the node's `value`
@@ -743,7 +765,7 @@ impl<V: Clone + Send + Sync> WaitFreeList<V> {
     /// underlying insert for an absent one, the `value` load for read-only
     /// decisions. Lock-free (the value CAS is not helped); the basic
     /// vocabulary retains its wait-free protocol.
-    pub fn rmw_in<'g>(&'g self, key: u64, f: RmwFn<'_, V>, guard: &'g Guard) -> RmwOutcome<'g, V> {
+    fn rmw_in<'g>(&'g self, key: u64, f: RmwFn<'_, V>, guard: &'g Guard) -> RmwOutcome<'g, V> {
         let ikey = key::ikey(key);
         loop {
             let w = self.search(ikey, guard);
@@ -814,46 +836,6 @@ impl<V: Clone + Send + Sync> WaitFreeList<V> {
         }
     }
 
-    /// Guard-scoped element count (O(n); quiescently consistent).
-    pub fn len_in(&self, guard: &Guard) -> usize {
-        let mut n = 0;
-        // SAFETY: pinned read-only traversal (same shape as `keys`).
-        unsafe {
-            let mut link = self.head.load(guard).deref().link.load(guard);
-            loop {
-                let l = link.deref();
-                let node_s = Shared::<Node<V>>::from_raw(l.succ);
-                let node = node_s.deref();
-                if node.key == TAIL_IKEY {
-                    return n;
-                }
-                let nl_s = node.link.load(guard);
-                if !Self::link_says_deleted(node_s, nl_s.deref()) {
-                    n += 1;
-                }
-                link = nl_s;
-            }
-        }
-    }
-}
-
-impl<V: Clone + Send + Sync> GuardedMap<V> for WaitFreeList<V> {
-    fn get_in<'g>(&'g self, key: u64, guard: &'g Guard) -> Option<&'g V> {
-        WaitFreeList::get_in(self, key, guard)
-    }
-
-    fn insert_in(&self, key: u64, value: V, guard: &Guard) -> bool {
-        WaitFreeList::insert_in(self, key, value, guard)
-    }
-
-    fn remove_in(&self, key: u64, guard: &Guard) -> Option<V> {
-        WaitFreeList::remove_in(self, key, guard)
-    }
-
-    fn len_in(&self, guard: &Guard) -> usize {
-        WaitFreeList::len_in(self, guard)
-    }
-
     fn is_empty_in(&self, guard: &Guard) -> bool {
         // Early-exit walk: stops at the first live node.
         // SAFETY: pinned read-only traversal (same shape as `len_in`).
@@ -873,10 +855,6 @@ impl<V: Clone + Send + Sync> GuardedMap<V> for WaitFreeList<V> {
                 link = nl_s;
             }
         }
-    }
-
-    fn rmw_in<'g>(&'g self, key: u64, f: RmwFn<'_, V>, guard: &'g Guard) -> RmwOutcome<'g, V> {
-        WaitFreeList::rmw_in(self, key, f, guard)
     }
 }
 

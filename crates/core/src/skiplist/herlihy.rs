@@ -9,7 +9,14 @@
 //!   (`!pred.marked && !succ.marked && pred.next(l) == succ`), links the new
 //!   tower bottom-up and finally sets `fully_linked`;
 //! * `remove` locks the victim, sets `marked` (linearization point), then
-//!   locks the predecessors and unlinks every level.
+//!   locks the predecessors and unlinks every level;
+//! * an RMW replaces a present key's tower with a fresh one of the same
+//!   height under the victim's and the predecessors' locks.
+//!
+//! The three updates run one write loop, `write`: it parses, asks its
+//! caller's decision (keep, put a value, or remove) about the tower found,
+//! and makes that one write — a link or a replace through `put`, an unlink
+//! through the marked victim and `unlink_locked`.
 
 // Per-level windows live in fixed arrays indexed by level; iterating the
 // level as an index keeps preds/succs visibly in lockstep.
@@ -30,6 +37,7 @@ use crate::key::{self, HEAD_IKEY, TAIL_IKEY};
 use crate::skiplist::{
     alloc_node, free_all, node, random_level, reclaim, retire, Header, MAX_LEVEL,
 };
+use crate::write::{Decide, Insert, Remove, Write, Written};
 use crate::{GuardedMap, RmwFn, RmwOutcome, SyncMode, ELISION_RETRIES};
 
 /// `marked` state: node is live.
@@ -37,7 +45,7 @@ const LIVE: usize = 0;
 /// `marked` state: node is logically deleted.
 const DELETED: usize = 1;
 /// `marked` state: the whole tower was atomically replaced by a same-key
-/// tower carrying a new value ([`HerlihySkipList::rmw_in`]). The key is
+/// tower carrying a new value (a put on a present key). The key is
 /// still present; readers that raced onto this tower return its (stale)
 /// value and linearize before the replacement, while writer validation
 /// (`marked != 0`) treats it as gone.
@@ -211,245 +219,282 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
         true
     }
 
-    /// Guard-scoped `insert`.
-    pub fn insert_in(&self, ukey: u64, value: V, guard: &Guard) -> bool {
-        let ikey = key::ikey(ukey);
-        let height = random_level();
-        let top = height - 1;
-        let mut new_node: Option<Shared<'_, Node<V>>> = None;
-        let mut value = Some(value);
-        loop {
-            let ((preds, succs), found) = self.find(ikey, guard);
-            if let Some(lf) = found {
-                // SAFETY: pinned.
-                let n = unsafe { node(succs[lf]) };
-                if !n.is_marked() {
-                    // Wait until it is fully linked, then report "present".
-                    while !n.is_fully_linked() {
-                        std::hint::spin_loop();
-                    }
-                    if let Some(n) = new_node.take() {
-                        // SAFETY: never published.
-                        unsafe { drop(reclaim(n)) };
-                    }
-                    return false;
-                }
-                // Marked: its removal is in flight; re-parse.
-                csds_metrics::restart();
-                continue;
-            }
-            let new_s =
-                *new_node.get_or_insert_with(|| alloc_node(Node::new(ikey, value.take(), height)));
-            // SAFETY: unpublished; exclusive access.
-            let new_ref = unsafe { node(new_s) };
-            for l in 0..=top {
-                new_ref.next(l).store(succs[l]);
-            }
-
-            if let Some(region) = &self.region {
-                // Speculative write phase: validate, link all levels and
-                // publish `fully_linked` in one transaction.
-                match attempt_elision(region, ELISION_RETRIES, |tx| {
-                    for l in 0..=top {
-                        // SAFETY: pinned.
-                        let p = unsafe { node(preds[l]) };
-                        let s = unsafe { node(succs[l]) };
-                        if tx.read(&p.header().marked) != 0 || tx.read(&s.header().marked) != 0 {
-                            return SpecStep::Invalid;
-                        }
-                        if tx.read(p.next(l).as_raw_atomic()) != succs[l].as_raw() {
-                            return SpecStep::Invalid;
-                        }
-                    }
-                    // Written first, so a reader that sees a link sees it.
-                    tx.write(&new_ref.header().fully_linked, 1);
-                    for l in 0..=top {
-                        // SAFETY: pinned.
-                        let p = unsafe { node(preds[l]) };
-                        tx.write(p.next(l).as_raw_atomic(), new_s.as_raw());
-                    }
-                    SpecStep::Commit(())
-                }) {
-                    Elided::Committed(()) => return true,
-                    Elided::Invalid => {
-                        csds_metrics::restart();
-                        continue;
-                    }
-                    Elided::FellBack => {}
-                }
-            }
-
-            if self.link_locked(&preds, &succs, new_s, guard) {
-                return true;
-            }
-        }
-    }
-
-    /// The locked write phase of an absent key, shared by `insert_in` and
-    /// `rmw_in`: lock the distinct predecessors, (elision mode) enter the
-    /// region, validate, link `new_s` (whose successors are already set to
-    /// `succs`) bottom-up, then publish `fully_linked`. Linearizes at that
-    /// `fully_linked` store: until then readers and removers treat the
-    /// tower as absent. `false` means a window went stale and the caller
-    /// re-parses; `new_s` is still the caller's.
-    fn link_locked(
-        &self,
-        preds: &[Shared<'_, Node<V>>; MAX_LEVEL],
-        succs: &[Shared<'_, Node<V>>; MAX_LEVEL],
-        new_s: Shared<'_, Node<V>>,
-        guard: &Guard,
-    ) -> bool {
-        // SAFETY: pinned; unpublished or published by this call.
-        let new_ref = unsafe { node(new_s) };
-        let top = new_ref.top_level();
-        let _guards = Self::lock_preds(preds, top);
-        let _fb = self.region.as_ref().map(TxRegion::enter_fallback);
-        if !self.validate_windows(preds, succs, top, guard) {
-            csds_metrics::restart();
-            return false;
-        }
-        for l in 0..=top {
-            // SAFETY: pinned; locked.
-            unsafe { node(preds[l]) }.next(l).store(new_s);
-        }
-        new_ref.fully_linked.store(1, Ordering::Release);
-        true
-    }
-
-    /// Guard-scoped `remove`.
+    /// The write loop behind `insert_in`, `remove_in` and `rmw_in`: parse
+    /// the per-level windows, decide on the tower found, then write; a
+    /// stale window parses and decides again.
     ///
-    /// In elision mode the victim is marked and unlinked in one speculative
-    /// transaction; once speculation gives up, `speculate` turns off and the
-    /// operation re-finds the victim and takes the locking path.
-    pub fn remove_in(&self, ukey: u64, guard: &Guard) -> Option<V> {
+    /// A `SUPERSEDED` tower re-parses before the decision: its key lives on
+    /// in the replacing tower. A `DELETED` or half-linked tower reads as
+    /// absent, and a put then waits: for the inserter to publish
+    /// `fully_linked` (as insert always has), or for the remover to unlink.
+    /// Read-only decisions linearize at the parse's tower read.
+    ///
+    /// An unlink runs the published algorithm. In elision mode it first
+    /// marks the victim and unlinks every level in one transaction; once
+    /// speculation gives up, `speculate` turns off. The locked unlink locks
+    /// the victim and marks it `DELETED` (the linearization point), then
+    /// holds that lock across re-parses until
+    /// [`unlink_locked`](Self::unlink_locked) succeeds.
+    fn write<'g>(
+        &'g self,
+        ukey: u64,
+        mut decide: impl Decide<V>,
+        guard: &'g Guard,
+    ) -> Written<'g, V> {
         let ikey = key::ikey(ukey);
         let mut speculate = self.region.as_ref();
-        // Locking path: identify, lock and mark the victim once, holding its
-        // lock across retries, as in the published algorithm.
-        let mut victim_s: Option<Shared<'_, Node<V>>> = None;
-        let mut victim_guard: Option<LockGuard<'_, TasLock>> = None;
+        let mut doomed: Option<(Shared<'g, Node<V>>, LockGuard<'g, TasLock>)> = None;
         loop {
-            let ((preds, succs), found) = self.find(ikey, guard);
-            if victim_s.is_none() {
-                let lf = found?;
+            let (windows, found) = self.find(ikey, guard);
+            if doomed.is_none() {
                 // SAFETY: pinned.
-                let v = unsafe { node(succs[lf]) };
-                // Only delete nodes that are fully linked at their full
-                // height and not already marked.
-                if !v.is_fully_linked() || v.top_level() != lf {
-                    return None;
+                let tower = found.map(|lf| (lf, windows.1[lf], unsafe { node(windows.1[lf]) }));
+                let state = tower.map_or(LIVE, |(_, _, v)| v.marked.load(Ordering::Acquire));
+                if state == SUPERSEDED {
+                    csds_metrics::restart();
+                    continue;
                 }
-                match v.marked.load(Ordering::Acquire) {
-                    DELETED => return None,
-                    SUPERSEDED => {
-                        // Replaced by a same-key tower: the key is still
-                        // present; re-parse and remove the replacement.
-                        csds_metrics::restart();
-                        continue;
-                    }
-                    _ => {}
-                }
-
-                if speculate.is_none() {
-                    let g = lock_guard(&v.header().lock);
-                    let fb = self.region.as_ref().map(TxRegion::enter_fallback);
-                    match v.marked.load(Ordering::Acquire) {
-                        DELETED => return None, // lost to another remover
-                        SUPERSEDED => {
-                            drop(fb);
-                            drop(g);
-                            csds_metrics::restart();
+                let present = tower.filter(|&(lf, _, v)| {
+                    state == LIVE && v.is_fully_linked() && v.top_level() == lf
+                });
+                let cur = present
+                    .map(|(_, _, v)| v.header().value.as_ref().expect("live node holds a value"));
+                match decide.decide(cur) {
+                    Write::Keep => return Written::kept(cur),
+                    Write::Put(value) => {
+                        if let (None, Some((_, _, v))) = (present, tower) {
+                            decide.unapplied(value);
+                            if state == LIVE {
+                                while !v.is_fully_linked() {
+                                    std::hint::spin_loop();
+                                }
+                            } else {
+                                csds_metrics::restart();
+                            }
                             continue;
                         }
-                        _ => {}
-                    }
-                    v.marked.store(DELETED, Ordering::Release); // linearization
-                    drop(fb);
-                    victim_guard = Some(g);
-                }
-                victim_s = Some(succs[lf]);
-            }
-            let victim = victim_s.unwrap();
-            // SAFETY: pinned; marked nodes stay reachable until unlinked.
-            let v = unsafe { node(victim) };
-            let top = v.top_level();
-
-            if let Some(region) = speculate {
-                match attempt_elision(region, ELISION_RETRIES, |tx| {
-                    if tx.read(&v.header().marked) != 0 {
-                        return SpecStep::Invalid; // another remover won
-                    }
-                    for l in 0..=top {
-                        // SAFETY: pinned.
-                        let p = unsafe { node(preds[l]) };
-                        if tx.read(&p.header().marked) != 0 {
-                            return SpecStep::Invalid;
-                        }
-                        if tx.read(p.next(l).as_raw_atomic()) != victim.as_raw() {
-                            return SpecStep::Invalid;
+                        let victim = present.map(|(_, victim, _)| victim);
+                        match self.put(ikey, value, &windows, victim, guard) {
+                            Ok(put) => return Written::wrote(cur, Some(put)),
+                            Err(value) => {
+                                decide.unapplied(value);
+                                csds_metrics::restart();
+                                continue;
+                            }
                         }
                     }
-                    tx.write(&v.header().marked, 1);
-                    for l in 0..=top {
-                        // SAFETY: pinned.
-                        let p = unsafe { node(preds[l]) };
-                        let succ = tx.read(v.next(l).as_raw_atomic());
-                        tx.write(p.next(l).as_raw_atomic(), succ);
-                    }
-                    SpecStep::Commit(())
-                }) {
-                    Elided::Committed(()) => {
-                        let out = v.value.clone();
-                        // SAFETY: unlinked at all levels in one commit;
-                        // retired exactly once by this remover.
-                        unsafe { retire(guard, victim) };
-                        return out;
-                    }
-                    Elided::Invalid => {
-                        if v.is_deleted() {
-                            return None; // lost to a concurrent remover
+                    Write::Remove => {
+                        let (_, victim, v) = present.expect("only a present key is removed");
+                        let top = v.top_level();
+                        if let Some(region) = speculate {
+                            match attempt_elision(region, ELISION_RETRIES, |tx| {
+                                if tx.read(&v.header().marked) != 0 {
+                                    return SpecStep::Invalid; // another remover won
+                                }
+                                for l in 0..=top {
+                                    // SAFETY: pinned.
+                                    let p = unsafe { node(windows.0[l]) };
+                                    if tx.read(&p.header().marked) != 0
+                                        || tx.read(p.next(l).as_raw_atomic()) != victim.as_raw()
+                                    {
+                                        return SpecStep::Invalid;
+                                    }
+                                }
+                                tx.write(&v.header().marked, DELETED);
+                                for l in 0..=top {
+                                    // SAFETY: pinned.
+                                    let p = unsafe { node(windows.0[l]) };
+                                    let succ = tx.read(v.next(l).as_raw_atomic());
+                                    tx.write(p.next(l).as_raw_atomic(), succ);
+                                }
+                                SpecStep::Commit(())
+                            }) {
+                                Elided::Committed(()) => {
+                                    // SAFETY: unlinked at all levels in one
+                                    // commit; retired once by this remover.
+                                    unsafe { retire(guard, victim) };
+                                    return Written::wrote(cur, None);
+                                }
+                                // Lost to a concurrent remover.
+                                Elided::Invalid if v.is_deleted() => return Written::kept(None),
+                                Elided::Invalid => csds_metrics::restart(),
+                                Elided::FellBack => speculate = None,
+                            }
+                            continue;
                         }
-                        csds_metrics::restart();
+                        let g = lock_guard(&v.header().lock);
+                        let fb = self.region.as_ref().map(TxRegion::enter_fallback);
+                        match v.marked.load(Ordering::Acquire) {
+                            DELETED => return Written::kept(None), // lost to another remover
+                            SUPERSEDED => {
+                                drop((fb, g));
+                                csds_metrics::restart();
+                                continue;
+                            }
+                            _ => {}
+                        }
+                        v.marked.store(DELETED, Ordering::Release); // linearization point
+                        drop(fb);
+                        doomed = Some((victim, g));
                     }
-                    Elided::FellBack => speculate = None,
-                }
-                victim_s = None;
-                continue;
-            }
-
-            // Locking path: victim already marked and locked; lock preds,
-            // (elision mode) enter the region, validate, unlink.
-            let guards = Self::lock_preds(&preds, top);
-            let fb = self.region.as_ref().map(TxRegion::enter_fallback);
-            let mut valid = true;
-            for l in 0..=top {
-                // SAFETY: pinned.
-                let p = unsafe { node(preds[l]) };
-                if p.is_marked() || p.next(l).load(guard) != victim {
-                    valid = false;
-                    break;
                 }
             }
-            if !valid {
-                drop(fb);
-                drop(guards);
-                csds_metrics::restart();
-                continue; // victim stays marked & locked; re-find windows
+            let victim = doomed
+                .as_ref()
+                .expect("a marked victim awaits its unlink")
+                .0;
+            if self.unlink_locked(&windows.0, victim, guard) {
+                drop(doomed);
+                // SAFETY: pinned; retired below, kept alive for 'g by the pin.
+                let prev = unsafe { node(victim) }.header().value.as_ref();
+                // SAFETY: unlinked at every level; the `DELETED` mark made
+                // this remover the unique retirer.
+                unsafe { retire(guard, victim) };
+                return Written::wrote(prev, None);
             }
-            for l in (0..=top).rev() {
-                // SAFETY: pinned.
-                let p = unsafe { node(preds[l]) };
-                p.next(l).store(v.next(l).load(guard));
-            }
-            drop(fb);
-            drop(guards);
-            drop(victim_guard.take());
-            let out = v.value.clone();
-            // SAFETY: unlinked at every level; retired once by this remover
-            // (uniqueness guaranteed by the marked flag).
-            unsafe { retire(guard, victim) };
-            return out;
+            csds_metrics::restart(); // the victim stays marked and locked
         }
+    }
+
+    /// One put on the parsed windows: link a fresh tower for an absent key,
+    /// or replace the present tower `victim` by a fresh one of the same
+    /// height. In elision mode a link speculates first (validate, publish
+    /// `fully_linked` and link every level in one transaction); a replace
+    /// goes straight to the locks.
+    ///
+    /// The locked write locks the victim and the distinct predecessors,
+    /// enters the region in elision mode and validates every level. A link
+    /// then links bottom-up and linearizes at its `fully_linked` store:
+    /// until then readers and removers treat the tower as absent. A replace
+    /// publishes the new tower fully linked, marks the victim `SUPERSEDED`
+    /// and swings the predecessors top-down, linearizing at level 0, so the
+    /// key is never observably absent. `Err` hands the value back: a window
+    /// went stale.
+    fn put<'g>(
+        &'g self,
+        ikey: u64,
+        value: V,
+        (preds, succs): &Windows<'g, V>,
+        victim: Option<Shared<'g, Node<V>>>,
+        guard: &'g Guard,
+    ) -> Result<&'g V, V> {
+        // SAFETY: pinned.
+        let height = victim.map_or_else(random_level, |v| unsafe { node(v) }.top_level() + 1);
+        let top = height - 1;
+        let new_s = alloc_node(Node::new(ikey, Some(value), height));
+        // SAFETY: unpublished until the write below; pinned after it.
+        let new_ref = unsafe { node(new_s) };
+        for l in 0..=top {
+            new_ref.next(l).store(succs[l]);
+        }
+        let put = || {
+            Ok(new_ref
+                .header()
+                .value
+                .as_ref()
+                .expect("put towers hold a value"))
+        };
+        // SAFETY: never published.
+        let stale = || {
+            Err(unsafe { reclaim(new_s) }
+                .value
+                .expect("put towers hold a value"))
+        };
+        if let (Some(region), None) = (&self.region, victim) {
+            match attempt_elision(region, ELISION_RETRIES, |tx| {
+                for l in 0..=top {
+                    // SAFETY: pinned.
+                    let p = unsafe { node(preds[l]) };
+                    let s = unsafe { node(succs[l]) };
+                    if tx.read(&p.header().marked) != 0
+                        || tx.read(&s.header().marked) != 0
+                        || tx.read(p.next(l).as_raw_atomic()) != succs[l].as_raw()
+                    {
+                        return SpecStep::Invalid;
+                    }
+                }
+                // Written first, so a reader that sees a link sees it.
+                tx.write(&new_ref.header().fully_linked, 1);
+                for l in 0..=top {
+                    // SAFETY: pinned.
+                    let p = unsafe { node(preds[l]) };
+                    tx.write(p.next(l).as_raw_atomic(), new_s.as_raw());
+                }
+                SpecStep::Commit(())
+            }) {
+                Elided::Committed(()) => return put(),
+                Elided::Invalid => return stale(),
+                Elided::FellBack => {}
+            }
+        }
+        // SAFETY: pinned.
+        let vg = victim.map(|v| lock_guard(&unsafe { node(v) }.header().lock));
+        let guards = Self::lock_preds(preds, top);
+        let fb = self.region.as_ref().map(TxRegion::enter_fallback);
+        let expected = victim.map_or(*succs, |v| [v; MAX_LEVEL]);
+        if !self.validate_windows(preds, &expected, top, guard) {
+            drop((fb, guards, vg));
+            return stale();
+        }
+        if let Some(victim) = victim {
+            // SAFETY: pinned; its successors are stable (writers of those
+            // edges lock the victim first).
+            let v = unsafe { node(victim) };
+            for l in 0..=top {
+                new_ref.next(l).store(v.next(l).load(guard));
+            }
+            new_ref.fully_linked.store(1, Ordering::Release);
+            v.marked.store(SUPERSEDED, Ordering::Release);
+            for l in (0..=top).rev() {
+                // SAFETY: pinned; locked. Level 0 last: it is the level
+                // readers and `find` treat as authoritative.
+                unsafe { node(preds[l]) }.next(l).store(new_s);
+            }
+        } else {
+            for l in 0..=top {
+                // SAFETY: pinned; locked.
+                unsafe { node(preds[l]) }.next(l).store(new_s);
+            }
+            new_ref.fully_linked.store(1, Ordering::Release);
+        }
+        drop((fb, guards, vg));
+        if let Some(victim) = victim {
+            // SAFETY: unlinked at every level under the locks; the
+            // `SUPERSEDED` transition makes this writer the unique retirer.
+            unsafe { retire(guard, victim) };
+        }
+        put()
+    }
+
+    /// The locked unlink of a victim its caller has marked `DELETED` and
+    /// holds locked: lock the distinct predecessors, (elision mode) enter
+    /// the region, validate, unlink every level top-down. `false`: a window
+    /// went stale, and the caller re-parses.
+    fn unlink_locked(
+        &self,
+        preds: &[Shared<'_, Node<V>>; MAX_LEVEL],
+        victim: Shared<'_, Node<V>>,
+        guard: &Guard,
+    ) -> bool {
+        // SAFETY: pinned; marked nodes stay reachable until unlinked.
+        let v = unsafe { node(victim) };
+        let top = v.top_level();
+        let _guards = Self::lock_preds(preds, top);
+        let _fb = self.region.as_ref().map(TxRegion::enter_fallback);
+        for l in 0..=top {
+            // SAFETY: pinned.
+            let p = unsafe { node(preds[l]) };
+            if p.is_marked() || p.next(l).load(guard) != victim {
+                return false;
+            }
+        }
+        for l in (0..=top).rev() {
+            // SAFETY: pinned; locked.
+            unsafe { node(preds[l]) }
+                .next(l)
+                .store(v.next(l).load(guard));
+        }
+        true
     }
 
     /// Present user keys (racy but safe; tests/diagnostics).
@@ -468,171 +513,6 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
                 out.push(key::ukey(c.key));
             }
             curr = c.next(0).load(&g);
-        }
-    }
-
-    /// Guard-scoped `get`: clone-free reference valid for `'g`.
-    pub fn get_in<'g>(&'g self, ukey: u64, guard: &'g Guard) -> Option<&'g V> {
-        let ikey = key::ikey(ukey);
-        let ((_, succs), found) = self.find(ikey, guard);
-        let lf = found?;
-        // SAFETY: pinned.
-        let n = unsafe { node(succs[lf]) };
-        if n.is_fully_linked() && !n.is_deleted() {
-            n.header().value.as_ref()
-        } else {
-            None
-        }
-    }
-
-    /// Guard-scoped element count (O(n); quiescently consistent).
-    pub fn len_in(&self, guard: &Guard) -> usize {
-        let mut n = 0;
-        // SAFETY: pinned bottom-level traversal.
-        let mut curr = unsafe { node(self.head.load(guard)) }.next(0).load(guard);
-        loop {
-            // SAFETY: pinned.
-            let c = unsafe { node(curr) };
-            if c.key == TAIL_IKEY {
-                return n;
-            }
-            if !c.is_deleted() && c.is_fully_linked() {
-                n += 1;
-            }
-            curr = c.next(0).load(guard);
-        }
-    }
-
-    /// Guard-scoped emptiness: bottom-level walk that early-exits at the
-    /// first live node instead of the default full O(n) count.
-    pub fn is_empty_in(&self, guard: &Guard) -> bool {
-        // SAFETY: pinned bottom-level traversal.
-        let mut curr = unsafe { node(self.head.load(guard)) }.next(0).load(guard);
-        loop {
-            // SAFETY: pinned.
-            let c = unsafe { node(curr) };
-            if c.key == TAIL_IKEY {
-                return true;
-            }
-            if !c.is_deleted() && c.is_fully_linked() {
-                return false;
-            }
-            curr = c.next(0).load(guard);
-        }
-    }
-
-    /// Guard-scoped atomic closure RMW; the native override behind
-    /// [`GuardedMap::rmw_in`].
-    ///
-    /// Present key: the write phase locks the victim and its distinct
-    /// predecessors (the `remove` discipline), validates every level, then
-    /// swaps in a **fresh tower of the same height** — each level's
-    /// predecessor pointer is swung to the replacement while the old tower
-    /// is marked `SUPERSEDED`, all inside the critical section, so the
-    /// key is never observably absent. **Linearization point: the level-0
-    /// predecessor store.** Absent key: the insert write phase
-    /// (`link_locked`; linearizes at the `fully_linked` store). Read-only
-    /// decisions linearize at the parse phase's tower read.
-    pub fn rmw_in<'g>(&'g self, ukey: u64, f: RmwFn<'_, V>, guard: &'g Guard) -> RmwOutcome<'g, V> {
-        let ikey = key::ikey(ukey);
-        loop {
-            let ((preds, succs), found) = self.find(ikey, guard);
-            if let Some(lf) = found {
-                let victim = succs[lf];
-                // SAFETY: pinned.
-                let v = unsafe { node(victim) };
-                if !v.is_fully_linked() || v.top_level() != lf || v.is_marked() {
-                    // Half-built, deleted, or superseded: in every case the
-                    // authoritative state is only a re-parse away.
-                    csds_metrics::restart();
-                    continue;
-                }
-                let current = v.header().value.as_ref().expect("live node holds a value");
-                let Some(new_value) = f(Some(current)) else {
-                    return RmwOutcome {
-                        prev: Some(current.clone()),
-                        cur: Some(current),
-                        applied: false,
-                    };
-                };
-                let top = v.top_level();
-                let vg = lock_guard(&v.lock);
-                let guards = Self::lock_preds(&preds, top);
-                let fb = self.region.as_ref().map(TxRegion::enter_fallback);
-                let mut valid = !v.is_marked();
-                if valid {
-                    for l in 0..=top {
-                        // SAFETY: pinned.
-                        let p = unsafe { node(preds[l]) };
-                        if p.is_marked() || p.next(l).load(guard) != victim {
-                            valid = false;
-                            break;
-                        }
-                    }
-                }
-                if !valid {
-                    drop(fb);
-                    drop(guards);
-                    drop(vg);
-                    csds_metrics::restart();
-                    continue;
-                }
-                let new_s = alloc_node(Node::new(ikey, Some(new_value), top + 1));
-                // SAFETY: unpublished; the victim's next pointers are
-                // stable (writers of those edges lock the victim first).
-                let new_ref = unsafe { node(new_s) };
-                for l in 0..=top {
-                    new_ref.next(l).store(v.next(l).load(guard));
-                }
-                new_ref.fully_linked.store(1, Ordering::Release);
-                v.marked.store(SUPERSEDED, Ordering::Release);
-                for l in (0..=top).rev() {
-                    // SAFETY: pinned; locked. Level 0 last: it is the level
-                    // readers and `find` treat as authoritative.
-                    unsafe { node(preds[l]) }.next(l).store(new_s);
-                }
-                drop(fb);
-                drop(guards);
-                drop(vg);
-                let prev = v.value.clone();
-                // SAFETY: unlinked at every level under the locks; the
-                // SUPERSEDED transition makes us the unique retirer.
-                unsafe { retire(guard, victim) };
-                let cur = new_ref.header().value.as_ref();
-                return RmwOutcome {
-                    prev,
-                    cur,
-                    applied: true,
-                };
-            }
-            // Absent.
-            let Some(new_value) = f(None) else {
-                return RmwOutcome {
-                    prev: None,
-                    cur: None,
-                    applied: false,
-                };
-            };
-            let height = random_level();
-            let top = height - 1;
-            let new_s = alloc_node(Node::new(ikey, Some(new_value), height));
-            // SAFETY: unpublished.
-            let new_ref = unsafe { node(new_s) };
-            for l in 0..=top {
-                new_ref.next(l).store(succs[l]);
-            }
-            if !self.link_locked(&preds, &succs, new_s, guard) {
-                // SAFETY: never published; the closure re-runs against the
-                // re-parsed windows.
-                unsafe { drop(reclaim(new_s)) };
-                continue;
-            }
-            let cur = new_ref.header().value.as_ref();
-            return RmwOutcome {
-                prev: None,
-                cur,
-                applied: true,
-            };
         }
     }
 
@@ -700,28 +580,68 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
 }
 
 impl<V: Clone + Send + Sync> GuardedMap<V> for HerlihySkipList<V> {
-    fn get_in<'g>(&'g self, key: u64, guard: &'g Guard) -> Option<&'g V> {
-        HerlihySkipList::get_in(self, key, guard)
+    /// Clone-free reference valid for `'g`; no stores, no restarts.
+    fn get_in<'g>(&'g self, ukey: u64, guard: &'g Guard) -> Option<&'g V> {
+        let ikey = key::ikey(ukey);
+        let ((_, succs), found) = self.find(ikey, guard);
+        let lf = found?;
+        // SAFETY: pinned.
+        let n = unsafe { node(succs[lf]) };
+        if n.is_fully_linked() && !n.is_deleted() {
+            n.header().value.as_ref()
+        } else {
+            None
+        }
     }
 
     fn insert_in(&self, key: u64, value: V, guard: &Guard) -> bool {
-        HerlihySkipList::insert_in(self, key, value, guard)
+        self.write(key, Insert(Some(value)), guard).applied
     }
 
     fn remove_in(&self, key: u64, guard: &Guard) -> Option<V> {
-        HerlihySkipList::remove_in(self, key, guard)
+        self.write(key, Remove, guard).prev.cloned()
     }
 
     fn len_in(&self, guard: &Guard) -> usize {
-        HerlihySkipList::len_in(self, guard)
+        let mut n = 0;
+        // SAFETY: pinned bottom-level traversal.
+        let mut curr = unsafe { node(self.head.load(guard)) }.next(0).load(guard);
+        loop {
+            // SAFETY: pinned.
+            let c = unsafe { node(curr) };
+            if c.key == TAIL_IKEY {
+                return n;
+            }
+            if !c.is_deleted() && c.is_fully_linked() {
+                n += 1;
+            }
+            curr = c.next(0).load(guard);
+        }
     }
 
+    /// Bottom-level walk that early-exits at the first live node.
     fn is_empty_in(&self, guard: &Guard) -> bool {
-        HerlihySkipList::is_empty_in(self, guard)
+        // SAFETY: pinned bottom-level traversal.
+        let mut curr = unsafe { node(self.head.load(guard)) }.next(0).load(guard);
+        loop {
+            // SAFETY: pinned.
+            let c = unsafe { node(curr) };
+            if c.key == TAIL_IKEY {
+                return true;
+            }
+            if !c.is_deleted() && c.is_fully_linked() {
+                return false;
+            }
+            curr = c.next(0).load(guard);
+        }
     }
 
+    /// The write loop with the closure's decision: a present key's tower is
+    /// replaced by a fresh tower of the same height (linearizing at the
+    /// level-0 predecessor store), an absent key linked as insert links it
+    /// (linearizing at `fully_linked`).
     fn rmw_in<'g>(&'g self, key: u64, f: RmwFn<'_, V>, guard: &'g Guard) -> RmwOutcome<'g, V> {
-        HerlihySkipList::rmw_in(self, key, f, guard)
+        self.write(key, f, guard).into()
     }
 }
 

@@ -186,8 +186,122 @@ impl<V: Clone + Send + Sync> LockFreeSkipList<V> {
         }
     }
 
+    /// Guard-scoped pop-min: remove and return the smallest present key —
+    /// the Lotan–Shavit lock-free priority queue over the Harris-marked
+    /// towers. The bottom level is walked from the head, skipping
+    /// logically-deleted (marked) nodes; the first live node is claimed by
+    /// winning its level-0 mark CAS (**the linearization point**), after
+    /// which physical unlinking is batched into one `find` descent,
+    /// exactly as for [`remove_in`](Self::remove_in).
+    ///
+    /// Upper levels are marked *before* the level-0 CAS: the `find` whose
+    /// level-0 snip wins retires the node immediately, relying on the same
+    /// descent having already snipped every marked upper level. Marking a
+    /// node another popper just claimed is harmless — its memory is pinned
+    /// by our guard and the stray marks touch an unreachable tower.
+    ///
+    /// Lost head races (a marked candidate, a failed mark CAS) are counted
+    /// into the pq-pop contention metric. The returned reference stays valid
+    /// for `'g`: the caller's pin blocks the reclamation epoch from
+    /// advancing past its own deferred retirement.
+    pub fn pop_min_in<'g>(&'g self, guard: &'g Guard) -> Option<(u64, &'g V)> {
+        let mut lost = 0u64;
+        let out = 'op: {
+            // SAFETY: pinned bottom-level traversal; head never retired.
+            let mut curr = unsafe { node(self.head.load(guard)) }
+                .next(0)
+                .load(guard)
+                .with_tag(0);
+            loop {
+                // SAFETY: pinned.
+                let c = unsafe { node(curr) };
+                if c.key == TAIL_IKEY {
+                    break 'op None;
+                }
+                let next = c.next(0).load(guard);
+                if next.tag() == MARK {
+                    curr = next.with_tag(0);
+                    continue;
+                }
+                // Candidate head. Mark its upper levels top-down first
+                // (idempotent; see the method docs for why level 0 is last).
+                for l in (1..=c.top_level()).rev() {
+                    loop {
+                        let nxt = c.next(l).load(guard);
+                        if nxt.tag() == MARK {
+                            break;
+                        }
+                        if c.next(l)
+                            .compare_exchange(nxt, nxt.with_tag(MARK), guard)
+                            .is_ok()
+                        {
+                            break;
+                        }
+                    }
+                }
+                match c.next(0).compare_exchange(next, next.with_tag(MARK), guard) {
+                    Ok(_) => {
+                        // Claim the value (serializes with `rmw_in`
+                        // replacement, exactly as in `remove_in`).
+                        let vptr = c.value.swap(Shared::null(), guard);
+                        debug_assert!(!vptr.is_null(), "mark winner claims exactly once");
+                        // Batched physical unlink: the find that performs
+                        // the level-0 snip retires the node.
+                        let _ = self.find(c.key, guard);
+                        // SAFETY: claimed by our CAS; the caller's pin keeps
+                        // the box alive across its own deferred retirement.
+                        let val = unsafe { vptr.deref() };
+                        // SAFETY: unlinked from the node by the claim.
+                        unsafe { guard.defer_drop(vptr) };
+                        csds_metrics::pq_pop();
+                        break 'op Some((key::ukey(c.key), val));
+                    }
+                    Err(_) => {
+                        // A racing popper/remover marked it, or an insert
+                        // swung the successor: reload and retry this
+                        // candidate (a fresh mark sends us onward).
+                        lost += 1;
+                        csds_metrics::restart();
+                    }
+                }
+            }
+        };
+        if lost > 0 {
+            csds_metrics::pq_pop_contention(lost);
+        }
+        out
+    }
+
+    /// Guard-scoped peek-min: the smallest present key without removing it
+    /// (quiescently consistent — a racing pop may already have claimed the
+    /// value box, in which case the walk moves past the node).
+    pub fn peek_min_in<'g>(&'g self, guard: &'g Guard) -> Option<(u64, &'g V)> {
+        // SAFETY: pinned bottom-level traversal.
+        let mut curr = unsafe { node(self.head.load(guard)) }
+            .next(0)
+            .load(guard)
+            .with_tag(0);
+        loop {
+            // SAFETY: pinned.
+            let c = unsafe { node(curr) };
+            if c.key == TAIL_IKEY {
+                return None;
+            }
+            let next = c.next(0).load(guard);
+            if next.tag() != MARK {
+                // SAFETY: value boxes are EBR-retired; pinned.
+                if let Some(v) = unsafe { c.value.load(guard).as_ref() } {
+                    return Some((key::ukey(c.key), v));
+                }
+            }
+            curr = next.with_tag(0);
+        }
+    }
+}
+
+impl<V: Clone + Send + Sync> GuardedMap<V> for LockFreeSkipList<V> {
     /// Guard-scoped `get`: clone-free reference valid for `'g`.
-    pub fn get_in<'g>(&'g self, key: u64, guard: &'g Guard) -> Option<&'g V> {
+    fn get_in<'g>(&'g self, key: u64, guard: &'g Guard) -> Option<&'g V> {
         let ikey = key::ikey(key);
         // Wait-free traversal: descend without snipping (no stores).
         let mut pred = self.head.load(guard);
@@ -224,8 +338,132 @@ impl<V: Clone + Send + Sync> LockFreeSkipList<V> {
         }
     }
 
+    /// Guard-scoped `insert`.
+    fn insert_in(&self, ukey: u64, value: V, guard: &Guard) -> bool {
+        let ikey = key::ikey(ukey);
+        let height = random_level();
+        let top = height - 1;
+        let mut new_node: Option<Shared<'_, Node<V>>> = None;
+        let mut value = Some(value);
+        loop {
+            let ((preds, succs), found) = self.find(ikey, guard);
+            if found {
+                if let Some(n) = new_node.take() {
+                    // SAFETY: never published.
+                    unsafe { drop(reclaim(n)) };
+                }
+                return false;
+            }
+            let new_s =
+                *new_node.get_or_insert_with(|| alloc_node(Node::new(ikey, value.take(), height)));
+            // SAFETY: unpublished (level 0 not linked yet).
+            let new_ref = unsafe { node(new_s) };
+            for l in 0..=top {
+                new_ref.next(l).store(succs[l]);
+            }
+            // Level-0 CAS is the linearization point.
+            // SAFETY: pinned.
+            let p0 = unsafe { node(preds[0]) };
+            if p0.next(0).compare_exchange(succs[0], new_s, guard).is_err() {
+                csds_metrics::restart();
+                continue;
+            }
+            // Link upper levels (best effort; abandon if we get deleted).
+            for l in 1..=top {
+                loop {
+                    let nl = new_ref.next(l).load(guard);
+                    if nl.tag() == MARK {
+                        // Concurrently deleted: make sure whatever we linked
+                        // is snipped before we unpin.
+                        let _ = self.find(ikey, guard);
+                        return true;
+                    }
+                    let ((preds2, succs2), _) = self.find(ikey, guard);
+                    if succs2[0] != new_s {
+                        // Our node is gone from level 0: deleted + snipped.
+                        return true;
+                    }
+                    if nl.with_tag(0) != succs2[l]
+                        && new_ref
+                            .next(l)
+                            .compare_exchange(nl, succs2[l], guard)
+                            .is_err()
+                    {
+                        // Marked underneath us; handled on next loop.
+                        continue;
+                    }
+                    // SAFETY: pinned.
+                    let p = unsafe { node(preds2[l]) };
+                    if p.next(l).compare_exchange(succs2[l], new_s, guard).is_ok() {
+                        // If a remover marked us while we linked, snip.
+                        if new_ref.next(0).load(guard).tag() == MARK {
+                            let _ = self.find(ikey, guard);
+                            return true;
+                        }
+                        break;
+                    }
+                    csds_metrics::restart();
+                }
+            }
+            return true;
+        }
+    }
+
+    /// Guard-scoped `remove`.
+    fn remove_in(&self, ukey: u64, guard: &Guard) -> Option<V> {
+        let ikey = key::ikey(ukey);
+        let ((_, succs), found) = self.find(ikey, guard);
+        if !found {
+            return None;
+        }
+        let victim = succs[0];
+        // SAFETY: pinned.
+        let v = unsafe { node(victim) };
+        // Mark upper levels top-down (idempotent).
+        for l in (1..=v.top_level()).rev() {
+            loop {
+                let nxt = v.next(l).load(guard);
+                if nxt.tag() == MARK {
+                    break;
+                }
+                if v.next(l)
+                    .compare_exchange(nxt, nxt.with_tag(MARK), guard)
+                    .is_ok()
+                {
+                    break;
+                }
+            }
+        }
+        // Level-0 mark: linearization; only one remover can win it.
+        loop {
+            let nxt = v.next(0).load(guard);
+            if nxt.tag() == MARK {
+                return None; // another remover linearized first
+            }
+            if v.next(0)
+                .compare_exchange(nxt, nxt.with_tag(MARK), guard)
+                .is_ok()
+            {
+                // Claim the value: the level-0 mark winner swaps the value
+                // pointer to null, serializing this removal against
+                // concurrent value replacement.
+                let vptr = v.value.swap(Shared::null(), guard);
+                debug_assert!(!vptr.is_null(), "mark winner claims exactly once");
+                // SAFETY: claimed under pin.
+                let out = Some(unsafe { vptr.deref() }.clone());
+                // SAFETY: unlinked from the node by the claim; retired once.
+                unsafe { guard.defer_drop(vptr) };
+                // Snip it out of every level (the find that performs the
+                // level-0 snip retires the node).
+                let _ = self.find(ikey, guard);
+                return out;
+            }
+            csds_metrics::restart();
+        }
+    }
+
     /// Guard-scoped element count (O(n); quiescently consistent).
-    pub fn len_in(&self, guard: &Guard) -> usize {
+    fn len_in(&self, guard: &Guard) -> usize {
         let mut n = 0;
         // SAFETY: pinned bottom-level traversal.
         let mut curr = unsafe { node(self.head.load(guard)) }
@@ -248,7 +486,7 @@ impl<V: Clone + Send + Sync> LockFreeSkipList<V> {
 
     /// Guard-scoped emptiness: bottom-level walk that early-exits at the
     /// first live node instead of the default full O(n) count.
-    pub fn is_empty_in(&self, guard: &Guard) -> bool {
+    fn is_empty_in(&self, guard: &Guard) -> bool {
         // SAFETY: pinned bottom-level traversal.
         let mut curr = unsafe { node(self.head.load(guard)) }
             .next(0)
@@ -274,7 +512,7 @@ impl<V: Clone + Send + Sync> LockFreeSkipList<V> {
     /// on the node's `value` pointer** for a present key, the level-0
     /// publish CAS for an absent one, the `value` load for read-only
     /// decisions.
-    pub fn rmw_in<'g>(&'g self, ukey: u64, f: RmwFn<'_, V>, guard: &'g Guard) -> RmwOutcome<'g, V> {
+    fn rmw_in<'g>(&'g self, ukey: u64, f: RmwFn<'_, V>, guard: &'g Guard) -> RmwOutcome<'g, V> {
         let ikey = key::ikey(ukey);
         loop {
             let ((_, succs), found) = self.find(ikey, guard);
@@ -411,268 +649,6 @@ impl<V: Clone + Send + Sync> LockFreeSkipList<V> {
                 applied: true,
             };
         }
-    }
-
-    /// Guard-scoped `insert`.
-    pub fn insert_in(&self, ukey: u64, value: V, guard: &Guard) -> bool {
-        let ikey = key::ikey(ukey);
-        let height = random_level();
-        let top = height - 1;
-        let mut new_node: Option<Shared<'_, Node<V>>> = None;
-        let mut value = Some(value);
-        loop {
-            let ((preds, succs), found) = self.find(ikey, guard);
-            if found {
-                if let Some(n) = new_node.take() {
-                    // SAFETY: never published.
-                    unsafe { drop(reclaim(n)) };
-                }
-                return false;
-            }
-            let new_s =
-                *new_node.get_or_insert_with(|| alloc_node(Node::new(ikey, value.take(), height)));
-            // SAFETY: unpublished (level 0 not linked yet).
-            let new_ref = unsafe { node(new_s) };
-            for l in 0..=top {
-                new_ref.next(l).store(succs[l]);
-            }
-            // Level-0 CAS is the linearization point.
-            // SAFETY: pinned.
-            let p0 = unsafe { node(preds[0]) };
-            if p0.next(0).compare_exchange(succs[0], new_s, guard).is_err() {
-                csds_metrics::restart();
-                continue;
-            }
-            // Link upper levels (best effort; abandon if we get deleted).
-            for l in 1..=top {
-                loop {
-                    let nl = new_ref.next(l).load(guard);
-                    if nl.tag() == MARK {
-                        // Concurrently deleted: make sure whatever we linked
-                        // is snipped before we unpin.
-                        let _ = self.find(ikey, guard);
-                        return true;
-                    }
-                    let ((preds2, succs2), _) = self.find(ikey, guard);
-                    if succs2[0] != new_s {
-                        // Our node is gone from level 0: deleted + snipped.
-                        return true;
-                    }
-                    if nl.with_tag(0) != succs2[l]
-                        && new_ref
-                            .next(l)
-                            .compare_exchange(nl, succs2[l], guard)
-                            .is_err()
-                    {
-                        // Marked underneath us; handled on next loop.
-                        continue;
-                    }
-                    // SAFETY: pinned.
-                    let p = unsafe { node(preds2[l]) };
-                    if p.next(l).compare_exchange(succs2[l], new_s, guard).is_ok() {
-                        // If a remover marked us while we linked, snip.
-                        if new_ref.next(0).load(guard).tag() == MARK {
-                            let _ = self.find(ikey, guard);
-                            return true;
-                        }
-                        break;
-                    }
-                    csds_metrics::restart();
-                }
-            }
-            return true;
-        }
-    }
-
-    /// Guard-scoped pop-min: remove and return the smallest present key —
-    /// the Lotan–Shavit lock-free priority queue over the Harris-marked
-    /// towers. The bottom level is walked from the head, skipping
-    /// logically-deleted (marked) nodes; the first live node is claimed by
-    /// winning its level-0 mark CAS (**the linearization point**), after
-    /// which physical unlinking is batched into one `find` descent,
-    /// exactly as for [`remove_in`](Self::remove_in).
-    ///
-    /// Upper levels are marked *before* the level-0 CAS: the `find` whose
-    /// level-0 snip wins retires the node immediately, relying on the same
-    /// descent having already snipped every marked upper level. Marking a
-    /// node another popper just claimed is harmless — its memory is pinned
-    /// by our guard and the stray marks touch an unreachable tower.
-    ///
-    /// Lost head races (a marked candidate, a failed mark CAS) are counted
-    /// into the pq-pop contention metric. The returned reference stays valid
-    /// for `'g`: the caller's pin blocks the reclamation epoch from
-    /// advancing past its own deferred retirement.
-    pub fn pop_min_in<'g>(&'g self, guard: &'g Guard) -> Option<(u64, &'g V)> {
-        let mut lost = 0u64;
-        let out = 'op: {
-            // SAFETY: pinned bottom-level traversal; head never retired.
-            let mut curr = unsafe { node(self.head.load(guard)) }
-                .next(0)
-                .load(guard)
-                .with_tag(0);
-            loop {
-                // SAFETY: pinned.
-                let c = unsafe { node(curr) };
-                if c.key == TAIL_IKEY {
-                    break 'op None;
-                }
-                let next = c.next(0).load(guard);
-                if next.tag() == MARK {
-                    curr = next.with_tag(0);
-                    continue;
-                }
-                // Candidate head. Mark its upper levels top-down first
-                // (idempotent; see the method docs for why level 0 is last).
-                for l in (1..=c.top_level()).rev() {
-                    loop {
-                        let nxt = c.next(l).load(guard);
-                        if nxt.tag() == MARK {
-                            break;
-                        }
-                        if c.next(l)
-                            .compare_exchange(nxt, nxt.with_tag(MARK), guard)
-                            .is_ok()
-                        {
-                            break;
-                        }
-                    }
-                }
-                match c.next(0).compare_exchange(next, next.with_tag(MARK), guard) {
-                    Ok(_) => {
-                        // Claim the value (serializes with `rmw_in`
-                        // replacement, exactly as in `remove_in`).
-                        let vptr = c.value.swap(Shared::null(), guard);
-                        debug_assert!(!vptr.is_null(), "mark winner claims exactly once");
-                        // Batched physical unlink: the find that performs
-                        // the level-0 snip retires the node.
-                        let _ = self.find(c.key, guard);
-                        // SAFETY: claimed by our CAS; the caller's pin keeps
-                        // the box alive across its own deferred retirement.
-                        let val = unsafe { vptr.deref() };
-                        // SAFETY: unlinked from the node by the claim.
-                        unsafe { guard.defer_drop(vptr) };
-                        csds_metrics::pq_pop();
-                        break 'op Some((key::ukey(c.key), val));
-                    }
-                    Err(_) => {
-                        // A racing popper/remover marked it, or an insert
-                        // swung the successor: reload and retry this
-                        // candidate (a fresh mark sends us onward).
-                        lost += 1;
-                        csds_metrics::restart();
-                    }
-                }
-            }
-        };
-        if lost > 0 {
-            csds_metrics::pq_pop_contention(lost);
-        }
-        out
-    }
-
-    /// Guard-scoped peek-min: the smallest present key without removing it
-    /// (quiescently consistent — a racing pop may already have claimed the
-    /// value box, in which case the walk moves past the node).
-    pub fn peek_min_in<'g>(&'g self, guard: &'g Guard) -> Option<(u64, &'g V)> {
-        // SAFETY: pinned bottom-level traversal.
-        let mut curr = unsafe { node(self.head.load(guard)) }
-            .next(0)
-            .load(guard)
-            .with_tag(0);
-        loop {
-            // SAFETY: pinned.
-            let c = unsafe { node(curr) };
-            if c.key == TAIL_IKEY {
-                return None;
-            }
-            let next = c.next(0).load(guard);
-            if next.tag() != MARK {
-                // SAFETY: value boxes are EBR-retired; pinned.
-                if let Some(v) = unsafe { c.value.load(guard).as_ref() } {
-                    return Some((key::ukey(c.key), v));
-                }
-            }
-            curr = next.with_tag(0);
-        }
-    }
-
-    /// Guard-scoped `remove`.
-    pub fn remove_in(&self, ukey: u64, guard: &Guard) -> Option<V> {
-        let ikey = key::ikey(ukey);
-        let ((_, succs), found) = self.find(ikey, guard);
-        if !found {
-            return None;
-        }
-        let victim = succs[0];
-        // SAFETY: pinned.
-        let v = unsafe { node(victim) };
-        // Mark upper levels top-down (idempotent).
-        for l in (1..=v.top_level()).rev() {
-            loop {
-                let nxt = v.next(l).load(guard);
-                if nxt.tag() == MARK {
-                    break;
-                }
-                if v.next(l)
-                    .compare_exchange(nxt, nxt.with_tag(MARK), guard)
-                    .is_ok()
-                {
-                    break;
-                }
-            }
-        }
-        // Level-0 mark: linearization; only one remover can win it.
-        loop {
-            let nxt = v.next(0).load(guard);
-            if nxt.tag() == MARK {
-                return None; // another remover linearized first
-            }
-            if v.next(0)
-                .compare_exchange(nxt, nxt.with_tag(MARK), guard)
-                .is_ok()
-            {
-                // Claim the value: the level-0 mark winner swaps the value
-                // pointer to null, serializing this removal against
-                // concurrent value replacement.
-                let vptr = v.value.swap(Shared::null(), guard);
-                debug_assert!(!vptr.is_null(), "mark winner claims exactly once");
-                // SAFETY: claimed under pin.
-                let out = Some(unsafe { vptr.deref() }.clone());
-                // SAFETY: unlinked from the node by the claim; retired once.
-                unsafe { guard.defer_drop(vptr) };
-                // Snip it out of every level (the find that performs the
-                // level-0 snip retires the node).
-                let _ = self.find(ikey, guard);
-                return out;
-            }
-            csds_metrics::restart();
-        }
-    }
-}
-
-impl<V: Clone + Send + Sync> GuardedMap<V> for LockFreeSkipList<V> {
-    fn get_in<'g>(&'g self, key: u64, guard: &'g Guard) -> Option<&'g V> {
-        LockFreeSkipList::get_in(self, key, guard)
-    }
-
-    fn insert_in(&self, key: u64, value: V, guard: &Guard) -> bool {
-        LockFreeSkipList::insert_in(self, key, value, guard)
-    }
-
-    fn remove_in(&self, key: u64, guard: &Guard) -> Option<V> {
-        LockFreeSkipList::remove_in(self, key, guard)
-    }
-
-    fn len_in(&self, guard: &Guard) -> usize {
-        LockFreeSkipList::len_in(self, guard)
-    }
-
-    fn is_empty_in(&self, guard: &Guard) -> bool {
-        LockFreeSkipList::is_empty_in(self, guard)
-    }
-
-    fn rmw_in<'g>(&'g self, key: u64, f: RmwFn<'_, V>, guard: &'g Guard) -> RmwOutcome<'g, V> {
-        LockFreeSkipList::rmw_in(self, key, f, guard)
     }
 }
 

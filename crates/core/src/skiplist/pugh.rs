@@ -26,6 +26,7 @@ use crate::key::{self, HEAD_IKEY, TAIL_IKEY};
 use crate::skiplist::{
     alloc_node, free_all, node, random_level, reclaim, retire, Header, MAX_LEVEL,
 };
+use crate::write::{Decide, Insert, Remove, Write, Written};
 use crate::{GuardedMap, RmwFn, RmwOutcome};
 
 /// The node header; its successors follow it in the same block (see the
@@ -228,225 +229,148 @@ impl<V: Clone + Send + Sync> PughSkipList<V> {
         }
     }
 
-    /// Guard-scoped `get`: clone-free reference valid for `'g`.
-    pub fn get_in<'g>(&'g self, key: u64, guard: &'g Guard) -> Option<&'g V> {
-        let ikey = key::ikey(key);
-        let (_, found) = self.find(ikey, guard);
-        // SAFETY: pinned.
-        let n = unsafe { node(found?) };
-        if n.is_deleted() {
-            None
-        } else {
-            // SAFETY: a user node's value is never null; replaced boxes are
-            // EBR-retired; pinned.
-            Some(unsafe { n.value.load(guard).deref() })
-        }
-    }
-
-    /// Guard-scoped element count (O(n); quiescently consistent).
-    pub fn len_in(&self, guard: &Guard) -> usize {
-        let mut n = 0;
-        // SAFETY: pinned bottom-level traversal.
-        let mut curr = unsafe { node(self.head.load(guard)) }.next(0).load(guard);
-        loop {
-            // SAFETY: pinned.
-            let c = unsafe { node(curr) };
-            if c.key == TAIL_IKEY {
-                return n;
-            }
-            if !c.is_deleted() {
-                n += 1;
-            }
-            curr = c.next(0).load(guard);
-        }
-    }
-
-    /// Guard-scoped `insert`.
-    pub fn insert_in(&self, ukey: u64, value: V, guard: &Guard) -> bool {
+    /// The write loop behind `insert_in`, `remove_in` and `rmw_in`: parse,
+    /// decide on the value found, then write; a stale parse runs again.
+    ///
+    /// An absent key is linked by [`insert_node`](Self::insert_node); a
+    /// deleted node with the key reads as absent, and a put waits for its
+    /// unlink. A present key's decision reads its value box without a lock,
+    /// as `get_in` does, and read-only decisions linearize there. A replace
+    /// or a remove then takes the node's lock, the one the inserter holds
+    /// while linking and the one every replace and remove serializes on,
+    /// and validates. A replace needs the node live and its value box
+    /// unchanged since the decision; it swaps the box (the linearization
+    /// point) and retires the old one. A remove flips `deleted` (the
+    /// linearization point) and unlinks the tower with `unlink_tower`.
+    fn write<'g>(
+        &'g self,
+        ukey: u64,
+        mut decide: impl Decide<V>,
+        guard: &'g Guard,
+    ) -> Written<'g, V> {
         let ikey = key::ikey(ukey);
-        self.insert_node(ikey, value, guard).is_ok()
-    }
-
-    /// Insert machinery shared by [`insert_in`](Self::insert_in) and
-    /// [`rmw_in`](Self::rmw_in): link a fresh node level by level, keeping
-    /// a predecessor locked into the next level while it is that level's
-    /// predecessor too. Returns a reference to the published value box —
-    /// captured *before* publication, so it stays valid (under the caller's
-    /// pin) even if a racing `rmw_in` replaces it right after the link —
-    /// or the value back when the key turned out to be present.
-    fn insert_node<'g>(&'g self, ikey: u64, value: V, guard: &'g Guard) -> Result<&'g V, V> {
-        let height = random_level();
-        let mut new_node: Option<Shared<'g, Node<V>>> = None;
-        let mut value = Some(value);
-        'op: loop {
-            let (mut preds, found) = self.find(ikey, guard);
-            if let Some(f) = found {
-                // SAFETY: pinned.
-                if !unsafe { node(f) }.is_deleted() {
-                    let v = match new_node.take() {
-                        // SAFETY: never published; recover the value.
-                        Some(n) => unsafe { reclaim(n) }
-                            .take_value()
-                            .expect("unpublished node holds the value"),
-                        None => value.take().expect("value not yet moved"),
-                    };
-                    return Err(v);
+        loop {
+            let (preds, found) = self.find(ikey, guard);
+            // SAFETY: pinned.
+            let Some(node_s) = found.filter(|&f| !unsafe { node(f) }.is_deleted()) else {
+                match decide.decide(None) {
+                    Write::Put(value) if found.is_some() => decide.unapplied(value),
+                    Write::Put(value) => match self.insert_node(ikey, value, preds, guard) {
+                        Ok(put) => return Written::wrote(None, Some(put)),
+                        Err(value) => decide.unapplied(value),
+                    },
+                    Write::Keep | Write::Remove => return Written::kept(None),
                 }
-                // A deleted node with our key is still being unlinked.
                 csds_metrics::restart();
                 continue;
-            }
-            let new_s =
-                *new_node.get_or_insert_with(|| alloc_node(Node::new(ikey, value.take(), height)));
-            // SAFETY: published below level by level; we hold its lock for
-            // the whole linking phase, so removers wait for us.
-            let new_ref = unsafe { node(new_s) };
-            // Capture the value box before any level links: an `rmw_in`
-            // racing the moment we release the node lock could replace it,
-            // but the box itself is protected by our pin.
-            let vraw = new_ref.value.load(guard);
-            let ng = lock_guard(&new_ref.lock);
-            let mut held = None;
-            for level in 0..height {
-                loop {
-                    held =
-                        Self::walk_locked(Self::lock_pred(held, preds[level]), ikey, level, guard);
-                    let Some((pred, _)) = held else {
-                        // Predecessor chain hit a deleted node; re-parse and
-                        // retry this level (lower levels stay linked).
-                        csds_metrics::restart();
-                        let (np, nf) = self.find(ikey, guard);
-                        if let Some(f) = nf {
-                            if f != new_s {
-                                // A competing insert won at level 0; nothing
-                                // of ours is linked yet.
-                                debug_assert!(level == 0);
-                                drop(ng);
-                                // SAFETY: nothing linked; we still own the
-                                // node — recover the value and retry/fail.
-                                let val = unsafe { reclaim(new_s) }.take_value();
-                                new_node = None;
-                                // SAFETY: pinned.
-                                if !unsafe { node(f) }.is_deleted() {
-                                    return Err(val.expect("unpublished node holds the value"));
-                                }
-                                value = val;
-                                continue 'op;
-                            }
-                        }
-                        preds = np;
-                        continue;
-                    };
-                    // SAFETY: pinned; `pred` is locked and live.
-                    let p = unsafe { node(pred) };
-                    let succ = p.next(level).load(guard);
-                    // SAFETY: pinned.
-                    let s = unsafe { node(succ) };
-                    if level == 0 && s.key == ikey {
-                        // Lost the level-0 race to a competing insert.
-                        let deleted = s.is_deleted();
-                        drop(held);
-                        drop(ng);
-                        if deleted {
-                            csds_metrics::restart();
-                            continue 'op;
-                        }
-                        // SAFETY: nothing linked yet; we still own the node.
-                        let val = unsafe { reclaim(new_s) }.take_value();
-                        return Err(val.expect("unpublished node holds the value"));
-                    }
-                    new_ref.next(level).store(succ);
-                    p.next(level).store(new_s);
-                    break;
+            };
+            // SAFETY: pinned.
+            let n = unsafe { node(node_s) };
+            let seen = n.value.load(guard);
+            // SAFETY: a user node's value is never null; replaced boxes are
+            // EBR-retired; pinned.
+            let cur = unsafe { seen.deref() };
+            let put = match decide.decide(Some(cur)) {
+                Write::Keep => return Written::kept(Some(cur)),
+                Write::Put(value) => Some(value),
+                Write::Remove => None,
+            };
+            let g = lock_guard(&n.lock);
+            match put {
+                Some(value) if !n.is_deleted() && n.value.load(guard) == seen => {
+                    let new_b = Shared::boxed(value);
+                    n.value.store(new_b); // linearization point
+                    drop(g);
+                    // SAFETY: swapped out under the lock; retired once.
+                    unsafe { guard.defer_drop(seen) };
+                    // SAFETY: published; pinned.
+                    return Written::wrote(Some(cur), Some(unsafe { new_b.deref() }));
+                }
+                // Removed or replaced since the decision.
+                Some(value) => decide.unapplied(value),
+                None if n.is_deleted() => return Written::kept(None), // lost to another remover
+                None => {
+                    n.deleted.store(1, Ordering::Release); // linearization point
+                    self.unlink_tower(node_s, preds, guard);
+                    drop(g);
+                    // SAFETY: as `cur`; no replace follows the deleted flag.
+                    let prev = unsafe { n.value.load(guard).deref() };
+                    // SAFETY: the deleted flag made us the node's unique
+                    // retirer.
+                    unsafe { retire(guard, node_s) };
+                    return Written::wrote(Some(prev), None);
                 }
             }
-            drop(held);
-            drop(ng);
-            // SAFETY: the box was owned by the (then-unpublished) node and
-            // is kept alive by the caller's pin from before publication.
-            return Ok(unsafe { vraw.deref() });
+            drop(g);
+            csds_metrics::restart();
         }
     }
 
-    /// Guard-scoped atomic closure RMW; the native override behind
-    /// [`GuardedMap::rmw_in`].
-    ///
-    /// Present key: the closure runs and its value is installed **under
-    /// the node's lock** — the same lock removers hold to set `deleted` —
-    /// by swapping the node's value box; the old box is EBR-retired.
-    /// **Linearization point: the value-pointer store under the node
-    /// lock.** Absent key: Pugh's standard level-by-level insert
-    /// (linearizes at the level-0 link). Read-only decisions linearize at
-    /// the locked value read.
-    pub fn rmw_in<'g>(&'g self, ukey: u64, f: RmwFn<'_, V>, guard: &'g Guard) -> RmwOutcome<'g, V> {
-        let ikey = key::ikey(ukey);
-        loop {
-            let (_, found) = self.find(ikey, guard);
-            if let Some(node_s) = found {
-                // SAFETY: pinned.
-                let n = unsafe { node(node_s) };
-                let g = lock_guard(&n.lock);
-                if n.is_deleted() {
-                    // Mid-removal: wait for the unlink via re-parse.
-                    drop(g);
+    /// Link a fresh node for the absent key `ikey`, level by level from
+    /// the parsed `preds`, keeping a predecessor locked into the next level
+    /// while it is that level's predecessor too. The node's own lock is
+    /// held throughout, so removers and replacers wait for the link.
+    /// Linearizes at the level-0 link. Returns the published value box —
+    /// captured *before* publication, so it stays valid (under the caller's
+    /// pin) even if a racing `rmw_in` replaces it right after the link —
+    /// or the value back when a same-key node holds level 0 (nothing of
+    /// ours is linked then).
+    fn insert_node<'g>(
+        &'g self,
+        ikey: u64,
+        value: V,
+        mut preds: [Shared<'g, Node<V>>; MAX_LEVEL],
+        guard: &'g Guard,
+    ) -> Result<&'g V, V> {
+        let height = random_level();
+        let new_s = alloc_node(Node::new(ikey, Some(value), height));
+        // SAFETY: published below level by level; we hold its lock for the
+        // whole linking phase.
+        let new_ref = unsafe { node(new_s) };
+        let vraw = new_ref.value.load(guard);
+        let ng = lock_guard(&new_ref.lock);
+        // SAFETY: nothing linked; we still own the node.
+        let lost = || {
+            Err(unsafe { reclaim(new_s) }
+                .take_value()
+                .expect("unpublished node holds the value"))
+        };
+        let mut held = None;
+        for level in 0..height {
+            loop {
+                held = Self::walk_locked(Self::lock_pred(held, preds[level]), ikey, level, guard);
+                let Some((pred, _)) = held else {
+                    // Predecessor chain hit a deleted node; re-parse and
+                    // retry this level (lower levels stay linked).
                     csds_metrics::restart();
+                    let (np, nf) = self.find(ikey, guard);
+                    if nf.is_some_and(|f| f != new_s) {
+                        // A competing node holds level 0.
+                        debug_assert!(level == 0);
+                        drop(ng);
+                        return lost();
+                    }
+                    preds = np;
                     continue;
-                }
-                let vptr = n.value.load(guard);
-                // SAFETY: a user node's value is never null; pinned.
-                let current = unsafe { vptr.deref() };
-                match f(Some(current)) {
-                    None => {
-                        drop(g);
-                        return RmwOutcome {
-                            prev: Some(current.clone()),
-                            cur: Some(current),
-                            applied: false,
-                        };
-                    }
-                    Some(new_value) => {
-                        let new_b = Shared::boxed(new_value);
-                        n.value.store(new_b); // linearization point
-                        drop(g);
-                        // SAFETY: swapped out under the lock; retired once.
-                        unsafe { guard.defer_drop(vptr) };
-                        // SAFETY: published; pinned.
-                        let cur = Some(unsafe { new_b.deref() });
-                        return RmwOutcome {
-                            prev: Some(current.clone()),
-                            cur,
-                            applied: true,
-                        };
-                    }
-                }
-            }
-            // Absent.
-            let Some(new_value) = f(None) else {
-                return RmwOutcome {
-                    prev: None,
-                    cur: None,
-                    applied: false,
                 };
-            };
-            match self.insert_node(ikey, new_value, guard) {
-                Ok(cur) => {
-                    // `cur` was captured pre-publication, so it references
-                    // exactly the value this op installed even if a racing
-                    // op already replaced or removed it.
-                    return RmwOutcome {
-                        prev: None,
-                        cur: Some(cur),
-                        applied: true,
-                    };
+                // SAFETY: pinned; `pred` is locked and live.
+                let p = unsafe { node(pred) };
+                let succ = p.next(level).load(guard);
+                // SAFETY: pinned.
+                if level == 0 && unsafe { node(succ) }.key == ikey {
+                    // Lost the level-0 race to a competing insert.
+                    drop((held, ng));
+                    return lost();
                 }
-                Err(_lost) => {
-                    // The key appeared underneath us; re-run the closure
-                    // against the value now present.
-                    csds_metrics::restart();
-                    continue;
-                }
+                new_ref.next(level).store(succ);
+                p.next(level).store(new_s);
+                break;
             }
         }
+        drop((held, ng));
+        // SAFETY: the box was owned by the (then-unpublished) node and is
+        // kept alive by the caller's pin from before publication.
+        Ok(unsafe { vraw.deref() })
     }
 
     /// Unlink the tower of `victim` — locked by the caller, its `deleted`
@@ -559,46 +483,47 @@ impl<V: Clone + Send + Sync> PughSkipList<V> {
             curr = c.next(0).load(guard);
         }
     }
-
-    /// Guard-scoped `remove`.
-    pub fn remove_in(&self, ukey: u64, guard: &Guard) -> Option<V> {
-        let ikey = key::ikey(ukey);
-        let (preds, found) = self.find(ikey, guard);
-        let victim = found?;
-        // SAFETY: pinned.
-        let v = unsafe { node(victim) };
-        // Serialize with the inserter (which holds the node lock while
-        // linking), with `rmw_in` and with competing removers.
-        let vg = lock_guard(&v.lock);
-        if v.is_deleted() {
-            return None;
-        }
-        v.deleted.store(1, Ordering::Release); // linearization point
-        self.unlink_tower(victim, preds, guard);
-        drop(vg);
-        // SAFETY: a user node's value is never null; pinned.
-        let out = unsafe { v.value.load(guard).deref() }.clone();
-        // SAFETY: the deleted flag made us the node's unique retirer.
-        unsafe { retire(guard, victim) };
-        Some(out)
-    }
 }
 
 impl<V: Clone + Send + Sync> GuardedMap<V> for PughSkipList<V> {
+    /// Clone-free reference valid for `'g`; no stores, no restarts.
     fn get_in<'g>(&'g self, key: u64, guard: &'g Guard) -> Option<&'g V> {
-        PughSkipList::get_in(self, key, guard)
+        let ikey = key::ikey(key);
+        let (_, found) = self.find(ikey, guard);
+        // SAFETY: pinned.
+        let n = unsafe { node(found?) };
+        if n.is_deleted() {
+            None
+        } else {
+            // SAFETY: a user node's value is never null; replaced boxes are
+            // EBR-retired; pinned.
+            Some(unsafe { n.value.load(guard).deref() })
+        }
     }
 
     fn insert_in(&self, key: u64, value: V, guard: &Guard) -> bool {
-        PughSkipList::insert_in(self, key, value, guard)
+        self.write(key, Insert(Some(value)), guard).applied
     }
 
     fn remove_in(&self, key: u64, guard: &Guard) -> Option<V> {
-        PughSkipList::remove_in(self, key, guard)
+        self.write(key, Remove, guard).prev.cloned()
     }
 
     fn len_in(&self, guard: &Guard) -> usize {
-        PughSkipList::len_in(self, guard)
+        let mut n = 0;
+        // SAFETY: pinned bottom-level traversal.
+        let mut curr = unsafe { node(self.head.load(guard)) }.next(0).load(guard);
+        loop {
+            // SAFETY: pinned.
+            let c = unsafe { node(curr) };
+            if c.key == TAIL_IKEY {
+                return n;
+            }
+            if !c.is_deleted() {
+                n += 1;
+            }
+            curr = c.next(0).load(guard);
+        }
     }
 
     fn is_empty_in(&self, guard: &Guard) -> bool {
@@ -618,8 +543,11 @@ impl<V: Clone + Send + Sync> GuardedMap<V> for PughSkipList<V> {
         }
     }
 
+    /// The write loop with the closure's decision: a present key's value
+    /// box is swapped under the node's lock, an absent key linked as insert
+    /// links it.
     fn rmw_in<'g>(&'g self, key: u64, f: RmwFn<'_, V>, guard: &'g Guard) -> RmwOutcome<'g, V> {
-        PughSkipList::rmw_in(self, key, f, guard)
+        self.write(key, f, guard).into()
     }
 }
 

@@ -627,40 +627,6 @@ impl<V: Clone + Send + Sync> ElasticHashTable<V> {
         }
     }
 
-    /// Guard-scoped `get`: clone-free reference valid while both the guard
-    /// and the map borrow live. Takes no locks; consults the old table
-    /// first while a migration is in flight (see the module docs).
-    pub fn get_in<'g>(&'g self, key: u64, guard: &'g Guard) -> Option<&'g V> {
-        check_user_key(key);
-        let h = hash(key);
-        let shard = self.shard(h);
-        loop {
-            let t = shard.table.load(guard);
-            // SAFETY: pinned; current tables are retired only after being
-            // superseded *and* drained, both observable below.
-            let tref = unsafe { t.deref() };
-            let prev = tref.prev.load(guard);
-            if !prev.is_null() {
-                // SAFETY: pinned; prev cleared before retirement.
-                let p = unsafe { prev.deref() };
-                let oh = p.buckets[bucket_index(h, p.mask)].head.load(guard);
-                if oh.tag() != MOVED {
-                    // Old bucket still authoritative; the read linearizes
-                    // at the head load above.
-                    return Self::read_chain(oh, key, guard);
-                }
-            }
-            let head = tref.buckets[bucket_index(h, tref.mask)].head.load(guard);
-            if head.tag() != MOVED {
-                return Self::read_chain(head, key, guard);
-            }
-            // The table loaded above was superseded and this bucket drained
-            // mid-read: an entire resize completed underneath us. Reload —
-            // bounded by resize frequency, not by peer scheduling.
-            csds_metrics::restart();
-        }
-    }
-
     /// Lock the bucket that is the authority for hash `h`, as every update
     /// does: help an in-flight migration drain `h`'s old bucket (so its
     /// authority has moved to the current table), lock the current bucket,
@@ -690,101 +656,41 @@ impl<V: Clone + Send + Sync> ElasticHashTable<V> {
         }
     }
 
-    /// Guard-scoped `insert` (no overwrite). May briefly lock one bucket
-    /// and, during a migration, drain a few old buckets first.
-    pub fn insert_in(&self, key: u64, value: V, guard: &Guard) -> bool {
-        check_user_key(key);
-        let h = hash(key);
-        let shard = self.shard(h);
-        let (b, bg, head) = self.lock_bucket(shard, h, guard);
-        if !Self::find(head, key, guard).1.is_null() {
-            // Under the lock the chain holds no marked nodes (mark and
-            // unlink share the removal critical section), so a hit means
-            // present.
-            return false;
-        }
-        let new = Shared::boxed(Node {
-            key,
-            value,
-            marked: AtomicUsize::new(0),
-            next: Atomic::null(),
-        });
-        // SAFETY: unpublished.
-        unsafe { new.deref() }.next.store(head);
-        b.head.store(new);
-        drop(bg);
-        if shard.occupancy.incr() & (RESIZE_CHECK_PERIOD - 1) == 0 {
-            self.maybe_resize(shard, guard);
-        }
-        true
-    }
-
-    /// Guard-scoped `remove`.
-    pub fn remove_in(&self, key: u64, guard: &Guard) -> Option<V> {
-        check_user_key(key);
-        let h = hash(key);
-        let shard = self.shard(h);
-        let (b, bg, head) = self.lock_bucket(shard, h, guard);
-        let (pred, curr) = Self::find(head, key, guard);
-        // SAFETY: pinned.
-        let c = unsafe { curr.as_ref() }?;
-        c.marked.store(1, Ordering::Release);
-        let succ = c.next.load(guard);
-        if pred.is_null() {
-            b.head.store(succ);
-        } else {
-            // SAFETY: pinned; chain serialized by the bucket lock.
-            unsafe { pred.deref() }.next.store(succ);
-        }
-        drop(bg);
-        let out = c.value.clone();
-        // SAFETY: unlinked under the bucket lock; retired once.
-        unsafe { guard.defer_drop(curr) };
-        if shard.occupancy.decr() & (RESIZE_CHECK_PERIOD - 1) == 0 {
-            self.maybe_resize(shard, guard);
-        }
-        Some(out)
-    }
-
-    /// Guard-scoped atomic closure RMW; the native override behind
-    /// [`GuardedMap::rmw_in`] — in-place mutation under the bucket lock,
-    /// **following `MOVED` authority exactly like every other update**.
-    ///
-    /// A present key is replaced by swapping in a fresh same-key node at
-    /// the same chain position (the old node is unlinked in the same
-    /// critical section, so no reader and no migration scan can observe the
-    /// key absent or doubled); an absent key is pushed at the bucket head
-    /// and feeds the occupancy counter / resize thresholds like
-    /// `insert_in`. **Linearization point: the chain-link store** (the
-    /// locked or version-validated observation for read-only decisions).
-    /// The first [`OPTIMISTIC_RMW_RETRIES`] rounds validate instead of
-    /// locking (see `rmw_rounds`), so the closure may run more than once.
-    pub fn rmw_in<'g>(&'g self, key: u64, f: RmwFn<'_, V>, guard: &'g Guard) -> RmwOutcome<'g, V> {
-        check_user_key(key);
-        self.rmw_rounds(key, f, OPTIMISTIC_RMW_RETRIES, guard)
-    }
-
-    /// The one RMW loop: parse, run the closure, then store the write. Its
-    /// rounds differ only in how they hold the bucket.
+    /// The write loop behind `insert_in`, `remove_in` and `rmw_in`: parse,
+    /// decide, then store the write. Its rounds differ only in how they
+    /// hold the bucket. Returns `(prev, cur, applied)`, both values still
+    /// borrowed, so only `remove_in` and `rmw_in` clone.
     ///
     /// Each of the first `snapshots` rounds runs **validate-then-lock**
     /// while the shard has no migration in flight (`prev` null), so the
     /// current table is the sole authority and the bucket's version word
     /// the single validation point. It snapshots the version, parses and
-    /// runs the closure unsynchronized, then certifies a read-only decision
-    /// with [`OptikLock::read_validate`] plus a table-pointer and `MOVED`
+    /// decides unsynchronized, then certifies a read-only decision with
+    /// [`OptikLock::read_validate`] plus a table-pointer and `MOVED`
     /// re-check, or a write with `try_lock_version(seen)`, whose success
     /// certifies the parse wholesale (every bucket mutation, the `MOVED`
-    /// freeze included, bumps the version). A torn round restarts. A
-    /// migration in flight skips to the last round, which takes the bucket
-    /// through [`lock_bucket`](Self::lock_bucket) and so helps the drain.
+    /// freeze included, bumps the version). A torn round restarts. Only
+    /// `rmw_in` asks for these rounds. A migration in flight skips to the
+    /// last round, which takes the bucket through
+    /// [`lock_bucket`](Self::lock_bucket) and so helps the drain; it cannot
+    /// fail, so `insert_in` and `remove_in` decide exactly once.
+    ///
+    /// A present key is replaced by a fresh same-key node at the same
+    /// chain position (the old node is unlinked in the same critical
+    /// section, so no reader and no migration scan can observe the key
+    /// absent or doubled), or marked and unlinked; an absent key is pushed
+    /// at the bucket head. Links and unlinks feed the occupancy counter and
+    /// the resize thresholds. **Linearization point: the chain-link
+    /// store** (the locked or version-validated observation for read-only
+    /// decisions).
     fn rmw_rounds<'g>(
         &'g self,
         key: u64,
-        f: RmwFn<'_, V>,
+        mut decide: impl FnMut(Option<&V>) -> Write<V>,
         snapshots: usize,
         guard: &'g Guard,
-    ) -> RmwOutcome<'g, V> {
+    ) -> (Option<&'g V>, Option<&'g V>, bool) {
+        check_user_key(key);
         let h = hash(key);
         let shard = self.shard(h);
         let mut snapshots_left = snapshots;
@@ -833,37 +739,40 @@ impl<V: Clone + Send + Sync> ElasticHashTable<V> {
                 continue;
             }
             let current = found.map(|c| &c.value);
-            let Some(new_value) = f(current) else {
-                // Read-only decision. A snapshot is authoritative for the
-                // whole window if the bucket stayed quiescent, its table
-                // current and the bucket un-MOVED.
-                if snapshot.is_some_and(|(seen, t)| {
-                    !(b.lock.read_validate(seen)
-                        && shard.table.load(guard) == t
-                        && b.head.load(guard).tag() != MOVED)
-                }) {
-                    torn_round();
-                    continue;
+            let put = match decide(current) {
+                Write::Put(value) => Some(value),
+                Write::Remove if found.is_some() => None,
+                _ => {
+                    // Read-only decision. A snapshot is authoritative for
+                    // the whole window if the bucket stayed quiescent, its
+                    // table current and the bucket un-MOVED.
+                    if snapshot.is_some_and(|(seen, t)| {
+                        !(b.lock.read_validate(seen)
+                            && shard.table.load(guard) == t
+                            && b.head.load(guard).tag() != MOVED)
+                    }) {
+                        torn_round();
+                        continue;
+                    }
+                    return (current, current, false);
                 }
-                drop(locked);
-                return RmwOutcome {
-                    prev: current.cloned(),
-                    cur: current,
-                    applied: false,
-                };
             };
-            let new_s = Shared::boxed(Node {
-                key,
-                value: new_value,
-                marked: AtomicUsize::new(0),
-                next: Atomic::null(),
+            let new_s = put.map(|value| {
+                Shared::boxed(Node {
+                    key,
+                    value,
+                    marked: AtomicUsize::new(0),
+                    next: Atomic::null(),
+                })
             });
             if let Some((seen, _)) = snapshot {
                 match b.lock.try_lock_version(seen) {
                     Some(g) => locked = Some(g),
                     None => {
-                        // SAFETY: never published.
-                        unsafe { drop(new_s.into_box()) };
+                        if let Some(n) = new_s {
+                            // SAFETY: never published.
+                            unsafe { drop(n.into_box()) };
+                        }
                         torn_round();
                         continue;
                     }
@@ -880,54 +789,34 @@ impl<V: Clone + Send + Sync> ElasticHashTable<V> {
                 Some(c) => (c.next.load(guard), &b.head),
                 None => (head, &b.head),
             };
-            // SAFETY: unpublished.
-            unsafe { new_s.deref() }.next.store(succ);
-            link.store(new_s); // linearization point
+            if let (Some(c), None) = (found, new_s) {
+                c.marked.store(1, Ordering::Release);
+            }
+            link.store(new_s.map_or(succ, |n| {
+                // SAFETY: unpublished.
+                unsafe { n.deref() }.next.store(succ);
+                n
+            })); // linearization point
             drop(locked);
-            let prev = found.map(|c| c.value.clone());
             if found.is_some() {
                 // SAFETY: unlinked under the bucket lock (unreachable for
-                // new readers and for migration scans); retired once. The
-                // node stays unmarked: readers that already reached it
-                // return its stale value and linearize before the swap.
+                // new readers and for migration scans); retired once. A
+                // replaced node stays unmarked: readers that already reached
+                // it return its stale value and linearize before the swap.
                 unsafe { guard.defer_drop(curr) };
-            } else if shard.occupancy.incr() & (RESIZE_CHECK_PERIOD - 1) == 0 {
+            }
+            let occupancy = match (found, new_s) {
+                (None, _) => Some(shard.occupancy.incr()),
+                (Some(_), None) => Some(shard.occupancy.decr()),
+                (Some(_), Some(_)) => None,
+            };
+            if occupancy.is_some_and(|n| n & (RESIZE_CHECK_PERIOD - 1) == 0) {
                 self.maybe_resize(shard, guard);
             }
             // SAFETY: published; pinned.
-            let cur = Some(&unsafe { new_s.deref() }.value);
-            return RmwOutcome {
-                prev,
-                cur,
-                applied: true,
-            };
+            let put = new_s.map(|n| &unsafe { n.deref() }.value);
+            return (current, put, true);
         }
-    }
-
-    /// Guard-scoped emptiness: early-exits at the first authoritative live
-    /// entry instead of the default full O(buckets + n) count, following
-    /// the same per-bucket `MOVED` authority as [`len_in`](Self::len_in).
-    pub fn is_empty_in(&self, guard: &Guard) -> bool {
-        for shard in self.shards.iter() {
-            let t = shard.table.load(guard);
-            // SAFETY: pinned.
-            let tref = unsafe { t.deref() };
-            let prev = tref.prev.load(guard);
-            if prev.is_null() {
-                if !Self::table_is_empty(tref, None, guard) {
-                    return false;
-                }
-            } else {
-                // SAFETY: pinned; prev is cleared before retirement.
-                let p = unsafe { prev.deref() };
-                if !Self::table_is_empty(p, None, guard)
-                    || !Self::table_is_empty(tref, Some(p), guard)
-                {
-                    return false;
-                }
-            }
-        }
-        true
     }
 
     /// Early-exit companion of [`count_table`](Self::count_table): whether
@@ -958,38 +847,6 @@ impl<V: Clone + Send + Sync> ElasticHashTable<V> {
             }
         }
         true
-    }
-
-    /// Guard-scoped element count (O(buckets + n); quiescently consistent).
-    ///
-    /// While a shard's migration is in flight, authority for each key lives
-    /// in exactly one table (see the module docs), and the count follows
-    /// authority: the old table contributes its un-`MOVED` buckets, and the
-    /// current table contributes only entries whose key's old bucket has
-    /// completed its `MOVED` transition. `migrate_bucket` publishes clones
-    /// into the current table *before* freezing the old bucket, so counting
-    /// every current-table entry unconditionally would observe a mid-move
-    /// key in both tables at once.
-    pub fn len_in(&self, guard: &Guard) -> usize {
-        let mut n = 0;
-        for shard in self.shards.iter() {
-            let t = shard.table.load(guard);
-            // SAFETY: pinned.
-            let tref = unsafe { t.deref() };
-            let prev = tref.prev.load(guard);
-            if prev.is_null() {
-                n += Self::count_table(tref, None, guard);
-            } else {
-                // SAFETY: pinned; prev is cleared before retirement.
-                let p = unsafe { prev.deref() };
-                // Old-then-new, the readers' direction: a bucket frozen
-                // between the two walks is skipped here (MOVED) and picked
-                // up through its clones below.
-                n += Self::count_table(p, None, guard);
-                n += Self::count_table(tref, Some(p), guard);
-            }
-        }
-        n
     }
 
     /// Count live entries in un-`MOVED` buckets (a `MOVED` bucket's entries
@@ -1087,6 +944,18 @@ impl<V: Clone + Send + Sync> ElasticHashTable<V> {
     }
 }
 
+/// What an update does with the key its parse found: `insert_in`, `remove_in`
+/// and `rmw_in` differ only in this decision, which `rmw_rounds` takes. This
+/// crate's own copy of the blocking structures' decision in `csds_core`.
+enum Write<V> {
+    /// Leave the table as it is.
+    Keep,
+    /// Link the value for an absent key, or replace a present key's value.
+    Put(V),
+    /// Unlink a present key.
+    Remove,
+}
+
 /// A snapshot round was torn by a concurrent writer: count it and restart.
 fn torn_round() {
     csds_metrics::optimistic_failure();
@@ -1094,28 +963,126 @@ fn torn_round() {
 }
 
 impl<V: Clone + Send + Sync> GuardedMap<V> for ElasticHashTable<V> {
+    /// Guard-scoped `get`: clone-free reference valid while both the guard
+    /// and the map borrow live. Takes no locks; consults the old table
+    /// first while a migration is in flight (see the module docs).
     fn get_in<'g>(&'g self, key: u64, guard: &'g Guard) -> Option<&'g V> {
-        ElasticHashTable::get_in(self, key, guard)
+        check_user_key(key);
+        let h = hash(key);
+        let shard = self.shard(h);
+        loop {
+            let t = shard.table.load(guard);
+            // SAFETY: pinned; current tables are retired only after being
+            // superseded *and* drained, both observable below.
+            let tref = unsafe { t.deref() };
+            let prev = tref.prev.load(guard);
+            if !prev.is_null() {
+                // SAFETY: pinned; prev cleared before retirement.
+                let p = unsafe { prev.deref() };
+                let oh = p.buckets[bucket_index(h, p.mask)].head.load(guard);
+                if oh.tag() != MOVED {
+                    // Old bucket still authoritative; the read linearizes
+                    // at the head load above.
+                    return Self::read_chain(oh, key, guard);
+                }
+            }
+            let head = tref.buckets[bucket_index(h, tref.mask)].head.load(guard);
+            if head.tag() != MOVED {
+                return Self::read_chain(head, key, guard);
+            }
+            // The table loaded above was superseded and this bucket drained
+            // mid-read: an entire resize completed underneath us. Reload —
+            // bounded by resize frequency, not by peer scheduling.
+            csds_metrics::restart();
+        }
     }
 
+    /// May briefly lock one bucket and, during a migration, drain a few old
+    /// buckets first.
     fn insert_in(&self, key: u64, value: V, guard: &Guard) -> bool {
-        ElasticHashTable::insert_in(self, key, value, guard)
+        let mut value = Some(value);
+        let decide = |cur: Option<&V>| match cur {
+            Some(_) => Write::Keep,
+            None => Write::Put(value.take().expect("the locked round decides once")),
+        };
+        self.rmw_rounds(key, decide, 0, guard).2
     }
 
     fn remove_in(&self, key: u64, guard: &Guard) -> Option<V> {
-        ElasticHashTable::remove_in(self, key, guard)
+        let decide = |cur: Option<&V>| cur.map_or(Write::Keep, |_| Write::Remove);
+        self.rmw_rounds(key, decide, 0, guard).0.cloned()
     }
 
+    /// Guard-scoped element count (O(buckets + n); quiescently consistent).
+    ///
+    /// While a shard's migration is in flight, authority for each key lives
+    /// in exactly one table (see the module docs), and the count follows
+    /// authority: the old table contributes its un-`MOVED` buckets, and the
+    /// current table contributes only entries whose key's old bucket has
+    /// completed its `MOVED` transition. `migrate_bucket` publishes clones
+    /// into the current table *before* freezing the old bucket, so counting
+    /// every current-table entry unconditionally would observe a mid-move
+    /// key in both tables at once.
     fn len_in(&self, guard: &Guard) -> usize {
-        ElasticHashTable::len_in(self, guard)
+        let mut n = 0;
+        for shard in self.shards.iter() {
+            let t = shard.table.load(guard);
+            // SAFETY: pinned.
+            let tref = unsafe { t.deref() };
+            let prev = tref.prev.load(guard);
+            if prev.is_null() {
+                n += Self::count_table(tref, None, guard);
+            } else {
+                // SAFETY: pinned; prev is cleared before retirement.
+                let p = unsafe { prev.deref() };
+                // Old-then-new, the readers' direction: a bucket frozen
+                // between the two walks is skipped here (MOVED) and picked
+                // up through its clones below.
+                n += Self::count_table(p, None, guard);
+                n += Self::count_table(tref, Some(p), guard);
+            }
+        }
+        n
     }
 
+    /// Guard-scoped emptiness: early-exits at the first authoritative live
+    /// entry instead of the default full O(buckets + n) count, following
+    /// the same per-bucket `MOVED` authority as [`len_in`](Self::len_in).
     fn is_empty_in(&self, guard: &Guard) -> bool {
-        ElasticHashTable::is_empty_in(self, guard)
+        for shard in self.shards.iter() {
+            let t = shard.table.load(guard);
+            // SAFETY: pinned.
+            let tref = unsafe { t.deref() };
+            let prev = tref.prev.load(guard);
+            if prev.is_null() {
+                if !Self::table_is_empty(tref, None, guard) {
+                    return false;
+                }
+            } else {
+                // SAFETY: pinned; prev is cleared before retirement.
+                let p = unsafe { prev.deref() };
+                if !Self::table_is_empty(p, None, guard)
+                    || !Self::table_is_empty(tref, Some(p), guard)
+                {
+                    return false;
+                }
+            }
+        }
+        true
     }
 
+    /// `rmw_rounds` with the closure's decision, **following `MOVED`
+    /// authority exactly like every other update**. The first
+    /// [`OPTIMISTIC_RMW_RETRIES`] rounds validate instead of locking, so the
+    /// closure may run more than once.
     fn rmw_in<'g>(&'g self, key: u64, f: RmwFn<'_, V>, guard: &'g Guard) -> RmwOutcome<'g, V> {
-        ElasticHashTable::rmw_in(self, key, f, guard)
+        let decide = |cur: Option<&V>| f(cur).map_or(Write::Keep, Write::Put);
+        let (prev, cur, applied) = self.rmw_rounds(key, decide, OPTIMISTIC_RMW_RETRIES, guard);
+        RmwOutcome {
+            prev: prev.cloned(),
+            cur,
+            applied,
+        }
     }
 }
 
@@ -1731,8 +1698,9 @@ mod tests {
         let h: ElasticHashTable<u64> = ElasticHashTable::with_capacity(64);
         let guard = csds_ebr::pin();
         let locked = |k: u64, f: RmwFn<'_, u64>| {
-            let out = h.rmw_rounds(k, f, 0, &guard);
-            (out.prev, out.cur.copied(), out.applied)
+            let decide = |cur: Option<&u64>| f(cur).map_or(Write::Keep, Write::Put);
+            let (prev, cur, applied) = h.rmw_rounds(k, decide, 0, &guard);
+            (prev.copied(), cur.copied(), applied)
         };
         let _ = csds_metrics::take_and_reset();
         assert_eq!(locked(7, &mut |_| None), (None, None, false));

@@ -6,6 +6,7 @@
 //! entries whose old bucket is `MOVED`); this model re-checks it against
 //! every explored interleaving of a migrating updater and a counter.
 
+use csds_core::GuardedMap;
 use csds_ebr::pin;
 use csds_elastic::{ElasticConfig, ElasticHashTable};
 use csds_modelcheck::{thread, Model};

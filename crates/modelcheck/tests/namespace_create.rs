@@ -14,6 +14,7 @@
 //! one table, and **neither racer's operation is lost** — both keys land
 //! in the surviving table.
 
+use csds_core::GuardedMap;
 use csds_ebr::pin;
 use csds_elastic::ElasticHashTable;
 use csds_modelcheck::{thread, Model};

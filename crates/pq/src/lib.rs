@@ -32,8 +32,8 @@
 //! operation, with repin-stall accounting (at most one long-lived handle
 //! per thread). [`ConcurrentPq`] is the pin-per-op convenience layer.
 
-use csds_core::check_user_key;
 use csds_core::skiplist::{LockFreeSkipList, PughSkipList};
+use csds_core::{check_user_key, GuardedMap};
 use csds_ebr::{pin, Guard, Session};
 
 pub use csds_ebr::REPIN_STALL_WARN_THRESHOLD;

@@ -11,9 +11,10 @@
 //! The check is textual (source scan), so it also catches references in
 //! doc examples and comments; keep those speaking in terms of the seam.
 //!
-//! The same source scan keeps two further rules: structure locks are
-//! released only through guards, and every `repro run <id>` that
-//! `README.md` or the verify skill cites names a registered experiment.
+//! The same source scan keeps three further rules: structure locks are
+//! released only through guards, no `GuardedMap` impl forwards to a
+//! same-named inherent method, and every `repro run <id>` that `README.md`
+//! or the verify skill cites names a registered experiment.
 
 use std::path::{Path, PathBuf};
 
@@ -172,6 +173,118 @@ fn structure_crates_release_locks_only_through_guards() {
         "a structure crate unlocks or injects delays by hand; hold a guard \
          from `lock_guard` / `try_lock_version` instead:\n{}",
         violations.join("\n")
+    );
+}
+
+/// Braces a source line opens and closes, outside string literals and
+/// `//` comments.
+fn brace_balance(line: &str) -> i32 {
+    let (mut depth, mut in_str, mut escaped) = (0, false, false);
+    let mut chars = line.chars().peekable();
+    while let Some(c) = chars.next() {
+        match c {
+            _ if escaped => escaped = false,
+            '\\' if in_str => escaped = true,
+            '"' => in_str = !in_str,
+            '/' if !in_str && chars.peek() == Some(&'/') => break,
+            '{' if !in_str => depth += 1,
+            '}' if !in_str => depth -= 1,
+            _ => {}
+        }
+    }
+    depth
+}
+
+/// The methods of every `impl … GuardedMap<…> for T` block under `dir`
+/// whose whole body is `T::same_name(self, …)`: a forwarding layer over a
+/// same-named inherent method. Each is `(file:line, type, method)`.
+fn guarded_map_forwarders(root: &Path, dirs: &[&str]) -> Vec<String> {
+    let mut sources = Vec::new();
+    for dir in dirs {
+        collect_rust_sources(&root.join(dir), &mut sources);
+    }
+    let mut found = Vec::new();
+    for path in sources {
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        let mut i = 0;
+        while i < lines.len() {
+            let header = lines[i].trim_start();
+            let Some(rest) = header
+                .strip_prefix("impl")
+                .filter(|_| header.contains(" GuardedMap<"))
+                .and_then(|h| h.split_once(" for "))
+                .map(|(_, t)| t)
+            else {
+                i += 1;
+                continue;
+            };
+            let ty: String = rest
+                .trim_start()
+                .chars()
+                .take_while(|c| c.is_alphanumeric() || *c == '_')
+                .collect();
+            // Walk the impl block. A `fn` at depth 1 is a method; its body
+            // is every line between the one that opens it and the one that
+            // closes it.
+            let mut depth = 0;
+            let mut method: Option<(usize, String)> = None;
+            let mut body: Vec<&str> = Vec::new();
+            let mut in_body = false;
+            loop {
+                let code = lines[i].trim();
+                let before = depth;
+                depth += brace_balance(code);
+                if before == 1 && method.is_none() && code.contains("fn ") {
+                    let name = code.split("fn ").nth(1).unwrap_or("");
+                    let name = name
+                        .chars()
+                        .take_while(|c| c.is_alphanumeric() || *c == '_')
+                        .collect();
+                    method = Some((i, name));
+                    body.clear();
+                    in_body = false;
+                }
+                if let Some((start, name)) = &method {
+                    if in_body && depth >= 2 && !code.starts_with("//") {
+                        body.push(code);
+                    }
+                    in_body |= depth >= 2;
+                    if in_body && depth == 1 {
+                        let body = body.concat();
+                        let call = format!("{ty}::{name}(self");
+                        if body.starts_with(&call) && body.ends_with(')') && !body.contains(';') {
+                            let rel = path.strip_prefix(root).unwrap_or(&path);
+                            found.push(format!("  {}:{}: {ty}::{name}", rel.display(), start + 1));
+                        }
+                        method = None;
+                    }
+                }
+                i += 1;
+                if (before > 0 && depth == 0) || i == lines.len() {
+                    break;
+                }
+            }
+        }
+    }
+    found
+}
+
+/// Every structure holds its map operations in its `GuardedMap` impl. A
+/// method there that only calls a same-named inherent method regrows the
+/// forwarding layer this workspace deleted: two names and two doc comments
+/// for one operation, and callers that reach the inherent copy without the
+/// trait in scope.
+#[test]
+fn guarded_map_impls_hold_their_code() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let dirs = ["crates/core/src", "crates/elastic/src", "crates/pq/src"];
+    let forwarders = guarded_map_forwarders(root, &dirs);
+    assert!(
+        forwarders.is_empty(),
+        "a `GuardedMap` method only forwards to a same-named inherent \
+         method; move the code into the trait impl:\n{}",
+        forwarders.join("\n")
     );
 }
 

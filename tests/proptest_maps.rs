@@ -196,6 +196,8 @@ model_prop!(
     AlgoKind::LazyHashTableElided
 );
 model_prop!(coupling_hashtable_obeys_model, AlgoKind::CouplingHashTable);
+model_prop!(lockfree_hashtable_obeys_model, AlgoKind::LockFreeHashTable);
+model_prop!(waitfree_hashtable_obeys_model, AlgoKind::WaitFreeHashTable);
 model_prop!(elastic_hashtable_obeys_model, AlgoKind::ElasticHashTable);
 model_prop!(bst_tk_obeys_model, AlgoKind::BstTk);
 model_prop!(bst_tk_elided_obeys_model, AlgoKind::BstTkElided);

@@ -5,7 +5,7 @@
 
 mod common;
 
-use csds::core::{ConcurrentMap, MAX_USER_KEY};
+use csds::core::{ConcurrentMap, GuardedMap, MAX_USER_KEY};
 use csds::harness::AlgoKind;
 
 #[test]
@@ -235,18 +235,41 @@ fn reserved_keys_are_rejected_at_the_boundary() {
     // hard assert at every entry point in every build profile — the
     // sentinel-encoded structures through the key encoding, the hash
     // tables and BST through an explicit boundary check.
+    type EntryPoint = fn(&dyn GuardedMap<u64>, u64);
+    let entry_points: [(&str, EntryPoint); 6] = [
+        ("insert", |m, k| {
+            let _ = m.insert(k, 1);
+        }),
+        ("get", |m, k| {
+            let _ = m.get(k);
+        }),
+        ("contains", |m, k| {
+            let _ = m.contains(k);
+        }),
+        ("remove", |m, k| {
+            let _ = m.remove(k);
+        }),
+        ("upsert", |m, k| {
+            let _ = m.upsert(k, 1);
+        }),
+        ("rmw", |m, k| {
+            let _ = m.rmw(k, &mut |_| Some(1));
+        }),
+    ];
     for algo in AlgoKind::all() {
-        for reserved in [u64::MAX, u64::MAX - 1] {
-            let map = algo.make(16);
-            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                map.insert(reserved, 1);
-            }))
-            .is_err();
-            assert!(
-                panicked,
-                "{}: reserved key {reserved:#x} must be rejected",
-                algo.name()
-            );
+        for (op, call) in entry_points {
+            for reserved in [u64::MAX, u64::MAX - 1] {
+                let map = algo.make(16);
+                let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    call(&*map, reserved);
+                }))
+                .is_err();
+                assert!(
+                    panicked,
+                    "{}: {op} of reserved key {reserved:#x} must be rejected",
+                    algo.name()
+                );
+            }
         }
     }
 }
