@@ -11,9 +11,14 @@
 //! * `remove` unlinks the leaf *and* its parent, splicing the sibling into
 //!   the **grandparent**'s slot — it needs grandparent and parent.
 //!
-//! Both updates record [`OptikLock`] versions during the parse and acquire
-//! via `try_lock_version`: a version mismatch means the neighborhood
-//! changed, and the operation restarts instead of waiting. The root slot is
+//! * an RMW replaces a present key's leaf wholesale in its parent slot.
+//!
+//! The updates run one write loop, `write`, which asks its caller's
+//! decision (keep, put a value, or remove) about the leaf found: a put goes
+//! through `put_leaf`, a remove through `unlink_leaf`. Both record
+//! [`OptikLock`] versions during the parse and acquire via
+//! `try_lock_version`: a version mismatch means the neighborhood changed,
+//! and the operation restarts instead of waiting. The root slot is
 //! guarded by a dedicated holder lock so the tree can shrink to a single
 //! leaf or to empty.
 //!

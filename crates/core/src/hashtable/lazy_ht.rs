@@ -15,17 +15,20 @@
 //!
 //! The bucket lock is an [`OptikLock`], so its version word doubles as a
 //! per-bucket seqlock: in [`SyncMode::Locks`] every chain mutation runs
-//! inside a bucket critical section. `rmw_in` is one loop whose rounds
-//! differ only in how they hold the bucket. The first rounds take a version
-//! snapshot, parse and run the user closure unsynchronized, then validate
-//! the version (a read-only decision takes no lock at all) or acquire with
+//! inside a bucket critical section. Every update runs one loop,
+//! `rmw_rounds`, whose rounds differ only in how they hold the bucket and
+//! which asks its caller's decision (keep, put a value, or remove).
+//! `insert_in` and `remove_in` go straight to the last round, which holds
+//! the bucket lock. `rmw_in`'s first rounds take a version snapshot, parse
+//! and run the user closure unsynchronized, then validate the version (a
+//! read-only decision takes no lock at all) or acquire with
 //! [`OptikLock::try_lock_version`], taking the lock's cache-line bounce
 //! only when the bucket actually changed underneath (paper §5.1's
 //! validate-instead-of-wait idiom, extended from BST-TK to the hash table).
-//! The last round holds the bucket lock. An elision-mode table runs only
-//! that round: its transactional writers bump no versions. Reads never
-//! locked and do not validate either: a single-key read has no use for a
-//! bucket snapshot.
+//! An elision-mode table takes no snapshot rounds, since its transactional
+//! writers bump no versions: it speculates a link or an unlink, then locks.
+//! Reads never locked and do not validate either: a single-key read has no
+//! use for a bucket snapshot.
 
 use csds_sync::atomic::{AtomicUsize, Ordering};
 
@@ -42,7 +45,7 @@ const LIVE: usize = 0;
 /// `marked` state: node is logically deleted.
 const DELETED: usize = 1;
 /// `marked` state: node was atomically replaced in place by a same-key
-/// node with a new value ([`LazyHashTable::rmw_in`]); the key is still
+/// node with a new value (a put on a present key); the key is still
 /// present, so readers that raced onto this node return its (stale) value
 /// and linearize before the replacement. Writer validation (`!= 0`)
 /// treats the node as gone.

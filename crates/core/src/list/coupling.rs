@@ -24,11 +24,13 @@
 //! [`OptikLock`] version word that every writer bumps around its publish
 //! store, which lets `get_in` first attempt a **seqlock read** — a fully
 //! lockless walk validated against the version — and take the
-//! hand-over-hand locked walk only as fallback. `rmw_in` is one loop whose
-//! first rounds are the same seqlock read with the closure run on its
-//! result: a declined decision is certified by the validation alone, and a
-//! write goes to the loop's hand-over-hand round (the version word carries
-//! read authority only; see `rmw_rounds`). Inside a [`Bucketed`]
+//! hand-over-hand locked walk only as fallback. Every update runs one loop,
+//! `rmw_rounds`, which asks its caller's decision (keep, put a value, or
+//! remove): `insert_in` and `remove_in` go straight to its hand-over-hand
+//! round, while `rmw_in`'s first rounds are the same seqlock read with the
+//! closure run on its result. A declined decision is certified by the
+//! validation alone, and a write goes to the hand-over-hand round (the
+//! version word carries read authority only). Inside a [`Bucketed`]
 //! table this is exactly the "snapshot bucket version → lockless chain
 //! walk → validate" protocol (the chains are short, so the one-word writer
 //! serialization is held for two stores). The paper's §5.1 indictment of

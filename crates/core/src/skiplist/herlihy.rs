@@ -284,7 +284,9 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
                         }
                     }
                     Write::Remove => {
-                        let (_, victim, v) = present.expect("only a present key is removed");
+                        let Some((_, victim, v)) = present else {
+                            return Written::kept(None);
+                        };
                         let top = v.top_level();
                         if let Some(region) = speculate {
                             match attempt_elision(region, ELISION_RETRIES, |tx| {

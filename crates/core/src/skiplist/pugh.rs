@@ -11,7 +11,13 @@
 //! * `insert` takes the new node's lock, then links it bottom-up; each
 //!   level locks a predecessor (`lock_pred`) and walks right (`walk_locked`);
 //! * `remove` and pop-min take the victim's lock, flip its `deleted` flag
-//!   (linearization point), then unlink top-down (`unlink_tower`).
+//!   (linearization point), then unlink top-down (`unlink_tower`);
+//! * an RMW swaps a present node's value box under the same node lock.
+//!
+//! `insert_in`, `remove_in` and `rmw_in` run one write loop, `write`: it
+//! parses, asks its caller's decision (keep, put a value, or remove), and
+//! makes that one write — a link through `insert_node`, a replace or a
+//! remove under the node's lock.
 //!
 //! A thread waits for a lock only while holding at most its own node's
 //! lock — a held predecessor is released before any wait — and only for a

@@ -45,11 +45,13 @@
 //! the paper's sense: waiting is possible, rare, and bounded by resize
 //! frequency rather than by peer scheduling.
 //!
-//! # Optimistic RMW
+//! # One write loop
 //!
-//! `rmw_in` is one loop whose rounds differ only in how they hold the
-//! bucket. While a shard has no migration in flight, the first rounds run
-//! validate-then-lock: snapshot the bucket's version word
+//! Every update runs one loop, `rmw_rounds`, which asks its caller's
+//! decision (keep, put a value, or remove) and whose rounds differ only in
+//! how they hold the bucket. `insert_in` and `remove_in` go straight to its
+//! locked round. For `rmw_in`, while a shard has no migration in flight,
+//! the first rounds run validate-then-lock: snapshot the bucket's version word
 //! ([`OptikLock::read_begin`]), parse the chain with no synchronization,
 //! run the closure, and then either revalidate (read-only decision — the
 //! version, the shard's table pointer *and* the `MOVED` tag must all be
@@ -57,8 +59,8 @@
 //! the whole parse because **every** bucket mutation — including the
 //! `MOVED` freeze — happens under that bucket's lock. Torn parses retry a
 //! bounded number of times. The last round, and any round that meets a
-//! migration, locks the bucket the way `insert_in` and `remove_in` do:
-//! help the drain, lock, re-check `MOVED`, retry.
+//! migration, locks the bucket: help the drain, lock, re-check `MOVED`,
+//! retry.
 //!
 //! Resize events are observable two ways: process-wide through the
 //! [`csds_metrics`] resize counters (`resize_migrations_started`, buckets
