@@ -27,8 +27,11 @@
 //! `remove` splices out: its guard is consumed by `retire`, which leaves the
 //! version odd for good, so a thread holding a stale pointer to the router
 //! can never lock it again.
-
-use csds_sync::atomic::{AtomicUsize, Ordering};
+//!
+//! In [`SyncMode::Elision`] a link or an unlink first runs as an emulated
+//! hardware transaction that names the same locks at the same parsed
+//! versions; its commit takes them, moves their versions as a guard does,
+//! and leaves a spliced-out router's lock held for good.
 
 use csds_ebr::{Atomic, Guard, Shared};
 use csds_htm::{attempt_elision, Elided, SpecStep, TxRegion};
@@ -43,8 +46,6 @@ struct Node<V> {
     value: Option<V>,
     leaf: bool,
     lock: OptikLock,
-    /// 0 = in tree, 1 = unlinked (validated by speculative sections).
-    removed: AtomicUsize,
     left: Atomic<Node<V>>,
     right: Atomic<Node<V>>,
 }
@@ -56,7 +57,6 @@ impl<V> Node<V> {
             value: Some(value),
             leaf: true,
             lock: OptikLock::new(),
-            removed: AtomicUsize::new(0),
             left: Atomic::null(),
             right: Atomic::null(),
         }
@@ -68,7 +68,6 @@ impl<V> Node<V> {
             value: None,
             leaf: false,
             lock: OptikLock::new(),
-            removed: AtomicUsize::new(0),
             left: Atomic::null(),
             right: Atomic::null(),
         }
@@ -86,29 +85,13 @@ impl<V> Node<V> {
 
 /// One parse-phase edge: the slot that points at the current node, the lock
 /// guarding that slot, the version observed *before* reading the slot, and
-/// the owner's removed flag (None for the root holder).
+/// the slot's owner (None for the root holder). Taking the lock at `ver`
+/// proves the slot unchanged and the owner still in the tree.
 struct Edge<'g, V> {
     slot: &'g Atomic<Node<V>>,
     lock: &'g OptikLock,
     ver: u64,
     owner: Option<Shared<'g, Node<V>>>,
-}
-
-impl<'g, V> Edge<'g, V> {
-    fn owner_removed(&self) -> Option<&'g AtomicUsize> {
-        // SAFETY: owner (if any) is pinned for 'g.
-        self.owner.map(|o| &unsafe { o.deref() }.removed)
-    }
-
-    /// Write-phase validation, run with this edge's lock (and, in elision
-    /// mode, the region) held: the owner is still in the tree and the slot
-    /// still points at `expected`. In locking mode a matched version already
-    /// implies it; elided commits move no version, so there it is needed.
-    fn holds(&self, expected: Shared<'_, Node<V>>) -> bool {
-        self.owner_removed()
-            .map_or(true, |r| r.load(Ordering::Acquire) == 0)
-            && self.slot.load_raw() == expected.as_raw()
-    }
 }
 
 /// Result of the parse phase: `(grandparent_edge, parent_edge, leaf)`.
@@ -230,12 +213,11 @@ impl<V: Clone + Send + Sync> BstTk<V> {
     /// for an empty tree) at parse time. An absent key's new leaf replaces
     /// `leaf` alone, or beside it under a new router; with `replace`, the
     /// new leaf replaces the present key's `leaf` wholesale (leaves are
-    /// immutable), which is marked removed. A link speculates first in
-    /// elision mode; a replace goes straight to the lock. The locked write
-    /// takes a versioned trylock on `p`'s lock, restarting on any version
-    /// movement, then the region in elision mode, then validates and
-    /// stores. **Linearization point: the slot store.** Returns the
-    /// published value, or `Err(value)` when the operation must restart.
+    /// immutable). A link speculates first in elision mode; a replace goes
+    /// straight to the lock. The locked write takes a versioned trylock on
+    /// `p`'s lock, restarting on any version movement, and stores.
+    /// **Linearization point: the slot store.** Returns the published
+    /// value, or `Err(value)` when the operation must restart.
     fn put_leaf<'g>(
         &'g self,
         k: u64,
@@ -264,7 +246,6 @@ impl<V: Clone + Send + Sync> BstTk<V> {
             }
             _ => new_leaf,
         };
-        let expected = leaf.unwrap_or_else(Shared::null);
         // SAFETY: published by the caller's successful write; pinned.
         let published = || {
             Ok(unsafe { new_leaf.deref() }
@@ -291,14 +272,8 @@ impl<V: Clone + Send + Sync> BstTk<V> {
         };
 
         if let (Some(region), false) = (&self.region, replace) {
-            let p_removed = p.owner_removed();
             match attempt_elision(region, ELISION_RETRIES, |tx| {
-                if let Some(r) = p_removed {
-                    if tx.read(r) != 0 {
-                        return SpecStep::Invalid;
-                    }
-                }
-                if tx.read(p.slot.as_raw_atomic()) != expected.as_raw() {
+                if !tx.lock_version(p.lock, p.ver) {
                     return SpecStep::Invalid;
                 }
                 tx.write(p.slot.as_raw_atomic(), replacement.as_raw());
@@ -312,17 +287,7 @@ impl<V: Clone + Send + Sync> BstTk<V> {
         let Some(_pg) = p.lock.try_lock_version(p.ver) else {
             return restart();
         };
-        let _fb = self.region.as_ref().map(TxRegion::enter_fallback);
-        if !p.holds(expected) {
-            return restart();
-        }
         p.slot.store(replacement); // linearization point
-        if replace {
-            // SAFETY: pinned.
-            unsafe { expected.deref() }
-                .removed
-                .store(1, Ordering::Release);
-        }
         published()
     }
 
@@ -331,9 +296,8 @@ impl<V: Clone + Send + Sync> BstTk<V> {
     /// into the grandparent's slot, unlinking the parent router too; a
     /// root leaf empties the tree. Speculates first in elision mode. The
     /// locked write trylocks the grandparent, then the parent (restarting
-    /// on any version movement), enters the region in elision mode,
-    /// validates and stores. **Linearization point: the slot store.**
-    /// `false` means restart.
+    /// on any version movement), and stores. **Linearization point: the
+    /// slot store.** `false` means restart.
     fn unlink_leaf(
         &self,
         gp: Option<&Edge<'_, V>>,
@@ -341,8 +305,6 @@ impl<V: Clone + Send + Sync> BstTk<V> {
         leaf_s: Shared<'_, Node<V>>,
         guard: &Guard,
     ) -> bool {
-        // SAFETY: pinned.
-        let l = unsafe { leaf_s.deref() };
         // Below the root: the grandparent edge, the parent router and the
         // leaf's sibling slot.
         let splice = gp.map(|gp| {
@@ -354,38 +316,22 @@ impl<V: Clone + Send + Sync> BstTk<V> {
             } else {
                 &parent.left
             };
-            (gp, parent_s, parent, sibling_slot)
+            (gp, parent_s, sibling_slot)
         });
         let slot = splice.map_or(p.slot, |(gp, ..)| gp.slot);
         let committed = match &self.region {
             Some(region) => match attempt_elision(region, ELISION_RETRIES, |tx| {
-                if let Some((gp, _, parent, _)) = splice {
-                    if let Some(r) = gp.owner_removed() {
-                        if tx.read(r) != 0 {
-                            return SpecStep::Invalid;
-                        }
+                let unchanged = match splice {
+                    Some((gp, ..)) => {
+                        tx.lock_version(gp.lock, gp.ver) && tx.retire_version(p.lock, p.ver)
                     }
-                    if tx.read(&parent.removed) != 0 {
-                        return SpecStep::Invalid;
-                    }
-                }
-                if tx.read(&l.removed) != 0 {
-                    return SpecStep::Invalid;
-                }
-                if let Some((gp, parent_s, ..)) = splice {
-                    if tx.read(gp.slot.as_raw_atomic()) != parent_s.as_raw() {
-                        return SpecStep::Invalid;
-                    }
-                }
-                if tx.read(p.slot.as_raw_atomic()) != leaf_s.as_raw() {
+                    None => tx.lock_version(p.lock, p.ver),
+                };
+                if !unchanged {
                     return SpecStep::Invalid;
                 }
                 let to = splice.map_or(0, |(.., sibling)| tx.read(sibling.as_raw_atomic()));
                 tx.write(slot.as_raw_atomic(), to);
-                if let Some((_, _, parent, _)) = splice {
-                    tx.write(&parent.removed, 1);
-                }
-                tx.write(&l.removed, 1);
                 SpecStep::Commit(())
             }) {
                 Elided::Committed(()) => true,
@@ -396,7 +342,7 @@ impl<V: Clone + Send + Sync> BstTk<V> {
         };
         if !committed {
             // Grandparent first, then parent — both versioned trylocks.
-            // Guards drop in reverse: region, parent, grandparent.
+            // Guards drop in reverse: parent, grandparent.
             let _gpg = match splice {
                 Some((gp, ..)) => match gp.lock.try_lock_version(gp.ver) {
                     Some(g) => Some(g),
@@ -407,15 +353,7 @@ impl<V: Clone + Send + Sync> BstTk<V> {
             let Some(pg) = p.lock.try_lock_version(p.ver) else {
                 return false;
             };
-            let _fb = self.region.as_ref().map(TxRegion::enter_fallback);
-            if !(splice.map_or(true, |(gp, parent_s, ..)| gp.holds(parent_s)) && p.holds(leaf_s)) {
-                return false;
-            }
             slot.store(splice.map_or(Shared::null(), |(.., sibling)| sibling.load(guard)));
-            if let Some((_, _, parent, _)) = splice {
-                parent.removed.store(1, Ordering::Release);
-            }
-            l.removed.store(1, Ordering::Release);
             if splice.is_some() {
                 // The unlinked router stays locked *forever*: a thread that
                 // reached it through a stale pointer and then read its
@@ -447,9 +385,9 @@ impl<V: Clone + Send + Sync> GuardedMap<V> for BstTk<V> {
     /// immutable after publication (an RMW replaces the leaf wholesale), so
     /// the answer depends only on *which* leaf the descent reaches. A router
     /// keeps its child pointers once it is unlinked (its lock stays held
-    /// forever, or its `removed` flag fails every later write phase), so a
-    /// child pointer read from it is the one it held at some instant when it
-    /// was still on `k`'s search path. By induction from the root load, every
+    /// forever, so every later write phase on it fails), so a child pointer
+    /// read from it is the one it held at some instant when it was still on
+    /// `k`'s search path. By induction from the root load, every
     /// node the descent reaches — the leaf included — was on the search path
     /// at some instant inside the call, and the read linearizes there.
     fn get_in<'g>(&'g self, k: u64, guard: &'g Guard) -> Option<&'g V> {

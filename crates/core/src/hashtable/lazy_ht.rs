@@ -10,8 +10,8 @@
 //!
 //! Reads traverse the bucket chain under an EBR pin, skipping nodes whose
 //! `marked` flag is set (a node is marked, then unlinked, both under the
-//! bucket lock — or both inside one speculative transaction in
-//! [`SyncMode::Elision`]).
+//! bucket lock — in [`SyncMode::Elision`] possibly both inside one
+//! speculative transaction, whose commit takes the bucket lock).
 //!
 //! The bucket lock is an [`OptikLock`], so its version word doubles as a
 //! per-bucket seqlock: in [`SyncMode::Locks`] every chain mutation runs
@@ -25,8 +25,9 @@
 //! [`OptikLock::try_lock_version`], taking the lock's cache-line bounce
 //! only when the bucket actually changed underneath (paper §5.1's
 //! validate-instead-of-wait idiom, extended from BST-TK to the hash table).
-//! An elision-mode table takes no snapshot rounds, since its transactional
-//! writers bump no versions: it speculates a link or an unlink, then locks.
+//! An elision-mode table speculates instead of taking snapshot rounds: it
+//! runs a link or an unlink as a transaction whose commit takes the bucket
+//! lock, then locks.
 //! Reads never locked and do not validate either: a single-key read has no
 //! use for a bucket snapshot.
 
@@ -165,11 +166,11 @@ impl<V: Clone + Send + Sync> LazyHashTable<V> {
     /// * An elision-mode table's rounds speculate until the write is a
     ///   replace or speculation gives up: parse and decide unsynchronized
     ///   (a read-only decision linearizes like `read_chain`), then run a
-    ///   link or an unlink as one transaction. A deleted node reads as
-    ///   absent, and a put waits for its unlink.
-    /// * The last round holds the bucket lock (and, in elision mode, the
-    ///   region's fallback lock, so speculative write phases abort or
-    ///   serialize) across the whole read-decide-apply, and cannot fail.
+    ///   link or an unlink as one transaction, committed under the bucket
+    ///   lock. A deleted node reads as absent, and a put waits for its
+    ///   unlink.
+    /// * The last round holds the bucket lock across the whole
+    ///   read-decide-apply, and cannot fail.
     ///
     /// A present key is replaced by a fresh same-key node at the same chain
     /// position, the old one marked `SUPERSEDED`, or unlinked after a
@@ -202,10 +203,8 @@ impl<V: Clone + Send + Sync> LazyHashTable<V> {
                 }
                 None
             };
-            let mut locked = (seen.is_none() && speculate.is_none()).then(|| {
-                let g = lock_guard(&bucket.lock);
-                (self.region.as_ref().map(TxRegion::enter_fallback), g)
-            });
+            let mut locked =
+                (seen.is_none() && speculate.is_none()).then(|| lock_guard(&bucket.lock));
             // Loaded before the scan: a speculative link validates it.
             let head = bucket.head.load(guard);
             let (pred, curr) = Self::scan(bucket, key, guard);
@@ -266,32 +265,37 @@ impl<V: Clone + Send + Sync> LazyHashTable<V> {
                         // SAFETY: pinned.
                         let pred_marked =
                             (!pred.is_null()).then(|| &unsafe { pred.deref() }.marked);
-                        match attempt_elision(region, ELISION_RETRIES, |tx| match (new_s, found) {
-                            // Any insert to this bucket moves `head`; any
-                            // removal of the head node moves `head` too —
-                            // validating `head` therefore rules out a
-                            // duplicate appearing since our scan.
-                            (Some(n), _) => {
-                                if tx.read(bucket.head.as_raw_atomic()) != head.as_raw() {
-                                    return SpecStep::Invalid;
+                        match attempt_elision(region, ELISION_RETRIES, |tx| {
+                            // The commit takes the bucket lock, as the locked
+                            // round does.
+                            tx.lock(&bucket.lock);
+                            match (new_s, found) {
+                                // Any insert to this bucket moves `head`; any
+                                // removal of the head node moves `head` too —
+                                // validating `head` therefore rules out a
+                                // duplicate appearing since our scan.
+                                (Some(n), _) => {
+                                    if tx.read(bucket.head.as_raw_atomic()) != head.as_raw() {
+                                        return SpecStep::Invalid;
+                                    }
+                                    // SAFETY: unpublished.
+                                    unsafe { n.deref() }.next.store(head);
+                                    tx.write(bucket.head.as_raw_atomic(), n.as_raw());
+                                    SpecStep::Commit(())
                                 }
-                                // SAFETY: unpublished.
-                                unsafe { n.deref() }.next.store(head);
-                                tx.write(bucket.head.as_raw_atomic(), n.as_raw());
-                                SpecStep::Commit(())
-                            }
-                            (None, c) => {
-                                let c = c.expect("an unlink has a node");
-                                if pred_marked.is_some_and(|pm| tx.read(pm) != 0)
-                                    || tx.read(&c.marked) != 0
-                                    || tx.read(link.as_raw_atomic()) != curr.as_raw()
-                                {
-                                    return SpecStep::Invalid;
+                                (None, c) => {
+                                    let c = c.expect("an unlink has a node");
+                                    if pred_marked.is_some_and(|pm| tx.read(pm) != 0)
+                                        || tx.read(&c.marked) != 0
+                                        || tx.read(link.as_raw_atomic()) != curr.as_raw()
+                                    {
+                                        return SpecStep::Invalid;
+                                    }
+                                    let succ = tx.read(c.next.as_raw_atomic());
+                                    tx.write(&c.marked, DELETED);
+                                    tx.write(link.as_raw_atomic(), succ);
+                                    SpecStep::Commit(())
                                 }
-                                let succ = tx.read(c.next.as_raw_atomic());
-                                tx.write(&c.marked, DELETED);
-                                tx.write(link.as_raw_atomic(), succ);
-                                SpecStep::Commit(())
                             }
                         }) {
                             Elided::Committed(()) => break 'round true,
@@ -309,7 +313,7 @@ impl<V: Clone + Send + Sync> LazyHashTable<V> {
                 }
                 if let Some(seen) = seen {
                     match bucket.lock.try_lock_version(seen) {
-                        Some(g) => locked = Some((None, g)),
+                        Some(g) => locked = Some(g),
                         None => {
                             torn_round();
                             break 'round false;
@@ -422,9 +426,8 @@ impl<V: Clone + Send + Sync> GuardedMap<V> for LazyHashTable<V> {
 
     /// `rmw_rounds` with the closure's decision. In [`SyncMode::Locks`] the
     /// first [`OPTIMISTIC_RMW_RETRIES`] rounds run **validate-then-lock**,
-    /// so the closure "may run more than once". Transactional writers do
-    /// not bump lock versions, so an elision-mode table takes no snapshot
-    /// rounds; it speculates a link as insert does.
+    /// so the closure "may run more than once". An elision-mode table
+    /// takes no snapshot rounds; it speculates a link as insert does.
     fn rmw_in<'g>(&'g self, key: u64, f: RmwFn<'_, V>, guard: &'g Guard) -> RmwOutcome<'g, V> {
         let snapshots = if self.region.is_none() {
             OPTIMISTIC_RMW_RETRIES

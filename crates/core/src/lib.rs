@@ -87,10 +87,9 @@ pub enum SyncMode {
     Locks,
     /// Emulated HTM lock elision with lock fallback (the paper's TSX
     /// configuration, §5.4). An update speculates its write phase up to
-    /// [`ELISION_RETRIES`] times; after that it runs the same locked write
-    /// phase as [`SyncMode::Locks`], which additionally takes the
-    /// structure's `csds_htm::TxRegion` after its last lock and before it
-    /// validates, and holds it through its last store.
+    /// [`ELISION_RETRIES`] times; a speculation's commit takes the locks its
+    /// locked write phase would take. After that it runs the same locked
+    /// write phase as [`SyncMode::Locks`].
     Elision,
 }
 

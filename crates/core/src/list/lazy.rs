@@ -19,10 +19,9 @@
 //!
 //! In [`SyncMode::Elision`] a link or an unlink first runs as an emulated
 //! hardware transaction instead of taking the per-node locks (paper §5.4);
-//! the validation becomes the transaction's read set and the stores its
-//! write set. A replace, and a write whose speculation gave up, run the one
-//! locked write phase, which enters the region after its last lock and
-//! before it validates.
+//! the validation becomes the transaction's read set, the stores its write
+//! set, and the locks it would take its commit's lock set. A replace, and a
+//! write whose speculation gave up, run the one locked write phase.
 
 use csds_sync::atomic::{AtomicUsize, Ordering};
 
@@ -184,8 +183,9 @@ impl<V: Clone + Send + Sync, L: RawMutex + 'static> LazyList<V, L> {
             };
             if self.apply(pred, curr_s, cur.is_some(), new_s, guard) {
                 if cur.is_some() {
-                    // SAFETY: unlinked by this writer, whose mark (under
-                    // both locks, or committed) makes it the unique retirer.
+                    // SAFETY: unlinked by this writer, whose mark (made
+                    // holding both locks, by the locked write or by a
+                    // commit) makes it the unique retirer.
                     unsafe { guard.defer_drop(curr_s) };
                 }
                 // SAFETY: published; pinned.
@@ -209,9 +209,9 @@ impl<V: Clone + Send + Sync, L: RawMutex + 'static> LazyList<V, L> {
     /// (`present` false), replace a present `curr` by `new_s`, or unlink it
     /// (`new_s` `None`). In elision mode a link or an unlink speculates
     /// first, with the read and write sets insert and remove have always
-    /// had; a replace goes straight to the locks. The locked write locks
-    /// `pred` (and a present `curr`, in list order), enters the region in
-    /// elision mode, validates the window and stores. A link or a replace
+    /// had and the locked write's lock set; a replace goes straight to the
+    /// locks. The locked write locks `pred` (and a present `curr`, in list
+    /// order), validates the window and stores. A link or a replace
     /// linearizes at the `pred.next` store, an unlink at its `DELETED`
     /// mark; a replaced node is marked `SUPERSEDED` in the same critical
     /// section, so no reader sees the key absent. `false`: the window went
@@ -233,6 +233,10 @@ impl<V: Clone + Send + Sync, L: RawMutex + 'static> LazyList<V, L> {
         if let (Some(region), false) = (&self.region, present && new_s.is_some()) {
             let link = pred.next.as_raw_atomic();
             match attempt_elision(region, ELISION_RETRIES, |tx| {
+                tx.lock(&pred.lock);
+                if present {
+                    tx.lock(&curr.lock);
+                }
                 if tx.read(&pred.marked) != 0
                     || (present && tx.read(&curr.marked) != 0)
                     || tx.read(link) != curr_s.as_raw()
@@ -255,7 +259,6 @@ impl<V: Clone + Send + Sync, L: RawMutex + 'static> LazyList<V, L> {
         }
         let _gp = lock_guard(&pred.lock);
         let _gc = present.then(|| lock_guard(&curr.lock));
-        let _fb = self.region.as_ref().map(TxRegion::enter_fallback);
         if pred.is_marked() || curr.is_marked() || pred.next.load(guard) != curr_s {
             return false;
         }

@@ -230,7 +230,8 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
     /// Read-only decisions linearize at the parse's tower read.
     ///
     /// An unlink runs the published algorithm. In elision mode it first
-    /// marks the victim and unlinks every level in one transaction; once
+    /// marks the victim and unlinks every level in one transaction, whose
+    /// commit locks the victim and the distinct predecessors; once
     /// speculation gives up, `speculate` turns off. The locked unlink locks
     /// the victim and marks it `DELETED` (the linearization point), then
     /// holds that lock across re-parses until
@@ -290,12 +291,14 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
                         let top = v.top_level();
                         if let Some(region) = speculate {
                             match attempt_elision(region, ELISION_RETRIES, |tx| {
+                                tx.lock(&v.header().lock);
                                 if tx.read(&v.header().marked) != 0 {
                                     return SpecStep::Invalid; // another remover won
                                 }
                                 for l in 0..=top {
                                     // SAFETY: pinned.
                                     let p = unsafe { node(windows.0[l]) };
+                                    tx.lock(&p.header().lock);
                                     if tx.read(&p.header().marked) != 0
                                         || tx.read(p.next(l).as_raw_atomic()) != victim.as_raw()
                                     {
@@ -325,18 +328,16 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
                             continue;
                         }
                         let g = lock_guard(&v.header().lock);
-                        let fb = self.region.as_ref().map(TxRegion::enter_fallback);
                         match v.marked.load(Ordering::Acquire) {
                             DELETED => return Written::kept(None), // lost to another remover
                             SUPERSEDED => {
-                                drop((fb, g));
+                                drop(g);
                                 csds_metrics::restart();
                                 continue;
                             }
                             _ => {}
                         }
                         v.marked.store(DELETED, Ordering::Release); // linearization point
-                        drop(fb);
                         doomed = Some((victim, g));
                     }
                 }
@@ -361,17 +362,17 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
     /// One put on the parsed windows: link a fresh tower for an absent key,
     /// or replace the present tower `victim` by a fresh one of the same
     /// height. In elision mode a link speculates first (validate, publish
-    /// `fully_linked` and link every level in one transaction); a replace
-    /// goes straight to the locks.
+    /// `fully_linked` and link every level in one transaction, whose commit
+    /// locks the distinct predecessors); a replace goes straight to the
+    /// locks.
     ///
-    /// The locked write locks the victim and the distinct predecessors,
-    /// enters the region in elision mode and validates every level. A link
-    /// then links bottom-up and linearizes at its `fully_linked` store:
-    /// until then readers and removers treat the tower as absent. A replace
-    /// publishes the new tower fully linked, marks the victim `SUPERSEDED`
-    /// and swings the predecessors top-down, linearizing at level 0, so the
-    /// key is never observably absent. `Err` hands the value back: a window
-    /// went stale.
+    /// The locked write locks the victim and the distinct predecessors and
+    /// validates every level. A link then links bottom-up and linearizes at
+    /// its `fully_linked` store: until then readers and removers treat the
+    /// tower as absent. A replace publishes the new tower fully linked,
+    /// marks the victim `SUPERSEDED` and swings the predecessors top-down,
+    /// linearizing at level 0, so the key is never observably absent. `Err`
+    /// hands the value back: a window went stale.
     fn put<'g>(
         &'g self,
         ikey: u64,
@@ -408,6 +409,7 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
                     // SAFETY: pinned.
                     let p = unsafe { node(preds[l]) };
                     let s = unsafe { node(succs[l]) };
+                    tx.lock(&p.header().lock);
                     if tx.read(&p.header().marked) != 0
                         || tx.read(&s.header().marked) != 0
                         || tx.read(p.next(l).as_raw_atomic()) != succs[l].as_raw()
@@ -432,10 +434,9 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
         // SAFETY: pinned.
         let vg = victim.map(|v| lock_guard(&unsafe { node(v) }.header().lock));
         let guards = Self::lock_preds(preds, top);
-        let fb = self.region.as_ref().map(TxRegion::enter_fallback);
         let expected = victim.map_or(*succs, |v| [v; MAX_LEVEL]);
         if !self.validate_windows(preds, &expected, top, guard) {
-            drop((fb, guards, vg));
+            drop((guards, vg));
             return stale();
         }
         if let Some(victim) = victim {
@@ -459,7 +460,7 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
             }
             new_ref.fully_linked.store(1, Ordering::Release);
         }
-        drop((fb, guards, vg));
+        drop((guards, vg));
         if let Some(victim) = victim {
             // SAFETY: unlinked at every level under the locks; the
             // `SUPERSEDED` transition makes this writer the unique retirer.
@@ -469,9 +470,9 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
     }
 
     /// The locked unlink of a victim its caller has marked `DELETED` and
-    /// holds locked: lock the distinct predecessors, (elision mode) enter
-    /// the region, validate, unlink every level top-down. `false`: a window
-    /// went stale, and the caller re-parses.
+    /// holds locked: lock the distinct predecessors, validate, unlink every
+    /// level top-down. `false`: a window went stale, and the caller
+    /// re-parses.
     fn unlink_locked(
         &self,
         preds: &[Shared<'_, Node<V>>; MAX_LEVEL],
@@ -482,7 +483,6 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
         let v = unsafe { node(victim) };
         let top = v.top_level();
         let _guards = Self::lock_preds(preds, top);
-        let _fb = self.region.as_ref().map(TxRegion::enter_fallback);
         for l in 0..=top {
             // SAFETY: pinned.
             let p = unsafe { node(preds[l]) };

@@ -20,15 +20,25 @@ const ELISION_UPDATES: [u32; 3] = [20, 50, 100];
 /// and fall back to real acquisition. Paper: well below 1 % except the
 /// skiplist (multiple locks per update ⇒ biggest speculative footprint):
 /// list/HT ≈ 0.001–0.002, skiplist ≈ 0.011–0.014, BST ≈ 0.000–0.001.
+///
+/// A second table splits the speculative attempts of the same runs by
+/// abort cause: a conflict (a named lock held at commit, or a changed read)
+/// or an interrupt (the attempt outlived the scheduling quantum).
 pub fn table2(scale: Scale) {
+    let headers = ["upd%", "linked list", "skip list", "hash table", "BST"];
     let mut table = Table::new(
         format!(
             "Table 2 - elision fallback fraction ({ELISION_THREADS} threads, {ELISION_SIZE} elements)"
         ),
-        &["upd%", "linked list", "skip list", "hash table", "BST"],
+        &headers,
+    );
+    let mut aborts = Table::new(
+        "Abort causes per speculative attempt (conflict / interrupt), same runs",
+        &headers,
     );
     for pct_u in ELISION_UPDATES {
         let mut row = vec![pct_u.to_string()];
+        let mut abort_row = row.clone();
         for family in Family::all() {
             let cfg = MapRunConfig::paper_default(
                 family.best_blocking_elided(),
@@ -39,14 +49,23 @@ pub fn table2(scale: Scale) {
             );
             let r = run_map_avg(&cfg, scale.reps());
             row.push(pct(r.fallback_fraction()));
+            let s = &r.stats;
+            let per_attempt = |n: u64| pct(n as f64 / s.elide_attempts.max(1) as f64);
+            abort_row.push(format!(
+                "{} / {}",
+                per_attempt(s.elide_aborts_conflict),
+                per_attempt(s.elide_aborts_interrupt)
+            ));
         }
         table.row(row);
+        aborts.row(abort_row);
     }
     table.print();
     println!(
         "paper: 0.001-0.002 (list/HT), 0.011-0.014 (skip list, worst: multiple\n\
          locks per update), 0.000-0.001 (BST) - fractions, not percent"
     );
+    aborts.print();
 }
 
 /// **Table 3** — throughput of the elided variant relative to the default

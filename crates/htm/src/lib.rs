@@ -10,58 +10,55 @@
 //! the section falls back to actually acquiring the locks.
 //!
 //! We do not have TSX (nor would a portable Rust library want to depend on
-//! it), so this crate emulates it with a **NOrec-style software transaction**
-//! (Dalessandro, Spear & Scott, PPoPP'10):
+//! it), so this crate emulates it with a software transaction that commits
+//! through the structure's own lock words, as PathCAS does (Brown, Sigouin
+//! & Alistarh): a TSX transaction conflicts only with operations on the
+//! same lock words, and so does this one.
 //!
-//! * each structure owns a [`TxRegion`] with a single global *sequence lock*
-//!   (even = quiescent, odd = a commit or fallback section in progress);
 //! * a speculative section ([`Tx`]) performs its reads through
-//!   [`Tx::read`], recording `(location, value)` pairs, and buffers its
-//!   writes via [`Tx::write`] — shared memory is untouched until commit;
-//! * [`Tx::commit`] acquires the sequence lock, **value-validates** the read
-//!   set, applies the write set, and releases. A failed validation is a
-//!   data-conflict abort;
-//! * *abort-on-interrupt* is emulated: a transaction that observes it has
-//!   been running longer than a scheduling quantum (it was descheduled
-//!   mid-flight), or that an injected preemption tick fired, aborts with
-//!   [`TxAbort::Interrupted`] instead of committing;
-//! * the lock-based fallback path takes [`TxRegion::enter_fallback`], which
-//!   holds the sequence lock, **after** the structure's locks and **before**
-//!   it validates, and holds it through its last store. Speculators never
-//!   read the structure's lock words (the emulation has no equivalent of a
-//!   TSX transaction subscribing to them), so a fallback that validated
-//!   first could be overtaken by a commit between its validation and its
-//!   stores: two removers would then both unlink and retire one node.
-//!   Structures therefore have one write phase for both modes; in elision
-//!   mode it is the fallback, and only the region guard is extra.
+//!   [`Tx::read`], recording `(location, value)` pairs, buffers its writes
+//!   via [`Tx::write`] — shared memory is untouched until commit — and names
+//!   the locks its write phase would take ([`Tx::lock`],
+//!   [`Tx::lock_version`], [`Tx::retire_version`]). It holds none of them;
+//! * [`Tx::commit`] try-locks the named locks, **value-validates** the read
+//!   set, applies the write set and releases the locks. A held lock or a
+//!   changed value is a data-conflict abort; commit never waits;
+//! * *abort-on-interrupt* is emulated: a transaction that observes at commit
+//!   that it has been running longer than a scheduling quantum (it was
+//!   descheduled mid-flight) aborts with [`TxAbort::Interrupted`];
+//! * the fallback, once the retries are spent, is the structure's plain
+//!   locked write phase, the same code as in lock mode.
+//!
+//! **The one rule.** A commit's lock set equals the lock set of the
+//! structure's locked write phase for the same write, so every location a
+//! commit writes is guarded by a lock it holds: a commit and a locked write
+//! phase exclude each other exactly as two locked write phases do, and two
+//! commits on disjoint locks both go through.
 //!
 //! This preserves every property the paper's experiments rely on:
 //! descheduled threads hold no locks, conflicts abort speculation, retries
 //! are bounded, and the fallback is pessimistic locking (Tables 2 and 3).
 
-use csds_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use csds_sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use csds_sync::Backoff;
+use csds_sync::{OptikLock, RawMutex};
 
 /// Why a speculative section failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TxAbort {
-    /// Read-set validation failed, or the sequence lock was persistently
-    /// busy: another thread's write phase conflicted with ours.
+    /// A named lock was held at commit, or read-set validation failed:
+    /// another thread's write phase conflicted with ours.
     Conflict,
     /// The (emulated) scheduler interrupted the transaction: it overran the
-    /// quantum or an injected preemption tick fired.
+    /// quantum.
     Interrupted,
 }
 
-/// Per-structure transactional region: one sequence lock plus preemption
-/// bookkeeping. Structures created in elided mode own exactly one.
+/// Per-structure transactional region: the abort-on-interrupt quantum.
+/// Structures created in elided mode own exactly one; it holds no shared
+/// state, since commits synchronize on the structure's own locks.
 pub struct TxRegion {
-    /// Sequence lock: even = free; odd = commit/fallback in progress.
-    seq: AtomicU64,
-    /// Injected preemption ticks (see [`TxRegion::tick`]).
-    preempt: AtomicU64,
     /// Transactions older than this are considered interrupted at commit.
     quantum: Duration,
 }
@@ -85,36 +82,16 @@ impl TxRegion {
 
     /// New region with an explicit abort-on-interrupt quantum.
     pub fn with_quantum(quantum: Duration) -> Self {
-        TxRegion {
-            seq: AtomicU64::new(0),
-            preempt: AtomicU64::new(0),
-            quantum,
-        }
+        TxRegion { quantum }
     }
 
-    /// Begin a speculative section. Returns `Err(Conflict)` if the region's
-    /// sequence lock stays busy (a fallback writer is stalled inside it).
-    pub fn begin<'r>(&'r self) -> Result<Tx<'r>, TxAbort> {
+    /// Begin a speculative section.
+    pub fn begin<'r>(&'r self) -> Tx<'r> {
         csds_metrics::elide_attempt();
-        let mut backoff = Backoff::new();
-        let mut spins = 0u32;
-        let snapshot = loop {
-            let s = self.seq.load(Ordering::Acquire);
-            if s & 1 == 0 {
-                break s;
-            }
-            spins += 1;
-            if spins > 256 {
-                csds_metrics::elide_abort_conflict();
-                return Err(TxAbort::Conflict);
-            }
-            backoff.snooze();
-        };
         let tx = Tx {
             region: self,
-            snapshot,
-            tick: self.preempt.load(Ordering::Relaxed),
             start: Instant::now(),
+            locks: Vec::with_capacity(4),
             reads: Vec::with_capacity(8),
             writes: Vec::with_capacity(4),
         };
@@ -123,71 +100,56 @@ impl TxRegion {
         // "interrupted", which is precisely the TSX behaviour the paper
         // leverages (§5.4).
         csds_metrics::maybe_delay_in_cs();
-        Ok(tx)
+        tx
     }
+}
 
-    /// Inject a preemption: every in-flight transaction in this region will
-    /// abort with [`TxAbort::Interrupted`] at commit. The harness calls this
-    /// from a scheduler-tick thread to emulate timer interrupts.
-    pub fn tick(&self) {
-        self.preempt.fetch_add(1, Ordering::Relaxed);
-    }
+/// A lock a transaction names, taken only inside [`Tx::commit`].
+enum Named<'r> {
+    /// Taken with `try_acquire`, released with `unlock`.
+    Plain(&'r dyn RawMutex),
+    /// An OPTIK lock taken only at the version `seen`; with `retire` it
+    /// stays held for good after a successful commit.
+    Version {
+        lock: &'r OptikLock,
+        seen: u64,
+        retire: bool,
+    },
+}
 
-    /// Enter the pessimistic fallback: acquires the sequence lock so that
-    /// concurrent speculators either validate against the fallback's
-    /// completed writes or abort. Call *after* taking the structure's real
-    /// locks and *before* validating what they protect, and hold the guard
-    /// through the section's last shared write: a commit cannot then land
-    /// between the validation and the writes. Never wait for a structure
-    /// lock while holding the guard.
-    pub fn enter_fallback(&self) -> FallbackGuard<'_> {
-        let mut backoff = Backoff::new();
-        loop {
-            let s = self.seq.load(Ordering::Relaxed);
-            if s & 1 == 0
-                && self
-                    .seq
-                    .compare_exchange(s, s + 1, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok()
-            {
-                return FallbackGuard {
-                    region: self,
-                    held: s + 1,
-                };
-            }
-            backoff.snooze();
+impl Named<'_> {
+    fn addr(&self) -> *const () {
+        match self {
+            Named::Plain(l) => *l as *const dyn RawMutex as *const (),
+            Named::Version { lock, .. } => *lock as *const OptikLock as *const (),
         }
     }
 
-    /// Current sequence value (diagnostics/tests).
-    pub fn seq(&self) -> u64 {
-        self.seq.load(Ordering::Relaxed)
+    fn try_take(&self) -> bool {
+        match self {
+            Named::Plain(l) => l.try_acquire(),
+            Named::Version { lock, seen, .. } => lock.try_lock_at(*seen),
+        }
     }
-}
 
-/// RAII guard for the pessimistic fallback path (sequence lock held).
-pub struct FallbackGuard<'r> {
-    region: &'r TxRegion,
-    held: u64, // odd value we installed
-}
-
-impl Drop for FallbackGuard<'_> {
-    fn drop(&mut self) {
-        debug_assert_eq!(self.held & 1, 1);
-        self.region.seq.store(self.held + 1, Ordering::Release);
+    fn release(&self) {
+        match self {
+            Named::Plain(l) => l.unlock(),
+            Named::Version { lock, .. } => lock.unlock(),
+        }
     }
 }
 
 /// A speculative (buffered) transaction.
 ///
 /// Reads and writes go through the transaction; shared memory is only
-/// modified at [`Tx::commit`], after validation, so an aborted transaction
-/// has no side effects — exactly like a hardware transaction.
+/// modified at [`Tx::commit`], under the named locks and after validation,
+/// so an aborted transaction has no side effects — exactly like a hardware
+/// transaction.
 pub struct Tx<'r> {
     region: &'r TxRegion,
-    snapshot: u64,
-    tick: u64,
     start: Instant,
+    locks: Vec<Named<'r>>,
     reads: Vec<(&'r AtomicUsize, usize)>,
     writes: Vec<(&'r AtomicUsize, usize)>,
 }
@@ -220,71 +182,74 @@ impl<'r> Tx<'r> {
         self.writes.push((loc, value));
     }
 
-    fn interrupted(&self) -> bool {
-        self.start.elapsed() > self.region.quantum
-            || self.region.preempt.load(Ordering::Relaxed) != self.tick
+    /// Name one of the write phase's locks: [`commit`](Self::commit)
+    /// try-locks it and releases it. Naming a lock twice names it once.
+    #[inline]
+    pub fn lock<L: RawMutex>(&mut self, lock: &'r L) {
+        self.name(Named::Plain(lock));
     }
 
-    /// Attempt to commit. On success the write set has been applied
-    /// atomically with respect to every other commit and fallback section.
-    pub fn commit(mut self) -> Result<(), TxAbort> {
+    /// Name an OPTIK lock that [`commit`](Self::commit) takes only at the
+    /// version `seen` its parse observed, as `try_lock_version` does, and
+    /// releases. Returns whether the lock reads `seen` now: `false` means
+    /// the neighbourhood moved, or is being written, since the parse.
+    #[inline]
+    pub fn lock_version(&mut self, lock: &'r OptikLock, seen: u64) -> bool {
+        self.name_version(lock, seen, false)
+    }
+
+    /// [`lock_version`](Self::lock_version) for a node the write unlinks: a
+    /// successful commit leaves the lock held for good, as
+    /// `LockGuard::retire` does.
+    #[inline]
+    pub fn retire_version(&mut self, lock: &'r OptikLock, seen: u64) -> bool {
+        self.name_version(lock, seen, true)
+    }
+
+    fn name_version(&mut self, lock: &'r OptikLock, seen: u64, retire: bool) -> bool {
+        self.name(Named::Version { lock, seen, retire });
+        !OptikLock::version_is_locked(seen) && lock.version() == seen
+    }
+
+    fn name(&mut self, lock: Named<'r>) {
+        if !self.locks.iter().any(|l| l.addr() == lock.addr()) {
+            self.locks.push(lock);
+        }
+    }
+
+    fn interrupted(&self) -> bool {
+        self.start.elapsed() > self.region.quantum
+    }
+
+    /// Attempt to commit: try-lock the named locks, validate the read set,
+    /// apply the write set and release the locks. On success the writes
+    /// took effect under every named lock; on an abort nothing was written
+    /// and no lock is held.
+    pub fn commit(self) -> Result<(), TxAbort> {
         if self.interrupted() {
             csds_metrics::elide_abort_interrupt();
             return Err(TxAbort::Interrupted);
         }
-        // Acquire the sequence lock, NOrec style: if the sequence moved since
-        // our snapshot, revalidate values before retrying the acquisition.
-        let mut attempts = 0u32;
-        let held = loop {
-            match self.region.seq.compare_exchange(
-                self.snapshot,
-                self.snapshot + 1,
-                Ordering::Acquire,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break self.snapshot + 1,
-                Err(cur) => {
-                    attempts += 1;
-                    if attempts > 64 {
-                        csds_metrics::elide_abort_conflict();
-                        return Err(TxAbort::Conflict);
-                    }
-                    if cur & 1 == 1 {
-                        // Commit/fallback in progress; brief wait.
-                        std::hint::spin_loop();
-                        continue;
-                    }
-                    // Someone committed since our snapshot: value-validate,
-                    // then adopt the newer snapshot.
-                    if !self.revalidate() {
-                        csds_metrics::elide_abort_conflict();
-                        return Err(TxAbort::Conflict);
-                    }
-                    if self.interrupted() {
-                        csds_metrics::elide_abort_interrupt();
-                        return Err(TxAbort::Interrupted);
-                    }
-                    self.snapshot = cur;
-                }
-            }
-        };
-        // We hold the sequence lock: no other commit or fallback write phase
-        // can run. Final validation, then apply.
-        if !self.revalidate() {
-            self.region.seq.store(held + 1, Ordering::Release);
+        let taken = self.locks.iter().take_while(|l| l.try_take()).count();
+        if taken < self.locks.len() || !self.validate() {
+            self.locks[..taken].iter().for_each(Named::release);
             csds_metrics::elide_abort_conflict();
             return Err(TxAbort::Conflict);
         }
         for (loc, v) in &self.writes {
             loc.store(*v, Ordering::Release);
         }
-        self.region.seq.store(held + 1, Ordering::Release);
+        for l in &self.locks {
+            if !matches!(l, Named::Version { retire: true, .. }) {
+                l.release();
+            }
+        }
         csds_metrics::elide_commit();
         Ok(())
     }
 
     #[inline]
-    fn revalidate(&self) -> bool {
+    fn validate(&self) -> bool {
         self.reads
             .iter()
             .all(|(loc, v)| loc.load(Ordering::Acquire) == *v)
@@ -308,9 +273,7 @@ pub enum Elided<R> {
     /// Algorithm-level validation failed: the operation should restart from
     /// its parse phase.
     Invalid,
-    /// Retries exhausted: the caller must run its locked write phase, which
-    /// takes [`TxRegion::enter_fallback`] after its locks, before its
-    /// validation, and holds it through its last store.
+    /// Retries exhausted: the caller must run its locked write phase.
     FellBack,
 }
 
@@ -322,13 +285,14 @@ pub fn attempt_elision<'r, R>(
     mut body: impl FnMut(&mut Tx<'r>) -> SpecStep<R>,
 ) -> Elided<R> {
     for _ in 0..retries {
-        let Ok(mut tx) = region.begin() else { continue };
+        let mut tx = region.begin();
         match body(&mut tx) {
             SpecStep::Invalid => return Elided::Invalid,
-            SpecStep::Commit(r) => match tx.commit() {
-                Ok(()) => return Elided::Committed(r),
-                Err(_) => continue,
-            },
+            SpecStep::Commit(r) => {
+                if tx.commit().is_ok() {
+                    return Elided::Committed(r);
+                }
+            }
         }
     }
     csds_metrics::elide_fallback();
@@ -338,15 +302,20 @@ pub fn attempt_elision<'r, R>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csds_sync::{lock_guard, TasLock};
     use std::sync::Arc;
+
+    /// A scheduling stall on a loaded CI host must not turn an expected
+    /// outcome into an Interrupted abort: disable the quantum.
+    fn region() -> TxRegion {
+        TxRegion::with_quantum(Duration::from_secs(300))
+    }
 
     #[test]
     fn read_write_commit_applies() {
-        // A scheduling stall on a loaded CI host must not turn an
-        // expected outcome into an Interrupted abort: disable the quantum.
-        let region = TxRegion::with_quantum(Duration::from_secs(300));
+        let region = region();
         let cell = AtomicUsize::new(5);
-        let mut tx = region.begin().unwrap();
+        let mut tx = region.begin();
         assert_eq!(tx.read(&cell), 5);
         tx.write(&cell, 9);
         assert_eq!(tx.read(&cell), 9, "read-own-write");
@@ -357,11 +326,9 @@ mod tests {
 
     #[test]
     fn aborted_tx_has_no_side_effects() {
-        // A scheduling stall on a loaded CI host must not turn an
-        // expected outcome into an Interrupted abort: disable the quantum.
-        let region = TxRegion::with_quantum(Duration::from_secs(300));
+        let region = region();
         let a = AtomicUsize::new(1);
-        let mut tx = region.begin().unwrap();
+        let mut tx = region.begin();
         let _ = tx.read(&a);
         tx.write(&a, 99);
         // Conflict: someone changes `a` before we commit.
@@ -372,18 +339,19 @@ mod tests {
 
     #[test]
     fn disjoint_concurrent_commits_succeed() {
-        // A scheduling stall on a loaded CI host must not turn an
-        // expected outcome into an Interrupted abort: disable the quantum.
-        let region = TxRegion::with_quantum(Duration::from_secs(300));
+        let region = region();
+        let (la, lb) = (TasLock::new(), TasLock::new());
         let a = AtomicUsize::new(0);
         let b = AtomicUsize::new(0);
-        let mut t1 = region.begin().unwrap();
+        let mut t1 = region.begin();
+        t1.lock(&la);
         let _ = t1.read(&a);
         t1.write(&a, 1);
-        let mut t2 = region.begin().unwrap();
+        let mut t2 = region.begin();
+        t2.lock(&lb);
         let _ = t2.read(&b);
         t2.write(&b, 2);
-        // t2 commits first; t1's read set (only `a`) still validates.
+        // t2 commits first; t1's lock and read set (only `a`) are untouched.
         t2.commit().unwrap();
         t1.commit().unwrap();
         assert_eq!(a.load(Ordering::Relaxed), 1);
@@ -394,7 +362,7 @@ mod tests {
     fn quantum_overrun_aborts_as_interrupt() {
         let region = TxRegion::with_quantum(Duration::from_millis(1));
         let a = AtomicUsize::new(0);
-        let mut tx = region.begin().unwrap();
+        let mut tx = region.begin();
         tx.write(&a, 1);
         std::thread::sleep(Duration::from_millis(5));
         assert_eq!(tx.commit(), Err(TxAbort::Interrupted));
@@ -402,29 +370,96 @@ mod tests {
     }
 
     #[test]
-    fn preemption_tick_aborts_inflight() {
-        // A scheduling stall on a loaded CI host must not turn an
-        // expected outcome into an Interrupted abort: disable the quantum.
-        let region = TxRegion::with_quantum(Duration::from_secs(300));
+    fn commit_on_a_held_lock_aborts_and_writes_nothing() {
+        let region = region();
+        let (free, held) = (TasLock::new(), TasLock::new());
         let a = AtomicUsize::new(0);
-        let mut tx = region.begin().unwrap();
+        let g = lock_guard(&held);
+        let mut tx = region.begin();
+        tx.lock(&free);
+        tx.lock(&held);
+        let _ = tx.read(&a);
         tx.write(&a, 1);
-        region.tick();
-        assert_eq!(tx.commit(), Err(TxAbort::Interrupted));
+        assert_eq!(tx.commit(), Err(TxAbort::Conflict));
+        assert_eq!(a.load(Ordering::Relaxed), 0);
+        assert!(!free.is_locked(), "the lock taken before the held one");
+        drop(g);
+    }
+
+    #[test]
+    fn committed_tx_leaves_its_locks_free() {
+        let region = region();
+        let (l1, l2) = (TasLock::new(), TasLock::new());
+        let ol = OptikLock::new();
+        let a = AtomicUsize::new(0);
+        let mut tx = region.begin();
+        tx.lock(&l1);
+        tx.lock(&l2);
+        tx.lock(&l1); // named twice, taken once
+        assert!(tx.lock_version(&ol, ol.version()));
+        tx.write(&a, 1);
+        tx.commit().unwrap();
+        assert_eq!(a.load(Ordering::Relaxed), 1);
+        assert!(!l1.is_locked() && !l2.is_locked() && !ol.is_locked());
+        assert_eq!(ol.version(), 2, "a commit moves the version like a lock");
+    }
+
+    #[test]
+    fn version_locks_abort_on_a_moved_version_and_retire_on_commit() {
+        let region = region();
+        let (moved, dead) = (OptikLock::new(), OptikLock::new());
+        let seen = moved.version();
+        drop(lock_guard(&moved));
+        let mut tx = region.begin();
+        assert!(!tx.lock_version(&moved, seen), "the version moved");
+        assert_eq!(tx.commit(), Err(TxAbort::Conflict));
+        assert!(!moved.is_locked());
+
+        let mut tx = region.begin();
+        assert!(tx.retire_version(&dead, dead.version()));
+        tx.commit().unwrap();
+        assert!(dead.is_locked(), "a retired lock stays held");
+        assert!(dead.read_begin().is_none());
+    }
+
+    /// A descheduled speculator holds nothing: a speculator that has begun
+    /// and named its lock does not hold it, so a locked writer goes straight
+    /// through, and the speculator's commit then aborts.
+    #[test]
+    fn a_speculator_holds_none_of_its_named_locks() {
+        let region = region();
+        let lock = Arc::new(TasLock::new());
+        let a = Arc::new(AtomicUsize::new(0));
+        let mut tx = region.begin();
+        tx.lock(&*lock);
+        let _ = tx.read(&a);
+        tx.write(&a, 1);
+        let (l2, a2) = (Arc::clone(&lock), Arc::clone(&a));
+        let waited = std::thread::spawn(move || {
+            let _g = lock_guard(&*l2);
+            a2.store(7, Ordering::Release);
+            csds_metrics::take_and_reset().contended_acquires
+        })
+        .join()
+        .unwrap();
+        assert_eq!(waited, 0, "the locked writer waited");
+        assert_eq!(tx.commit(), Err(TxAbort::Conflict));
+        assert_eq!(a.load(Ordering::Relaxed), 7);
+        assert!(!lock.is_locked());
     }
 
     #[test]
     fn fallback_conflicts_with_speculation() {
-        // A scheduling stall on a loaded CI host must not turn an
-        // expected outcome into an Interrupted abort: disable the quantum.
-        let region = TxRegion::with_quantum(Duration::from_secs(300));
+        let region = region();
+        let lock = TasLock::new();
         let a = AtomicUsize::new(0);
-        let mut tx = region.begin().unwrap();
+        let mut tx = region.begin();
+        tx.lock(&lock);
         let _ = tx.read(&a);
         tx.write(&a, 1);
         {
-            let _fb = region.enter_fallback();
-            a.store(7, Ordering::Release); // fallback write under seq lock
+            let _g = lock_guard(&lock);
+            a.store(7, Ordering::Release); // fallback write under the lock
         }
         assert_eq!(tx.commit(), Err(TxAbort::Conflict));
         assert_eq!(a.load(Ordering::Relaxed), 7);
@@ -433,9 +468,7 @@ mod tests {
     #[test]
     fn attempt_elision_falls_back_after_retries() {
         let _ = csds_metrics::take_and_reset();
-        // A scheduling stall on a loaded CI host must not turn an
-        // expected outcome into an Interrupted abort: disable the quantum.
-        let region = TxRegion::with_quantum(Duration::from_secs(300));
+        let region = region();
         let a = AtomicUsize::new(0);
         // A body that always loses: it reads `a`, then a "concurrent" write
         // invalidates it before commit.
@@ -454,9 +487,7 @@ mod tests {
     #[test]
     fn attempt_elision_commits_and_counts() {
         let _ = csds_metrics::take_and_reset();
-        // A scheduling stall on a loaded CI host must not turn an
-        // expected outcome into an Interrupted abort: disable the quantum.
-        let region = TxRegion::with_quantum(Duration::from_secs(300));
+        let region = region();
         let a = AtomicUsize::new(3);
         let out = attempt_elision(&region, 5, |tx| {
             let v = tx.read(&a);
@@ -476,30 +507,29 @@ mod tests {
     #[test]
     fn concurrent_counter_increments_are_not_lost() {
         // 4 threads × 500 transactional increments on one counter: heavy
-        // conflicts, but commits must serialize correctly.
-        let region = Arc::new(TxRegion::with_quantum(Duration::from_secs(300)));
+        // conflicts, but commits and locked fallbacks must serialize.
+        let region = Arc::new(region());
+        let lock = Arc::new(TasLock::new());
         let counter = Arc::new(AtomicUsize::new(0));
         let mut handles = Vec::new();
         for _ in 0..4 {
             let region = Arc::clone(&region);
+            let lock = Arc::clone(&lock);
             let counter = Arc::clone(&counter);
             handles.push(std::thread::spawn(move || {
                 for _ in 0..500 {
-                    loop {
-                        match attempt_elision(&region, 5, |tx| {
-                            let v = tx.read(&counter);
-                            tx.write(&counter, v + 1);
-                            SpecStep::Commit(())
-                        }) {
-                            Elided::Committed(()) => break,
-                            Elided::Invalid => continue,
-                            Elided::FellBack => {
-                                // Pessimistic path: seq lock alone guards us.
-                                let _fb = region.enter_fallback();
-                                counter.fetch_add(1, Ordering::Relaxed);
-                                break;
-                            }
-                        }
+                    let out = attempt_elision(&region, 5, |tx| {
+                        tx.lock(&*lock);
+                        let v = tx.read(&counter);
+                        tx.write(&counter, v + 1);
+                        SpecStep::Commit(())
+                    });
+                    if let Elided::FellBack = out {
+                        // The locked write phase: the counter's lock alone
+                        // guards it.
+                        let _g = lock_guard(&*lock);
+                        let v = counter.load(Ordering::Relaxed);
+                        counter.store(v + 1, Ordering::Relaxed);
                     }
                 }
             }));
@@ -508,5 +538,6 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(counter.load(Ordering::Relaxed), 2000);
+        assert!(!lock.is_locked());
     }
 }

@@ -83,7 +83,7 @@ stat_table! {
         elide_attempts: sum, "csds_elide_attempts_total", "speculative critical-section attempts";
         /// Speculative sections that committed.
         elide_commits: sum, "csds_elide_commits_total", "speculative critical sections committed";
-        /// Aborts due to data conflicts (validation failure / busy sequence lock).
+        /// Aborts due to data conflicts (validation failure / a held lock at commit).
         elide_aborts_conflict: sum, "csds_elide_aborts_conflict_total", "speculative aborts caused by data conflicts";
         /// Aborts due to (emulated) interrupts or preemption.
         elide_aborts_interrupt: sum, "csds_elide_aborts_interrupt_total", "speculative aborts caused by emulated interrupts";

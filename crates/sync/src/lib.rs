@@ -55,11 +55,25 @@ pub fn optimistic_fast_paths() -> bool {
 /// included. Hand-over-hand walks move guards rather than unlocking.
 pub trait RawMutex: Send + Sync {
     /// A new, unlocked instance.
-    fn new() -> Self;
+    fn new() -> Self
+    where
+        Self: Sized;
     /// Acquire, spinning (with backoff + yield) until the lock is held.
     fn lock(&self);
-    /// Try to acquire without waiting. Returns `true` on success.
-    fn try_lock(&self) -> bool;
+    /// Try to acquire without waiting, recording a successful acquisition
+    /// like [`lock`](Self::lock) does. Returns `true` on success.
+    #[inline]
+    fn try_lock(&self) -> bool {
+        let ok = self.try_acquire();
+        if ok {
+            csds_metrics::lock_acquire(false);
+        }
+        ok
+    }
+    /// [`try_lock`](Self::try_lock) without recording the acquisition: for
+    /// the emulated-HTM commit, whose lock takes stand in for a hardware
+    /// transaction's read of the lock word, not for an acquisition.
+    fn try_acquire(&self) -> bool;
     /// Release. Must only be called by the current holder.
     fn unlock(&self);
     /// Whether the lock is currently held (racy; for assertions/validation).

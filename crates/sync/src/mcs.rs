@@ -106,7 +106,7 @@ impl RawMutex for McsLock {
         csds_metrics::lock_acquire(true);
     }
 
-    fn try_lock(&self) -> bool {
+    fn try_acquire(&self) -> bool {
         if !self.tail.load(Ordering::Relaxed).is_null() {
             return false;
         }
@@ -122,7 +122,6 @@ impl RawMutex for McsLock {
         {
             Ok(_) => {
                 self.owner.store(node, Ordering::Relaxed);
-                csds_metrics::lock_acquire(false);
                 true
             }
             Err(_) => {

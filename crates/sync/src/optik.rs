@@ -90,24 +90,24 @@ impl OptikLock {
     #[inline]
     #[must_use = "dropping the guard releases the lock at once; bind it"]
     pub fn try_lock_version(&self, seen: u64) -> Option<LockGuard<'_, OptikLock>> {
-        self.cas_version(seen).then(|| LockGuard::entered(self))
+        self.try_lock_at(seen).then(|| {
+            csds_metrics::lock_acquire(false);
+            LockGuard::entered(self)
+        })
     }
 
     /// The CAS behind [`try_lock_version`](Self::try_lock_version) and
-    /// `try_lock`: even `seen` → odd, recorded as an uncontended acquire.
+    /// `try_acquire` (even `seen` → odd), without a guard, the delay hook or
+    /// an acquisition record: for a caller that releases with
+    /// [`RawMutex::unlock`] itself, such as the emulated-HTM commit.
     #[inline]
-    fn cas_version(&self, seen: u64) -> bool {
-        if seen & 1 == 1 {
-            return false;
-        }
-        let ok = self
-            .version
-            .compare_exchange(seen, seen + 1, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok();
-        if ok {
-            csds_metrics::lock_acquire(false);
-        }
-        ok
+    #[must_use = "`true` means the caller holds the lock and must release it"]
+    pub fn try_lock_at(&self, seen: u64) -> bool {
+        seen & 1 == 0
+            && self
+                .version
+                .compare_exchange(seen, seen + 1, Ordering::Acquire, Ordering::Relaxed)
+                .is_ok()
     }
 
     /// True if `v` denotes a locked state.
@@ -247,12 +247,11 @@ impl RawMutex for OptikLock {
     }
 
     #[inline]
-    fn try_lock(&self) -> bool {
+    fn try_acquire(&self) -> bool {
         // Relaxed for the same reason as `lock`'s fast path: the load only
-        // seeds `cas_version`'s CAS, whose Acquire success ordering does
+        // seeds `try_lock_at`'s CAS, whose Acquire success ordering does
         // the synchronizing.
-        let v = self.version.load(Ordering::Relaxed);
-        v & 1 == 0 && self.cas_version(v)
+        self.try_lock_at(self.version.load(Ordering::Relaxed))
     }
 
     #[inline]

@@ -72,8 +72,8 @@ impl<L: RawMutex> RawMutex for CachePadded<L> {
     }
 
     #[inline]
-    fn try_lock(&self) -> bool {
-        self.value.try_lock()
+    fn try_acquire(&self) -> bool {
+        self.value.try_acquire()
     }
 
     #[inline]

@@ -37,15 +37,10 @@ impl RawMutex for TasLock {
     }
 
     #[inline]
-    fn try_lock(&self) -> bool {
-        let ok = self
-            .flag
+    fn try_acquire(&self) -> bool {
+        self.flag
             .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok();
-        if ok {
-            csds_metrics::lock_acquire(false);
-        }
-        ok
+            .is_ok()
     }
 
     #[inline]

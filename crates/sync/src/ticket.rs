@@ -35,26 +35,21 @@ impl RawMutex for TicketLock {
     }
 
     #[inline]
-    fn try_lock(&self) -> bool {
+    fn try_acquire(&self) -> bool {
         let serving = self.serving.load(Ordering::Relaxed);
         let next = self.next.load(Ordering::Relaxed);
         if serving != next {
             return false;
         }
         // Taking the lock = claiming ticket `next` while it is being served.
-        let ok = self
-            .next
+        self.next
             .compare_exchange(
                 next,
                 next.wrapping_add(1),
                 Ordering::Acquire,
                 Ordering::Relaxed,
             )
-            .is_ok();
-        if ok {
-            csds_metrics::lock_acquire(false);
-        }
-        ok
+            .is_ok()
     }
 
     #[inline]

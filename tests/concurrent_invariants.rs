@@ -38,8 +38,8 @@ fn extreme_contention_tiny_structure() {
 fn elision_variants_under_contention() {
     // Three keys and long overlapping runs make speculative commits race
     // the locked write phases of exhausted speculation on the same node.
-    // That is where a fallback that validated before entering the region
-    // double-unlinked (and double-freed) a node a speculator had removed.
+    // That is where a commit outside the locked write phase's locks would
+    // double-unlink (and double-free) a node the other had removed.
     for algo in [
         AlgoKind::LazyListElided,
         AlgoKind::HerlihySkipListElided,
