@@ -91,7 +91,14 @@ pub fn write_phase_fraction(f_u: f64, d_write: f64, d_parse: f64) -> f64 {
 pub fn conflict_probability(t: u64, f_w: f64, birthday: impl Fn(u64) -> f64) -> f64 {
     let mut p = 0.0;
     for k in 1..=t {
-        let ln_binom = ln_choose(t, k) + k as f64 * f_w.ln() + (t - k) as f64 * (1.0 - f_w).ln();
+        // At k = t the idle term is (1 - f_w)^0 = 1: skip it, since at
+        // f_w = 1 its log would be 0 · ln 0 = NaN.
+        let ln_idle = if k < t {
+            (t - k) as f64 * (1.0 - f_w).ln()
+        } else {
+            0.0
+        };
+        let ln_binom = ln_choose(t, k) + k as f64 * f_w.ln() + ln_idle;
         p += ln_binom.exp() * birthday(k);
     }
     p
@@ -252,6 +259,13 @@ mod tests {
         assert_eq!(birthday_linked_list(1, 100), 0.0);
         assert_eq!(birthday_linked_list(60, 100), 1.0); // 2k >= n
         assert_eq!(birthday_nonuniform(1, &[0.5, 0.5]), 0.0);
+    }
+
+    #[test]
+    fn every_thread_writing_conflicts_as_the_birthday_of_all() {
+        // f_w = 1: all t threads are in their write phase at once.
+        let p = conflict_probability(32, 1.0, |k| birthday_hash_table(k, 1024));
+        assert!(close(p, birthday_hash_table(32, 1024), 1e-12), "{p}");
     }
 
     #[test]

@@ -15,26 +15,27 @@
 //!
 //! The updates run one write loop, `write`, which asks its caller's
 //! decision (keep, put a value, or remove) about the leaf found: a put goes
-//! through `put_leaf`, a remove through `unlink_leaf`. Both record
-//! [`OptikLock`] versions during the parse and acquire via
-//! `try_lock_version`: a version mismatch means the neighborhood changed,
-//! and the operation restarts instead of waiting. The root slot is
-//! guarded by a dedicated holder lock so the tree can shrink to a single
-//! leaf or to empty.
+//! through `put_leaf` and its `link` body, a remove through `unlink_leaf`
+//! and its `unlink` body. Both record [`OptikLock`] versions during the
+//! parse and acquire at those versions: a version mismatch means the
+//! neighborhood changed, and the operation restarts instead of waiting. The
+//! root slot is guarded by a dedicated holder lock so the tree can shrink
+//! to a single leaf or to empty.
 //!
-//! Each acquisition is a guard that runs the critical-section delay hook
-//! and unlocks on drop. The one lock never released is the parent router a
-//! `remove` splices out: its guard is consumed by `retire`, which leaves the
-//! version odd for good, so a thread holding a stale pointer to the router
-//! can never lock it again.
-//!
-//! In [`SyncMode::Elision`] a link or an unlink first runs as an emulated
-//! hardware transaction that names the same locks at the same parsed
-//! versions; its commit takes them, moves their versions as a guard does,
-//! and leaves a spliced-out router's lock held for good.
+//! The bodies are written once, over [`csds_htm::VersionExec`].
+//! [`SyncMode::Locks`] runs them through a lock set, whose acquisitions are
+//! `try_lock_version` guards that run the critical-section delay hook and
+//! unlock on drop. The one lock never released is the parent router a
+//! `remove` splices out: the body names it with `retire_version`, and the
+//! committing set leaves its version odd for good, so a thread holding a
+//! stale pointer to the router can never lock it again. In
+//! [`SyncMode::Elision`] a body first runs as an emulated hardware
+//! transaction that names the same locks at the same parsed versions; its
+//! commit takes them, moves their versions as a guard does, and leaves a
+//! spliced-out router's lock held for good.
 
 use csds_ebr::{Atomic, Guard, Shared};
-use csds_htm::{attempt_elision, Elided, SpecStep, TxRegion};
+use csds_htm::{TxRegion, VersionExec};
 use csds_sync::{OptikLock, RawMutex};
 
 use crate::write::{Decide, Insert, Remove, Write, Written};
@@ -209,15 +210,12 @@ impl<V: Clone + Send + Sync> BstTk<V> {
         }
     }
 
-    /// The write phase of a put on edge `p`, whose slot held `leaf` (`None`
-    /// for an empty tree) at parse time. An absent key's new leaf replaces
-    /// `leaf` alone, or beside it under a new router; with `replace`, the
-    /// new leaf replaces the present key's `leaf` wholesale (leaves are
-    /// immutable). A link speculates first in elision mode; a replace goes
-    /// straight to the lock. The locked write takes a versioned trylock on
-    /// `p`'s lock, restarting on any version movement, and stores.
-    /// **Linearization point: the slot store.** Returns the published
-    /// value, or `Err(value)` when the operation must restart.
+    /// A put on edge `p`, whose slot held `leaf` (`None` for an empty tree)
+    /// at parse time. An absent key's new leaf replaces `leaf` alone, or
+    /// beside it under a new router; with `replace`, the new leaf replaces
+    /// the present key's `leaf` wholesale (leaves are immutable).
+    /// [`csds_htm::run`] runs the [`link`](Self::link) body. Returns the
+    /// published value, or `Err(value)` when the operation must restart.
     fn put_leaf<'g>(
         &'g self,
         k: u64,
@@ -246,58 +244,55 @@ impl<V: Clone + Send + Sync> BstTk<V> {
             }
             _ => new_leaf,
         };
-        // SAFETY: published by the caller's successful write; pinned.
-        let published = || {
-            Ok(unsafe { new_leaf.deref() }
+        if csds_htm::run::<OptikLock, 1>(
+            self.region.as_ref(),
+            ELISION_RETRIES,
+            |tx| Self::link(tx, p, replacement),
+            |locks| Self::link(locks, p, replacement),
+        ) {
+            // SAFETY: published; pinned.
+            return Ok(unsafe { new_leaf.deref() }
                 .value
                 .as_ref()
-                .expect("leaves hold values"))
-        };
-        // Free the unpublished replacement and hand the value back (the
-        // old leaf stays in the tree and is not ours to free).
-        let restart = || {
-            // SAFETY: never published; `new_leaf` is `replacement` itself
-            // or one of the router's children (nodes have no Drop impl, so
-            // dropping the router frees only the router).
-            unsafe {
-                if replacement != new_leaf {
-                    drop(replacement.into_box());
-                }
-                Err(new_leaf
-                    .into_box()
-                    .value
-                    .take()
-                    .expect("leaves hold values"))
-            }
-        };
-
-        if let (Some(region), false) = (&self.region, replace) {
-            match attempt_elision(region, ELISION_RETRIES, |tx| {
-                if !tx.lock_version(p.lock, p.ver) {
-                    return SpecStep::Invalid;
-                }
-                tx.write(p.slot.as_raw_atomic(), replacement.as_raw());
-                SpecStep::Commit(())
-            }) {
-                Elided::Committed(()) => return published(),
-                Elided::Invalid => return restart(),
-                Elided::FellBack => {}
-            }
+                .expect("leaves hold values"));
         }
-        let Some(_pg) = p.lock.try_lock_version(p.ver) else {
-            return restart();
-        };
-        p.slot.store(replacement); // linearization point
-        published()
+        // Free the unpublished replacement and hand the value back (the old
+        // leaf stays in the tree and is not ours to free).
+        // SAFETY: never published; `new_leaf` is `replacement` itself or one
+        // of the router's children (nodes have no Drop impl, so dropping the
+        // router frees only the router).
+        unsafe {
+            if replacement != new_leaf {
+                drop(replacement.into_box());
+            }
+            Err(new_leaf
+                .into_box()
+                .value
+                .take()
+                .expect("leaves hold values"))
+        }
     }
 
-    /// The write phase of a remove: unlink `leaf_s`, the leaf `p`'s slot
-    /// held at parse time. Below the root this splices the leaf's sibling
-    /// into the grandparent's slot, unlinking the parent router too; a
-    /// root leaf empties the tree. Speculates first in elision mode. The
-    /// locked write trylocks the grandparent, then the parent (restarting
-    /// on any version movement), and stores. **Linearization point: the
-    /// slot store.** `false` means restart.
+    /// The write phase of a put: take `p`'s lock at its parsed version and
+    /// store the replacement in its slot. **Linearization point: the slot
+    /// store.** `false`: the version moved.
+    fn link<'a>(
+        e: &mut impl VersionExec<'a>,
+        p: &Edge<'a, V>,
+        replacement: Shared<'a, Node<V>>,
+    ) -> bool {
+        if !e.lock_version(p.lock, p.ver) {
+            return false;
+        }
+        e.write(p.slot.as_raw_atomic(), replacement.as_raw());
+        true
+    }
+
+    /// A remove: unlink `leaf_s`, the leaf `p`'s slot held at parse time,
+    /// through [`csds_htm::run`] and the [`unlink`](Self::unlink) body.
+    /// Below the root this splices the leaf's sibling into the
+    /// grandparent's slot, unlinking the parent router too; a root leaf
+    /// empties the tree. `false` means restart.
     fn unlink_leaf(
         &self,
         gp: Option<&Edge<'_, V>>,
@@ -305,74 +300,67 @@ impl<V: Clone + Send + Sync> BstTk<V> {
         leaf_s: Shared<'_, Node<V>>,
         guard: &Guard,
     ) -> bool {
-        // Below the root: the grandparent edge, the parent router and the
-        // leaf's sibling slot.
-        let splice = gp.map(|gp| {
+        // Below the root: the parent router and the leaf's sibling slot.
+        let parent = gp.map(|_| {
             let parent_s = p.owner.expect("edge below root has an owner");
             // SAFETY: pinned.
             let parent = unsafe { parent_s.deref() };
-            let sibling_slot = if std::ptr::eq(p.slot, &parent.left) {
+            let sibling = if std::ptr::eq(p.slot, &parent.left) {
                 &parent.right
             } else {
                 &parent.left
             };
-            (gp, parent_s, sibling_slot)
+            (parent_s, sibling)
         });
-        let slot = splice.map_or(p.slot, |(gp, ..)| gp.slot);
-        let committed = match &self.region {
-            Some(region) => match attempt_elision(region, ELISION_RETRIES, |tx| {
-                let unchanged = match splice {
-                    Some((gp, ..)) => {
-                        tx.lock_version(gp.lock, gp.ver) && tx.retire_version(p.lock, p.ver)
-                    }
-                    None => tx.lock_version(p.lock, p.ver),
-                };
-                if !unchanged {
-                    return SpecStep::Invalid;
-                }
-                let to = splice.map_or(0, |(.., sibling)| tx.read(sibling.as_raw_atomic()));
-                tx.write(slot.as_raw_atomic(), to);
-                SpecStep::Commit(())
-            }) {
-                Elided::Committed(()) => true,
-                Elided::Invalid => return false,
-                Elided::FellBack => false,
-            },
-            None => false,
-        };
-        if !committed {
-            // Grandparent first, then parent — both versioned trylocks.
-            // Guards drop in reverse: parent, grandparent.
-            let _gpg = match splice {
-                Some((gp, ..)) => match gp.lock.try_lock_version(gp.ver) {
-                    Some(g) => Some(g),
-                    None => return false,
-                },
-                None => None,
-            };
-            let Some(pg) = p.lock.try_lock_version(p.ver) else {
-                return false;
-            };
-            slot.store(splice.map_or(Shared::null(), |(.., sibling)| sibling.load(guard)));
-            if splice.is_some() {
-                // The unlinked router stays locked *forever*: a thread that
-                // reached it through a stale pointer and then read its
-                // (post-unlink) version must not be able to acquire it — its
-                // version word is odd for the rest of its (EBR-bounded)
-                // lifetime, so every try_lock_version on it fails. Without
-                // this, a stale insert could link below a dead router (lost
-                // update) or a stale remove could splice out of one (double
-                // retire).
-                pg.retire();
-            }
+        let splice = gp.zip(parent.map(|(_, sibling)| sibling));
+        if !csds_htm::run::<OptikLock, 2>(
+            self.region.as_ref(),
+            ELISION_RETRIES,
+            |tx| Self::unlink(tx, p, splice),
+            |locks| Self::unlink(locks, p, splice),
+        ) {
+            return false;
         }
         // SAFETY: unlinked by the winning unlink; retired exactly once.
         unsafe {
-            if let Some((_, parent_s, ..)) = splice {
+            if let Some((parent_s, _)) = parent {
                 guard.defer_drop(parent_s);
             }
             guard.defer_drop(leaf_s);
         }
+        true
+    }
+
+    /// The write phase of a remove: take the grandparent's lock, then the
+    /// parent's, each at its parsed version, and store the leaf's sibling
+    /// in the grandparent's slot; a root leaf (`splice` `None`) takes the
+    /// root holder's lock and empties the slot. **Linearization point: the
+    /// slot store.** `false`: a version moved.
+    ///
+    /// The spliced-out parent router's lock stays held *forever* once the
+    /// write commits: a thread that reached the router through a stale
+    /// pointer and then read its (post-unlink) version must not be able to
+    /// acquire it. Its version word is odd for the rest of its
+    /// (EBR-bounded) lifetime, so every `try_lock_version` on it fails;
+    /// without this, a stale insert could link below a dead router (lost
+    /// update) or a stale remove could splice out of one (double retire).
+    fn unlink<'a>(
+        e: &mut impl VersionExec<'a>,
+        p: &Edge<'a, V>,
+        splice: Option<(&Edge<'a, V>, &'a Atomic<Node<V>>)>,
+    ) -> bool {
+        let Some((gp, sibling)) = splice else {
+            if !e.lock_version(p.lock, p.ver) {
+                return false;
+            }
+            e.write(p.slot.as_raw_atomic(), 0);
+            return true;
+        };
+        if !e.lock_version(gp.lock, gp.ver) || !e.retire_version(p.lock, p.ver) {
+            return false;
+        }
+        let to = e.read(sibling.as_raw_atomic());
+        e.write(gp.slot.as_raw_atomic(), to);
         true
     }
 }
@@ -508,7 +496,8 @@ mod tests {
 
     #[test]
     fn concurrent_net_effect() {
-        testutil::concurrent_net_effect(Arc::new(BstTk::new()), 4, 5_000, 64);
+        let ops = if cfg!(miri) { 100 } else { 5_000 };
+        testutil::concurrent_net_effect(Arc::new(BstTk::new()), 4, ops, 64);
     }
 
     #[test]
@@ -516,7 +505,7 @@ mod tests {
         testutil::concurrent_net_effect(
             Arc::new(BstTk::with_mode(SyncMode::Elision)),
             4,
-            3_000,
+            if cfg!(miri) { 100 } else { 3_000 },
             64,
         );
     }
@@ -603,5 +592,19 @@ mod tests {
             assert_eq!(t.remove(k), Some(k * 10), "remove {k}");
         }
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn elided_replace_speculates() {
+        // A replace runs the one write phase, speculation included: an
+        // uncontended upsert of a present key commits without a lock.
+        let m = BstTk::<u64>::with_mode(SyncMode::Elision);
+        assert!(m.insert(10, 1));
+        let _ = csds_metrics::take_and_reset();
+        assert_eq!(m.upsert(10, 2), Some(1));
+        let snap = csds_metrics::take_and_reset();
+        assert_eq!(snap.elide_commits, 1);
+        assert_eq!(snap.lock_acquires, 0);
+        assert_eq!(m.get(10), Some(2));
     }
 }

@@ -14,10 +14,11 @@
 //! speculative transaction, whose commit takes the bucket lock).
 //!
 //! The bucket lock is an [`OptikLock`], so its version word doubles as a
-//! per-bucket seqlock: in [`SyncMode::Locks`] every chain mutation runs
-//! inside a bucket critical section. Every update runs one loop,
-//! `rmw_rounds`, whose rounds differ only in how they hold the bucket and
-//! which asks its caller's decision (keep, put a value, or remove).
+//! per-bucket seqlock: every chain mutation runs inside a bucket critical
+//! section. Every update runs one loop, `rmw_rounds`, whose rounds differ
+//! only in how they hold the bucket and which asks its caller's decision
+//! (keep, put a value, or remove). The write of every round is one body,
+//! `store`, written over [`csds_htm::VersionExec`]. In [`SyncMode::Locks`]
 //! `insert_in` and `remove_in` go straight to the last round, which holds
 //! the bucket lock. `rmw_in`'s first rounds take a version snapshot, parse
 //! and run the user closure unsynchronized, then validate the version (a
@@ -25,17 +26,17 @@
 //! [`OptikLock::try_lock_version`], taking the lock's cache-line bounce
 //! only when the bucket actually changed underneath (paper §5.1's
 //! validate-instead-of-wait idiom, extended from BST-TK to the hash table).
-//! An elision-mode table speculates instead of taking snapshot rounds: it
-//! runs a link or an unlink as a transaction whose commit takes the bucket
-//! lock, then locks.
+//! In [`SyncMode::Elision`] every update's first rounds are those snapshot
+//! rounds with the write run as a transaction whose commit takes the bucket
+//! lock at the snapshot version; then it locks.
 //! Reads never locked and do not validate either: a single-key read has no
 //! use for a bucket snapshot.
 
 use csds_sync::atomic::{AtomicUsize, Ordering};
 
 use csds_ebr::{Atomic, Guard, Shared};
-use csds_htm::{attempt_elision, Elided, SpecStep, TxRegion};
-use csds_sync::{lock_guard, OptikLock, RawMutex, OPTIMISTIC_RMW_RETRIES};
+use csds_htm::{Exec, LockSet, TxRegion, VersionExec};
+use csds_sync::{OptikLock, RawMutex, OPTIMISTIC_RMW_RETRIES};
 
 use crate::hashtable::{bucket_count, bucket_of};
 use crate::write::{Decide, Insert, Remove, Write, Written};
@@ -153,22 +154,19 @@ impl<V: Clone + Send + Sync> LazyHashTable<V> {
     }
 
     /// The write loop behind `insert_in`, `remove_in` and `rmw_in`: parse,
-    /// decide, then store the write. Its rounds differ only in how they
-    /// hold the bucket.
+    /// decide, then [`store`](Self::store) the write. Its rounds differ
+    /// only in how they hold the bucket.
     ///
-    /// * Each of the first `snapshots` rounds snapshots the bucket version,
-    ///   parses and decides unsynchronized, then certifies a read-only
-    ///   decision with [`OptikLock::read_validate`] (no lock at all) or a
-    ///   write with [`OptikLock::try_lock_version`] (the lock is taken only
-    ///   if the bucket is unchanged, so success proves `pred`/`curr` are
-    ///   still the chain's nodes). A torn round restarts. Only `rmw_in`
-    ///   asks for these rounds.
-    /// * An elision-mode table's rounds speculate until the write is a
-    ///   replace or speculation gives up: parse and decide unsynchronized
-    ///   (a read-only decision linearizes like `read_chain`), then run a
-    ///   link or an unlink as one transaction, committed under the bucket
-    ///   lock. A deleted node reads as absent, and a put waits for its
-    ///   unlink.
+    /// * A snapshot round snapshots the bucket version, parses and decides
+    ///   unsynchronized, then certifies a read-only decision with
+    ///   [`OptikLock::read_validate`] (no lock at all) or runs the write
+    ///   with the bucket lock taken at that version (so success proves
+    ///   `pred`/`curr` are still the chain's nodes). A torn round restarts.
+    ///   In [`SyncMode::Locks`] the first `snapshots` rounds are snapshot
+    ///   rounds whose write runs through the lock set (`try_lock_version`);
+    ///   only `rmw_in` asks for them. In [`SyncMode::Elision`] the first
+    ///   [`ELISION_RETRIES`] rounds are snapshot rounds whose write runs
+    ///   through a transaction that commits at the snapshot version.
     /// * The last round holds the bucket lock across the whole
     ///   read-decide-apply, and cannot fail.
     ///
@@ -185,54 +183,46 @@ impl<V: Clone + Send + Sync> LazyHashTable<V> {
     ) -> Written<'g, V> {
         key::check_user_key(key);
         let bucket = self.bucket(key);
-        let mut snapshots_left = snapshots;
-        let mut speculate = self.region.as_ref();
+        let mut region = self.region.as_ref();
+        let mut snapshots_left = region.map_or(snapshots, |_| ELISION_RETRIES as usize);
         loop {
+            let mut locks = LockSet::<OptikLock, 1>::default();
             let seen = if snapshots_left > 0 {
                 snapshots_left -= 1;
-                csds_metrics::optimistic_attempt();
+                if region.is_none() {
+                    csds_metrics::optimistic_attempt();
+                }
                 let Some(seen) = bucket.lock.read_begin() else {
                     // A writer is inside the bucket right now.
-                    torn_round();
+                    torn_round(region);
                     continue;
                 };
                 Some(seen)
             } else {
-                if snapshots > 0 {
+                if region.take().is_some() {
+                    csds_metrics::elide_fallback();
+                } else if snapshots > 0 {
                     csds_metrics::optimistic_fallback();
                 }
+                locks.lock(&bucket.lock);
                 None
             };
-            let mut locked =
-                (seen.is_none() && speculate.is_none()).then(|| lock_guard(&bucket.lock));
-            // Loaded before the scan: a speculative link validates it.
-            let head = bucket.head.load(guard);
             let (pred, curr) = Self::scan(bucket, key, guard);
             // SAFETY: pinned.
             let found = (!curr.is_null()).then(|| unsafe { curr.deref() });
             let cur = match found.map(|c| (c, c.marked.load(Ordering::Acquire))) {
                 None => None,
                 Some((c, LIVE)) => Some(c.value.as_ref().expect("live node holds a value")),
-                Some((_, DELETED)) if speculate.is_some() => None,
                 Some(_) => {
                     // Mark, unlink and replacement share one critical
                     // section, so neither the lock holder nor a quiescent
                     // snapshot can reach a marked node: this round is torn.
-                    debug_assert!(locked.is_none());
-                    if seen.is_some() {
-                        torn_round();
-                    } else {
-                        csds_metrics::restart();
-                    }
+                    debug_assert!(seen.is_some());
+                    torn_round(region);
                     continue;
                 }
             };
             let new_s = match decide.decide(cur) {
-                Write::Put(value) if found.is_some() && cur.is_none() => {
-                    decide.unapplied(value);
-                    csds_metrics::restart();
-                    continue;
-                }
                 Write::Put(value) => Some(Shared::boxed(Node {
                     key,
                     value: Some(value),
@@ -244,7 +234,7 @@ impl<V: Clone + Send + Sync> LazyHashTable<V> {
                     // Read-only decision: the lock, or a seqlock-style
                     // validation, certifies the observation.
                     if seen.is_some_and(|seen| !bucket.lock.read_validate(seen)) {
-                        torn_round();
+                        torn_round(region);
                         continue;
                     }
                     return Written::kept(cur);
@@ -257,90 +247,15 @@ impl<V: Clone + Send + Sync> LazyHashTable<V> {
                 // SAFETY: pinned.
                 &unsafe { pred.deref() }.next
             };
-            let applied = 'round: {
-                if let Some(region) = speculate {
-                    if cur.is_none() || new_s.is_none() {
-                        // A link or an unlink: insert's and remove's
-                        // transactions.
-                        // SAFETY: pinned.
-                        let pred_marked =
-                            (!pred.is_null()).then(|| &unsafe { pred.deref() }.marked);
-                        match attempt_elision(region, ELISION_RETRIES, |tx| {
-                            // The commit takes the bucket lock, as the locked
-                            // round does.
-                            tx.lock(&bucket.lock);
-                            match (new_s, found) {
-                                // Any insert to this bucket moves `head`; any
-                                // removal of the head node moves `head` too —
-                                // validating `head` therefore rules out a
-                                // duplicate appearing since our scan.
-                                (Some(n), _) => {
-                                    if tx.read(bucket.head.as_raw_atomic()) != head.as_raw() {
-                                        return SpecStep::Invalid;
-                                    }
-                                    // SAFETY: unpublished.
-                                    unsafe { n.deref() }.next.store(head);
-                                    tx.write(bucket.head.as_raw_atomic(), n.as_raw());
-                                    SpecStep::Commit(())
-                                }
-                                (None, c) => {
-                                    let c = c.expect("an unlink has a node");
-                                    if pred_marked.is_some_and(|pm| tx.read(pm) != 0)
-                                        || tx.read(&c.marked) != 0
-                                        || tx.read(link.as_raw_atomic()) != curr.as_raw()
-                                    {
-                                        return SpecStep::Invalid;
-                                    }
-                                    let succ = tx.read(c.next.as_raw_atomic());
-                                    tx.write(&c.marked, DELETED);
-                                    tx.write(link.as_raw_atomic(), succ);
-                                    SpecStep::Commit(())
-                                }
-                            }
-                        }) {
-                            Elided::Committed(()) => break 'round true,
-                            Elided::Invalid => {
-                                csds_metrics::restart();
-                                break 'round false;
-                            }
-                            Elided::FellBack => {}
-                        }
-                    }
-                    // A replace, or speculation gave up: the locked round
-                    // decides again.
-                    speculate = None;
-                    break 'round false;
+            let applied = match region {
+                Some(region) => {
+                    let mut tx = region.begin();
+                    Self::store(&mut tx, bucket, seen, link, found, new_s) && tx.commit().is_ok()
                 }
-                if let Some(seen) = seen {
-                    match bucket.lock.try_lock_version(seen) {
-                        Some(g) => locked = Some(g),
-                        None => {
-                            torn_round();
-                            break 'round false;
-                        }
-                    }
-                }
-                // The chain is serialized from here on. Replace or unlink
-                // `curr`, or push at the head (reloaded under the lock: one
-                // L1 hit, and it keeps the store independent of the
-                // validation argument).
-                let (succ, link) = match found {
-                    Some(c) => (c.next.load(guard), link),
-                    None => (bucket.head.load(guard), &bucket.head),
-                };
-                if let Some(c) = found {
-                    let mark = if new_s.is_some() { SUPERSEDED } else { DELETED };
-                    c.marked.store(mark, Ordering::Release);
-                }
-                link.store(new_s.map_or(succ, |n| {
-                    // SAFETY: unpublished.
-                    unsafe { n.deref() }.next.store(succ);
-                    n
-                })); // linearization point
-                true
+                None => Self::store(&mut locks, bucket, seen, link, found, new_s),
             };
-            drop(locked);
             if applied {
+                locks.commit();
                 if found.is_some() {
                     // SAFETY: unlinked under the bucket lock or in one
                     // commit; retired once.
@@ -350,6 +265,7 @@ impl<V: Clone + Send + Sync> LazyHashTable<V> {
                 let put = new_s.and_then(|n| unsafe { n.deref() }.value.as_ref());
                 return Written::wrote(cur, put);
             }
+            torn_round(region);
             if let Some(n) = new_s {
                 // SAFETY: never published.
                 decide.unapplied(
@@ -360,11 +276,47 @@ impl<V: Clone + Send + Sync> LazyHashTable<V> {
             }
         }
     }
+
+    /// The write of a round: take the bucket lock at the snapshot version
+    /// `seen` (a locked round, `seen` `None`, holds it already), then
+    /// replace or unlink `found`, whose chain slot is `link`, or push
+    /// `new_s` at the head. `false`: the bucket moved since `seen`.
+    fn store<'a>(
+        e: &mut impl VersionExec<'a>,
+        bucket: &'a Bucket<V>,
+        seen: Option<u64>,
+        link: &'a Atomic<Node<V>>,
+        found: Option<&'a Node<V>>,
+        new_s: Option<Shared<'a, Node<V>>>,
+    ) -> bool {
+        if seen.is_some_and(|seen| !e.lock_version(&bucket.lock, seen)) {
+            return false;
+        }
+        // The chain is serialized from here on.
+        let (link, succ) = match found {
+            Some(c) => {
+                let mark = if new_s.is_some() { SUPERSEDED } else { DELETED };
+                e.write(&c.marked, mark);
+                (link, e.read(c.next.as_raw_atomic()))
+            }
+            None => (&bucket.head, e.read(bucket.head.as_raw_atomic())),
+        };
+        if let Some(n) = new_s {
+            // SAFETY: unpublished until the link store below.
+            e.write(unsafe { n.deref() }.next.as_raw_atomic(), succ);
+        }
+        e.write(link.as_raw_atomic(), new_s.map_or(succ, |n| n.as_raw())); // linearization point
+        true
+    }
 }
 
-/// A snapshot round was torn by a concurrent writer: count it and restart.
-fn torn_round() {
-    csds_metrics::optimistic_failure();
+/// A round was torn by a concurrent writer: count it and restart. An
+/// elision-mode round counts only the restart; its transaction counts the
+/// rest.
+fn torn_round(region: Option<&TxRegion>) {
+    if region.is_none() {
+        csds_metrics::optimistic_failure();
+    }
     csds_metrics::restart();
 }
 
@@ -424,17 +376,13 @@ impl<V: Clone + Send + Sync> GuardedMap<V> for LazyHashTable<V> {
         true
     }
 
-    /// `rmw_rounds` with the closure's decision. In [`SyncMode::Locks`] the
-    /// first [`OPTIMISTIC_RMW_RETRIES`] rounds run **validate-then-lock**,
-    /// so the closure "may run more than once". An elision-mode table
-    /// takes no snapshot rounds; it speculates a link as insert does.
+    /// `rmw_rounds` with the closure's decision. Its first
+    /// [`OPTIMISTIC_RMW_RETRIES`] rounds run **validate-then-lock** (in
+    /// elision mode, the speculative rounds instead), so the closure "may
+    /// run more than once".
     fn rmw_in<'g>(&'g self, key: u64, f: RmwFn<'_, V>, guard: &'g Guard) -> RmwOutcome<'g, V> {
-        let snapshots = if self.region.is_none() {
-            OPTIMISTIC_RMW_RETRIES
-        } else {
-            0
-        };
-        self.rmw_rounds(key, f, snapshots, guard).into()
+        self.rmw_rounds(key, f, OPTIMISTIC_RMW_RETRIES, guard)
+            .into()
     }
 }
 
@@ -510,8 +458,8 @@ mod tests {
         );
         assert!(snap.lock_acquires >= 2_000, "one bucket lock per RMW");
 
-        // Transactional writers bump no lock versions, so an elision-mode
-        // table must never validate against them.
+        // An elision-mode table's snapshot rounds write through
+        // transactions: they count as elision, not as optimistic attempts.
         let h = LazyHashTable::with_capacity_and_mode(16, SyncMode::Elision);
         testutil::sequential_rmw_model_check(|k, f| h.rmw(k, f), |k| h.get(k), 2_000, 64);
         let snap = csds_metrics::take_and_reset();
@@ -560,5 +508,19 @@ mod tests {
         for k in 0..32 {
             assert_eq!(h.get(k), Some(k * 2));
         }
+    }
+
+    #[test]
+    fn elided_replace_speculates() {
+        // A replace runs the one write phase, speculation included: an
+        // uncontended upsert of a present key commits without a lock.
+        let m = LazyHashTable::<u64>::with_capacity_and_mode(16, SyncMode::Elision);
+        assert!(m.insert(10, 1));
+        let _ = csds_metrics::take_and_reset();
+        assert_eq!(m.upsert(10, 2), Some(1));
+        let snap = csds_metrics::take_and_reset();
+        assert_eq!(snap.elide_commits, 1);
+        assert_eq!(snap.lock_acquires, 0);
+        assert_eq!(m.get(10), Some(2));
     }
 }

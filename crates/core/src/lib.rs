@@ -86,10 +86,10 @@ pub enum SyncMode {
     #[default]
     Locks,
     /// Emulated HTM lock elision with lock fallback (the paper's TSX
-    /// configuration, §5.4). An update speculates its write phase up to
-    /// [`ELISION_RETRIES`] times; a speculation's commit takes the locks its
-    /// locked write phase would take. After that it runs the same locked
-    /// write phase as [`SyncMode::Locks`].
+    /// configuration, §5.4). Each write phase is one body that both modes
+    /// run: an update runs it as a transaction up to [`ELISION_RETRIES`]
+    /// times, whose commit takes the locks the body names, then through
+    /// the same lock set as [`SyncMode::Locks`].
     Elision,
 }
 

@@ -17,17 +17,19 @@
 //! the node found, and makes that one write through `apply`. A stale window
 //! parses and decides again.
 //!
-//! In [`SyncMode::Elision`] a link or an unlink first runs as an emulated
-//! hardware transaction instead of taking the per-node locks (paper §5.4);
-//! the validation becomes the transaction's read set, the stores its write
-//! set, and the locks it would take its commit's lock set. A replace, and a
-//! write whose speculation gave up, run the one locked write phase.
+//! `apply` is written once, over [`csds_htm::Exec`]: [`SyncMode::Locks`]
+//! runs it through a lock set that takes the per-node locks. In
+//! [`SyncMode::Elision`] a link, a replace or an unlink first runs it as an
+//! emulated hardware transaction (paper §5.4): the validation becomes the
+//! transaction's read set, the stores its write set, and the locks it
+//! names its commit's lock set. A write whose speculation gave up runs it
+//! through the lock set.
 
 use csds_sync::atomic::{AtomicUsize, Ordering};
 
 use csds_ebr::{pin, Atomic, Guard, Shared};
-use csds_htm::{attempt_elision, Elided, SpecStep, TxRegion};
-use csds_sync::{lock_guard, RawMutex, TasLock};
+use csds_htm::{Exec, TxRegion};
+use csds_sync::{RawMutex, TasLock};
 
 use crate::key::{self, HEAD_IKEY, TAIL_IKEY};
 use crate::write::{Decide, Insert, Remove, Write, Written};
@@ -64,13 +66,6 @@ impl<V, L: RawMutex> Node<V, L> {
             marked: AtomicUsize::new(0),
             next: Atomic::null(),
         }
-    }
-
-    /// Writer validation: the node left the list (deleted *or* superseded);
-    /// any window involving it is stale.
-    #[inline]
-    fn is_marked(&self) -> bool {
-        self.marked.load(Ordering::Acquire) != LIVE
     }
 
     /// Reader predicate: the key is absent through this node. A
@@ -141,11 +136,13 @@ impl<V: Clone + Send + Sync, L: RawMutex + 'static> LazyList<V, L> {
 
     /// The write loop behind `insert_in`, `remove_in` and `rmw_in`: parse
     /// to the `(pred, curr)` window, decide on what it holds, then write
-    /// through [`apply`](Self::apply); a stale window parses and decides
-    /// again. A `SUPERSEDED` `curr` re-parses before the decision: its key
-    /// lives on in the replacing node. A `DELETED` one reads as absent, and
-    /// a put waits for the remover to unlink it. Read-only decisions
-    /// linearize at the parse's observation of `curr`.
+    /// through [`apply`](Self::apply), which [`csds_htm::run`] runs
+    /// through the lock set, or in elision mode first through
+    /// transactions; a stale window parses and decides again. A
+    /// `SUPERSEDED` `curr` re-parses before the decision: its key lives on
+    /// in the replacing node. A `DELETED` one reads as absent, and a put
+    /// waits for the remover to unlink it. Read-only decisions linearize at
+    /// the parse's observation of `curr`.
     fn write<'g>(
         &'g self,
         key: u64,
@@ -181,8 +178,14 @@ impl<V: Clone + Send + Sync, L: RawMutex + 'static> LazyList<V, L> {
                 })),
                 Write::Remove => None,
             };
-            if self.apply(pred, curr_s, cur.is_some(), new_s, guard) {
-                if cur.is_some() {
+            let present = cur.is_some();
+            if csds_htm::run::<L, 2>(
+                self.region.as_ref(),
+                ELISION_RETRIES,
+                |tx| Self::apply(tx, pred, curr_s, present, new_s),
+                |locks| Self::apply(locks, pred, curr_s, present, new_s),
+            ) {
+                if present {
                     // SAFETY: unlinked by this writer, whose mark (made
                     // holding both locks, by the locked write or by a
                     // commit) makes it the unique retirer.
@@ -205,79 +208,48 @@ impl<V: Clone + Send + Sync, L: RawMutex + 'static> LazyList<V, L> {
         }
     }
 
-    /// One write on the parsed window: link `new_s` in front of `curr`
-    /// (`present` false), replace a present `curr` by `new_s`, or unlink it
-    /// (`new_s` `None`). In elision mode a link or an unlink speculates
-    /// first, with the read and write sets insert and remove have always
-    /// had and the locked write's lock set; a replace goes straight to the
-    /// locks. The locked write locks `pred` (and a present `curr`, in list
-    /// order), validates the window and stores. A link or a replace
-    /// linearizes at the `pred.next` store, an unlink at its `DELETED`
-    /// mark; a replaced node is marked `SUPERSEDED` in the same critical
-    /// section, so no reader sees the key absent. `false`: the window went
-    /// stale, and `new_s`, never published, is still the caller's.
-    fn apply(
-        &self,
-        pred: &Node<V, L>,
-        curr_s: Shared<'_, Node<V, L>>,
+    /// The write phase on the parsed window: link `new_s` in front of
+    /// `curr` (`present` false), replace a present `curr` by `new_s`, or
+    /// unlink it (`new_s` `None`). Lock `pred` (and a present `curr`, in
+    /// list order), validate the window (`!pred.marked && !curr.marked &&
+    /// pred.next == curr`) and store. A link or a replace linearizes at the
+    /// `pred.next` store, an unlink at its `DELETED` mark; a replaced node
+    /// is marked `SUPERSEDED` in the same critical section, so no reader
+    /// sees the key absent. `false`: the window went stale.
+    fn apply<'a>(
+        e: &mut impl Exec<'a, L>,
+        pred: &'a Node<V, L>,
+        curr_s: Shared<'a, Node<V, L>>,
         present: bool,
-        new_s: Option<Shared<'_, Node<V, L>>>,
-        guard: &Guard,
+        new_s: Option<Shared<'a, Node<V, L>>>,
     ) -> bool {
         // SAFETY: pinned.
         let curr = unsafe { curr_s.deref() };
-        if let Some(n) = new_s {
-            // SAFETY: unpublished; a replace re-points it under the locks.
-            unsafe { n.deref() }.next.store(curr_s);
+        e.lock(&pred.lock);
+        if present {
+            e.lock(&curr.lock);
         }
-        if let (Some(region), false) = (&self.region, present && new_s.is_some()) {
-            let link = pred.next.as_raw_atomic();
-            match attempt_elision(region, ELISION_RETRIES, |tx| {
-                tx.lock(&pred.lock);
-                if present {
-                    tx.lock(&curr.lock);
-                }
-                if tx.read(&pred.marked) != 0
-                    || (present && tx.read(&curr.marked) != 0)
-                    || tx.read(link) != curr_s.as_raw()
-                {
-                    return SpecStep::Invalid;
-                }
-                if let Some(n) = new_s {
-                    tx.write(link, n.as_raw());
-                } else {
-                    let succ = tx.read(curr.next.as_raw_atomic());
-                    tx.write(&curr.marked, DELETED);
-                    tx.write(link, succ);
-                }
-                SpecStep::Commit(())
-            }) {
-                Elided::Committed(()) => return true,
-                Elided::Invalid => return false,
-                Elided::FellBack => {}
-            }
-        }
-        let _gp = lock_guard(&pred.lock);
-        let _gc = present.then(|| lock_guard(&curr.lock));
-        if pred.is_marked() || curr.is_marked() || pred.next.load(guard) != curr_s {
+        let link = pred.next.as_raw_atomic();
+        if e.read(&pred.marked) != LIVE
+            || e.read(&curr.marked) != LIVE
+            || e.read(link) != curr_s.as_raw()
+        {
             return false;
         }
         // `curr.next` is stable under `curr`'s lock: any writer of that edge
         // locks `curr` first.
         let succ = if present {
-            curr.next.load(guard)
-        } else {
-            curr_s
-        };
-        if present {
             let mark = if new_s.is_some() { SUPERSEDED } else { DELETED };
-            curr.marked.store(mark, Ordering::Release);
+            e.write(&curr.marked, mark);
+            e.read(curr.next.as_raw_atomic())
+        } else {
+            curr_s.as_raw()
+        };
+        if let Some(n) = new_s {
+            // SAFETY: unpublished until the link store below.
+            e.write(unsafe { n.deref() }.next.as_raw_atomic(), succ);
         }
-        pred.next.store(new_s.map_or(succ, |n| {
-            // SAFETY: unpublished.
-            unsafe { n.deref() }.next.store(succ);
-            n
-        }));
+        e.write(link, new_s.map_or(succ, |n| n.as_raw()));
         true
     }
 
@@ -466,5 +438,19 @@ mod tests {
             l.remove(k);
         }
         drop(l); // must not double-free retired nodes
+    }
+
+    #[test]
+    fn elided_replace_speculates() {
+        // A replace runs the one write phase, speculation included: an
+        // uncontended upsert of a present key commits without a lock.
+        let m = LazyList::<u64>::with_mode(SyncMode::Elision);
+        assert!(m.insert(10, 1));
+        let _ = csds_metrics::take_and_reset();
+        assert_eq!(m.upsert(10, 2), Some(1));
+        let snap = csds_metrics::take_and_reset();
+        assert_eq!(snap.elide_commits, 1);
+        assert_eq!(snap.lock_acquires, 0);
+        assert_eq!(m.get(10), Some(2));
     }
 }

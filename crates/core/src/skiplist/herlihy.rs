@@ -15,8 +15,14 @@
 //!
 //! The three updates run one write loop, `write`: it parses, asks its
 //! caller's decision (keep, put a value, or remove) about the tower found,
-//! and makes that one write — a link or a replace through `put`, an unlink
-//! through the marked victim and `unlink_locked`.
+//! and makes that one write — a link or a replace through `put_phase`, an
+//! unlink through `mark` and `unlink`.
+//!
+//! Those three bodies are written once, over [`csds_htm::Exec`]:
+//! [`SyncMode::Locks`] runs them through lock sets (a remove holds the
+//! victim's set from `mark` across `unlink` retries). In
+//! [`SyncMode::Elision`] a put first runs `put_phase`, and a remove `mark`
+//! and `unlink`, as one emulated hardware transaction each (paper §5.4).
 
 // Per-level windows live in fixed arrays indexed by level; iterating the
 // level as an index keeps preds/succs visibly in lockstep.
@@ -30,12 +36,12 @@
 use csds_sync::atomic::{AtomicUsize, Ordering};
 
 use csds_ebr::{pin, Atomic, Guard, Shared};
-use csds_htm::{attempt_elision, Elided, SpecStep, TxRegion};
-use csds_sync::{lock_guard, LockGuard, RawMutex, TasLock};
+use csds_htm::{Exec, LockSet, TxRegion};
+use csds_sync::{RawMutex, TasLock};
 
 use crate::key::{self, HEAD_IKEY, TAIL_IKEY};
 use crate::skiplist::{
-    alloc_node, free_all, node, random_level, reclaim, retire, Header, MAX_LEVEL,
+    alloc_node, free_all, node, random_level, reclaim, retire, Header, NodeRef, MAX_LEVEL,
 };
 use crate::write::{Decide, Insert, Remove, Write, Written};
 use crate::{GuardedMap, RmwFn, RmwOutcome, SyncMode, ELISION_RETRIES};
@@ -84,12 +90,6 @@ impl<V> Node<V> {
             lock: TasLock::new(),
             top_level: (height - 1) as u8,
         }
-    }
-
-    /// Writer validation: the node left the list (deleted or superseded).
-    #[inline]
-    fn is_marked(&self) -> bool {
-        self.marked.load(Ordering::Acquire) != LIVE
     }
 
     /// Reader predicate: a `SUPERSEDED` tower still represents its
@@ -179,46 +179,6 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
         ((preds, succs), found)
     }
 
-    /// Lock the distinct predecessors of levels `0..=top`, bottom-up.
-    /// (Duplicate predecessors across levels are consecutive, so comparing
-    /// with the previous level suffices.)
-    fn lock_preds<'g>(
-        preds: &[Shared<'g, Node<V>>; MAX_LEVEL],
-        top: usize,
-    ) -> Vec<LockGuard<'g, TasLock>>
-    where
-        V: 'g,
-    {
-        let mut guards = Vec::with_capacity(top + 1);
-        let mut prev = Shared::null();
-        for (_l, &p) in preds.iter().enumerate().take(top + 1) {
-            if p != prev {
-                // SAFETY: pinned (shared refs outlive the guards we return).
-                guards.push(lock_guard(&unsafe { node(p) }.header().lock));
-                prev = p;
-            }
-        }
-        guards
-    }
-
-    fn validate_windows(
-        &self,
-        preds: &[Shared<'_, Node<V>>; MAX_LEVEL],
-        succs: &[Shared<'_, Node<V>>; MAX_LEVEL],
-        top: usize,
-        guard: &Guard,
-    ) -> bool {
-        for l in 0..=top {
-            // SAFETY: pinned.
-            let p = unsafe { node(preds[l]) };
-            let s = unsafe { node(succs[l]) };
-            if p.is_marked() || s.is_marked() || p.next(l).load(guard) != succs[l] {
-                return false;
-            }
-        }
-        true
-    }
-
     /// The write loop behind `insert_in`, `remove_in` and `rmw_in`: parse
     /// the per-level windows, decide on the tower found, then write; a
     /// stale window parses and decides again.
@@ -229,13 +189,12 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
     /// `fully_linked` (as insert always has), or for the remover to unlink.
     /// Read-only decisions linearize at the parse's tower read.
     ///
-    /// An unlink runs the published algorithm. In elision mode it first
-    /// marks the victim and unlinks every level in one transaction, whose
-    /// commit locks the victim and the distinct predecessors; once
-    /// speculation gives up, `speculate` turns off. The locked unlink locks
-    /// the victim and marks it `DELETED` (the linearization point), then
-    /// holds that lock across re-parses until
-    /// [`unlink_locked`](Self::unlink_locked) succeeds.
+    /// An unlink runs the published algorithm: [`mark`](Self::mark) the
+    /// victim `DELETED` (the linearization point), then
+    /// [`unlink`](Self::unlink) every level. In elision mode one
+    /// transaction runs both bodies; once speculation gives up, `speculate`
+    /// turns off. The locked unlink holds the victim's lock from its mark
+    /// across re-parses until the unlink succeeds.
     fn write<'g>(
         &'g self,
         ukey: u64,
@@ -244,7 +203,7 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
     ) -> Written<'g, V> {
         let ikey = key::ikey(ukey);
         let mut speculate = self.region.as_ref();
-        let mut doomed: Option<(Shared<'g, Node<V>>, LockGuard<'g, TasLock>)> = None;
+        let mut doomed: Option<(Shared<'g, Node<V>>, LockSet<'g, TasLock, 1>)> = None;
         loop {
             let (windows, found) = self.find(ikey, guard);
             if doomed.is_none() {
@@ -288,57 +247,36 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
                         let Some((_, victim, v)) = present else {
                             return Written::kept(None);
                         };
-                        let top = v.top_level();
-                        if let Some(region) = speculate {
-                            match attempt_elision(region, ELISION_RETRIES, |tx| {
-                                tx.lock(&v.header().lock);
-                                if tx.read(&v.header().marked) != 0 {
-                                    return SpecStep::Invalid; // another remover won
-                                }
-                                for l in 0..=top {
-                                    // SAFETY: pinned.
-                                    let p = unsafe { node(windows.0[l]) };
-                                    tx.lock(&p.header().lock);
-                                    if tx.read(&p.header().marked) != 0
-                                        || tx.read(p.next(l).as_raw_atomic()) != victim.as_raw()
-                                    {
-                                        return SpecStep::Invalid;
-                                    }
-                                }
-                                tx.write(&v.header().marked, DELETED);
-                                for l in 0..=top {
-                                    // SAFETY: pinned.
-                                    let p = unsafe { node(windows.0[l]) };
-                                    let succ = tx.read(v.next(l).as_raw_atomic());
-                                    tx.write(p.next(l).as_raw_atomic(), succ);
-                                }
-                                SpecStep::Commit(())
-                            }) {
-                                Elided::Committed(()) => {
-                                    // SAFETY: unlinked at all levels in one
-                                    // commit; retired once by this remover.
-                                    unsafe { retire(guard, victim) };
-                                    return Written::wrote(cur, None);
-                                }
-                                // Lost to a concurrent remover.
-                                Elided::Invalid if v.is_deleted() => return Written::kept(None),
-                                Elided::Invalid => csds_metrics::restart(),
-                                Elided::FellBack => speculate = None,
+                        let preds = &windows.0;
+                        let marked = match speculate.and_then(|region| {
+                            csds_htm::speculate(region, ELISION_RETRIES, |tx| {
+                                Self::mark(tx, v) && Self::unlink(tx, preds, victim)
+                            })
+                        }) {
+                            Some(true) => {
+                                // SAFETY: unlinked at all levels in one
+                                // commit; retired once by this remover.
+                                unsafe { retire(guard, victim) };
+                                return Written::wrote(cur, None);
                             }
+                            Some(false) => false,
+                            None => {
+                                speculate = None;
+                                let mut locks = LockSet::default();
+                                let marked = Self::mark(&mut locks, v);
+                                if marked {
+                                    doomed = Some((victim, locks));
+                                }
+                                marked
+                            }
+                        };
+                        if !marked {
+                            if v.is_deleted() {
+                                return Written::kept(None); // lost to another remover
+                            }
+                            csds_metrics::restart();
                             continue;
                         }
-                        let g = lock_guard(&v.header().lock);
-                        match v.marked.load(Ordering::Acquire) {
-                            DELETED => return Written::kept(None), // lost to another remover
-                            SUPERSEDED => {
-                                drop(g);
-                                csds_metrics::restart();
-                                continue;
-                            }
-                            _ => {}
-                        }
-                        v.marked.store(DELETED, Ordering::Release); // linearization point
-                        doomed = Some((victim, g));
                     }
                 }
             }
@@ -346,7 +284,9 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
                 .as_ref()
                 .expect("a marked victim awaits its unlink")
                 .0;
-            if self.unlink_locked(&windows.0, victim, guard) {
+            let mut locks = LockSet::<TasLock, MAX_LEVEL>::default();
+            if Self::unlink(&mut locks, &windows.0, victim) {
+                drop(locks);
                 drop(doomed);
                 // SAFETY: pinned; retired below, kept alive for 'g by the pin.
                 let prev = unsafe { node(victim) }.header().value.as_ref();
@@ -361,18 +301,9 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
 
     /// One put on the parsed windows: link a fresh tower for an absent key,
     /// or replace the present tower `victim` by a fresh one of the same
-    /// height. In elision mode a link speculates first (validate, publish
-    /// `fully_linked` and link every level in one transaction, whose commit
-    /// locks the distinct predecessors); a replace goes straight to the
-    /// locks.
-    ///
-    /// The locked write locks the victim and the distinct predecessors and
-    /// validates every level. A link then links bottom-up and linearizes at
-    /// its `fully_linked` store: until then readers and removers treat the
-    /// tower as absent. A replace publishes the new tower fully linked,
-    /// marks the victim `SUPERSEDED` and swings the predecessors top-down,
-    /// linearizing at level 0, so the key is never observably absent. `Err`
-    /// hands the value back: a window went stale.
+    /// height. [`csds_htm::run`] runs [`put_phase`](Self::put_phase)
+    /// through the lock set, or in elision mode first through
+    /// transactions. `Err` hands the value back: a window went stale.
     fn put<'g>(
         &'g self,
         ikey: u64,
@@ -383,118 +314,140 @@ impl<V: Clone + Send + Sync> HerlihySkipList<V> {
     ) -> Result<&'g V, V> {
         // SAFETY: pinned.
         let height = victim.map_or_else(random_level, |v| unsafe { node(v) }.top_level() + 1);
-        let top = height - 1;
         let new_s = alloc_node(Node::new(ikey, Some(value), height));
-        // SAFETY: unpublished until the write below; pinned after it.
-        let new_ref = unsafe { node(new_s) };
-        for l in 0..=top {
-            new_ref.next(l).store(succs[l]);
-        }
-        let put = || {
-            Ok(new_ref
-                .header()
-                .value
-                .as_ref()
-                .expect("put towers hold a value"))
-        };
-        // SAFETY: never published.
-        let stale = || {
-            Err(unsafe { reclaim(new_s) }
-                .value
-                .expect("put towers hold a value"))
-        };
-        if let (Some(region), None) = (&self.region, victim) {
-            match attempt_elision(region, ELISION_RETRIES, |tx| {
-                for l in 0..=top {
-                    // SAFETY: pinned.
-                    let p = unsafe { node(preds[l]) };
-                    let s = unsafe { node(succs[l]) };
-                    tx.lock(&p.header().lock);
-                    if tx.read(&p.header().marked) != 0
-                        || tx.read(&s.header().marked) != 0
-                        || tx.read(p.next(l).as_raw_atomic()) != succs[l].as_raw()
-                    {
-                        return SpecStep::Invalid;
-                    }
-                }
-                // Written first, so a reader that sees a link sees it.
-                tx.write(&new_ref.header().fully_linked, 1);
-                for l in 0..=top {
-                    // SAFETY: pinned.
-                    let p = unsafe { node(preds[l]) };
-                    tx.write(p.next(l).as_raw_atomic(), new_s.as_raw());
-                }
-                SpecStep::Commit(())
-            }) {
-                Elided::Committed(()) => return put(),
-                Elided::Invalid => return stale(),
-                Elided::FellBack => {}
-            }
-        }
-        // SAFETY: pinned.
-        let vg = victim.map(|v| lock_guard(&unsafe { node(v) }.header().lock));
-        let guards = Self::lock_preds(preds, top);
         let expected = victim.map_or(*succs, |v| [v; MAX_LEVEL]);
-        if !self.validate_windows(preds, &expected, top, guard) {
-            drop((guards, vg));
-            return stale();
+        let written = csds_htm::run::<TasLock, { MAX_LEVEL + 1 }>(
+            self.region.as_ref(),
+            ELISION_RETRIES,
+            |tx| Self::put_phase(tx, preds, &expected, victim, new_s),
+            |locks| Self::put_phase(locks, preds, &expected, victim, new_s),
+        );
+        if !written {
+            // SAFETY: never published.
+            return Err(unsafe { reclaim(new_s) }
+                .value
+                .expect("put towers hold a value"));
         }
-        if let Some(victim) = victim {
-            // SAFETY: pinned; its successors are stable (writers of those
-            // edges lock the victim first).
-            let v = unsafe { node(victim) };
-            for l in 0..=top {
-                new_ref.next(l).store(v.next(l).load(guard));
-            }
-            new_ref.fully_linked.store(1, Ordering::Release);
-            v.marked.store(SUPERSEDED, Ordering::Release);
-            for l in (0..=top).rev() {
-                // SAFETY: pinned; locked. Level 0 last: it is the level
-                // readers and `find` treat as authoritative.
-                unsafe { node(preds[l]) }.next(l).store(new_s);
-            }
-        } else {
-            for l in 0..=top {
-                // SAFETY: pinned; locked.
-                unsafe { node(preds[l]) }.next(l).store(new_s);
-            }
-            new_ref.fully_linked.store(1, Ordering::Release);
-        }
-        drop((guards, vg));
         if let Some(victim) = victim {
             // SAFETY: unlinked at every level under the locks; the
             // `SUPERSEDED` transition makes this writer the unique retirer.
             unsafe { retire(guard, victim) };
         }
-        put()
+        // SAFETY: published; pinned.
+        Ok(unsafe { node(new_s) }
+            .header()
+            .value
+            .as_ref()
+            .expect("put towers hold a value"))
     }
 
-    /// The locked unlink of a victim its caller has marked `DELETED` and
-    /// holds locked: lock the distinct predecessors, validate, unlink every
-    /// level top-down. `false`: a window went stale, and the caller
-    /// re-parses.
-    fn unlink_locked(
-        &self,
-        preds: &[Shared<'_, Node<V>>; MAX_LEVEL],
-        victim: Shared<'_, Node<V>>,
-        guard: &Guard,
-    ) -> bool {
+    /// The write phase of a put: lock the victim and the distinct
+    /// predecessors bottom-up, validate every level (`!pred.marked &&
+    /// !succ.marked && pred.next(l) == succ`, where the successor is the
+    /// victim on a replace), and store.
+    ///
+    /// A link links bottom-up and linearizes at its `fully_linked` store:
+    /// until then readers and removers treat the tower as absent. A replace
+    /// publishes the new tower fully linked, marks the victim `SUPERSEDED`
+    /// and swings the predecessors top-down, linearizing at level 0, so the
+    /// key is never observably absent.
+    fn put_phase<'a>(
+        e: &mut impl Exec<'a, TasLock>,
+        preds: &[Shared<'a, Node<V>>; MAX_LEVEL],
+        expected: &[Shared<'a, Node<V>>; MAX_LEVEL],
+        victim: Option<Shared<'a, Node<V>>>,
+        new_s: Shared<'a, Node<V>>,
+    ) -> bool
+    where
+        V: 'a,
+    {
+        // SAFETY: pinned; `new_s` is unpublished until a predecessor store.
+        let (new, victim) = unsafe { (node(new_s), victim.map(|v| node(v))) };
+        let top = new.top_level();
+        if let Some(v) = victim {
+            e.lock(&v.header().lock);
+        }
+        for l in 0..=top {
+            // SAFETY: pinned.
+            let (p, s) = unsafe { (node(preds[l]), node(expected[l])) };
+            e.lock(&p.header().lock);
+            if e.read(&p.header().marked) != LIVE
+                || e.read(&s.header().marked) != LIVE
+                || e.read(p.next(l).as_raw_atomic()) != expected[l].as_raw()
+            {
+                return false;
+            }
+            // A victim's successors are stable: writers of those edges lock
+            // the victim first.
+            let succ = match victim {
+                Some(v) => e.read(v.next(l).as_raw_atomic()),
+                None => expected[l].as_raw(),
+            };
+            e.write(new.next(l).as_raw_atomic(), succ);
+        }
+        if let Some(v) = victim {
+            e.write(&new.header().fully_linked, 1);
+            e.write(&v.header().marked, SUPERSEDED);
+        }
+        for i in 0..=top {
+            // A link links bottom-up. A replace swings top-down, level 0
+            // last: it is the level readers and `find` treat as
+            // authoritative.
+            let l = if victim.is_some() { top - i } else { i };
+            // SAFETY: pinned.
+            let p = unsafe { node(preds[l]) };
+            e.write(p.next(l).as_raw_atomic(), new_s.as_raw());
+        }
+        if victim.is_none() {
+            e.write(&new.header().fully_linked, 1); // a link's linearization point
+        }
+        true
+    }
+
+    /// The first step of an unlink: lock the victim and mark it `DELETED`.
+    /// `false`: another writer marked it first.
+    fn mark<'a>(e: &mut impl Exec<'a, TasLock>, v: NodeRef<'a, Node<V>>) -> bool
+    where
+        V: 'a,
+    {
+        let v = v.header();
+        e.lock(&v.lock);
+        if e.read(&v.marked) != LIVE {
+            return false;
+        }
+        e.write(&v.marked, DELETED);
+        true
+    }
+
+    /// The second step: lock the distinct predecessors of a marked victim
+    /// (its own lock is held from [`mark`](Self::mark)), validate, and
+    /// unlink every level top-down. `false`: a window went stale, and the
+    /// caller re-parses.
+    fn unlink<'a>(
+        e: &mut impl Exec<'a, TasLock>,
+        preds: &[Shared<'a, Node<V>>; MAX_LEVEL],
+        victim: Shared<'a, Node<V>>,
+    ) -> bool
+    where
+        V: 'a,
+    {
         // SAFETY: pinned; marked nodes stay reachable until unlinked.
         let v = unsafe { node(victim) };
         let top = v.top_level();
-        let _guards = Self::lock_preds(preds, top);
         for l in 0..=top {
             // SAFETY: pinned.
             let p = unsafe { node(preds[l]) };
-            if p.is_marked() || p.next(l).load(guard) != victim {
+            e.lock(&p.header().lock);
+            if e.read(&p.header().marked) != LIVE
+                || e.read(p.next(l).as_raw_atomic()) != victim.as_raw()
+            {
                 return false;
             }
         }
         for l in (0..=top).rev() {
-            // SAFETY: pinned; locked.
-            unsafe { node(preds[l]) }
-                .next(l)
-                .store(v.next(l).load(guard));
+            // SAFETY: pinned.
+            let succ = e.read(v.next(l).as_raw_atomic());
+            e.write(unsafe { node(preds[l]) }.next(l).as_raw_atomic(), succ);
         }
         true
     }
@@ -800,5 +753,19 @@ mod tests {
         let snap = csds_metrics::take_and_reset();
         assert_eq!(snap.restarts, 0);
         assert_eq!(snap.lock_acquires, 0);
+    }
+
+    #[test]
+    fn elided_replace_speculates() {
+        // A replace runs the one write phase, speculation included: an
+        // uncontended upsert of a present key commits without a lock.
+        let m = HerlihySkipList::<u64>::with_mode(SyncMode::Elision);
+        assert!(m.insert(10, 1));
+        let _ = csds_metrics::take_and_reset();
+        assert_eq!(m.upsert(10, 2), Some(1));
+        let snap = csds_metrics::take_and_reset();
+        assert_eq!(snap.elide_commits, 1);
+        assert_eq!(snap.lock_acquires, 0);
+        assert_eq!(m.get(10), Some(2));
     }
 }

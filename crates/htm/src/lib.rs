@@ -15,25 +15,40 @@
 //! & Alistarh): a TSX transaction conflicts only with operations on the
 //! same lock words, and so does this one.
 //!
-//! * a speculative section ([`Tx`]) performs its reads through
-//!   [`Tx::read`], recording `(location, value)` pairs, buffers its writes
-//!   via [`Tx::write`] — shared memory is untouched until commit — and names
-//!   the locks its write phase would take ([`Tx::lock`],
-//!   [`Tx::lock_version`], [`Tx::retire_version`]). It holds none of them;
-//! * [`Tx::commit`] try-locks the named locks, **value-validates** the read
-//!   set, applies the write set and releases the locks. A held lock or a
-//!   changed value is a data-conflict abort; commit never waits;
-//! * *abort-on-interrupt* is emulated: a transaction that observes at commit
-//!   that it has been running longer than a scheduling quantum (it was
-//!   descheduled mid-flight) aborts with [`TxAbort::Interrupted`];
-//! * the fallback, once the retries are spent, is the structure's plain
-//!   locked write phase, the same code as in lock mode.
+//! # One write phase, two executors
 //!
-//! **The one rule.** A commit's lock set equals the lock set of the
-//! structure's locked write phase for the same write, so every location a
-//! commit writes is guarded by a lock it holds: a commit and a locked write
-//! phase exclude each other exactly as two locked write phases do, and two
-//! commits on disjoint locks both go through.
+//! A structure writes each write phase once, as a body generic over
+//! [`Exec`] (and [`VersionExec`] for OPTIK locks taken at a parsed version).
+//! The body names its locks ([`Exec::lock`], [`VersionExec::lock_version`],
+//! [`VersionExec::retire_version`]), reads what it validates
+//! ([`Exec::read`]), stores through [`Exec::write`], and returns `true`
+//! (written) or `false` (the parsed window is stale). Two executors run it:
+//!
+//! * a [`LockSet`] takes each lock as the body names it, through the same
+//!   [`LockGuard`]s a hand-written critical section holds (counted, with the
+//!   delay hook), loads with `Acquire` and stores with `Release`. Its
+//!   [`commit`](LockSet::commit) releases the locks, or retires the ones
+//!   named by `retire_version`; dropping it instead releases them all;
+//! * a [`Tx`] holds none of them: it records its reads, buffers its writes
+//!   (shared memory is untouched until commit) and names its locks.
+//!   [`Tx::commit`] try-locks the named locks, **value-validates** the read
+//!   set, applies the write set and releases the locks. A held lock or a
+//!   changed value is a data-conflict abort; commit never waits.
+//!   *Abort-on-interrupt* is emulated: a transaction that observes at
+//!   commit that it has been running longer than a scheduling quantum (it
+//!   was descheduled mid-flight) aborts with [`TxAbort::Interrupted`].
+//!
+//! Lock mode runs the body through a lock set. Elision mode runs it through
+//! a transaction up to a bounded number of times ([`speculate`]), then
+//! through a lock set ([`run`]).
+//!
+//! **The one rule** — a commit's lock set equals the lock set of the
+//! structure's locked write phase for the same write — holds by
+//! construction: both executors run the one body, so they name the same
+//! locks. Every location a commit writes is guarded by a lock it holds, so
+//! a commit and a locked write phase exclude each other exactly as two
+//! locked write phases do, and two commits on disjoint locks both go
+//! through.
 //!
 //! This preserves every property the paper's experiments rely on:
 //! descheduled threads hold no locks, conflicts abort speculation, retries
@@ -42,7 +57,7 @@
 use csds_sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use csds_sync::{OptikLock, RawMutex};
+use csds_sync::{lock_guard, LockGuard, OptikLock, RawMutex};
 
 /// Why a speculative section failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -102,6 +117,31 @@ impl TxRegion {
         csds_metrics::maybe_delay_in_cs();
         tx
     }
+}
+
+/// The executor a write-phase body runs through (see the crate docs): a
+/// [`LockSet`] or a [`Tx`]. `L` is the structure's lock type.
+pub trait Exec<'r, L: RawMutex> {
+    /// Take (lock set) or name (transaction) one of the write phase's
+    /// locks. Naming a lock twice names it once.
+    fn lock(&mut self, lock: &'r L);
+    /// Read a word the write phase depends on.
+    fn read(&mut self, loc: &'r AtomicUsize) -> usize;
+    /// Store a word.
+    fn write(&mut self, loc: &'r AtomicUsize, value: usize);
+}
+
+/// An [`Exec`] over OPTIK locks, which a write phase may take only at the
+/// version its parse observed.
+pub trait VersionExec<'r>: Exec<'r, OptikLock> {
+    /// Take (lock set) or name (transaction) `lock` at the version `seen`.
+    /// `false`: the lock is not at `seen` now — the neighbourhood moved, or
+    /// is being written, since the parse — and the body must report stale.
+    fn lock_version(&mut self, lock: &'r OptikLock, seen: u64) -> bool;
+    /// [`lock_version`](Self::lock_version) for a node the write unlinks:
+    /// a successful commit leaves the lock held for good, as
+    /// [`LockGuard::retire`] does.
+    fn retire_version(&mut self, lock: &'r OptikLock, seen: u64) -> bool;
 }
 
 /// A lock a transaction names, taken only inside [`Tx::commit`].
@@ -182,30 +222,6 @@ impl<'r> Tx<'r> {
         self.writes.push((loc, value));
     }
 
-    /// Name one of the write phase's locks: [`commit`](Self::commit)
-    /// try-locks it and releases it. Naming a lock twice names it once.
-    #[inline]
-    pub fn lock<L: RawMutex>(&mut self, lock: &'r L) {
-        self.name(Named::Plain(lock));
-    }
-
-    /// Name an OPTIK lock that [`commit`](Self::commit) takes only at the
-    /// version `seen` its parse observed, as `try_lock_version` does, and
-    /// releases. Returns whether the lock reads `seen` now: `false` means
-    /// the neighbourhood moved, or is being written, since the parse.
-    #[inline]
-    pub fn lock_version(&mut self, lock: &'r OptikLock, seen: u64) -> bool {
-        self.name_version(lock, seen, false)
-    }
-
-    /// [`lock_version`](Self::lock_version) for a node the write unlinks: a
-    /// successful commit leaves the lock held for good, as
-    /// `LockGuard::retire` does.
-    #[inline]
-    pub fn retire_version(&mut self, lock: &'r OptikLock, seen: u64) -> bool {
-        self.name_version(lock, seen, true)
-    }
-
     fn name_version(&mut self, lock: &'r OptikLock, seen: u64, retire: bool) -> bool {
         self.name(Named::Version { lock, seen, retire });
         !OptikLock::version_is_locked(seen) && lock.version() == seen
@@ -256,47 +272,161 @@ impl<'r> Tx<'r> {
     }
 }
 
-/// One step of a speculative body: commit with a result, or declare the
-/// algorithm-level validation failed (the *operation* must re-parse — this
-/// is a restart, not a transactional conflict).
-pub enum SpecStep<R> {
-    /// Validation passed; attempt to commit and return `R`.
-    Commit(R),
-    /// The parsed window is stale (node marked / link changed): restart op.
-    Invalid,
+/// A transaction names each lock for its commit: a plain lock is
+/// try-locked, a version lock taken only at `seen` (as `try_lock_version`
+/// does); both are released after the writes, except a retired one.
+impl<'r, L: RawMutex> Exec<'r, L> for Tx<'r> {
+    #[inline]
+    fn lock(&mut self, lock: &'r L) {
+        self.name(Named::Plain(lock));
+    }
+
+    #[inline]
+    fn read(&mut self, loc: &'r AtomicUsize) -> usize {
+        Tx::read(self, loc)
+    }
+
+    #[inline]
+    fn write(&mut self, loc: &'r AtomicUsize, value: usize) {
+        Tx::write(self, loc, value);
+    }
 }
 
-/// Outcome of [`attempt_elision`].
-pub enum Elided<R> {
-    /// Speculation committed.
-    Committed(R),
-    /// Algorithm-level validation failed: the operation should restart from
-    /// its parse phase.
-    Invalid,
-    /// Retries exhausted: the caller must run its locked write phase.
-    FellBack,
+impl<'r> VersionExec<'r> for Tx<'r> {
+    #[inline]
+    fn lock_version(&mut self, lock: &'r OptikLock, seen: u64) -> bool {
+        self.name_version(lock, seen, false)
+    }
+
+    #[inline]
+    fn retire_version(&mut self, lock: &'r OptikLock, seen: u64) -> bool {
+        self.name_version(lock, seen, true)
+    }
 }
 
-/// Run `body` speculatively up to `retries` times (the paper §6.4 assumes
-/// five attempts before reverting to locking). Counts metrics for Table 2.
-pub fn attempt_elision<'r, R>(
-    region: &'r TxRegion,
-    retries: u32,
-    mut body: impl FnMut(&mut Tx<'r>) -> SpecStep<R>,
-) -> Elided<R> {
-    for _ in 0..retries {
-        let mut tx = region.begin();
-        match body(&mut tx) {
-            SpecStep::Invalid => return Elided::Invalid,
-            SpecStep::Commit(r) => {
-                if tx.commit().is_ok() {
-                    return Elided::Committed(r);
-                }
+/// The locked executor: up to `N` guards of the structure's one lock type
+/// `L`, inline (no heap), each with whether it retires. Locks are taken as
+/// the body names them, in the body's order, and released when the set
+/// drops — unless [`commit`](Self::commit) retires them.
+pub struct LockSet<'r, L: RawMutex, const N: usize> {
+    held: [Option<(LockGuard<'r, L>, bool)>; N],
+    len: usize,
+}
+
+impl<L: RawMutex, const N: usize> Default for LockSet<'_, L, N> {
+    /// A set that holds no lock.
+    fn default() -> Self {
+        LockSet {
+            held: [const { None }; N],
+            len: 0,
+        }
+    }
+}
+
+impl<'r, L: RawMutex, const N: usize> LockSet<'r, L, N> {
+    /// Take `lock` with `take` unless the set holds it already. `false`:
+    /// `take` failed.
+    fn take(
+        &mut self,
+        lock: &'r L,
+        retire: bool,
+        take: impl FnOnce() -> Option<LockGuard<'r, L>>,
+    ) -> bool {
+        if !self.held[..self.len]
+            .iter()
+            .flatten()
+            .any(|(g, _)| g.holds(lock))
+        {
+            let Some(guard) = take() else {
+                return false;
+            };
+            self.held[self.len] = Some((guard, retire));
+            self.len += 1;
+        }
+        true
+    }
+
+    /// The body wrote: release the locks it took, except the retired ones,
+    /// which stay held for good.
+    pub fn commit(mut self) {
+        for h in &mut self.held {
+            if let Some((_, true)) = h {
+                // Only `retire_version` retires, so this is an OPTIK
+                // guard: forgetting it is `LockGuard::retire`.
+                std::mem::forget(h.take());
             }
         }
     }
+}
+
+impl<'r, L: RawMutex, const N: usize> Exec<'r, L> for LockSet<'r, L, N> {
+    fn lock(&mut self, lock: &'r L) {
+        self.take(lock, false, || Some(lock_guard(lock)));
+    }
+
+    fn read(&mut self, loc: &'r AtomicUsize) -> usize {
+        loc.load(Ordering::Acquire)
+    }
+
+    fn write(&mut self, loc: &'r AtomicUsize, value: usize) {
+        loc.store(value, Ordering::Release);
+    }
+}
+
+impl<'r, const N: usize> VersionExec<'r> for LockSet<'r, OptikLock, N> {
+    fn lock_version(&mut self, lock: &'r OptikLock, seen: u64) -> bool {
+        self.take(lock, false, || lock.try_lock_version(seen))
+    }
+
+    fn retire_version(&mut self, lock: &'r OptikLock, seen: u64) -> bool {
+        self.take(lock, true, || lock.try_lock_version(seen))
+    }
+}
+
+/// Run a write-phase body through a transaction up to `retries` times (the
+/// paper §6.4 assumes five attempts before reverting to locking), counting
+/// Table 2's metrics. `Some(verdict)`: a transaction committed (`true`) or
+/// the body found its window stale (`false`: the operation re-parses).
+/// `None`: every attempt aborted, and the caller runs the body through a
+/// [`LockSet`].
+pub fn speculate<'r>(
+    region: &'r TxRegion,
+    retries: u32,
+    mut body: impl FnMut(&mut Tx<'r>) -> bool,
+) -> Option<bool> {
+    for _ in 0..retries {
+        let mut tx = region.begin();
+        if !body(&mut tx) {
+            return Some(false);
+        }
+        if tx.commit().is_ok() {
+            return Some(true);
+        }
+    }
     csds_metrics::elide_fallback();
-    Elided::FellBack
+    None
+}
+
+/// Run one write phase: in elision mode (`region` is `Some`) through
+/// [`speculate`], then — once speculation gives up, or at once in lock mode
+/// — through a [`LockSet`]. `spec` and `locked` apply the same body to each
+/// executor. Returns the body's verdict: `true` written, `false` stale
+/// (nothing written, no lock held).
+pub fn run<'r, L: RawMutex + 'r, const N: usize>(
+    region: Option<&'r TxRegion>,
+    retries: u32,
+    spec: impl FnMut(&mut Tx<'r>) -> bool,
+    locked: impl FnOnce(&mut LockSet<'r, L, N>) -> bool,
+) -> bool {
+    if let Some(verdict) = region.and_then(|r| speculate(r, retries, spec)) {
+        return verdict;
+    }
+    let mut locks = LockSet::default();
+    let written = locked(&mut locks);
+    if written {
+        locks.commit();
+    }
+    written
 }
 
 #[cfg(test)]
@@ -466,18 +596,18 @@ mod tests {
     }
 
     #[test]
-    fn attempt_elision_falls_back_after_retries() {
+    fn speculate_falls_back_after_retries() {
         let _ = csds_metrics::take_and_reset();
         let region = region();
         let a = AtomicUsize::new(0);
         // A body that always loses: it reads `a`, then a "concurrent" write
         // invalidates it before commit.
-        let out: Elided<()> = attempt_elision(&region, 5, |tx| {
+        let out = speculate(&region, 5, |tx| {
             let v = tx.read(&a);
             a.store(v + 1, Ordering::Relaxed); // simulate a conflicting writer
-            SpecStep::Commit(())
+            true
         });
-        assert!(matches!(out, Elided::FellBack));
+        assert_eq!(out, None);
         let snap = csds_metrics::take_and_reset();
         assert_eq!(snap.elide_attempts, 5);
         assert_eq!(snap.elide_fallbacks, 1);
@@ -485,29 +615,83 @@ mod tests {
     }
 
     #[test]
-    fn attempt_elision_commits_and_counts() {
+    fn speculate_commits_and_counts() {
         let _ = csds_metrics::take_and_reset();
         let region = region();
         let a = AtomicUsize::new(3);
-        let out = attempt_elision(&region, 5, |tx| {
+        let out = speculate(&region, 5, |tx| {
             let v = tx.read(&a);
             tx.write(&a, v * 2);
-            SpecStep::Commit(v)
+            true
         });
-        match out {
-            Elided::Committed(v) => assert_eq!(v, 3),
-            _ => panic!("expected commit"),
-        }
+        assert_eq!(out, Some(true));
         assert_eq!(a.load(Ordering::Relaxed), 6);
         let snap = csds_metrics::take_and_reset();
         assert_eq!(snap.elide_commits, 1);
         assert_eq!(snap.elide_fallbacks, 0);
     }
 
+    /// The locked executor takes each named lock once, counted and through
+    /// a guard, stores at once, and releases on commit and on drop alike.
+    #[test]
+    fn lock_set_takes_each_lock_once_and_releases_it() {
+        let _ = csds_metrics::take_and_reset();
+        let (l1, l2) = (TasLock::new(), TasLock::new());
+        let a = AtomicUsize::new(0);
+        let mut locks = LockSet::<TasLock, 2>::default();
+        locks.lock(&l1);
+        locks.lock(&l2);
+        locks.lock(&l1); // named twice, taken once
+        assert!(l1.is_locked() && l2.is_locked());
+        locks.write(&a, 4);
+        assert_eq!(a.load(Ordering::Relaxed), 4, "a lock set writes at once");
+        assert_eq!(locks.read(&a), 4);
+        locks.commit();
+        assert!(!l1.is_locked() && !l2.is_locked());
+        let mut locks = LockSet::<TasLock, 1>::default();
+        locks.lock(&l1);
+        drop(locks);
+        assert!(!l1.is_locked(), "a stale body's locks are released");
+        assert_eq!(csds_metrics::take_and_reset().lock_acquires, 3);
+    }
+
+    #[test]
+    fn lock_set_versions_fail_on_a_moved_version_and_retire_on_commit() {
+        let (moved, dead) = (OptikLock::new(), OptikLock::new());
+        let seen = moved.version();
+        drop(lock_guard(&moved));
+        let mut locks = LockSet::<OptikLock, 2>::default();
+        assert!(!locks.lock_version(&moved, seen), "the version moved");
+        assert!(locks.retire_version(&dead, dead.version()));
+        drop(locks);
+        assert!(!dead.is_locked(), "a stale body retires nothing");
+
+        let mut locks = LockSet::<OptikLock, 2>::default();
+        assert!(locks.lock_version(&moved, moved.version()));
+        assert!(locks.retire_version(&dead, dead.version()));
+        locks.commit();
+        assert!(!moved.is_locked());
+        assert!(dead.is_locked(), "a retired lock stays held");
+        assert!(dead.read_begin().is_none());
+    }
+
+    /// One counter-increment body, generic over the executor.
+    fn increment<'r, E: Exec<'r, TasLock>>(
+        e: &mut E,
+        lock: &'r TasLock,
+        counter: &'r AtomicUsize,
+    ) -> bool {
+        e.lock(lock);
+        let v = e.read(counter);
+        e.write(counter, v + 1);
+        true
+    }
+
     #[test]
     fn concurrent_counter_increments_are_not_lost() {
-        // 4 threads × 500 transactional increments on one counter: heavy
-        // conflicts, but commits and locked fallbacks must serialize.
+        // 4 threads × 500 increments (50 under Miri) of one body on one
+        // counter: heavy conflicts, but commits and locked fallbacks must
+        // serialize.
         let region = Arc::new(region());
         let lock = Arc::new(TasLock::new());
         let counter = Arc::new(AtomicUsize::new(0));
@@ -517,27 +701,21 @@ mod tests {
             let lock = Arc::clone(&lock);
             let counter = Arc::clone(&counter);
             handles.push(std::thread::spawn(move || {
-                for _ in 0..500 {
-                    let out = attempt_elision(&region, 5, |tx| {
-                        tx.lock(&*lock);
-                        let v = tx.read(&counter);
-                        tx.write(&counter, v + 1);
-                        SpecStep::Commit(())
-                    });
-                    if let Elided::FellBack = out {
-                        // The locked write phase: the counter's lock alone
-                        // guards it.
-                        let _g = lock_guard(&*lock);
-                        let v = counter.load(Ordering::Relaxed);
-                        counter.store(v + 1, Ordering::Relaxed);
-                    }
+                for _ in 0..if cfg!(miri) { 50 } else { 500 } {
+                    assert!(run::<TasLock, 1>(
+                        Some(&region),
+                        5,
+                        |tx| increment(tx, &lock, &counter),
+                        |locks| increment(locks, &lock, &counter),
+                    ));
                 }
             }));
         }
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(counter.load(Ordering::Relaxed), 2000);
+        let per_thread = if cfg!(miri) { 50 } else { 500 };
+        assert_eq!(counter.load(Ordering::Relaxed), 4 * per_thread);
         assert!(!lock.is_locked());
     }
 }

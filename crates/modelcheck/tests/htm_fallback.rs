@@ -1,82 +1,106 @@
-//! Interleaving models for the emulated-HTM commit (`csds_htm`): a
-//! speculative section names the locks its write phase would take, and
-//! `Tx::commit` try-locks them, validates, writes and releases. The commit
-//! and the locked write phase then follow one lock discipline, so they
-//! exclude each other on the structure's own lock word and on nothing
-//! else. On the production `TxRegion`, `attempt_elision` and `TasLock`:
+//! Interleaving models for the emulated-HTM commit (`csds_htm`): a write
+//! phase is one body generic over the executor, which a `LockSet` runs
+//! under the locks the body names and a `Tx` runs speculatively, its
+//! commit try-locking the same locks, validating, writing and releasing.
+//! The commit and the locked write phase then follow one lock discipline,
+//! so they exclude each other on the structure's own lock word and on
+//! nothing else. On the production `TxRegion`, `speculate`, `LockSet`,
+//! `TasLock` and `OptikLock`:
 //!
-//! * a speculative claimant and a locked claimant of the same
-//!   `(marked, link)` pair — the shape of two removers of one list node —
-//!   behind one lock: exactly one of them claims the node in every
-//!   schedule;
-//! * two commits on disjoint locks and words both commit in every
+//! * (a) one claim of a `(marked, link)` pair — the shape of two removers
+//!   of one list node — run by one thread through the lock set and by the
+//!   other through a transaction, behind one lock: exactly one of them
+//!   claims the node in every schedule;
+//! * (b) two commits on disjoint locks and words both commit in every
 //!   schedule: no commit waits on, or aborts for, a lock it did not name;
-//! * the seeded negative's speculative body omits the lock. The checker must
-//!   find the schedule in which its commit lands between the locked
-//!   claimant's validation and its stores, and both claim the node: in a
-//!   structure, both would unlink it and both would retire it.
+//! * (c) the seeded negative's body names no lock, so neither executor
+//!   excludes the other. The checker must find the schedule in which both
+//!   claim the node: in a structure, both would unlink it and both would
+//!   retire it;
+//! * (d) the BST-TK / lazy-ht shape: the claim takes one `OptikLock` at the
+//!   version its parse saw, a lock-set `try_lock_version(seen)` against a
+//!   commit at `seen`: exactly one claims.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use csds_htm::{attempt_elision, Elided, SpecStep, TxRegion};
+use csds_htm::{speculate, Exec, LockSet, Tx, TxRegion, VersionExec};
 use csds_modelcheck::{thread, Model, Report};
 use csds_sync::atomic::{AtomicUsize, Ordering};
-use csds_sync::{lock_guard, RawMutex, TasLock};
+use csds_sync::{OptikLock, RawMutex, TasLock};
 
 /// `link` points at the node.
 const LINKED: usize = 1;
 /// `link` points past the node: it has been unlinked.
 const UNLINKED: usize = 2;
 
-/// One removal window: the node's structure lock, its `marked` flag and the
-/// predecessor link that points at it.
-struct Window {
+/// One removal window: the node's structure lock `L`, its `marked` flag and
+/// the predecessor link that points at it.
+struct Window<L> {
     region: TxRegion,
-    lock: TasLock,
+    lock: L,
     marked: AtomicUsize,
     link: AtomicUsize,
 }
 
-impl Window {
+impl<L: RawMutex> Window<L> {
     fn new() -> Self {
         Window {
             // No emulated interrupts: only the order of steps decides.
             region: TxRegion::with_quantum(Duration::from_secs(300)),
-            lock: TasLock::new(),
+            lock: L::new(),
             marked: AtomicUsize::new(0),
             link: AtomicUsize::new(LINKED),
         }
     }
 }
 
-/// Validate and claim in one speculative attempt (one is enough: a
-/// claimant that does not commit claims nothing here). `named` says
-/// whether the body names the window's lock, as the one rule requires.
-fn speculative_claim(w: &Window, named: bool) -> bool {
-    let out = attempt_elision(&w.region, 1, |tx| {
-        if named {
-            tx.lock(&w.lock);
-        }
-        if tx.read(&w.marked) != 0 || tx.read(&w.link) != LINKED {
-            return SpecStep::Invalid;
-        }
-        tx.write(&w.marked, 1);
-        tx.write(&w.link, UNLINKED);
-        SpecStep::Commit(())
-    });
-    matches!(out, Elided::Committed(()))
-}
-
-/// The locked write phase: lock, validate, store.
-fn locked_claim(w: &Window) -> bool {
-    let _g = lock_guard(&w.lock);
-    if w.marked.load(Ordering::Acquire) != 0 || w.link.load(Ordering::Acquire) != LINKED {
+/// The one claim body: lock (if `named`, as the one rule requires),
+/// validate, claim.
+fn claim<'a>(e: &mut impl Exec<'a, TasLock>, w: &'a Window<TasLock>, named: bool) -> bool {
+    if named {
+        e.lock(&w.lock);
+    }
+    if e.read(&w.marked) != 0 || e.read(&w.link) != LINKED {
         return false;
     }
-    w.marked.store(1, Ordering::Release);
-    w.link.store(UNLINKED, Ordering::Release);
+    e.write(&w.marked, 1);
+    e.write(&w.link, UNLINKED);
     true
+}
+
+/// The version-lock claim: take the lock at the version `seen` the parse
+/// observed, then claim; the version proves the window unchanged.
+fn version_claim<'a>(e: &mut impl VersionExec<'a>, w: &'a Window<OptikLock>, seen: u64) -> bool {
+    if !e.lock_version(&w.lock, seen) {
+        return false;
+    }
+    e.write(&w.marked, 1);
+    e.write(&w.link, UNLINKED);
+    true
+}
+
+/// Run `body` once through a lock set; commit if it claimed.
+fn locked<'a, L: RawMutex + 'a>(body: impl FnOnce(&mut LockSet<'a, L, 1>) -> bool) -> bool {
+    let mut locks = LockSet::default();
+    let claimed = body(&mut locks);
+    if claimed {
+        locks.commit();
+    }
+    claimed
+}
+
+/// Run `body` in one speculative attempt (one is enough: a claimant that
+/// does not commit claims nothing here).
+fn speculative<'a>(region: &'a TxRegion, body: impl FnMut(&mut Tx<'a>) -> bool) -> bool {
+    speculate(region, 1, body) == Some(true)
+}
+
+/// The parse of the version-lock shape: the version, then the link it
+/// guards. `None`: the node is gone already.
+fn parse(w: &Window<OptikLock>) -> Option<u64> {
+    let seen = w.lock.version();
+    (w.link.load(Ordering::Acquire) == LINKED).then_some(seen)
 }
 
 /// Schedules one model may explore; exploration must end well before it.
@@ -93,10 +117,10 @@ fn model() -> Model {
 
 fn race(named: bool) -> Report {
     model().run(move || {
-        let w = Arc::new(Window::new());
+        let w = Arc::new(Window::<TasLock>::new());
         let w2 = Arc::clone(&w);
-        let t = thread::spawn(move || speculative_claim(&w2, named));
-        let mine = locked_claim(&w);
+        let t = thread::spawn(move || speculative(&w2.region, |tx| claim(tx, &w2, named)));
+        let mine = locked(|locks| claim(locks, &w, named));
         let theirs = t.join().unwrap();
         assert!(mine || theirs, "nobody claimed the node");
         assert!(!(mine && theirs), "both claimed the node");
@@ -110,7 +134,7 @@ fn print(name: &str, r: &Report) {
     );
 }
 
-/// The locked claimant waits for the lock in a spin loop, so the model
+/// Model (a). The locked claimant waits for the lock in a spin loop, so the model
 /// cannot demand `truncated == 0`, for the reason `pq_popmin.rs` gives: the
 /// checker finds schedules in which a committing speculator is preempted
 /// for good while it holds the lock, and the waiter spins until the step
@@ -137,15 +161,15 @@ fn a_commit_and_a_locked_write_on_one_lock_claim_exactly_once() {
     );
 }
 
-/// Neither commit waits, so no schedule is cut.
+/// Model (b). Neither commit waits, so no schedule is cut.
 #[test]
 fn commits_on_disjoint_locks_both_commit() {
     let report = model().run(|| {
-        let a = Arc::new(Window::new());
-        let b = Arc::new(Window::new());
+        let a = Arc::new(Window::<TasLock>::new());
+        let b = Arc::new(Window::<TasLock>::new());
         let a2 = Arc::clone(&a);
-        let t = thread::spawn(move || speculative_claim(&a2, true));
-        let mine = speculative_claim(&b, true);
+        let t = thread::spawn(move || speculative(&a2.region, |tx| claim(tx, &a2, true)));
+        let mine = speculative(&b.region, |tx| claim(tx, &b, true));
         let theirs = t.join().unwrap();
         assert!(mine && theirs, "a commit aborted on a lock it did not name");
     });
@@ -160,13 +184,41 @@ fn commits_on_disjoint_locks_both_commit() {
     assert!(report.executions < MAX_EXECUTIONS);
 }
 
+/// Negative (c).
 #[test]
 fn a_commit_that_omits_the_lock_double_claims_and_the_checker_sees_it() {
     let report = race(false);
     print("lock omitted", &report);
     let f = report
         .failure
-        .expect("a commit outside the write phase's lock must expose a double claim");
+        .expect("a body that names no lock must expose a double claim");
     assert!(f.message.contains("both claimed"), "message: {}", f.message);
     assert!(!f.schedule.is_empty());
+}
+
+/// Model (d). Neither claimant waits (a version take is a trylock), so no
+/// schedule is cut.
+#[test]
+fn a_commit_and_a_locked_write_at_one_version_claim_exactly_once() {
+    let report = model().run(|| {
+        let w = Arc::new(Window::<OptikLock>::new());
+        let w2 = Arc::clone(&w);
+        let t = thread::spawn(move || {
+            parse(&w2)
+                .is_some_and(|seen| speculative(&w2.region, |tx| version_claim(tx, &w2, seen)))
+        });
+        let mine = parse(&w).is_some_and(|seen| locked(|locks| version_claim(locks, &w, seen)));
+        let theirs = t.join().unwrap();
+        assert!(mine || theirs, "nobody claimed the node");
+        assert!(!(mine && theirs), "both claimed the node");
+    });
+    print("one version lock", &report);
+    assert!(
+        report.failure.is_none(),
+        "a commit raced a version-locked write phase: {:?}",
+        report.failure
+    );
+    assert_eq!(report.truncated, 0);
+    assert!(report.executions > 1);
+    assert!(report.executions < MAX_EXECUTIONS);
 }

@@ -96,6 +96,12 @@ impl<'a, L: RawMutex> LockGuard<'a, L> {
         csds_metrics::maybe_delay_in_cs();
         LockGuard { lock }
     }
+
+    /// Whether this guard holds `lock`.
+    #[inline]
+    pub fn holds(&self, lock: &L) -> bool {
+        std::ptr::eq(self.lock, lock)
+    }
 }
 
 impl<'a, L: RawMutex> Drop for LockGuard<'a, L> {
