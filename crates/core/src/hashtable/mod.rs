@@ -6,22 +6,31 @@
 //! reads are synchronization-free.
 //!
 //! * [`LazyHashTable`] — the paper's blocking hash table: per-bucket lock +
-//!   synchronization-free reads (used in Figs. 3–9 and Tables 2–3).
+//!   synchronization-free reads (used in Figs. 3–9 and Tables 2–3), built
+//!   from the versioned bucket [`chain`] it shares with `csds_elastic`.
 //! * [`Bucketed`] — generic "map per bucket" adapter, instantiated as:
 //!   [`CouplingHashTable`] (lock-coupling chain \[30\]),
 //!   [`LockFreeHashTable`] (Harris chain ≈ Michael's lock-free table \[43\]),
 //!   [`WaitFreeHashTable`] (wait-free chain; paper footnote 2).
 
 mod bucketed;
+pub mod chain;
 mod lazy_ht;
 
 pub use bucketed::{Bucketed, CouplingHashTable, LockFreeHashTable, WaitFreeHashTable};
 pub use lazy_ht::LazyHashTable;
 
-/// Fibonacci multiplicative hash onto `2^bits` buckets.
+/// Fibonacci multiplicative hash of a key.
 #[inline]
-pub(crate) fn bucket_of(key: u64, mask: usize) -> usize {
-    (key.wrapping_mul(0x9E3779B97F4A7C15) >> 32) as usize & mask
+pub fn fib_hash(key: u64) -> u64 {
+    key.wrapping_mul(0x9E3779B97F4A7C15)
+}
+
+/// The bucket of `key` among `mask + 1` (a power of two): bits 32 and up
+/// of [`fib_hash`].
+#[inline]
+pub fn bucket_of(key: u64, mask: usize) -> usize {
+    (fib_hash(key) >> 32) as usize & mask
 }
 
 /// Bucket count for a target capacity at load factor 1 (next power of two).

@@ -71,7 +71,7 @@ pub mod queuestack;
 pub mod skiplist;
 
 pub(crate) mod key;
-pub(crate) mod write;
+pub mod write;
 
 pub use key::{check_user_key, MAX_USER_KEY};
 

@@ -6,12 +6,13 @@
 //! decides with [`Insert`], `remove_in` with [`Remove`], and `rmw_in` with
 //! its [`RmwFn`] closure. The loop is generic over the decision source, so
 //! each entry point gets its own monomorphized copy: insert and remove make
-//! no dynamic call.
+//! no dynamic call. `csds_elastic` runs its updates on these types too,
+//! through the shared bucket chain ([`crate::hashtable::chain`]).
 
 use crate::{RmwFn, RmwOutcome};
 
 /// What an update does with the key its parse found.
-pub(crate) enum Write<V> {
+pub enum Write<V> {
     /// Leave the map as it is.
     Keep,
     /// Link the value for an absent key, or replace a present key's value.
@@ -21,7 +22,7 @@ pub(crate) enum Write<V> {
 }
 
 /// Where a write loop gets its decision from.
-pub(crate) trait Decide<V> {
+pub trait Decide<V> {
     /// The decision for the value the parse found (`None`: absent).
     fn decide(&mut self, cur: Option<&V>) -> Write<V>;
 
@@ -32,7 +33,7 @@ pub(crate) trait Decide<V> {
 }
 
 /// `insert_in`: put the value if the key is absent.
-pub(crate) struct Insert<V>(pub(crate) Option<V>);
+pub struct Insert<V>(pub Option<V>);
 
 impl<V> Decide<V> for Insert<V> {
     #[inline]
@@ -50,7 +51,7 @@ impl<V> Decide<V> for Insert<V> {
 }
 
 /// `remove_in`: unlink the key if it is present.
-pub(crate) struct Remove;
+pub struct Remove;
 
 impl<V> Decide<V> for Remove {
     #[inline]
@@ -72,15 +73,18 @@ impl<V> Decide<V> for RmwFn<'_, V> {
 
 /// What a write loop did, with the values before and after still borrowed
 /// from the map and the guard: only `remove_in` and `rmw_in` clone.
-pub(crate) struct Written<'g, V> {
-    pub(crate) prev: Option<&'g V>,
-    pub(crate) cur: Option<&'g V>,
-    pub(crate) applied: bool,
+pub struct Written<'g, V> {
+    /// The value the parse found (`None`: absent).
+    pub prev: Option<&'g V>,
+    /// The value the map holds for the key afterwards.
+    pub cur: Option<&'g V>,
+    /// Whether the map changed.
+    pub applied: bool,
 }
 
 impl<'g, V> Written<'g, V> {
     /// A `Keep`: the map is unchanged, and `cur` is the value it holds.
-    pub(crate) fn kept(cur: Option<&'g V>) -> Self {
+    pub fn kept(cur: Option<&'g V>) -> Self {
         Written {
             prev: cur,
             cur,
@@ -89,7 +93,7 @@ impl<'g, V> Written<'g, V> {
     }
 
     /// A link (`prev` absent), a replace, or an unlink (`cur` absent).
-    pub(crate) fn wrote(prev: Option<&'g V>, cur: Option<&'g V>) -> Self {
+    pub fn wrote(prev: Option<&'g V>, cur: Option<&'g V>) -> Self {
         Written {
             prev,
             cur,
